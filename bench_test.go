@@ -95,10 +95,6 @@ func BenchmarkFig17Ablation(b *testing.B) {
 	runFigure(b, figures.Fig17, 0, 0, "multiinsert-Mops-1GB1t")
 }
 
-func BenchmarkScanFallbackStats(b *testing.B) {
-	runFigure(b, figures.ScanStats, 0, 0, "fallback-pct")
-}
-
 func BenchmarkAPIBatchIter(b *testing.B) {
 	runFigure(b, figures.APIBench, 0, 0, "flodb-batch-Mops")
 }

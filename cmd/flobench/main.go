@@ -7,7 +7,7 @@
 //	flobench -quick all
 //
 // Figures: fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
-// fig15 fig16 fig17 scanstats, the contract/scaling extras (apibench,
+// fig15 fig16 fig17, the contract/scaling extras (apibench,
 // shardbench, adaptive, ablate-*), or "all". An unknown figure name is
 // an error (exit 2) listing the valid names.
 //
@@ -32,21 +32,20 @@ import (
 )
 
 var figureFuncs = map[string]func(figures.Config) (*harness.Table, error){
-	"fig3":      figures.Fig3,
-	"fig4":      figures.Fig4,
-	"fig5":      figures.Fig5,
-	"fig7":      figures.Fig7,
-	"fig8":      figures.Fig8,
-	"fig9":      figures.Fig9,
-	"fig10":     figures.Fig10,
-	"fig11":     figures.Fig11,
-	"fig12":     figures.Fig12,
-	"fig13":     figures.Fig13,
-	"fig14":     figures.Fig14,
-	"fig15":     figures.Fig15,
-	"fig16":     figures.Fig16,
-	"fig17":     figures.Fig17,
-	"scanstats": figures.ScanStats,
+	"fig3":  figures.Fig3,
+	"fig4":  figures.Fig4,
+	"fig5":  figures.Fig5,
+	"fig7":  figures.Fig7,
+	"fig8":  figures.Fig8,
+	"fig9":  figures.Fig9,
+	"fig10": figures.Fig10,
+	"fig11": figures.Fig11,
+	"fig12": figures.Fig12,
+	"fig13": figures.Fig13,
+	"fig14": figures.Fig14,
+	"fig15": figures.Fig15,
+	"fig16": figures.Fig16,
+	"fig17": figures.Fig17,
 	// Contract surface beyond the paper: atomic batches + streaming
 	// iterators across the six systems.
 	"apibench": figures.APIBench,
@@ -169,7 +168,7 @@ func figureNames() []string {
 		names = append(names, n)
 	}
 	sort.Slice(names, func(i, j int) bool {
-		// figN sorts numerically; scanstats last.
+		// figN sorts numerically, the named figures after them.
 		pi, pj := names[i], names[j]
 		if strings.HasPrefix(pi, "fig") && strings.HasPrefix(pj, "fig") {
 			var a, b int

@@ -289,8 +289,7 @@ func main() {
 		fmt.Printf("puts=%d gets=%d deletes=%d scans=%d iterators=%d batches=%d (%d ops) snapshots=%d checkpoints=%d\n",
 			s.Puts, s.Gets, s.Deletes, s.Scans, s.Iterators, s.Batches, s.BatchOps, s.Snapshots, s.Checkpoints)
 		fmt.Printf("membuffer-hits=%d memtable-writes=%d\n", s.MembufferHits, s.MemtableWrites)
-		fmt.Printf("scan-restarts=%d fallback-scans=%d flushes=%d compactions=%d\n",
-			s.ScanRestarts, s.FallbackScans, s.Flushes, s.Compactions)
+		fmt.Printf("flushes=%d compactions=%d\n", s.Flushes, s.Compactions)
 		fmt.Printf("acked-seq=%d durable-seq=%d wal-syncs=%d wal-sync-requests=%d sync-barriers=%d\n",
 			s.AckedSeq, s.DurableSeq, s.WALSyncs, s.WALSyncRequests, s.SyncBarriers)
 		fmt.Printf("block-cache: hits=%d misses=%d (%s) evictions=%d resident=%dB\n",

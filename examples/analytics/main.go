@@ -117,10 +117,8 @@ func main() {
 	close(stop)
 	wg.Wait()
 
-	st := db.Stats()
 	fmt.Printf("%d scans over %d repricing bursts in %v\n", scanRounds, bursts.Load(), elapsed.Round(time.Millisecond))
 	fmt.Printf("torn snapshots observed: %d (must be 0)\n", torn)
-	fmt.Printf("scan restarts=%d fallback scans=%d\n", st.ScanRestarts, st.FallbackScans)
 	if torn > 0 {
 		os.Exit(1)
 	}

@@ -116,6 +116,6 @@ func main() {
 	rest, _ := db.Scan(ctx, []byte("q:"), []byte("q:\xff"))
 	fmt.Printf("remaining in queue: %d\n", len(rest))
 	st := db.Stats()
-	fmt.Printf("stats: membuffer-hits=%d memtable-writes=%d flushes=%d scan-restarts=%d\n",
-		st.MembufferHits, st.MemtableWrites, st.Flushes, st.ScanRestarts)
+	fmt.Printf("stats: membuffer-hits=%d memtable-writes=%d flushes=%d iterators=%d\n",
+		st.MembufferHits, st.MemtableWrites, st.Flushes, st.Iterators)
 }

@@ -9,11 +9,11 @@
 // how much memory the store is given; background threads continuously
 // drain them into the skiplist using batched multi-inserts; the skiplist
 // flushes to disk without a sorting step. Reads check the levels in
-// freshness order. Scans are serializable (master scans linearizable) and
-// run concurrently with updates.
+// freshness order. Scans and iterators read one point-in-time view each
+// and run concurrently with updates.
 //
 // Every operation takes a context.Context: cancellation and deadlines are
-// honored at every wait point (chunked scan refills, drain waits, write
+// honored at every wait point (iterator positioning, drain waits, write
 // backpressure), and context errors surface via errors.Is.
 //
 // Quick start:
@@ -179,7 +179,6 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		MembufferFraction:   o.membufferFraction,
 		PartitionBits:       o.partitionBits,
 		DrainThreads:        o.drainThreads,
-		RestartThreshold:    o.restartThreshold,
 		DisableWAL:          o.disableWAL,
 		WALWriteThrough:     o.walWriteThrough,
 		Durability:          o.durability,
@@ -270,9 +269,10 @@ func (db *DB) Get(ctx context.Context, key []byte) (value []byte, found bool, er
 }
 
 // Scan returns all pairs with low <= key < high in key order. Nil bounds
-// are open. The returned view is a consistent snapshot: point-in-time
-// semantics as defined in §2.1 of the paper. The whole range is
-// materialized; prefer NewIterator for large or unbounded ranges.
+// are open. The result is a consistent snapshot: point-in-time semantics
+// as defined in §2.1 of the paper. It is NewIterator driven to the end
+// and copied out — the whole range is materialized; prefer NewIterator
+// for large or unbounded ranges.
 func (db *DB) Scan(ctx context.Context, low, high []byte) ([]Pair, error) {
 	return db.inner.Scan(ctx, low, high)
 }
@@ -282,18 +282,18 @@ func (db *DB) Scan(ctx context.Context, low, high []byte) ([]Pair, error) {
 // the call, however many writes land afterwards, until the handle is
 // Closed.
 //
-// Taking a snapshot is O(1) in the size of the memory component: the
-// call seals the Membuffer (the same generation switch a master scan
-// performs — the hash table's entries are unsequenced, so they must
-// reach the skiplist before a sequence bound can mean anything), draws
-// a sequence bound, and pins the live skiplist plus the current disk
-// version at that bound. No memtable flush happens. While the handle is
-// open, in-place skiplist overwrites keep a short per-key version chain
-// so the snapshot's reads resolve to the newest version at or below its
-// bound; the chains are pruned back to single versions as snapshots
-// close. The handle also pins sstables until Close, so holding
-// snapshots delays space reclamation and retains superseded values in
-// memory — it never blocks writers after the seal returns.
+// A snapshot is the view every iterator opens, kept until Close instead
+// of until the cursor's: the call seals the Membuffer (the hash table's
+// entries are unsequenced, so they must reach the skiplist before a
+// sequence bound can mean anything — time proportional to what is
+// resident in it), draws a sequence bound, and pins the live skiplist
+// plus the current disk version at that bound. No memtable flush happens.
+// While the handle is open, in-place skiplist overwrites keep a short
+// per-key version chain so the snapshot's reads resolve to the newest
+// version at or below its bound; the chains are pruned back to single
+// versions as readers close. The handle also pins sstables until Close,
+// so holding snapshots delays space reclamation and retains superseded
+// values in memory — it never blocks writers after the seal returns.
 //
 // On a sharded store the per-shard bounds are pinned under a brief
 // cross-shard write barrier, so the handle is one globally consistent

@@ -92,7 +92,6 @@ func TestPublicAPIOptions(t *testing.T) {
 		flodb.WithMembufferFraction(0.5),
 		flodb.WithPartitionBits(4),
 		flodb.WithDrainThreads(1),
-		flodb.WithRestartThreshold(5),
 		flodb.WithoutWAL(),
 	)
 	for i := 0; i < 1000; i++ {
@@ -176,7 +175,6 @@ func TestFunctionalOptions(t *testing.T) {
 		flodb.WithMembufferFraction(0.5),
 		flodb.WithPartitionBits(4),
 		flodb.WithDrainThreads(1),
-		flodb.WithRestartThreshold(5),
 		flodb.WithoutWAL(),
 	)
 	if err != nil {

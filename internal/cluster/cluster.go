@@ -882,8 +882,6 @@ func (c *Client) Stats() kv.Stats {
 			continue
 		}
 		ns := cl.Stats()
-		st.ScanRestarts += ns.ScanRestarts
-		st.FallbackScans += ns.FallbackScans
 		st.MembufferHits += ns.MembufferHits
 		st.MemtableWrites += ns.MemtableWrites
 		st.Flushes += ns.Flushes

@@ -17,7 +17,7 @@ import (
 // notes that the right split is a property of the WORKLOAD: update-heavy
 // streams want a large Membuffer (more updates complete in O(1) and the
 // drain batches stay full), while scan- and read-heavy streams want a
-// small one (every master scan must drain the Membuffer before it can
+// small one (every range read must drain the Membuffer before it can
 // take a sequence point, so a big buffer taxes exactly the operations
 // that least benefit from it). This file implements that feedback loop:
 //
@@ -39,13 +39,12 @@ import (
 //	             membuffer share).
 
 const (
-	// adaptScanWeight prices one scan/iterator against point ops. A
-	// master scan's Membuffer cost is a full drain plus the fresh
-	// buffer's allocation — thousands of entry-moves at the default
-	// geometry — amortized over at most MaxPiggybackChain piggybacking
-	// scans, so one scan op weighs several hundred point ops: even a
-	// few-percent scan mix makes an oversized Membuffer the dominant
-	// cost and should pull the split down hard.
+	// adaptScanWeight prices one scan/iterator against point ops. Every
+	// range read seals the Membuffer and drains whatever is resident —
+	// up to thousands of entry-moves at the default geometry — so one
+	// scan op weighs several hundred point ops: even a few-percent scan
+	// mix makes an oversized Membuffer the dominant cost and should pull
+	// the split down hard.
 	adaptScanWeight = 400
 	// adaptShareGain smooths the measured shares across windows (EWMA),
 	// so one bursty window does not trigger an epoch; the fraction then
@@ -54,7 +53,7 @@ const (
 	adaptShareGain = 0.7
 	// adaptScanAttackGain is the asymmetric fast path for scan ONSET:
 	// when the scan share rises, waiting costs a full oversized drain
-	// per master scan, so the controller reacts at nearly full speed;
+	// per range read, so the controller reacts at nearly full speed;
 	// scan decay uses the normal gain.
 	adaptScanAttackGain = 0.9
 	// adaptWriteCap is how far a FLOW-THROUGH update stream pulls the
@@ -74,9 +73,9 @@ const (
 	// adaptRelDeadband suppresses resizes that would change the
 	// Membuffer's size by less than this RELATIVE amount, with
 	// adaptMinStep as an absolute floor. Relative, because the costs a
-	// resize corrects are proportional to the buffer's size (each
-	// master scan re-allocates a fraction-sized buffer; each seal
-	// drains one), so a 0.02 correction matters near the floor and is
+	// resize corrects are proportional to the buffer's size (each seal
+	// drains a fraction-sized buffer), so a 0.02 correction matters
+	// near the floor and is
 	// noise near the ceiling — while the epoch itself costs a full
 	// drain either way.
 	adaptRelDeadband = 0.2
@@ -163,21 +162,20 @@ func (db *DB) SetMembufferFraction(f float64) error {
 	return nil
 }
 
-// resizeEpoch performs one Membuffer resize: the same switch protocol as
-// a master scan's seal (Algorithm 3 lines 4–11), except the incoming
-// buffer has a different capacity and no sequence point is taken. Under
-// drainMu it is mutually exclusive with persist seals, master scans,
-// fallback scans and batch application, so the Get freshness order and
-// the WAL-truncation invariant hold unchanged — to every other thread a
-// resize is indistinguishable from a scan's generation switch.
+// resizeEpoch performs one Membuffer resize: the same seal as a range
+// read's (sealMembuffer), except the incoming buffer has a different
+// capacity and no sequence point is taken. Under drainMu it is mutually
+// exclusive with persist seals, view pins and batch application, so the
+// Get freshness order and the WAL-truncation invariant hold unchanged —
+// to every other thread a resize is indistinguishable from a reader's
+// generation switch.
 func (db *DB) resizeEpoch(frac float64) {
 	db.drainMu.Lock()
 	if db.closed.Load() {
 		db.drainMu.Unlock()
 		return
 	}
-	old := db.gen.Load()
-	if old.mbf == nil {
+	if db.gen.Load().mbf == nil {
 		db.drainMu.Unlock()
 		return
 	}
@@ -187,19 +185,14 @@ func (db *DB) resizeEpoch(frac float64) {
 		start = time.Now()
 	}
 	// Publish the fraction first so the new buffer and every target
-	// computation after the switch agree on the new split.
+	// computation after the switch agree on the new split. The spares were
+	// built at the old capacity, and so was the buffer this seal retires:
+	// drop them all, the seal allocates.
 	db.mbfFrac.Store(math.Float64bits(frac))
-
-	db.pauseWriters.Store(true)
-	db.pauseDraining.Store(true)
-	db.gen.Store(&generation{mbf: db.newMembufferNow(), mtb: old.mtb})
-	old.mbf.Freeze()
-	db.immMbf.Store(old.mbf)
-	db.domain.Synchronize()
-	db.drainBufferInto(old.mbf, old.mtb, 0)
-	db.immMbf.Store(nil)
+	db.spares = spareMembuffers{}
+	db.sealMembuffer(nil)
+	db.spares = spareMembuffers{}
 	db.pauseWriters.Store(false)
-	db.pauseDraining.Store(false)
 	db.drainMu.Unlock()
 
 	db.stats.resizes.Add(1)
@@ -221,7 +214,7 @@ func (db *DB) resizeEpoch(frac float64) {
 // shares —
 //
 //	scan share         — weighted scans over all traffic. The dominant
-//	                     shrink signal: every master scan drains the
+//	                     shrink signal: every range read drains the
 //	                     whole Membuffer before its sequence point, so
 //	                     its cost is linear in the buffer size while
 //	                     its benefit is zero.

@@ -21,7 +21,7 @@ import (
 // multi-insert batch (§4.2).
 //
 // The memory-component application runs under drainMu, which serializes it
-// with generation switches (persist seals, master scans, fallback scans).
+// with generation switches (persist seals, view pins, resizes).
 // That exclusion is what makes the per-op routing safe: with no immutable
 // Membuffer in existence and no switch in flight, an operation either
 // completes in the Membuffer (in-place update or insert) or — only when
@@ -30,12 +30,12 @@ import (
 // contiguous sequence range, without ever being shadowed by a staler
 // Membuffer entry (the Get freshness invariant of Algorithm 2).
 //
-// Visibility: scans never observe a partial batch. A scan whose sequence
-// number predates the batch skips every batch entry (or restarts, per
-// Algorithm 3); a scan led after Apply returns drains the Membuffer first
-// and sees every entry. Point Gets racing with Apply may observe a prefix
-// of the batch — the atomicity contract is about durability and scans, not
-// read isolation.
+// Visibility: range reads never observe a partial batch. A view's
+// sequence bound is drawn under drainMu too, so the whole batch is on one
+// side of it: a view pinned before skips every batch entry, one pinned
+// after drains the Membuffer first and sees every entry. Point Gets racing
+// with Apply may observe a prefix of the batch — the atomicity contract is
+// about durability and scans, not read isolation.
 func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -74,7 +74,7 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 	// store's switch/scan lock across a disk barrier would hand every
 	// scanner and the persister the fsync's latency.
 	if d == kv.DurabilitySync {
-		return db.commitSync(syncW, syncOff)
+		return db.commitSync(syncW, syncOff, 1)
 	}
 	return nil
 }
@@ -174,7 +174,7 @@ func (db *DB) CommitBatch(ctx context.Context, b *kv.Batch, d kv.Durability, put
 		return err
 	}
 	if d == kv.DurabilitySync {
-		if err := db.commitSync(syncW, syncOff); err != nil {
+		if err := db.commitSync(syncW, syncOff, puts+deletes); err != nil {
 			return err
 		}
 	}

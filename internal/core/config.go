@@ -13,8 +13,7 @@ import (
 // Config parameterizes a FloDB instance. The defaults mirror the paper's
 // experimental setup scaled to a development machine: the memory budget is
 // split 1/4 Membuffer : 3/4 Memtable (§5.1), keys of ~8 B and values of
-// ~256 B size the hash table, and scans fall back after a bounded number
-// of restarts (§4.4).
+// ~256 B size the hash table.
 type Config struct {
 	// Dir is the database directory.
 	Dir string
@@ -33,7 +32,7 @@ type Config struct {
 	// put/get/scan mix and drain-stall time, and a controller shifts the
 	// byte budget between the two levels inside MemoryBytes —
 	// update-heavy phases grow the Membuffer (more O(1) absorption),
-	// scan/read-heavy phases shrink it (cheaper master-scan drains, the
+	// scan/read-heavy phases shrink it (cheaper range-read seals, the
 	// skiplist stays authoritative). A resize is one generation switch
 	// through the existing immutable-Membuffer drain path: seal at the
 	// old capacity, open at the new one — never a stop-the-world rehash.
@@ -66,14 +65,6 @@ type Config struct {
 	// DisableMembuffer removes the top level entirely — the "No HT"
 	// ablation of Fig 17 (a classic single-level LSM memory component).
 	DisableMembuffer bool
-
-	// RestartThreshold is the number of scan restarts tolerated before
-	// the fallback scan blocks writers (Algorithm 3). Default 3.
-	RestartThreshold int
-	// MaxPiggybackChain bounds the master→piggyback reuse chain to avoid
-	// scans running with arbitrarily stale sequence numbers (§4.4).
-	// Default 8.
-	MaxPiggybackChain int
 
 	// DisableWAL skips commit logging entirely (the paper's benchmarks,
 	// like LevelDB's defaults, run without a per-write log). Without a
@@ -198,18 +189,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.DrainBatch == 0 {
 		c.DrainBatch = 64
-	}
-	if c.RestartThreshold < 0 {
-		return fmt.Errorf("core: RestartThreshold %d is negative; want > 0 (or 0 for the default 3)", c.RestartThreshold)
-	}
-	if c.RestartThreshold == 0 {
-		c.RestartThreshold = 3
-	}
-	if c.MaxPiggybackChain < 0 {
-		return fmt.Errorf("core: MaxPiggybackChain %d is negative; want > 0 (or 0 for the default 8)", c.MaxPiggybackChain)
-	}
-	if c.MaxPiggybackChain == 0 {
-		c.MaxPiggybackChain = 8
 	}
 	if c.DropPersist {
 		c.DisableWAL = true

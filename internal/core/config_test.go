@@ -24,8 +24,6 @@ func TestOpenRejectsOutOfRangeConfig(t *testing.T) {
 		{"partition bits 17", func(c *Config) { c.PartitionBits = 17 }, "PartitionBits"},
 		{"negative drain threads", func(c *Config) { c.DrainThreads = -2 }, "DrainThreads"},
 		{"negative drain batch", func(c *Config) { c.DrainBatch = -1 }, "DrainBatch"},
-		{"negative restart threshold", func(c *Config) { c.RestartThreshold = -1 }, "RestartThreshold"},
-		{"negative piggyback chain", func(c *Config) { c.MaxPiggybackChain = -1 }, "MaxPiggybackChain"},
 		{"negative entry hint", func(c *Config) { c.EntryBytesHint = -1 }, "EntryBytesHint"},
 		{"invalid durability", func(c *Config) { c.Durability = kv.Durability(42) }, "Durability"},
 	}

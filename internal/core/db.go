@@ -14,7 +14,18 @@
 // Memtables to L0. Component switches use RCU (internal/rcu): install the
 // new component, wait a grace period so no in-flight operation still
 // writes the old one, then hand the old component to its consumer —
-// exactly the never-blocking switch of §4.2.
+// exactly the never-blocking switch of §4.2. Every switch goes through
+// one helper, sealMembuffer (drain.go).
+//
+// # Range reads
+//
+// Scan, NewIterator and Snapshot share one read path (snapshot.go): seal,
+// draw a sequence bound, register it with the skiplists' Retention so
+// later overwrites chain the versions the bound still needs, and stream
+// (live Memtable resolved at the bound ∪ sealed Memtable ∪ pinned disk
+// Version). That replaces Algorithm 3's restart-and-fallback conflict
+// handling (§4.4): a reader never restarts and never blocks a writer past
+// the seal.
 //
 // # The active pair
 //
@@ -62,6 +73,16 @@ type generation struct {
 	mtb *memtable
 }
 
+// over returns the pair of g's Membuffer with mtb: g itself when that is
+// already its Memtable. Published pairs are immutable, so republishing
+// one is safe.
+func (g *generation) over(mtb *memtable) *generation {
+	if g == nil || g.mtb == mtb {
+		return g
+	}
+	return &generation{mbf: g.mbf, mtb: mtb}
+}
+
 // DB is a FloDB instance.
 type DB struct {
 	cfg Config
@@ -90,36 +111,39 @@ type DB struct {
 	// switches synchronize on it.
 	domain *rcu.Domain
 
-	// pauseWriters blocks the direct-to-Memtable write path while an
-	// immutable Membuffer drains; writers help instead (Algorithm 2).
+	// pauseWriters is raised for the length of a seal. It blocks the
+	// direct-to-Memtable write path while an immutable Membuffer drains —
+	// writers help instead (Algorithm 2) — and halts the background
+	// drainers (Algorithm 3 line 4), so between the switch and the
+	// sealer's sequence point nothing but the seal's own drain draws a
+	// sequence number.
 	pauseWriters atomic.Bool
-	// pauseDraining halts background drainers (Algorithm 3 line 4).
-	pauseDraining atomic.Bool
 
-	// drainMu serializes the switch+drain critical flows (persist seals
-	// and master scans).
+	// drainMu serializes the switch+drain critical flows: every
+	// sealMembuffer caller and batch application.
 	drainMu sync.Mutex
+	// spares are the drained Membuffers sealMembuffer recycles.
+	spares spareMembuffers
 	// persistMu serializes whole persist cycles (persistOnce and
 	// Checkpoint's forced flush), so two flushes never interleave their
 	// seal→write→install steps. Snapshot does not take it: pinning is a
 	// seal + seq bound under drainMu alone.
 	persistMu sync.Mutex
-	// fullDrain publishes an in-progress full drain so writers and
-	// drainers can help (Put's helpDrain, Algorithm 2 line 14).
+	// fullDrain publishes an in-progress full drain so stalled writers
+	// can help (Put's helpDrain, Algorithm 2 line 14).
 	fullDrain atomic.Pointer[drainTask]
 
-	// scanState publishes the active scan for piggybacking (§4.4).
-	scanState atomic.Pointer[scanState]
-
-	// snapMu guards snapBounds, the refcounted set of active snapshot
-	// sequence bounds (snapshot handles and their iterators each hold a
-	// ref). retention publishes the sorted bound set to every memtable
-	// skiplist so in-place updates chain the versions those bounds still
-	// need; with no open snapshots the set is empty and updates stay
-	// destructive (§3.2's single-versioned memory component).
+	// snapMu guards snapBounds, the refcounted set of active sequence
+	// bounds, sorted ascending (every open iterator and snapshot handle
+	// holds a ref on its bound). retention publishes the set to every
+	// memtable skiplist so in-place updates chain the versions those
+	// bounds still need; with no reader open the set is empty and updates
+	// stay destructive (§3.2's single-versioned memory component).
 	snapMu     sync.Mutex
-	snapBounds map[uint64]int
+	snapBounds []boundRef
 	retention  skiplist.Retention
+	// iterFrames recycles the merge machinery of closed iterators.
+	iterFrames sync.Pool
 
 	persistCh chan struct{}
 	// persistErr records the first background persist failure; surfaced
@@ -138,6 +162,10 @@ type DB struct {
 	closed  atomic.Bool
 	wg      sync.WaitGroup
 
+	// testHook, when a test sets it, runs at the named points of the drain
+	// protocol so the test can park a thread there.
+	testHook atomic.Pointer[func(at hookPoint)]
+
 	// reg is the metrics registry (internal/obs) every stat counter
 	// lives in; tel is the optional histogram/event half, nil when
 	// Config.DisableTelemetry (see telemetry.go).
@@ -155,11 +183,9 @@ type statCounters struct {
 	puts, gets, deletes, scans    *obs.Counter
 	batches, batchOps, iterators  *obs.Counter
 	snapshots, checkpoints        *obs.Counter
-	scanRestarts, fallbackScans   *obs.Counter
 	membufferHits, memtableWrites *obs.Counter
 	drainedEntries, drainBatches  *obs.Counter
 	persists                      *obs.Counter
-	masterScans, piggybackScans   *obs.Counter
 	helpDrains                    *obs.Counter
 	syncBarriers                  *obs.Counter
 	// resizes counts completed Membuffer resize epochs; stallNanos
@@ -180,11 +206,10 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		cfg:        cfg,
-		domain:     rcu.NewDomain(),
-		persistCh:  make(chan struct{}, 1),
-		closing:    make(chan struct{}),
-		snapBounds: make(map[uint64]int),
+		cfg:       cfg,
+		domain:    rcu.NewDomain(),
+		persistCh: make(chan struct{}, 1),
+		closing:   make(chan struct{}),
 	}
 	db.handles = &sync.Pool{New: func() any { return db.domain.Reader() }}
 	// The registry must exist before the first counter increment or
@@ -241,36 +266,84 @@ func Open(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// registerBound adds (or re-references) an active snapshot bound and
-// republishes the retention set. Snapshot calls it while writers are
-// paused, so the first post-bound overwrite of any key is guaranteed to
-// observe the bound and chain the displaced version; iterator refs on an
-// already-registered bound need no pause.
+// boundRef is one active sequence bound and its reference count.
+type boundRef struct {
+	seq  uint64
+	refs int
+}
+
+// registerBound adds (or re-references) an active bound and, when the set
+// changed, republishes it. pinView calls it while writers are paused, so
+// the first post-bound overwrite of any key is guaranteed to observe the
+// bound and chain the displaced version; further refs on an
+// already-registered bound need no pause and no republication.
 func (db *DB) registerBound(b uint64) {
 	db.snapMu.Lock()
-	db.snapBounds[b]++
+	defer db.snapMu.Unlock()
+	i := db.findBound(b)
+	if i < len(db.snapBounds) && db.snapBounds[i].seq == b {
+		db.snapBounds[i].refs++
+		return
+	}
+	db.snapBounds = append(db.snapBounds, boundRef{})
+	copy(db.snapBounds[i+1:], db.snapBounds[i:])
+	db.snapBounds[i] = boundRef{seq: b, refs: 1}
 	db.publishBoundsLocked()
-	db.snapMu.Unlock()
 }
 
 // unregisterBound drops one reference; chains retained for a fully
 // released bound are pruned lazily by subsequent updates.
 func (db *DB) unregisterBound(b uint64) {
 	db.snapMu.Lock()
-	if db.snapBounds[b]--; db.snapBounds[b] <= 0 {
-		delete(db.snapBounds, b)
+	defer db.snapMu.Unlock()
+	i := db.findBound(b)
+	if i == len(db.snapBounds) || db.snapBounds[i].seq != b {
+		return
 	}
+	if db.snapBounds[i].refs--; db.snapBounds[i].refs > 0 {
+		return
+	}
+	db.snapBounds = append(db.snapBounds[:i], db.snapBounds[i+1:]...)
 	db.publishBoundsLocked()
-	db.snapMu.Unlock()
+}
+
+// findBound returns the position of the first bound >= b. New bounds are
+// drawn from the sequence counter, so they almost always belong at the
+// end; the set is a handful of entries either way.
+func (db *DB) findBound(b uint64) int {
+	i := len(db.snapBounds)
+	for i > 0 && db.snapBounds[i-1].seq >= b {
+		i--
+	}
+	return i
 }
 
 func (db *DB) publishBoundsLocked() {
-	bounds := make([]uint64, 0, len(db.snapBounds))
-	for b := range db.snapBounds {
-		bounds = append(bounds, b)
+	bounds := make([]uint64, len(db.snapBounds))
+	for i, r := range db.snapBounds {
+		bounds[i] = r.seq
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
 	db.retention.Set(bounds)
+}
+
+// hookPoint names a place the test hook is called from.
+type hookPoint int
+
+const (
+	// hookDrainPublished: the sealer has published its drainTask.
+	hookDrainPublished hookPoint = iota
+	// hookHelperLoaded: a stalled writer, inside its read section, has
+	// loaded the published drainTask and is about to help.
+	hookHelperLoaded
+	// hookDrainerClaimed: a background drainer, inside its read section,
+	// has claimed a batch and is about to insert it.
+	hookDrainerClaimed
+)
+
+func (db *DB) hook(at hookPoint) {
+	if f := db.testHook.Load(); f != nil {
+		(*f)(at)
+	}
 }
 
 // newMemtable allocates a fresh memtable with its WAL segment.
@@ -364,7 +437,7 @@ func (db *DB) Close() error {
 		if g.mbf != nil {
 			g.mbf.Freeze()
 			db.domain.Synchronize()
-			db.drainBufferInto(g.mbf, g.mtb, 0)
+			db.drainBufferInto(g.mbf, g.mtb)
 		}
 		if !g.mtb.list.Empty() {
 			newLog := g.mtb.walNum + 1
@@ -501,8 +574,6 @@ func (db *DB) Stats() kv.Stats {
 		Iterators:      db.stats.iterators.Load(),
 		Snapshots:      db.stats.snapshots.Load(),
 		Checkpoints:    db.stats.checkpoints.Load(),
-		ScanRestarts:   db.stats.scanRestarts.Load(),
-		FallbackScans:  db.stats.fallbackScans.Load(),
 		MembufferHits:  db.stats.membufferHits.Load(),
 		MemtableWrites: db.stats.memtableWrites.Load(),
 		SyncBarriers:   db.stats.syncBarriers.Load(),
@@ -542,8 +613,6 @@ type InternalStats struct {
 	DrainedEntries     uint64
 	DrainBatches       uint64
 	Persists           uint64
-	MasterScans        uint64
-	PiggybackScans     uint64
 	HelpDrains         uint64
 	MembufferLen       int
 	MemtableBytes      int64
@@ -560,8 +629,6 @@ func (db *DB) Internal() InternalStats {
 		DrainedEntries: db.stats.drainedEntries.Load(),
 		DrainBatches:   db.stats.drainBatches.Load(),
 		Persists:       db.stats.persists.Load(),
-		MasterScans:    db.stats.masterScans.Load(),
-		PiggybackScans: db.stats.piggybackScans.Load(),
 		HelpDrains:     db.stats.helpDrains.Load(),
 		InPlaceHits:    db.stats.inPlaceHits.Load(),
 	}

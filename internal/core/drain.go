@@ -9,10 +9,10 @@ import (
 )
 
 // drainTask is a published full drain of an immutable Membuffer into a
-// specific memtable. Writers blocked by pauseWriters and background
-// drainers help by claiming batches from src until it is empty — the
-// paper's helpDrain (Algorithm 2 line 14). Helping "ensures that the drain
-// completes even if the scanner thread is slow" (§4.4).
+// specific memtable. Writers blocked by pauseWriters help by claiming
+// batches from src until it is empty — the paper's helpDrain (Algorithm 2
+// line 14). Helping "ensures that the drain completes even if the scanner
+// thread is slow" (§4.4).
 type drainTask struct {
 	src *membuffer.Buffer
 	dst *memtable
@@ -44,14 +44,10 @@ func (db *DB) drainLoop() {
 			return
 		default:
 		}
-		if db.pauseDraining.Load() {
-			// A master scan is preparing; stay out of the Memtable so the
-			// scan's drain-then-sequence step stays cheap (Algorithm 3).
+		if db.pauseWriters.Load() {
+			// A seal is in progress: stay out of the Memtable until it has
+			// drawn its sequence point (see sealMembuffer).
 			time.Sleep(20 * time.Microsecond)
-			continue
-		}
-		if t := db.fullDrain.Load(); t != nil {
-			db.helpDrain(t)
 			continue
 		}
 
@@ -78,13 +74,20 @@ func (db *DB) drainLoop() {
 		trickle := g.mbf.Occupancy() < drainLowWater
 		h.Enter()
 		g = db.gen.Load()
-		if g.mbf == nil {
+		// The flag is read AFTER the pair, inside the read section: a seal
+		// raises it before it installs the next pair, so a clear flag here
+		// means g is still the pair that seal will retire, and the seal's
+		// grace period waits for this batch. Without the re-check a batch
+		// could move entries written after the switch below the seal's
+		// sequence point while older ones stayed behind in the Membuffer.
+		if db.pauseWriters.Load() {
 			h.Exit()
-			return
+			continue
 		}
 		part := g.mbf.NextPartition()
 		batch := g.mbf.DrainPartition(part, db.cfg.DrainBatch)
 		if len(batch) > 0 {
+			db.hook(hookDrainerClaimed)
 			db.insertDrained(g.mtb, batch)
 			g.mbf.Release(batch)
 			db.stats.drainBatches.Add(1)
@@ -143,7 +146,9 @@ func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained) {
 }
 
 // helpDrain claims one batch from the published full drain and applies it.
-// Returns true if it did work.
+// Returns true if it did work. Every caller but the sealer itself must be
+// inside an RCU read section that began before it loaded t: that is what
+// lets sealMembuffer tell when no helper can still hold a retired buffer.
 func (db *DB) helpDrain(t *drainTask) bool {
 	// Partition claims spread helpers across the buffer.
 	part := t.src.NextPartition()
@@ -154,7 +159,6 @@ func (db *DB) helpDrain(t *drainTask) bool {
 		batch = t.src.DrainAll()
 	}
 	if len(batch) == 0 {
-		runtime.Gosched()
 		return false
 	}
 	db.insertDrained(t.dst, batch)
@@ -164,20 +168,125 @@ func (db *DB) helpDrain(t *drainTask) bool {
 	return true
 }
 
-// drainBufferInto fully drains src into dst, publishing the task so other
-// threads help, and returns when src is empty. minSleep throttles the
-// completion poll (0 is fine: claimed entries are released quickly).
-func (db *DB) drainBufferInto(src *membuffer.Buffer, dst *memtable, minSleep time.Duration) {
+// drainBufferInto fully drains src into dst, publishing the task so
+// stalled writers help, and returns when src is empty. An empty src costs
+// one pass over its partition counters and allocates nothing.
+func (db *DB) drainBufferInto(src *membuffer.Buffer, dst *memtable) {
+	if src.Len() == 0 {
+		return
+	}
 	t := &drainTask{src: src, dst: dst}
 	db.fullDrain.Store(t)
-	for {
-		db.helpDrain(t)
-		if src.Len() == 0 {
-			break
-		}
-		if minSleep > 0 {
-			time.Sleep(minSleep)
+	db.hook(hookDrainPublished)
+	for src.Len() != 0 {
+		if !db.helpDrain(t) {
+			// Everything left is claimed by a helper; let it finish.
+			runtime.Gosched()
 		}
 	}
-	db.fullDrain.CompareAndSwap(t, nil)
+	db.fullDrain.Store(nil)
+}
+
+// spareMembuffers is the recycling state of sealMembuffer, guarded by
+// drainMu. retired is the pair whose Membuffer the latest seal drained
+// empty; ready is the one retired a seal before that.
+type spareMembuffers struct {
+	ready, retired *generation
+}
+
+// sealMembuffer is the one generation switch every consistent read and
+// every persist is built on (Algorithm 3 lines 4–11; §4.2 for the persist
+// form). The caller holds drainMu. It pauses slow-path writers and the
+// background drainers, installs a pair with an empty Membuffer — over next
+// when the caller is sealing the Memtable too, over the same Memtable
+// otherwise — waits the grace period, and drains the retired Membuffer
+// into the retired pair's Memtable. On return that Memtable holds every
+// update that completed before the switch, nothing can draw a sequence
+// number but fast-path Puts into the new Membuffer (which draw none until
+// they are drained), and writers are STILL paused: the caller draws its
+// sequence point and then clears pauseWriters.
+//
+// With the Membuffer disabled there is nothing to swap, but the grace
+// period is still owed: a writer in flight may hold a sequence number it
+// has not inserted under yet.
+//
+// Recycling. The incoming Membuffer is a drained one from an earlier seal
+// when there is one, so a seal allocates nothing in the steady state (even
+// the generation struct is republished when its Memtable is still the
+// active one). The invariant this relies on: NO THREAD CAN REACH A RETIRED
+// BUFFER THROUGH A REFERENCE TAKEN BEFORE IT WAS DRAINED EMPTY. The only
+// such references are a background drainer's loaded pair and a helper's
+// drainTask, both held strictly inside RCU read sections (drainLoop,
+// update's help branch). The task is unpublished when the drain ends, so
+// a section that still holds it began before this seal returned, and the
+// NEXT seal's grace period outlasts it. A buffer retired by seal N
+// therefore becomes ready after seal N+1's Synchronize and is installed by
+// seal N+2 at the earliest — which is why two spares rotate and the first
+// two seals of a store allocate. A stale helper reaching a re-activated
+// buffer would move live entries into a sealed (possibly already flushed)
+// Memtable and lose them; the sealer's own helpDrain calls need no read
+// section because seals are serialized by drainMu.
+//
+// The one-unreleased-claim-per-key invariant of the drain itself (ROADMAP,
+// fix-first item a) is neither relied on nor widened here: a retired
+// buffer is frozen, so no in-place Put can mint a second claimable copy of
+// a key in it, and it re-enters service only when empty.
+func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
+	old = db.gen.Load()
+	mtb := old.mtb
+	if next != nil {
+		mtb = next
+	}
+	var g *generation
+	switch r := db.spares.ready; {
+	case old.mbf == nil:
+		g = old.over(mtb)
+	case r != nil:
+		r.mbf.Reset()
+		g = r.over(mtb)
+	default:
+		g = &generation{mbf: db.newMembufferNow(), mtb: mtb}
+	}
+
+	db.pauseWriters.Store(true)
+	// The immutable components are published BEFORE the new pair: any
+	// writer that reaches the new generation's WAL segment observes the
+	// sealed generation through immMtb, which is what lets a Sync-class
+	// commit in the new segment extend its barrier over the sealed
+	// segment's tail (commitSync's prefix rule). Readers tolerate the
+	// transient double-publication (the same table reachable as both
+	// active and immutable) because the Get order just checks it twice.
+	if old.mbf != nil {
+		db.immMbf.Store(old.mbf)
+	}
+	if next != nil {
+		db.immMtb.Store(old.mtb)
+	}
+	if g != old {
+		db.gen.Store(g)
+	}
+	if old.mbf != nil {
+		// Frozen only once the successor is installed, so a Put that is
+		// refused for this reason finds the successor on its next lap.
+		old.mbf.Freeze()
+	}
+	db.domain.Synchronize()
+	// Spares stay paired with the ACTIVE Memtable: a spare must not be
+	// what keeps a flushed Memtable reachable.
+	db.spares.ready, db.spares.retired = db.spares.retired.over(mtb), nil
+
+	if next != nil && old.mtb.wal != nil {
+		// Seal-time flush: push the sealed segment's staging buffer to the
+		// OS before the successor accumulates enough to flush its own. A
+		// crash then never recovers later records while earlier ones are
+		// still trapped in a lost bufio tail — the replay prefix has no
+		// cross-segment holes.
+		err = old.mtb.wal.Flush()
+	}
+	if old.mbf != nil {
+		db.drainBufferInto(old.mbf, old.mtb)
+		db.immMbf.Store(nil)
+		db.spares.retired = old.over(mtb)
+	}
+	return old, err
 }

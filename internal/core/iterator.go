@@ -3,33 +3,32 @@ package core
 import (
 	"context"
 
-	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/storage"
 )
 
-// defaultIteratorChunk is the number of live pairs a streaming iterator
-// prefetches per refill. Each chunk is served from one Algorithm 3
-// snapshot (with the usual restart-then-fallback conflict handling), so
-// the chunk size bounds both the iterator's memory footprint and the
-// window a conflicting writer can invalidate.
-const defaultIteratorChunk = 256
-
 // NewIterator returns a streaming cursor over low <= key < high (nil
-// bounds are open). Unlike Scan, the range is never materialized: the
-// iterator holds at most defaultIteratorChunk pairs, so iterating a range
-// larger than the memory component is O(1) in the range size.
+// bounds are open). The range is never materialized: pairs are read
+// straight out of the Memtables and the cached sstable blocks as the
+// cursor moves, so iterating a range larger than the memory component
+// costs O(1) memory, and Key and Value alias store memory — they are
+// valid until the cursor moves.
 //
-// Consistency: every refill chunk is a consistent snapshot acquired via
-// the scan machinery of §4.4 (piggybacking on concurrent scans, restarting
-// transparently on in-place-overwrite conflicts up to RestartThreshold,
-// then falling back to the writer-blocking scan). Chunk snapshots are
-// monotonically ordered — each refill's sequence number is at least the
-// previous one's — so the stream as a whole is a serializable sequence of
-// consistent range fragments. A Scan (one unbounded chunk) remains a
-// single point-in-time snapshot.
-// The context is captured by the iterator: every refill checks it, so a
-// canceled or expired context stops iteration promptly with the context
-// error in Err.
+// Consistency: the iterator is ONE point-in-time view for its whole
+// lifetime, taken by pinView when it opens — every pair it returns was
+// current at that single moment, whatever is written, drained or persisted
+// while it is open. Opening costs a Membuffer seal (time proportional to
+// the entries resident in the Membuffer) and pauses only slow-path writers
+// for that long; nothing restarts and no writer is blocked while the
+// cursor streams. In exchange an OPEN iterator pins the sstables of the
+// Version it read from (compaction cannot delete them) and keeps the
+// versions its bound needs chained beneath later overwrites, until Close:
+// close iterators promptly, and bound abandoned ones the way the server's
+// lease janitor does.
+//
+// The context is captured by the iterator: every positioning call checks
+// it, so a canceled or expired context stops iteration promptly with the
+// context error in Err.
 func (db *DB) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -38,173 +37,106 @@ func (db *DB) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, e
 		return nil, err
 	}
 	db.stats.iterators.Add(1)
-	return db.newIter(ctx, keys.Clone(low), keys.Clone(high), defaultIteratorChunk), nil
+	return db.openIter(ctx, low, high, db.pinView())
 }
 
-// newIter builds the concrete iterator; chunk <= 0 means unbounded (the
-// whole range in one snapshot, used by Scan).
-func (db *DB) newIter(ctx context.Context, low, high []byte, chunk int) *iterState {
-	return &iterState{db: db, ctx: ctx, low: low, high: high, chunk: chunk}
+// iterFrame is everything an open iterator needs besides its view: the
+// bound-resolving Memtable cursors, the merge over them and the disk runs,
+// and the snapshot filter on top. Frames are recycled through
+// db.iterFrames, so opening an iterator allocates its handle and nothing
+// in proportion to the number of sources.
+type iterFrame struct {
+	snap      storage.SnapshotIter
+	merge     storage.VersionIter
+	live, imm boundListIter
+	mem       [2]storage.InternalIterator
 }
 
-// iterState is the streaming cursor over a FloDB range. It refills buf one
-// chunk at a time, remembering the last emitted key as the (exclusive)
-// resume point. No resources are pinned between refills: each chunk
-// acquires and releases its own scan state and disk snapshot, so an idle
-// iterator never delays WAL truncation or table deletion.
-type iterState struct {
-	db        *DB
-	ctx       context.Context
-	low, high []byte
-	chunk     int // max pairs per refill; <= 0 means unbounded
-
-	buf        []kv.Pair
-	pos        int
-	resume     []byte // last key of buf when more; next refill is exclusive of it
-	more       bool   // the last refill stopped at the chunk limit
-	positioned bool
-	err        error
-	closed     bool
+// iterator is the handle NewIterator returns. It is deliberately NOT
+// recycled with its frame: a second Close, or any call after Close, must
+// find a dead handle rather than somebody else's live frame.
+type iterator struct {
+	db  *DB
+	f   *iterFrame // nil once closed
+	v   view
+	err error // what Err reported at Close
 }
 
-var _ kv.Iterator = (*iterState)(nil)
+var _ kv.Iterator = (*iterator)(nil)
 
-// First positions at the first pair of the range.
-func (it *iterState) First() bool { return it.reposition(it.low, false) }
-
-// Seek positions at the first pair with key >= key, clamped to the range.
-func (it *iterState) Seek(key []byte) bool {
-	from := keys.Clone(key)
-	if it.low != nil && (from == nil || keys.Compare(from, it.low) < 0) {
-		from = it.low
+// openIter streams v over [low, high). It consumes one reference on v,
+// released by the iterator's Close (or here, on failure).
+func (db *DB) openIter(ctx context.Context, low, high []byte, v view) (kv.Iterator, error) {
+	f, _ := db.iterFrames.Get().(*iterFrame)
+	if f == nil {
+		f = new(iterFrame)
 	}
-	return it.reposition(from, false)
+	f.live.reset(v.live, v.seq)
+	mem := append(f.mem[:0], &f.live)
+	if v.imm != nil {
+		f.imm.reset(v.imm, v.seq)
+		mem = append(mem, &f.imm)
+	}
+	if err := f.merge.Init(mem, db.store, v.ver); err != nil {
+		db.recycle(f)
+		db.releaseView(v)
+		return nil, err
+	}
+	f.snap.Reset(ctx, f.merge.Merged(), storage.SnapshotIterOptions{Low: low, High: high, MaxSeq: v.seq})
+	return &iterator{db: db, f: f, v: v}, nil
 }
 
-// Next advances to the next pair, refilling when the chunk is spent. On an
-// unpositioned iterator it is equivalent to First.
-func (it *iterState) Next() bool {
-	if it.closed || it.err != nil {
-		return false
-	}
-	if !it.positioned {
-		return it.First()
-	}
-	if it.pos+1 < len(it.buf) {
-		it.pos++
-		return true
-	}
-	if !it.more {
-		it.buf, it.pos = nil, 0
-		return false
-	}
-	if !it.fill(it.resume, true) {
-		return false
-	}
-	return len(it.buf) > 0
+// recycle clears every reference f holds — a pooled frame must not keep a
+// Memtable, a table or a caller's context alive — and pools it.
+func (db *DB) recycle(f *iterFrame) {
+	f.snap.Reset(nil, nil, storage.SnapshotIterOptions{})
+	f.merge.Release()
+	f.live.reset(nil, 0)
+	f.imm.reset(nil, 0)
+	f.mem = [2]storage.InternalIterator{}
+	db.iterFrames.Put(f)
 }
 
-// reposition restarts iteration from a fresh bound.
-func (it *iterState) reposition(from []byte, excl bool) bool {
-	if it.closed || it.err != nil {
-		return false
-	}
-	it.positioned = true
-	if !it.fill(from, excl) {
-		return false
-	}
-	return len(it.buf) > 0
-}
+func (it *iterator) First() bool { return it.f != nil && it.f.snap.First() }
 
-// fill fetches the next chunk starting at from, running the restart loop
-// of Algorithm 3: join or lead a scan for a sequence number, read the
-// chunk, and on an in-place-overwrite conflict retry with a fresh
-// snapshot, falling back to the writer-blocking scan after
-// RestartThreshold attempts.
-func (it *iterState) fill(from []byte, fromExcl bool) bool {
-	db := it.db
-	if db.closed.Load() {
-		it.err = ErrClosed
-		return false
-	}
-	if err := it.ctx.Err(); err != nil {
-		it.err = err
-		return false
-	}
-	restarts := 0
-	for {
-		st, err := db.joinOrLeadScan(it.ctx)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		pairs, more, conflict, err := db.scanChunk(it.ctx, from, fromExcl, it.high, st.seq, it.chunk)
-		db.releaseScanState(st)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		if !conflict {
-			it.setChunk(pairs, more)
-			return true
-		}
-		restarts++
-		db.stats.scanRestarts.Add(1)
-		// A canceled context must not burn the restart budget into the
-		// writer-blocking fallback.
-		if err := it.ctx.Err(); err != nil {
-			it.err = err
-			return false
-		}
-		if restarts >= db.cfg.RestartThreshold {
-			pairs, more, err := db.fallbackChunk(it.ctx, from, fromExcl, it.high, it.chunk)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			it.setChunk(pairs, more)
-			return true
-		}
-	}
-}
+func (it *iterator) Seek(key []byte) bool { return it.f != nil && it.f.snap.Seek(key) }
 
-func (it *iterState) setChunk(pairs []kv.Pair, more bool) {
-	it.buf = pairs
-	it.pos = 0
-	it.more = more
-	if more && len(pairs) > 0 {
-		it.resume = pairs[len(pairs)-1].Key // already a stable clone
-	}
-}
+func (it *iterator) Next() bool { return it.f != nil && it.f.snap.Next() }
 
-// valid reports whether the cursor currently rests on a pair.
-func (it *iterState) valid() bool {
-	return !it.closed && it.positioned && it.pos < len(it.buf)
-}
-
-// Key returns the current key (a stable copy; callers may retain it).
-func (it *iterState) Key() []byte {
-	if !it.valid() {
+// Key returns the current key; the slice aliases store memory and is valid
+// until the cursor moves.
+func (it *iterator) Key() []byte {
+	if it.f == nil {
 		return nil
 	}
-	return it.buf[it.pos].Key
+	return it.f.snap.Key()
 }
 
-// Value returns the current value (a stable copy).
-func (it *iterState) Value() []byte {
-	if !it.valid() {
+// Value returns the current value, under the same aliasing rule as Key.
+func (it *iterator) Value() []byte {
+	if it.f == nil {
 		return nil
 	}
-	return it.buf[it.pos].Value
+	return it.f.snap.Value()
 }
 
-// Err returns the first error the iterator encountered.
-func (it *iterState) Err() error { return it.err }
+// Err returns the first error the iterator encountered. It survives Close.
+func (it *iterator) Err() error {
+	if it.f == nil {
+		return it.err
+	}
+	return it.f.snap.Err()
+}
 
-// Close releases the iterator. It is idempotent; the iterator pins no
-// external resources between refills, so Close only bars further use.
-func (it *iterState) Close() error {
-	it.closed = true
-	it.buf = nil
+// Close releases the view's references — table pins, the disk Version,
+// the sequence bound — and recycles the frame. It is idempotent.
+func (it *iterator) Close() error {
+	if it.f == nil {
+		return nil
+	}
+	it.err = it.f.snap.Err()
+	it.db.recycle(it.f)
+	it.f = nil
+	it.db.releaseView(it.v)
 	return nil
 }

@@ -68,15 +68,6 @@ func (a *memtableIter) Seq() uint64     { return a.it.Entry().Seq }
 func (a *memtableIter) Value() []byte   { return a.it.Entry().Value }
 func (a *memtableIter) Err() error      { return nil }
 
-// CreateSeq exposes the node's creation sequence for scan conflict
-// refinement (see skiplist.Entry.CreateSeq).
-func (a *memtableIter) CreateSeq() uint64 {
-	e := a.it.Entry()
-	if e.CreateSeq != 0 {
-		return e.CreateSeq
-	}
-	return e.Seq
-}
 func (a *memtableIter) Kind() keys.Kind {
 	if a.it.Entry().Tombstone {
 		return keys.KindDelete
@@ -94,13 +85,19 @@ var _ storage.InternalIterator = (*memtableIter)(nil)
 // chain (skiplist.Retention) guarantees the resolved version survives
 // however many overwrites land after the bound.
 type boundListIter struct {
-	it     *skiplist.Iterator
+	it     skiplist.Iterator
 	maxSeq uint64
 	entry  *skiplist.Entry
 }
 
-func newBoundListIter(l *skiplist.List, maxSeq uint64) *boundListIter {
-	return &boundListIter{it: l.NewIterator(), maxSeq: maxSeq}
+// reset points a at l resolved at maxSeq, unpositioned; reset(nil, 0)
+// drops its references. The cursor is held by value so a recycled frame
+// re-aims it without allocating.
+func (a *boundListIter) reset(l *skiplist.List, maxSeq uint64) {
+	*a = boundListIter{maxSeq: maxSeq}
+	if l != nil {
+		a.it.Reset(l)
+	}
 }
 
 // settle resolves the current node at the bound, advancing past nodes
@@ -130,12 +127,6 @@ func (a *boundListIter) Key() []byte   { return a.it.Key() }
 func (a *boundListIter) Seq() uint64   { return a.entry.Seq }
 func (a *boundListIter) Value() []byte { return a.entry.Value }
 func (a *boundListIter) Err() error    { return nil }
-func (a *boundListIter) CreateSeq() uint64 {
-	if a.entry.CreateSeq != 0 {
-		return a.entry.CreateSeq
-	}
-	return a.entry.Seq
-}
 func (a *boundListIter) Kind() keys.Kind {
 	if a.entry.Tombstone {
 		return keys.KindDelete

@@ -153,13 +153,15 @@ func (db *DB) resolveDurability(opts []kv.WriteOption) (kv.Durability, error) {
 }
 
 // commitSync is the commit point of a Sync-class write: it blocks until
-// the group-commit queue covers the record appended at off. Durability is
-// prefix-ordered: if a sealed generation's segment is still live, its
-// tail is synced FIRST, so a Sync-acked write never survives a crash
-// that loses an earlier acked write (no holes in commit order). A
-// segment closed underneath us was retired by a completed persist, so
-// its contents are durable through sstables and the barrier is satisfied.
-func (db *DB) commitSync(w *wal.Writer, off int64) error {
+// the group-commit queue covers the record appended at off, which carries
+// requests caller-level writes (more than one when a committer pipeline
+// coalesced them into the record). Durability is prefix-ordered: if a
+// sealed generation's segment is still live, its tail is synced FIRST, so
+// a Sync-acked write never survives a crash that loses an earlier acked
+// write (no holes in commit order). A segment closed underneath us was
+// retired by a completed persist, so its contents are durable through
+// sstables and the barrier is satisfied.
+func (db *DB) commitSync(w *wal.Writer, off int64, requests uint64) error {
 	if w == nil {
 		return nil
 	}
@@ -171,7 +173,7 @@ func (db *DB) commitSync(w *wal.Writer, off int64) error {
 			return err
 		}
 	}
-	if err := w.SyncTo(off); err != nil && !errors.Is(err, wal.ErrClosed) {
+	if err := w.SyncGroup(off, requests); err != nil && !errors.Is(err, wal.ErrClosed) {
 		return err
 	}
 	return nil
@@ -216,11 +218,21 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 	defer db.putHandle(h)
 
 	// --- Fast path: complete in the Membuffer (Algorithm 2 lines 10–11).
-	h.Enter()
-	g := db.gen.Load()
-	if g.mbf != nil {
-		if logged && g.mtb.wal != nil {
-			rec = kv.EncodeRecord(kind, key, value)
+	// A Put that finds its Membuffer frozen lost a race with a seal, and a
+	// seal installs the successor before it freezes the old buffer: a second
+	// lap completes in the successor instead of waiting out the seal.
+	var g *generation
+	for lap := 0; lap < 2; lap++ {
+		h.Enter()
+		g = db.gen.Load()
+		if g.mbf == nil {
+			h.Exit()
+			break
+		}
+		if logged && g.mtb.wal != nil && g.mtb.wal != syncW {
+			if rec == nil {
+				rec = kv.EncodeRecord(kind, key, value)
+			}
 			off, err := g.mtb.wal.Append(rec)
 			if err != nil {
 				h.Exit()
@@ -235,17 +247,21 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 				db.stats.inPlaceHits.Add(1)
 			}
 			if d == kv.DurabilitySync {
-				return db.commitSync(syncW, syncOff)
+				return db.commitSync(syncW, syncOff, 1)
 			}
 			return nil
 		}
-		// Bucket full or buffer frozen: fall through to the Memtable. The
-		// record above is already logged; the Memtable path below logs to
-		// the then-current WAL again, which recovery tolerates (duplicate
-		// application of the same record is idempotent under last-writer-
-		// wins; see DESIGN.md §WAL).
+		sealed := g.mbf.Frozen()
+		h.Exit()
+		if !sealed {
+			// Bucket full: fall through to the Memtable. The record above
+			// is already logged; the Memtable path below logs to the
+			// then-current WAL again, which recovery tolerates (duplicate
+			// application of the same record is idempotent under last-
+			// writer-wins; see DESIGN.md §WAL).
+			break
+		}
 	}
-	h.Exit()
 
 	// --- Slow path: write to the Memtable (Algorithm 2 lines 12–20).
 	// stallStart times the drain/backpressure waits below; the total
@@ -265,16 +281,13 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		if err := db.loadPersistErr(); err != nil {
 			return err
 		}
-		// While a scan or persist drains the immutable Membuffer, writers
-		// must not update the Memtable; they help drain instead.
+		// While a seal drains the immutable Membuffer, writers must not
+		// update the Memtable; they help drain instead.
 		if db.pauseWriters.Load() {
 			if stallStart.IsZero() {
 				stallStart = time.Now()
 			}
-			if t := db.fullDrain.Load(); t != nil {
-				db.stats.helpDrains.Add(1)
-				db.helpDrain(t)
-			} else {
+			if !db.helpPublishedDrain(h) {
 				runtime.Gosched()
 			}
 			continue
@@ -333,10 +346,26 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			db.signalPersist()
 		}
 		if d == kv.DurabilitySync {
-			return db.commitSync(syncW, syncOff)
+			return db.commitSync(syncW, syncOff, 1)
 		}
 		return nil
 	}
+}
+
+// helpPublishedDrain moves one batch of the published full drain, if
+// there is one. The task is loaded and used inside one RCU read section —
+// the reference to the sealed buffer never outlives it, which is the
+// invariant sealMembuffer's recycling rests on.
+func (db *DB) helpPublishedDrain(h *rcu.Handle) bool {
+	h.Enter()
+	defer h.Exit()
+	t := db.fullDrain.Load()
+	if t == nil {
+		return false
+	}
+	db.hook(hookHelperLoaded)
+	db.stats.helpDrains.Add(1)
+	return db.helpDrain(t)
 }
 
 // backoff yields, escalating to short sleeps so stalled writers don't

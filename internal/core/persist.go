@@ -56,76 +56,31 @@ func (db *DB) persistOnce() error {
 // a larger one — the linearization bound Snapshot pins.
 //
 // Switch protocol (see the package comment for why the pair is one
-// pointer):
-//
-//  1. Under drainMu (mutual exclusion with master scans), set pauseWriters
-//     so no writer starts a direct-to-Memtable insert against the new
-//     generation while the old Membuffer still holds fresher data.
-//  2. Install the new generation; freeze the old Membuffer.
-//  3. RCU-synchronize: every in-flight operation against the old pair has
-//     completed ("RCU is used first to make sure that all pending updates
-//     to the immutable Memtable have completed", §4.2).
-//  4. Fully drain the old Membuffer into the old (sealed) Memtable, with
-//     writers helping. This bounds WAL replay and keeps Get's freshness
-//     order intact.
-//  5. Release writers, flush the sealed Memtable to L0, advance the log
-//     number, delete the old WAL segment.
+// pointer): under drainMu, sealMembuffer pauses slow-path writers,
+// installs the new generation over a fresh Memtable, RCU-synchronizes
+// ("RCU is used first to make sure that all pending updates to the
+// immutable Memtable have completed", §4.2) and fully drains the old
+// Membuffer into the old (sealed) Memtable with writers helping — which
+// bounds WAL replay and keeps Get's freshness order intact. Then writers
+// are released, the sealed Memtable is flushed to L0, the log number
+// advances and the old WAL segment is deleted.
 func (db *DB) persistCycle() (seqBound uint64, err error) {
+	next, err := db.newMemtable()
+	if err != nil {
+		return 0, err
+	}
 	db.drainMu.Lock()
-
 	var sealStart time.Time
 	var sealBytes int64
 	if db.tel != nil {
 		sealStart = time.Now()
 	}
-	old := db.gen.Load()
-	next, err := db.newMemtable()
-	if err != nil {
-		db.drainMu.Unlock()
-		return 0, err
-	}
-	g := &generation{mtb: next}
-	if old.mbf != nil {
-		g.mbf = db.newMembufferNow()
-	}
-
-	db.pauseWriters.Store(true)
-	db.pauseDraining.Store(true)
-	// The immutable components are published BEFORE the new pair: any
-	// writer that reaches the new generation's WAL segment observes the
-	// sealed generation through immMtb, which is what lets a Sync-class
-	// commit in the new segment extend its barrier over the sealed
-	// segment's tail (commitSync's prefix rule). Readers tolerate the
-	// transient double-publication (the same table reachable as both
-	// active and immutable) because the Get order just checks it twice.
-	if old.mbf != nil {
-		old.mbf.Freeze()
-		db.immMbf.Store(old.mbf)
-	}
-	db.immMtb.Store(old.mtb)
-	db.gen.Store(g)
-	db.domain.Synchronize()
-
-	// Seal-time flush: push the sealed segment's staging buffer to the
-	// OS before the successor accumulates enough to flush its own. A
-	// crash then never recovers later records while earlier ones are
-	// still trapped in a lost bufio tail — the replay prefix has no
-	// cross-segment holes.
-	var sealErr error
-	if old.mtb.wal != nil {
-		sealErr = old.mtb.wal.Flush()
-	}
-
-	if old.mbf != nil {
-		db.drainBufferInto(old.mbf, old.mtb, 0)
-		db.immMbf.Store(nil)
-	}
+	old, sealErr := db.sealMembuffer(next)
 	// Taken while writers are still paused and drainers stopped: every
 	// pre-switch update has a smaller sequence number and sits in old.mtb
 	// or older tables; every post-switch update will draw a larger one.
 	seqBound = db.seq.Add(1)
 	db.pauseWriters.Store(false)
-	db.pauseDraining.Store(false)
 	if t := db.tel; t != nil {
 		sealBytes = old.mtb.approxBytes()
 		t.events.Emit(obs.Event{

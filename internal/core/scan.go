@@ -2,35 +2,17 @@ package core
 
 import (
 	"context"
-	"math"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
-	"flodb/internal/storage"
 )
 
-// scanState publishes a running scan so concurrent scans piggyback on its
-// drain and sequence number instead of each re-draining the Membuffer
-// (§4.4 "Multithreaded scans").
-type scanState struct {
-	seq      uint64
-	seqReady chan struct{} // closed once seq is published
-	joins    atomic.Int32  // joined scans, bounded by MaxPiggybackChain
-	active   atomic.Int32  // scans still using the state
-}
-
-// Scan implements Algorithm 3. It returns all pairs with low <= key < high
-// (nil bounds are open). Master scans are linearizable with respect to
-// updates — the linearization point is the installation of the fresh
-// Membuffer; piggybacking scans are serializable (§4.4 "Correctness").
-//
-// Scan is a convenience wrapper over the streaming iterator machinery: it
-// drains a single unbounded chunk, so a conflict restarts the whole range
-// and the result is one consistent snapshot, exactly as before the
-// iterator existed.
+// Scan returns all pairs with low <= key < high (nil bounds are open),
+// copied out of one point-in-time view (pinView): it is linearizable with
+// respect to updates, the linearization point being the view's sequence
+// bound. Scan is a convenience wrapper that materializes an iterator;
+// prefer NewIterator for large or unbounded ranges.
 func (db *DB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -44,229 +26,23 @@ func (db *DB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
 	if t != nil {
 		start = time.Now()
 	}
-	it := db.newIter(ctx, low, high, 0) // unbounded chunk: one snapshot
-	defer it.Close()
-	if !it.fill(low, false) {
-		return nil, it.err
+	it, err := db.openIter(ctx, low, high, db.pinView())
+	if err != nil {
+		return nil, err
 	}
-	if t != nil {
+	pairs, err := collect(it)
+	if err == nil && t != nil {
 		t.scanLat.Observe(time.Since(start))
 	}
-	return it.buf, nil
+	return pairs, err
 }
 
-// joinOrLeadScan returns a scanState with a published sequence number,
-// either by piggybacking on a running scan or by becoming the master. A
-// context error aborts the wait for a free piggyback slot.
-func (db *DB) joinOrLeadScan(ctx context.Context) (*scanState, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if st := db.scanState.Load(); st != nil {
-			j := st.joins.Load()
-			if j < int32(db.cfg.MaxPiggybackChain) && st.joins.CompareAndSwap(j, j+1) {
-				st.active.Add(1)
-				<-st.seqReady
-				db.stats.piggybackScans.Add(1)
-				return st, nil
-			}
-			// Chain is full: wait for the state to clear, then lead or
-			// join the successor ("we limit the length of these chains
-			// through a system parameter", §4.4).
-			runtime.Gosched()
-			continue
-		}
-		if st, ok := db.leadMasterScan(); ok {
-			return st, nil
-		}
+// collect drains it into stable copies and closes it.
+func collect(it kv.Iterator) ([]kv.Pair, error) {
+	defer it.Close()
+	var out []kv.Pair
+	for ok := it.First(); ok; ok = it.Next() {
+		out = append(out, kv.Pair{Key: keys.Clone(it.Key()), Value: keys.Clone(it.Value())})
 	}
+	return out, it.Err()
 }
-
-// leadMasterScan runs Algorithm 3 lines 4–14: pause draining and writers,
-// install a fresh Membuffer, wait the grace period, drain the old buffer
-// into the Memtable (helpers welcome), then take the scan sequence number.
-func (db *DB) leadMasterScan() (*scanState, bool) {
-	db.drainMu.Lock()
-	if db.scanState.Load() != nil {
-		// Raced with another would-be master; piggyback instead.
-		db.drainMu.Unlock()
-		return nil, false
-	}
-	st := &scanState{seqReady: make(chan struct{})}
-	st.active.Add(1)
-	st.joins.Add(1)
-	db.scanState.Store(st)
-
-	db.pauseDraining.Store(true) // line 4
-	db.pauseWriters.Store(true)  // line 5
-
-	old := db.gen.Load()
-	if old.mbf != nil {
-		db.gen.Store(&generation{mbf: db.newMembufferNow(), mtb: old.mtb}) // lines 6–7
-		old.mbf.Freeze()
-		db.immMbf.Store(old.mbf)
-		db.domain.Synchronize()                 // lines 8–9: MemBufferRCUWait + MemTableRCUWait
-		db.drainBufferInto(old.mbf, old.mtb, 0) // line 10
-		db.immMbf.Store(nil)                    // line 11
-	} else {
-		db.domain.Synchronize()
-	}
-
-	st.seq = db.seq.Add(1) // line 12
-	close(st.seqReady)
-	db.pauseWriters.Store(false)  // line 13
-	db.pauseDraining.Store(false) // line 14
-	db.drainMu.Unlock()
-	db.stats.masterScans.Add(1)
-	return st, true
-}
-
-// releaseScanState drops a reference; the last one clears the slot so a
-// future scan becomes a fresh master rather than reusing an ever-staler
-// sequence number.
-func (db *DB) releaseScanState(st *scanState) {
-	if st.active.Add(-1) == 0 {
-		st.joins.Store(math.MaxInt32) // bar late joiners
-		db.scanState.CompareAndSwap(st, nil)
-	}
-}
-
-// scanChunk performs the actual range read (Algorithm 3 lines 15–30) over
-// Memtable, immutable Memtable and a pinned disk snapshot, starting at
-// from (exclusive when fromExcl — the iterator's resume point) and ending
-// at high. At most limit live pairs are emitted when limit > 0; more=true
-// reports that the limit stopped the read with range left to cover. It
-// reports conflict=true when any visited entry carries seq > scanSeq.
-//
-// Component capture order matters: the active pair first, then the
-// immutable Memtable, then the disk snapshot. A concurrent persist moves
-// data strictly in that direction, so every entry is visible in at least
-// one captured component (possibly two, which the newest-first merge
-// dedups).
-func (db *DB) scanChunk(ctx context.Context, from []byte, fromExcl bool, high []byte, scanSeq uint64, limit int) (out []kv.Pair, more, conflict bool, err error) {
-	g := db.gen.Load()
-	its := []storage.InternalIterator{newMemtableIter(g.mtb)}
-	if imm := db.immMtb.Load(); imm != nil && imm != g.mtb {
-		its = append(its, newMemtableIter(imm))
-	}
-	if db.store != nil {
-		dit, release, err := db.store.NewIterator()
-		if err != nil {
-			return nil, false, false, err
-		}
-		defer release()
-		its = append(its, dit)
-	}
-	m := storage.NewMergingIterator(its...)
-
-	// Seeding the dedup state with the resume key makes "exclusive from"
-	// fall out of the existing same-key skip.
-	var lastKey []byte
-	haveLast := false
-	if fromExcl && from != nil {
-		lastKey = append(lastKey, from...)
-		haveLast = true
-	}
-	visited := 0
-	for m.Seek(from); m.Valid(); m.Next() {
-		// Honest cancellation inside the chunk: an unbounded Scan (or a
-		// fallback holding writers) must not outlive its context by the
-		// whole range. Checked every 1024 entries to stay off the hot path.
-		if visited++; visited&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, false, false, err
-			}
-		}
-		k := m.Key()
-		if high != nil && keys.Compare(k, high) >= 0 {
-			break
-		}
-		if haveLast && keys.Equal(lastKey, k) {
-			// A version of an emitted (or resume) key. Skipped BEFORE the
-			// conflict check: the key's value was already delivered from
-			// an earlier snapshot, so even a post-snapshot in-place
-			// overwrite of it (common when a writer hot-loops a key just
-			// behind the cursor) destroys nothing this read still needs —
-			// restarting on it would burn the restart budget and escalate
-			// to the writer-blocking fallback for no benefit.
-			continue
-		}
-		if m.Seq() > scanSeq {
-			// Refinement over Algorithm 3's blanket restart: if the node
-			// was CREATED after the scan's sequence point, no pre-snapshot
-			// value was destroyed — any version visible at the snapshot
-			// lives deeper in the merge order (immutable Memtable / disk)
-			// and will be yielded next. Only an in-place overwrite of a
-			// node that existed at the snapshot loses data and forces a
-			// restart.
-			if storage.CreateSeqOf(m) > scanSeq {
-				continue
-			}
-			return nil, false, true, nil // conflict: restart
-		}
-		lastKey = append(lastKey[:0], k...)
-		haveLast = true
-		if m.Kind() == keys.KindDelete {
-			continue
-		}
-		out = append(out, kv.Pair{Key: keys.Clone(k), Value: keys.Clone(m.Value())})
-		if limit > 0 && len(out) >= limit {
-			more = true
-			break
-		}
-	}
-	if err := m.Err(); err != nil {
-		return nil, false, false, err
-	}
-	return out, more, false, nil
-}
-
-// fallbackChunk guarantees termination by blocking Memtable writers for
-// its whole duration (§4.4: "blocking writers from the Memtable until it
-// completes scanning"). With writers, drainers and persists excluded, no
-// in-range entry can acquire a newer sequence number, so the read cannot
-// be invalidated.
-func (db *DB) fallbackChunk(ctx context.Context, from []byte, fromExcl bool, high []byte, limit int) ([]kv.Pair, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	db.stats.fallbackScans.Add(1)
-	db.drainMu.Lock()
-	db.pauseDraining.Store(true)
-	db.pauseWriters.Store(true)
-	defer func() {
-		db.pauseWriters.Store(false)
-		db.pauseDraining.Store(false)
-		db.drainMu.Unlock()
-	}()
-
-	old := db.gen.Load()
-	if old.mbf != nil {
-		db.gen.Store(&generation{mbf: db.newMembufferNow(), mtb: old.mtb})
-		old.mbf.Freeze()
-		db.immMbf.Store(old.mbf)
-		db.domain.Synchronize()
-		db.drainBufferInto(old.mbf, old.mtb, 0)
-		db.immMbf.Store(nil)
-	} else {
-		db.domain.Synchronize()
-	}
-
-	seq := db.seq.Add(1)
-	pairs, more, conflict, err := db.scanChunk(ctx, from, fromExcl, high, seq, limit)
-	if err != nil {
-		return nil, false, err
-	}
-	if conflict {
-		// Cannot happen while writers are blocked; guard anyway.
-		return nil, false, errFallbackConflict
-	}
-	return pairs, more, nil
-}
-
-var errFallbackConflict = errInternal("fallback scan observed a conflict")
-
-type errInternal string
-
-func (e errInternal) Error() string { return "flodb: internal: " + string(e) }

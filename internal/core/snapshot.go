@@ -17,34 +17,97 @@ import (
 // kv.ErrSnapshotReleased.
 var ErrSnapshotReleased = fmt.Errorf("flodb: %w", kv.ErrSnapshotReleased)
 
-// Snapshot returns a read-only view pinned at the current state, in O(1)
-// disk work: no memtable flush.
+// view is what a sequence-bounded read resolves against: the bound, the
+// Memtable that was live when it was drawn (read through its version
+// chains at the bound), the sealed-but-unflushed Memtable if a flush was
+// in flight, and a pinned disk Version. A view value stands for one
+// reference on the bound and one on the Version; retain and release move
+// that count.
+type view struct {
+	seq  uint64
+	live *skiplist.List
+	imm  *skiplist.List   // nil when no flush was in flight
+	ver  *storage.Version // nil without a disk component
+}
+
+// pinView takes a point-in-time view of the store, in O(resident
+// Membuffer entries) and with no disk I/O. It is the open path of every
+// range read: Scan, NewIterator and Snapshot.
 //
 // Design note — how a single-versioned memory component serves
 // repeatable reads. The paper's memory levels deliberately update in
 // place (§3.2): the Membuffer overwrites hash slots and the Memtable
-// swaps skiplist entries, so the version a long-lived reader needs is
-// destroyed by the very next write of the same key. Earlier revisions
-// therefore materialized every snapshot — a forced drain AND flush, so a
-// handle cost an L0 table and snap-read ran 6× behind the baselines.
-//
-// The flush was never load-bearing, only the seal was. Snapshot now
-// performs exactly the master-scan seal of Algorithm 3 lines 4–11 (swap
-// in a fresh Membuffer, RCU-wait, drain the old one into the live
-// Memtable — memory-to-memory, cheap) and then draws a sequence bound B
-// while writers are still paused: every pre-seal write has seq < B and
-// sits in the live Memtable, the sealed-but-unflushed Memtable, or
-// sstables; every later write draws seq > B. The bound is registered
-// with the skiplists' Retention before writers resume, which switches
-// in-place updates from destructive swaps to version chaining
-// (skiplist.Entry.PrevVersion) for exactly the versions active bounds
-// still need — at most one retained version per open snapshot per hot
-// key. Reads then resolve the live Memtable at B, fall through to the
-// sealed Memtable and the pinned disk Version (GetAt filters seq <= B),
-// and Close unregisters the bound so chains collapse back to single
-// versions on the next overwrite. The memory component stays
-// single-versioned whenever no snapshot is open; snapshots pay only for
+// swaps skiplist entries, so the version a reader needs is destroyed by
+// the very next write of the same key. Algorithm 3 answers with
+// restart-on-conflict and a writer-blocking fallback (§4.4). This store
+// departs from it: pinView performs Algorithm 3's seal (lines 4–11, swap
+// in an empty Membuffer, RCU-wait, drain the old one into the live
+// Memtable — memory-to-memory, proportional to what the Membuffer holds)
+// and then draws a sequence bound B while slow-path writers are still
+// paused: every pre-seal write has seq < B and sits in the live Memtable,
+// the sealed-but-unflushed Memtable, or sstables; every later write draws
+// seq > B. The bound is registered with the skiplists' Retention before
+// writers resume, which switches in-place updates from destructive swaps
+// to version chaining (skiplist.Entry.PrevVersion) for exactly the
+// versions active bounds still need — at most one retained version per
+// open reader per hot key. Reads then resolve the live Memtable at B, fall
+// through to the sealed Memtable and the pinned disk Version (filtered at
+// seq <= B), and releasing the view unregisters the bound so chains
+// collapse back to single versions on the next overwrite. Nothing
+// restarts, and no writer is blocked past the seal. The memory component
+// stays single-versioned whenever no reader is open; readers pay only for
 // the keys overwritten while they live.
+func (db *DB) pinView() view {
+	db.drainMu.Lock()
+	// The Membuffer is unsequenced, so it cannot be bounded in place: seal
+	// and drain it into the live Memtable first.
+	old, _ := db.sealMembuffer(nil)
+
+	// Writers paused and drained: B cleanly separates past from future.
+	v := view{seq: db.seq.Add(1), live: old.mtb.list}
+	// Registered before writers resume, so the first post-B overwrite of
+	// any key already chains the displaced pre-B version.
+	db.registerBound(v.seq)
+
+	// Capture the sealed-but-unflushed Memtable BEFORE pinning the disk
+	// version. persistCycle's flush order (flush → install version →
+	// synchronize → clear immMtb) guarantees that if the load returns nil
+	// the data is already in the version we pin next; if it returns the
+	// memtable, the captured list plus the pinned version together cover
+	// everything (the merge dedups any overlap).
+	if m := db.immMtb.Load(); m != nil && m != old.mtb {
+		v.imm = m.list
+	}
+	if db.store != nil {
+		v.ver = db.store.PinVersion()
+	}
+
+	db.pauseWriters.Store(false)
+	db.drainMu.Unlock()
+	return v
+}
+
+// retainView takes one more reference on v's bound and Version.
+func (db *DB) retainView(v view) {
+	db.registerBound(v.seq)
+	if v.ver != nil {
+		db.store.AcquireVersion(v.ver)
+	}
+}
+
+// releaseView drops one reference: the last one on a bound lets its
+// version chains collapse, the last one on a Version lets compaction
+// delete the files only it still needed.
+func (db *DB) releaseView(v view) {
+	db.unregisterBound(v.seq)
+	if v.ver != nil {
+		db.store.ReleaseVersion(v.ver)
+	}
+}
+
+// Snapshot returns a read-only view pinned at the current state: a
+// pinView whose references live until the handle's Close. The O(1)-disk
+// design is described at pinView.
 func (db *DB) Snapshot(ctx context.Context) (kv.View, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -63,67 +126,19 @@ func (db *DB) Snapshot(ctx context.Context) (kv.View, error) {
 	if db.tel != nil {
 		start = time.Now()
 	}
-
-	db.drainMu.Lock()
-	db.pauseDraining.Store(true)
-	db.pauseWriters.Store(true)
-
-	old := db.gen.Load()
-	if old.mbf != nil {
-		// The Membuffer is unsequenced, so it cannot be bounded in place:
-		// seal and drain it into the live Memtable first (Algorithm 3's
-		// seal, no disk I/O).
-		db.gen.Store(&generation{mbf: db.newMembufferNow(), mtb: old.mtb})
-		old.mbf.Freeze()
-		db.immMbf.Store(old.mbf)
-		db.domain.Synchronize()
-		db.drainBufferInto(old.mbf, old.mtb, 0)
-		db.immMbf.Store(nil)
-	} else {
-		// Still wait the grace period: an in-flight writer may have drawn
-		// a sequence number below the bound without having inserted yet.
-		db.domain.Synchronize()
-	}
-
-	// Writers paused and drained: B cleanly separates past from future.
-	bound := db.seq.Add(1)
-	// Registered before writers resume, so the first post-B overwrite of
-	// any key already chains the displaced pre-B version.
-	db.registerBound(bound)
-
-	// Capture the sealed-but-unflushed Memtable BEFORE pinning the disk
-	// version. persistCycle's flush order (flush → install version →
-	// synchronize → clear immMtb) guarantees that if the load returns nil
-	// the data is already in the version we pin next; if it returns the
-	// memtable, the captured list plus the pinned version together cover
-	// everything (the merge dedups any overlap).
-	var imm *skiplist.List
-	if m := db.immMtb.Load(); m != nil && m != old.mtb {
-		imm = m.list
-	}
-	v := db.store.PinVersion()
-
-	db.pauseWriters.Store(false)
-	db.pauseDraining.Store(false)
-	db.drainMu.Unlock()
-
+	v := db.pinView()
 	if t := db.tel; t != nil {
 		d := time.Since(start)
 		t.snapLat.Observe(d)
-		t.events.Emit(obs.Event{Type: obs.EventSnapshotPin, Dur: d, Detail: fmt.Sprintf("seq bound %d", bound)})
+		t.events.Emit(obs.Event{Type: obs.EventSnapshotPin, Dur: d, Detail: fmt.Sprintf("seq bound %d", v.seq)})
 	}
-	return &snapshot{db: db, seq: bound, ver: v, live: old.mtb.list, imm: imm}, nil
+	return &snapshot{db: db, view: v}, nil
 }
 
-// snapshot is a sequence-bounded read view: the live memtable resolved
-// through version chains at the bound, the sealed memtable captured at
-// creation (if a flush was in flight), and a pinned disk version.
+// snapshot is a long-lived handle on a view.
 type snapshot struct {
-	db     *DB
-	seq    uint64
-	ver    *storage.Version
-	live   *skiplist.List
-	imm    *skiplist.List // nil when no flush was in flight
+	db *DB
+	view
 	closed atomic.Bool
 }
 
@@ -176,65 +191,36 @@ func (s *snapshot) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error
 	if err != nil {
 		return nil, err
 	}
-	defer it.Close()
-	var out []kv.Pair
-	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, kv.Pair{Key: keys.Clone(it.Key()), Value: keys.Clone(it.Value())})
-	}
-	return out, it.Err()
+	return collect(it)
 }
 
-// NewIterator streams the snapshot's range. The iterator takes its own
-// pin on the version and its own reference on the sequence bound, so it
-// stays valid (and its versions stay retained) even if the snapshot
-// handle is Closed mid-iteration.
+// NewIterator streams the snapshot's range. The iterator holds its own
+// references on the bound and the Version, so it stays valid (and its
+// versions stay retained) even if the snapshot handle is Closed
+// mid-iteration.
 func (s *snapshot) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
 	db := s.db
-	// The bound reference is taken BEFORE the closed check: if it passed,
-	// the handle's own reference was still registered at that moment, so
-	// the bound's refcount never touches zero and no chain the iterator
-	// needs is pruned.
-	db.registerBound(s.seq)
+	// The references are taken BEFORE the closed check: if it passed, the
+	// handle's own references were still held at that moment, so neither
+	// count touched zero and no chain or file the iterator needs is gone.
+	db.retainView(s.view)
 	if err := s.check(ctx); err != nil {
-		db.unregisterBound(s.seq)
+		db.releaseView(s.view)
 		return nil, err
 	}
 	db.stats.iterators.Add(1)
-
-	its := []storage.InternalIterator{newBoundListIter(s.live, s.seq)}
-	if s.imm != nil {
-		its = append(its, newBoundListIter(s.imm, s.seq))
-	}
-	db.store.AcquireVersion(s.ver)
-	m, pins, err := db.store.NewVersionIterator(s.ver)
-	if err != nil {
-		db.store.ReleaseVersion(s.ver)
-		db.unregisterBound(s.seq)
-		return nil, err
-	}
-	its = append(its, m)
-	ver, bound := s.ver, s.seq
-	return storage.NewSnapshotIter(ctx, storage.NewMergingIterator(its...), storage.SnapshotIterOptions{
-		Low: low, High: high, MaxSeq: bound,
-		OnClose: func() {
-			pins()
-			db.store.ReleaseVersion(ver)
-			db.unregisterBound(bound)
-		},
-	}), nil
+	return db.openIter(ctx, low, high, s.view)
 }
 
-// Close releases the snapshot's pinned version and retires its sequence
-// bound (retained version chains collapse on subsequent overwrites).
-// Reads after Close return ErrSnapshotReleased; iterators already
-// created hold their own pin and bound reference and stay valid. Close
-// is idempotent.
+// Close releases the snapshot's references (retained version chains
+// collapse on subsequent overwrites). Reads after Close return
+// ErrSnapshotReleased; iterators already created hold their own
+// references and stay valid. Close is idempotent.
 func (s *snapshot) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.db.unregisterBound(s.seq)
-	s.db.store.ReleaseVersion(s.ver)
+	s.db.releaseView(s.view)
 	if t := s.db.tel; t != nil {
 		t.events.Emit(obs.Event{Type: obs.EventSnapshotUnpin, Detail: fmt.Sprintf("seq bound %d", s.seq)})
 	}

@@ -45,15 +45,11 @@ func (db *DB) initObs() {
 	s.iterators = reg.Counter("flodb_iterators_total", "Iterators opened.")
 	s.snapshots = reg.Counter("flodb_snapshots_total", "Snapshots taken.")
 	s.checkpoints = reg.Counter("flodb_checkpoints_total", "Checkpoints taken.")
-	s.scanRestarts = reg.Counter("flodb_scan_restarts_total", "Scan chunks restarted by a generation switch.")
-	s.fallbackScans = reg.Counter("flodb_fallback_scans_total", "Scans that fell back to blocking writers (Algorithm 3).")
 	s.membufferHits = reg.Counter("flodb_membuffer_hits_total", "Writes absorbed by the Membuffer fast path.")
 	s.memtableWrites = reg.Counter("flodb_memtable_writes_total", "Writes that took the direct-to-Memtable path.")
 	s.drainedEntries = reg.Counter("flodb_drained_entries_total", "Entries drained Membuffer->Memtable.")
 	s.drainBatches = reg.Counter("flodb_drain_batches_total", "Drain multi-insert batches.")
 	s.persists = reg.Counter("flodb_persists_total", "Seal->drain->flush persist cycles.")
-	s.masterScans = reg.Counter("flodb_master_scans_total", "Master scans (sealed a Membuffer generation).")
-	s.piggybackScans = reg.Counter("flodb_piggyback_scans_total", "Scans piggybacked on a master's sequence point.")
 	s.helpDrains = reg.Counter("flodb_help_drains_total", "Writer visits to the help-drain path.")
 	s.syncBarriers = reg.Counter("flodb_sync_barriers_total", "Explicit Sync durability barriers.")
 	s.resizes = reg.Counter("flodb_membuffer_resizes_total", "Adaptive Membuffer resize epochs (4.4).")

@@ -1,8 +1,6 @@
 package figures
 
 import (
-	"fmt"
-
 	"flodb/internal/core"
 	"flodb/internal/harness"
 	"flodb/internal/workload"
@@ -85,68 +83,6 @@ func Fig17(c Config) (*harness.Table, error) {
 				tbl.AddNote("%s: %.0f%% of updates completed directly in the Membuffer", cl.label, pct)
 			}
 			c.logf("fig17 %s %s -> %.3f Mops/s (direct-HT %.0f%%)", v.label, cl.label, res.MopsPerSec(), pct)
-		}
-	}
-	return tbl, nil
-}
-
-// ScanStats reproduces the §5.2 claim that the fallback mechanism engages
-// on under 1% of scans: it sweeps scan ranges and memory sizes and reports
-// the fallback ratio.
-func ScanStats(c Config) (*harness.Table, error) {
-	c.Defaults()
-	ranges := []int{10, 100, 1000, 10000}
-	mems := []int64{128 << 10, 1 << 20, 4 << 20}
-	if c.Quick {
-		ranges = []int{10, 1000}
-		mems = []int64{128 << 10, 1 << 20}
-	}
-	cols := make([]string, len(ranges))
-	for i, r := range ranges {
-		cols[i] = fmt.Sprintf("%d keys", r)
-	}
-	rows := make([]string, len(mems))
-	for i, m := range mems {
-		rows[i] = harness.ByteSize(m * 1024)
-	}
-	tbl := harness.NewTable("Scan fallback ratio (§5.2: expected < 1%)",
-		"scan range", "fallback scans / scans (%)", cols, rows)
-	threads := 16
-	if c.Quick {
-		threads = 4
-	}
-	for mi, mem := range mems {
-		for ri, rng := range ranges {
-			dir, err := c.cellDir(fmt.Sprintf("scanstats-%d-%d", mi, ri))
-			if err != nil {
-				return nil, err
-			}
-			db, err := core.Open(core.Config{
-				Dir: dir, MemoryBytes: mem, DisableWAL: true, Storage: storageOpts(mem),
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := initHalf(db, c.Keys, false); err != nil {
-				db.Close()
-				return nil, err
-			}
-			res := harness.Run(db, harness.RunOptions{
-				Threads:    threads,
-				Duration:   c.Duration,
-				Mix:        workload.ScanWrite,
-				Keys:       c.Keys,
-				ScanLength: rng,
-			})
-			st := db.Stats()
-			db.Close()
-			ratio := 0.0
-			if st.Scans > 0 {
-				ratio = 100 * float64(st.FallbackScans) / float64(st.Scans)
-			}
-			tbl.Set(mi, ri, ratio)
-			c.logf("scanstats mem=%s range=%d -> fallback %.3f%% (restarts %d / scans %d, ops %d)",
-				harness.ByteSize(mem), rng, ratio, st.ScanRestarts, st.Scans, res.Ops)
 		}
 	}
 	return tbl, nil

@@ -18,7 +18,7 @@ import (
 //	              in a LARGE Membuffer and absorbed as in-place updates
 //	              with no drain debt — §4.4's update-heavy case
 //	scan-heavy  — 50% range scans over uniform keys; wants the SMALLEST
-//	              Membuffer (every master scan drains the Membuffer
+//	              Membuffer (every range read drains the Membuffer
 //	              before its sequence point, so a big one taxes exactly
 //	              the scans)
 //	mixed       — the balanced read/write blend with an occasional

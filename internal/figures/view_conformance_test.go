@@ -157,6 +157,115 @@ func TestAllSystemsContextCanceledScan(t *testing.T) {
 	}
 }
 
+// TestAllSystemsIteratorPointInTime: an iterator is one point-in-time view
+// for its whole lifetime on every system — the baselines because they are
+// multi-versioned, FloDB because an open iterator's sequence bound keeps
+// the versions it needs chained in the skiplist. A cursor is stopped
+// mid-range, keys behind, under and ahead of it are overwritten, deleted
+// and inserted, and the cursor must finish — and replay from the start —
+// on exactly the state it was opened over, while an iterator opened
+// afterwards sees the new state. On the sharded store every shard's cursor
+// is opened before NewIterator returns, so the contract holds across
+// shards for writes that follow the open.
+func TestAllSystemsIteratorPointInTime(t *testing.T) {
+	for _, sys := range AllSystems {
+		t.Run(string(sys), func(t *testing.T) {
+			s := openSys(t, sys, t.TempDir())
+			defer s.Close()
+			const n = 1200
+			key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 52) } // spans every shard
+			model := map[uint64]string{}
+			put := func(i int, v string) {
+				t.Helper()
+				if err := s.Put(bg, key(i), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				model[uint64(i)] = v
+			}
+			del := func(i int) {
+				t.Helper()
+				if err := s.Delete(bg, key(i)); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, uint64(i))
+			}
+			// requireModel drives it from the start and compares every
+			// pair with want.
+			requireModel := func(what string, it kv.Iterator, want map[uint64]string) {
+				t.Helper()
+				seen := 0
+				prev := -1
+				for ok := it.First(); ok; ok = it.Next() {
+					i := int(keys.DecodeUint64(it.Key()) >> 52)
+					if i <= prev {
+						t.Fatalf("%s: key %d after %d", what, i, prev)
+					}
+					prev = i
+					if v, ok := want[uint64(i)]; !ok || v != string(it.Value()) {
+						t.Fatalf("%s: key %d = %q, want %q (present %v)", what, i, it.Value(), v, ok)
+					}
+					seen++
+				}
+				if err := it.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if seen != len(want) {
+					t.Fatalf("%s: %d pairs, want %d", what, seen, len(want))
+				}
+			}
+
+			for i := 0; i < n; i += 2 {
+				put(i, fmt.Sprintf("old-%d", i))
+			}
+			del(40)
+			atOpen := map[uint64]string{}
+			for k, v := range model {
+				atOpen[k] = v
+			}
+			first, err := s.NewIterator(bg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer first.Close()
+			ok := first.First()
+			for i := 0; ok && i < len(atOpen)/2; i++ {
+				ok = first.Next()
+			}
+			if !ok {
+				t.Fatal("iterator ended before the midpoint")
+			}
+			cursor := int(keys.DecodeUint64(first.Key()) >> 52)
+			for _, at := range []int{cursor - 30, cursor - 2, cursor, cursor + 2, cursor + 30} {
+				put(at, "new-1")
+				put(at, "new-2")
+				del(at + 4)
+				put(at+1, "inserted")
+			}
+			put(40, "resurrected")
+
+			second, err := s.NewIterator(bg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer second.Close()
+			requireModel("iterator opened after the writes", second, model)
+
+			// The first cursor carries on where it stopped, on the old state...
+			for ; ok; ok = first.Next() {
+				i := keys.DecodeUint64(first.Key()) >> 52
+				if v, present := atOpen[i]; !present || v != string(first.Value()) {
+					t.Fatalf("resumed cursor: key %d = %q, want %q (present %v)", i, first.Value(), v, present)
+				}
+			}
+			if err := first.Err(); err != nil {
+				t.Fatal(err)
+			}
+			// ...and replays it in full.
+			requireModel("iterator opened before the writes", first, atOpen)
+		})
+	}
+}
+
 func TestAllSystemsCheckpointReopens(t *testing.T) {
 	for _, sys := range AllSystems {
 		t.Run(string(sys), func(t *testing.T) {

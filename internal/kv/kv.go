@@ -45,9 +45,8 @@ type View interface {
 	// Get returns the value of key in this view. found is false if the
 	// key is absent or deleted.
 	Get(ctx context.Context, key []byte) (value []byte, found bool, err error)
-	// Scan returns all pairs with low <= key < high, in key order. The
-	// returned view is a consistent snapshot (serializable; master scans
-	// in FloDB are linearizable, §4.4).
+	// Scan returns all pairs with low <= key < high, in key order, as of
+	// one point in time (on a single FloDB engine, linearizable).
 	Scan(ctx context.Context, low, high []byte) ([]Pair, error)
 	// NewIterator returns a streaming cursor over low <= key < high (nil
 	// bounds are open). Unlike Scan it does not materialize the range:
@@ -136,11 +135,16 @@ var ErrUnavailable = errors.New("kv: node unavailable")
 // positioning call. When iteration stops early, check Err; Close releases
 // any pinned resources and must always be called.
 //
-// Consistency: every pair comes from a consistent snapshot no older than
-// the iterator's creation. FloDB serves each internal refill chunk from a
-// single Algorithm 3 snapshot (restarting transparently on in-place
-// overwrite conflicts); the multi-versioned baselines pin one snapshot for
-// the iterator's whole lifetime.
+// Consistency: an iterator is ONE point-in-time view for its whole
+// lifetime — every pair it returns was current at a single moment no
+// older than the iterator's creation, whatever is written while it is
+// open. The multi-versioned baselines get there by pinning a snapshot
+// sequence number; FloDB's single-versioned memory component seals the
+// Membuffer, draws a sequence bound and chains the versions that bound
+// still needs beneath later overwrites (internal/core pinView), which
+// replaced Algorithm 3's restart-and-fallback scans (§4.4). In exchange an
+// OPEN iterator holds resources — pinned sstables, chained versions —
+// until Close: close it promptly.
 type Iterator interface {
 	// First positions at the first pair of the range.
 	First() bool
@@ -169,8 +173,13 @@ type Stats struct {
 	// Iterators counts NewIterator calls.
 	Iterators uint64
 	// Snapshots counts Snapshot calls; Checkpoints counts Checkpoint calls.
-	Snapshots      uint64
-	Checkpoints    uint64
+	Snapshots   uint64
+	Checkpoints uint64
+	// ScanRestarts and FallbackScans are retired and always 0. They
+	// counted Algorithm 3's restart-on-conflict and writer-blocking
+	// fallback (§4.4); range reads now resolve sequence-bounded version
+	// chains and never restart. The fields remain because the benchmark
+	// in bench/ reads them.
 	ScanRestarts   uint64
 	FallbackScans  uint64
 	MembufferHits  uint64 // updates completed in the Membuffer

@@ -48,6 +48,9 @@ type pair struct {
 	drained   atomic.Bool
 }
 
+// bucket's slots are a window into the buffer's one slot array, capped at
+// the bucket's own capacity so one bucket can never grow into its
+// neighbour.
 type bucket struct {
 	mu    sync.Mutex
 	slots []atomic.Pointer[pair]
@@ -88,8 +91,13 @@ type Buffer struct {
 	partBits       uint
 
 	frozen atomic.Bool
-	live   atomic.Int64 // live (non-drained-and-removed) entries
-	bytes  atomic.Int64 // approximate bytes of live entries
+	// live counts resident (not yet drained-and-removed) entries per
+	// partition. Per partition rather than one global counter so a
+	// drainer skips empty partitions and stops sweeping one as soon as
+	// it has seen every resident entry: draining costs time in
+	// proportion to what is resident, not to the table's capacity.
+	live  []atomic.Int64
+	bytes atomic.Int64 // approximate bytes of live entries
 
 	// drainCursor hands out partitions round-robin to draining threads.
 	drainCursor atomic.Uint64
@@ -117,13 +125,18 @@ func New(cfg Config) *Buffer {
 	}
 	b := &Buffer{
 		buckets:        make([]bucket, cfg.Buckets),
+		live:           make([]atomic.Int64, parts),
 		partitions:     parts,
 		perPart:        cfg.Buckets / parts,
 		slotsPerBucket: cfg.SlotsPerBucket,
 		partBits:       cfg.PartitionBits,
 	}
+	// One flat array backs every bucket, so building a buffer costs a
+	// constant number of allocations whatever its size.
+	n := cfg.SlotsPerBucket
+	slots := make([]atomic.Pointer[pair], cfg.Buckets*n)
 	for i := range b.buckets {
-		b.buckets[i].slots = make([]atomic.Pointer[pair], cfg.SlotsPerBucket)
+		b.buckets[i].slots = slots[i*n : (i+1)*n : (i+1)*n]
 	}
 	return b
 }
@@ -146,11 +159,12 @@ func fnv1a(key []byte) uint64 {
 	return h
 }
 
-// bucketFor maps a key to its bucket index: partition by MSBs, hash within.
-func (b *Buffer) bucketFor(key []byte) int {
-	p := int(keys.PartitionOf(key, b.partBits))
+// locate maps a key to its partition and bucket index: partition by MSBs,
+// hash within.
+func (b *Buffer) locate(key []byte) (part, bucket int) {
+	part = int(keys.PartitionOf(key, b.partBits))
 	h := fnv1a(key)
-	return p*b.perPart + int(h%uint64(b.perPart))
+	return part, part*b.perPart + int(h%uint64(b.perPart))
 }
 
 // Add inserts key→value (or a tombstone) into the buffer, updating in place
@@ -171,7 +185,8 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 	if b.frozen.Load() {
 		return false, false
 	}
-	bk := &b.buckets[b.bucketFor(key)]
+	part, bi := b.locate(key)
+	bk := &b.buckets[bi]
 	np := &pair{key: key, value: value, tombstone: tombstone}
 	bk.mu.Lock()
 	// Re-check under the lock: Freeze's caller synchronizes via RCU, but
@@ -204,7 +219,7 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 		return false, false
 	}
 	bk.slots[free].Store(np)
-	b.live.Add(1)
+	b.live[part].Add(1)
 	b.bytes.Add(int64(len(key)) + int64(len(value)))
 	bk.mu.Unlock()
 	return true, false
@@ -213,7 +228,8 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 // Get returns the freshest value for key in this buffer. ok is false if the
 // key is absent. Lock-free.
 func (b *Buffer) Get(key []byte) (value []byte, tombstone, ok bool) {
-	bk := &b.buckets[b.bucketFor(key)]
+	_, bi := b.locate(key)
+	bk := &b.buckets[bi]
 	for i := range bk.slots {
 		p := bk.slots[i].Load()
 		if p != nil && keys.Equal(p.key, key) {
@@ -230,8 +246,20 @@ func (b *Buffer) Freeze() { b.frozen.Store(true) }
 // Frozen reports whether Freeze was called.
 func (b *Buffer) Frozen() bool { return b.frozen.Load() }
 
+// Reset returns a frozen buffer that has been drained empty to service:
+// it accepts Puts again. The caller must guarantee that no drainer still
+// holds a reference to the buffer from before it was emptied — a stale
+// drainer would claim the entries of the buffer's next life.
+func (b *Buffer) Reset() { b.frozen.Store(false) }
+
 // Len returns the number of live entries.
-func (b *Buffer) Len() int { return int(b.live.Load()) }
+func (b *Buffer) Len() int {
+	n := int64(0)
+	for i := range b.live {
+		n += b.live[i].Load()
+	}
+	return int(n)
+}
 
 // ApproxBytes returns the approximate bytes held.
 func (b *Buffer) ApproxBytes() int64 { return b.bytes.Load() }
@@ -241,7 +269,7 @@ func (b *Buffer) Capacity() int { return len(b.buckets) * b.slotsPerBucket }
 
 // Occupancy returns live entries / capacity in [0,1].
 func (b *Buffer) Occupancy() float64 {
-	return float64(b.live.Load()) / float64(b.Capacity())
+	return float64(b.Len()) / float64(b.Capacity())
 }
 
 // FullFailures returns how many Adds were rejected on a full bucket.
@@ -272,8 +300,17 @@ type Drained struct {
 // Claimed entries stay visible to readers (and to in-place updaters) until
 // Release removes them — exactly the mark→insert→delete sequence of
 // Figure 6. A max of 0 or less claims everything in the partition.
+//
+// The sweep visits no more slots than it must: an empty partition costs
+// one counter load, and a sweep ends once it has passed as many resident
+// entries as the partition's counter reported. An entry a concurrent Put
+// adds behind the sweep is left for the next visit.
 func (b *Buffer) DrainPartition(part, max int) []Drained {
 	if part < 0 || part >= b.partitions {
+		return nil
+	}
+	resident := int(b.live[part].Load())
+	if resident <= 0 {
 		return nil
 	}
 	if max <= 0 {
@@ -281,7 +318,7 @@ func (b *Buffer) DrainPartition(part, max int) []Drained {
 	}
 	var out []Drained
 	start := part * b.perPart
-	for bi := start; bi < start+b.perPart && len(out) < max; bi++ {
+	for bi := start; bi < start+b.perPart && len(out) < max && resident > 0; bi++ {
 		bk := &b.buckets[bi]
 		for si := range bk.slots {
 			if len(out) >= max {
@@ -291,6 +328,7 @@ func (b *Buffer) DrainPartition(part, max int) []Drained {
 			if p == nil {
 				continue
 			}
+			resident--
 			if !p.drained.CompareAndSwap(false, true) {
 				continue // another drainer owns it
 			}
@@ -324,7 +362,7 @@ func (b *Buffer) Release(drained []Drained) {
 		bk.mu.Lock()
 		if bk.slots[d.slotIdx].Load() == d.p {
 			bk.slots[d.slotIdx].Store(nil)
-			b.live.Add(-1)
+			b.live[d.bucketIdx/b.perPart].Add(-1)
 			b.bytes.Add(-int64(len(d.Key)) - int64(len(d.Value)))
 		}
 		bk.mu.Unlock()

@@ -97,7 +97,9 @@ func TestPartitioningIsMSBBased(t *testing.T) {
 	k1 := keys.EncodeUint64(0x1234_0000_0000_0000)
 	k2 := keys.EncodeUint64(0x1fff_ffff_0000_0000)
 	k3 := keys.EncodeUint64(0xf000_0000_0000_0000)
-	p1, p2, p3 := b.bucketFor(k1)/b.perPart, b.bucketFor(k2)/b.perPart, b.bucketFor(k3)/b.perPart
+	p1, _ := b.locate(k1)
+	p2, _ := b.locate(k2)
+	p3, _ := b.locate(k3)
 	if p1 != p2 {
 		t.Errorf("keys with same top nibble split: %d vs %d", p1, p2)
 	}
@@ -372,4 +374,90 @@ func BenchmarkGetHit(b *testing.B) {
 			buf.Get(keys.EncodeUint64(rng.Uint64() % n))
 		}
 	})
+}
+
+// TestNewAllocatesConstant pins the flat slot layout: building a buffer
+// costs the same handful of allocations at any size, because every seal
+// that cannot recycle a buffer (Open, the first seals, a resize) pays it.
+func TestNewAllocatesConstant(t *testing.T) {
+	for _, buckets := range []int{64, 8000, 1 << 16} {
+		cfg := Config{Buckets: buckets, SlotsPerBucket: 4, PartitionBits: 6}
+		var sink *Buffer
+		if n := testing.AllocsPerRun(10, func() { sink = New(cfg) }); n > 4 {
+			t.Errorf("New(%d buckets) = %.0f allocations, want <= 4", buckets, n)
+		}
+		if sink.Capacity() != buckets*4 {
+			t.Fatalf("capacity %d, want %d", sink.Capacity(), buckets*4)
+		}
+	}
+}
+
+// TestBucketsDoNotOverlap checks the windows cut from the flat array: a
+// full bucket rejects, and never spills into its neighbour's slots.
+func TestBucketsDoNotOverlap(t *testing.T) {
+	b := New(Config{Buckets: 4, SlotsPerBucket: 2})
+	for i := range b.buckets {
+		if len(b.buckets[i].slots) != 2 || cap(b.buckets[i].slots) != 2 {
+			t.Fatalf("bucket %d: len %d cap %d, want 2/2", i, len(b.buckets[i].slots), cap(b.buckets[i].slots))
+		}
+	}
+	stored := 0
+	for i := 0; i < 64; i++ {
+		if b.Add(keys.EncodeUint64(uint64(i)), []byte("v"), false) {
+			stored++
+		}
+	}
+	if stored != b.Len() || stored > b.Capacity() {
+		t.Fatalf("stored %d, Len %d, capacity %d", stored, b.Len(), b.Capacity())
+	}
+	seen := 0
+	b.ForEach(func(_, _ []byte, _ bool) { seen++ })
+	if seen != stored {
+		t.Fatalf("ForEach saw %d entries, %d were stored", seen, stored)
+	}
+}
+
+// TestDrainSkipsEmptyAndStopsEarly covers occupancy-proportional drains:
+// draining an empty buffer allocates nothing, a sweep finds every
+// resident entry wherever it hashed, and a drained buffer can be Reset
+// and refilled.
+func TestDrainSkipsEmptyAndStopsEarly(t *testing.T) {
+	b := New(Config{Buckets: 4096, SlotsPerBucket: 4, PartitionBits: 6})
+	if n := testing.AllocsPerRun(10, func() {
+		if d := b.DrainAll(); d != nil {
+			t.Fatalf("empty buffer drained %d entries", len(d))
+		}
+	}); n != 0 {
+		t.Errorf("draining an empty buffer allocated %.0f times", n)
+	}
+	for round := 0; round < 3; round++ {
+		want := map[string]bool{}
+		for i := 0; i < 200; i++ {
+			k := keys.EncodeUint64(rand.Uint64())
+			if b.Add(k, []byte("v"), false) {
+				want[string(k)] = true
+			}
+		}
+		if b.Len() != len(want) {
+			t.Fatalf("round %d: Len %d, want %d", round, b.Len(), len(want))
+		}
+		b.Freeze()
+		d := b.DrainAll()
+		if len(d) != len(want) {
+			t.Fatalf("round %d: drained %d of %d resident entries", round, len(d), len(want))
+		}
+		for i := range d {
+			if !want[string(d[i].Key)] {
+				t.Fatalf("round %d: drained foreign key %x", round, d[i].Key)
+			}
+		}
+		b.Release(d)
+		if b.Len() != 0 || b.ApproxBytes() != 0 {
+			t.Fatalf("round %d: Len %d bytes %d after release", round, b.Len(), b.ApproxBytes())
+		}
+		if b.Add([]byte("k"), []byte("v"), false) {
+			t.Fatal("frozen buffer accepted a write")
+		}
+		b.Reset()
+	}
 }

@@ -6,8 +6,10 @@
 //     persisting thread waits for all in-flight writers that may still hold
 //     a reference to it; and after the immutable Memtable has been written
 //     to disk, it waits again for in-flight readers before dropping it.
-//   - Scans: after a new Membuffer is installed, the master scanner waits
-//     for writers still inserting into the old one before draining it.
+//   - Range reads: after a new Membuffer is installed, the reader waits
+//     for writers still inserting into the old one before draining it —
+//     and a drained Membuffer is recycled only after a further grace
+//     period, so no drain helper can still reach it.
 //
 // Go's garbage collector makes the *memory reclamation* half of RCU
 // unnecessary, but the *quiescence* half is load-bearing for correctness:

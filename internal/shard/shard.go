@@ -965,8 +965,6 @@ func (s *Store) Stats() kv.Stats {
 		agg.Puts += st.Puts
 		agg.Gets += st.Gets
 		agg.Deletes += st.Deletes
-		agg.ScanRestarts += st.ScanRestarts
-		agg.FallbackScans += st.FallbackScans
 		agg.MembufferHits += st.MembufferHits
 		agg.MemtableWrites += st.MemtableWrites
 		agg.Flushes += st.Flushes

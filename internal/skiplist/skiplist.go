@@ -44,10 +44,10 @@ const (
 // pointer so readers always observe a consistent (value, seq) pair.
 //
 // CreateSeq records the sequence number the node was FIRST inserted with;
-// in-place updates carry it forward. Scans use it to distinguish "this key
-// did not exist at my snapshot" (skip, no information lost) from "this
-// key's snapshot value was overwritten in place" (restart) — a refinement
-// of Algorithm 3's conservative restart, documented in DESIGN.md.
+// in-place updates carry it forward. It told Algorithm 3's restarting scan
+// "this key did not exist at my snapshot" from "this key's snapshot value
+// was overwritten in place"; bounded readers resolve version chains
+// instead (ResolveAt), so nothing in the store reads it any more.
 type Entry struct {
 	Value     []byte
 	Seq       uint64
@@ -78,11 +78,11 @@ type Retention struct {
 	bounds atomic.Pointer[[]uint64]
 }
 
-// Set publishes the active bounds (they are copied; pass sorted
-// ascending). An empty set disables chaining.
+// Set publishes the active bounds, sorted ascending. The slice is
+// retained and read without synchronization from then on: the caller
+// hands it over and must not modify it. An empty set disables chaining.
 func (r *Retention) Set(bounds []uint64) {
-	cp := append([]uint64(nil), bounds...)
-	r.bounds.Store(&cp)
+	r.bounds.Store(&bounds)
 }
 
 func (r *Retention) active() []uint64 {
@@ -263,9 +263,8 @@ func (l *List) insertFrom(key []byte, e *Entry, preds, succs *[MaxHeight]*node) 
 	var nd *node // allocated lazily; reused across CAS retries
 	for {
 		if l.findFromPreds(key, preds, succs) {
-			// Existing key: in-place update. The creation seq is inherited
-			// so scans can tell overwrites of pre-snapshot values from
-			// post-snapshot inserts. The swap is a CAS loop rather than a
+			// Existing key: in-place update, inheriting the creation seq.
+			// The swap is a CAS loop rather than a
 			// blind Swap: with retention active the displaced entry may
 			// need to be chained behind the new one, and a lost race must
 			// re-chain against the actual displaced entry or a concurrent
@@ -394,14 +393,19 @@ func ResolveAt(e *Entry, maxSeq uint64) (*Entry, bool) {
 // seekGE returns the first node with key >= target, or nil.
 func (l *List) seekGE(target []byte) *node {
 	pred := l.head
+	var curr *node
 	for level := MaxHeight - 1; level >= 0; level-- {
-		curr := pred.next[level].Load()
+		curr = pred.next[level].Load()
 		for curr != nil && l.less(curr, target) {
 			pred = curr
 			curr = curr.next[level].Load()
 		}
 	}
-	return pred.next[0].Load()
+	// curr is the node the bottom-level walk stopped at. Loading
+	// pred.next[0] again instead would race with an insert landing between
+	// pred and curr: the newcomer is smaller than target, and a Get of an
+	// existing key would miss it.
+	return curr
 }
 
 // Len returns the number of distinct keys.
@@ -434,6 +438,10 @@ type Iterator struct {
 
 // NewIterator returns an iterator positioned before the first key.
 func (l *List) NewIterator() *Iterator { return &Iterator{l: l} }
+
+// Reset points it at l, positioned before the first key, so an iterator
+// held by value can be re-aimed without allocating.
+func (it *Iterator) Reset(l *List) { *it = Iterator{l: l} }
 
 // SeekToFirst positions at the first key.
 func (it *Iterator) SeekToFirst() {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"flodb/internal/keys"
@@ -591,5 +592,54 @@ func TestMultiInsertSortsCallerBatch(t *testing.T) {
 	}
 	if bytes.Compare(batch[0].Key, batch[1].Key) >= 0 {
 		t.Fatal("batch should be sorted in place (documented behaviour)")
+	}
+}
+
+// TestGetNeverMissesExistingKey: one thread multi-inserts batches of
+// neighbouring keys (the drainer's shape) while another inserts single
+// keys and immediately reads back keys it knows exist. A search that
+// re-reads a link after deciding where to stop can land on a node inserted
+// in between and report an existing key absent — rarely, and only for an
+// instant, which is how a stale Get once in a few thousand reached the
+// store's model test.
+func TestGetNeverMissesExistingKey(t *testing.T) {
+	rounds := 40
+	if testing.Short() {
+		rounds = 4
+	}
+	for round := 0; round < rounds; round++ {
+		l := New()
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(round)))
+			for seq := uint64(1 << 40); !stop.Load(); {
+				part := uint64(rng.Intn(64)) << 58
+				batch := make([]KV, 0, 64)
+				for i := 0; i < 64; i++ {
+					seq++
+					k := keys.EncodeUint64(part | uint64(rng.Int63())>>6)
+					batch = append(batch, KV{Key: k, Entry: &Entry{Value: []byte("d"), Seq: seq}})
+				}
+				l.MultiInsert(batch)
+			}
+		}()
+		rng := rand.New(rand.NewSource(int64(round) + 1000))
+		var mine [][]byte
+		for i := 0; i < 15000; i++ {
+			k := keys.EncodeUint64(rng.Uint64())
+			l.Insert(k, &Entry{Value: []byte("c"), Seq: uint64(i + 1)})
+			mine = append(mine, k)
+			probe := mine[rng.Intn(len(mine))]
+			if _, ok := l.Get(probe); !ok {
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("round %d op %d: Get missed existing key %x", round, i, probe)
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
 	}
 }

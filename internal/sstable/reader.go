@@ -308,7 +308,17 @@ type Iterator struct {
 }
 
 // NewIterator returns an iterator positioned before the first entry.
-func (r *Reader) NewIterator() *Iterator { return &Iterator{r: r, blockIdx: -1} }
+func (r *Reader) NewIterator() *Iterator {
+	it := new(Iterator)
+	it.Reset(r)
+	return it
+}
+
+// Reset points it at table r, positioned before the first entry, so an
+// iterator held by value in a recycled frame serves one table after
+// another without allocating. Reset(nil) drops the references to the
+// table and its current block.
+func (it *Iterator) Reset(r *Reader) { *it = Iterator{r: r, blockIdx: -1} }
 
 // SeekToFirst positions at the first entry.
 func (it *Iterator) SeekToFirst() {

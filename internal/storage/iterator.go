@@ -23,23 +23,6 @@ type InternalIterator interface {
 	Err() error
 }
 
-// CreateSeqer is implemented by iterators over structures that update
-// values in place (FloDB's memtable): CreateSeq returns the sequence
-// number the current entry's node was first created with. Iterators over
-// immutable structures (sstables) omit it; CreateSeqOf falls back to Seq,
-// which is exact for them.
-type CreateSeqer interface {
-	CreateSeq() uint64
-}
-
-// CreateSeqOf returns the creation sequence of its current entry.
-func CreateSeqOf(it InternalIterator) uint64 {
-	if c, ok := it.(CreateSeqer); ok {
-		return c.CreateSeq()
-	}
-	return it.Seq()
-}
-
 // tableIterAdapter lifts *sstable.Iterator to InternalIterator (method
 // sets already match; the adapter exists only to keep sstable free of this
 // package's interface).
@@ -83,17 +66,16 @@ func (h mergeHeap) Less(i, j int) bool {
 	}
 	return a.rank < b.rank
 }
-func (h mergeHeap) Swap(i, j int)        { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)          { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any            { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-func (m *mergingIter) rebuild()          { heap.Init(&m.h) }
-func (m *mergingIter) Err() error        { return m.err }
-func (m *mergingIter) Valid() bool       { return m.err == nil && len(m.h) > 0 }
-func (m *mergingIter) Key() []byte       { return m.h[0].it.Key() }
-func (m *mergingIter) Seq() uint64       { return m.h[0].it.Seq() }
-func (m *mergingIter) Kind() keys.Kind   { return m.h[0].it.Kind() }
-func (m *mergingIter) Value() []byte     { return m.h[0].it.Value() }
-func (m *mergingIter) CreateSeq() uint64 { return CreateSeqOf(m.h[0].it) }
+func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(mergeItem)) }
+func (h *mergeHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
+func (m *mergingIter) rebuild()        { heap.Init(&m.h) }
+func (m *mergingIter) Err() error      { return m.err }
+func (m *mergingIter) Valid() bool     { return m.err == nil && len(m.h) > 0 }
+func (m *mergingIter) Key() []byte     { return m.h[0].it.Key() }
+func (m *mergingIter) Seq() uint64     { return m.h[0].it.Seq() }
+func (m *mergingIter) Kind() keys.Kind { return m.h[0].it.Kind() }
+func (m *mergingIter) Value() []byte   { return m.h[0].it.Value() }
 
 func (m *mergingIter) reset(position func(InternalIterator)) {
 	m.err = nil
@@ -144,14 +126,22 @@ type levelIter struct {
 	files []*FileMeta // sorted by Smallest, non-overlapping
 
 	fileIdx int
-	cur     InternalIterator
-	curH    *cache.Handle
-	err     error
+	// cur walks the open file; it is meaningful only while curH pins that
+	// file. Held by value: moving to the next file allocates nothing.
+	cur  sstable.Iterator
+	curH *cache.Handle
+	err  error
 }
 
 // NewLevelIterator returns an iterator over a non-overlapping file run.
 func NewLevelIterator(cache *tableCache, files []*FileMeta) *levelIter {
-	return &levelIter{cache: cache, files: files, fileIdx: -1}
+	l := new(levelIter)
+	l.init(cache, files)
+	return l
+}
+
+func (l *levelIter) init(cache *tableCache, files []*FileMeta) {
+	*l = levelIter{cache: cache, files: files, fileIdx: -1}
 }
 
 // close releases the pin on the current table. The iterator becomes
@@ -161,27 +151,22 @@ func (l *levelIter) close() {
 		l.curH.Release()
 		l.curH = nil
 	}
-	l.cur = nil
+	l.cur.Reset(nil)
 }
 
 func (l *levelIter) openFile(i int) bool {
-	if l.curH != nil {
-		l.curH.Release()
-		l.curH = nil
-	}
+	l.close()
 	if i >= len(l.files) {
-		l.cur = nil
 		return false
 	}
 	r, h, err := l.cache.Get(l.files[i].Num)
 	if err != nil {
 		l.err = err
-		l.cur = nil
 		return false
 	}
 	l.fileIdx = i
 	l.curH = h
-	l.cur = NewTableIterator(r.NewIterator())
+	l.cur.Reset(r)
 	return true
 }
 
@@ -214,7 +199,7 @@ func (l *levelIter) Seek(key []byte) {
 }
 
 func (l *levelIter) Next() {
-	if l.cur == nil {
+	if l.curH == nil {
 		return
 	}
 	l.cur.Next()
@@ -224,10 +209,10 @@ func (l *levelIter) Next() {
 // skipExhausted advances to the next file while the current iterator is
 // spent.
 func (l *levelIter) skipExhausted() {
-	for l.cur != nil && !l.cur.Valid() {
+	for l.curH != nil && !l.cur.Valid() {
 		if err := l.cur.Err(); err != nil {
 			l.err = err
-			l.cur = nil
+			l.close()
 			return
 		}
 		if !l.openFile(l.fileIdx + 1) {
@@ -238,10 +223,94 @@ func (l *levelIter) skipExhausted() {
 }
 
 func (l *levelIter) Valid() bool {
-	return l.err == nil && l.cur != nil && l.cur.Valid()
+	return l.err == nil && l.curH != nil && l.cur.Valid()
 }
 func (l *levelIter) Key() []byte     { return l.cur.Key() }
 func (l *levelIter) Seq() uint64     { return l.cur.Seq() }
 func (l *levelIter) Kind() keys.Kind { return l.cur.Kind() }
 func (l *levelIter) Value() []byte   { return l.cur.Value() }
 func (l *levelIter) Err() error      { return l.err }
+
+// --- Version iterator ---------------------------------------------------------
+
+// VersionIter merges caller-supplied memory sources with every sorted run
+// of a pinned Version. All of its parts — the merge heap, one table
+// iterator per L0 file, one level iterator per deeper level — live in the
+// struct, so a caller that keeps a VersionIter in a pool opens a range
+// read without allocating in proportion to the number of runs. The zero
+// value is ready for Init.
+type VersionIter struct {
+	merge   mergingIter
+	tables  []sstable.Iterator // one per L0 file
+	handles []*cache.Handle    // the L0 tables' pins
+	levels  []levelIter
+}
+
+// Init points vi at mem (freshest first) followed by the runs of v: L0
+// files newest→oldest, then L1..Ln, which is the order the merge breaks
+// ties in. s and v may both be nil for a read over memory sources only.
+// The caller keeps v pinned until Release. After an error vi holds no
+// pins.
+func (vi *VersionIter) Init(mem []InternalIterator, s *Store, v *Version) error {
+	m := &vi.merge
+	m.children = append(m.children[:0], mem...)
+	if v == nil {
+		return nil
+	}
+	l0 := v.files[0]
+	if cap(vi.tables) < len(l0) {
+		vi.tables = make([]sstable.Iterator, len(l0))
+	}
+	vi.tables = vi.tables[:len(l0)]
+	for i, f := range l0 {
+		r, h, err := s.cache.Get(f.Num)
+		if err != nil {
+			vi.Release()
+			return err
+		}
+		vi.handles = append(vi.handles, h)
+		vi.tables[i].Reset(r)
+		m.children = append(m.children, tableIterAdapter{&vi.tables[i]})
+	}
+	if vi.levels == nil {
+		vi.levels = make([]levelIter, 0, NumLevels-1) // never regrown: the merge holds pointers into it
+	}
+	for l := 1; l < NumLevels; l++ {
+		if len(v.files[l]) > 0 {
+			vi.levels = append(vi.levels, levelIter{})
+			li := &vi.levels[len(vi.levels)-1]
+			li.init(s.cache, v.files[l])
+			m.children = append(m.children, li)
+		}
+	}
+	return nil
+}
+
+// Merged returns the merged stream; it is valid until Release.
+func (vi *VersionIter) Merged() InternalIterator { return &vi.merge }
+
+// Release drops every table pin and every reference to the sources, so a
+// pooled VersionIter keeps no memtable, table or block alive. The
+// backing arrays stay for the next Init.
+func (vi *VersionIter) Release() {
+	for _, h := range vi.handles {
+		h.Release()
+	}
+	clear(vi.handles)
+	vi.handles = vi.handles[:0]
+	for i := range vi.tables {
+		vi.tables[i].Reset(nil)
+	}
+	for i := range vi.levels {
+		vi.levels[i].close()
+		vi.levels[i] = levelIter{}
+	}
+	vi.levels = vi.levels[:0]
+	m := &vi.merge
+	clear(m.children)
+	m.children = m.children[:0]
+	m.h = m.h[:cap(m.h)]
+	clear(m.h)
+	m.h = m.h[:0]
+	m.err = nil
+}

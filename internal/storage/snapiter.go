@@ -31,21 +31,19 @@ type SnapshotIterOptions struct {
 // canceled or expired context makes iteration stop promptly with the
 // context's error in Err.
 func NewSnapshotIter(ctx context.Context, m InternalIterator, opts SnapshotIterOptions) kv.Iterator {
-	return &snapshotIter{
-		ctx:     ctx,
-		m:       m,
-		low:     keys.Clone(opts.Low),
-		high:    keys.Clone(opts.High),
-		snap:    opts.MaxSeq,
-		onClose: opts.OnClose,
-	}
+	it := new(SnapshotIter)
+	it.Reset(ctx, m, opts)
+	return it
 }
 
-// snapshotIter streams live pairs <= snap in key order.
-type snapshotIter struct {
+// SnapshotIter streams live pairs <= snap in key order. It is exported so
+// a caller can hold one by value in a recycled frame and Reset it per
+// read; everyone else uses NewSnapshotIter.
+type SnapshotIter struct {
 	ctx       context.Context
 	m         InternalIterator
 	low, high []byte
+	bounded   bool // high is a bound (a nil High is open, an empty one is not)
 	snap      uint64
 	onClose   func()
 
@@ -57,10 +55,26 @@ type snapshotIter struct {
 	err        error
 }
 
-var _ kv.Iterator = (*snapshotIter)(nil)
+var _ kv.Iterator = (*SnapshotIter)(nil)
+
+// Reset makes it a fresh, unpositioned iterator over m, reusing the
+// buffers of its previous life. Reset(nil, nil, SnapshotIterOptions{})
+// drops every reference it holds.
+func (it *SnapshotIter) Reset(ctx context.Context, m InternalIterator, opts SnapshotIterOptions) {
+	*it = SnapshotIter{
+		ctx:     ctx,
+		m:       m,
+		low:     append(it.low[:0], opts.Low...),
+		high:    append(it.high[:0], opts.High...),
+		bounded: opts.High != nil,
+		snap:    opts.MaxSeq,
+		onClose: opts.OnClose,
+		lastKey: it.lastKey[:0],
+	}
+}
 
 // checkCtx records a context error, stopping iteration.
-func (it *snapshotIter) checkCtx() bool {
+func (it *SnapshotIter) checkCtx() bool {
 	if it.err != nil {
 		return false
 	}
@@ -73,7 +87,7 @@ func (it *snapshotIter) checkCtx() bool {
 }
 
 // First positions at the first live pair of the range.
-func (it *snapshotIter) First() bool {
+func (it *SnapshotIter) First() bool {
 	if it.closed || !it.checkCtx() {
 		return false
 	}
@@ -84,11 +98,11 @@ func (it *snapshotIter) First() bool {
 }
 
 // Seek positions at the first live pair with key >= key (clamped to low).
-func (it *snapshotIter) Seek(key []byte) bool {
+func (it *SnapshotIter) Seek(key []byte) bool {
 	if it.closed || !it.checkCtx() {
 		return false
 	}
-	if it.low != nil && (key == nil || keys.Compare(key, it.low) < 0) {
+	if keys.Compare(key, it.low) < 0 {
 		key = it.low
 	}
 	it.positioned = true
@@ -99,7 +113,7 @@ func (it *snapshotIter) Seek(key []byte) bool {
 
 // Next advances past the current key's remaining versions to the next
 // live pair; unpositioned, it is equivalent to First.
-func (it *snapshotIter) Next() bool {
+func (it *SnapshotIter) Next() bool {
 	if it.closed || !it.checkCtx() {
 		return false
 	}
@@ -114,7 +128,7 @@ func (it *snapshotIter) Next() bool {
 
 // settle skips versions newer than the snapshot, superseded versions of an
 // already-visited key, and tombstones, stopping on the next live pair.
-func (it *snapshotIter) settle() bool {
+func (it *SnapshotIter) settle() bool {
 	it.onPair = false
 	for n := 0; it.m.Valid(); it.m.Next() {
 		// A long run of invisible versions must still honor cancellation.
@@ -122,7 +136,7 @@ func (it *snapshotIter) settle() bool {
 			return false
 		}
 		k := it.m.Key()
-		if it.high != nil && keys.Compare(k, it.high) >= 0 {
+		if it.bounded && keys.Compare(k, it.high) >= 0 {
 			return false
 		}
 		if it.m.Seq() > it.snap {
@@ -143,7 +157,7 @@ func (it *snapshotIter) settle() bool {
 }
 
 // Key returns the current key; the slice is valid until the next advance.
-func (it *snapshotIter) Key() []byte {
+func (it *SnapshotIter) Key() []byte {
 	if !it.onPair {
 		return nil
 	}
@@ -151,7 +165,7 @@ func (it *snapshotIter) Key() []byte {
 }
 
 // Value returns the current value, under the same aliasing rule as Key.
-func (it *snapshotIter) Value() []byte {
+func (it *SnapshotIter) Value() []byte {
 	if !it.onPair {
 		return nil
 	}
@@ -159,7 +173,7 @@ func (it *snapshotIter) Value() []byte {
 }
 
 // Err returns the first error: a context error or the underlying merge's.
-func (it *snapshotIter) Err() error {
+func (it *SnapshotIter) Err() error {
 	if it.err != nil {
 		return it.err
 	}
@@ -167,7 +181,7 @@ func (it *snapshotIter) Err() error {
 }
 
 // Close releases the iterator's pinned resources. It is idempotent.
-func (it *snapshotIter) Close() error {
+func (it *SnapshotIter) Close() error {
 	if it.closed {
 		return nil
 	}

@@ -296,7 +296,7 @@ func (s *Store) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bo
 // unpins the version, allowing obsolete files to be deleted).
 func (s *Store) NewIterator() (InternalIterator, func(), error) {
 	v := s.vs.refCurrent()
-	it, pins, err := v.newIterator(s.cache)
+	it, pins, err := v.newIterator(s)
 	if err != nil {
 		s.vs.releaseVersion(v)
 		return nil, nil, err
@@ -332,7 +332,7 @@ func (s *Store) GetAt(v *Version, key []byte, maxSeq uint64) (value []byte, seq 
 // must keep v pinned for the iterator's lifetime and call release when
 // done iterating.
 func (s *Store) NewVersionIterator(v *Version) (InternalIterator, func(), error) {
-	return v.newIterator(s.cache)
+	return v.newIterator(s)
 }
 
 // NumLevelFiles returns the file count at a level.

@@ -135,31 +135,12 @@ func (v *Version) getAt(cache *tableCache, key []byte, maxSeq uint64) (value []b
 // The returned release function drops every table pin the iterator holds
 // (all L0 handles plus each level iterator's current file) and must be
 // called when iteration is abandoned or complete.
-func (v *Version) newIterator(cache *tableCache) (InternalIterator, func(), error) {
-	var children []InternalIterator
-	var pins []func()
-	release := func() {
-		for _, f := range pins {
-			f()
-		}
+func (v *Version) newIterator(s *Store) (InternalIterator, func(), error) {
+	vi := new(VersionIter)
+	if err := vi.Init(nil, s, v); err != nil {
+		return nil, nil, err
 	}
-	for _, f := range v.files[0] {
-		r, h, err := cache.Get(f.Num)
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
-		pins = append(pins, h.Release)
-		children = append(children, NewTableIterator(r.NewIterator()))
-	}
-	for l := 1; l < NumLevels; l++ {
-		if len(v.files[l]) > 0 {
-			li := NewLevelIterator(cache, v.files[l])
-			pins = append(pins, li.close)
-			children = append(children, li)
-		}
-	}
-	return NewMergingIterator(children...), release, nil
+	return vi.Merged(), vi.Release, nil
 }
 
 // overlappingFiles returns the files in level l intersecting [lo, hi]

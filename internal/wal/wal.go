@@ -248,9 +248,16 @@ func (w *Writer) Append(rec []byte) (int64, error) {
 // SyncTo blocks until every record at offset <= off is durable, issuing at
 // most one fsync and coalescing with concurrent committers (see the
 // package comment). It is the commit point of a Sync-durability write.
-func (w *Writer) SyncTo(off int64) error {
+func (w *Writer) SyncTo(off int64) error { return w.SyncGroup(off, 1) }
+
+// SyncGroup is SyncTo on behalf of requests durability requests that a
+// caller already coalesced into the one record at off (a committer
+// pipeline's group commit). They all count toward Metrics.SyncRequests,
+// which is denominated in requests served, not in calls made — otherwise
+// coalescing upstream of the queue would read as less coalescing.
+func (w *Writer) SyncGroup(off int64, requests uint64) error {
 	if w.metrics != nil {
-		w.metrics.syncRequests.Add(1)
+		w.metrics.syncRequests.Add(requests)
 	}
 	// Fast path: a previous leader's barrier already covers us. (synced
 	// only advances over fsync-verified bytes, so no error check needed.)

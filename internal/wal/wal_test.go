@@ -227,6 +227,18 @@ func TestSyncToMakesRecordDurable(t *testing.T) {
 	if got := m.Snapshot().Syncs; got != 1 {
 		t.Fatalf("covered SyncTo issued an fsync: syncs=%d", got)
 	}
+	// A group commit made upstream of the queue counts every request it
+	// carries, in one barrier.
+	off, err = w.Append([]byte("sixteen writes coalesced into one record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SyncGroup(off, 16); err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Snapshot(); s.SyncRequests != 2+16 || s.Syncs != 2 || s.Durable != 2 {
+		t.Fatalf("metrics after a 16-request group: %+v", s)
+	}
 	w.Close()
 }
 

@@ -121,7 +121,7 @@ var (
 	// every update that completes in the hash table is O(1)).
 	WriteBurst = Mix{InsertPct: 100}
 	// ScanHeavy is the scan phase of the phase-shifting workload: half
-	// the operations are range scans. Every master scan must drain the
+	// the operations are range scans. Every range read must drain the
 	// Membuffer before taking its sequence point, so this shape wants
 	// the SMALLEST Membuffer — the adaptive controller's other pole.
 	ScanHeavy = Mix{InsertPct: 50, ScanPct: 50}

@@ -25,7 +25,6 @@ type options struct {
 	membufferFraction float64
 	partitionBits     uint
 	drainThreads      int
-	restartThreshold  int
 	disableWAL        bool
 	walWriteThrough   bool
 	durability        Durability
@@ -150,19 +149,6 @@ func WithDrainThreads(n int) Option {
 			return
 		}
 		o.drainThreads = n
-	})
-}
-
-// WithRestartThreshold bounds scan restarts before the fallback scan
-// blocks writers (Algorithm 3). Default 3. Non-positive thresholds are
-// rejected by Open.
-func WithRestartThreshold(n int) Option {
-	return optionFunc(func(o *options) {
-		if n <= 0 {
-			o.fail(fmt.Errorf("flodb: WithRestartThreshold(%d): threshold must be positive", n))
-			return
-		}
-		o.restartThreshold = n
 	})
 }
 

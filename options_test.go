@@ -26,7 +26,6 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 		{"partition bits 17", flodb.WithPartitionBits(17), "WithPartitionBits"},
 		{"zero drain threads", flodb.WithDrainThreads(0), "WithDrainThreads"},
 		{"negative drain threads", flodb.WithDrainThreads(-1), "WithDrainThreads"},
-		{"zero restart threshold", flodb.WithRestartThreshold(0), "WithRestartThreshold"},
 		{"invalid durability", flodb.WithDurability(flodb.Durability(99)), "WithDurability"},
 		{"adaptive range inverted", flodb.WithAdaptiveMemoryRange(0.5, 0.2), "WithAdaptiveMemoryRange"},
 		{"adaptive range outside (0,1)", flodb.WithAdaptiveMemoryRange(0, 0.5), "WithAdaptiveMemoryRange"},
