@@ -55,9 +55,6 @@ var figureFuncs = map[string]func(figures.Config) (*harness.Table, error){
 	// Adaptive memory sizing (§4.4): adaptive vs fixed Membuffer
 	// fractions across a phase-shifting workload.
 	"adaptive": figures.FigAdaptive,
-	// Block cache on the disk read path: cold scan vs warm re-scan
-	// across cache budgets, with hit-rate columns.
-	"cachebench": figures.CacheBench,
 	// Service tier: throughput and latency through flodbd's wire
 	// protocol vs client connection-pool size.
 	"netbench": figures.NetBench,

@@ -77,6 +77,12 @@ type memHandle struct {
 	mem    versionedMem
 	wal    *wal.Writer
 	walNum uint64
+	// inserting counts writers that picked this handle under mu and insert
+	// into it after releasing mu (beginConcurrentInsertLocked). The flush
+	// waits for them: such a writer can be descheduled across the switch
+	// that seals the handle, and an insert landing after the flush had
+	// iterated the memtable was an acknowledged write lost.
+	inserting sync.WaitGroup
 }
 
 // base carries the machinery shared by the four variants: versioned
@@ -290,9 +296,11 @@ func (b *base) insertLocked(kind keys.Kind, key, value []byte, logged bool) (*wa
 
 // beginConcurrentInsert allocates a sequence number and returns the target
 // handle under mu; the caller inserts outside the lock (HyperLevelDB /
-// RocksDB / cLSM styles). waitRoomLocked must have been honored.
+// RocksDB styles) and then calls h.inserting.Done. waitRoomLocked must
+// have been honored.
 func (b *base) beginConcurrentInsertLocked() (*memHandle, uint64) {
 	b.lastSeq++
+	b.mem.inserting.Add(1)
 	return b.mem, b.lastSeq
 }
 
@@ -489,6 +497,7 @@ func (b *base) flushLoop() {
 // NewIterator performs the full sort (§2.3) — while it runs, writers that
 // fill the new memtable stall in waitRoomLocked, reproducing Fig 4.
 func (b *base) flushHandle(h *memHandle) error {
+	h.inserting.Wait() // h is sealed: no new inserter can pick it
 	b.cfg.PersistLimiter.Acquire(h.mem.ApproxBytes())
 	b.mu.Lock()
 	newLog := b.mem.walNum

@@ -68,6 +68,7 @@ func (db *HyperLevelDB) write(ctx context.Context, kind keys.Kind, key, value []
 
 	// The insert itself proceeds in parallel with other writers.
 	h.mem.Insert(key, seq, kind, value)
+	h.inserting.Done()
 	db.snapMu.RUnlock()
 
 	// Critical section #2: post-insert bookkeeping (size trigger).

@@ -72,6 +72,7 @@ func (db *RocksDB) write(ctx context.Context, kind keys.Kind, key, value []byte,
 	db.mu.Unlock()
 
 	h.mem.Insert(key, seq, kind, value)
+	h.inserting.Done()
 	db.snapMu.RUnlock()
 	// Group commit outside every lock — the shape of RocksDB's write
 	// group: one leader's fsync acknowledges the whole wave of

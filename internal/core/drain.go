@@ -227,10 +227,11 @@ type spareMembuffers struct {
 // Memtable and lose them; the sealer's own helpDrain calls need no read
 // section because seals are serialized by drainMu.
 //
-// The one-unreleased-claim-per-key invariant of the drain itself (ROADMAP,
-// fix-first item a) is neither relied on nor widened here: a retired
-// buffer is frozen, so no in-place Put can mint a second claimable copy of
-// a key in it, and it re-enters service only when empty.
+// The drain's own invariant — at most one unreleased claim per key, or two
+// drainers race copies of one key into the Memtable and the older can land
+// last — is kept by the Membuffer: DrainPartition takes the partition's
+// drain token and Release drops it, for the background drainers, helpDrain
+// and its DrainAll sweep alike.
 func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 	old = db.gen.Load()
 	mtb := old.mtb

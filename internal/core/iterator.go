@@ -9,10 +9,11 @@ import (
 
 // NewIterator returns a streaming cursor over low <= key < high (nil
 // bounds are open). The range is never materialized: pairs are read
-// straight out of the Memtables and the cached sstable blocks as the
-// cursor moves, so iterating a range larger than the memory component
-// costs O(1) memory, and Key and Value alias store memory — they are
-// valid until the cursor moves.
+// straight out of the Memtables and each sstable source's read window as
+// the cursor moves, so iterating a range larger than the memory component
+// costs O(1) memory, and Key and Value alias that memory — they are valid
+// until the cursor moves. Disk blocks an iterator reads never enter the
+// block cache (only Gets fill it).
 //
 // Consistency: the iterator is ONE point-in-time view for its whole
 // lifetime, taken by pinView when it opens — every pair it returns was

@@ -457,10 +457,14 @@ func TestIteratorContextCanceledMidRange(t *testing.T) {
 // TestIteratorOpenAllocationBudget pins the cost of a short range read on
 // a store with data on disk, in the sealed-and-live Memtable and in the
 // Membuffer: the handle, the generation switch and the bound's two
-// publications are all an open may allocate, the rest is block-cache
-// handles for the blocks the cursor crosses — nothing per source, nothing
-// per key. A seal that finds the Membuffer empty allocates nothing at all.
+// publications are all an open may allocate — nothing per source, nothing
+// per key, nothing per block (TestDiskScanAllocationBudget pins that one).
+// A seal that finds the Membuffer empty allocates nothing at all.
 func TestIteratorOpenAllocationBudget(t *testing.T) {
+	scanAllocBudget := 8.0 // measured 6
+	if raceEnabled {
+		scanAllocBudget = 24
+	}
 	cfg := testConfig(t)
 	cfg.MemoryBytes = 512 << 10
 	cfg.DrainThreads = 1
@@ -493,8 +497,8 @@ func TestIteratorOpenAllocationBudget(t *testing.T) {
 	scan() // warm the frame pool, the spare Membuffers and the block cache
 	scan()
 	scan()
-	if allocs := testing.AllocsPerRun(50, scan); allocs > 24 {
-		t.Errorf("open + Seek + 100 Next + Close = %.1f allocations, want <= 24", allocs)
+	if allocs := testing.AllocsPerRun(50, scan); allocs > scanAllocBudget {
+		t.Errorf("open + Seek + 100 Next + Close = %.1f allocations, want <= %.0f", allocs, scanAllocBudget)
 	}
 	if read != 100 {
 		t.Fatalf("short scan read %d keys", read)
@@ -510,5 +514,67 @@ func TestIteratorOpenAllocationBudget(t *testing.T) {
 	seal()
 	if allocs := testing.AllocsPerRun(50, seal); allocs != 0 {
 		t.Errorf("sealing an empty Membuffer = %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestDiskScanAllocationBudget is the disk-resident twin: everything is in
+// tables (the store was closed and reopened), blocks hold two entries and
+// the block cache holds nothing, so every block a scan crosses is read from
+// the file. A scan that crosses twenty times the blocks must allocate what
+// the short one does — the read windows live in the pooled frame — and
+// that is the open's budget.
+func TestDiskScanAllocationBudget(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MemoryBytes = 512 << 10
+	cfg.DrainThreads = 1
+	cfg.Storage.BlockSize = 256
+	cfg.Storage.BlockCacheBytes = 1
+	db := openTestDB(t, cfg)
+	val := bytes.Repeat([]byte("v"), 100)
+	const n = 12000
+	for i := 0; i < n; i++ {
+		if err := db.Put(bg, keys.EncodeUint64(uint64(i)<<50), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openTestDB(t, cfg)
+	db.WaitDiskQuiesce()
+
+	scan := func(steps int) func() {
+		return func() {
+			it, err := db.NewIterator(bg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := 0
+			for ok := it.Seek(keys.EncodeUint64(uint64(n/3) << 50)); ok && read < steps; ok = it.Next() {
+				read++
+			}
+			if err := errors.Join(it.Err(), it.Close()); err != nil || read != steps {
+				t.Fatalf("read %d of %d keys: %v", read, steps, err)
+			}
+		}
+	}
+	before := db.Stats()
+	scan(2000)() // warm the frame pool: each source's window grows once, here
+	scan(2000)()
+	if st := db.Stats(); st.BlockCacheHits != before.BlockCacheHits || st.Flushes != before.Flushes {
+		t.Fatalf("not disk-resident: block cache hits %d -> %d, flushes %d -> %d",
+			before.BlockCacheHits, st.BlockCacheHits, before.Flushes, st.Flushes)
+	}
+	// The long scan may cross into one more table than the short one (a
+	// table-cache handle each); a per-block allocation would cost it ~950.
+	budget, perFile := 10.0, 2.0 // measured 7–8, equal
+	if raceEnabled {
+		budget, perFile = 24, 24
+	}
+	short := testing.AllocsPerRun(50, scan(100)) // ~50 blocks
+	long := testing.AllocsPerRun(50, scan(2000)) // ~1000 blocks
+	if short > budget || long > short+perFile {
+		t.Errorf("open + Seek + Next + Close: %.1f allocations over 100 keys, %.1f over 2000; want <= %.0f and no more than %.0f apart",
+			short, long, budget, perFile)
 	}
 }

@@ -188,8 +188,8 @@ type Stats struct {
 	Compactions    uint64
 
 	// Read-path caching (internal/cache; zero when the engine has no disk
-	// component). The block cache holds parsed sstable blocks keyed by
-	// (file, offset); the table cache holds open sstable readers (one fd
+	// component). The block cache holds the sstable blocks Gets read, keyed
+	// by (file, offset); the table cache holds open sstable readers (one fd
 	// each). BloomChecks counts bloom-filter consultations on the disk
 	// read path and BloomMisses the reads a filter proved absent —
 	// MissRate = BloomMisses/BloomChecks is the fraction of disk probes

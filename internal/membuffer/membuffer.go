@@ -18,13 +18,18 @@
 //     fails and the caller (FloDB's Put) writes to the Memtable instead
 //     (Algorithm 2). This bounds both memory and tail latency.
 //
-// Draining protocol (Figure 6): a drainer marks a pair (claiming it against
-// other drainers), copies it to the memtable, then releases it. Marks live
-// on the immutable pair object, so an in-place update — which replaces the
-// slot's pair wholesale — silently invalidates the claim: Release only
-// clears the slot if it still holds the identical pair. An overwritten-
-// while-draining value therefore remains in the Membuffer, above the stale
-// copy the drainer pushed into the Memtable, preserving freshest-level-wins.
+// Draining protocol (Figure 6): a drainer takes the drain token of one
+// partition, claims pairs from it, copies them to the memtable, then
+// releases them and the token. A key lives in exactly one partition, so the
+// token is what guarantees AT MOST ONE UNRELEASED CLAIM PER KEY: an in-place
+// update replaces the slot's pair wholesale while a claimed copy of the old
+// pair is in flight, and were a second drainer free to claim the new pair,
+// the two copies would race into the memtable and the older could land
+// last. With the token the new pair waits for the next visit, which starts
+// only after the old copy is in the memtable. Release clears a slot only if
+// it still holds the identical pair, so the overwritten-while-draining
+// value stays in the Membuffer, above the stale copy the drainer pushed
+// down, preserving freshest-level-wins. Writers never touch the token.
 package membuffer
 
 import (
@@ -39,13 +44,11 @@ import (
 // occupancies FloDB targets.
 const DefaultSlotsPerBucket = 4
 
-// pair is an immutable key/value snapshot stored in a slot. The drained
-// flag is the drain claim; it transitions false→true exactly once.
+// pair is an immutable key/value snapshot stored in a slot.
 type pair struct {
 	key       []byte
 	value     []byte
 	tombstone bool
-	drained   atomic.Bool
 }
 
 // bucket's slots are a window into the buffer's one slot array, capped at
@@ -82,6 +85,19 @@ func ConfigForBytes(capacityBytes int64, avgEntryBytes int, partitionBits uint) 
 	return Config{Buckets: buckets, SlotsPerBucket: DefaultSlotsPerBucket, PartitionBits: partitionBits}
 }
 
+// partition is the drain-side state of one key range.
+type partition struct {
+	// live counts resident (not yet drained-and-removed) entries. Per
+	// partition rather than one global counter so a drainer skips empty
+	// partitions and stops sweeping one as soon as it has seen every
+	// resident entry: draining costs time in proportion to what is
+	// resident, not to the table's capacity.
+	live atomic.Int64
+	// owned is the drain token: set by the DrainPartition call that claims
+	// from the partition, cleared by the Release or Abort of that batch.
+	owned atomic.Bool
+}
+
 // Buffer is the Membuffer. Create with New.
 type Buffer struct {
 	buckets        []bucket
@@ -91,13 +107,8 @@ type Buffer struct {
 	partBits       uint
 
 	frozen atomic.Bool
-	// live counts resident (not yet drained-and-removed) entries per
-	// partition. Per partition rather than one global counter so a
-	// drainer skips empty partitions and stops sweeping one as soon as
-	// it has seen every resident entry: draining costs time in
-	// proportion to what is resident, not to the table's capacity.
-	live  []atomic.Int64
-	bytes atomic.Int64 // approximate bytes of live entries
+	parts  []partition
+	bytes  atomic.Int64 // approximate bytes of live entries
 
 	// drainCursor hands out partitions round-robin to draining threads.
 	drainCursor atomic.Uint64
@@ -125,7 +136,7 @@ func New(cfg Config) *Buffer {
 	}
 	b := &Buffer{
 		buckets:        make([]bucket, cfg.Buckets),
-		live:           make([]atomic.Int64, parts),
+		parts:          make([]partition, parts),
 		partitions:     parts,
 		perPart:        cfg.Buckets / parts,
 		slotsPerBucket: cfg.SlotsPerBucket,
@@ -205,8 +216,8 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 			continue
 		}
 		if keys.Equal(p.key, key) {
-			// In-place update: replace the pair. Any drain claim on the
-			// old pair is invalidated by pointer identity.
+			// In-place update: replace the pair. A drainer holding the old
+			// one will find the slot changed and leave it be.
 			bk.slots[i].Store(np)
 			b.bytes.Add(int64(len(value)) - int64(len(p.value)))
 			bk.mu.Unlock()
@@ -219,7 +230,7 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 		return false, false
 	}
 	bk.slots[free].Store(np)
-	b.live[part].Add(1)
+	b.parts[part].live.Add(1)
 	b.bytes.Add(int64(len(key)) + int64(len(value)))
 	bk.mu.Unlock()
 	return true, false
@@ -255,8 +266,8 @@ func (b *Buffer) Reset() { b.frozen.Store(false) }
 // Len returns the number of live entries.
 func (b *Buffer) Len() int {
 	n := int64(0)
-	for i := range b.live {
-		n += b.live[i].Load()
+	for i := range b.parts {
+		n += b.parts[i].live.Load()
 	}
 	return int(n)
 }
@@ -296,10 +307,12 @@ type Drained struct {
 	p         *pair
 }
 
-// DrainPartition claims up to max unclaimed entries from partition part.
-// Claimed entries stay visible to readers (and to in-place updaters) until
-// Release removes them — exactly the mark→insert→delete sequence of
-// Figure 6. A max of 0 or less claims everything in the partition.
+// DrainPartition takes partition part's drain token and claims up to max
+// of its entries; it claims nothing (and returns nil) while another batch
+// from the same partition is unreleased. Claimed entries stay visible to
+// readers (and to in-place updaters) until Release removes them — exactly
+// the mark→insert→delete sequence of Figure 6. A max of 0 or less claims
+// everything in the partition.
 //
 // The sweep visits no more slots than it must: an empty partition costs
 // one counter load, and a sweep ends once it has passed as many resident
@@ -309,8 +322,8 @@ func (b *Buffer) DrainPartition(part, max int) []Drained {
 	if part < 0 || part >= b.partitions {
 		return nil
 	}
-	resident := int(b.live[part].Load())
-	if resident <= 0 {
+	resident := int(b.parts[part].live.Load())
+	if resident <= 0 || !b.parts[part].owned.CompareAndSwap(false, true) {
 		return nil
 	}
 	if max <= 0 {
@@ -329,20 +342,20 @@ func (b *Buffer) DrainPartition(part, max int) []Drained {
 				continue
 			}
 			resident--
-			if !p.drained.CompareAndSwap(false, true) {
-				continue // another drainer owns it
-			}
 			out = append(out, Drained{
 				Key: p.key, Value: p.value, Tombstone: p.tombstone,
 				bucketIdx: bi, slotIdx: si, p: p,
 			})
 		}
 	}
+	if len(out) == 0 {
+		b.parts[part].owned.Store(false)
+	}
 	return out
 }
 
-// DrainAll claims every unclaimed entry in the buffer. Used for the full
-// pre-scan drain of an immutable Membuffer.
+// DrainAll claims every entry of every partition whose token is free. Used
+// for the full pre-scan drain of an immutable Membuffer.
 func (b *Buffer) DrainAll() []Drained {
 	var out []Drained
 	for part := 0; part < b.partitions; part++ {
@@ -351,10 +364,11 @@ func (b *Buffer) DrainAll() []Drained {
 	return out
 }
 
-// Release removes drained entries from the buffer. A slot is cleared only
-// if it still holds the identical pair: if a writer updated the key in
-// place after the claim, the newer pair stays (it will be drained later
-// with a newer sequence number).
+// Release removes drained entries from the buffer and drops the tokens of
+// their partitions. A slot is cleared only if it still holds the identical
+// pair: if a writer updated the key in place after the claim, the newer
+// pair stays (it will be drained later with a newer sequence number). The
+// batch must be released whole, once.
 func (b *Buffer) Release(drained []Drained) {
 	for i := range drained {
 		d := &drained[i]
@@ -362,18 +376,27 @@ func (b *Buffer) Release(drained []Drained) {
 		bk.mu.Lock()
 		if bk.slots[d.slotIdx].Load() == d.p {
 			bk.slots[d.slotIdx].Store(nil)
-			b.live[d.bucketIdx/b.perPart].Add(-1)
+			b.parts[d.bucketIdx/b.perPart].live.Add(-1)
 			b.bytes.Add(-int64(len(d.Key)) - int64(len(d.Value)))
 		}
 		bk.mu.Unlock()
 	}
+	b.disown(drained)
 }
 
 // Abort returns claimed entries to the unclaimed state without removing
-// them. Drainers use it when the downstream insert fails (e.g. shutdown).
-func (b *Buffer) Abort(drained []Drained) {
+// them, dropping their partitions' tokens. Drainers use it when the
+// downstream insert fails (e.g. shutdown).
+func (b *Buffer) Abort(drained []Drained) { b.disown(drained) }
+
+// disown drops the token of every partition drained has entries of.
+func (b *Buffer) disown(drained []Drained) {
+	last := -1 // a batch holds each partition's entries together
 	for i := range drained {
-		drained[i].p.drained.Store(false)
+		if part := drained[i].bucketIdx / b.perPart; part != last {
+			b.parts[part].owned.Store(false)
+			last = part
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Magic identifies FloDB sstables (spells "FLODBSST" in hex-ish).
@@ -121,13 +122,20 @@ func encodeIndex(entries []indexEntry) []byte {
 	return appendChecksum(b)
 }
 
-func decodeIndex(raw []byte) ([]indexEntry, error) {
+// minIndexEntry is the smallest encoding of one index entry: an empty key
+// and one byte each for its length, the block offset and the block length.
+const minIndexEntry = 3
+
+// decodeIndex parses an index block of a table of fileSize bytes. Every
+// block it returns lies inside the file, so whoever reads one allocates no
+// more than the file holds.
+func decodeIndex(raw []byte, fileSize uint64) ([]indexEntry, error) {
 	payload, err := verifyChecksum(raw)
 	if err != nil {
 		return nil, err
 	}
 	n, sz := binary.Uvarint(payload)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(payload)-sz)/minIndexEntry {
 		return nil, fmt.Errorf("%w: index count", ErrCorrupt)
 	}
 	payload = payload[sz:]
@@ -146,8 +154,8 @@ func decodeIndex(raw []byte) ([]indexEntry, error) {
 		}
 		payload = payload[sz:]
 		length, sz := binary.Uvarint(payload)
-		if sz <= 0 {
-			return nil, fmt.Errorf("%w: index length", ErrCorrupt)
+		if sz <= 0 || off > fileSize || length > fileSize-off || length > math.MaxUint32 {
+			return nil, fmt.Errorf("%w: index block range", ErrCorrupt)
 		}
 		payload = payload[sz:]
 		entries = append(entries, indexEntry{lastKey: key, off: off, length: uint32(length)})

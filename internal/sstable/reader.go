@@ -3,8 +3,10 @@ package sstable
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"flodb/internal/cache"
@@ -24,9 +26,10 @@ type ReaderMetrics struct {
 // ReaderOptions configure Open. The zero value reads without a cache —
 // every block access is a pread plus a parse.
 type ReaderOptions struct {
-	// BlockCache, when non-nil, holds parsed data blocks keyed by
-	// (CacheID, block offset) so repeat reads skip both the I/O and the
-	// offset-array parse. The cache is shared between readers; CacheID
+	// BlockCache, when non-nil, holds verified data blocks keyed by
+	// (CacheID, block offset) so repeat point reads skip the I/O and the
+	// checksum. Only Get fills it; iterators consult it when they seek
+	// and never insert. The cache is shared between readers; CacheID
 	// must be unique per table file for its lifetime (the store uses
 	// the table's file number, which is never reused).
 	BlockCache *cache.Cache
@@ -35,12 +38,19 @@ type ReaderOptions struct {
 	Metrics *ReaderMetrics
 }
 
+// tableFile is what a Reader needs of the file it reads: an *os.File, or a
+// table image in memory under test.
+type tableFile interface {
+	io.ReaderAt
+	io.Closer
+}
+
 // Reader serves point lookups and iteration over one table file. It is
 // safe for concurrent use: blocks are fetched with pread and no shared
 // mutable state exists after Open.
 type Reader struct {
-	f      *os.File
-	size   int64
+	f      tableFile
+	size   uint64
 	index  []indexEntry
 	bloom  *bloomFilter // nil if the table has no filter
 	count  uint64
@@ -70,51 +80,55 @@ func OpenOptions(path string, opts ReaderOptions) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("sstable: stat: %w", err)
 	}
-	if st.Size() < footerSize {
-		f.Close()
-		return nil, fmt.Errorf("%w: file shorter than footer", ErrCorrupt)
-	}
-	ftrRaw := make([]byte, footerSize)
-	if _, err := f.ReadAt(ftrRaw, st.Size()-footerSize); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sstable: read footer: %w", err)
-	}
-	ftr, err := decodeFooter(ftrRaw)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
 	r := &Reader{
-		f: f, size: st.Size(), count: ftr.count, minSeq: ftr.minSeq, maxSeq: ftr.maxSeq,
+		f: f, size: uint64(st.Size()),
 		bcache: opts.BlockCache, cacheID: opts.CacheID, metrics: opts.Metrics,
 	}
-
-	idxRaw, err := r.readAt(ftr.indexOff, ftr.indexLen)
-	if err != nil {
+	if err := r.loadTail(); err != nil {
 		f.Close()
 		return nil, err
-	}
-	if r.index, err = decodeIndex(idxRaw); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if ftr.filterLen > 0 {
-		fltRaw, err := r.readAt(ftr.filterOff, ftr.filterLen)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if r.bloom, err = decodeBloom(fltRaw); err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	return r, nil
 }
 
+// loadTail reads the footer and, through it, the index and the filter.
+// Every length it acts on is checked against the file size first, so a
+// corrupt field costs an error, never an allocation of its own size.
+func (r *Reader) loadTail() error {
+	if r.size < footerSize {
+		return fmt.Errorf("%w: file shorter than footer", ErrCorrupt)
+	}
+	ftrRaw, err := r.readAt(r.size-footerSize, footerSize)
+	if err != nil {
+		return err
+	}
+	ftr, err := decodeFooter(ftrRaw)
+	if err != nil {
+		return err
+	}
+	r.count, r.minSeq, r.maxSeq = ftr.count, ftr.minSeq, ftr.maxSeq
+	idxRaw, err := r.readAt(ftr.indexOff, ftr.indexLen)
+	if err != nil {
+		return err
+	}
+	if r.index, err = decodeIndex(idxRaw, r.size); err != nil {
+		return err
+	}
+	if ftr.filterLen > 0 {
+		fltRaw, err := r.readAt(ftr.filterOff, ftr.filterLen)
+		if err != nil {
+			return err
+		}
+		if r.bloom, err = decodeBloom(fltRaw); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (r *Reader) readAt(off uint64, length uint32) ([]byte, error) {
-	if off+uint64(length) > uint64(r.size) {
-		return nil, fmt.Errorf("%w: range [%d,%d) outside file of %d bytes", ErrCorrupt, off, off+uint64(length), r.size)
+	if off > r.size || uint64(length) > r.size-off {
+		return nil, fmt.Errorf("%w: range [%d,+%d) outside file of %d bytes", ErrCorrupt, off, length, r.size)
 	}
 	buf := make([]byte, length)
 	if _, err := r.f.ReadAt(buf, int64(off)); err != nil {
@@ -149,75 +163,47 @@ func (r *Reader) MayContain(key []byte) bool {
 	return false
 }
 
-// decodedBlock is a parsed data block. It is immutable after decode,
-// which is what makes sharing one copy between every concurrent reader
-// through the block cache safe.
-type decodedBlock struct {
-	payload []byte
-	offsets []uint32
+// block is a checksum-verified data block, read where it lies: entries
+// and offsets alias the bytes it was parsed from — a cached copy or an
+// iterator's read window — so parsing allocates nothing and a block is
+// cheap to hold by value. It is immutable, which is what makes sharing one
+// cached copy between every concurrent reader safe.
+type block struct {
+	entries []byte
+	offsets []byte // one little-endian uint32 per entry: its start in entries
 }
 
-// blockOverhead approximates the per-entry bookkeeping the cache charge
-// adds on top of the payload and offset-array bytes.
-const blockOverhead = 96
-
-// loadBlock returns the parsed block at e, consulting the shared block
-// cache first. The returned block is unpinned immediately: blocks are
-// immutable and garbage-collected, so a reader holding one keeps it
-// alive even if the cache evicts it meanwhile — pinning is only needed
-// for values with non-memory resources (the table cache's readers hold
-// file descriptors and DO pin; see internal/storage).
-func (r *Reader) loadBlock(e indexEntry) (*decodedBlock, error) {
-	if r.bcache == nil {
-		return r.readBlock(e)
-	}
-	k := cache.Key{ID: r.cacheID, Offset: e.off}
-	if h := r.bcache.Get(k); h != nil {
-		b := h.Value().(*decodedBlock)
-		h.Release()
-		return b, nil
-	}
-	b, err := r.readBlock(e)
-	if err != nil {
-		return nil, err
-	}
-	charge := int64(len(b.payload)) + 4*int64(len(b.offsets)) + blockOverhead
-	r.bcache.Insert(k, b, charge, nil).Release()
-	return b, nil
-}
-
-// readBlock fetches and parses the block at e from the file.
-func (r *Reader) readBlock(e indexEntry) (*decodedBlock, error) {
-	raw, err := r.readAt(e.off, e.length)
-	if err != nil {
-		return nil, err
-	}
+// parseBlock verifies raw (entries | offsets | count | crc) and splits it.
+func parseBlock(raw []byte) (block, error) {
 	payload, err := verifyChecksum(raw)
 	if err != nil {
-		return nil, err
+		return block{}, err
 	}
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("%w: block too short", ErrCorrupt)
+		return block{}, fmt.Errorf("%w: block too short", ErrCorrupt)
 	}
-	n := binary.LittleEndian.Uint32(payload[len(payload)-4:])
-	offBytes := uint64(n) * 4
-	if uint64(len(payload)) < 4+offBytes {
-		return nil, fmt.Errorf("%w: offset array", ErrCorrupt)
+	body := payload[:len(payload)-4]
+	offBytes := 4 * uint64(binary.LittleEndian.Uint32(payload[len(body):]))
+	if offBytes > uint64(len(body)) {
+		return block{}, fmt.Errorf("%w: offset array", ErrCorrupt)
 	}
-	offStart := uint64(len(payload)) - 4 - offBytes
-	offsets := make([]uint32, n)
-	for i := range offsets {
-		offsets[i] = binary.LittleEndian.Uint32(payload[offStart+uint64(i)*4:])
-	}
-	return &decodedBlock{payload: payload[:offStart], offsets: offsets}, nil
+	split := len(body) - int(offBytes)
+	return block{entries: body[:split], offsets: body[split:]}, nil
 }
 
+// len returns the number of entries in the block.
+func (b *block) len() int { return len(b.offsets) / 4 }
+
 // entryAt decodes the i-th entry of a block.
-func (b *decodedBlock) entryAt(i int) (key []byte, seq uint64, kind keys.Kind, value []byte, err error) {
-	if i < 0 || i >= len(b.offsets) {
+func (b *block) entryAt(i int) (key []byte, seq uint64, kind keys.Kind, value []byte, err error) {
+	if i < 0 || i >= b.len() {
 		return nil, 0, 0, nil, fmt.Errorf("%w: entry index %d", ErrCorrupt, i)
 	}
-	p := b.payload[b.offsets[i]:]
+	off := binary.LittleEndian.Uint32(b.offsets[4*i:])
+	if uint64(off) > uint64(len(b.entries)) {
+		return nil, 0, 0, nil, fmt.Errorf("%w: entry offset", ErrCorrupt)
+	}
+	p := b.entries[off:]
 	klen, n := binary.Uvarint(p)
 	if n <= 0 || uint64(len(p)-n) < klen {
 		return nil, 0, 0, nil, fmt.Errorf("%w: entry key", ErrCorrupt)
@@ -244,9 +230,9 @@ func (b *decodedBlock) entryAt(i int) (key []byte, seq uint64, kind keys.Kind, v
 // seekInBlock returns the index of the first entry with user key >= target
 // (entries within a user key are newest-first, so this lands on the newest
 // version of the first matching key).
-func (b *decodedBlock) seekInBlock(target []byte) (int, error) {
+func (b *block) seekInBlock(target []byte) (int, error) {
 	var decodeErr error
-	i := sort.Search(len(b.offsets), func(i int) bool {
+	i := sort.Search(b.len(), func(i int) bool {
 		k, _, _, _, err := b.entryAt(i)
 		if err != nil {
 			decodeErr = err
@@ -257,15 +243,68 @@ func (b *decodedBlock) seekInBlock(target []byte) (int, error) {
 	return i, decodeErr
 }
 
+// blockFor returns the index of the first block whose last key >= key, or
+// len(r.index) when key is past the table's end.
+func (r *Reader) blockFor(key []byte) int {
+	return sort.Search(len(r.index), func(i int) bool {
+		return keys.Compare(r.index[i].lastKey, key) >= 0
+	})
+}
+
+// blockOverhead approximates the per-entry bookkeeping the cache charge
+// adds on top of the block's bytes.
+const blockOverhead = 96
+
+// cachedBlock returns the block at e if the shared cache holds it. The
+// cache entry is unpinned immediately: blocks are immutable and
+// garbage-collected, so a reader holding one keeps it alive even if the
+// cache evicts it meanwhile — pinning is only needed for values with
+// non-memory resources (the table cache's readers hold file descriptors
+// and DO pin; see internal/storage).
+func (r *Reader) cachedBlock(e indexEntry) *block {
+	if r.bcache == nil {
+		return nil
+	}
+	h := r.bcache.Get(cache.Key{ID: r.cacheID, Offset: e.off})
+	if h == nil {
+		return nil
+	}
+	b := h.Value().(*block)
+	h.Release()
+	return b
+}
+
+// loadBlock returns the block at e from the shared cache, reading it from
+// the file and INSERTING it on a miss. It is the point-lookup path and only
+// Get may call it: an in-order reader that filled the cache would evict
+// the blocks Gets come back for with blocks nobody will read twice, so
+// Iterator — user scans, whole-version iterators and compaction inputs
+// alike — consults cachedBlock and otherwise reads into its own window.
+func (r *Reader) loadBlock(e indexEntry) (*block, error) {
+	if b := r.cachedBlock(e); b != nil {
+		return b, nil
+	}
+	raw, err := r.readAt(e.off, e.length)
+	if err != nil {
+		return nil, err
+	}
+	b := new(block)
+	if *b, err = parseBlock(raw); err != nil {
+		return nil, err
+	}
+	if r.bcache != nil {
+		k := cache.Key{ID: r.cacheID, Offset: e.off}
+		r.bcache.Insert(k, b, int64(len(raw))+blockOverhead, nil).Release()
+	}
+	return b, nil
+}
+
 // Get returns the newest version of key stored in this table.
 func (r *Reader) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
 	if !r.MayContain(key) {
 		return nil, 0, 0, false, nil
 	}
-	// Find the first block whose last key >= key.
-	bi := sort.Search(len(r.index), func(i int) bool {
-		return keys.Compare(r.index[i].lastKey, key) >= 0
-	})
+	bi := r.blockFor(key)
 	if bi == len(r.index) {
 		return nil, 0, 0, false, nil
 	}
@@ -277,7 +316,7 @@ func (r *Reader) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok b
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	if ei == len(blk.offsets) {
+	if ei == blk.len() {
 		return nil, 0, 0, false, nil
 	}
 	k, seq, kind, v, err := blk.entryAt(ei)
@@ -292,11 +331,31 @@ func (r *Reader) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok b
 
 // --- Iterator ---------------------------------------------------------------
 
-// Iterator walks a table in (user key asc, seq desc) order.
+// An Iterator reads blocks in file order through a private window: one
+// pread fetches as many whole consecutive blocks as fit the readahead
+// size, which starts at minWindow and doubles with every refill up to
+// maxWindow, so a short scan reads little and a long one issues few, large
+// reads. Windows of up to retainWindow bytes use a buffer the Iterator
+// owns and keeps across Reset — a recycled iterator reads without
+// allocating — and larger ones are borrowed from bigWindows, so a long
+// pass leaves nothing big pinned behind it.
+const (
+	minWindow    = 8 << 10
+	maxWindow    = 256 << 10
+	retainWindow = 64 << 10
+)
+
+// bigWindows recycles the maxWindow-sized buffers of long passes (full
+// scans, compaction inputs).
+var bigWindows = sync.Pool{New: func() any { return new([maxWindow]byte) }}
+
+// Iterator walks a table in (user key asc, seq desc) order. Key and Value
+// alias the current block — the iterator's window or a cached block — and
+// are valid until the iterator moves.
 type Iterator struct {
 	r        *Reader
 	blockIdx int
-	blk      *decodedBlock
+	blk      block
 	entryIdx int
 	err      error
 
@@ -305,6 +364,13 @@ type Iterator struct {
 	kind  keys.Kind
 	value []byte
 	valid bool
+
+	// win holds file bytes [winOff, winOff+len(win)): whole blocks. It is a
+	// prefix of own, the buffer kept across Reset, or of a bigger one held
+	// until the next Reset. ahead is the size of the next readahead.
+	win, own []byte
+	winOff   uint64
+	ahead    int
 }
 
 // NewIterator returns an iterator positioned before the first entry.
@@ -316,45 +382,63 @@ func (r *Reader) NewIterator() *Iterator {
 
 // Reset points it at table r, positioned before the first entry, so an
 // iterator held by value in a recycled frame serves one table after
-// another without allocating. Reset(nil) drops the references to the
-// table and its current block.
-func (it *Iterator) Reset(r *Reader) { *it = Iterator{r: r, blockIdx: -1} }
+// another without allocating: its own window buffer, emptied, stays with
+// it. Reset(nil) drops the references to the table and its current block.
+func (it *Iterator) Reset(r *Reader) {
+	it.returnBorrowed()
+	*it = Iterator{r: r, blockIdx: -1, win: it.own[:0], own: it.own, ahead: minWindow}
+}
+
+// returnBorrowed hands a window borrowed from bigWindows back.
+func (it *Iterator) returnBorrowed() {
+	if cap(it.win) == maxWindow {
+		bigWindows.Put((*[maxWindow]byte)(it.win[:maxWindow]))
+		it.win = nil
+	}
+}
+
+// growWindow makes the window buffer at least n bytes, discarding its
+// contents if it has to change buffers: the iterator's own up to
+// retainWindow, a borrowed one up to maxWindow, and for a single block
+// larger than that one of the block's size.
+func (it *Iterator) growWindow(n int) {
+	if n <= cap(it.win) {
+		return
+	}
+	it.returnBorrowed()
+	switch {
+	case n <= retainWindow:
+		it.own = make([]byte, 0, n)
+		it.win = it.own
+	case n <= maxWindow:
+		it.win = bigWindows.Get().(*[maxWindow]byte)[:0]
+	default:
+		it.win = make([]byte, 0, n)
+	}
+}
 
 // SeekToFirst positions at the first entry.
 func (it *Iterator) SeekToFirst() {
 	it.err = nil
-	if len(it.r.index) == 0 {
-		it.valid = false
-		return
-	}
-	it.loadBlockAt(0, 0)
+	it.enter(0)
 }
 
 // Seek positions at the first entry with user key >= target.
 func (it *Iterator) Seek(target []byte) {
 	it.err = nil
-	bi := sort.Search(len(it.r.index), func(i int) bool {
-		return keys.Compare(it.r.index[i].lastKey, target) >= 0
-	})
-	if bi == len(it.r.index) {
-		it.valid = false
+	bi := it.r.blockFor(target)
+	if !it.load(bi, false) {
 		return
 	}
-	blk, err := it.r.loadBlock(it.r.index[bi])
+	ei, err := it.blk.seekInBlock(target)
 	if err != nil {
 		it.fail(err)
 		return
 	}
-	ei, err := blk.seekInBlock(target)
-	if err != nil {
-		it.fail(err)
-		return
-	}
-	it.blk, it.blockIdx = blk, bi
-	if ei == len(blk.offsets) {
-		// Target is greater than every key in this block but <= its last
-		// key cannot happen; move to the next block's first entry.
-		it.loadBlockAt(bi+1, 0)
+	if ei == it.blk.len() {
+		// Only a block whose index key overstates its last entry gets
+		// here; the answer is the next block's first entry.
+		it.enter(bi + 1)
 		return
 	}
 	it.entryIdx = ei
@@ -367,25 +451,79 @@ func (it *Iterator) Next() {
 		return
 	}
 	it.entryIdx++
-	if it.entryIdx >= len(it.blk.offsets) {
-		it.loadBlockAt(it.blockIdx+1, 0)
+	if it.entryIdx >= it.blk.len() {
+		it.enter(it.blockIdx + 1)
 		return
 	}
 	it.decodeCurrent()
 }
 
-func (it *Iterator) loadBlockAt(bi, ei int) {
-	if bi >= len(it.r.index) {
-		it.valid = false
-		return
+// enter steps, in file order, to the first entry of block bi.
+func (it *Iterator) enter(bi int) {
+	if it.load(bi, true) {
+		it.entryIdx = 0
+		it.decodeCurrent()
 	}
-	blk, err := it.r.loadBlock(it.r.index[bi])
+}
+
+// load makes block bi current, reporting whether it did; bi past the last
+// block ends the iteration. The window serves the block when it covers it.
+// Otherwise an in-order step refills the window from bi on with one
+// readahead, while a seek asks the block cache and, on a miss, reads that
+// one block and starts the readahead over: where a seek lands says nothing
+// about what is read next.
+func (it *Iterator) load(bi int, inOrder bool) bool {
+	it.valid = false
+	if bi >= len(it.r.index) {
+		return false
+	}
+	e := it.r.index[bi]
+	if e.off < it.winOff || e.off-it.winOff+uint64(e.length) > uint64(len(it.win)) {
+		if !inOrder {
+			if b := it.r.cachedBlock(e); b != nil {
+				it.blk, it.blockIdx = *b, bi
+				return true
+			}
+			it.ahead = minWindow
+		}
+		if err := it.refill(bi, inOrder); err != nil {
+			it.fail(err)
+			return false
+		}
+	}
+	blk, err := parseBlock(it.win[e.off-it.winOff:][:e.length])
 	if err != nil {
 		it.fail(err)
-		return
+		return false
 	}
-	it.blk, it.blockIdx, it.entryIdx = blk, bi, ei
-	it.decodeCurrent()
+	it.blk, it.blockIdx = blk, bi
+	return true
+}
+
+// refill points the window at block bi with one pread. With readahead it
+// also takes as many of the whole blocks that follow bi in the file as fit
+// the readahead size (a block larger than that is read alone), and doubles
+// the size for next time.
+func (it *Iterator) refill(bi int, readahead bool) error {
+	index := it.r.index
+	start := index[bi].off
+	end := start + uint64(index[bi].length)
+	if readahead {
+		for j := bi + 1; j < len(index) && index[j].off == end && end-start+uint64(index[j].length) <= uint64(it.ahead); j++ {
+			end += uint64(index[j].length)
+		}
+	}
+	n := int(end - start)
+	it.growWindow(max(n, it.ahead))
+	if readahead && it.ahead < maxWindow {
+		it.ahead *= 2
+	}
+	it.win, it.winOff = it.win[:n], start
+	if _, err := it.r.f.ReadAt(it.win, int64(start)); err != nil {
+		it.win = it.win[:0]
+		return fmt.Errorf("sstable: pread: %w", err)
+	}
+	return nil
 }
 
 func (it *Iterator) decodeCurrent() {
@@ -409,7 +547,7 @@ func (it *Iterator) Valid() bool { return it.valid }
 // Err returns the first error encountered, if any.
 func (it *Iterator) Err() error { return it.err }
 
-// Key returns the current user key (valid until the iterator moves blocks).
+// Key returns the current user key (valid until the iterator moves).
 func (it *Iterator) Key() []byte { return it.key }
 
 // Seq returns the current entry's sequence number.

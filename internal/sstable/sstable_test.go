@@ -20,7 +20,7 @@ type testEntry struct {
 	value []byte
 }
 
-func buildTable(t *testing.T, path string, opts WriterOptions, entries []testEntry) Meta {
+func buildTable(t testing.TB, path string, opts WriterOptions, entries []testEntry) Meta {
 	t.Helper()
 	w, err := NewWriter(path, opts)
 	if err != nil {

@@ -162,7 +162,8 @@ func (s *Store) runCompaction(c *compaction) error {
 
 	// Input tables stay pinned in the table cache for the compaction's
 	// duration: eviction under fd pressure must not close a reader the
-	// merge is mid-read on.
+	// merge is mid-read on. Releasing an input also returns its read
+	// window, which a pass over a whole table grows to the pooled size.
 	var children []InternalIterator
 	var pins []func()
 	defer func() {
@@ -175,8 +176,9 @@ func (s *Store) runCompaction(c *compaction) error {
 		if err != nil {
 			return err
 		}
-		pins = append(pins, h.Release)
-		children = append(children, NewTableIterator(r.NewIterator()))
+		it := r.NewIterator()
+		pins = append(pins, func() { it.Reset(nil); h.Release() })
+		children = append(children, NewTableIterator(it))
 	}
 	if len(c.overlap) > 0 {
 		li := NewLevelIterator(s.cache, c.overlap)

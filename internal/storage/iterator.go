@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"container/heap"
-
 	"flodb/internal/cache"
 	"flodb/internal/keys"
 	"flodb/internal/sstable"
@@ -33,12 +31,14 @@ func NewTableIterator(it *sstable.Iterator) InternalIterator { return tableIterA
 
 // --- Merging iterator --------------------------------------------------------
 
-// mergingIter merges n child iterators. Ties on (key, seq) are broken by
-// child rank: lower rank means fresher source (e.g. newer L0 file), so the
-// freshest entry is always surfaced first.
+// mergingIter merges n child iterators through a binary min-heap ordered by
+// (key asc, seq desc, rank asc). Ties on (key, seq) are broken by child
+// rank: lower rank means fresher source (e.g. newer L0 file), so the
+// freshest entry is always surfaced first. Each heap item caches its
+// child's current key and seq, so a comparison makes no interface call.
 type mergingIter struct {
 	children []InternalIterator
-	h        mergeHeap
+	h        []mergeItem
 	err      error
 }
 
@@ -48,70 +48,102 @@ func NewMergingIterator(children ...InternalIterator) InternalIterator {
 	return &mergingIter{children: children}
 }
 
+// mergeItem is a valid child and a copy of what it is positioned on; key
+// aliases the child's memory and is refreshed whenever the child moves.
 type mergeItem struct {
 	it   InternalIterator
+	key  []byte
+	seq  uint64
 	rank int
 }
 
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if c := keys.Compare(a.it.Key(), b.it.Key()); c != 0 {
+func (a *mergeItem) less(b *mergeItem) bool {
+	if c := keys.Compare(a.key, b.key); c != 0 {
 		return c < 0
 	}
-	if sa, sb := a.it.Seq(), b.it.Seq(); sa != sb {
-		return sa > sb // newer first
+	if a.seq != b.seq {
+		return a.seq > b.seq // newer first
 	}
 	return a.rank < b.rank
 }
-func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-func (m *mergingIter) rebuild()        { heap.Init(&m.h) }
+
+// siftDown restores the heap below i. When h[i] already precedes both its
+// children — an advanced winner that still wins, the common case where one
+// level dominates the merge — it returns after those two comparisons.
+func (m *mergingIter) siftDown(i int) {
+	h := m.h
+	for {
+		min := i
+		if l := 2*i + 1; l < len(h) && h[l].less(&h[min]) {
+			min = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].less(&h[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}
+
 func (m *mergingIter) Err() error      { return m.err }
 func (m *mergingIter) Valid() bool     { return m.err == nil && len(m.h) > 0 }
-func (m *mergingIter) Key() []byte     { return m.h[0].it.Key() }
-func (m *mergingIter) Seq() uint64     { return m.h[0].it.Seq() }
+func (m *mergingIter) Key() []byte     { return m.h[0].key }
+func (m *mergingIter) Seq() uint64     { return m.h[0].seq }
 func (m *mergingIter) Kind() keys.Kind { return m.h[0].it.Kind() }
 func (m *mergingIter) Value() []byte   { return m.h[0].it.Value() }
 
-func (m *mergingIter) reset(position func(InternalIterator)) {
+// reset rebuilds the heap over the children, each already repositioned.
+func (m *mergingIter) reset() {
 	m.err = nil
 	m.h = m.h[:0]
 	for rank, it := range m.children {
-		position(it)
 		if err := it.Err(); err != nil && m.err == nil {
 			m.err = err
 		}
 		if it.Valid() {
-			m.h = append(m.h, mergeItem{it: it, rank: rank})
+			m.h = append(m.h, mergeItem{it: it, key: it.Key(), seq: it.Seq(), rank: rank})
 		}
 	}
-	m.rebuild()
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
 }
 
-func (m *mergingIter) SeekToFirst() { m.reset(func(it InternalIterator) { it.SeekToFirst() }) }
+func (m *mergingIter) SeekToFirst() {
+	for _, it := range m.children {
+		it.SeekToFirst()
+	}
+	m.reset()
+}
+
 func (m *mergingIter) Seek(key []byte) {
-	m.reset(func(it InternalIterator) { it.Seek(key) })
+	for _, it := range m.children {
+		it.Seek(key)
+	}
+	m.reset()
 }
 
 func (m *mergingIter) Next() {
 	if !m.Valid() {
 		return
 	}
-	top := m.h[0]
+	top := &m.h[0]
 	top.it.Next()
-	if err := top.it.Err(); err != nil {
+	if top.it.Valid() {
+		top.key, top.seq = top.it.Key(), top.it.Seq()
+	} else if err := top.it.Err(); err != nil {
 		m.err = err
 		return
-	}
-	if top.it.Valid() {
-		heap.Fix(&m.h, 0)
 	} else {
-		heap.Pop(&m.h)
+		last := len(m.h) - 1
+		m.h[0] = m.h[last]
+		m.h[last] = mergeItem{}
+		m.h = m.h[:last]
 	}
+	m.siftDown(0)
 }
 
 // --- Level (concatenating) iterator ------------------------------------------
@@ -140,8 +172,12 @@ func NewLevelIterator(cache *tableCache, files []*FileMeta) *levelIter {
 	return l
 }
 
+// init points l at a file run (or, with nils, at nothing). l.cur is reset
+// rather than zeroed: its read window outlives the run it was filled from,
+// which is what lets a pooled frame scan without allocating.
 func (l *levelIter) init(cache *tableCache, files []*FileMeta) {
-	*l = levelIter{cache: cache, files: files, fileIdx: -1}
+	l.close()
+	l.cache, l.files, l.fileIdx, l.err = cache, files, -1, nil
 }
 
 // close releases the pin on the current table. The iterator becomes
@@ -235,10 +271,12 @@ func (l *levelIter) Err() error      { return l.err }
 
 // VersionIter merges caller-supplied memory sources with every sorted run
 // of a pinned Version. All of its parts — the merge heap, one table
-// iterator per L0 file, one level iterator per deeper level — live in the
-// struct, so a caller that keeps a VersionIter in a pool opens a range
-// read without allocating in proportion to the number of runs. The zero
-// value is ready for Init.
+// iterator per L0 file, one level iterator per deeper level, and each
+// table iterator's read window — live in the struct and survive Release,
+// so a caller that keeps a VersionIter in a pool opens a range read
+// without allocating in proportion to the number of runs, and reads it
+// without allocating in proportion to the blocks. The zero value is ready
+// for Init.
 type VersionIter struct {
 	merge   mergingIter
 	tables  []sstable.Iterator // one per L0 file
@@ -277,7 +315,7 @@ func (vi *VersionIter) Init(mem []InternalIterator, s *Store, v *Version) error 
 	}
 	for l := 1; l < NumLevels; l++ {
 		if len(v.files[l]) > 0 {
-			vi.levels = append(vi.levels, levelIter{})
+			vi.levels = vi.levels[:len(vi.levels)+1]
 			li := &vi.levels[len(vi.levels)-1]
 			li.init(s.cache, v.files[l])
 			m.children = append(m.children, li)
@@ -302,15 +340,13 @@ func (vi *VersionIter) Release() {
 		vi.tables[i].Reset(nil)
 	}
 	for i := range vi.levels {
-		vi.levels[i].close()
-		vi.levels[i] = levelIter{}
+		vi.levels[i].init(nil, nil)
 	}
 	vi.levels = vi.levels[:0]
 	m := &vi.merge
 	clear(m.children)
 	m.children = m.children[:0]
-	m.h = m.h[:cap(m.h)]
-	clear(m.h)
+	clear(m.h[:cap(m.h)])
 	m.h = m.h[:0]
 	m.err = nil
 }

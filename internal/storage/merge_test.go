@@ -1,0 +1,221 @@
+package storage
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"flodb/internal/keys"
+	"flodb/internal/sstable"
+)
+
+// TestMergeOrderMatchesDefinition checks the typed heap against the order
+// the merge has always been defined by — key ascending, then sequence
+// number descending, then child rank ascending — over random children
+// that share keys and (key, seq) pairs, from the start and from random
+// seeks. The value names the child an entry came from, so a tie broken
+// toward the wrong rank shows.
+func TestMergeOrderMatchesDefinition(t *testing.T) {
+	type ranked struct {
+		memEntry
+		rank int
+	}
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 300; round++ {
+		var (
+			children []InternalIterator
+			all      []ranked
+		)
+		for rank, n := 0, rng.Intn(9); rank < n; rank++ { // 0..8 children, some empty
+			var es []memEntry
+			seen := map[[2]uint64]bool{}
+			for i := rng.Intn(40); i > 0; i-- {
+				k, seq := uint64(rng.Intn(24)), uint64(rng.Intn(6))
+				if seen[[2]uint64{k, seq}] {
+					continue // a sorted run holds a (key, seq) once
+				}
+				seen[[2]uint64{k, seq}] = true
+				es = append(es, memEntry{key: keys.EncodeUint64(k), seq: seq, kind: keys.KindSet, value: []byte{byte(rank)}})
+			}
+			es = sortedEntries(es)
+			children = append(children, &memIter{entries: es})
+			for _, e := range es {
+				all = append(all, ranked{e, rank})
+			}
+		}
+		sort.SliceStable(all, func(i, j int) bool {
+			a, b := all[i], all[j]
+			if c := keys.Compare(a.key, b.key); c != 0 {
+				return c < 0
+			}
+			if a.seq != b.seq {
+				return a.seq > b.seq
+			}
+			return a.rank < b.rank
+		})
+
+		m := NewMergingIterator(children...)
+		check := func(what string, from int) {
+			t.Helper()
+			for i := from; i < len(all); i++ {
+				w := all[i]
+				if !m.Valid() {
+					t.Fatalf("round %d, %s: ended at entry %d of %d", round, what, i, len(all))
+				}
+				if !bytes.Equal(m.Key(), w.key) || m.Seq() != w.seq || int(m.Value()[0]) != w.rank {
+					t.Fatalf("round %d, %s, entry %d: got %x@%d from child %d, want %x@%d from child %d",
+						round, what, i, m.Key(), m.Seq(), m.Value()[0], w.key, w.seq, w.rank)
+				}
+				m.Next()
+			}
+			if m.Valid() || m.Err() != nil {
+				t.Fatalf("round %d, %s: valid=%v err=%v past the last entry", round, what, m.Valid(), m.Err())
+			}
+		}
+		m.SeekToFirst()
+		check("SeekToFirst", 0)
+		for s := 0; s < 3; s++ {
+			target := keys.EncodeUint64(uint64(rng.Intn(26)))
+			m.Seek(target)
+			check(fmt.Sprintf("Seek(%x)", target), sort.Search(len(all), func(i int) bool { return keys.Compare(all[i].key, target) >= 0 }))
+		}
+	}
+}
+
+// TestMergeIdleChildSurvivesSiblingRefills holds one table child of a
+// four-way merge still — it is positioned on the largest key — while its
+// siblings (two tables and a level run) step through thousands of entries
+// and refill their read windows over and over. The idle child's Key and
+// Value, and the copy of its key the merge caches, must not move: every
+// child reads through a window of its own.
+func TestMergeIdleChildSurvivesSiblingRefills(t *testing.T) {
+	s := openTestStore(t, Options{L0CompactionTrigger: 100, BlockSize: 256})
+	const perTable = 3000
+	flush := func(first, stride, n int, tag string) *FileMeta {
+		t.Helper()
+		var es []memEntry
+		for i := 0; i < n; i++ {
+			k := uint64(first + i*stride)
+			es = append(es, memEntry{key: keys.EncodeUint64(k), seq: k + 1, kind: keys.KindSet, value: []byte(fmt.Sprintf("%s-%d-%032d", tag, k, k))})
+		}
+		fm, err := s.Flush(&memIter{entries: es}, 2, uint64(first+n*stride+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fm
+	}
+	// Interleaved key spaces 0,3,6… / 1,4,7… / 2,5,8… and one key above all.
+	busy := []*FileMeta{flush(0, 3, perTable, "a"), flush(1, 3, perTable, "b")}
+	run := []*FileMeta{flush(2, 3, perTable, "c")}
+	idleKey := uint64(10 * perTable)
+	idle := flush(int(idleKey), 1, 1, "idle")
+
+	var (
+		children []InternalIterator
+		idleIt   *sstable.Iterator
+	)
+	for _, fm := range append(busy, idle) {
+		r, h, err := s.cache.Get(fm.Num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		it := r.NewIterator()
+		if fm == idle {
+			idleIt = it
+		}
+		children = append(children, NewTableIterator(it))
+	}
+	li := NewLevelIterator(s.cache, run)
+	defer li.close()
+	m := NewMergingIterator(append(children, li)...).(*mergingIter)
+
+	m.SeekToFirst()
+	wantKey := keys.EncodeUint64(idleKey)
+	wantVal := bytes.Clone(idleIt.Value())
+	for n := uint64(0); n < 3*perTable; n++ {
+		if !m.Valid() || keys.DecodeUint64(m.Key()) != n {
+			t.Fatalf("entry %d: valid=%v key=%x err=%v", n, m.Valid(), m.Key(), m.Err())
+		}
+		if want := fmt.Sprintf("%c-%d-%032d", "abc"[n%3], n, n); string(m.Value()) != want {
+			t.Fatalf("entry %d: value %q, want %q", n, m.Value(), want)
+		}
+		if !bytes.Equal(idleIt.Key(), wantKey) || !bytes.Equal(idleIt.Value(), wantVal) {
+			t.Fatalf("after %d steps the idle child reads %x=%q", n, idleIt.Key(), idleIt.Value())
+		}
+		for i := range m.h {
+			if !bytes.Equal(m.h[i].key, m.h[i].it.Key()) || m.h[i].seq != m.h[i].it.Seq() {
+				t.Fatalf("after %d steps heap item %d caches %x@%d, its child is at %x@%d",
+					n, i, m.h[i].key, m.h[i].seq, m.h[i].it.Key(), m.h[i].it.Seq())
+			}
+		}
+		m.Next()
+	}
+	if !m.Valid() || !bytes.Equal(m.Key(), wantKey) || !bytes.Equal(m.Value(), wantVal) {
+		t.Fatalf("idle child's entry: valid=%v key=%x", m.Valid(), m.Key())
+	}
+	if m.Next(); m.Valid() || m.Err() != nil {
+		t.Fatalf("past the end: valid=%v err=%v", m.Valid(), m.Err())
+	}
+}
+
+// TestOnlyGetsFillTheBlockCache pins the cache rule: point reads fill the
+// block cache; a whole-store iterator and a compaction — which between
+// them read every block of every table — consult it and leave its bytes
+// and its eviction count exactly where they were.
+func TestOnlyGetsFillTheBlockCache(t *testing.T) {
+	s := openTestStore(t, Options{L0CompactionTrigger: 4, BaseLevelBytes: 1 << 30, BlockSize: 512, BlockCacheBytes: 256 << 10})
+	const perFile = 2000
+	flush := func(f int) {
+		t.Helper()
+		var es []memEntry
+		for i := 0; i < perFile; i++ {
+			es = append(es, memEntry{key: keys.EncodeUint64(uint64(i)), seq: uint64(f*perFile + i + 1), kind: keys.KindSet, value: bytes.Repeat([]byte{byte(f)}, 40)})
+		}
+		if _, err := s.Flush(&memIter{entries: es}, uint64(f+2), uint64((f+1)*perFile)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for f := 0; f < 3; f++ {
+		flush(f)
+	}
+	for i := 0; i < perFile; i += 7 {
+		if _, _, _, ok, err := s.Get(keys.EncodeUint64(uint64(i))); err != nil || !ok {
+			t.Fatalf("Get(%d): ok=%v err=%v", i, ok, err)
+		}
+	}
+	filled := s.Metrics()
+	if filled.BlockCacheBytes == 0 || filled.BlockCacheEvictions == 0 {
+		t.Fatalf("Gets should have filled and overflowed the cache: %+v", filled)
+	}
+	same := func(what string) {
+		t.Helper()
+		if m := s.Metrics(); m.BlockCacheBytes != filled.BlockCacheBytes || m.BlockCacheEvictions != filled.BlockCacheEvictions {
+			t.Fatalf("%s moved the block cache: %d bytes / %d evictions, were %d / %d",
+				what, m.BlockCacheBytes, m.BlockCacheEvictions, filled.BlockCacheBytes, filled.BlockCacheEvictions)
+		}
+	}
+
+	it, release, err := s.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		n++
+	}
+	release()
+	if it.Err() != nil || n != 3*perFile {
+		t.Fatalf("full iteration: %d entries, err %v", n, it.Err())
+	}
+	same("a full iteration")
+
+	flush(3) // the fourth L0 file: compaction
+	s.WaitForCompactions()
+	if m := s.Metrics(); m.Compactions == 0 || m.FilesPerLevel[0] != 0 {
+		t.Fatalf("no compaction ran: %+v", m)
+	}
+	same("a compaction")
+}

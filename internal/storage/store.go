@@ -34,9 +34,10 @@ type Options struct {
 	// CompactionThreads sets the background compaction parallelism
 	// (default 1; the RocksDB-style baseline raises it, §2.2).
 	CompactionThreads int
-	// BlockCacheBytes bounds the shared cache of parsed sstable blocks.
-	// 0 selects DefaultBlockCacheBytes; negative disables block caching
-	// (every read hits the file).
+	// BlockCacheBytes bounds the shared cache of sstable blocks, which
+	// point reads fill and iterators only consult. 0 selects
+	// DefaultBlockCacheBytes; negative disables block caching (every read
+	// hits the file).
 	BlockCacheBytes int64
 	// TableCacheCapacity bounds the number of concurrently open sstable
 	// readers (fd budget). 0 selects DefaultTableCacheCapacity.

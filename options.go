@@ -245,8 +245,9 @@ func WithShards(n int) Option {
 }
 
 // WithBlockCacheSize sets the budget, in bytes, of the shared cache of
-// parsed sstable blocks on the disk read path (default 32 MiB). Repeat
-// reads of warm blocks skip both the I/O and the decode. On a sharded
+// sstable blocks on the point-read path (default 32 MiB). Repeat Gets of
+// warm blocks skip both the I/O and the checksum; iterators and
+// compaction consult the cache but never fill it. On a sharded
 // store the budget is the TOTAL, split evenly across shards like
 // WithMemory. Non-positive sizes are rejected by Open; to measure the
 // uncached read path, use a 1-byte cache (nothing fits, every read
