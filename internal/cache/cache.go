@@ -164,15 +164,24 @@ func (e *entry) delete() {
 	}
 }
 
-// Get returns a pinned handle for key, or nil on miss.
+// Get returns a pinned handle for key, or nil on miss. It is small enough
+// to inline, so a caller that releases the handle before it returns keeps
+// the handle on its stack.
 func (c *Cache) Get(key Key) *Handle {
+	if s, e := c.get(key); e != nil {
+		return &Handle{s: s, e: e}
+	}
+	return nil
+}
+
+func (c *Cache) get(key Key) (*shard, *entry) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	e := s.m[key]
 	if e == nil {
 		s.misses++
 		s.mu.Unlock()
-		return nil
+		return s, nil
 	}
 	s.hits++
 	e.refs++
@@ -180,7 +189,7 @@ func (c *Cache) Get(key Key) *Handle {
 	s.listRemove(e)
 	s.listPushFront(e)
 	s.mu.Unlock()
-	return &Handle{s: s, e: e}
+	return s, e
 }
 
 // Insert adds value under key with the given charge, returning a pinned
@@ -188,8 +197,14 @@ func (c *Cache) Get(key Key) *Handle {
 // deleter runs once its own pins drain). Insert then evicts cold
 // unpinned entries until the shard is back within capacity; entries
 // pinned by outstanding handles are skipped, so a fully-pinned shard
-// may transiently exceed its budget.
+// may transiently exceed its budget. Like Get it inlines, for the same
+// reason.
 func (c *Cache) Insert(key Key, value any, charge int64, deleter Deleter) *Handle {
+	s, e := c.insert(key, value, charge, deleter)
+	return &Handle{s: s, e: e}
+}
+
+func (c *Cache) insert(key Key, value any, charge int64, deleter Deleter) (*shard, *entry) {
 	s := c.shardFor(key)
 	e := &entry{key: key, value: value, charge: charge, deleter: deleter, refs: 2, inCache: true}
 
@@ -207,7 +222,7 @@ func (c *Cache) Insert(key Key, value any, charge int64, deleter Deleter) *Handl
 	for _, o := range orphans {
 		o.delete()
 	}
-	return &Handle{s: s, e: e}
+	return s, e
 }
 
 // Erase removes key from the cache if present. The deleter runs after

@@ -87,6 +87,7 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 // sensor (§4.4), exactly as per-op writes do.
 func (db *DB) applyBackpressure(ctx context.Context) error {
 	var stallStart time.Time
+	defer func() { db.noteStall(stallStart) }()
 	for spins := 0; ; spins++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -110,19 +111,14 @@ func (db *DB) applyBackpressure(ctx context.Context) error {
 		}
 		if db.store != nil && db.store.NeedsStall() {
 			db.store.MaybeScheduleCompaction()
+			if stallStart.IsZero() {
+				stallStart = time.Now()
+			}
 			db.backoff(spins)
 			continue
 		}
-		break
+		return nil
 	}
-	if !stallStart.IsZero() {
-		stall := time.Since(stallStart)
-		db.stats.stallNanos.Add(uint64(stall))
-		if t := db.tel; t != nil {
-			t.stallLat.Observe(stall)
-		}
-	}
-	return nil
 }
 
 // ResolveDurability folds per-op write options over the store's default
@@ -279,7 +275,7 @@ func (db *DB) applyLocked(b *kv.Batch, d kv.Durability) (*wal.Writer, int64, err
 		for i := range direct {
 			direct[i].Entry.Seq = start + uint64(i)
 		}
-		g.mtb.list.MultiInsert(direct)
+		g.mtb.multiInsert(direct)
 		db.stats.memtableWrites.Add(uint64(len(direct)))
 	}
 	if g.mtb.approxBytes() >= db.memtableTarget() {

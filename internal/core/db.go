@@ -190,8 +190,9 @@ type statCounters struct {
 	syncBarriers                  *obs.Counter
 	// resizes counts completed Membuffer resize epochs; stallNanos
 	// accumulates time WRITERS (Put/Delete/Apply) spent stalled on
-	// drains and memory-component backpressure — the sensor's
-	// drain-stall input (background drainers' own sleeps are excluded).
+	// drains, memory-component backpressure and an L0 backlog, whether
+	// the write then completed or gave up — the sensor's drain-stall
+	// input (background drainers' own sleeps are excluded).
 	// inPlaceHits counts Membuffer updates that overwrote a resident
 	// key in place (no new drain debt) — the sensor's working-set-fits
 	// signal.
@@ -215,6 +216,7 @@ func Open(cfg Config) (*DB, error) {
 	// The registry must exist before the first counter increment or
 	// event emission — i.e. before recovery and the background loops.
 	db.initObs()
+	db.mbfFrac.Store(math.Float64bits(cfg.MembufferFraction))
 
 	if !cfg.DropPersist {
 		scfg := cfg.Storage
@@ -238,7 +240,6 @@ func Open(cfg Config) (*DB, error) {
 		}
 		return nil, err
 	}
-	db.mbfFrac.Store(math.Float64bits(cfg.MembufferFraction))
 	g := &generation{mtb: mt}
 	if !cfg.DisableMembuffer {
 		g.mbf = db.newMembufferNow()
@@ -348,7 +349,7 @@ func (db *DB) hook(at hookPoint) {
 
 // newMemtable allocates a fresh memtable with its WAL segment.
 func (db *DB) newMemtable() (*memtable, error) {
-	m := &memtable{list: skiplist.New()}
+	m := newMemtableList(db.memtableTarget())
 	m.list.SetRetention(&db.retention)
 	if db.cfg.DisableWAL || db.store == nil {
 		return m, nil
@@ -386,7 +387,8 @@ func (db *DB) recoverWALs() error {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	for _, num := range segs {
-		list := skiplist.New()
+		m := newMemtableList(db.memtableTarget())
+		m.walNum = num
 		// ForEachOp handles both single-op records and multi-op batch
 		// records. Atomicity of a batch is inherited from WAL framing: a
 		// torn batch record fails its CRC as a whole, so recovery replays
@@ -398,15 +400,14 @@ func (db *DB) recoverWALs() error {
 					Seq:       db.seq.Add(1),
 					Tombstone: kind == keys.KindDelete,
 				}
-				list.Insert(keys.Clone(key), e)
+				m.insert(keys.Clone(key), e)
 				return nil
 			})
 		})
 		if err != nil {
 			return fmt.Errorf("core: replay wal %d: %w", num, err)
 		}
-		if !list.Empty() {
-			m := &memtable{list: list, walNum: num}
+		if !m.list.Empty() {
 			if _, err := db.store.Flush(newMemtableIter(m), num+1, db.seq.Load()); err != nil {
 				return fmt.Errorf("core: flush recovered wal %d: %w", num, err)
 			}

@@ -122,7 +122,7 @@ func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained) {
 	if db.cfg.SimpleInsertDrain {
 		for i := range batch {
 			d := &batch[i]
-			dst.list.Insert(d.Key, &skiplist.Entry{
+			dst.insert(d.Key, &skiplist.Entry{
 				Value:     d.Value,
 				Seq:       db.seq.Add(1),
 				Tombstone: d.Tombstone,
@@ -142,7 +142,7 @@ func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained) {
 			},
 		}
 	}
-	dst.list.MultiInsert(kvs)
+	dst.multiInsert(kvs)
 }
 
 // helpDrain claims one batch from the published full drain and applies it.

@@ -12,8 +12,8 @@ import (
 // straight out of the Memtables and each sstable source's read window as
 // the cursor moves, so iterating a range larger than the memory component
 // costs O(1) memory, and Key and Value alias that memory — they are valid
-// until the cursor moves. Disk blocks an iterator reads never enter the
-// block cache (only Gets fill it).
+// until the cursor moves. What an iterator reads from disk never enters
+// the read cache (Gets fill it, with rows), nor is it looked for there.
 //
 // Consistency: the iterator is ONE point-in-time view for its whole
 // lifetime, taken by pinView when it opens — every pair it returns was

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math/bits"
+	"sync/atomic"
 
 	"flodb/internal/keys"
 	"flodb/internal/skiplist"
@@ -11,19 +13,75 @@ import (
 
 // memtable bundles the sorted in-memory level (§3.1's Memtable: a
 // concurrent skiplist with per-entry sequence numbers and in-place
-// updates) with the WAL segment that logs its generation.
+// updates) with the WAL segment that logs its generation, and with a
+// negative filter over the list: a Get for a key the generation never saw —
+// on a store larger than memory, nearly every Get — costs one word load
+// here instead of a skiplist descent that finds nothing.
 type memtable struct {
-	list   *skiplist.List
+	list *skiplist.List
+	// filter is a one-word-per-key Bloom filter: a key's hash picks a word
+	// and three bits in it. insert and multiInsert, the only ways into the
+	// list, set the bits BEFORE the list insert, so whoever can find a key
+	// in the list — or was told its write completed — finds its bits set;
+	// bits are never cleared. Sized once, from the generation's byte target.
+	filter []atomic.Uint64
 	wal    *wal.Writer // nil when the WAL is disabled
 	walNum uint64
 }
 
-func (m *memtable) approxBytes() int64 {
-	return m.list.ApproxBytes()
+// filterBytesPerWord sizes the filter: one 64-bit word per this many bytes
+// of Memtable target (384 KiB for 24 MiB). An entry costs the skiplist well
+// over 100 bytes, so a full generation puts at most ~3 keys in a word and
+// under 1% of absent keys pass.
+const filterBytesPerWord = 512
+
+func newMemtableList(targetBytes int64) *memtable {
+	return &memtable{
+		list:   skiplist.New(),
+		filter: make([]atomic.Uint64, max(1, targetBytes/filterBytesPerWord)),
+	}
 }
 
-// get returns the entry for key.
-func (m *memtable) get(key []byte) (*skiplist.Entry, bool) {
+// filterSlot returns the word and the bits of the key whose keys.Hash is h:
+// the word from the hash's high bits, the bits from its low 18.
+func (m *memtable) filterSlot(h uint64) (*atomic.Uint64, uint64) {
+	w, _ := bits.Mul64(h, uint64(len(m.filter)))
+	return &m.filter[w], 1<<(h&63) | 1<<(h>>6&63) | 1<<(h>>12&63)
+}
+
+// mark sets key's filter bits. A hot key's are set already: test before
+// the read-modify-write, and leave its cache line shared.
+func (m *memtable) mark(key []byte) {
+	if w, mask := m.filterSlot(keys.Hash(key)); w.Load()&mask != mask {
+		w.Or(mask)
+	}
+}
+
+// insert is list.Insert behind the filter.
+func (m *memtable) insert(key []byte, e *skiplist.Entry) {
+	m.mark(key)
+	m.list.Insert(key, e)
+}
+
+// multiInsert is list.MultiInsert behind the filter.
+func (m *memtable) multiInsert(batch []skiplist.KV) {
+	for i := range batch {
+		m.mark(batch[i].Key)
+	}
+	m.list.MultiInsert(batch)
+}
+
+// approxBytes is what the generation holds: the list, and the filter it
+// carries whether the list is empty or full.
+func (m *memtable) approxBytes() int64 {
+	return m.list.ApproxBytes() + int64(8*len(m.filter))
+}
+
+// get returns the entry for key, whose keys.Hash is h.
+func (m *memtable) get(key []byte, h uint64) (*skiplist.Entry, bool) {
+	if w, mask := m.filterSlot(h); w.Load()&mask != mask {
+		return nil, false
+	}
 	return m.list.Get(key)
 }
 

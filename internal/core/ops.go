@@ -35,7 +35,8 @@ func (db *DB) putHandle(h *rcu.Handle) {
 
 // Get implements Algorithm 2: search MBF, IMM_MBF, MTB, IMM_MTB, DISK in
 // order and return the first occurrence — the levels are checked in the
-// direction of data flow, so the first hit is the freshest.
+// direction of data flow, so the first hit is the freshest. get lists what
+// each step costs.
 func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if t := db.tel; t != nil {
 		start := time.Now()
@@ -46,6 +47,22 @@ func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	return db.get(ctx, key)
 }
 
+// get pays only for the component that holds the key. In order:
+//
+//  1. Membuffer, then the sealed one if a seal is draining: one hash, one
+//     bucket of slots each (~50 ns).
+//  2. The key is hashed once more (keys.Hash), for everything below.
+//  3. Memtable, then the sealed one if a flush is in flight: one word of
+//     the generation's filter; a skiplist descent (~1.5 µs at 24 MiB) only
+//     if the generation holds the key, or for the <1% the filter lets by.
+//  4. Disk (Version.getAt), newest file first, and per file whose key range
+//     covers the key: its filter, through the file's metadata — no table
+//     handle; then the row cache — a hit returns the row, still no handle;
+//     only then a pinned Reader, an index search, one block read into a
+//     pooled buffer, a search in the block, and the row left in the cache.
+//
+// The value returned aliases store memory that is never written again (a
+// Membuffer pair, a skiplist entry, a cached row).
 func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if db.closed.Load() {
 		return nil, false, ErrClosed
@@ -72,14 +89,15 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 			return v, true, nil
 		}
 	}
-	if e, ok := g.mtb.get(key); ok {
+	h := keys.Hash(key)
+	if e, ok := g.mtb.get(key, h); ok {
 		if e.Tombstone {
 			return nil, false, nil
 		}
 		return e.Value, true, nil
 	}
 	if imm := db.immMtb.Load(); imm != nil {
-		if e, ok := imm.get(key); ok {
+		if e, ok := imm.get(key, h); ok {
 			if e.Tombstone {
 				return nil, false, nil
 			}
@@ -89,7 +107,7 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if db.store == nil {
 		return nil, false, nil
 	}
-	v, _, kind, ok, err := db.store.Get(key)
+	v, _, kind, ok, err := db.store.GetHashed(key, h)
 	if err != nil {
 		return nil, false, err
 	}
@@ -207,10 +225,11 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 	}
 	logged := d != kv.DurabilityNone
 	var rec []byte // encoded lazily, only when a WAL append happens
-	// The last successful append is the op's commit record (the fast
-	// path's append may be superseded by the slow path's re-log; replay
-	// applies both, idempotently, and the later one alone reconstructs
-	// the op).
+	// The last successful append is the op's commit record. The op is
+	// logged once per segment it could land under: a lap or the slow path
+	// appends again only when the pair it loaded logs to another segment
+	// than the one that already has the record (replay applies both,
+	// idempotently, and the later one alone reconstructs the op).
 	var syncW *wal.Writer
 	var syncOff int64
 
@@ -254,31 +273,33 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		sealed := g.mbf.Frozen()
 		h.Exit()
 		if !sealed {
-			// Bucket full: fall through to the Memtable. The record above
-			// is already logged; the Memtable path below logs to the
-			// then-current WAL again, which recovery tolerates (duplicate
-			// application of the same record is idempotent under last-
-			// writer-wins; see DESIGN.md §WAL).
+			// Bucket full: fall through to the Memtable, which the record
+			// above already covers unless the generation switches first.
 			break
 		}
 	}
 
 	// --- Slow path: write to the Memtable (Algorithm 2 lines 12–20).
 	// stallStart times the drain/backpressure waits below; the total
-	// feeds the adaptive sensor's drain-stall input (§4.4).
+	// feeds the adaptive sensor's drain-stall input (§4.4), whether the
+	// write then completes or gives up. (Recorded by hand, not by defer: a
+	// second defer in a function with this many returns stops the compiler
+	// open-coding the first, which every fast-path Put runs.)
 	var stallStart time.Time
 	for spins := 0; ; spins++ {
 		// Honest cancellation point: the slow path can wait out drains and
 		// backpressure indefinitely, so every lap re-checks the context —
 		// and the store's liveness, so a writer stalled on backpressure
 		// is not stranded when the store dies under it.
-		if err := ctx.Err(); err != nil {
-			return err
+		err := ctx.Err()
+		if err == nil && db.closed.Load() {
+			err = ErrClosed
 		}
-		if db.closed.Load() {
-			return ErrClosed
+		if err == nil {
+			err = db.loadPersistErr()
 		}
-		if err := db.loadPersistErr(); err != nil {
+		if err != nil {
+			db.noteStall(stallStart)
 			return err
 		}
 		// While a seal drains the immutable Membuffer, writers must not
@@ -310,6 +331,9 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		}
 		if db.store != nil && db.store.NeedsStall() {
 			db.store.MaybeScheduleCompaction()
+			if stallStart.IsZero() {
+				stallStart = time.Now()
+			}
 			db.backoff(spins)
 			continue
 		}
@@ -320,7 +344,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			continue
 		}
 		g = db.gen.Load()
-		if logged && g.mtb.wal != nil {
+		if logged && g.mtb.wal != nil && g.mtb.wal != syncW {
 			if rec == nil {
 				rec = kv.EncodeRecord(kind, key, value)
 			}
@@ -332,16 +356,10 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			syncW, syncOff = g.mtb.wal, off
 		}
 		seq := db.seq.Add(1)
-		g.mtb.list.Insert(key, &skiplist.Entry{Value: value, Seq: seq, Tombstone: tombstone})
+		g.mtb.insert(key, &skiplist.Entry{Value: value, Seq: seq, Tombstone: tombstone})
 		h.Exit()
 		db.stats.memtableWrites.Add(1)
-		if !stallStart.IsZero() {
-			stall := time.Since(stallStart)
-			db.stats.stallNanos.Add(uint64(stall))
-			if t := db.tel; t != nil {
-				t.stallLat.Observe(stall)
-			}
-		}
+		db.noteStall(stallStart)
 		if g.mtb.approxBytes() >= db.memtableTarget() {
 			db.signalPersist()
 		}
@@ -349,6 +367,19 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			return db.commitSync(syncW, syncOff, 1)
 		}
 		return nil
+	}
+}
+
+// noteStall records a writer's stall, if start says it had one: waiting
+// out a drain, a full Memtable or an L0 backlog.
+func (db *DB) noteStall(start time.Time) {
+	if start.IsZero() {
+		return
+	}
+	stall := time.Since(start)
+	db.stats.stallNanos.Add(uint64(stall))
+	if t := db.tel; t != nil {
+		t.stallLat.Observe(stall)
 	}
 }
 

@@ -53,7 +53,7 @@ func (db *DB) initObs() {
 	s.helpDrains = reg.Counter("flodb_help_drains_total", "Writer visits to the help-drain path.")
 	s.syncBarriers = reg.Counter("flodb_sync_barriers_total", "Explicit Sync durability barriers.")
 	s.resizes = reg.Counter("flodb_membuffer_resizes_total", "Adaptive Membuffer resize epochs (4.4).")
-	s.stallNanos = reg.Counter("flodb_write_stall_nanoseconds_total", "Writer time stalled on drains and memory backpressure.")
+	s.stallNanos = reg.Counter("flodb_write_stall_nanoseconds_total", "Writer time stalled on drains, memory backpressure and L0 backlog.")
 	s.inPlaceHits = reg.Counter("flodb_inplace_hits_total", "Membuffer updates that overwrote a resident key in place.")
 
 	// Views over the WAL's own metrics: the acked-vs-durable boundary.

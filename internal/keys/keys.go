@@ -56,6 +56,26 @@ func Compare(a, b []byte) int { return bytes.Compare(a, b) }
 // Equal reports whether two user keys are equal.
 func Equal(a, b []byte) bool { return bytes.Equal(a, b) }
 
+// Hash is the 64-bit hash a point read computes once and hands down to
+// every filter it consults — the Memtable's, each table's — and to the
+// row cache as its key: FNV-1a, then the murmur3 finalizer to mix the
+// entropy FNV's multiply only pushes upward back into the low bits. The
+// bits of table filters on disk were set with it, so it is part of the
+// table format.
+func Hash(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
 // EncodeUint64 returns the 8-byte big-endian encoding of v. Big-endian
 // makes numeric order match lexicographic order.
 func EncodeUint64(v uint64) []byte {

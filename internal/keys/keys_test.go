@@ -203,3 +203,18 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind should still format")
 	}
 }
+
+// TestHashIsStable pins Hash: table filters on disk were built with it, so
+// a change to it makes every existing table's filter reject its own keys.
+func TestHashIsStable(t *testing.T) {
+	for key, want := range map[string]uint64{
+		"":                                 0xefd01f60ba992926,
+		"a":                                0x82a2a958a9bece5b,
+		"flodb":                            0x6cdcc2e81af249e9,
+		"\x00\x00\x00\x00\x00\x00\x00\x01": 0x0d4ad0eb39c50357,
+	} {
+		if got := Hash([]byte(key)); got != want {
+			t.Errorf("Hash(%q) = %#x, want %#x", key, got, want)
+		}
+	}
+}

@@ -188,10 +188,12 @@ type Stats struct {
 	Compactions    uint64
 
 	// Read-path caching (internal/cache; zero when the engine has no disk
-	// component). The block cache holds the sstable blocks Gets read, keyed
-	// by (file, offset); the table cache holds open sstable readers (one fd
-	// each). BloomChecks counts bloom-filter consultations on the disk
-	// read path and BloomMisses the reads a filter proved absent —
+	// component). Point reads fill the BlockCache with the rows they found,
+	// keyed by (file, key hash); iterators and compaction neither fill nor
+	// consult it; the name is historical (it held blocks). A miss is one
+	// block read from a table. The table cache holds open sstable readers
+	// (one fd each). BloomChecks counts bloom-filter consultations on the
+	// disk read path and BloomMisses the reads a filter proved absent —
 	// MissRate = BloomMisses/BloomChecks is the fraction of disk probes
 	// the filters short-circuited.
 	BlockCacheHits      uint64

@@ -152,30 +152,11 @@ func New(cfg Config) *Buffer {
 	return b
 }
 
-// fnv1a hashes key without allocating. FNV-1a's multiply only propagates
-// entropy toward high bits, so keys differing only in their first bytes
-// would collide modulo a power of two; the murmur3 finalizer mixes the
-// bits back down before the caller reduces the hash.
-func fnv1a(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
 // locate maps a key to its partition and bucket index: partition by MSBs,
 // hash within.
 func (b *Buffer) locate(key []byte) (part, bucket int) {
 	part = int(keys.PartitionOf(key, b.partBits))
-	h := fnv1a(key)
-	return part, part*b.perPart + int(h%uint64(b.perPart))
+	return part, part*b.perPart + int(keys.Hash(key)%uint64(b.perPart))
 }
 
 // Add inserts key→value (or a tombstone) into the buffer, updating in place

@@ -3,19 +3,23 @@ package sstable
 import (
 	"encoding/binary"
 	"fmt"
+
+	"flodb/internal/keys"
 )
 
-// bloomFilter is a classic Bloom filter with double hashing, equivalent to
+// Filter is a classic Bloom filter with double hashing, equivalent to
 // LevelDB's built-in filter policy. LSM-trie (§6) motivates strong filters;
-// we keep LevelDB's 10 bits/key default.
-type bloomFilter struct {
+// we keep LevelDB's 10 bits/key default. A table's Filter is immutable once
+// the table is written, so the store keeps a pointer to it beside the
+// table's metadata and asks it before it takes a handle on the table.
+type Filter struct {
 	bits   []byte
 	nBits  uint64
 	probes uint32
 }
 
 // newBloom sizes a filter for n keys at bitsPerKey.
-func newBloom(n int, bitsPerKey int) *bloomFilter {
+func newBloom(n int, bitsPerKey int) *Filter {
 	if bitsPerKey <= 0 {
 		bitsPerKey = DefaultBloomBitsPerKey
 	}
@@ -31,31 +35,15 @@ func newBloom(n int, bitsPerKey int) *bloomFilter {
 	if probes > 30 {
 		probes = 30
 	}
-	return &bloomFilter{
+	return &Filter{
 		bits:   make([]byte, (nBits+7)/8),
 		nBits:  (nBits + 7) / 8 * 8,
 		probes: probes,
 	}
 }
 
-// bloomHash is the same mixed 64-bit hash the membuffer uses; defined here
-// to keep the packages dependency-free of each other.
-func bloomHash(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-func (f *bloomFilter) add(key []byte) {
-	h := bloomHash(key)
+func (f *Filter) add(key []byte) {
+	h := keys.Hash(key)
 	delta := h>>33 | h<<31
 	for i := uint32(0); i < f.probes; i++ {
 		pos := h % f.nBits
@@ -64,8 +52,9 @@ func (f *bloomFilter) add(key []byte) {
 	}
 }
 
-func (f *bloomFilter) mayContain(key []byte) bool {
-	h := bloomHash(key)
+// MayContain reports whether a key whose keys.Hash is h may be in the
+// table; false means it is not.
+func (f *Filter) MayContain(h uint64) bool {
 	delta := h>>33 | h<<31
 	for i := uint32(0); i < f.probes; i++ {
 		pos := h % f.nBits
@@ -78,13 +67,13 @@ func (f *bloomFilter) mayContain(key []byte) bool {
 }
 
 // encode serializes probes(uvarint) | bits, plus the CRC trailer.
-func (f *bloomFilter) encode() []byte {
+func (f *Filter) encode() []byte {
 	b := binary.AppendUvarint(nil, uint64(f.probes))
 	b = append(b, f.bits...)
 	return appendChecksum(b)
 }
 
-func decodeBloom(raw []byte) (*bloomFilter, error) {
+func decodeBloom(raw []byte) (*Filter, error) {
 	payload, err := verifyChecksum(raw)
 	if err != nil {
 		return nil, err
@@ -97,5 +86,5 @@ func decodeBloom(raw []byte) (*bloomFilter, error) {
 	if len(bits) == 0 {
 		return nil, fmt.Errorf("%w: empty bloom", ErrCorrupt)
 	}
-	return &bloomFilter{bits: bits, nBits: uint64(len(bits)) * 8, probes: uint32(probes)}, nil
+	return &Filter{bits: bits, nBits: uint64(len(bits)) * 8, probes: uint32(probes)}, nil
 }

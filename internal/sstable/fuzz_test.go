@@ -8,6 +8,7 @@ import (
 	"runtime/metrics"
 	"testing"
 
+	"flodb/internal/cache"
 	"flodb/internal/keys"
 )
 
@@ -28,6 +29,21 @@ func (memFile) Close() error { return nil }
 func openImage(img []byte) (*Reader, error) {
 	r := &Reader{f: memFile{bytes.NewReader(img)}, size: uint64(len(img))}
 	return r, r.loadTail()
+}
+
+// sameGet reads key through plain, which has no row cache, and twice
+// through cached (the second read finds the row the first one left, if the
+// first found one) and requires the three answers to agree.
+func sameGet(t *testing.T, plain, cached *Reader, key []byte) {
+	t.Helper()
+	wv, wseq, wkind, wok, werr := plain.Get(key)
+	for pass := 0; pass < 2; pass++ {
+		v, seq, kind, ok, err := cached.Get(key)
+		if ok != wok || (err == nil) != (werr == nil) || seq != wseq || kind != wkind || !bytes.Equal(v, wv) {
+			t.Fatalf("Get(%x) pass %d with the row cache: %x@%d %v ok=%v err=%v; without: %x@%d %v ok=%v err=%v",
+				key, pass, v, seq, kind, ok, err, wv, wseq, wkind, wok, werr)
+		}
+	}
 }
 
 // seedImages returns Writer output in a few shapes: multi-block with
@@ -104,6 +120,33 @@ func FuzzReader(f *testing.F) {
 		if limit := 64*uint64(len(img)) + allocSlack; used > limit {
 			t.Fatalf("a %d-byte image cost %d bytes of allocation", len(img), used)
 		}
+
+		// Point reads of every entry's key and of its two neighbours, with
+		// the row cache and without: a Get costs a row, never a block, so
+		// the budget is per Get and not per byte the image claims.
+		plain, err := openImage(img)
+		if err != nil {
+			return
+		}
+		cached, _ := openImage(img)
+		cached.bcache, cached.cacheID = cache.New(1<<20), 1
+		gets := 0
+		used = allocatedBy(func() {
+			it := plain.NewIterator()
+			for it.SeekToFirst(); it.Valid() && gets < 3*len(img); it.Next() {
+				k := bytes.Clone(it.Key())
+				sameGet(t, plain, cached, k)
+				sameGet(t, plain, cached, keys.Successor(k))
+				if len(k) > 0 {
+					k[len(k)-1]--
+					sameGet(t, plain, cached, k)
+				}
+				gets += 9
+			}
+		})
+		if limit := uint64(gets)*(1<<10) + 8*uint64(len(img)) + allocSlack; used > limit {
+			t.Fatalf("%d Gets on a %d-byte image cost %d bytes of allocation", gets, len(img), used)
+		}
 	})
 }
 
@@ -145,7 +188,7 @@ func FuzzBloom(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload, key []byte) {
 		if b, err := decodeBloom(sealed(payload)); err == nil {
-			b.mayContain(key)
+			b.MayContain(keys.Hash(key))
 		}
 	})
 }

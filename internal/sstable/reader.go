@@ -7,35 +7,23 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"flodb/internal/cache"
 	"flodb/internal/keys"
 )
 
-// ReaderMetrics aggregates read-path counters across every Reader that
-// shares it (the store passes one instance to all its tables).
-// BloomChecks counts filter consultations; BloomNegatives the checks a
-// filter answered "definitely absent" — the lookups that skipped a
-// block read entirely. Their ratio is the filter's observed hit rate.
-type ReaderMetrics struct {
-	BloomChecks    atomic.Uint64
-	BloomNegatives atomic.Uint64
-}
-
 // ReaderOptions configure Open. The zero value reads without a cache —
-// every block access is a pread plus a parse.
+// every Get is a pread plus a checksum.
 type ReaderOptions struct {
-	// BlockCache, when non-nil, holds verified data blocks keyed by
-	// (CacheID, block offset) so repeat point reads skip the I/O and the
-	// checksum. Only Get fills it; iterators consult it when they seek
-	// and never insert. The cache is shared between readers; CacheID
-	// must be unique per table file for its lifetime (the store uses
-	// the table's file number, which is never reused).
+	// BlockCache, when non-nil, holds the rows point reads found, keyed by
+	// (CacheID, keys.Hash(key)): Get fills it with what it read and asks it
+	// before it reads. Iterators and compaction neither fill nor consult it.
+	// The name is historical (it held blocks, one hot row to sixteen cold
+	// ones). The cache is shared between readers; CacheID must be unique
+	// per table file for its lifetime (the store uses the table's file
+	// number, which is never reused — so rows need no invalidation).
 	BlockCache *cache.Cache
 	CacheID    uint64
-	// Metrics, when non-nil, receives bloom-filter counters.
-	Metrics *ReaderMetrics
 }
 
 // tableFile is what a Reader needs of the file it reads: an *os.File, or a
@@ -52,14 +40,13 @@ type Reader struct {
 	f      tableFile
 	size   uint64
 	index  []indexEntry
-	bloom  *bloomFilter // nil if the table has no filter
+	filter *Filter // nil if the table has no filter
 	count  uint64
 	minSeq uint64
 	maxSeq uint64
 
 	bcache  *cache.Cache
 	cacheID uint64
-	metrics *ReaderMetrics
 }
 
 // Open validates the footer, loads the index and filter, and returns an
@@ -82,7 +69,7 @@ func OpenOptions(path string, opts ReaderOptions) (*Reader, error) {
 	}
 	r := &Reader{
 		f: f, size: uint64(st.Size()),
-		bcache: opts.BlockCache, cacheID: opts.CacheID, metrics: opts.Metrics,
+		bcache: opts.BlockCache, cacheID: opts.CacheID,
 	}
 	if err := r.loadTail(); err != nil {
 		f.Close()
@@ -119,7 +106,7 @@ func (r *Reader) loadTail() error {
 		if err != nil {
 			return err
 		}
-		if r.bloom, err = decodeBloom(fltRaw); err != nil {
+		if r.filter, err = decodeBloom(fltRaw); err != nil {
 			return err
 		}
 	}
@@ -146,28 +133,13 @@ func (r *Reader) Count() uint64 { return r.count }
 // SeqBounds returns the min and max sequence numbers stored.
 func (r *Reader) SeqBounds() (min, max uint64) { return r.minSeq, r.maxSeq }
 
-// MayContain consults the bloom filter; true when absent filters.
-func (r *Reader) MayContain(key []byte) bool {
-	if r.bloom == nil {
-		return true
-	}
-	if r.metrics != nil {
-		r.metrics.BloomChecks.Add(1)
-	}
-	if r.bloom.mayContain(key) {
-		return true
-	}
-	if r.metrics != nil {
-		r.metrics.BloomNegatives.Add(1)
-	}
-	return false
-}
+// Filter returns the table's filter, nil if it was written without one.
+func (r *Reader) Filter() *Filter { return r.filter }
 
 // block is a checksum-verified data block, read where it lies: entries
-// and offsets alias the bytes it was parsed from — a cached copy or an
-// iterator's read window — so parsing allocates nothing and a block is
-// cheap to hold by value. It is immutable, which is what makes sharing one
-// cached copy between every concurrent reader safe.
+// and offsets alias the bytes it was parsed from — an iterator's read window
+// or a Get's scratch buffer — so parsing allocates nothing and a block is
+// cheap to hold by value.
 type block struct {
 	entries []byte
 	offsets []byte // one little-endian uint32 per entry: its start in entries
@@ -251,82 +223,97 @@ func (r *Reader) blockFor(key []byte) int {
 	})
 }
 
-// blockOverhead approximates the per-entry bookkeeping the cache charge
-// adds on top of the block's bytes.
-const blockOverhead = 96
-
-// cachedBlock returns the block at e if the shared cache holds it. The
-// cache entry is unpinned immediately: blocks are immutable and
-// garbage-collected, so a reader holding one keeps it alive even if the
-// cache evicts it meanwhile — pinning is only needed for values with
-// non-memory resources (the table cache's readers hold file descriptors
-// and DO pin; see internal/storage).
-func (r *Reader) cachedBlock(e indexEntry) *block {
-	if r.bcache == nil {
-		return nil
-	}
-	h := r.bcache.Get(cache.Key{ID: r.cacheID, Offset: e.off})
-	if h == nil {
-		return nil
-	}
-	b := h.Value().(*block)
-	h.Release()
-	return b
+// Row is one table entry as the read cache holds it. Key and Value share
+// one allocation and are never written after the row is built, so a Get may
+// hand Value out while the cache evicts the row underneath it.
+type Row struct {
+	Key, Value []byte
+	Seq        uint64
+	Kind       keys.Kind
 }
 
-// loadBlock returns the block at e from the shared cache, reading it from
-// the file and INSERTING it on a miss. It is the point-lookup path and only
-// Get may call it: an in-order reader that filled the cache would evict
-// the blocks Gets come back for with blocks nobody will read twice, so
-// Iterator — user scans, whole-version iterators and compaction inputs
-// alike — consults cachedBlock and otherwise reads into its own window.
-func (r *Reader) loadBlock(e indexEntry) (*block, error) {
-	if b := r.cachedBlock(e); b != nil {
-		return b, nil
+// rowOverhead is what a cached row costs beyond its key and value bytes:
+// the Row, the cache's entry and its share of the cache's map, and the
+// rounding of all three to allocator size classes. Measured, and held to
+// the heap's real growth by TestRowCacheChargeIsHonest.
+const rowOverhead = 200
+
+// CachedRow returns the row a point read left in c for key in table id, or
+// nil; h is keys.Hash(key). The entry is unpinned at once: rows are
+// immutable and garbage-collected, so the caller's pointer outlives an
+// eviction (pinning is for values that own something else, like the table
+// cache's file descriptors).
+func CachedRow(c *cache.Cache, id, h uint64, key []byte) *Row {
+	if c == nil {
+		return nil
 	}
-	raw, err := r.readAt(e.off, e.length)
-	if err != nil {
-		return nil, err
+	hd := c.Get(cache.Key{ID: id, Offset: h})
+	if hd == nil {
+		return nil
 	}
-	b := new(block)
-	if *b, err = parseBlock(raw); err != nil {
-		return nil, err
+	row := hd.Value().(*Row)
+	hd.Release()
+	if !keys.Equal(row.Key, key) {
+		return nil // another key of this table with the same hash
 	}
-	if r.bcache != nil {
-		k := cache.Key{ID: r.cacheID, Offset: e.off}
-		r.bcache.Insert(k, b, int64(len(raw))+blockOverhead, nil).Release()
-	}
-	return b, nil
+	return row
 }
+
+// blockBufs recycles the scratch buffer a Get reads its one block into.
+var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Get returns the newest version of key stored in this table.
 func (r *Reader) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
-	if !r.MayContain(key) {
+	h := keys.Hash(key)
+	if r.filter != nil && !r.filter.MayContain(h) {
 		return nil, 0, 0, false, nil
 	}
+	if row := CachedRow(r.bcache, r.cacheID, h, key); row != nil {
+		return row.Value, row.Seq, row.Kind, true, nil
+	}
+	return r.Fetch(key, h)
+}
+
+// Fetch is Get past the filter and the row cache, for a caller that has
+// asked both itself (h is keys.Hash(key)): it reads the one block that can
+// hold key into a pooled buffer, and copies the entry out as a Row that it
+// leaves in the cache. Nothing it allocates grows with the block.
+func (r *Reader) Fetch(key []byte, h uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
 	bi := r.blockFor(key)
 	if bi == len(r.index) {
 		return nil, 0, 0, false, nil
 	}
-	blk, err := r.loadBlock(r.index[bi])
+	e := r.index[bi]
+	buf := blockBufs.Get().(*[]byte)
+	if cap(*buf) < int(e.length) {
+		*buf = make([]byte, e.length)
+	}
+	if cap(*buf) <= retainWindow {
+		defer blockBufs.Put(buf)
+	}
+	raw := (*buf)[:e.length]
+	if _, err := r.f.ReadAt(raw, int64(e.off)); err != nil {
+		return nil, 0, 0, false, fmt.Errorf("sstable: pread: %w", err)
+	}
+	blk, err := parseBlock(raw)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
 	ei, err := blk.seekInBlock(key)
-	if err != nil {
+	if err != nil || ei == blk.len() {
 		return nil, 0, 0, false, err
-	}
-	if ei == blk.len() {
-		return nil, 0, 0, false, nil
 	}
 	k, seq, kind, v, err := blk.entryAt(ei)
-	if err != nil {
+	if err != nil || !keys.Equal(k, key) {
 		return nil, 0, 0, false, err
 	}
-	if !keys.Equal(k, key) {
-		return nil, 0, 0, false, nil
+	kv := make([]byte, len(k)+len(v))
+	copy(kv[copy(kv, k):], v)
+	row := &Row{Key: kv[:len(k):len(k)], Value: kv[len(k):], Seq: seq, Kind: kind}
+	if r.bcache != nil {
+		r.bcache.Insert(cache.Key{ID: r.cacheID, Offset: h}, row, int64(len(kv))+rowOverhead, nil).Release()
 	}
-	return v, seq, kind, true, nil
+	return row.Value, seq, kind, true, nil
 }
 
 // --- Iterator ---------------------------------------------------------------
@@ -350,8 +337,8 @@ const (
 var bigWindows = sync.Pool{New: func() any { return new([maxWindow]byte) }}
 
 // Iterator walks a table in (user key asc, seq desc) order. Key and Value
-// alias the current block — the iterator's window or a cached block — and
-// are valid until the iterator moves.
+// alias the current block in the iterator's window and are valid until the
+// iterator moves.
 type Iterator struct {
 	r        *Reader
 	blockIdx int
@@ -469,9 +456,8 @@ func (it *Iterator) enter(bi int) {
 // load makes block bi current, reporting whether it did; bi past the last
 // block ends the iteration. The window serves the block when it covers it.
 // Otherwise an in-order step refills the window from bi on with one
-// readahead, while a seek asks the block cache and, on a miss, reads that
-// one block and starts the readahead over: where a seek lands says nothing
-// about what is read next.
+// readahead, while a seek reads that one block and starts the readahead
+// over: where a seek lands says nothing about what is read next.
 func (it *Iterator) load(bi int, inOrder bool) bool {
 	it.valid = false
 	if bi >= len(it.r.index) {
@@ -480,10 +466,6 @@ func (it *Iterator) load(bi int, inOrder bool) bool {
 	e := it.r.index[bi]
 	if e.off < it.winOff || e.off-it.winOff+uint64(e.length) > uint64(len(it.win)) {
 		if !inOrder {
-			if b := it.r.cachedBlock(e); b != nil {
-				it.blk, it.blockIdx = *b, bi
-				return true
-			}
 			it.ahead = minWindow
 		}
 		if err := it.refill(bi, inOrder); err != nil {

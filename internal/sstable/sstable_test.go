@@ -217,14 +217,14 @@ func TestBloomFilterEffectiveness(t *testing.T) {
 		f.add(keys.EncodeUint64(uint64(i)))
 	}
 	for i := 0; i < 1000; i++ {
-		if !f.mayContain(keys.EncodeUint64(uint64(i))) {
+		if !f.MayContain(keys.Hash(keys.EncodeUint64(uint64(i)))) {
 			t.Fatalf("false negative for %d", i)
 		}
 	}
 	fp := 0
 	const probes = 10000
 	for i := 0; i < probes; i++ {
-		if f.mayContain(keys.EncodeUint64(uint64(1_000_000 + i))) {
+		if f.MayContain(keys.Hash(keys.EncodeUint64(uint64(1_000_000 + i)))) {
 			fp++
 		}
 	}
@@ -244,7 +244,7 @@ func TestBloomRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if !g.mayContain(keys.EncodeUint64(uint64(i))) {
+		if !g.MayContain(keys.Hash(keys.EncodeUint64(uint64(i)))) {
 			t.Fatal("decoded bloom lost a key")
 		}
 	}
@@ -255,8 +255,8 @@ func TestNoBloomOption(t *testing.T) {
 	buildTable(t, path, WriterOptions{BloomBitsPerKey: -1}, seqEntries(10))
 	r, _ := Open(path)
 	defer r.Close()
-	if !r.MayContain([]byte("anything")) {
-		t.Fatal("absent filter must not filter")
+	if r.Filter() != nil {
+		t.Fatal("a table written without a filter has one")
 	}
 	if _, _, _, ok, _ := r.Get(keys.EncodeUint64(5)); !ok {
 		t.Fatal("Get without bloom failed")

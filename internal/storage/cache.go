@@ -28,7 +28,7 @@ type tableCache struct {
 	c   *cache.Cache
 
 	// opts is threaded into every reader this cache opens, wiring the
-	// store's shared block cache and bloom metrics into each table.
+	// store's shared row cache into each table.
 	opts sstable.ReaderOptions
 }
 

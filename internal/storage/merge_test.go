@@ -161,11 +161,12 @@ func TestMergeIdleChildSurvivesSiblingRefills(t *testing.T) {
 	}
 }
 
-// TestOnlyGetsFillTheBlockCache pins the cache rule: point reads fill the
-// block cache; a whole-store iterator and a compaction — which between
-// them read every block of every table — consult it and leave its bytes
-// and its eviction count exactly where they were.
-func TestOnlyGetsFillTheBlockCache(t *testing.T) {
+// TestRowCacheOnlyGetsFill pins the cache rule: point reads fill the cache
+// with the rows they found; a whole-store iterator and a compaction —
+// which between them read every block of every table — neither fill nor
+// consult it, and leave its bytes, its eviction count and its hit and miss
+// counts exactly where they were.
+func TestRowCacheOnlyGetsFill(t *testing.T) {
 	s := openTestStore(t, Options{L0CompactionTrigger: 4, BaseLevelBytes: 1 << 30, BlockSize: 512, BlockCacheBytes: 256 << 10})
 	const perFile = 2000
 	flush := func(f int) {
@@ -181,20 +182,22 @@ func TestOnlyGetsFillTheBlockCache(t *testing.T) {
 	for f := 0; f < 3; f++ {
 		flush(f)
 	}
-	for i := 0; i < perFile; i += 7 {
+	for i := 0; i < perFile; i++ {
 		if _, _, _, ok, err := s.Get(keys.EncodeUint64(uint64(i))); err != nil || !ok {
 			t.Fatalf("Get(%d): ok=%v err=%v", i, ok, err)
 		}
 	}
 	filled := s.Metrics()
-	if filled.BlockCacheBytes == 0 || filled.BlockCacheEvictions == 0 {
-		t.Fatalf("Gets should have filled and overflowed the cache: %+v", filled)
+	if filled.BlockCacheBytes == 0 || filled.BlockCacheBytes > 256<<10 || filled.BlockCacheEvictions == 0 {
+		t.Fatalf("Gets should have filled the cache to its budget and overflowed it: %+v", filled)
 	}
 	same := func(what string) {
 		t.Helper()
-		if m := s.Metrics(); m.BlockCacheBytes != filled.BlockCacheBytes || m.BlockCacheEvictions != filled.BlockCacheEvictions {
-			t.Fatalf("%s moved the block cache: %d bytes / %d evictions, were %d / %d",
-				what, m.BlockCacheBytes, m.BlockCacheEvictions, filled.BlockCacheBytes, filled.BlockCacheEvictions)
+		m := s.Metrics()
+		m.Flushes, m.Compactions, m.FilesPerLevel, m.BytesPerLevel = filled.Flushes, filled.Compactions, filled.FilesPerLevel, filled.BytesPerLevel
+		m.CachedTables, m.TableCacheHits, m.TableCacheMisses = filled.CachedTables, filled.TableCacheHits, filled.TableCacheMisses
+		if m != filled {
+			t.Fatalf("%s moved the row cache or the filter counts:\n now %+v\nwere %+v", what, m, filled)
 		}
 	}
 
@@ -218,4 +221,98 @@ func TestOnlyGetsFillTheBlockCache(t *testing.T) {
 		t.Fatalf("no compaction ran: %+v", m)
 	}
 	same("a compaction")
+
+	// The rows of the compacted-away files are dead weight that ages out;
+	// the merged file answers, with the newest version, through new rows.
+	for i := 0; i < perFile; i += 7 {
+		v, seq, _, ok, err := s.Get(keys.EncodeUint64(uint64(i)))
+		if err != nil || !ok || seq != uint64(3*perFile+i+1) || v[0] != 3 {
+			t.Fatalf("Get(%d) after the compaction: %x@%d ok=%v err=%v", i, v, seq, ok, err)
+		}
+	}
+}
+
+// TestTableFilterProbe pins what a point read pays per file. A key the
+// newest L0 file holds is answered by one probe; the older files that also
+// hold it are not asked — unless their sequence ranges say they might hold
+// something newer, as a file flushed out of order does. A key no file holds
+// is turned away by every filter without one table-cache lookup, also after
+// a reopen, when the filters first have to be fetched from the tables.
+func TestTableFilterProbe(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{L0CompactionTrigger: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	const n = 500
+	flush := func(seqBase uint64, tag byte) {
+		t.Helper()
+		var es []memEntry
+		for i := 0; i < n; i++ {
+			es = append(es, memEntry{key: keys.EncodeUint64(uint64(2 * i)), seq: seqBase + uint64(i), kind: keys.KindSet, value: []byte{tag}})
+		}
+		if _, err := s.Flush(&memIter{entries: es}, 2, seqBase+n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(1000, 'a')
+	flush(2000, 'b')
+	flush(3000, 'c')
+	during := func(fn func()) Metrics {
+		before := s.Metrics()
+		fn()
+		m := s.Metrics()
+		m.BloomChecks -= before.BloomChecks
+		m.BloomNegatives -= before.BloomNegatives
+		m.TableCacheHits -= before.TableCacheHits
+		m.TableCacheMisses -= before.TableCacheMisses
+		return m
+	}
+	getAll := func(want byte, wantSeqBase uint64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			v, seq, _, ok, err := s.Get(keys.EncodeUint64(uint64(2 * i)))
+			if err != nil || !ok || v[0] != want || seq != wantSeqBase+uint64(i) {
+				t.Fatalf("Get(%d) = %q@%d ok=%v err=%v, want %q@%d", i, v, seq, ok, err, want, wantSeqBase+uint64(i))
+			}
+		}
+	}
+	if m := during(func() { getAll('c', 3000) }); m.BloomChecks != n {
+		t.Fatalf("%d Gets answered by the newest of three L0 files consulted %d filters", n, m.BloomChecks)
+	}
+	// The newest file by number, holding the OLDEST versions: every Get has
+	// to look past it, and past 'c' it may stop again.
+	flush(1, 'z')
+	if m := during(func() { getAll('c', 3000) }); m.BloomChecks != 2*n {
+		t.Fatalf("%d Gets behind an out-of-order file consulted %d filters, want %d", n, m.BloomChecks, 2*n)
+	}
+
+	absent := func() {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, _, _, ok, err := s.Get(keys.EncodeUint64(uint64(2*i + 1))); err != nil || ok {
+				t.Fatalf("absent key %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+	}
+	// Keys in the range of all four files (but for the last) and in none of
+	// them. Besides one lookup per filter pass, each of the two files no Get
+	// has probed yet is opened once, for its filter.
+	m := during(absent)
+	if passes := m.BloomChecks - m.BloomNegatives; m.BloomChecks != 4*(n-1) || m.BloomNegatives < 4*n*9/10 || m.TableCacheHits+m.TableCacheMisses != passes+2 {
+		t.Fatalf("absent keys: %d checks, %d negatives, %d table-cache lookups", m.BloomChecks, m.BloomNegatives, m.TableCacheHits+m.TableCacheMisses)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{L0CompactionTrigger: 100}); err != nil {
+		t.Fatal(err)
+	}
+	m = during(absent)
+	if passes := m.BloomChecks - m.BloomNegatives; m.BloomNegatives < 4*n*9/10 || m.TableCacheMisses != 4 || m.TableCacheHits > passes {
+		t.Fatalf("after a reopen: %d negatives, %d passes, table cache %d misses / %d hits; want one open per file, to fetch its filter", m.BloomNegatives, passes, m.TableCacheMisses, m.TableCacheHits)
+	}
+	getAll('c', 3000)
 }

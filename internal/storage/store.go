@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -34,10 +35,11 @@ type Options struct {
 	// CompactionThreads sets the background compaction parallelism
 	// (default 1; the RocksDB-style baseline raises it, §2.2).
 	CompactionThreads int
-	// BlockCacheBytes bounds the shared cache of sstable blocks, which
-	// point reads fill and iterators only consult. 0 selects
-	// DefaultBlockCacheBytes; negative disables block caching (every read
-	// hits the file).
+	// BlockCacheBytes bounds the shared read cache. Point reads fill it
+	// with the rows they found; iterators and compaction neither fill nor
+	// consult it; the name is historical (it held blocks). 0 selects
+	// DefaultBlockCacheBytes; negative disables it (every Get that passes
+	// the filters reads a block from the file).
 	BlockCacheBytes int64
 	// TableCacheCapacity bounds the number of concurrently open sstable
 	// readers (fd budget). 0 selects DefaultTableCacheCapacity.
@@ -47,7 +49,7 @@ type Options struct {
 	Events *obs.EventLog
 }
 
-// DefaultBlockCacheBytes is the block-cache budget when the caller does
+// DefaultBlockCacheBytes is the read-cache budget when the caller does
 // not choose one: large enough that the warm working set of a benchmark
 // store lives in memory, small next to the memory component itself.
 const DefaultBlockCacheBytes = 32 << 20
@@ -83,11 +85,13 @@ type Store struct {
 	vs    *versionSet
 	cache *tableCache
 
-	// bcache is the shared block cache (nil when disabled); metrics
-	// aggregates bloom-filter counters across every reader the table
-	// cache opens.
-	bcache  *cache.Cache
-	metrics sstable.ReaderMetrics
+	// bcache is the shared row cache (nil when disabled). bloomChecks
+	// counts the table filters point reads consulted, bloomNegatives the
+	// ones that answered "definitely absent" and so spared the probe its
+	// table handle and its block read.
+	bcache         *cache.Cache
+	bloomChecks    atomic.Uint64
+	bloomNegatives atomic.Uint64
 
 	// compacting marks input files of in-flight compactions; compactPtr
 	// implements LevelDB's round-robin pick within a level. Both guarded
@@ -134,8 +138,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.bcache = cache.New(bytes)
 	}
-	tc := newTableCache(dir, opts.TableCacheCapacity,
-		sstable.ReaderOptions{BlockCache: s.bcache, Metrics: &s.metrics})
+	tc := newTableCache(dir, opts.TableCacheCapacity, sstable.ReaderOptions{BlockCache: s.bcache})
 	vs, err := openVersionSet(dir, tc)
 	if err != nil {
 		tc.Close()
@@ -287,9 +290,15 @@ func (s *Store) noteCachePressure() {
 
 // Get returns the newest version of key on disk.
 func (s *Store) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
+	return s.GetHashed(key, keys.Hash(key))
+}
+
+// GetHashed is Get for a caller that has computed h, the keys.Hash of key,
+// for a filter of its own: a point read hashes its key once.
+func (s *Store) GetHashed(key []byte, h uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
 	v := s.vs.refCurrent()
 	defer s.vs.releaseVersion(v)
-	return v.get(s.cache, key)
+	return v.getAt(s, key, h, math.MaxUint64)
 }
 
 // NewIterator returns a merged iterator over a snapshot of the disk
@@ -325,7 +334,7 @@ func (s *Store) ReleaseVersion(v *Version) { s.vs.releaseVersion(v) }
 // GetAt returns the newest occurrence of key with seq <= maxSeq in the
 // pinned version v.
 func (s *Store) GetAt(v *Version, key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
-	return v.getAt(s.cache, key, maxSeq)
+	return v.getAt(s, key, keys.Hash(key), maxSeq)
 }
 
 // NewVersionIterator builds a merged iterator over the pinned version v,
@@ -441,8 +450,8 @@ func (s *Store) Metrics() Metrics {
 		Flushes:        s.flushes.Load(),
 		Compactions:    s.compactions.Load(),
 		CachedTables:   s.cache.Len(),
-		BloomChecks:    s.metrics.BloomChecks.Load(),
-		BloomNegatives: s.metrics.BloomNegatives.Load(),
+		BloomChecks:    s.bloomChecks.Load(),
+		BloomNegatives: s.bloomNegatives.Load(),
 	}
 	if s.bcache != nil {
 		bst := s.bcache.Stats()

@@ -2,10 +2,12 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"sync/atomic"
 
+	"flodb/internal/cache"
 	"flodb/internal/keys"
+	"flodb/internal/sstable"
 )
 
 // NumLevels is the depth of the on-disk hierarchy (L0..L6, as in LevelDB).
@@ -20,6 +22,37 @@ type FileMeta struct {
 	MinSeq   uint64
 	MaxSeq   uint64
 	Count    uint64
+
+	// filter points at the cell holding the table's filter, which is how a
+	// point read rejects the file without opening it. The cell is shared by
+	// every copy of the metadata (versions hand files on by pointer, edits
+	// by value), starts empty — the manifest does not carry filters — and is
+	// filled from the table's Reader by the first probe that needs it.
+	filter *atomic.Pointer[sstable.Filter]
+}
+
+// noFilter fills the cell of a table written without a filter.
+var noFilter = new(sstable.Filter)
+
+// tableFilter returns f's filter, nil if its table has none, opening the
+// table to fetch it if no probe has yet.
+func (f *FileMeta) tableFilter(tc *tableCache) (*sstable.Filter, error) {
+	flt := f.filter.Load()
+	if flt == nil {
+		r, h, err := tc.Get(f.Num)
+		if err != nil {
+			return nil, err
+		}
+		if flt = r.Filter(); flt == nil {
+			flt = noFilter
+		}
+		h.Release()
+		f.filter.Store(flt)
+	}
+	if flt == noFilter {
+		return nil, nil
+	}
+	return flt, nil
 }
 
 func (f *FileMeta) overlaps(lo, hi []byte) bool {
@@ -65,43 +98,32 @@ func (v *Version) TotalFiles() int {
 	return n
 }
 
-// get searches the version for key, newest level first. Within L0 all
-// overlapping files are consulted and the highest sequence number wins
-// (flushes are sequential, but this is robust even if they were not).
-func (v *Version) get(cache *tableCache, key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
-	return v.getAt(cache, key, math.MaxUint64)
-}
-
-// getAt searches the version for the newest occurrence of key with
-// seq <= maxSeq. Files whose version of the key is newer than maxSeq are
-// skipped and the search continues in older files and deeper levels —
-// the read path of a sequence-bounded snapshot over a pinned version.
-func (v *Version) getAt(cache *tableCache, key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
-	var (
-		bestSeq  uint64
-		bestVal  []byte
-		bestKind keys.Kind
-		found    bool
-	)
+// getAt searches the version for the newest occurrence of key (h is its
+// keys.Hash) with seq <= maxSeq, newest level first. Files whose version of
+// the key is newer than maxSeq are skipped and the search continues in
+// older files and deeper levels — the read path of a sequence-bounded
+// snapshot over a pinned version. L0 is walked newest file first until the
+// answer in hand is newer than anything the remaining files hold; flushes
+// have disjoint sequence ranges, and the guard reads them from the
+// metadata, so a file that breaks the pattern is still consulted.
+func (v *Version) getAt(s *Store, key []byte, h, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
 	for _, f := range v.files[0] {
+		if ok && f.MaxSeq < seq {
+			break
+		}
 		if !f.overlaps(key, key) {
 			continue
 		}
-		r, h, err := cache.Get(f.Num)
+		val, sq, k, hit, err := s.probe(f, key, h)
 		if err != nil {
 			return nil, 0, 0, false, err
 		}
-		val, s, k, hit, err := r.Get(key)
-		h.Release()
-		if err != nil {
-			return nil, 0, 0, false, err
-		}
-		if hit && s <= maxSeq && (!found || s > bestSeq) {
-			bestSeq, bestVal, bestKind, found = s, val, k, true
+		if hit && sq <= maxSeq && (!ok || sq > seq) {
+			value, seq, kind, ok = val, sq, k, true
 		}
 	}
-	if found {
-		return bestVal, bestSeq, bestKind, true, nil
+	if ok {
+		return value, seq, kind, true, nil
 	}
 	for l := 1; l < NumLevels; l++ {
 		files := v.files[l]
@@ -114,20 +136,46 @@ func (v *Version) getAt(cache *tableCache, key []byte, maxSeq uint64) (value []b
 		if i == len(files) || keys.Compare(files[i].Smallest, key) > 0 {
 			continue
 		}
-		r, h, err := cache.Get(files[i].Num)
+		val, sq, k, hit, err := s.probe(files[i], key, h)
 		if err != nil {
 			return nil, 0, 0, false, err
 		}
-		val, s, k, hit, err := r.Get(key)
-		h.Release()
-		if err != nil {
-			return nil, 0, 0, false, err
-		}
-		if hit && s <= maxSeq {
-			return val, s, k, true, nil
+		if hit && sq <= maxSeq {
+			return val, sq, k, true, nil
 		}
 	}
 	return nil, 0, 0, false, nil
+}
+
+// probe looks key (h is its keys.Hash) up in one file whose range covers it,
+// paying for each step only if the one before could not answer: the file's
+// filter (no table handle, no Reader), the row cache, and only then a
+// pinned Reader and the one block read of Reader.Fetch.
+func (s *Store) probe(f *FileMeta, key []byte, h uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
+	flt, err := f.tableFilter(s.cache)
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	if flt != nil {
+		s.bloomChecks.Add(1)
+		if !flt.MayContain(h) {
+			s.bloomNegatives.Add(1)
+			return nil, 0, 0, false, nil
+		}
+	}
+	if row := sstable.CachedRow(s.bcache, f.Num, h, key); row != nil {
+		return row.Value, row.Seq, row.Kind, true, nil
+	}
+	// tableCache.Get's hit path, spelled out: it inlines here, which keeps
+	// the handle of an open table on this stack.
+	hd := s.cache.c.Get(cache.Key{ID: f.Num})
+	if hd == nil {
+		if _, hd, err = s.cache.Get(f.Num); err != nil {
+			return nil, 0, 0, false, err
+		}
+	}
+	defer hd.Release()
+	return hd.Value().(*sstable.Reader).Fetch(key, h)
 }
 
 // newIterator builds a merged iterator over every file in the version.
@@ -195,6 +243,7 @@ func (b *versionBuilder) apply(e *VersionEdit) {
 	}
 	for _, a := range e.Added {
 		f := a.Meta
+		f.filter = new(atomic.Pointer[sstable.Filter])
 		b.added[a.Level] = append(b.added[a.Level], &f)
 	}
 }

@@ -244,14 +244,15 @@ func WithShards(n int) Option {
 	})
 }
 
-// WithBlockCacheSize sets the budget, in bytes, of the shared cache of
-// sstable blocks on the point-read path (default 32 MiB). Repeat Gets of
-// warm blocks skip both the I/O and the checksum; iterators and
-// compaction consult the cache but never fill it. On a sharded
-// store the budget is the TOTAL, split evenly across shards like
-// WithMemory. Non-positive sizes are rejected by Open; to measure the
-// uncached read path, use a 1-byte cache (nothing fits, every read
-// misses).
+// WithBlockCacheSize sets the budget, in bytes, of the read cache below
+// the memory component (default 32 MiB). Point reads fill the cache with
+// the rows they found; iterators and compaction neither fill nor consult
+// it; the option name is historical (the cache held sstable blocks). A
+// repeat Get of a warm key skips the table handle, the index search, the
+// I/O and the checksum. On a sharded store the budget is the TOTAL, split
+// evenly across shards like WithMemory. Non-positive sizes are rejected
+// by Open; to measure the uncached read path, use a 1-byte cache (nothing
+// fits, every read misses).
 func WithBlockCacheSize(bytes int64) Option {
 	return optionFunc(func(o *options) {
 		if bytes <= 0 {
