@@ -94,7 +94,7 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 		writeQ     = fs.Int("write-quorum", 0, "gateway: owner acks per write W (default R)")
 		readQ      = fs.Int("read-quorum", 0, "gateway: owner answers per read Rq (default 1)")
 		maxConns   = fs.Int("max-conns", 0, "max concurrent connections (0 = default 1024)")
-		maxInFl    = fs.Int("max-inflight", 0, "max in-flight requests per connection (0 = default 128)")
+		maxInFl    = fs.Int("max-inflight", 0, "max requests per connection running off its reader: all but point Get/Put/Delete (0 = default 128)")
 		leaseIdle  = fs.Duration("lease-idle", 0, "idle snapshot/iterator lease expiry (0 = default 5m)")
 		slow       = fs.Duration("slow", 0, "slow-request accounting threshold (0 = default 1s)")
 		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /events, /statsz and /debug/pprof on this HTTP address (empty = disabled)")

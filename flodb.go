@@ -93,7 +93,6 @@ import (
 	"context"
 
 	"flodb/internal/core"
-	"flodb/internal/keys"
 	"flodb/internal/kv"
 	"flodb/internal/obs"
 	"flodb/internal/shard"
@@ -261,11 +260,7 @@ func (db *DB) Sync(ctx context.Context) error {
 // Get returns the current value of key. found is false if the key is
 // absent or deleted. The returned slice is a copy.
 func (db *DB) Get(ctx context.Context, key []byte) (value []byte, found bool, err error) {
-	v, ok, err := db.inner.Get(ctx, key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return keys.Clone(v), true, nil
+	return db.inner.Get(ctx, key)
 }
 
 // Scan returns all pairs with low <= key < high in key order. Nil bounds

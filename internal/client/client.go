@@ -265,6 +265,7 @@ type conn struct {
 	nc       net.Conn
 	maxFrame uint64     // negotiated in the handshake
 	wmu      sync.Mutex // serializes request frames
+	frame    []byte     // guarded by wmu: the request being written
 
 	mu      sync.Mutex
 	pending map[uint64]chan wire.Response
@@ -307,6 +308,7 @@ func (c *conn) brokenErr() error {
 
 // readLoop dispatches response frames to their pending request channels.
 // It takes over the handshake's reader (which may hold buffered bytes).
+// Every frame is read into a buffer of its own, which the caller then owns.
 func (c *conn) readLoop(br *bufio.Reader) {
 	for {
 		body, err := wire.ReadFrameLimit(br, nil, c.maxFrame)
@@ -355,10 +357,20 @@ func (c *conn) unregister(id uint64) {
 	c.mu.Unlock()
 }
 
-func (c *conn) write(frame []byte) error {
+// maxKeptFrame bounds the encode buffer a connection keeps between
+// requests: one large batch must not pin its frame for the connection's
+// life.
+const maxKeptFrame = 64 << 10
+
+// write encodes req into the connection's frame buffer and sends it.
+func (c *conn) write(req *wire.Request) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	_, err := c.nc.Write(frame)
+	c.frame = wire.AppendRequest(c.frame[:0], req)
+	_, err := c.nc.Write(c.frame)
+	if cap(c.frame) > maxKeptFrame {
+		c.frame = nil
+	}
 	return err
 }
 
@@ -392,7 +404,7 @@ func (c *conn) call(ctx context.Context, req *wire.Request) (wire.Response, erro
 	if err != nil {
 		return wire.Response{}, err
 	}
-	if err := c.write(wire.AppendRequest(nil, req)); err != nil {
+	if err := c.write(req); err != nil {
 		c.unregister(req.ID)
 		c.close(fmt.Errorf("client: write: %v: %w", err, kv.ErrUnavailable))
 		return wire.Response{}, c.brokenErr()
@@ -406,11 +418,7 @@ func (c *conn) call(ctx context.Context, req *wire.Request) (wire.Response, erro
 	case <-ctx.Done():
 		c.unregister(req.ID)
 		// Best-effort server-side cancel; the late response is discarded.
-		cancelFrame := wire.AppendRequest(nil, &wire.Request{
-			Op:      wire.OpCancel,
-			Payload: binary.AppendUvarint(nil, req.ID),
-		})
-		c.write(cancelFrame)
+		c.write(&wire.Request{Op: wire.OpCancel, Payload: binary.AppendUvarint(nil, req.ID)})
 		return wire.Response{}, ctx.Err()
 	case <-c.done:
 		return wire.Response{}, c.brokenErr()
@@ -667,7 +675,7 @@ func getVia(ctx context.Context, c caller, handle uint64, key []byte) ([]byte, b
 	if resp.Payload[0] == 0 {
 		return nil, false, nil
 	}
-	return append([]byte(nil), resp.Payload[1:]...), true, nil
+	return resp.Payload[1:], true, nil // readLoop gave the frame to this call
 }
 
 func scanVia(ctx context.Context, c caller, handle uint64, low, high []byte) ([]kv.Pair, error) {

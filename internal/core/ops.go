@@ -36,15 +36,16 @@ func (db *DB) putHandle(h *rcu.Handle) {
 // Get implements Algorithm 2: search MBF, IMM_MBF, MTB, IMM_MTB, DISK in
 // order and return the first occurrence — the levels are checked in the
 // direction of data flow, so the first hit is the freshest. get lists what
-// each step costs.
+// each step costs. The value returned is a copy: it belongs to the caller.
 func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if t := db.tel; t != nil {
 		start := time.Now()
 		v, ok, err := db.get(ctx, key)
 		t.getLat.Observe(time.Since(start))
-		return v, ok, err
+		return keys.Clone(v), ok, err
 	}
-	return db.get(ctx, key)
+	v, ok, err := db.get(ctx, key)
+	return keys.Clone(v), ok, err
 }
 
 // get pays only for the component that holds the key. In order:

@@ -43,7 +43,8 @@ type Pair struct {
 // subsequent positioning call.
 type View interface {
 	// Get returns the value of key in this view. found is false if the
-	// key is absent or deleted.
+	// key is absent or deleted. The value belongs to the caller, and the
+	// key is not kept (see Store).
 	Get(ctx context.Context, key []byte) (value []byte, found bool, err error)
 	// Scan returns all pairs with low <= key < high, in key order, as of
 	// one point in time (on a single FloDB engine, linearizable).
@@ -73,6 +74,13 @@ type View interface {
 // WriteOption (WithSync, WithDurability). Requesting a logged class
 // (Buffered or Sync) on a store configured without a commit log fails
 // with ErrNotSupported rather than silently downgrading.
+//
+// Ownership: an implementation keeps none of the slices a call is handed.
+// Once Put, Delete, Apply or Get returns, the caller may overwrite the
+// key and value buffers it passed (and reuse a Batch after Reset), and a
+// value Get returns belongs to the caller, who may modify it. A store
+// that retains its inputs copies them; one that returns its own memory
+// returns a copy.
 type Store interface {
 	View
 	// Put inserts or overwrites key with value.

@@ -1,15 +1,26 @@
 // Package server is flodbd's service tier: it exposes one shared kv.Store
 // over the internal/wire protocol to many network clients.
 //
-// Concurrency model: one reader goroutine per connection decodes frames
-// and dispatches EACH request into its own handler goroutine, so
-// independent requests pipelined on a single connection execute
-// concurrently against the store — the group-commit WAL and the
-// Membuffer's parallel write path only pay off when many requests are in
-// flight at once. Two backpressure valves bound the fan-out: a
-// per-connection in-flight semaphore (the reader stops draining the
-// socket when a client pipelines past it, pushing back through TCP) and a
-// max-connections cap at accept time.
+// Concurrency model: one reader goroutine per connection decodes frames.
+// A point request — Get, Put or Delete with no deadline and not
+// Sync-class, on a server fronting its own engine (Config.Store ==
+// Config.Local) — executes right there on the reader, reading its key
+// out of the read buffer: no goroutine, no context, no copy. Its
+// response waits in the connection's buffered writer, which the reader
+// flushes when no further request is buffered, so a pipelined burst is
+// answered in a few socket writes. Every other request (Sync-class
+// writes, whose fsync group commit wants concurrent; batches; scans,
+// iterators and snapshots; anything carrying a deadline; everything a
+// gateway forwards over the network) leaves the reader for a goroutine
+// of its own, registered for OpCancel, and flushes its own response.
+//
+// So parallelism is across connections; within one, point requests run
+// in arrival order. A store opened with Sync as its default class runs
+// default-class writes on the reader too, one fsync at a time per
+// connection. Two backpressure valves bound the fan-out: a
+// per-connection cap on requests running on goroutines of their own (the
+// reader stops draining the socket past it, pushing back through TCP) and
+// a max-connections cap at accept time.
 //
 // Server-side state: snapshots and iterators live in a per-connection
 // lease table keyed by the handle the open call returned. A janitor
@@ -22,7 +33,8 @@
 //
 // Shutdown is a drain, not a guillotine: stop accepting, stop READING
 // new requests, let every in-flight request finish and flush its
-// response, then close the connections. The store itself is closed by
+// response (the reader flushes what its point requests left buffered),
+// then close the connections. The store itself is closed by
 // the caller (cmd/flodbd) after the drain, so acked Buffered writes get
 // the close-time WAL sync the durability contract promises.
 package server
@@ -69,9 +81,10 @@ type Config struct {
 	// MaxConns caps concurrent connections; further accepts are closed
 	// immediately (and counted in Info().ConnsRejected). Default 1024.
 	MaxConns int
-	// MaxInFlight caps concurrently executing requests per connection;
-	// past it the connection's reader blocks, pushing back through TCP.
-	// Default 128.
+	// MaxInFlight caps the requests of one connection running on
+	// goroutines of their own; past it the connection's reader blocks,
+	// pushing back through TCP. Point requests the reader executes itself
+	// run one at a time and take no slot. Default 128.
 	MaxInFlight int
 	// LeaseIdle is how long an untouched snapshot/iterator lease survives
 	// before the janitor releases it. Default 5m.
@@ -101,7 +114,7 @@ type Server struct {
 	draining  bool
 	closed    bool
 
-	reqWG sync.WaitGroup // every in-flight request handler
+	reqWG sync.WaitGroup // every in-flight request handler and connection reader
 
 	// Observability (Info / OpStats).
 	connsOpen     atomic.Int64
@@ -189,7 +202,7 @@ func (s *Server) initObs() {
 		func() uint64 { return s.connsTotal.Load() })
 	reg.CounterFunc("flodbd_conns_rejected_total", "Connections refused at the MaxConns cap.",
 		func() uint64 { return s.connsRejected.Load() })
-	reg.GaugeFunc("flodbd_requests_in_flight", "Requests currently executing.",
+	reg.GaugeFunc("flodbd_requests_in_flight", "Requests executing on goroutines of their own (point requests run on their connection's reader).",
 		func() int64 { return maxInt64(s.inFlight.Load(), 0) })
 	reg.CounterFunc("flodbd_bytes_in_total", "Request bytes read off the wire.",
 		func() uint64 { return s.bytesIn.Load() })
@@ -413,9 +426,11 @@ type serverConn struct {
 	srv *Server
 	nc  net.Conn
 
-	wmu sync.Mutex // serializes response frames
+	wmu   sync.Mutex    // serializes response frames
+	bw    *bufio.Writer // guarded by wmu
+	frame []byte        // guarded by wmu: the response header being written
 
-	sem chan struct{} // in-flight tokens
+	sem chan struct{} // tokens for requests off the reader
 
 	mu         sync.Mutex
 	leases     map[uint64]*lease
@@ -423,7 +438,7 @@ type serverConn struct {
 	nextHandle uint64
 	closed     bool
 
-	connWG sync.WaitGroup // this connection's in-flight handlers
+	connWG sync.WaitGroup // this connection's handler goroutines
 
 	// maxFrame is the cap negotiated in the handshake (min of the two
 	// offers); reads and responses on this connection stay under it.
@@ -440,6 +455,7 @@ func (s *Server) newConn(nc net.Conn) *serverConn {
 	return &serverConn{
 		srv:      s,
 		nc:       nc,
+		bw:       bufio.NewWriter(nc),
 		sem:      make(chan struct{}, s.cfg.MaxInFlight),
 		leases:   map[uint64]*lease{},
 		inflight: map[uint64]context.CancelFunc{},
@@ -517,23 +533,47 @@ func (c *serverConn) expireLeases(cutoff time.Time) int {
 	return len(victims)
 }
 
-// run is the reader loop: frame -> request -> handler goroutine.
+// startReader counts a connection's reader into the drain, unless the
+// drain has begun: a reader that clears its handshake deadline after
+// Shutdown set its stop deadline would otherwise never stop.
+func (s *Server) startReader() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining || s.closed {
+		return false
+	}
+	s.reqWG.Add(1)
+	return true
+}
+
+// run is the reader loop: frame -> request -> executed here (a point
+// request) or on a handler goroutine (everything else).
 func (c *serverConn) run() {
-	defer func() {
-		// Drain path: the read deadline popped while requests were still
-		// executing. Let them finish and flush before the socket closes.
-		c.connWG.Wait()
-		c.close()
-	}()
 	br := bufio.NewReader(c.nc)
-	if err := c.handshake(br); err != nil {
-		if err != io.EOF && !isClosedErr(err) {
+	if err := c.handshake(br); err != nil || !c.srv.startReader() {
+		if err != nil && err != io.EOF && !isClosedErr(err) {
 			c.srv.logf("server: %s: handshake: %v", c.nc.RemoteAddr(), err)
 		}
+		c.close()
 		return
 	}
+	defer func() {
+		// Drain path: the read deadline popped. Send what point requests
+		// left in the writer and let handlers finish and flush theirs
+		// before the socket closes.
+		c.flush()
+		c.connWG.Wait()
+		c.close()
+		c.srv.reqWG.Done()
+	}()
+	inlineOK := c.srv.cfg.Store == c.srv.cfg.Local
 	var buf []byte
-	for {
+	// A failed response write cancels baseCtx: stop executing requests
+	// whose answers can go nowhere.
+	for c.baseCtx.Err() == nil {
+		if br.Buffered() == 0 {
+			c.flush() // the burst is drained: answer it before blocking
+		}
 		body, err := wire.ReadFrameLimit(br, buf, c.maxFrame)
 		if err != nil {
 			if err != io.EOF && !isClosedErr(err) {
@@ -541,14 +581,14 @@ func (c *serverConn) run() {
 			}
 			return
 		}
-		buf = body[:cap(body)] // reuse: handlers get a copy of the payload
+		buf = body[:cap(body)]
 		c.srv.bytesIn.Add(uint64(len(body)) + uint64(uvarintLen(uint64(len(body)))))
 		req, err := wire.ParseRequest(body)
 		if err != nil {
 			// A malformed frame poisons the stream (framing may be lost):
 			// answer if the id parsed, then drop the connection.
 			c.srv.logf("server: %s: %v", c.nc.RemoteAddr(), err)
-			c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest, Payload: []byte(err.Error())})
+			c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest, Payload: []byte(err.Error())}, false)
 			return
 		}
 		c.srv.requestsByOp[req.Op].Add(1)
@@ -558,15 +598,38 @@ func (c *serverConn) run() {
 			c.handleCancel(req.Payload)
 			continue
 		}
-		// The payload aliases the read buffer, which the next ReadFrame
-		// reuses once the handler runs concurrently — copy it out.
+		if inlineOK && runsInline(&req) {
+			// Done before the next read reuses buf, which the payload
+			// aliases: stores do not keep the slices they are handed.
+			c.exec(c.baseCtx, &req, false)
+			continue
+		}
+		// A handler runs while the next frame is read into buf: it gets a
+		// copy of the payload.
 		req.Payload = append([]byte(nil), req.Payload...)
-		c.sem <- struct{}{} // backpressure: cap in-flight per connection
+		select {
+		case c.sem <- struct{}{}: // backpressure: cap handlers per connection
+		default:
+			c.flush() // about to block: do not hold answers back meanwhile
+			c.sem <- struct{}{}
+		}
 		c.srv.reqWG.Add(1)
 		c.connWG.Add(1)
 		c.srv.inFlight.Add(1)
 		go c.handle(req)
 	}
+}
+
+// runsInline reports whether req executes on its connection's reader: a
+// point request that can wait on nothing but the engine. A Sync-class
+// write waits on an fsync that group commit wants shared with concurrent
+// writes, and a deadline needs a context of its own.
+func runsInline(req *wire.Request) bool {
+	switch req.Op {
+	case wire.OpGet, wire.OpPut, wire.OpDelete:
+		return req.Durability != kv.DurabilitySync && req.TimeoutNanos == 0
+	}
+	return false
 }
 
 func isClosedErr(err error) bool {
@@ -620,24 +683,11 @@ func (c *serverConn) handleCancel(payload []byte) {
 	}
 }
 
-// handle executes one request and writes its response.
+// handle runs one request on a goroutine of its own. Around exec it adds
+// only what such a request needs: a context with its deadline and trace,
+// a cancel registration for OpCancel, and its in-flight slot.
 func (c *serverConn) handle(req wire.Request) {
-	start := time.Now()
 	defer func() {
-		d := time.Since(start)
-		c.srv.opLat[req.Op].Observe(d)
-		if d >= c.srv.cfg.SlowRequest {
-			c.srv.slowRequests.Add(1)
-			// The slow-request line carries everything needed to chase
-			// the outlier across tiers: the decoded op, the key size
-			// (value sizes dominate frame length, key length is the
-			// routing input), the durability class (a Sync fsync wait
-			// is the usual innocent explanation), and the trace ID the
-			// coordinator stamped.
-			c.srv.logf("server: %s: slow request: op=%s dur=%v key=%dB durability=%v trace=%s",
-				c.nc.RemoteAddr(), req.Op, d.Round(time.Microsecond),
-				requestKeyLen(&req), req.Durability, obs.TraceString(req.TraceID))
-		}
 		c.srv.inFlight.Add(-1)
 		c.connWG.Done()
 		c.srv.reqWG.Done()
@@ -671,33 +721,77 @@ func (c *serverConn) handle(req wire.Request) {
 		c.mu.Unlock()
 		cancel()
 	}()
+	c.exec(ctx, &req, true)
+}
 
-	payload, err := c.dispatch(ctx, &req)
+// exec executes one request and writes its response, on whichever
+// goroutine runs it: dispatch, encode, and the latency and slow-request
+// accounting. flush sends the response now (a handler's); otherwise it
+// waits in the writer for the reader to drain its burst.
+func (c *serverConn) exec(ctx context.Context, req *wire.Request, flush bool) {
+	start := time.Now()
+	payload, err := c.dispatch(ctx, req)
 	if err == nil && c.maxFrame > 0 && uint64(len(payload))+24 > c.maxFrame {
 		// The negotiated cap binds the server too: a response the client
 		// would refuse to read must become an error, not a dead stream.
 		err = badRequestf("response of %d bytes exceeds negotiated frame cap %d (stream through an iterator)",
 			len(payload), c.maxFrame)
 	}
-	resp := wire.Response{ID: req.ID}
+	resp := wire.Response{ID: req.ID, Payload: payload}
 	if err != nil {
 		var msg string
 		resp.Status, msg = wire.StatusOf(err)
 		resp.Payload = []byte(msg)
-	} else {
-		resp.Payload = payload
 	}
-	c.writeResponse(&resp)
+	c.writeResponse(&resp, flush)
+
+	d := time.Since(start)
+	c.srv.opLat[req.Op].Observe(d)
+	if d >= c.srv.cfg.SlowRequest {
+		c.srv.slowRequests.Add(1)
+		// The slow-request line carries everything needed to chase the
+		// outlier across tiers: the decoded op, the key size (value sizes
+		// dominate frame length, key length is the routing input), the
+		// durability class (a Sync fsync wait is the usual innocent
+		// explanation), and the trace ID the coordinator stamped.
+		c.srv.logf("server: %s: slow request: op=%s dur=%v key=%dB durability=%v trace=%s",
+			c.nc.RemoteAddr(), req.Op, d.Round(time.Microsecond),
+			requestKeyLen(req), req.Durability, obs.TraceString(req.TraceID))
+	}
 }
 
-func (c *serverConn) writeResponse(r *wire.Response) {
-	frame := wire.AppendResponse(nil, r)
+// writeResponse puts r in the connection's writer, and sends everything
+// there when flush is set. The header goes through the reused frame
+// buffer and the payload straight into the writer. A failed write closes
+// the connection: the writer keeps the error, so every later response on
+// it would be lost too.
+func (c *serverConn) writeResponse(r *wire.Response, flush bool) {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, err := c.nc.Write(frame); err != nil {
+	c.frame = wire.AppendResponseHeader(c.frame[:0], r)
+	n := len(c.frame) + len(r.Payload)
+	_, err := c.bw.Write(c.frame)
+	if err == nil {
+		_, err = c.bw.Write(r.Payload)
+	}
+	if err == nil && flush {
+		err = c.bw.Flush()
+	}
+	c.wmu.Unlock()
+	if err != nil {
+		c.close()
 		return
 	}
-	c.srv.bytesOut.Add(uint64(len(frame)))
+	c.srv.bytesOut.Add(uint64(n))
+}
+
+// flush sends the responses waiting in the writer.
+func (c *serverConn) flush() {
+	c.wmu.Lock()
+	err := c.bw.Flush()
+	c.wmu.Unlock()
+	if err != nil {
+		c.close()
+	}
 }
 
 // --- Dispatch ----------------------------------------------------------------

@@ -1,12 +1,14 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"flodb/internal/core"
 	"flodb/internal/kv"
 	"flodb/internal/server"
+	"flodb/internal/wire"
 )
 
 // startServer opens a small FloDB store and serves it on a loopback
@@ -21,22 +24,39 @@ import (
 func startServer(t *testing.T, cfg server.Config) (addr string, store *core.DB, srv *server.Server, dir string) {
 	t.Helper()
 	dir = t.TempDir()
+	store = openStore(t, dir)
+	cfg.Store = store
+	srv, addr = serve(t, cfg, nil)
+	return addr, store, srv, dir
+}
+
+func openStore(t *testing.T, dir string) *core.DB {
+	t.Helper()
 	store, err := core.Open(core.Config{Dir: dir, MemoryBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Store = store
-	srv = server.New(cfg)
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
+// serve runs a server for cfg on a loopback listener, accepting through
+// tap when it is not nil.
+func serve(t *testing.T, cfg server.Config, tap *tapListener) (*server.Server, string) {
+	t.Helper()
+	srv := server.New(cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
-	t.Cleanup(func() {
-		srv.Close()
-		store.Close()
-	})
-	return l.Addr().String(), store, srv, dir
+	var served net.Listener = l
+	if tap != nil {
+		tap.Listener = l
+		served = tap
+	}
+	go srv.Serve(served)
+	t.Cleanup(srv.Close)
+	return srv, l.Addr().String()
 }
 
 func dial(t *testing.T, addr string, opts ...client.Option) *client.Client {
@@ -327,11 +347,32 @@ func TestDrainFlushesInFlight(t *testing.T) {
 	}
 	wg.Wait()
 
+	// Point requests answered on the reader wait in its writer until no
+	// further request is buffered. Leave the reader stuck inside a
+	// half-sent frame after a burst of Gets, so their answers are still
+	// buffered when the drain starts: the drain must deliver them.
+	nc, br := rawDial(t, l.Addr().String())
+	const gets = 32
+	var burst []byte
+	for i := 0; i < gets; i++ {
+		burst = wire.AppendRequest(burst, &wire.Request{ID: uint64(i + 1), Op: wire.OpGet, Payload: []byte(fmt.Sprintf("d%04d", i))})
+	}
+	partial := wire.AppendRequest(nil, &wire.Request{ID: gets + 1, Op: wire.OpGet, Payload: []byte("d0000")})
+	if _, err := nc.Write(append(burst, partial[:len(partial)-2]...)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Info().RequestsByOp["get"] < gets; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server read %d of %d Gets", srv.Info().RequestsByOp["get"], gets)
+		}
+	}
+
 	sctx, scancel := context.WithTimeout(ctx, 10*time.Second)
 	defer scancel()
 	if err := srv.Shutdown(sctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+	readGets(t, br, gets, func(id uint64) string { return fmt.Sprintf("d%04d", id-1) })
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -437,5 +478,383 @@ func TestServerStress(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
 		t.Fatalf("drain after stress: %v", err)
+	}
+}
+
+// --- Point requests on the reader --------------------------------------------
+
+// rawDial opens a connection and runs the client half of the handshake,
+// for tests that need to control exactly which bytes reach the server.
+func rawDial(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := nc.Write(wire.AppendHello(nil, wire.LocalHello(0))); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	body, err := wire.ReadFrame(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ParseHello(body); err != nil {
+		t.Fatal(err)
+	}
+	return nc, br
+}
+
+// readGets reads n Get responses, in any order, and checks that ids 1..n
+// each came back once with the value want gives for it.
+func readGets(t *testing.T, br *bufio.Reader, n int, want func(id uint64) string) {
+	t.Helper()
+	seen := map[uint64]bool{}
+	for i := 0; i < n; i++ {
+		body, err := wire.ReadFrame(br, nil)
+		if err != nil {
+			t.Fatalf("response %d of %d: %v", i, n, err)
+		}
+		resp, err := wire.ParseResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID < 1 || resp.ID > uint64(n) || seen[resp.ID] {
+			t.Fatalf("response id %d: outside 1..%d or repeated", resp.ID, n)
+		}
+		seen[resp.ID] = true
+		if resp.Status != wire.StatusOK || len(resp.Payload) == 0 || resp.Payload[0] != 1 || string(resp.Payload[1:]) != want(resp.ID) {
+			t.Fatalf("response %d: status %d payload %q, want found %q", resp.ID, resp.Status, resp.Payload, want(resp.ID))
+		}
+	}
+}
+
+// tapListener wraps every accepted connection in a tapConn.
+type tapListener struct {
+	net.Listener
+	failAfter int64 // tapConn.failAfter for every connection; 0 never fails
+	mu        sync.Mutex
+	conns     []*tapConn
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	tc := &tapConn{Conn: nc, failAfter: l.failAfter}
+	l.mu.Lock()
+	l.conns = append(l.conns, tc)
+	l.mu.Unlock()
+	return tc, nil
+}
+
+func (l *tapListener) conn(i int) *tapConn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.conns[i]
+}
+
+// tapConn counts the server's socket writes, and fails every write that
+// would take the bytes written past failAfter.
+type tapConn struct {
+	net.Conn
+	failAfter int64
+	writes    atomic.Int64
+	written   atomic.Int64
+}
+
+var errInjected = errors.New("injected write failure")
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	if c.failAfter > 0 && c.written.Load()+int64(len(p)) > c.failAfter {
+		return 0, errInjected
+	}
+	c.written.Add(int64(len(p)))
+	return c.Conn.Write(p)
+}
+
+// A pipelined burst of point reads is answered in a handful of socket
+// writes, not one per request.
+func TestPipelinedGetsShareSocketWrites(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	const n = 64
+	for i := 1; i <= n; i++ {
+		if err := store.Put(context.Background(), []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tap := &tapListener{}
+	_, addr := serve(t, server.Config{Store: store}, tap)
+	nc, br := rawDial(t, addr)
+	before := tap.conn(0).writes.Load() // the handshake reply
+
+	var burst []byte
+	for i := 1; i <= n; i++ {
+		burst = wire.AppendRequest(burst, &wire.Request{ID: uint64(i), Op: wire.OpGet, Payload: []byte(fmt.Sprintf("k%02d", i))})
+	}
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	readGets(t, br, n, func(id uint64) string { return fmt.Sprintf("v%02d", id) })
+	if w := tap.conn(0).writes.Load() - before; w > 8 {
+		t.Fatalf("%d Get responses took %d socket writes, want <= 8", n, w)
+	}
+}
+
+// A response write that fails closes the connection: the reader stops
+// executing requests whose answers can go nowhere, the connection count
+// drops, and the drain finds no handler left behind.
+func TestFailedResponseWriteClosesConnection(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	if err := store.Put(context.Background(), []byte("k"), []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	tap := &tapListener{failAfter: 64} // the handshake reply fits, no response does
+	srv, addr := serve(t, server.Config{Store: store}, tap)
+	nc, _ := rawDial(t, addr)
+
+	// Point reads, with a ping every 50 requests for the handler path.
+	const n = 1000
+	var burst []byte
+	for i := 1; i <= n; i++ {
+		req := wire.Request{ID: uint64(i), Op: wire.OpGet, Payload: []byte("k")}
+		if i%50 == 0 {
+			req = wire.Request{ID: uint64(i), Op: wire.OpPing}
+		}
+		burst = wire.AppendRequest(burst, &req)
+	}
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Info().ConnsOpen != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("connection still open %v after its response writes failed", 10*time.Second)
+		}
+	}
+	if got := srv.Info().Requests; got >= n {
+		t.Fatalf("server executed all %d requests after its first response write failed", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain after the failed connection: %v", err)
+	}
+}
+
+// gateStore holds chosen requests inside the store until released: a
+// Sync-class Put, and a Get of the key "gate". Each one signals entered on
+// arrival; one whose context ends first signals canceled and fails.
+type gateStore struct {
+	kv.Store
+	entered, canceled chan struct{}
+	release           chan struct{}
+}
+
+func newGate(inner kv.Store) *gateStore {
+	return &gateStore{Store: inner, entered: make(chan struct{}, 16), canceled: make(chan struct{}, 16), release: make(chan struct{})}
+}
+
+func (g *gateStore) hold(ctx context.Context) error {
+	g.entered <- struct{}{}
+	select {
+	case <-g.release:
+		return nil
+	case <-ctx.Done():
+		g.canceled <- struct{}{}
+		return ctx.Err()
+	}
+}
+
+func (g *gateStore) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
+	var o kv.WriteOptions
+	for _, opt := range opts {
+		opt.ApplyWrite(&o)
+	}
+	if o.Durability == kv.DurabilitySync {
+		if err := g.hold(ctx); err != nil {
+			return err
+		}
+	}
+	return g.Store.Put(ctx, key, value, opts...)
+}
+
+func (g *gateStore) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
+	if string(key) == "gate" {
+		if err := g.hold(ctx); err != nil {
+			return nil, false, err
+		}
+	}
+	return g.Store.Get(ctx, key)
+}
+
+// within fails the test unless fn returns in time.
+func within(t *testing.T, d time.Duration, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(d):
+		t.Fatalf("%s: still waiting after %v", what, d)
+	}
+}
+
+func getsFlow(cl *client.Client, n int) error {
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("k%d", i))
+		if v, found, err := cl.Get(context.Background(), key); err != nil || !found || !bytes.Equal(v, key) {
+			return fmt.Errorf("get %s: %q %v %v", key, v, found, err)
+		}
+	}
+	return nil
+}
+
+func startGated(t *testing.T) (*gateStore, *server.Server, *client.Client) {
+	t.Helper()
+	store := openStore(t, t.TempDir())
+	for i := 0; i < 20; i++ {
+		key := []byte(fmt.Sprintf("k%d", i))
+		if err := store.Put(context.Background(), key, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := newGate(store)
+	srv, addr := serve(t, server.Config{Store: g}, nil)
+	return g, srv, dial(t, addr, client.WithConns(1))
+}
+
+// A Sync-class write waiting inside the store runs on a goroutine of its
+// own: point reads pipelined behind it on the same connection are
+// answered meanwhile.
+func TestSyncWriteDoesNotBlockPointReads(t *testing.T) {
+	g, _, cl := startGated(t)
+	putErr := make(chan error, 1)
+	go func() { putErr <- cl.Put(context.Background(), []byte("synced"), []byte("v"), kv.WithSync()) }()
+	<-g.entered
+	within(t, 10*time.Second, "Gets behind a blocked Sync Put", func() error { return getsFlow(cl, 20) })
+	close(g.release)
+	if err := <-putErr; err != nil {
+		t.Fatal(err)
+	}
+	if v, found, err := cl.Get(context.Background(), []byte("synced")); err != nil || !found || string(v) != "v" {
+		t.Fatalf("synced put: %q %v %v", v, found, err)
+	}
+}
+
+// OpCancel reaches a request on the handler path while point requests
+// keep flowing on the reader.
+func TestCancelReachesHandlerWhileReadsFlow(t *testing.T) {
+	g, srv, cl := startGated(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	putErr := make(chan error, 1)
+	go func() { putErr <- cl.Put(ctx, []byte("synced"), []byte("v"), kv.WithSync()) }()
+	<-g.entered
+	within(t, 10*time.Second, "Gets before the cancel", func() error { return getsFlow(cl, 20) })
+	cancel()
+	if err := <-putErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled put: %v", err)
+	}
+	select {
+	case <-g.canceled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server never canceled the Sync Put's context")
+	}
+	within(t, 10*time.Second, "Gets after the cancel", func() error { return getsFlow(cl, 20) })
+	for deadline := time.Now().Add(10 * time.Second); srv.Info().InFlight != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests still in flight", srv.Info().InFlight)
+		}
+	}
+}
+
+// A gateway (Store is not Local) fans requests out over the network, so
+// it never executes one on the reader: a Get held inside Store does not
+// hold up the next Get on the connection. Fronting its own engine, the
+// same server does run them in order on the reader.
+func TestGatewayNeverRunsInline(t *testing.T) {
+	for _, gateway := range []bool{true, false} {
+		t.Run(fmt.Sprintf("gateway=%v", gateway), func(t *testing.T) {
+			store := openStore(t, t.TempDir())
+			if err := store.Put(context.Background(), []byte("k0"), []byte("k0")); err != nil {
+				t.Fatal(err)
+			}
+			g := newGate(store)
+			cfg := server.Config{Store: g}
+			if gateway {
+				cfg.Local = store
+			}
+			_, addr := serve(t, cfg, nil)
+			cl := dial(t, addr, client.WithConns(1))
+			held := make(chan error, 1)
+			go func() {
+				_, _, err := cl.Get(context.Background(), []byte("gate"))
+				held <- err
+			}()
+			<-g.entered
+			next := make(chan error, 1)
+			go func() { next <- getsFlow(cl, 1) }()
+			if gateway {
+				within(t, 10*time.Second, "Get behind a held Get", func() error { return <-next })
+				close(g.release)
+			} else {
+				select {
+				case err := <-next:
+					t.Fatalf("Get answered (%v) while the Get before it on the reader was held", err)
+				case <-time.After(50 * time.Millisecond):
+				}
+				close(g.release)
+				if err := <-next; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := <-held; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// Point requests run on the reader still count in the per-opcode request
+// counters, the latency histograms and the slow-request counter.
+func TestInlineRequestsAreAccounted(t *testing.T) {
+	addr, _, srv, _ := startServer(t, server.Config{SlowRequest: time.Nanosecond})
+	cl := dial(t, addr, client.WithConns(1))
+	const n = 25
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("k%d", i))
+		if err := cl.Put(context.Background(), key, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := getsFlow(cl, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Delete(context.Background(), []byte("k0")); err != nil {
+		t.Fatal(err)
+	}
+	info := srv.Info()
+	if info.RequestsByOp["put"] != n || info.RequestsByOp["get"] != n || info.RequestsByOp["delete"] != 1 {
+		t.Fatalf("requests by op: %v", info.RequestsByOp)
+	}
+	if info.SlowRequests < 2*n+1 {
+		t.Fatalf("%d slow requests, want >= %d", info.SlowRequests, 2*n+1)
+	}
+	counts := map[string]uint64{}
+	for _, m := range srv.TelemetrySnapshot().Metrics {
+		if m.Hist != nil {
+			counts[m.Name] = m.Hist.Count
+		}
+	}
+	for op, want := range map[string]uint64{"put": n, "get": n, "delete": 1} {
+		if got := counts[`flodbd_request_seconds{op="`+op+`"}`]; got != want {
+			t.Fatalf("%s latency histogram holds %d observations, want %d", op, got, want)
+		}
 	}
 }

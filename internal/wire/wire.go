@@ -247,13 +247,20 @@ func ParseRequest(body []byte) (Request, error) {
 
 // AppendResponse appends r as one complete frame (length prefix included).
 func AppendResponse(dst []byte, r *Response) []byte {
+	return append(AppendResponseHeader(dst, r), r.Payload...)
+}
+
+// AppendResponseHeader appends r's frame up to its payload: the length
+// prefix (which counts the payload) and the id and status. Writing
+// r.Payload after it completes the frame, so a writer can send a large
+// payload without copying it into the frame.
+func AppendResponseHeader(dst []byte, r *Response) []byte {
 	var hdr [binary.MaxVarintLen64 + 1]byte
 	n := binary.PutUvarint(hdr[:], r.ID)
 	hdr[n] = byte(r.Status)
 	n++
 	dst = binary.AppendUvarint(dst, uint64(n+len(r.Payload)))
-	dst = append(dst, hdr[:n]...)
-	return append(dst, r.Payload...)
+	return append(dst, hdr[:n]...)
 }
 
 // ParseResponse decodes a frame body produced by AppendResponse. The
@@ -357,7 +364,8 @@ func ReadPairs(p []byte) ([]kv.Pair, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: pair count", ErrBadFrame)
 	}
 	p = p[n:]
-	pairs := make([]kv.Pair, 0, minUint64(count, 4096))
+	// Every pair takes at least two bytes: the count alone sizes nothing.
+	pairs := make([]kv.Pair, 0, minUint64(count, uint64(len(p)/2)))
 	for i := uint64(0); i < count; i++ {
 		k, rest, err := ReadBytes(p)
 		if err != nil {
@@ -663,7 +671,8 @@ func ReadVRecords(p []byte) ([]VRecord, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: vrecord count", ErrBadFrame)
 	}
 	p = p[n:]
-	recs := make([]VRecord, 0, minUint64(count, 4096))
+	// Every record takes at least four bytes: the count alone sizes nothing.
+	recs := make([]VRecord, 0, minUint64(count, uint64(len(p)/4)))
 	for i := uint64(0); i < count; i++ {
 		r, rest, err := ReadVRecord(p)
 		if err != nil {
