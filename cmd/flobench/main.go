@@ -11,9 +11,6 @@
 // shardbench, adaptive, ablate-*), or "all". An unknown figure name is
 // an error (exit 2) listing the valid names.
 //
-// -json writes the machine-readable per-figure results consumed by
-// cmd/benchdiff — the CI bench-trajectory format (BENCH_BASELINE.json).
-//
 // Sizes default to 1/1024 of the paper's (the column labels report the
 // paper-scale sizes); see DESIGN.md §3 and EXPERIMENTS.md for the scaling
 // rationale and expected shapes.
@@ -80,7 +77,6 @@ func main() {
 		scratch  = flag.String("scratch", "", "scratch directory (default under TMPDIR)")
 		diskBps  = flag.Float64("disk-bytes-per-sec", 0, "rate-limit persists to model a slower disk (0 = unlimited)")
 		csvPath  = flag.String("csv", "", "also append CSV output to this file")
-		jsonPath = flag.String("json", "", "also write machine-readable per-figure results to this file (the CI bench-trajectory format)")
 		verbose  = flag.Bool("v", false, "log per-cell progress")
 	)
 	flag.Usage = func() {
@@ -133,7 +129,6 @@ func main() {
 		defer f.Close()
 	}
 
-	doc := harness.NewBenchDoc()
 	start := time.Now()
 	for _, name := range names {
 		fn := figureFuncs[name]
@@ -147,13 +142,6 @@ func main() {
 		tbl.Render(os.Stdout)
 		if csv != nil {
 			tbl.RenderCSV(csv)
-		}
-		doc.AddTable(name, tbl)
-	}
-	if *jsonPath != "" {
-		if err := doc.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "flobench: write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
 		}
 	}
 	fmt.Printf("\nflobench: %d figure(s) in %v\n", len(names), time.Since(start).Round(time.Second))

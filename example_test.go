@@ -61,9 +61,9 @@ func ExampleOpen() {
 	// <nil>
 }
 
-// ExampleDB_NewIterator streams a range through a cursor: only a small
-// prefetch chunk is ever resident, so the same loop handles ranges far
-// larger than memory.
+// ExampleDB_NewIterator streams a range through a cursor: pairs are read
+// in place as it moves, so the same loop handles ranges far larger than
+// memory.
 func ExampleDB_NewIterator() {
 	dir := filepath.Join(os.TempDir(), "flodb-example-iter")
 	os.RemoveAll(dir)

@@ -591,12 +591,7 @@ func (b *base) scanFrom(ctx context.Context, mem, imm *memHandle, snap uint64, l
 	if err != nil {
 		return nil, err
 	}
-	defer it.Close()
-	var out []kv.Pair
-	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, kv.Pair{Key: keys.Clone(it.Key()), Value: keys.Clone(it.Value())})
-	}
-	return out, it.Err()
+	return kv.Collect(it)
 }
 
 // newSnapshotIter builds a streaming iterator over a captured view. The
@@ -690,12 +685,7 @@ func (s *baseSnapshot) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, e
 	if err != nil {
 		return nil, err
 	}
-	defer it.Close()
-	var out []kv.Pair
-	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, kv.Pair{Key: keys.Clone(it.Key()), Value: keys.Clone(it.Value())})
-	}
-	return out, it.Err()
+	return kv.Collect(it)
 }
 
 // NewIterator streams the snapshot's range. The iterator holds its own

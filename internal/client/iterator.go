@@ -24,7 +24,8 @@ type remoteIter struct {
 	chunk  int
 
 	buf        []kv.Pair
-	i          int // buf[i] is the current pair when positioned
+	i          int  // buf[i] is the current pair when positioned
+	started    bool // a positioning call has run
 	positioned bool
 	done       bool // server reported exhaustion past buf
 	err        error
@@ -67,7 +68,7 @@ func (it *remoteIter) fetch(cmd byte, seekKey []byte) bool {
 		it.err = err
 		return false
 	}
-	it.buf, it.i, it.done = pairs, 0, done
+	it.buf, it.i, it.done, it.started = pairs, 0, done, true
 	if len(pairs) == 0 {
 		it.positioned = false
 		return false
@@ -99,9 +100,12 @@ func (it *remoteIter) Next() bool {
 		it.err = err
 		return false
 	}
-	if !it.positioned {
-		// Next on an unpositioned iterator is First, per the contract.
+	if !it.started {
+		// Next on a fresh iterator is First, per the contract.
 		return it.fetch(wire.IterCmdFirst, nil)
+	}
+	if !it.positioned {
+		return false // ran out: stays out until First or Seek
 	}
 	if it.i+1 < len(it.buf) {
 		it.i++

@@ -651,22 +651,7 @@ func (c *Client) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) 
 	if err != nil {
 		return nil, err
 	}
-	defer it.Close()
-	return drainIter(it)
-}
-
-func drainIter(it kv.Iterator) ([]kv.Pair, error) {
-	var out []kv.Pair
-	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, kv.Pair{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return kv.Collect(it)
 }
 
 // NewIterator merges per-member range cursors, newest version winning on
@@ -710,7 +695,24 @@ func (c *Client) newMergedLive(ctx context.Context, low, high []byte) (kv.Iterat
 		return fail(fmt.Errorf("cluster: %d members down exceeds R-Rq=%d, scan coverage not guaranteed: %w",
 			downCount, c.cfg.Replication-c.cfg.ReadQuorum, kv.ErrUnavailable))
 	}
-	return newMergedIter(srcs), nil
+	return kv.Merge(srcs, newestLive, nil), nil
+}
+
+// newestLive is the scan merge's policy over the stored copies of one
+// key that the members' cursors hold: the highest version wins and a
+// winning tombstone skips the key — the rule Get applies to its
+// replies. A scan never writes, but it returns the repaired truth.
+func newestLive(copies [][]byte) ([]byte, bool) {
+	var bestVer uint64
+	var best []byte
+	bestTomb := false
+	for i, raw := range copies {
+		ver, tomb, payload := parseStored(raw)
+		if i == 0 || ver > bestVer {
+			bestVer, bestTomb, best = ver, tomb, payload
+		}
+	}
+	return best, !bestTomb
 }
 
 // --- Barriers, snapshots, checkpoints ----------------------------------------

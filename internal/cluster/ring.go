@@ -3,7 +3,8 @@
 // owners, and a coordinator-side Client implements the full kv.Store
 // contract over the pooled internal/client — quorum writes with hinted
 // handoff for unreachable owners, quorum reads with newest-version-wins
-// read-repair, k-way-merged scans, and a heartbeat prober that marks
+// read-repair, scans that merge the members' cursors with kv.Merge under
+// the same newest-version-wins rule, and a heartbeat prober that marks
 // members down after K failed probes and up (replaying their hints) on
 // recovery. Membership is a static seed list; the ring is deterministic
 // from it, so every coordinator over the same list routes identically

@@ -32,27 +32,23 @@ func (v *clusterView) Get(ctx context.Context, key []byte) ([]byte, bool, error)
 	if err := v.checkOpen(); err != nil {
 		return nil, false, err
 	}
-	var bestVal []byte
-	var bestVer uint64
-	bestTomb, found := false, false
+	var copies [][]byte
 	for _, oi := range v.c.ring.Owners(key) {
 		raw, ok, err := v.views[oi].Get(ctx, key)
 		if err != nil {
 			return nil, false, err
 		}
-		if !ok {
-			continue
-		}
-		ver, tomb, payload := parseStored(raw)
-		if !found || ver > bestVer {
-			bestVer, bestTomb, bestVal = ver, tomb, payload
-			found = true
+		if ok {
+			copies = append(copies, raw)
 		}
 	}
-	if !found || bestTomb {
+	if len(copies) == 0 {
 		return nil, false, nil
 	}
-	return bestVal, true, nil
+	if val, live := newestLive(copies); live {
+		return val, true, nil
+	}
+	return nil, false, nil
 }
 
 func (v *clusterView) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
@@ -60,8 +56,7 @@ func (v *clusterView) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, er
 	if err != nil {
 		return nil, err
 	}
-	defer it.Close()
-	return drainIter(it)
+	return kv.Collect(it)
 }
 
 func (v *clusterView) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
@@ -79,7 +74,7 @@ func (v *clusterView) NewIterator(ctx context.Context, low, high []byte) (kv.Ite
 		}
 		srcs = append(srcs, it)
 	}
-	return newMergedIter(srcs), nil
+	return kv.Merge(srcs, newestLive, nil), nil
 }
 
 func (v *clusterView) Close() error {

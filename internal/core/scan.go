@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"flodb/internal/keys"
 	"flodb/internal/kv"
 )
 
@@ -30,19 +29,9 @@ func (db *DB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := collect(it)
+	pairs, err := kv.Collect(it)
 	if err == nil && t != nil {
 		t.scanLat.Observe(time.Since(start))
 	}
 	return pairs, err
-}
-
-// collect drains it into stable copies and closes it.
-func collect(it kv.Iterator) ([]kv.Pair, error) {
-	defer it.Close()
-	var out []kv.Pair
-	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, kv.Pair{Key: keys.Clone(it.Key()), Value: keys.Clone(it.Value())})
-	}
-	return out, it.Err()
 }

@@ -191,7 +191,7 @@ func (s *snapshot) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error
 	if err != nil {
 		return nil, err
 	}
-	return collect(it)
+	return kv.Collect(it)
 }
 
 // NewIterator streams the snapshot's range. The iterator holds its own

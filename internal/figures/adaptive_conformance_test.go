@@ -21,6 +21,7 @@ func TestConformanceWithAdaptiveMemory(t *testing.T) {
 	t.Run("SnapshotIsolation", TestAllSystemsSnapshotIsolation)
 	t.Run("ContextCanceledScan", TestAllSystemsContextCanceledScan)
 	t.Run("IteratorPointInTime", TestAllSystemsIteratorPointInTime)
+	t.Run("IteratorContract", TestAllSystemsIteratorContract)
 	t.Run("CheckpointReopens", TestAllSystemsCheckpointReopens)
 	t.Run("PerOpDurabilityClasses", TestAllSystemsPerOpDurabilityClasses)
 	t.Run("SyncBarrierPromotesAcked", TestAllSystemsSyncBarrierPromotesAcked)

@@ -140,8 +140,11 @@ var ErrUnavailable = errors.New("kv: node unavailable")
 // ascending key order. A fresh iterator is unpositioned; call First (or
 // Seek, or Next, which implies First) to position it. Key and Value are
 // valid only after a positioning call returned true and until the next
-// positioning call. When iteration stops early, check Err; Close releases
-// any pinned resources and must always be called.
+// positioning call, and nil otherwise. Once a positioning call has
+// returned false the iterator is exhausted: Next keeps returning false
+// until First or Seek repositions it. When iteration stops early, check
+// Err; Close releases any pinned resources and must always be called, and
+// every positioning call after it returns false.
 //
 // Consistency: an iterator is ONE point-in-time view for its whole
 // lifetime — every pair it returns was current at a single moment no
@@ -159,8 +162,8 @@ type Iterator interface {
 	// Seek positions at the first pair with key >= the given key (clamped
 	// to the iterator's range).
 	Seek(key []byte) bool
-	// Next advances to the next pair; on an unpositioned iterator it is
-	// equivalent to First.
+	// Next advances to the next pair. On a fresh iterator it is
+	// equivalent to First; on an exhausted one it returns false.
 	Next() bool
 	// Key returns the current key. The slice is valid until the iterator
 	// advances; callers that retain it must copy.

@@ -12,7 +12,7 @@
 // uncontended Membuffers, N drain pools, N persist pipelines, N
 // group-commit fsync queues and N committers, so write throughput
 // scales with shard count until the disk itself saturates. The commit
-// pipeline is what makes N shards actually run N-wide: a routed write
+// pipeline is what lets N shards commit in parallel: a routed write
 // costs its producer one CAS to enqueue, and the committer amortizes
 // the engine's per-commit costs (WAL record framing, the drain lock,
 // the RCU read section, the fsync) across every write queued behind it
@@ -66,6 +66,10 @@
 //     per-shard snapshots, so the handle is one globally consistent
 //     cut — and it pins the TOPOLOGY too: the view keeps routing
 //     through the epoch it was taken under, even across later splits.
+//   - NewIterator merges the overlapping shards' cursors on the caller's
+//     goroutine (kv.Merge with no policy: routing makes their keys
+//     disjoint). Each shard's cursor is its own point-in-time view,
+//     opened one after another; there is no cross-shard cut.
 //   - Checkpoint fans out into per-shard subdirectories plus a copied
 //     manifest, written LAST, so a partial checkpoint is unopenable
 //     rather than silently missing shards.
@@ -759,12 +763,10 @@ func (s *Store) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
 }
 
 // NewIterator returns a streaming cursor merging the overlapping
-// shards' iterators into one ascending stream — each shard's cursor
-// runs in its own producer goroutine, prefetching chunks ahead of the
-// merge, so an N-shard scan reads N-wide. Consistency is per shard;
-// there is no cross-shard cut — snapshots provide that. The iterator
-// pins its engines: a concurrent split retires a shard without
-// invalidating cursors already over it.
+// shards' iterators into one ascending stream, on the caller's
+// goroutine. Consistency is per shard; there is no cross-shard cut —
+// snapshots provide that. The iterator pins its engines: a concurrent
+// split retires a shard without invalidating cursors already over it.
 func (s *Store) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -790,7 +792,7 @@ func (s *Store) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator,
 		}
 		subs = append(subs, it)
 	}
-	return newMergedIter(subs, release), nil
+	return kv.Merge(subs, nil, release), nil
 }
 
 // Snapshot pins a globally consistent repeatable-read view: a brief

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"flodb/internal/keys"
 	"flodb/internal/kv"
 )
 
@@ -56,17 +55,12 @@ func (v *snapView) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error
 	if err != nil {
 		return nil, err
 	}
-	defer it.Close()
-	var out []kv.Pair
-	for ok := it.First(); ok; ok = it.Next() {
-		out = append(out, kv.Pair{Key: keys.Clone(it.Key()), Value: keys.Clone(it.Value())})
-	}
-	return out, it.Err()
+	return kv.Collect(it)
 }
 
 // NewIterator streams the snapshot's range, merging the overlapping
-// shards' pinned views with the same parallel producers the live
-// iterator uses. The iterator takes its own engine pins, so it stays
+// shards' pinned views on the caller's goroutine as the live iterator
+// does. The iterator takes its own engine pins, so it stays
 // valid if the handle is Closed mid-iteration — even if the engines
 // have since been retired by a split.
 func (v *snapView) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
@@ -97,7 +91,7 @@ func (v *snapView) NewIterator(ctx context.Context, low, high []byte) (kv.Iterat
 		}
 		subs = append(subs, it)
 	}
-	return newMergedIter(subs, release), nil
+	return kv.Merge(subs, nil, release), nil
 }
 
 // Close releases every per-shard snapshot and the epoch's engine pins.
