@@ -12,6 +12,7 @@ import (
 	"flodb/internal/diskenv"
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/skiplist"
 	"flodb/internal/storage"
 	"flodb/internal/wal"
 )
@@ -48,6 +49,10 @@ type Config struct {
 	Storage storage.Options
 }
 
+// maxMemBytes caps MemBytes by the rule core.MaxMemoryBytes states for
+// FloDB's Memtable.
+const maxMemBytes = skiplist.MaxArenaBytes / 8
+
 func (c *Config) fillDefaults() error {
 	if c.Dir == "" {
 		return fmt.Errorf("baseline: Config.Dir is required")
@@ -58,6 +63,10 @@ func (c *Config) fillDefaults() error {
 	if c.MemBytes == 0 {
 		c.MemBytes = 64 << 20
 	}
+	if c.MemBytes > maxMemBytes {
+		return fmt.Errorf("baseline: MemBytes %d exceeds %d, the most one memtable's skiplist arena can hold at twice its target", c.MemBytes, int64(maxMemBytes))
+	}
+	c.Storage.SizeBaseLevel(c.MemBytes)
 	if !c.Durability.Valid() {
 		return fmt.Errorf("baseline: invalid Durability %v", c.Durability)
 	}

@@ -227,7 +227,7 @@ func (db *DB) applyLocked(b *kv.Batch, d kv.Durability) (*wal.Writer, int64, err
 		return nil, 0, ErrClosed
 	}
 
-	// Under drainMu, pauseWriters is stably false and immMbf stably nil:
+	// Under drainMu, pauseWriters is stably false and immGen stably nil:
 	// both are only set by drainMu holders and cleared before release. The
 	// RCU read section still brackets the mutation so a switch that starts
 	// right after we release the lock synchronizes behind us.

@@ -7,6 +7,7 @@ import (
 	"flodb/internal/diskenv"
 	"flodb/internal/kv"
 	"flodb/internal/membuffer"
+	"flodb/internal/skiplist"
 	"flodb/internal/storage"
 )
 
@@ -19,7 +20,7 @@ type Config struct {
 	Dir string
 
 	// MemoryBytes is the total memory-component budget (Membuffer +
-	// Memtable). Default 64 MiB.
+	// Memtable). Default 64 MiB, at most MaxMemoryBytes.
 	MemoryBytes int64
 	// MembufferFraction is the share of MemoryBytes given to the
 	// Membuffer. Default 0.25 (the paper's empirically chosen 1:4 split).
@@ -100,9 +101,20 @@ type Config struct {
 	// obsbench figure measures the delta this flag removes.
 	DisableTelemetry bool
 
-	// Storage configures the disk component.
+	// Storage configures the disk component. An unset BaseLevelBytes is
+	// sized to hold one L0 compaction of Memtables at the starting split
+	// (storage.Options.SizeBaseLevel).
 	Storage storage.Options
 }
+
+// MaxMemoryBytes caps Config.MemoryBytes. A Memtable's nodes live in one
+// skiplist arena of at most skiplist.MaxArenaBytes of offsets; the arena
+// holds no more nodes than the Memtable charges for (values live outside
+// it), chunk tails can leave up to half of each chunk unused, backpressure
+// lets a Memtable reach twice its target — at most MemoryBytes — and the
+// drains of the seals that end a generation can push it past that by up to
+// a Membuffer. An eighth of the arena covers all four.
+const MaxMemoryBytes = skiplist.MaxArenaBytes / 8
 
 // fillDefaults validates the configuration and resolves zero values to
 // the paper's defaults. Out-of-range values are REJECTED with a
@@ -118,6 +130,9 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MemoryBytes == 0 {
 		c.MemoryBytes = 64 << 20
+	}
+	if c.MemoryBytes > MaxMemoryBytes {
+		return fmt.Errorf("core: MemoryBytes %d exceeds %d, the most one Memtable's skiplist arena can hold at twice its target", c.MemoryBytes, int64(MaxMemoryBytes))
 	}
 	if c.MembufferFraction < 0 || c.MembufferFraction >= 1 {
 		return fmt.Errorf("core: MembufferFraction %v outside (0,1); want the Membuffer's share of MemoryBytes (or 0 for the default 0.25)", c.MembufferFraction)
@@ -190,6 +205,7 @@ func (c *Config) fillDefaults() error {
 	if c.DrainBatch == 0 {
 		c.DrainBatch = 64
 	}
+	c.Storage.SizeBaseLevel(c.memtableTargetBytesAt(c.MembufferFraction))
 	if c.DropPersist {
 		c.DisableWAL = true
 	}

@@ -19,6 +19,7 @@ func TestOpenRejectsOutOfRangeConfig(t *testing.T) {
 		want   string
 	}{
 		{"negative memory", func(c *Config) { c.MemoryBytes = -1 }, "MemoryBytes"},
+		{"memory past the arena", func(c *Config) { c.MemoryBytes = MaxMemoryBytes + 1 }, "MemoryBytes"},
 		{"fraction at 1", func(c *Config) { c.MembufferFraction = 1 }, "MembufferFraction"},
 		{"fraction negative", func(c *Config) { c.MembufferFraction = -0.5 }, "MembufferFraction"},
 		{"partition bits 17", func(c *Config) { c.PartitionBits = 17 }, "PartitionBits"},

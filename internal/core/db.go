@@ -7,6 +7,8 @@
 //	             updates in O(1); partitioned by key MSBs.
 //	Memtable   — large concurrent skiplist (internal/skiplist) with
 //	             sequence numbers and in-place updates; directly flushable.
+//	             Its nodes and keys live in arena chunks the GC never
+//	             scans; values and their Entry stay on the heap.
 //	Disk       — leveled sstables (internal/storage).
 //
 // Data flows downward: background draining threads move Membuffer entries
@@ -41,9 +43,14 @@
 // The paper's Get invariant (upper levels hold fresher data) is preserved
 // by two rules with paper counterparts: within a pair the Membuffer always
 // holds the newest version of any key present in it (in-place updates,
-// §3.2), and while an immutable Membuffer exists writers may not take the
-// direct-to-Memtable path — pauseWriters sends them to help drain instead
-// (Algorithm 2 lines 12–16).
+// §3.2), and an immutable Membuffer is read just above the Memtable it
+// drains into. A view or resize seal drains into the live Memtable, so
+// while it runs writers may not take the direct-to-Memtable path —
+// pauseWriters sends them to help drain instead (Algorithm 2 lines
+// 12–16). A persist seal drains into the sealed Memtable, below the fresh
+// live one, and the switch never blocks a writer (§4.2): writers pause
+// only for its grace period, and the drain stamps its entries from a
+// block of sequence numbers reserved before any writer resumes.
 package core
 
 import (
@@ -93,10 +100,13 @@ type DB struct {
 	// increment operation", §4.2).
 	seq atomic.Uint64
 
-	// gen is the active (Membuffer, Memtable) pair; immMbf/immMtb are the
-	// immutable components of Algorithm 2's Get order.
+	// gen is the active (Membuffer, Memtable) pair; immGen and immMtb are
+	// the immutable components of Algorithm 2's Get order. immGen is the
+	// pair a seal retired while its Membuffer (IMM_MBF) drains into its
+	// Memtable: the live one for a view or resize seal, the sealed one
+	// (immMtb) for a persist seal.
 	gen    atomic.Pointer[generation]
-	immMbf atomic.Pointer[membuffer.Buffer]
+	immGen atomic.Pointer[generation]
 	immMtb atomic.Pointer[memtable]
 
 	// mbfFrac is the LIVE Membuffer share of MemoryBytes (float64 bits):
@@ -111,12 +121,14 @@ type DB struct {
 	// switches synchronize on it.
 	domain *rcu.Domain
 
-	// pauseWriters is raised for the length of a seal. It blocks the
-	// direct-to-Memtable write path while an immutable Membuffer drains —
-	// writers help instead (Algorithm 2) — and halts the background
-	// drainers (Algorithm 3 line 4), so between the switch and the
-	// sealer's sequence point nothing but the seal's own drain draws a
-	// sequence number.
+	// pauseWriters is raised for the length of a view or resize seal, and
+	// for a persist seal's grace period. It blocks the direct-to-Memtable
+	// write path while an immutable Membuffer drains into the live
+	// Memtable — writers help instead (Algorithm 2) — and halts the
+	// background drainers (Algorithm 3 line 4), so between the switch and
+	// the sealer's sequence point nothing but the seal's own drain draws a
+	// sequence number. A persist seal drains into the sealed Memtable, which
+	// no writer touches, so it lowers the flag before its drain.
 	pauseWriters atomic.Bool
 
 	// drainMu serializes the switch+drain critical flows: every
@@ -400,7 +412,7 @@ func (db *DB) recoverWALs() error {
 					Seq:       db.seq.Add(1),
 					Tombstone: kind == keys.KindDelete,
 				}
-				m.insert(keys.Clone(key), e)
+				m.insert(key, e)
 				return nil
 			})
 		})
@@ -438,7 +450,7 @@ func (db *DB) Close() error {
 		if g.mbf != nil {
 			g.mbf.Freeze()
 			db.domain.Synchronize()
-			db.drainBufferInto(g.mbf, g.mtb)
+			db.drainBufferInto(g.mbf, g.mtb, &db.seq)
 		}
 		if !g.mtb.list.Empty() {
 			newLog := g.mtb.walNum + 1

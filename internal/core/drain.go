@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"flodb/internal/membuffer"
@@ -12,10 +13,12 @@ import (
 // specific memtable. Writers blocked by pauseWriters help by claiming
 // batches from src until it is empty — the paper's helpDrain (Algorithm 2
 // line 14). Helping "ensures that the drain completes even if the scanner
-// thread is slow" (§4.4).
+// thread is slow" (§4.4). seq stamps the moved entries: the store's
+// counter, or a persist seal's reserved block.
 type drainTask struct {
 	src *membuffer.Buffer
 	dst *memtable
+	seq *atomic.Uint64
 }
 
 // drainLowWater is the Membuffer occupancy below which the background
@@ -38,6 +41,7 @@ func (db *DB) drainLoop() {
 	defer db.wg.Done()
 	h := db.domain.Reader()
 	idle := 0
+	var kvs []skiplist.KV // batch scratch, reused across rounds
 	for {
 		select {
 		case <-db.closing:
@@ -88,7 +92,7 @@ func (db *DB) drainLoop() {
 		batch := g.mbf.DrainPartition(part, db.cfg.DrainBatch)
 		if len(batch) > 0 {
 			db.hook(hookDrainerClaimed)
-			db.insertDrained(g.mtb, batch)
+			kvs = db.insertDrained(g.mtb, batch, &db.seq, kvs)
 			g.mbf.Release(batch)
 			db.stats.drainBatches.Add(1)
 			db.stats.drainedEntries.Add(uint64(len(batch)))
@@ -114,35 +118,38 @@ func (db *DB) drainLoop() {
 	}
 }
 
-// insertDrained moves claimed entries into dst, assigning each a fresh
-// sequence number. Multi-insert is the default (Figure 6 step 2 with the
-// Algorithm 1 batch optimization); SimpleInsertDrain is the Fig 17
-// ablation.
-func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained) {
+// insertDrained moves claimed entries into dst, stamping each with a
+// fresh number from seq. Multi-insert is the default (Figure 6 step 2 with
+// the Algorithm 1 batch optimization); SimpleInsertDrain is the Fig 17
+// ablation. kvs is scratch for the batch; the emptied scratch is returned
+// for the caller's next batch.
+func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained, seq *atomic.Uint64, kvs []skiplist.KV) []skiplist.KV {
 	if db.cfg.SimpleInsertDrain {
 		for i := range batch {
 			d := &batch[i]
 			dst.insert(d.Key, &skiplist.Entry{
 				Value:     d.Value,
-				Seq:       db.seq.Add(1),
+				Seq:       seq.Add(1),
 				Tombstone: d.Tombstone,
 			})
 		}
-		return
+		return kvs
 	}
-	kvs := make([]skiplist.KV, len(batch))
+	kvs = kvs[:0]
 	for i := range batch {
 		d := &batch[i]
-		kvs[i] = skiplist.KV{
+		kvs = append(kvs, skiplist.KV{
 			Key: d.Key,
 			Entry: &skiplist.Entry{
 				Value:     d.Value,
-				Seq:       db.seq.Add(1),
+				Seq:       seq.Add(1),
 				Tombstone: d.Tombstone,
 			},
-		}
+		})
 	}
 	dst.multiInsert(kvs)
+	clear(kvs) // hold no drained keys or entries until the next batch
+	return kvs[:0]
 }
 
 // helpDrain claims one batch from the published full drain and applies it.
@@ -161,21 +168,22 @@ func (db *DB) helpDrain(t *drainTask) bool {
 	if len(batch) == 0 {
 		return false
 	}
-	db.insertDrained(t.dst, batch)
+	db.insertDrained(t.dst, batch, t.seq, nil)
 	t.src.Release(batch)
 	db.stats.drainedEntries.Add(uint64(len(batch)))
 	db.stats.drainBatches.Add(1)
 	return true
 }
 
-// drainBufferInto fully drains src into dst, publishing the task so
-// stalled writers help, and returns when src is empty. An empty src costs
-// one pass over its partition counters and allocates nothing.
-func (db *DB) drainBufferInto(src *membuffer.Buffer, dst *memtable) {
+// drainBufferInto fully drains src into dst, stamping entries from seq,
+// publishing the task so stalled writers help, and returns when src is
+// empty. An empty src costs one pass over its partition counters and
+// allocates nothing.
+func (db *DB) drainBufferInto(src *membuffer.Buffer, dst *memtable, seq *atomic.Uint64) {
 	if src.Len() == 0 {
 		return
 	}
-	t := &drainTask{src: src, dst: dst}
+	t := &drainTask{src: src, dst: dst, seq: seq}
 	db.fullDrain.Store(t)
 	db.hook(hookDrainPublished)
 	for src.Len() != 0 {
@@ -201,10 +209,23 @@ type spareMembuffers struct {
 // when the caller is sealing the Memtable too, over the same Memtable
 // otherwise — waits the grace period, and drains the retired Membuffer
 // into the retired pair's Memtable. On return that Memtable holds every
-// update that completed before the switch, nothing can draw a sequence
-// number but fast-path Puts into the new Membuffer (which draw none until
-// they are drained), and writers are STILL paused: the caller draws its
-// sequence point and then clears pauseWriters.
+// update that completed before the switch.
+//
+// Which seals pause writers through the drain. A view or resize seal
+// (next == nil) drains into the LIVE Memtable: a slow-path write landing
+// there meanwhile could be overwritten by an older copy of its key from
+// the drain, so writers stay paused — they help drain instead — and on
+// return they are STILL paused: nothing can draw a sequence number but
+// fast-path Puts into the new Membuffer (which draw none until they are
+// drained), so the caller draws its sequence point and then clears
+// pauseWriters. A persist seal drains into the SEALED Memtable, which no
+// writer touches; it only has to number the drained entries below every
+// write that follows the switch. After the grace period (no writer or
+// drainer is still inside the old pair) it reserves a block of sequence
+// numbers for the drain, clears pauseWriters, and drains while writers and
+// drainers run on in the new generation — the paper's never-blocking
+// switch (§4.2). Get reads the draining Membuffer below the new Memtable
+// for the length of that drain.
 //
 // With the Membuffer disabled there is nothing to swap, but the grace
 // period is still owed: a writer in flight may hold a sequence number it
@@ -258,7 +279,7 @@ func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 	// transient double-publication (the same table reachable as both
 	// active and immutable) because the Get order just checks it twice.
 	if old.mbf != nil {
-		db.immMbf.Store(old.mbf)
+		db.immGen.Store(old)
 	}
 	if next != nil {
 		db.immMtb.Store(old.mtb)
@@ -276,6 +297,20 @@ func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 	// what keeps a flushed Memtable reachable.
 	db.spares.ready, db.spares.retired = db.spares.retired.over(mtb), nil
 
+	seq := &db.seq
+	if next != nil {
+		if old.mbf != nil {
+			// One number per resident entry (the buffer is frozen and every
+			// claim on it released, so Len is exact) and one past them, the
+			// seal's sequence point: every pre-switch update is numbered at
+			// or below the block's end, every write that resumes below is
+			// numbered above it.
+			n := uint64(old.mbf.Len()) + 1
+			seq = new(atomic.Uint64)
+			seq.Store(db.seq.Add(n) - n)
+		}
+		db.pauseWriters.Store(false)
+	}
 	if next != nil && old.mtb.wal != nil {
 		// Seal-time flush: push the sealed segment's staging buffer to the
 		// OS before the successor accumulates enough to flush its own. A
@@ -285,8 +320,8 @@ func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 		err = old.mtb.wal.Flush()
 	}
 	if old.mbf != nil {
-		db.drainBufferInto(old.mbf, old.mtb)
-		db.immMbf.Store(nil)
+		db.drainBufferInto(old.mbf, old.mtb, seq)
+		db.immGen.Store(nil)
 		db.spares.retired = old.over(mtb)
 	}
 	return old, err

@@ -65,19 +65,22 @@ func TestPersistLimiterBoundsThroughput(t *testing.T) {
 
 	start := time.Now()
 	written := 0
-	// Write ~256 KiB of distinct keys: at 64 KiB/s persist and ~48 KiB
-	// memtable target, backpressure must make this take >= ~2s.
-	for i := 0; time.Since(start) < 5*time.Second; i++ {
+	// Write ~384 KiB of distinct keys. The memory component absorbs at most
+	// ~208 KiB of it (a 16 KiB Membuffer, a Memtable at twice its ~48 KiB
+	// target, the sealed one being persisted) and the limiter's burst 64
+	// KiB more, so at 64 KiB/s backpressure must make this take >= ~1.7s.
+	const total = 384 << 10
+	for i := 0; time.Since(start) < 10*time.Second; i++ {
 		if err := db.Put(bg, spreadKey(uint64(i)), make([]byte, 256)); err != nil {
 			t.Fatal(err)
 		}
 		written += 264
-		if written >= 256<<10 {
+		if written >= total {
 			break
 		}
 	}
 	elapsed := time.Since(start)
-	if written >= 256<<10 && elapsed < time.Second {
+	if written >= total && elapsed < time.Second {
 		t.Fatalf("limiter ignored: wrote %d bytes in %v", written, elapsed)
 	}
 	t.Logf("wrote %d bytes in %v under a 64KiB/s persist limiter", written, elapsed)

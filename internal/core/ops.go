@@ -50,12 +50,13 @@ func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 
 // get pays only for the component that holds the key. In order:
 //
-//  1. Membuffer, then the sealed one if a seal is draining: one hash, one
-//     bucket of slots each (~50 ns).
+//  1. Membuffer, then the sealed one if a seal is draining it into the
+//     live Memtable: one hash, one bucket of slots each (~50 ns).
 //  2. The key is hashed once more (keys.Hash), for everything below.
-//  3. Memtable, then the sealed one if a flush is in flight: one word of
-//     the generation's filter; a skiplist descent (~1.5 µs at 24 MiB) only
-//     if the generation holds the key, or for the <1% the filter lets by.
+//  3. Memtable, then the sealed Membuffer if a persist seal is draining it,
+//     then the sealed Memtable if a flush is in flight: one word of the
+//     generation's filter; a skiplist descent (~1.5 µs at 24 MiB) only if
+//     the generation holds the key, or for the <1% the filter lets by.
 //  4. Disk (Version.getAt), newest file first, and per file whose key range
 //     covers the key: its filter, through the file's metadata — no table
 //     handle; then the row cache — a hit returns the row, still no handle;
@@ -82,8 +83,13 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 			return v, true, nil
 		}
 	}
-	if imm := db.immMbf.Load(); imm != nil {
-		if v, tomb, ok := imm.Get(key); ok {
+	// The draining Membuffer sits just above the Memtable it drains into:
+	// above the live one for a view or resize seal, below it (above the
+	// sealed one) for a persist seal, whose successor Memtable takes
+	// writes while the drain runs.
+	imm := db.immGen.Load()
+	if imm != nil && imm.mtb == g.mtb {
+		if v, tomb, ok := imm.mbf.Get(key); ok {
 			if tomb {
 				return nil, false, nil
 			}
@@ -96,6 +102,14 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 			return nil, false, nil
 		}
 		return e.Value, true, nil
+	}
+	if imm != nil && imm.mtb != g.mtb {
+		if v, tomb, ok := imm.mbf.Get(key); ok {
+			if tomb {
+				return nil, false, nil
+			}
+			return v, true, nil
+		}
 	}
 	if imm := db.immMtb.Load(); imm != nil {
 		if e, ok := imm.get(key, h); ok {
@@ -119,10 +133,9 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 }
 
 // Put inserts or overwrites key. The key and value are copied, so the
-// caller may reuse its buffers immediately — the memory component retains
-// every slice it is handed (Membuffer slots and skiplist nodes alias
-// their inputs), so ownership must be taken here, exactly as LevelDB-
-// lineage memtables copy into an arena.
+// caller may reuse its buffers immediately — the Membuffer retains both
+// slices it is handed and a skiplist entry the value (only the key is
+// copied into the skiplist's arena), so ownership must be taken here.
 func (db *DB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
 	db.stats.puts.Add(1)
 	d, err := db.resolveDurability(opts)

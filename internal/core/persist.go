@@ -44,30 +44,27 @@ func (db *DB) needsPersist() bool {
 func (db *DB) persistOnce() error {
 	db.persistMu.Lock()
 	defer db.persistMu.Unlock()
-	_, err := db.persistCycle()
-	return err
+	return db.persistCycle()
 }
 
 // persistCycle runs one seal→drain→flush cycle. The caller must hold
-// persistMu. It returns the sequence number taken after the old
-// Membuffer fully drained: every update that completed before the
-// generation switch has a sequence number <= the bound and is contained
-// in the flushed Memtable (or older tables), and every later update gets
-// a larger one — the linearization bound Snapshot pins.
+// persistMu.
 //
 // Switch protocol (see the package comment for why the pair is one
 // pointer): under drainMu, sealMembuffer pauses slow-path writers,
 // installs the new generation over a fresh Memtable, RCU-synchronizes
 // ("RCU is used first to make sure that all pending updates to the
-// immutable Memtable have completed", §4.2) and fully drains the old
-// Membuffer into the old (sealed) Memtable with writers helping — which
-// bounds WAL replay and keeps Get's freshness order intact. Then writers
-// are released, the sealed Memtable is flushed to L0, the log number
-// advances and the old WAL segment is deleted.
-func (db *DB) persistCycle() (seqBound uint64, err error) {
+// immutable Memtable have completed", §4.2), reserves the drain's block of
+// sequence numbers and releases the writers — they run on in the new
+// generation — then fully drains the old Membuffer into the old (sealed)
+// Memtable, which bounds WAL replay. Every update that completed before
+// the switch is then in the sealed Memtable (or older tables) numbered
+// below every later update. The sealed Memtable is flushed to L0, the log
+// number advances and the old WAL segment is deleted.
+func (db *DB) persistCycle() error {
 	next, err := db.newMemtable()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	db.drainMu.Lock()
 	var sealStart time.Time
@@ -76,11 +73,6 @@ func (db *DB) persistCycle() (seqBound uint64, err error) {
 		sealStart = time.Now()
 	}
 	old, sealErr := db.sealMembuffer(next)
-	// Taken while writers are still paused and drainers stopped: every
-	// pre-switch update has a smaller sequence number and sits in old.mtb
-	// or older tables; every post-switch update will draw a larger one.
-	seqBound = db.seq.Add(1)
-	db.pauseWriters.Store(false)
 	if t := db.tel; t != nil {
 		sealBytes = old.mtb.approxBytes()
 		t.events.Emit(obs.Event{
@@ -90,7 +82,7 @@ func (db *DB) persistCycle() (seqBound uint64, err error) {
 	}
 	db.drainMu.Unlock()
 	if sealErr != nil {
-		return 0, sealErr
+		return sealErr
 	}
 
 	db.stats.persists.Add(1)
@@ -98,11 +90,11 @@ func (db *DB) persistCycle() (seqBound uint64, err error) {
 	if db.store == nil {
 		// DropPersist (Fig 17): the sealed Memtable is simply discarded.
 		db.immMtb.Store(nil)
-		return seqBound, nil
+		return nil
 	}
 
 	if err := db.cfg.FlushFault.Check(); err != nil {
-		return 0, err
+		return err
 	}
 	// Model the paper's bounded persistence throughput, if configured.
 	db.cfg.PersistLimiter.Acquire(old.mtb.approxBytes())
@@ -112,7 +104,7 @@ func (db *DB) persistCycle() (seqBound uint64, err error) {
 		newLog = db.store.NewFileNum()
 	}
 	if _, err := db.store.Flush(newMemtableIter(old.mtb), newLog, db.seq.Load()); err != nil {
-		return 0, err
+		return err
 	}
 	// The old Memtable's data is in tables; RCU ensures in-flight readers
 	// finish before the component is dropped (§4.2's second use of RCU —
@@ -128,7 +120,7 @@ func (db *DB) persistCycle() (seqBound uint64, err error) {
 		old.mtb.wal.MarkContentsDurable()
 	}
 	if err := old.mtb.closeWAL(); err != nil {
-		return 0, err
+		return err
 	}
 	if !db.cfg.DisableWAL {
 		os.Remove(storage.WALFileName(db.cfg.Dir, old.mtb.walNum))
@@ -139,5 +131,5 @@ func (db *DB) persistCycle() (seqBound uint64, err error) {
 			})
 		}
 	}
-	return seqBound, nil
+	return nil
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"flodb/internal/keys"
+	"flodb/internal/membuffer"
 )
 
 // parkOnce returns a hook body that, the first time the named point is
@@ -258,4 +260,223 @@ func TestSealWaitsForDrainerMidBatch(t *testing.T) {
 	if len(pairs) != n+100 {
 		t.Fatalf("final scan returned %d pairs, want %d", len(pairs), n+100)
 	}
+}
+
+// bucketMates returns n keys other than key that land in key's bucket of
+// b: the same partition (top bits) and the same hash slot within it.
+// Putting them fills the bucket, so the next new key there takes the slow
+// path to the Memtable.
+func bucketMates(b *membuffer.Buffer, partBits uint, key []byte, n int) [][]byte {
+	perPart := uint64(b.Capacity() / membuffer.DefaultSlotsPerBucket / b.Partitions())
+	part, slot := keys.PartitionOf(key, partBits), keys.Hash(key)%perPart
+	var mates [][]byte
+	for i := uint64(1); len(mates) < n; i++ {
+		c := keys.EncodeUint64(keys.DecodeUint64(key)&^0xffffffff | i)
+		if keys.PartitionOf(c, partBits) == part && keys.Hash(c)%perPart == slot && !bytes.Equal(c, key) {
+			mates = append(mates, c)
+		}
+	}
+	return mates
+}
+
+// slowPut writes key through the slow path: it fills key's bucket in the
+// active Membuffer, then Puts key, and reports whether the Memtable took
+// it — false in the rare run where a drainer emptied the bucket in
+// between. It runs in a goroutine so a caller can tell a blocked Put.
+func slowPut(t *testing.T, db *DB, key, value []byte) <-chan bool {
+	t.Helper()
+	mbf := db.gen.Load().mbf
+	mates := bucketMates(mbf, db.cfg.PartitionBits, key, 16)
+	done := make(chan bool, 1)
+	go func() {
+		for _, m := range mates {
+			if err := db.Put(bg, m, []byte("mate")); err != nil {
+				t.Error(err)
+			}
+		}
+		before := db.Stats().MemtableWrites
+		if err := db.Put(bg, key, value); err != nil {
+			t.Error(err)
+		}
+		done <- db.Stats().MemtableWrites > before
+	}()
+	return done
+}
+
+// parkPersist starts a persist and parks it where its seal has published
+// the drain of the retired Membuffer. It reports false, with the persist
+// finished, when the seal had nothing resident to drain.
+func parkPersist(t *testing.T, db *DB) (parked bool, release func()) {
+	t.Helper()
+	reached, unpark := make(chan struct{}), make(chan struct{})
+	hook := parkOnce(hookDrainPublished, reached, unpark)
+	db.testHook.Store(&hook)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := db.persistOnce(); err != nil {
+			t.Error(err)
+		}
+	}()
+	release = func() {
+		close(unpark)
+		<-done
+		db.testHook.Store(nil)
+	}
+	select {
+	case <-reached:
+		return true, release
+	case <-done:
+		db.testHook.Store(nil)
+		return false, nil
+	case <-time.After(10 * time.Second):
+		t.Fatal("the persist neither parked nor finished")
+		return false, nil
+	}
+}
+
+// TestPersistSealLetsSlowPathWritersThrough parks a persist seal in the
+// drain of the retired Membuffer. A Put that the full bucket of the new
+// Membuffer sends to the Memtable must complete in the new generation
+// while the drain is parked: no writer touches the sealed Memtable, so
+// none waits for it (§4.2's never-blocking switch).
+func TestPersistSealLetsSlowPathWritersThrough(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MemoryBytes = 8 << 20 // the writes below stay resident
+	cfg.DrainThreads = 1
+	db := openTestDB(t, cfg)
+
+	for i := 0; i < 500; i++ {
+		if err := db.Put(bg, spreadKey(uint64(i)), []byte("before")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked, release := parkPersist(t, db)
+	if !parked {
+		t.Fatal("nothing resident in the Membuffer at the persist")
+	}
+	sealed := db.immMtb.Load()
+	var key []byte
+	for i := uint64(0); ; i++ {
+		if i == 10 {
+			release()
+			t.Fatal("no Put took the slow path")
+		}
+		key = spreadKey(1<<20 + i)
+		select {
+		case slow := <-slowPut(t, db, key, []byte("after")):
+			if !slow {
+				continue
+			}
+		case <-time.After(5 * time.Second):
+			release()
+			t.Fatal("a slow-path Put waited for a persist seal's drain")
+		}
+		break
+	}
+	if db.gen.Load().mtb == sealed {
+		t.Fatal("the Put completed before the generation switch")
+	}
+	if _, ok := sealed.get(key, keys.Hash(key)); ok {
+		t.Fatal("the slow-path Put landed in the sealed Memtable")
+	}
+	if v, ok, err := db.Get(bg, key); err != nil || !ok || string(v) != "after" {
+		t.Fatalf("Get during the drain = %q %v %v", v, ok, err)
+	}
+	release()
+	for i := 0; i < 500; i++ {
+		if v, ok, err := db.Get(bg, spreadKey(uint64(i))); err != nil || !ok || string(v) != "before" {
+			t.Fatalf("key %d after the persist = %q %v %v", i, v, ok, err)
+		}
+	}
+}
+
+// TestPersistSealNewestWinsAcrossBoundary overwrites a key of the sealed
+// Membuffer in the new generation while the persist seal's drain is
+// parked, through the slow path. The drained copy is numbered from the
+// block the seal reserved before writers resumed, so it sorts below the
+// overwrite: through the drain, both flushes, a compaction that merges
+// them and a reopen, Get, an iterator and a Snapshot read the overwrite.
+func TestPersistSealNewestWinsAcrossBoundary(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MemoryBytes = 8 << 20
+	cfg.DrainThreads = 1
+	cfg.Storage.L0CompactionTrigger = 2 // the two flushes below compact
+	db := openTestDB(t, cfg)
+
+	var key []byte
+	for attempt := 0; ; attempt++ {
+		if attempt == 20 {
+			t.Fatal("never overwrote, on the slow path, a key resident in a sealed Membuffer")
+		}
+		key = spreadKey(uint64(1<<20 + attempt))
+		for i := 0; i < 200; i++ { // company, so the seal has a drain to park
+			if err := db.Put(bg, spreadKey(uint64(attempt*1000+i)), []byte("filler")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Put(bg, key, []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		parked, release := parkPersist(t, db)
+		if !parked {
+			continue
+		}
+		if _, _, ok := db.immGen.Load().mbf.Get(key); !ok {
+			release() // drained before the seal; try another key
+			continue
+		}
+		select {
+		case slow := <-slowPut(t, db, key, []byte("new")):
+			if !slow {
+				release()
+				continue
+			}
+		case <-time.After(5 * time.Second):
+			release()
+			t.Fatal("a slow-path Put waited for a persist seal's drain")
+		}
+		if v, ok, err := db.Get(bg, key); err != nil || !ok || string(v) != "new" {
+			release()
+			t.Fatalf("Get while the sealed Membuffer drains = %q %v %v, want new", v, ok, err)
+		}
+		release()
+		break
+	}
+	if err := db.persistOnce(); err != nil { // flush the overwrite too
+		t.Fatal(err)
+	}
+	db.store.WaitForCompactions()
+	if db.store.Metrics().Compactions == 0 {
+		t.Fatal("the two flushes were not compacted together")
+	}
+
+	check := func(what string, db *DB) {
+		t.Helper()
+		if v, ok, err := db.Get(bg, key); err != nil || !ok || string(v) != "new" {
+			t.Fatalf("%s: Get = %q %v %v, want new", what, v, ok, err)
+		}
+		it, err := db.NewIterator(bg, key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !it.First() || !bytes.Equal(it.Key(), key) || string(it.Value()) != "new" {
+			t.Fatalf("%s: iterator at %x = %q, want new", what, it.Key(), it.Value())
+		}
+		it.Close()
+		snap, err := db.Snapshot(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		if v, ok, err := snap.Get(bg, key); err != nil || !ok || string(v) != "new" {
+			t.Fatalf("%s: Snapshot Get = %q %v %v, want new", what, v, ok, err)
+		}
+	}
+	check("after compaction", db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openTestDB(t, Config{Dir: cfg.Dir, MemoryBytes: cfg.MemoryBytes})
+	check("after reopen", db2)
 }

@@ -15,17 +15,41 @@
 //   - Per-entry sequence numbers, read atomically together with the value,
 //     which Scan uses to detect concurrent modification (§3.2).
 //   - MultiInsert: n sorted elements inserted in one traversal, each
-//     insertion starting from the predecessor array left by the previous
-//     one instead of from the root.
+//     insertion starting from the splice (predecessor array) left by the
+//     previous one instead of from the root.
 //
 // The comparator is pluggable so the multi-versioned baselines can reuse
 // the list with internal (key,seq) keys.
+//
+// # Memory layout
+//
+// A node's immutable parts — header, tower and key — live in the list's
+// arena: 1 MiB []byte chunks, so the garbage collector sees one pointer-free
+// object per MiB instead of a node, a tower slice and a key per key. Nodes
+// are named by uint32 offsets into the arena (offset 0 is "none" as a
+// successor and the head as a predecessor), tower links are atomic uint32s
+// inside the chunk, and a CAS on one takes no write barrier. A node is
+//
+//	slot uint32 | keyLen uint32 | height uint32 | tower [height]uint32 | key
+//
+// 4-byte aligned. A key of at least half a chunk gets a chunk of its own.
+// Offsets cap one list at MaxArenaBytes (4 GiB) of nodes.
+//
+// The mutable part stays on the Go heap: slot indexes a chunked table of
+// atomic.Pointer[Entry], and the Entry and its value are ordinary objects.
+// In-place updates (§3.2) swap that pointer and Retention hangs displaced
+// versions behind it, exactly as when nodes were heap objects; an
+// overwrite frees the old value to the collector instead of leaving it in
+// an append-only arena, where a hot key would fill the Memtable (and force
+// a flush) with versions nobody can read. A key therefore costs the
+// collector one Entry and one value, which holds no pointers.
 package skiplist
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"sync/atomic"
+	"unsafe"
 )
 
 const (
@@ -36,6 +60,9 @@ const (
 	// pHeightBits: each level is taken with probability 1/2 (one bit per
 	// level from the PRNG), the classic skiplist geometry.
 	pHeightBits = 1
+	// entryBytes is what a key costs ApproxBytes outside the arena besides
+	// its value: the Entry (56 bytes, a 64-byte size class) and its slot.
+	entryBytes = 64 + 8
 )
 
 // Entry is the payload stored at a node: a value, the sequence number
@@ -135,22 +162,12 @@ type KV struct {
 	Entry *Entry
 }
 
-type node struct {
-	key   []byte
-	entry atomic.Pointer[Entry]
-	// next[0..height) are the tower links. The slice is immutable after
-	// construction; the pointers within are CAS-updated.
-	next []atomic.Pointer[node]
-}
-
-func (n *node) height() int { return len(n.next) }
-
 // List is a concurrent skiplist. Create with New or NewWithComparator.
 type List struct {
-	head *node
+	// head is the head node's tower; its key compares below every key.
+	head [MaxHeight]atomic.Uint32
 	cmp  func(a, b []byte) int
-	// length counts distinct keys; bytes approximates memory usage of keys
-	// plus current values (superseded values are not counted).
+	// length counts distinct keys; bytes is ApproxBytes.
 	length atomic.Int64
 	bytes  atomic.Int64
 	// updates counts in-place value swaps (distinct from inserts); the
@@ -162,6 +179,9 @@ type List struct {
 	// in-place updates chain displaced versions. Nil (the default) keeps
 	// the classic destructive swap with zero overhead.
 	ret *Retention
+
+	arena   arena
+	entries entrySlots
 }
 
 // SetRetention attaches the bound source consulted on in-place updates.
@@ -173,10 +193,8 @@ func New() *List { return NewWithComparator(bytes.Compare) }
 
 // NewWithComparator returns an empty list with a custom key order.
 func NewWithComparator(cmp func(a, b []byte) int) *List {
-	l := &List{
-		head: &node{next: make([]atomic.Pointer[node], MaxHeight)},
-		cmp:  cmp,
-	}
+	l := &List{cmp: cmp}
+	l.arena.init()
 	l.rngState.Store(0x9e3779b97f4a7c15)
 	return l
 }
@@ -198,142 +216,198 @@ func (l *List) randomHeight() int {
 	return h
 }
 
-// less reports whether node n's key is strictly less than key. The head
-// node compares less than everything.
-func (l *List) less(n *node, key []byte) bool {
-	if n == l.head {
-		return true
+// --- Node access -------------------------------------------------------------
+
+func field(p unsafe.Pointer, off uintptr) uint32 { return *(*uint32)(unsafe.Add(p, off)) }
+
+// link returns node n's tower link at level lvl; n == 0 is the head.
+func (l *List) link(n uint32, lvl int) *atomic.Uint32 {
+	if n == 0 {
+		return &l.head[lvl]
 	}
-	return l.cmp(n.key, key) < 0
+	return (*atomic.Uint32)(unsafe.Add(l.arena.at(n), hdrSize+4*lvl))
 }
 
-// findFromPreds locates key starting from the hint arrays rather than the
-// root — Algorithm 1's FindFromPreds. preds/succs are updated in place to
-// key's predecessor and successor at every level. It returns true if a node
-// with exactly key exists (then succs[0] is that node).
+// key returns node n's key, which aliases the arena.
+func (l *List) key(n uint32) []byte {
+	p := l.arena.at(n)
+	kl := field(p, hdrKeyLen)
+	if kl == 0 {
+		// The key would start at the node's end, possibly the chunk's.
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Add(p, hdrSize+4*uintptr(field(p, hdrHeight)))), kl)
+}
+
+// entry returns node n's entry slot.
+func (l *List) entry(n uint32) *atomic.Pointer[Entry] {
+	return l.entries.at(field(l.arena.at(n), hdrSlot))
+}
+
+// newNode builds an unlinked node for key with entry e and returns its
+// offset and its arena bytes.
+func (l *List) newNode(key []byte, e *Entry, height int) (uint32, int64) {
+	size := hdrSize + 4*height + len(key)
+	n := l.arena.alloc(size)
+	p := l.arena.at(n)
+	*(*uint32)(unsafe.Add(p, hdrSlot)) = l.entries.add(e)
+	*(*uint32)(unsafe.Add(p, hdrKeyLen)) = uint32(len(key))
+	*(*uint32)(unsafe.Add(p, hdrHeight)) = uint32(height)
+	if len(key) > 0 {
+		copy(unsafe.Slice((*byte)(unsafe.Add(p, hdrSize+4*height)), len(key)), key)
+	}
+	return n, int64(size+nodeAlign-1) &^ (nodeAlign - 1)
+}
+
+// --- Search ------------------------------------------------------------------
+
+// splice is a key's position at every level: prev[i] < key <= next[i], with
+// 0 as the head in prev and as the end of the list in next. Between the
+// inserts of a sorted batch it also satisfies prev[i] >= prev[i+1], which
+// is what lets the next search start from it.
+type splice struct {
+	prev, next [MaxHeight]uint32
+}
+
+// findSplice positions s at key and reports whether a node with exactly
+// key exists (then s.next[0] is that node) — Algorithm 1's FindFromPreds.
 //
-// Hints must be "behind" key: every non-head preds[level] must hold a key
-// strictly less than key. MultiInsert guarantees this by sorting the batch;
-// single Insert passes head-initialized arrays.
-func (l *List) findFromPreds(key []byte, preds, succs *[MaxHeight]*node) bool {
-	pred := l.head
-	for level := MaxHeight - 1; level >= 0; level-- {
-		// Path reuse: jump to the stored predecessor if it is ahead of the
-		// one inherited from the level above. The hint is only usable if
-		// its key is strictly less than the target: a batch may contain
-		// duplicate keys, in which case the stored predecessor is the
-		// just-inserted node itself and must be ignored.
-		if p := preds[level]; p != nil && p != pred && p != l.head && l.cmp(p.key, key) < 0 {
-			if pred == l.head || l.cmp(p.key, pred.key) > 0 {
-				pred = p
+// s must hold the head or keys strictly less than key: the zero splice, or
+// the one left by a search for a smaller key. At each level the search
+// starts from the further right of the node it came down from and the
+// splice's predecessor. The latter is never behind the former while the
+// search has not moved off the old splice, so only after a step right does
+// choosing cost a comparison.
+func (l *List) findSplice(key []byte, s *splice) bool {
+	pred, above := uint32(0), uint32(0)
+	moved, eq := false, false
+	for lvl := MaxHeight - 1; lvl >= 0; lvl-- {
+		hint := s.prev[lvl]
+		if hint != pred && (!moved || hint != 0 && l.cmp(l.key(hint), l.key(pred)) > 0) {
+			pred = hint
+		}
+		curr := l.link(pred, lvl).Load()
+		for {
+			if curr == 0 {
+				eq = false
+				break
 			}
-		}
-		curr := pred.next[level].Load()
-		for curr != nil && l.less(curr, key) {
+			if curr == above {
+				// Compared at the level above: not less than key.
+				break
+			}
+			if c := l.cmp(l.key(curr), key); c >= 0 {
+				eq = c == 0
+				break
+			}
 			pred = curr
-			curr = curr.next[level].Load()
+			curr = l.link(curr, lvl).Load()
 		}
-		preds[level] = pred
-		succs[level] = curr
+		moved = pred != hint
+		s.prev[lvl], s.next[lvl] = pred, curr
+		above = curr
 	}
-	s := succs[0]
-	return s != nil && l.cmp(s.key, key) == 0
+	return eq
 }
 
-// newPredsArrays returns hint arrays pointing at the root.
-func (l *List) newPredsArrays() (*[MaxHeight]*node, *[MaxHeight]*node) {
-	var preds, succs [MaxHeight]*node
-	for i := range preds {
-		preds[i] = l.head
-	}
-	return &preds, &succs
+// seekGE returns the first node with key >= target, or 0, and whether its
+// key equals target. That node is the one the bottom-level walk stopped
+// at: loading its predecessor's link again instead would race with an
+// insert landing between the two, and a Get of an existing key would miss.
+func (l *List) seekGE(target []byte) (uint32, bool) {
+	var s splice
+	eq := l.findSplice(target, &s)
+	return s.next[0], eq
 }
+
+// --- Insert ------------------------------------------------------------------
 
 // Insert adds key with entry, or atomically replaces the entry of an
 // existing key (in-place update). It reports whether a new node was
-// created. Safe for concurrent use with all other operations.
+// created. The key is copied into the list; e is retained. Safe for
+// concurrent use with all other operations.
 func (l *List) Insert(key []byte, e *Entry) (inserted bool) {
-	preds, succs := l.newPredsArrays()
-	return l.insertFrom(key, e, preds, succs)
+	var s splice
+	_, inserted = l.insert(key, e, &s)
+	return inserted
 }
 
-// insertFrom is the shared body of Insert and MultiInsert: Algorithm 1
-// lines 24–42.
-func (l *List) insertFrom(key []byte, e *Entry, preds, succs *[MaxHeight]*node) bool {
-	var nd *node // allocated lazily; reused across CAS retries
+// insert is the shared body of Insert and MultiInsert (Algorithm 1 lines
+// 24–42). It returns the node that holds key afterwards and whether it
+// was created; s is left at key, ready for a larger one.
+func (l *List) insert(key []byte, e *Entry, s *splice) (uint32, bool) {
+	var nd uint32 // allocated lazily; reused across CAS retries
+	var top int
+	var size int64
 	for {
-		if l.findFromPreds(key, preds, succs) {
-			// Existing key: in-place update, inheriting the creation seq.
-			// The swap is a CAS loop rather than a
-			// blind Swap: with retention active the displaced entry may
-			// need to be chained behind the new one, and a lost race must
-			// re-chain against the actual displaced entry or a concurrent
-			// writer's version would silently vanish from the chain.
-			nd := succs[0]
-			for {
-				old := nd.entry.Load()
-				if old.CreateSeq != 0 {
-					e.CreateSeq = old.CreateSeq
-				} else {
-					e.CreateSeq = old.Seq
-				}
-				if l.ret != nil {
-					e.setPrev(retain(old, l.ret.active()))
-				}
-				if nd.entry.CompareAndSwap(old, e) {
-					l.updates.Add(1)
-					l.bytes.Add(int64(len(e.Value)) - int64(len(old.Value)))
-					return false
-				}
-			}
+		if l.findSplice(key, s) {
+			l.update(s.next[0], e)
+			return s.next[0], false
 		}
-		if nd == nil {
+		if nd == 0 {
 			if e.CreateSeq == 0 {
 				e.CreateSeq = e.Seq
 			}
-			h := l.randomHeight()
-			nd = &node{key: key, next: make([]atomic.Pointer[node], h)}
-			nd.entry.Store(e)
+			top = l.randomHeight()
+			nd, size = l.newNode(key, e, top)
 		}
-		top := nd.height()
 		for lvl := 0; lvl < top; lvl++ {
-			nd.next[lvl].Store(succs[lvl])
+			l.link(nd, lvl).Store(s.next[lvl])
 		}
-		if !preds[0].next[0].CompareAndSwap(succs[0], nd) {
+		if !l.link(s.prev[0], 0).CompareAndSwap(s.next[0], nd) {
 			// Lost the race at the bottom level; re-find and retry (the
 			// winner may even have inserted our key).
 			continue
 		}
 		// Linked at level 0: the node is in the list. Link upper levels.
 		for lvl := 1; lvl < top; lvl++ {
-			for {
-				if preds[lvl].next[lvl].CompareAndSwap(succs[lvl], nd) {
-					break
+			for !l.link(s.prev[lvl], lvl).CompareAndSwap(s.next[lvl], nd) {
+				// A node landed between; walk on from the old predecessor,
+				// still below key since nothing is ever removed.
+				pred := s.prev[lvl]
+				curr := l.link(pred, lvl).Load()
+				for curr != 0 && l.cmp(l.key(curr), key) < 0 {
+					pred = curr
+					curr = l.link(curr, lvl).Load()
 				}
-				l.findFromPreds(key, preds, succs)
-				if succs[lvl] == nd {
-					// A concurrent findFromPreds can observe nd already at
-					// this level only if our CAS actually succeeded under a
-					// spurious-looking failure path; treat as linked.
-					break
-				}
-				nd.next[lvl].Store(succs[lvl])
+				s.prev[lvl], s.next[lvl] = pred, curr
+				l.link(nd, lvl).Store(curr)
 			}
 		}
-		// Leave preds positioned at the new node for path reuse by the
-		// next element of a multi-insert batch.
+		// The new node is the predecessor of any larger key at its levels.
 		for lvl := 0; lvl < top; lvl++ {
-			preds[lvl] = nd
+			s.prev[lvl] = nd
 		}
 		l.length.Add(1)
-		l.bytes.Add(int64(len(key)) + int64(len(e.Value)) + nodeOverhead(top))
-		return true
+		l.bytes.Add(size + entryBytes + int64(len(e.Value)))
+		return nd, true
 	}
 }
 
-// nodeOverhead approximates per-node bookkeeping bytes for size accounting:
-// the node struct, tower slice, and entry struct.
-func nodeOverhead(height int) int64 { return int64(64 + 16*height) }
+// update swaps e in as node n's entry, inheriting the creation seq. The
+// swap is a CAS loop rather than a blind Swap: with retention active the
+// displaced entry may need to be chained behind the new one, and a lost
+// race must re-chain against the actual displaced entry or a concurrent
+// writer's version would silently vanish from the chain.
+func (l *List) update(n uint32, e *Entry) {
+	slot := l.entry(n)
+	for {
+		old := slot.Load()
+		if old.CreateSeq != 0 {
+			e.CreateSeq = old.CreateSeq
+		} else {
+			e.CreateSeq = old.Seq
+		}
+		if l.ret != nil {
+			e.setPrev(retain(old, l.ret.active()))
+		}
+		if slot.CompareAndSwap(old, e) {
+			l.updates.Add(1)
+			l.bytes.Add(int64(len(e.Value)) - int64(len(old.Value)))
+			return
+		}
+	}
+}
 
 // MultiInsert inserts the batch in one pass (Algorithm 1). The batch is
 // sorted in place by key ascending; for duplicate keys within the batch the
@@ -347,21 +421,30 @@ func (l *List) MultiInsert(batch []KV) (inserted int) {
 	if len(batch) == 0 {
 		return 0
 	}
-	sort.SliceStable(batch, func(i, j int) bool { return l.cmp(batch[i].Key, batch[j].Key) < 0 })
-	preds, succs := l.newPredsArrays()
-	for _, kv := range batch {
-		if l.insertFrom(kv.Key, kv.Entry, preds, succs) {
+	slices.SortStableFunc(batch, func(a, b KV) int { return l.cmp(a.Key, b.Key) })
+	var s splice
+	var last uint32
+	for i := range batch {
+		kv := &batch[i]
+		if i > 0 && l.cmp(kv.Key, batch[i-1].Key) == 0 {
+			// The splice sits on this key's node, not below it: update it.
+			l.update(last, kv.Entry)
+			continue
+		}
+		var created bool
+		if last, created = l.insert(kv.Key, kv.Entry, &s); created {
 			inserted++
 		}
 	}
 	return inserted
 }
 
+// --- Read --------------------------------------------------------------------
+
 // Get returns the entry for key, or (nil, false).
 func (l *List) Get(key []byte) (*Entry, bool) {
-	n := l.seekGE(key)
-	if n != nil && l.cmp(n.key, key) == 0 {
-		return n.entry.Load(), true
+	if n, eq := l.seekGE(key); eq {
+		return l.entry(n).Load(), true
 	}
 	return nil, false
 }
@@ -371,11 +454,11 @@ func (l *List) Get(key []byte) (*Entry, bool) {
 // or every retained version is newer than maxSeq (the key did not exist
 // in this list at the bound — the caller continues to older components).
 func (l *List) GetAt(key []byte, maxSeq uint64) (*Entry, bool) {
-	n := l.seekGE(key)
-	if n == nil || l.cmp(n.key, key) != 0 {
+	n, eq := l.seekGE(key)
+	if !eq {
 		return nil, false
 	}
-	return ResolveAt(n.entry.Load(), maxSeq)
+	return ResolveAt(l.entry(n).Load(), maxSeq)
 }
 
 // ResolveAt walks e's version chain for the newest version with
@@ -390,36 +473,19 @@ func ResolveAt(e *Entry, maxSeq uint64) (*Entry, bool) {
 	return nil, false
 }
 
-// seekGE returns the first node with key >= target, or nil.
-func (l *List) seekGE(target []byte) *node {
-	pred := l.head
-	var curr *node
-	for level := MaxHeight - 1; level >= 0; level-- {
-		curr = pred.next[level].Load()
-		for curr != nil && l.less(curr, target) {
-			pred = curr
-			curr = curr.next[level].Load()
-		}
-	}
-	// curr is the node the bottom-level walk stopped at. Loading
-	// pred.next[0] again instead would race with an insert landing between
-	// pred and curr: the newcomer is smaller than target, and a Get of an
-	// existing key would miss it.
-	return curr
-}
-
 // Len returns the number of distinct keys.
 func (l *List) Len() int { return int(l.length.Load()) }
 
-// ApproxBytes returns the approximate memory footprint of keys, live
-// values, and node overhead.
+// ApproxBytes returns the memory the list holds for its keys: each node's
+// arena bytes, a fixed charge for its Entry and slot, and the current value
+// (superseded values and arena slack are not counted).
 func (l *List) ApproxBytes() int64 { return l.bytes.Load() }
 
 // Updates returns the number of in-place updates performed.
 func (l *List) Updates() int64 { return l.updates.Load() }
 
 // Empty reports whether the list holds no keys.
-func (l *List) Empty() bool { return l.head.next[0].Load() == nil }
+func (l *List) Empty() bool { return l.head[0].Load() == 0 }
 
 // --- Iterator --------------------------------------------------------------
 
@@ -430,7 +496,7 @@ func (l *List) Empty() bool { return l.head.next[0].Load() == nil }
 // sequence numbers at the FloDB layer, not here.
 type Iterator struct {
 	l    *List
-	curr *node
+	curr uint32
 	// entry is the snapshot loaded when the iterator moved to curr, so Key
 	// and Entry always describe the same moment.
 	entry *Entry
@@ -445,34 +511,35 @@ func (it *Iterator) Reset(l *List) { *it = Iterator{l: l} }
 
 // SeekToFirst positions at the first key.
 func (it *Iterator) SeekToFirst() {
-	it.setNode(it.l.head.next[0].Load())
+	it.setNode(it.l.head[0].Load())
 }
 
 // Seek positions at the first key >= target.
 func (it *Iterator) Seek(target []byte) {
-	it.setNode(it.l.seekGE(target))
+	n, _ := it.l.seekGE(target)
+	it.setNode(n)
 }
 
 // Next advances to the following key. Valid must be true.
 func (it *Iterator) Next() {
-	it.setNode(it.curr.next[0].Load())
+	it.setNode(it.l.link(it.curr, 0).Load())
 }
 
-func (it *Iterator) setNode(n *node) {
+func (it *Iterator) setNode(n uint32) {
 	it.curr = n
-	if n != nil {
-		it.entry = n.entry.Load()
+	if n != 0 {
+		it.entry = it.l.entry(n).Load()
 	} else {
 		it.entry = nil
 	}
 }
 
 // Valid reports whether the iterator is positioned at a key.
-func (it *Iterator) Valid() bool { return it.curr != nil }
+func (it *Iterator) Valid() bool { return it.curr != 0 }
 
-// Key returns the current key. Valid must be true. The returned slice must
-// not be modified.
-func (it *Iterator) Key() []byte { return it.curr.key }
+// Key returns the current key. Valid must be true. The returned slice
+// aliases the list and must not be modified.
+func (it *Iterator) Key() []byte { return it.l.key(it.curr) }
 
 // Entry returns the (value, seq, tombstone) snapshot taken when the
 // iterator arrived at this key. Valid must be true.
@@ -481,6 +548,6 @@ func (it *Iterator) Entry() *Entry { return it.entry }
 // Reload re-reads the current node's entry; scans use it when they want the
 // newest state rather than the arrival snapshot.
 func (it *Iterator) Reload() *Entry {
-	it.entry = it.curr.entry.Load()
+	it.entry = it.l.entry(it.curr).Load()
 	return it.entry
 }

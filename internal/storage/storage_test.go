@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"flodb/internal/keys"
+	"flodb/internal/skiplist"
 	"flodb/internal/sstable"
 )
 
@@ -590,4 +591,50 @@ func TestTableCacheFDBudget(t *testing.T) {
 		t.Fatalf("pinned reader unusable after churn: ok=%v err=%v", ok, err)
 	}
 	hPinned.Release()
+}
+
+// skiplistIter flushes a skiplist memtable, as the stores above this
+// package do.
+type skiplistIter struct{ *skiplist.Iterator }
+
+func (s skiplistIter) Seq() uint64     { return s.Entry().Seq }
+func (s skiplistIter) Kind() keys.Kind { return keys.KindSet }
+func (s skiplistIter) Value() []byte   { return s.Entry().Value }
+func (s skiplistIter) Err() error      { return nil }
+
+// TestBaseLevelHoldsOneL0Compaction: with L1 sized by SizeBaseLevel, the
+// compaction of L0CompactionTrigger full memtables leaves L1 within its
+// target, so no L1→L2 work follows it. Memtables are skiplists filled to
+// the target as their ApproxBytes counts it, with the benchmark's 8-byte
+// keys and 256-byte values.
+func TestBaseLevelHoldsOneL0Compaction(t *testing.T) {
+	const memtableBytes = 256 << 10
+	opts := Options{}
+	opts.SizeBaseLevel(memtableBytes)
+	if opts.BaseLevelBytes != DefaultL0CompactionTrigger*memtableBytes {
+		t.Fatalf("BaseLevelBytes = %d, want %d", opts.BaseLevelBytes, DefaultL0CompactionTrigger*memtableBytes)
+	}
+	s := openTestStore(t, opts)
+	rng := rand.New(rand.NewSource(1))
+	seq := uint64(0)
+	for f := 0; f < DefaultL0CompactionTrigger; f++ {
+		l := skiplist.New()
+		for l.ApproxBytes() < memtableBytes {
+			seq++
+			l.Insert(keys.EncodeUint64(rng.Uint64()), &skiplist.Entry{Value: make([]byte, 256), Seq: seq})
+		}
+		if _, err := s.Flush(skiplistIter{l.NewIterator()}, uint64(f+2), seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.WaitForCompactions()
+	if s.NumLevelFiles(0) != 0 || s.NumLevelFiles(1) == 0 || s.NumLevelFiles(2) != 0 {
+		t.Fatalf("files per level L0 %d, L1 %d, L2 %d: want one L0→L1 compaction and nothing deeper",
+			s.NumLevelFiles(0), s.NumLevelFiles(1), s.NumLevelFiles(2))
+	}
+	v := s.PinVersion()
+	defer s.ReleaseVersion(v)
+	if score := float64(v.SizeBytes(1)) / float64(s.maxBytesForLevel(1)); score > 1 {
+		t.Fatalf("L1 holds %d bytes, score %.2f over its %d-byte target", v.SizeBytes(1), score, s.maxBytesForLevel(1))
+	}
 }

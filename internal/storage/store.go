@@ -18,13 +18,14 @@ import (
 // Options configure the disk component.
 type Options struct {
 	// L0CompactionTrigger is the L0 file count that triggers compaction
-	// (default 4, as in LevelDB).
+	// (default DefaultL0CompactionTrigger, as in LevelDB).
 	L0CompactionTrigger int
 	// L0StallThreshold is the L0 file count at which the memory component
 	// should apply backpressure to writers (default 12).
 	L0StallThreshold int
 	// BaseLevelBytes is the L1 size target; each deeper level is
-	// LevelMultiplier times larger (defaults 8 MiB × 10).
+	// LevelMultiplier times larger (defaults 8 MiB × 10). Stores with a
+	// memory component size it with SizeBaseLevel instead.
 	BaseLevelBytes  int64
 	LevelMultiplier int
 	// TargetFileSize bounds compaction output files (default 2 MiB).
@@ -49,6 +50,24 @@ type Options struct {
 	Events *obs.EventLog
 }
 
+// DefaultL0CompactionTrigger is L0CompactionTrigger's default.
+const DefaultL0CompactionTrigger = 4
+
+// SizeBaseLevel sets an unset BaseLevelBytes to hold one L0 compaction:
+// L0CompactionTrigger flushes of a memtableBytes memory component. A
+// smaller L1 leaves every L0→L1 compaction several times over its target,
+// and the L1→L2 work that follows starves L0 until writers stall.
+func (o *Options) SizeBaseLevel(memtableBytes int64) {
+	if o.BaseLevelBytes > 0 {
+		return
+	}
+	trigger := o.L0CompactionTrigger
+	if trigger <= 0 {
+		trigger = DefaultL0CompactionTrigger
+	}
+	o.BaseLevelBytes = int64(trigger) * memtableBytes
+}
+
 // DefaultBlockCacheBytes is the read-cache budget when the caller does
 // not choose one: large enough that the warm working set of a benchmark
 // store lives in memory, small next to the memory component itself.
@@ -56,7 +75,7 @@ const DefaultBlockCacheBytes = 32 << 20
 
 func (o *Options) fillDefaults() {
 	if o.L0CompactionTrigger <= 0 {
-		o.L0CompactionTrigger = 4
+		o.L0CompactionTrigger = DefaultL0CompactionTrigger
 	}
 	if o.L0StallThreshold <= 0 {
 		o.L0StallThreshold = 12

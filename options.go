@@ -57,7 +57,8 @@ func (f optionFunc) apply(o *options) { f(o) }
 
 // WithMemory sets the total memory-component budget in bytes, split
 // 1/4 Membuffer : 3/4 Memtable as in the paper (§5.1). Default 64 MiB.
-// Non-positive budgets are rejected by Open.
+// Non-positive budgets are rejected by Open, and so is more than 512 MiB
+// per engine (a Memtable's skiplist arena is addressed by 32-bit offsets).
 func WithMemory(bytes int64) Option {
 	return optionFunc(func(o *options) {
 		if bytes <= 0 {
