@@ -6,7 +6,7 @@ import "testing"
 // conformance suites UNMODIFIED with every store's read caches starved:
 // a 1-byte block cache (no block ever admitted — each disk read misses,
 // decodes, and immediately evicts) and a 2-handle table cache (every
-// read past two tables closes and reopens readers behind the LRU).
+// read past two tables closes and reopens readers behind the eviction).
 // Snapshot isolation, cancellation, checkpoints, durability classes and
 // crash prefix-consistency must hold bit-for-bit: the caches are a pure
 // performance layer, and this rerun is the contract that keeps eviction

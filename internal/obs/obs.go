@@ -20,6 +20,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Counter is a monotonically increasing metric. The zero value is ready
@@ -36,6 +37,45 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
+
+// StripedCounter is a Counter for a path that goroutines on every core take
+// at once, such as a cache hit, where one shared word would bounce its cache
+// line between the cores on every Add. Each Add lands on one of
+// stripedCells line-sized cells, picked by the calling goroutine's stack
+// address: goroutines have disjoint stacks, so two of them rarely share a
+// cell, and one goroutine keeps using the same cell from the same call
+// site. Load sums the cells. The zero value is ready to use.
+type StripedCounter struct {
+	cells [stripedCells]struct {
+		v atomic.Uint64
+		_ [56]byte
+	}
+}
+
+const (
+	stripedBits  = 5
+	stripedCells = 1 << stripedBits
+)
+
+// Add increments the counter by n.
+func (c *StripedCounter) Add(n uint64) {
+	var anchor byte
+	sp := uint64(uintptr(unsafe.Pointer(&anchor))) >> 10 // 1 KiB: half the smallest goroutine stack
+	c.cells[sp*0x9e3779b97f4a7c15>>(64-stripedBits)].v.Add(n)
+}
+
+// Inc increments the counter by one.
+func (c *StripedCounter) Inc() { c.Add(1) }
+
+// Load returns the current value: the sum of the cells, each read once, so
+// it is exact when no Add runs concurrently.
+func (c *StripedCounter) Load() uint64 {
+	var n uint64
+	for i := range c.cells {
+		n += c.cells[i].v.Load()
+	}
+	return n
+}
 
 // Gauge is a metric that can go up and down.
 type Gauge struct {

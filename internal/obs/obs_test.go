@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -230,5 +231,35 @@ func TestTraceIDs(t *testing.T) {
 	}
 	if TraceString(0) != "-" || len(TraceString(id)) != 16 {
 		t.Fatalf("TraceString formatting: %q %q", TraceString(0), TraceString(id))
+	}
+}
+
+// TestStripedCounter: concurrent Adds sum exactly, and goroutines with
+// stacks of their own spread over more than one cell.
+func TestStripedCounter(t *testing.T) {
+	var c StripedCounter
+	const workers, adds = 8, 10000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				c.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Load(); got != workers*adds {
+		t.Fatalf("Load = %d, want %d", got, workers*adds)
+	}
+	used := 0
+	for i := range c.cells {
+		if c.cells[i].v.Load() != 0 {
+			used++
+		}
+	}
+	if used < 2 {
+		t.Fatalf("%d goroutines all counted on one cell", workers)
 	}
 }

@@ -3,8 +3,6 @@ package sstable
 import (
 	"encoding/binary"
 	"fmt"
-
-	"flodb/internal/keys"
 )
 
 // Filter is a classic Bloom filter with double hashing, equivalent to
@@ -42,8 +40,8 @@ func newBloom(n int, bitsPerKey int) *Filter {
 	}
 }
 
-func (f *Filter) add(key []byte) {
-	h := keys.Hash(key)
+// add sets the bits of a key whose keys.Hash is h.
+func (f *Filter) add(h uint64) {
 	delta := h>>33 | h<<31
 	for i := uint32(0); i < f.probes; i++ {
 		pos := h % f.nBits

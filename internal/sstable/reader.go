@@ -233,28 +233,24 @@ type Row struct {
 }
 
 // rowOverhead is what a cached row costs beyond its key and value bytes:
-// the Row, the cache's entry and its share of the cache's map, and the
-// rounding of all three to allocator size classes. Measured, and held to
-// the heap's real growth by TestRowCacheChargeIsHonest.
-const rowOverhead = 200
+// the Row, the cache's entry and its share of the cache's slot table, and
+// the rounding of all three to allocator size classes. Measured, and held
+// to the heap's real growth by TestRowCacheChargeIsHonest.
+const rowOverhead = 144
 
 // CachedRow returns the row a point read left in c for key in table id, or
-// nil; h is keys.Hash(key). The entry is unpinned at once: rows are
-// immutable and garbage-collected, so the caller's pointer outlives an
-// eviction (pinning is for values that own something else, like the table
-// cache's file descriptors).
+// nil; h is keys.Hash(key). The lookup is unpinned: rows are inserted
+// without a deleter, immutable and garbage-collected, so the caller's
+// pointer outlives an eviction, and a hit writes nothing shared but the
+// row's CLOCK bit (pinning is for values that own something else, like the
+// table cache's file descriptors).
 func CachedRow(c *cache.Cache, id, h uint64, key []byte) *Row {
 	if c == nil {
 		return nil
 	}
-	hd := c.Get(cache.Key{ID: id, Offset: h})
-	if hd == nil {
-		return nil
-	}
-	row := hd.Value().(*Row)
-	hd.Release()
-	if !keys.Equal(row.Key, key) {
-		return nil // another key of this table with the same hash
+	row, _ := c.Lookup(cache.Key{ID: id, Offset: h}).(*Row)
+	if row == nil || !keys.Equal(row.Key, key) {
+		return nil // absent, or another key of this table with the same hash
 	}
 	return row
 }

@@ -214,7 +214,7 @@ func TestIteratorSeek(t *testing.T) {
 func TestBloomFilterEffectiveness(t *testing.T) {
 	f := newBloom(1000, 10)
 	for i := 0; i < 1000; i++ {
-		f.add(keys.EncodeUint64(uint64(i)))
+		f.add(keys.Hash(keys.EncodeUint64(uint64(i))))
 	}
 	for i := 0; i < 1000; i++ {
 		if !f.MayContain(keys.Hash(keys.EncodeUint64(uint64(i)))) {
@@ -234,10 +234,67 @@ func TestBloomFilterEffectiveness(t *testing.T) {
 	}
 }
 
+// TestWriterFilterMatchesKeyByKey: the filter a Writer stores — built from
+// the hashes it kept as entries arrived — is byte for byte the filter of
+// the same entries' keys added one by one, versions of one key included.
+func TestWriterFilterMatchesKeyByKey(t *testing.T) {
+	var entries []testEntry
+	for i := 0; i < 3000; i++ {
+		e := testEntry{key: keys.EncodeUint64(uint64(i * 3)), seq: uint64(10 + i), kind: keys.KindSet, value: []byte("v")}
+		if i%5 == 0 {
+			older := e
+			older.seq, older.kind, older.value = 1, keys.KindDelete, nil
+			entries = append(entries, e, older)
+			continue
+		}
+		entries = append(entries, e)
+	}
+	for _, bits := range []int{0, 4, 16} {
+		path := filepath.Join(t.TempDir(), "t.sst")
+		buildTable(t, path, WriterOptions{BloomBitsPerKey: bits}, entries)
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := newBloom(len(entries), bits)
+		for _, e := range entries {
+			want.add(keys.Hash(e.key))
+		}
+		if got := r.Filter(); got == nil || !bytes.Equal(got.encode(), want.encode()) {
+			t.Fatalf("%d bits/key: the writer's filter differs from the key-by-key one", bits)
+		}
+		r.Close()
+	}
+}
+
+// TestWriterAddAllocatesNothing: Add copies a key into the block and keeps
+// its hash, so what a table's entries allocate — the block and hash slices
+// growing, one index key per block — amortizes to nothing per entry.
+func TestWriterAddAllocatesNothing(t *testing.T) {
+	w, err := NewWriter(filepath.Join(t.TempDir(), "t.sst"), WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	value := bytes.Repeat([]byte{'v'}, 100)
+	key := make([]byte, 0, 8)
+	i := uint64(0)
+	allocs := testing.AllocsPerRun(20000, func() {
+		i++
+		key = keys.AppendUint64(key[:0], i)
+		if err := w.Add(key, i, keys.KindSet, value); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Writer.Add: %.0f allocations per entry, want 0", allocs)
+	}
+}
+
 func TestBloomRoundTrip(t *testing.T) {
 	f := newBloom(100, 10)
 	for i := 0; i < 100; i++ {
-		f.add(keys.EncodeUint64(uint64(i)))
+		f.add(keys.Hash(keys.EncodeUint64(uint64(i))))
 	}
 	g, err := decodeBloom(f.encode())
 	if err != nil {

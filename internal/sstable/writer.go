@@ -50,7 +50,7 @@ type Writer struct {
 	lastKey    []byte
 	lastSeq    uint64
 	hasLast    bool
-	bloomKeys  [][]byte
+	hashes     []uint64 // keys.Hash of every key added, for the filter
 	finished   bool
 }
 
@@ -110,7 +110,7 @@ func (w *Writer) Add(key []byte, seq uint64, kind keys.Kind, value []byte) error
 		w.maxSeq = seq
 	}
 	if w.opts.BloomBitsPerKey >= 0 {
-		w.bloomKeys = append(w.bloomKeys, append([]byte(nil), key...))
+		w.hashes = append(w.hashes, keys.Hash(key))
 	}
 	if len(w.block) >= w.opts.BlockSize {
 		return w.flushBlock()
@@ -162,9 +162,9 @@ func (w *Writer) Finish() (Meta, error) {
 	}
 
 	if w.opts.BloomBitsPerKey >= 0 {
-		bloom := newBloom(len(w.bloomKeys), w.opts.BloomBitsPerKey)
-		for _, k := range w.bloomKeys {
-			bloom.add(k)
+		bloom := newBloom(len(w.hashes), w.opts.BloomBitsPerKey)
+		for _, h := range w.hashes {
+			bloom.add(h)
 		}
 		enc := bloom.encode()
 		ftr.filterOff = w.fileOff

@@ -16,7 +16,8 @@ import (
 const DefaultTableCacheCapacity = 256
 
 // tableCache maps file numbers to open sstable readers through a
-// capacity-bounded LRU. Lookups return a pinned handle: the reader's
+// capacity-bounded cache.Cache, whose hits take no lock. Lookups return a
+// pinned handle (one compare-and-swap on a hit): the reader's
 // file descriptor cannot be closed — by eviction under fd pressure or
 // by Evict when compaction obsoletes the file — until the handle is
 // released, so iterators mid-read on a just-compacted table keep

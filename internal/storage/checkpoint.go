@@ -57,7 +57,7 @@ func (s *Store) Checkpoint(dst string) error {
 
 func (s *Store) tryCheckpoint(dst string) (retry bool, err error) {
 	s.vs.mu.Lock()
-	v := s.vs.current
+	v := s.vs.current.Load()
 	v.refs++
 	logNum := s.vs.logNum
 	lastSeq := s.vs.lastSeq
@@ -104,7 +104,7 @@ func CloneDir(src, dst string) error {
 	if err := vs.recover(); err != nil {
 		return fmt.Errorf("storage: clone %s: %w", src, err)
 	}
-	return writeCheckpoint(src, dst, vs.current, vs.logNum, vs.lastSeq, vs.nextFileNum)
+	return writeCheckpoint(src, dst, vs.current.Load(), vs.logNum, vs.lastSeq, vs.nextFileNum)
 }
 
 // writeCheckpoint materializes one checkpoint attempt: tables of v linked
@@ -180,7 +180,7 @@ func writeCheckpointManifest(dst string, v *Version, logNum, lastSeq, nextFileNu
 	vsDst.lastSeq = lastSeq
 	cur := *v
 	cur.refs = 1
-	vsDst.current = &cur
+	vsDst.current.Store(&cur)
 	if err := vsDst.rewriteManifest(); err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ func (s *Store) maxBytesForLevel(l int) int64 {
 // pickCompaction selects the highest-scoring compaction whose inputs are
 // not already being compacted. Caller must hold vs.mu.
 func (s *Store) pickCompaction() *compaction {
-	v := s.vs.current
+	v := s.vs.current.Load()
 
 	bestLevel := -1
 	bestScore := 1.0 // only pick when score >= 1
@@ -142,12 +142,11 @@ func (s *Store) runCompaction(c *compaction) error {
 	outLevel := c.level + 1
 
 	// Snapshot the deeper-level file ranges once for the tombstone check.
-	s.vs.mu.Lock()
+	cur := s.vs.current.Load()
 	var deeper [][]*FileMeta
 	for l := outLevel + 1; l < NumLevels; l++ {
-		deeper = append(deeper, s.vs.current.files[l])
+		deeper = append(deeper, cur.files[l])
 	}
-	s.vs.mu.Unlock()
 	isBase := func(key []byte) bool {
 		for _, files := range deeper {
 			i := sort.Search(len(files), func(i int) bool {

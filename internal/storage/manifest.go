@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"flodb/internal/rcu"
 	"flodb/internal/wal"
 )
 
@@ -47,7 +49,13 @@ type versionSet struct {
 	mu  sync.Mutex
 	dir string
 
-	current     *Version
+	// current is stored under mu and loaded anywhere. A Get reads it with
+	// no lock and no reference, inside a section of readers (see enter);
+	// deleteTables waits the sections out before it removes a file.
+	current  atomic.Pointer[Version]
+	readers  *rcu.Domain
+	sections sync.Pool // *rcu.Handle, one per concurrent Get
+
 	fileRefs    map[uint64]int // table file -> referencing live versions
 	manifest    *wal.Writer
 	manifestNum uint64
@@ -68,19 +76,20 @@ var errNoCurrent = errors.New("storage: CURRENT file missing")
 func openVersionSet(dir string, cache *tableCache) (*versionSet, error) {
 	vs := &versionSet{
 		dir:         dir,
+		readers:     rcu.NewDomain(),
 		fileRefs:    make(map[uint64]int),
 		nextFileNum: 1,
 		cache:       cache,
 	}
+	vs.sections.New = func() any { return vs.readers.Reader() }
 	err := vs.recover()
 	switch {
 	case errors.Is(err, errNoCurrent):
-		vs.current = &Version{}
-		vs.current.refs = 1 // the "current" reference
+		vs.current.Store(&Version{refs: 1}) // the "current" reference
 	case err != nil:
 		return nil, err
 	}
-	vs.refFiles(vs.current)
+	vs.refFiles(vs.current.Load())
 	// Start a fresh manifest generation containing a full snapshot.
 	if err := vs.rewriteManifest(); err != nil {
 		return nil, err
@@ -139,7 +148,7 @@ func (vs *versionSet) recover() error {
 		return fmt.Errorf("storage: recovered version invalid: %w", err)
 	}
 	v.refs = 1
-	vs.current = v
+	vs.current.Store(v)
 	return nil
 }
 
@@ -159,7 +168,7 @@ func (vs *versionSet) rewriteManifest() error {
 		LastSeq:     ptr(vs.lastSeq),
 	}
 	for l := 0; l < NumLevels; l++ {
-		for _, f := range vs.current.files[l] {
+		for _, f := range vs.current.Load().files[l] {
 			snap.Added = append(snap.Added, AddedFile{Level: l, Meta: *f})
 		}
 	}
@@ -228,25 +237,40 @@ func (vs *versionSet) logAndApply(e *VersionEdit) error {
 		return err
 	}
 
-	b := newVersionBuilder(vs.current)
+	old := vs.current.Load()
+	b := newVersionBuilder(old)
 	b.apply(e)
 	v := b.build()
 	v.refs = 1
 	vs.refFiles(v)
-	old := vs.current
-	vs.current = v
+	vs.current.Store(v)
 	vs.unrefLocked(old)
 	return nil
 }
 
-// refVersion takes a reference on the current version for a reader.
-// Callers release with releaseVersion.
+// refCurrent takes a counted reference on the current version, for a reader
+// that outlives one call — an iterator, a snapshot, a checkpoint. Callers
+// release with releaseVersion. A Get needs none: it reads inside enter/exit.
 func (vs *versionSet) refCurrent() *Version {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	v := vs.current
+	v := vs.current.Load()
 	v.refs++
 	return v
+}
+
+// enter opens a read section in which the current version's files stay on
+// disk and in the table cache whatever compaction does: load current after
+// enter, and use it only until exit(h).
+func (vs *versionSet) enter() *rcu.Handle {
+	h := vs.sections.Get().(*rcu.Handle)
+	h.Enter()
+	return h
+}
+
+func (vs *versionSet) exit(h *rcu.Handle) {
+	h.Exit()
+	vs.sections.Put(h)
 }
 
 func (vs *versionSet) releaseVersion(v *Version) {
@@ -289,7 +313,17 @@ func (vs *versionSet) takeObsolete() []uint64 {
 	return obs
 }
 
+// deleteTables evicts the readers of tables no counted version references
+// any more and unlinks them. A Get may still be reading one through the
+// version it loaded without a reference, so it first waits one grace
+// period of readers: every section open now has closed. Never call it from
+// inside a read section — it would wait for itself — which is why a Get
+// never takes or drops a counted version.
 func (vs *versionSet) deleteTables(nums []uint64) {
+	if len(nums) == 0 {
+		return
+	}
+	vs.readers.Synchronize()
 	for _, num := range nums {
 		vs.cache.Evict(num)
 		os.Remove(TableFileName(vs.dir, num))
@@ -348,12 +382,13 @@ func (vs *versionSet) dump(w io.Writer) {
 	defer vs.mu.Unlock()
 	fmt.Fprintf(w, "manifest=%d next-file=%d log=%d last-seq=%d\n",
 		vs.manifestNum, vs.nextFileNum, vs.logNum, vs.lastSeq)
+	cur := vs.current.Load()
 	for l := 0; l < NumLevels; l++ {
-		files := vs.current.files[l]
+		files := cur.files[l]
 		if len(files) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "L%d (%d files, %d bytes):\n", l, len(files), vs.current.SizeBytes(l))
+		fmt.Fprintf(w, "L%d (%d files, %d bytes):\n", l, len(files), cur.SizeBytes(l))
 		for _, f := range files {
 			fmt.Fprintf(w, "  #%06d %8d bytes  [%x .. %x] seq %d..%d count %d\n",
 				f.Num, f.Size, f.Smallest, f.Largest, f.MinSeq, f.MaxSeq, f.Count)

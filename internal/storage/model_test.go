@@ -1,8 +1,12 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"sync/atomic"
 	"testing"
 
 	"flodb/internal/keys"
@@ -121,15 +125,26 @@ func TestStorageModelCheck(t *testing.T) {
 }
 
 // TestConcurrentReadsDuringCompaction hammers Get from several goroutines
-// while flushes and compactions churn the version tree underneath.
+// while flushes and compactions churn the version tree underneath and
+// delete the tables they made obsolete. Gets read the current version with
+// no reference, so this is the test of the grace period deleteTables waits
+// out: with no row cache and a four-reader table cache, almost every probe
+// opens its table, and a table unlinked under a Get that still holds the
+// old version fails the open. Every Get must succeed with a value from a
+// round no older than the last flush finished before it began and no newer
+// than the last one started before it returned.
 func TestConcurrentReadsDuringCompaction(t *testing.T) {
 	s := openTestStore(t, Options{
 		L0CompactionTrigger: 2,
 		BaseLevelBytes:      16 << 10,
 		TargetFileSize:      8 << 10,
 		CompactionThreads:   2,
+		BlockCacheBytes:     -1,
+		TableCacheCapacity:  4,
 	})
 	const keySpace = 200
+	var started, flushed atomic.Int64
+	var flushedTables []uint64
 	seq := uint64(0)
 	writeRound := func(round int) {
 		var entries []memEntry
@@ -140,15 +155,20 @@ func TestConcurrentReadsDuringCompaction(t *testing.T) {
 				value: []byte(fmt.Sprintf("round-%d", round)),
 			})
 		}
-		if _, err := s.Flush(&memIter{entries: sortedEntries(entries)}, uint64(round+2), seq); err != nil {
-			t.Error(err)
+		started.Store(int64(round))
+		fm, err := s.Flush(&memIter{entries: sortedEntries(entries)}, uint64(round+2), seq)
+		if err != nil {
+			t.Fatal(err)
 		}
+		flushedTables = append(flushedTables, fm.Num)
+		flushed.Store(int64(round))
 	}
 	writeRound(0)
 
+	const readers = 4
 	stop := make(chan struct{})
-	errs := make(chan error, 4)
-	for g := 0; g < 4; g++ {
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
 		go func(g int) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for {
@@ -159,26 +179,38 @@ func TestConcurrentReadsDuringCompaction(t *testing.T) {
 				default:
 				}
 				k := keys.EncodeUint64(uint64(rng.Intn(keySpace)))
-				_, _, _, ok, err := s.Get(k)
+				lo := flushed.Load()
+				v, _, _, ok, err := s.Get(k)
+				hi := started.Load()
 				if err != nil {
 					errs <- fmt.Errorf("Get(%x): %w", k, err)
 					return
 				}
-				if !ok {
-					errs <- fmt.Errorf("key %x vanished mid-compaction", k)
+				var round int64
+				if _, scanErr := fmt.Sscanf(string(v), "round-%d", &round); !ok || scanErr != nil || round < lo || round > hi {
+					errs <- fmt.Errorf("Get(%x) = %q ok=%v, want a round in [%d, %d]", k, v, ok, lo, hi)
 					return
 				}
 			}
 		}(g)
 	}
-	for round := 1; round <= 20; round++ {
+	for round := 1; round <= 40; round++ {
 		writeRound(round)
 	}
 	close(stop)
-	for g := 0; g < 4; g++ {
+	for g := 0; g < readers; g++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.WaitForCompactions()
+	deleted := 0
+	for _, num := range flushedTables {
+		if _, err := os.Stat(TableFileName(s.Dir(), num)); errors.Is(err, fs.ErrNotExist) {
+			deleted++
+		}
+	}
+	if m := s.Metrics(); m.Compactions == 0 || deleted == 0 {
+		t.Fatalf("%d compactions deleted %d of %d flushed tables: nothing was deleted under the readers", m.Compactions, deleted, len(flushedTables))
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 	"testing"
+	"time"
 
 	"flodb/internal/keys"
 	"flodb/internal/skiplist"
@@ -495,9 +496,7 @@ func TestVersionInvariantsRandomized(t *testing.T) {
 		}
 	}
 	s.WaitForCompactions()
-	s.vs.mu.Lock()
-	err := s.vs.current.checkInvariants()
-	s.vs.mu.Unlock()
+	err := s.vs.current.Load().checkInvariants()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +537,7 @@ func TestTableCacheSharing(t *testing.T) {
 // cache's capacity IS the store's steady-state fd budget for tables.
 // The common soft rlimit is 1024; DefaultTableCacheCapacity must leave
 // comfortable headroom for WAL segments, the manifest, sockets and
-// whatever else the embedding process has open. The LRU bound is what
+// whatever else the embedding process has open. The capacity bound is what
 // turns "open tables" from O(total files ever created) — the old
 // unbounded map, a slow fd leak on long-lived stores with many small
 // tables — into a constant.
@@ -636,5 +635,74 @@ func TestBaseLevelHoldsOneL0Compaction(t *testing.T) {
 	defer s.ReleaseVersion(v)
 	if score := float64(v.SizeBytes(1)) / float64(s.maxBytesForLevel(1)); score > 1 {
 		t.Fatalf("L1 holds %d bytes, score %.2f over its %d-byte target", v.SizeBytes(1), score, s.maxBytesForLevel(1))
+	}
+}
+
+// returnsWithin fails the test if f has not returned after a few seconds;
+// a test that holds a lock f must not take calls it this way.
+func returnsWithin(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s blocked on a lock the test holds", what)
+	}
+}
+
+// TestRowHitTakesNoLock: a Get of a disk-resident key whose row is cached
+// returns while the test holds the version set's mutex and every stripe
+// lock of the row cache — the hit path takes neither.
+func TestRowHitTakesNoLock(t *testing.T) {
+	s := openTestStore(t, Options{})
+	var entries []memEntry
+	for i := 0; i < 100; i++ {
+		entries = append(entries, memEntry{key: keys.EncodeUint64(uint64(i)), seq: uint64(i + 1), kind: keys.KindSet, value: []byte(fmt.Sprintf("v%d", i))})
+	}
+	if _, err := s.Flush(&memIter{entries: entries}, 2, 100); err != nil {
+		t.Fatal(err)
+	}
+	key := keys.EncodeUint64(42)
+	if _, _, _, ok, err := s.Get(key); !ok || err != nil { // leaves the row in the cache
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	before := s.bcache.Stats()
+
+	var v []byte
+	var ok bool
+	func() {
+		s.vs.mu.Lock()
+		defer s.vs.mu.Unlock()
+		defer s.bcache.LockForTesting()()
+		returnsWithin(t, "a row-cache hit", func() { v, _, _, ok, _ = s.Get(key) })
+	}()
+	if !ok || string(v) != "v42" {
+		t.Fatalf("Get = %q ok=%v", v, ok)
+	}
+	if after := s.bcache.Stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("the Get was not a row hit: %+v then %+v", before, after)
+	}
+}
+
+// TestNeedsStallTakesNoLock: the write path's L0 check reads the published
+// version, so a writer never waits behind the version set's mutex (which a
+// manifest fsync holds).
+func TestNeedsStallTakesNoLock(t *testing.T) {
+	s := openTestStore(t, Options{L0StallThreshold: 1})
+	entries := []memEntry{{key: []byte("k"), seq: 1, kind: keys.KindSet, value: []byte("v")}}
+	if _, err := s.Flush(&memIter{entries: entries}, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	s.vs.mu.Lock()
+	defer s.vs.mu.Unlock()
+	var stall bool
+	var files int
+	returnsWithin(t, "NeedsStall", func() { stall, files = s.NeedsStall(), s.NumLevelFiles(0) })
+	if !stall || files != 1 {
+		t.Fatalf("one L0 file against a threshold of 1: NeedsStall=%v, NumLevelFiles(0)=%d", stall, files)
 	}
 }

@@ -109,8 +109,8 @@ type Store struct {
 	// ones that answered "definitely absent" and so spared the probe its
 	// table handle and its block read.
 	bcache         *cache.Cache
-	bloomChecks    atomic.Uint64
-	bloomNegatives atomic.Uint64
+	bloomChecks    obs.StripedCounter
+	bloomNegatives obs.StripedCounter
 
 	// compacting marks input files of in-flight compactions; compactPtr
 	// implements LevelDB's round-robin pick within a level. Both guarded
@@ -314,10 +314,14 @@ func (s *Store) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bo
 
 // GetHashed is Get for a caller that has computed h, the keys.Hash of key,
 // for a filter of its own: a point read hashes its key once.
+//
+// It takes no lock and no reference: the current Version is loaded inside a
+// read section of the version set's RCU domain, and a table the read may
+// touch is deleted only after the section ends (deleteTables).
 func (s *Store) GetHashed(key []byte, h uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
-	v := s.vs.refCurrent()
-	defer s.vs.releaseVersion(v)
-	return v.getAt(s, key, h, math.MaxUint64)
+	rh := s.vs.enter()
+	defer s.vs.exit(rh)
+	return s.vs.current.Load().getAt(s, key, h, math.MaxUint64)
 }
 
 // NewIterator returns a merged iterator over a snapshot of the disk
@@ -366,17 +370,15 @@ func (s *Store) NewVersionIterator(v *Version) (InternalIterator, func(), error)
 
 // NumLevelFiles returns the file count at a level.
 func (s *Store) NumLevelFiles(l int) int {
-	s.vs.mu.Lock()
-	defer s.vs.mu.Unlock()
-	return s.vs.current.NumFiles(l)
+	return s.vs.current.Load().NumFiles(l)
 }
 
 // NeedsStall reports whether L0 has grown past the stall threshold;
-// memory components should pause writers until compaction catches up.
+// memory components should pause writers until compaction catches up. It
+// reads the published version and takes no lock, so a writer's check never
+// waits behind a manifest fsync.
 func (s *Store) NeedsStall() bool {
-	s.vs.mu.Lock()
-	defer s.vs.mu.Unlock()
-	return len(s.vs.current.files[0]) >= s.opts.L0StallThreshold
+	return len(s.vs.current.Load().files[0]) >= s.opts.L0StallThreshold
 }
 
 // MaybeScheduleCompaction nudges the background workers.
@@ -482,12 +484,11 @@ func (s *Store) Metrics() Metrics {
 	tst := s.cache.Stats()
 	m.TableCacheHits = tst.Hits
 	m.TableCacheMisses = tst.Misses
-	s.vs.mu.Lock()
+	cur := s.vs.current.Load()
 	for l := 0; l < NumLevels; l++ {
-		m.FilesPerLevel[l] = s.vs.current.NumFiles(l)
-		m.BytesPerLevel[l] = s.vs.current.SizeBytes(l)
+		m.FilesPerLevel[l] = cur.NumFiles(l)
+		m.BytesPerLevel[l] = cur.SizeBytes(l)
 	}
-	s.vs.mu.Unlock()
 	return m
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"flodb/internal/cache"
 	"flodb/internal/keys"
 	"flodb/internal/sstable"
 )
@@ -157,25 +156,21 @@ func (s *Store) probe(f *FileMeta, key []byte, h uint64) (value []byte, seq uint
 		return nil, 0, 0, false, err
 	}
 	if flt != nil {
-		s.bloomChecks.Add(1)
+		s.bloomChecks.Inc()
 		if !flt.MayContain(h) {
-			s.bloomNegatives.Add(1)
+			s.bloomNegatives.Inc()
 			return nil, 0, 0, false, nil
 		}
 	}
 	if row := sstable.CachedRow(s.bcache, f.Num, h, key); row != nil {
 		return row.Value, row.Seq, row.Kind, true, nil
 	}
-	// tableCache.Get's hit path, spelled out: it inlines here, which keeps
-	// the handle of an open table on this stack.
-	hd := s.cache.c.Get(cache.Key{ID: f.Num})
-	if hd == nil {
-		if _, hd, err = s.cache.Get(f.Num); err != nil {
-			return nil, 0, 0, false, err
-		}
+	r, hd, err := s.cache.Get(f.Num)
+	if err != nil {
+		return nil, 0, 0, false, err
 	}
 	defer hd.Release()
-	return hd.Value().(*sstable.Reader).Fetch(key, h)
+	return r.Fetch(key, h)
 }
 
 // newIterator builds a merged iterator over every file in the version.

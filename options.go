@@ -266,7 +266,7 @@ func WithBlockCacheSize(bytes int64) Option {
 
 // WithTableCacheCapacity bounds how many sstable readers (one open file
 // descriptor plus a parsed index and bloom filter each) the store keeps
-// resident, per shard (default 256). The LRU evicts cold readers;
+// resident, per shard (default 256). CLOCK eviction closes cold readers;
 // readers in use by iterators or compactions are pinned and never closed
 // underneath their users. Raise it when the tree holds more tables than
 // the default and re-opens show up in TableCacheMisses; lower it under
