@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"flodb/internal/keys"
+	"flodb/internal/kv"
 )
 
 // bg is the context threaded through every store call in these tests.
@@ -420,5 +421,56 @@ func TestConcurrentPutsAndGets(t *testing.T) {
 				t.Fatalf("key %d/%d: %v %v %v", w, i, v, ok, err)
 			}
 		}
+	}
+}
+
+// TestPutAllocationBudget is the fast path's allocation budget: a Buffered
+// Put that completes in the Membuffer allocates the key copy, the value
+// copy and the Membuffer's pair — the WAL append builds no record and no
+// header — and a Get that finds its key allocates the caller's copy of the
+// value.
+func TestPutAllocationBudget(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MemoryBytes = 8 << 20
+	cfg.Durability = kv.DurabilityBuffered
+	db := openTestDB(t, cfg)
+	const n = 64
+	var ks [n][]byte
+	for i := range ks {
+		ks[i] = spreadKey(uint64(i))
+	}
+	val := make([]byte, 256)
+	i := 0
+	put := func() {
+		if err := db.Put(bg, ks[i%n], val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range ks {
+		put()
+	}
+	before := db.Stats()
+	puts := testing.AllocsPerRun(2000, put)
+	if after := db.Stats(); after.MemtableWrites != before.MemtableWrites || after.MembufferHits-before.MembufferHits < 2000 {
+		t.Fatalf("Puts left the fast path: %d Memtable writes, %d Membuffer hits",
+			after.MemtableWrites-before.MemtableWrites, after.MembufferHits-before.MembufferHits)
+	}
+	get := func() {
+		if v, ok, err := db.Get(bg, ks[i%n]); err != nil || !ok || len(v) != len(val) {
+			t.Fatalf("Get: %d bytes ok=%v err=%v", len(v), ok, err)
+		}
+		i++
+	}
+	gets := testing.AllocsPerRun(2000, get)
+	t.Logf("a fast-path Put: %.2f allocations; a Get: %.2f", puts, gets)
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts: RCU reader handles are re-made")
+	}
+	if puts > 3 {
+		t.Errorf("a fast-path Put: %.2f allocations, budget 3", puts)
+	}
+	if gets != 1 {
+		t.Errorf("a Get that finds its key: %.2f allocations, want 1 (the caller's copy)", gets)
 	}
 }

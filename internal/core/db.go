@@ -190,12 +190,14 @@ type DB struct {
 // REGISTERED in db.reg (initObs wires them), so kv.Stats and the
 // /metrics exposition read the same atomics — the Stats struct is a
 // view over the registry, not a second set of counts. Recording is
-// still a single atomic add.
+// a single atomic add; the counters every Put or Get bumps are striped
+// (obs.StripedCounter), so that add writes no line another core writes.
 type statCounters struct {
-	puts, gets, deletes, scans    *obs.Counter
+	puts, gets, deletes           *obs.StripedCounter
+	membufferHits, memtableWrites *obs.StripedCounter
+	scans                         *obs.Counter
 	batches, batchOps, iterators  *obs.Counter
 	snapshots, checkpoints        *obs.Counter
-	membufferHits, memtableWrites *obs.Counter
 	drainedEntries, drainBatches  *obs.Counter
 	persists                      *obs.Counter
 	helpDrains                    *obs.Counter
@@ -210,7 +212,7 @@ type statCounters struct {
 	// signal.
 	resizes     *obs.Counter
 	stallNanos  *obs.Counter
-	inPlaceHits *obs.Counter
+	inPlaceHits *obs.StripedCounter
 }
 
 // Open creates or opens a FloDB store.
@@ -412,7 +414,7 @@ func (db *DB) recoverWALs() error {
 					Seq:       db.seq.Add(1),
 					Tombstone: kind == keys.KindDelete,
 				}
-				m.insert(key, e)
+				m.insert(key, keys.Hash(key), e)
 				return nil
 			})
 		})

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flodb/internal/keys"
 	"flodb/internal/membuffer"
 	"flodb/internal/skiplist"
 )
@@ -127,7 +128,7 @@ func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained, seq *atomi
 	if db.cfg.SimpleInsertDrain {
 		for i := range batch {
 			d := &batch[i]
-			dst.insert(d.Key, &skiplist.Entry{
+			dst.insert(d.Key, keys.Hash(d.Key), &skiplist.Entry{
 				Value:     d.Value,
 				Seq:       seq.Add(1),
 				Tombstone: d.Tombstone,

@@ -49,24 +49,25 @@ func (m *memtable) filterSlot(h uint64) (*atomic.Uint64, uint64) {
 	return &m.filter[w], 1<<(h&63) | 1<<(h>>6&63) | 1<<(h>>12&63)
 }
 
-// mark sets key's filter bits. A hot key's are set already: test before
-// the read-modify-write, and leave its cache line shared.
-func (m *memtable) mark(key []byte) {
-	if w, mask := m.filterSlot(keys.Hash(key)); w.Load()&mask != mask {
+// mark sets the filter bits of the key whose keys.Hash is h. A hot key's
+// are set already: test before the read-modify-write, and leave its cache
+// line shared.
+func (m *memtable) mark(h uint64) {
+	if w, mask := m.filterSlot(h); w.Load()&mask != mask {
 		w.Or(mask)
 	}
 }
 
-// insert is list.Insert behind the filter.
-func (m *memtable) insert(key []byte, e *skiplist.Entry) {
-	m.mark(key)
+// insert is list.Insert behind the filter; h is key's keys.Hash.
+func (m *memtable) insert(key []byte, h uint64, e *skiplist.Entry) {
+	m.mark(h)
 	m.list.Insert(key, e)
 }
 
 // multiInsert is list.MultiInsert behind the filter.
 func (m *memtable) multiInsert(batch []skiplist.KV) {
 	for i := range batch {
-		m.mark(batch[i].Key)
+		m.mark(keys.Hash(batch[i].Key))
 	}
 	m.list.MultiInsert(batch)
 }

@@ -48,16 +48,17 @@ func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	return keys.Clone(v), ok, err
 }
 
-// get pays only for the component that holds the key. In order:
+// get pays only for the component that holds the key. The key is hashed
+// once (keys.Hash), for every component. In order:
 //
 //  1. Membuffer, then the sealed one if a seal is draining it into the
-//     live Memtable: one hash, one bucket of slots each (~50 ns).
-//  2. The key is hashed once more (keys.Hash), for everything below.
-//  3. Memtable, then the sealed Membuffer if a persist seal is draining it,
+//     live Memtable: one bucket line each, tags compared before any key
+//     (~50 ns).
+//  2. Memtable, then the sealed Membuffer if a persist seal is draining it,
 //     then the sealed Memtable if a flush is in flight: one word of the
 //     generation's filter; a skiplist descent (~1.5 µs at 24 MiB) only if
 //     the generation holds the key, or for the <1% the filter lets by.
-//  4. Disk (Version.getAt), newest file first, and per file whose key range
+//  3. Disk (Version.getAt), newest file first, and per file whose key range
 //     covers the key: its filter, through the file's metadata — no table
 //     handle; then the row cache — a hit returns the row, still no handle;
 //     only then a pinned Reader, an index search, one block read into a
@@ -74,9 +75,10 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	}
 	db.stats.gets.Add(1)
 
+	h := keys.Hash(key)
 	g := db.gen.Load()
 	if g.mbf != nil {
-		if v, tomb, ok := g.mbf.Get(key); ok {
+		if v, tomb, ok := g.mbf.GetHashed(key, h); ok {
 			if tomb {
 				return nil, false, nil
 			}
@@ -89,14 +91,13 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	// writes while the drain runs.
 	imm := db.immGen.Load()
 	if imm != nil && imm.mtb == g.mtb {
-		if v, tomb, ok := imm.mbf.Get(key); ok {
+		if v, tomb, ok := imm.mbf.GetHashed(key, h); ok {
 			if tomb {
 				return nil, false, nil
 			}
 			return v, true, nil
 		}
 	}
-	h := keys.Hash(key)
 	if e, ok := g.mtb.get(key, h); ok {
 		if e.Tombstone {
 			return nil, false, nil
@@ -104,7 +105,7 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		return e.Value, true, nil
 	}
 	if imm != nil && imm.mtb != g.mtb {
-		if v, tomb, ok := imm.mbf.Get(key); ok {
+		if v, tomb, ok := imm.mbf.GetHashed(key, h); ok {
 			if tomb {
 				return nil, false, nil
 			}
@@ -238,7 +239,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		kind = keys.KindDelete
 	}
 	logged := d != kv.DurabilityNone
-	var rec []byte // encoded lazily, only when a WAL append happens
+	hash := keys.Hash(key)
 	// The last successful append is the op's commit record. The op is
 	// logged once per segment it could land under: a lap or the slow path
 	// appends again only when the pair it loaded logs to another segment
@@ -263,17 +264,14 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			break
 		}
 		if logged && g.mtb.wal != nil && g.mtb.wal != syncW {
-			if rec == nil {
-				rec = kv.EncodeRecord(kind, key, value)
-			}
-			off, err := g.mtb.wal.Append(rec)
+			off, err := g.mtb.wal.AppendRecord(kind, key, value)
 			if err != nil {
 				h.Exit()
 				return err
 			}
 			syncW, syncOff = g.mtb.wal, off
 		}
-		if ok, inPlace := g.mbf.Put(key, value, tombstone); ok {
+		if ok, inPlace := g.mbf.PutHashed(key, hash, value, tombstone); ok {
 			h.Exit()
 			db.stats.membufferHits.Add(1)
 			if inPlace {
@@ -359,10 +357,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		}
 		g = db.gen.Load()
 		if logged && g.mtb.wal != nil && g.mtb.wal != syncW {
-			if rec == nil {
-				rec = kv.EncodeRecord(kind, key, value)
-			}
-			off, err := g.mtb.wal.Append(rec)
+			off, err := g.mtb.wal.AppendRecord(kind, key, value)
 			if err != nil {
 				h.Exit()
 				return err
@@ -370,7 +365,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			syncW, syncOff = g.mtb.wal, off
 		}
 		seq := db.seq.Add(1)
-		g.mtb.insert(key, &skiplist.Entry{Value: value, Seq: seq, Tombstone: tombstone})
+		g.mtb.insert(key, hash, &skiplist.Entry{Value: value, Seq: seq, Tombstone: tombstone})
 		h.Exit()
 		db.stats.memtableWrites.Add(1)
 		db.noteStall(stallStart)

@@ -267,7 +267,7 @@ func TestSealWaitsForDrainerMidBatch(t *testing.T) {
 // Putting them fills the bucket, so the next new key there takes the slow
 // path to the Memtable.
 func bucketMates(b *membuffer.Buffer, partBits uint, key []byte, n int) [][]byte {
-	perPart := uint64(b.Capacity() / membuffer.DefaultSlotsPerBucket / b.Partitions())
+	perPart := uint64(b.Capacity() / membuffer.BucketSlots / b.Partitions())
 	part, slot := keys.PartitionOf(key, partBits), keys.Hash(key)%perPart
 	var mates [][]byte
 	for i := uint64(1); len(mates) < n; i++ {

@@ -9,7 +9,7 @@ import (
 // histograms and the structured event log. It is nil when
 // Config.DisableTelemetry is set, and every hot path guards its
 // time.Now() calls behind that nil check — the counters (which are
-// plain atomic adds) stay on unconditionally, so kv.Stats is always
+// single atomic adds) stay on unconditionally, so kv.Stats is always
 // complete.
 type telemetry struct {
 	events *obs.EventLog
@@ -36,17 +36,17 @@ func (db *DB) initObs() {
 	reg := obs.NewRegistry()
 	db.reg = reg
 	s := &db.stats
-	s.puts = reg.Counter("flodb_puts_total", "Put operations.")
-	s.gets = reg.Counter("flodb_gets_total", "Get operations.")
-	s.deletes = reg.Counter("flodb_deletes_total", "Delete operations.")
+	s.puts = reg.StripedCounter("flodb_puts_total", "Put operations.")
+	s.gets = reg.StripedCounter("flodb_gets_total", "Get operations.")
+	s.deletes = reg.StripedCounter("flodb_deletes_total", "Delete operations.")
 	s.scans = reg.Counter("flodb_scans_total", "Scan operations.")
 	s.batches = reg.Counter("flodb_batches_total", "Atomic batches applied.")
 	s.batchOps = reg.Counter("flodb_batch_ops_total", "Operations inside applied batches.")
 	s.iterators = reg.Counter("flodb_iterators_total", "Iterators opened.")
 	s.snapshots = reg.Counter("flodb_snapshots_total", "Snapshots taken.")
 	s.checkpoints = reg.Counter("flodb_checkpoints_total", "Checkpoints taken.")
-	s.membufferHits = reg.Counter("flodb_membuffer_hits_total", "Writes absorbed by the Membuffer fast path.")
-	s.memtableWrites = reg.Counter("flodb_memtable_writes_total", "Writes that took the direct-to-Memtable path.")
+	s.membufferHits = reg.StripedCounter("flodb_membuffer_hits_total", "Writes absorbed by the Membuffer fast path.")
+	s.memtableWrites = reg.StripedCounter("flodb_memtable_writes_total", "Writes that took the direct-to-Memtable path.")
 	s.drainedEntries = reg.Counter("flodb_drained_entries_total", "Entries drained Membuffer->Memtable.")
 	s.drainBatches = reg.Counter("flodb_drain_batches_total", "Drain multi-insert batches.")
 	s.persists = reg.Counter("flodb_persists_total", "Seal->drain->flush persist cycles.")
@@ -54,7 +54,7 @@ func (db *DB) initObs() {
 	s.syncBarriers = reg.Counter("flodb_sync_barriers_total", "Explicit Sync durability barriers.")
 	s.resizes = reg.Counter("flodb_membuffer_resizes_total", "Adaptive Membuffer resize epochs (4.4).")
 	s.stallNanos = reg.Counter("flodb_write_stall_nanoseconds_total", "Writer time stalled on drains, memory backpressure and L0 backlog.")
-	s.inPlaceHits = reg.Counter("flodb_inplace_hits_total", "Membuffer updates that overwrote a resident key in place.")
+	s.inPlaceHits = reg.StripedCounter("flodb_inplace_hits_total", "Membuffer updates that overwrote a resident key in place.")
 
 	// Views over the WAL's own metrics: the acked-vs-durable boundary.
 	reg.CounterFunc("flodb_wal_appends_total", "WAL records appended (acked commit index).",

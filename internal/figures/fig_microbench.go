@@ -119,9 +119,8 @@ func rawStructureSweep(c Config, run func(size uint64, threads int, d time.Durat
 func Fig5(c Config) (*harness.Table, error) {
 	return rawStructureSweep(c, func(size uint64, threads int, d time.Duration) float64 {
 		buf := membuffer.New(membuffer.Config{
-			Buckets:        int(size / 2), // ~50% occupancy at |size| entries
-			SlotsPerBucket: 4,
-			PartitionBits:  6,
+			Buckets:       int(size / 2), // ~50% occupancy at |size| entries
+			PartitionBits: 6,
 		})
 		var fill [8]byte
 		for i := uint64(0); i < size; i++ {

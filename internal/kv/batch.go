@@ -79,7 +79,7 @@ const batchMarker = 0xB7
 
 // EncodeBatchRecord serializes a whole batch as ONE WAL record:
 //
-//	marker(1) | count(uvarint) | count × ( kind(1) | klen(uvarint) | key | vlen(uvarint) | value )
+//	marker(1) | count(uvarint) | count × record (EncodeRecord's layout, see RecordFraming)
 //
 // Because the WAL layer frames and checksums each record as a unit, a
 // batch record is recovered all-or-nothing: a crash mid-append tears the
@@ -87,18 +87,14 @@ const batchMarker = 0xB7
 func EncodeBatchRecord(b *Batch) []byte {
 	size := 1 + binary.MaxVarintLen64
 	for i := range b.ops {
-		size += 1 + 2*binary.MaxVarintLen64 + len(b.ops[i].Key) + len(b.ops[i].Value)
+		size += MaxRecordFraming + len(b.ops[i].Key) + len(b.ops[i].Value)
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, batchMarker)
 	buf = binary.AppendUvarint(buf, uint64(len(b.ops)))
 	for i := range b.ops {
 		op := &b.ops[i]
-		buf = append(buf, byte(op.Kind))
-		buf = binary.AppendUvarint(buf, uint64(len(op.Key)))
-		buf = append(buf, op.Key...)
-		buf = binary.AppendUvarint(buf, uint64(len(op.Value)))
-		buf = append(buf, op.Value...)
+		buf = appendRecord(buf, op.Kind, op.Key, op.Value)
 	}
 	return buf
 }

@@ -306,16 +306,39 @@ type StatsProvider interface {
 // ErrBadRecord reports a structurally invalid mutation record.
 var ErrBadRecord = errors.New("kv: bad record")
 
+// MaxRecordFraming bounds the framing bytes of one mutation record: the
+// record less its key and value.
+const MaxRecordFraming = 1 + 2*binary.MaxVarintLen64
+
+// RecordFraming writes into scratch, which must hold MaxRecordFraming
+// bytes, the framing of the record of one mutation with a klen-byte key
+// and a vlen-byte value: pre | key | mid | value is the record. It is the
+// one place the record layout is written down:
+//
+//	kind(1) | klen(uvarint) | key | vlen(uvarint) | value
+//
+// A writer that gathers the record from its parts, such as the WAL's
+// AppendRecord, never builds it.
+func RecordFraming(scratch []byte, kind keys.Kind, klen, vlen int) (pre, mid []byte) {
+	pre = append(scratch[:0], byte(kind))
+	pre = binary.AppendUvarint(pre, uint64(klen))
+	mid = binary.AppendUvarint(pre[len(pre):], uint64(vlen))
+	return pre[:len(pre):len(pre)], mid
+}
+
+// appendRecord appends the record of one mutation to dst.
+func appendRecord(dst []byte, kind keys.Kind, key, value []byte) []byte {
+	var frame [MaxRecordFraming]byte
+	pre, mid := RecordFraming(frame[:], kind, len(key), len(value))
+	dst = append(dst, pre...)
+	dst = append(dst, key...)
+	dst = append(dst, mid...)
+	return append(dst, value...)
+}
+
 // EncodeRecord serializes one mutation: kind, key, value.
-// Layout: kind(1) | klen(uvarint) | key | vlen(uvarint) | value.
 func EncodeRecord(kind keys.Kind, key, value []byte) []byte {
-	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(key)+len(value))
-	buf = append(buf, byte(kind))
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = append(buf, key...)
-	buf = binary.AppendUvarint(buf, uint64(len(value)))
-	buf = append(buf, value...)
-	return buf
+	return appendRecord(make([]byte, 0, MaxRecordFraming+len(key)+len(value)), kind, key, value)
 }
 
 // DecodeRecord parses a record produced by EncodeRecord. The returned

@@ -1,13 +1,16 @@
 // Package membuffer implements FloDB's top in-memory level: a small, fast,
-// unsorted concurrent hash table in the style of CLHT (cache-line hash
-// table) that the paper uses as the Membuffer (§4.1).
+// unsorted concurrent hash table built as a CLHT (cache-line hash table),
+// the structure the paper uses as the Membuffer (§4.1).
 //
 // Structure:
 //
-//   - The table is an array of fixed-capacity buckets. A bucket holds a
-//     small number of slots (entries) and a lock; updates lock only their
-//     bucket, reads are lock-free (each slot is an atomic pointer to an
-//     immutable pair).
+//   - The table is an array of 64-byte buckets, each exactly one cache line:
+//     a lock, BucketSlots 32-bit hash tags and BucketSlots atomic pointers to
+//     immutable pairs. The array starts on a line boundary, so a probe reads
+//     one line. A slot's tag is the high half of the key's keys.Hash: a probe
+//     compares the tag first and reads a pair only on a tag match, so a miss
+//     costs the bucket's line and nothing else. Updates lock only their
+//     bucket; reads are lock-free.
 //   - The bucket array is split into 2^ℓ contiguous *partitions*; the ℓ
 //     most significant bits of the key select the partition and the rest
 //     of the key hashes to a bucket inside it (§4.3). Keys that are close
@@ -39,10 +42,11 @@ import (
 	"flodb/internal/keys"
 )
 
-// DefaultSlotsPerBucket mirrors CLHT's cache-line budget: 3–4 entries per
+// BucketSlots is a bucket's entry capacity: what fits in one cache line
+// beside the lock and the tags, and CLHT's budget of 3–4 entries per
 // bucket. Four keeps the failure ("bucket full") probability low at the
 // occupancies FloDB targets.
-const DefaultSlotsPerBucket = 4
+const BucketSlots = 4
 
 // pair is an immutable key/value snapshot stored in a slot.
 type pair struct {
@@ -51,12 +55,35 @@ type pair struct {
 	tombstone bool
 }
 
-// bucket's slots are a window into the buffer's one slot array, capped at
-// the bucket's own capacity so one bucket can never grow into its
-// neighbour.
+// bucket is one cache line: 8 bytes of lock, 16 of tags, 32 of slots and 8
+// of padding. tags[i] is the high half of the keys.Hash of slots[i]'s key,
+// meaningful only while slots[i] is not nil. Writers, under mu, store a new
+// slot's tag before its pointer; lock-free readers load the pointer, then
+// the tag, so a tag they match is never older than the pair they read.
 type bucket struct {
 	mu    sync.Mutex
-	slots []atomic.Pointer[pair]
+	tags  [BucketSlots]atomic.Uint32
+	slots [BucketSlots]atomic.Pointer[pair]
+	_     [8]byte
+}
+
+// lineBytes is the cache-line size the buckets are laid out for.
+const lineBytes = 64
+
+// minAllocBuckets is a bucket count whose array, over 32 KiB, the runtime
+// allocates as a large object, and large objects start on a page boundary. A
+// pointer-holding object of 512 B to 32 KiB instead starts 8 bytes into its
+// size-class slot, behind the runtime's malloc header, so every one of its
+// 64-byte buckets would straddle two lines. A spare bucket cannot shift
+// such an array onto a line boundary (every element of a 64-byte array has
+// the base's alignment), and a view cut mid-bucket would hide the slot
+// pointers from the garbage collector. A small buffer therefore allocates
+// this many buckets and uses a prefix: at most 32 KiB per buffer.
+const minAllocBuckets = 32<<10/lineBytes + 1
+
+// newBuckets returns n zeroed buckets starting on a line boundary.
+func newBuckets(n int) []bucket {
+	return make([]bucket, max(n, minAllocBuckets))[:n:n]
 }
 
 // Config sizes a Buffer.
@@ -64,28 +91,27 @@ type Config struct {
 	// Buckets is the total bucket count; it is rounded up to a multiple of
 	// the partition count.
 	Buckets int
-	// SlotsPerBucket is the entry capacity of each bucket.
-	SlotsPerBucket int
 	// PartitionBits is ℓ: the table has 2^ℓ partitions keyed by the most
 	// significant key bits. 0 disables partitioning (one partition).
 	PartitionBits uint
 }
 
 // ConfigForBytes sizes a buffer to hold roughly capacityBytes of entries
-// of the given average size (key+value), at the default slot count.
+// of the given average size (key+value).
 func ConfigForBytes(capacityBytes int64, avgEntryBytes int, partitionBits uint) Config {
 	if avgEntryBytes <= 0 {
 		avgEntryBytes = 64
 	}
 	entries := capacityBytes / int64(avgEntryBytes)
-	buckets := int(entries / DefaultSlotsPerBucket)
+	buckets := int(entries / BucketSlots)
 	if buckets < 1 {
 		buckets = 1
 	}
-	return Config{Buckets: buckets, SlotsPerBucket: DefaultSlotsPerBucket, PartitionBits: partitionBits}
+	return Config{Buckets: buckets, PartitionBits: partitionBits}
 }
 
-// partition is the drain-side state of one key range.
+// partition is the drain-side state of one key range, padded to a line so
+// writers in different partitions never share one.
 type partition struct {
 	// live counts resident (not yet drained-and-removed) entries. Per
 	// partition rather than one global counter so a drainer skips empty
@@ -93,22 +119,23 @@ type partition struct {
 	// resident entry: draining costs time in proportion to what is
 	// resident, not to the table's capacity.
 	live atomic.Int64
+	// bytes is the approximate key and value bytes of the live entries.
+	bytes atomic.Int64
 	// owned is the drain token: set by the DrainPartition call that claims
 	// from the partition, cleared by the Release or Abort of that batch.
 	owned atomic.Bool
+	_     [lineBytes - 17]byte
 }
 
 // Buffer is the Membuffer. Create with New.
 type Buffer struct {
-	buckets        []bucket
-	partitions     int
-	perPart        int // buckets per partition
-	slotsPerBucket int
-	partBits       uint
+	buckets    []bucket
+	partitions int
+	perPart    int // buckets per partition
+	partBits   uint
 
 	frozen atomic.Bool
 	parts  []partition
-	bytes  atomic.Int64 // approximate bytes of live entries
 
 	// drainCursor hands out partitions round-robin to draining threads.
 	drainCursor atomic.Uint64
@@ -121,9 +148,6 @@ type Buffer struct {
 
 // New builds an empty buffer from cfg.
 func New(cfg Config) *Buffer {
-	if cfg.SlotsPerBucket <= 0 {
-		cfg.SlotsPerBucket = DefaultSlotsPerBucket
-	}
 	if cfg.PartitionBits > 16 {
 		cfg.PartitionBits = 16
 	}
@@ -134,30 +158,27 @@ func New(cfg Config) *Buffer {
 	if rem := cfg.Buckets % parts; rem != 0 {
 		cfg.Buckets += parts - rem
 	}
-	b := &Buffer{
-		buckets:        make([]bucket, cfg.Buckets),
-		parts:          make([]partition, parts),
-		partitions:     parts,
-		perPart:        cfg.Buckets / parts,
-		slotsPerBucket: cfg.SlotsPerBucket,
-		partBits:       cfg.PartitionBits,
+	return &Buffer{
+		buckets:    newBuckets(cfg.Buckets),
+		parts:      make([]partition, parts),
+		partitions: parts,
+		perPart:    cfg.Buckets / parts,
+		partBits:   cfg.PartitionBits,
 	}
-	// One flat array backs every bucket, so building a buffer costs a
-	// constant number of allocations whatever its size.
-	n := cfg.SlotsPerBucket
-	slots := make([]atomic.Pointer[pair], cfg.Buckets*n)
-	for i := range b.buckets {
-		b.buckets[i].slots = slots[i*n : (i+1)*n : (i+1)*n]
-	}
-	return b
 }
 
-// locate maps a key to its partition and bucket index: partition by MSBs,
-// hash within.
-func (b *Buffer) locate(key []byte) (part, bucket int) {
+// locate maps a key whose keys.Hash is h to its partition and bucket
+// index: partition by MSBs, hash within.
+func (b *Buffer) locate(key []byte, h uint64) (part, bucket int) {
 	part = int(keys.PartitionOf(key, b.partBits))
-	return part, part*b.perPart + int(keys.Hash(key)%uint64(b.perPart))
+	return part, part*b.perPart + int(h%uint64(b.perPart))
 }
+
+// tagOf is the tag a slot holding the key whose keys.Hash is h carries: the
+// hash's high half. The bucket index is the hash modulo the partition's
+// bucket count, which for a power of two reads only low bits, so keys that
+// share a bucket still spread over all tags.
+func tagOf(h uint64) uint32 { return uint32(h >> 32) }
 
 // Add inserts key→value (or a tombstone) into the buffer, updating in place
 // if the key is already present. It returns false — and the caller must
@@ -174,11 +195,18 @@ func (b *Buffer) Add(key, value []byte, tombstone bool) bool {
 // the adaptive-sizing sensor uses to tell "the working set fits this
 // buffer" (grow it) from "everything flows through" (§4.4).
 func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
+	return b.PutHashed(key, keys.Hash(key), value, tombstone)
+}
+
+// PutHashed is Put for a caller that already holds h, key's keys.Hash.
+// The buffer retains key and value.
+func (b *Buffer) PutHashed(key []byte, h uint64, value []byte, tombstone bool) (stored, inPlace bool) {
 	if b.frozen.Load() {
 		return false, false
 	}
-	part, bi := b.locate(key)
+	part, bi := b.locate(key, h)
 	bk := &b.buckets[bi]
+	tag := tagOf(h)
 	np := &pair{key: key, value: value, tombstone: tombstone}
 	bk.mu.Lock()
 	// Re-check under the lock: Freeze's caller synchronizes via RCU, but
@@ -196,11 +224,13 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 			}
 			continue
 		}
-		if keys.Equal(p.key, key) {
+		if bk.tags[i].Load() == tag && keys.Equal(p.key, key) {
 			// In-place update: replace the pair. A drainer holding the old
 			// one will find the slot changed and leave it be.
 			bk.slots[i].Store(np)
-			b.bytes.Add(int64(len(value)) - int64(len(p.value)))
+			if d := len(value) - len(p.value); d != 0 {
+				b.parts[part].bytes.Add(int64(d))
+			}
 			bk.mu.Unlock()
 			return true, true
 		}
@@ -210,9 +240,13 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 		b.fullFailures.Add(1)
 		return false, false
 	}
+	bk.tags[free].Store(tag)
 	bk.slots[free].Store(np)
-	b.parts[part].live.Add(1)
-	b.bytes.Add(int64(len(key)) + int64(len(value)))
+	// Counted under the lock, so a Release of this pair cannot uncount it
+	// first.
+	pt := &b.parts[part]
+	pt.live.Add(1)
+	pt.bytes.Add(int64(len(key)) + int64(len(value)))
 	bk.mu.Unlock()
 	return true, false
 }
@@ -220,11 +254,17 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 // Get returns the freshest value for key in this buffer. ok is false if the
 // key is absent. Lock-free.
 func (b *Buffer) Get(key []byte) (value []byte, tombstone, ok bool) {
-	_, bi := b.locate(key)
+	return b.GetHashed(key, keys.Hash(key))
+}
+
+// GetHashed is Get for a caller that already holds h, key's keys.Hash. It
+// reads one bucket line, and a pair only where a slot's tag matches.
+func (b *Buffer) GetHashed(key []byte, h uint64) (value []byte, tombstone, ok bool) {
+	_, bi := b.locate(key, h)
 	bk := &b.buckets[bi]
+	tag := tagOf(h)
 	for i := range bk.slots {
-		p := bk.slots[i].Load()
-		if p != nil && keys.Equal(p.key, key) {
+		if p := bk.slots[i].Load(); p != nil && bk.tags[i].Load() == tag && keys.Equal(p.key, key) {
 			return p.value, p.tombstone, true
 		}
 	}
@@ -254,10 +294,16 @@ func (b *Buffer) Len() int {
 }
 
 // ApproxBytes returns the approximate bytes held.
-func (b *Buffer) ApproxBytes() int64 { return b.bytes.Load() }
+func (b *Buffer) ApproxBytes() int64 {
+	n := int64(0)
+	for i := range b.parts {
+		n += b.parts[i].bytes.Load()
+	}
+	return n
+}
 
 // Capacity returns the total slot count.
-func (b *Buffer) Capacity() int { return len(b.buckets) * b.slotsPerBucket }
+func (b *Buffer) Capacity() int { return len(b.buckets) * BucketSlots }
 
 // Occupancy returns live entries / capacity in [0,1].
 func (b *Buffer) Occupancy() float64 {
@@ -357,8 +403,9 @@ func (b *Buffer) Release(drained []Drained) {
 		bk.mu.Lock()
 		if bk.slots[d.slotIdx].Load() == d.p {
 			bk.slots[d.slotIdx].Store(nil)
-			b.parts[d.bucketIdx/b.perPart].live.Add(-1)
-			b.bytes.Add(-int64(len(d.Key)) - int64(len(d.Value)))
+			pt := &b.parts[d.bucketIdx/b.perPart]
+			pt.live.Add(-1)
+			pt.bytes.Add(-int64(len(d.Key)) - int64(len(d.Value)))
 		}
 		bk.mu.Unlock()
 	}

@@ -7,12 +7,13 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"flodb/internal/keys"
 )
 
 func newSmall() *Buffer {
-	return New(Config{Buckets: 64, SlotsPerBucket: 4, PartitionBits: 2})
+	return New(Config{Buckets: 64, PartitionBits: 2})
 }
 
 func TestAddGet(t *testing.T) {
@@ -55,13 +56,15 @@ func TestTombstone(t *testing.T) {
 }
 
 func TestBucketFullRejects(t *testing.T) {
-	// One bucket, 2 slots: the third distinct key must be rejected.
-	b := New(Config{Buckets: 1, SlotsPerBucket: 2, PartitionBits: 0})
-	if !b.Add([]byte("a"), []byte("1"), false) || !b.Add([]byte("b"), []byte("2"), false) {
-		t.Fatal("first two adds should succeed")
+	// One bucket of BucketSlots slots: the next distinct key is rejected.
+	b := New(Config{Buckets: 1, PartitionBits: 0})
+	for i := 0; i < BucketSlots; i++ {
+		if !b.Add([]byte{byte('a' + i)}, []byte("1"), false) {
+			t.Fatalf("add %d of %d should succeed", i+1, BucketSlots)
+		}
 	}
-	if b.Add([]byte("c"), []byte("3"), false) {
-		t.Fatal("third distinct key should be rejected (bucket full)")
+	if b.Add([]byte("z"), []byte("3"), false) {
+		t.Fatal("a distinct key past the slot count should be rejected (bucket full)")
 	}
 	if b.FullFailures() != 1 {
 		t.Fatalf("FullFailures = %d", b.FullFailures())
@@ -69,6 +72,9 @@ func TestBucketFullRejects(t *testing.T) {
 	// Updating an existing key still works when full.
 	if !b.Add([]byte("a"), []byte("1'"), false) {
 		t.Fatal("in-place update should succeed even when bucket is full")
+	}
+	if v, _, ok := b.Get([]byte("a")); !ok || string(v) != "1'" {
+		t.Fatalf("Get after in-place update = %q, %v", v, ok)
 	}
 }
 
@@ -89,7 +95,7 @@ func TestFreeze(t *testing.T) {
 }
 
 func TestPartitioningIsMSBBased(t *testing.T) {
-	b := New(Config{Buckets: 256, SlotsPerBucket: 4, PartitionBits: 4})
+	b := New(Config{Buckets: 256, PartitionBits: 4})
 	if b.Partitions() != 16 {
 		t.Fatalf("Partitions = %d", b.Partitions())
 	}
@@ -97,9 +103,9 @@ func TestPartitioningIsMSBBased(t *testing.T) {
 	k1 := keys.EncodeUint64(0x1234_0000_0000_0000)
 	k2 := keys.EncodeUint64(0x1fff_ffff_0000_0000)
 	k3 := keys.EncodeUint64(0xf000_0000_0000_0000)
-	p1, _ := b.locate(k1)
-	p2, _ := b.locate(k2)
-	p3, _ := b.locate(k3)
+	p1, _ := b.locate(k1, keys.Hash(k1))
+	p2, _ := b.locate(k2, keys.Hash(k2))
+	p3, _ := b.locate(k3, keys.Hash(k3))
 	if p1 != p2 {
 		t.Errorf("keys with same top nibble split: %d vs %d", p1, p2)
 	}
@@ -113,7 +119,7 @@ func TestPartitioningIsMSBBased(t *testing.T) {
 }
 
 func TestBucketsRoundedToPartitions(t *testing.T) {
-	b := New(Config{Buckets: 5, SlotsPerBucket: 1, PartitionBits: 2})
+	b := New(Config{Buckets: 5, PartitionBits: 2})
 	if len(b.buckets)%4 != 0 {
 		t.Fatalf("buckets (%d) not a multiple of partitions", len(b.buckets))
 	}
@@ -135,7 +141,7 @@ func TestConfigForBytes(t *testing.T) {
 }
 
 func TestDrainReleaseCycle(t *testing.T) {
-	b := New(Config{Buckets: 16, SlotsPerBucket: 4, PartitionBits: 1})
+	b := New(Config{Buckets: 16, PartitionBits: 1})
 	for i := 0; i < 20; i++ {
 		b.Add(keys.EncodeUint64(uint64(i)<<59), []byte("v"), false) // spread partitions
 	}
@@ -165,7 +171,7 @@ func TestDrainReleaseCycle(t *testing.T) {
 }
 
 func TestDrainClaimsAreExclusive(t *testing.T) {
-	b := New(Config{Buckets: 4, SlotsPerBucket: 4, PartitionBits: 0})
+	b := New(Config{Buckets: 4, PartitionBits: 0})
 	for i := 0; i < 10; i++ {
 		b.Add(keys.EncodeUint64(uint64(i)), []byte("v"), false)
 	}
@@ -182,7 +188,7 @@ func TestDrainClaimsAreExclusive(t *testing.T) {
 }
 
 func TestDrainMaxRespected(t *testing.T) {
-	b := New(Config{Buckets: 4, SlotsPerBucket: 4, PartitionBits: 0})
+	b := New(Config{Buckets: 4, PartitionBits: 0})
 	for i := 0; i < 12; i++ {
 		b.Add(keys.EncodeUint64(uint64(i)), []byte("v"), false)
 	}
@@ -196,7 +202,7 @@ func TestDrainMaxRespected(t *testing.T) {
 func TestUpdateDuringDrainIsNotLost(t *testing.T) {
 	// The scenario from the package comment: claim, then in-place update,
 	// then release. The NEW value must survive in the buffer.
-	b := New(Config{Buckets: 1, SlotsPerBucket: 4, PartitionBits: 0})
+	b := New(Config{Buckets: 1, PartitionBits: 0})
 	b.Add([]byte("k"), []byte("old"), false)
 	d := b.DrainPartition(0, 0)
 	if len(d) != 1 || string(d[0].Value) != "old" {
@@ -225,7 +231,7 @@ func TestUpdateDuringDrainIsNotLost(t *testing.T) {
 }
 
 func TestDrainAll(t *testing.T) {
-	b := New(Config{Buckets: 64, SlotsPerBucket: 4, PartitionBits: 3})
+	b := New(Config{Buckets: 64, PartitionBits: 3})
 	n := 0
 	for i := 0; i < 200; i++ {
 		if b.Add(keys.EncodeUint64(rand.Uint64()), []byte("v"), false) {
@@ -243,7 +249,7 @@ func TestDrainAll(t *testing.T) {
 }
 
 func TestNextPartitionRoundRobin(t *testing.T) {
-	b := New(Config{Buckets: 8, SlotsPerBucket: 1, PartitionBits: 2})
+	b := New(Config{Buckets: 8, PartitionBits: 2})
 	seen := make(map[int]int)
 	for i := 0; i < 8; i++ {
 		seen[b.NextPartition()]++
@@ -277,7 +283,7 @@ func TestForEachSeesEverything(t *testing.T) {
 }
 
 func TestPropertyGetAfterAdd(t *testing.T) {
-	b := New(Config{Buckets: 4096, SlotsPerBucket: 4, PartitionBits: 4})
+	b := New(Config{Buckets: 4096, PartitionBits: 4})
 	err := quick.Check(func(k uint64, v []byte) bool {
 		key := keys.EncodeUint64(k)
 		if !b.Add(key, v, false) {
@@ -292,7 +298,7 @@ func TestPropertyGetAfterAdd(t *testing.T) {
 }
 
 func TestConcurrentAddGetDrain(t *testing.T) {
-	b := New(Config{Buckets: 1 << 12, SlotsPerBucket: 4, PartitionBits: 4})
+	b := New(Config{Buckets: 1 << 12, PartitionBits: 4})
 	stop := make(chan struct{})
 	var writers, background sync.WaitGroup
 
@@ -352,7 +358,7 @@ func TestConcurrentAddGetDrain(t *testing.T) {
 }
 
 func BenchmarkAdd(b *testing.B) {
-	buf := New(Config{Buckets: 1 << 16, SlotsPerBucket: 4, PartitionBits: 6})
+	buf := New(Config{Buckets: 1 << 16, PartitionBits: 6})
 	val := bytes.Repeat([]byte("x"), 256)
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(rand.Int63()))
@@ -363,7 +369,7 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkGetHit(b *testing.B) {
-	buf := New(Config{Buckets: 1 << 14, SlotsPerBucket: 4, PartitionBits: 6})
+	buf := New(Config{Buckets: 1 << 14, PartitionBits: 6})
 	const n = 1 << 14
 	for i := 0; i < n; i++ {
 		buf.Add(keys.EncodeUint64(uint64(i)), []byte("v"), false)
@@ -376,12 +382,12 @@ func BenchmarkGetHit(b *testing.B) {
 	})
 }
 
-// TestNewAllocatesConstant pins the flat slot layout: building a buffer
+// TestNewAllocatesConstant pins the flat bucket layout: building a buffer
 // costs the same handful of allocations at any size, because every seal
 // that cannot recycle a buffer (Open, the first seals, a resize) pays it.
 func TestNewAllocatesConstant(t *testing.T) {
 	for _, buckets := range []int{64, 8000, 1 << 16} {
-		cfg := Config{Buckets: buckets, SlotsPerBucket: 4, PartitionBits: 6}
+		cfg := Config{Buckets: buckets, PartitionBits: 6}
 		var sink *Buffer
 		if n := testing.AllocsPerRun(10, func() { sink = New(cfg) }); n > 4 {
 			t.Errorf("New(%d buckets) = %.0f allocations, want <= 4", buckets, n)
@@ -392,23 +398,34 @@ func TestNewAllocatesConstant(t *testing.T) {
 	}
 }
 
-// TestBucketsDoNotOverlap checks the windows cut from the flat array: a
-// full bucket rejects, and never spills into its neighbour's slots.
+// TestBucketsDoNotOverlap fills four buckets past capacity: each holds at
+// most BucketSlots entries, every entry sits in the bucket its key maps to,
+// and ForEach sees exactly what was stored.
 func TestBucketsDoNotOverlap(t *testing.T) {
-	b := New(Config{Buckets: 4, SlotsPerBucket: 2})
-	for i := range b.buckets {
-		if len(b.buckets[i].slots) != 2 || cap(b.buckets[i].slots) != 2 {
-			t.Fatalf("bucket %d: len %d cap %d, want 2/2", i, len(b.buckets[i].slots), cap(b.buckets[i].slots))
-		}
-	}
+	b := New(Config{Buckets: 4})
 	stored := 0
 	for i := 0; i < 64; i++ {
 		if b.Add(keys.EncodeUint64(uint64(i)), []byte("v"), false) {
 			stored++
 		}
 	}
-	if stored != b.Len() || stored > b.Capacity() {
+	if stored != b.Len() || stored > b.Capacity() || b.Capacity() != 4*BucketSlots {
 		t.Fatalf("stored %d, Len %d, capacity %d", stored, b.Len(), b.Capacity())
+	}
+	for bi := range b.buckets {
+		for si := range b.buckets[bi].slots {
+			p := b.buckets[bi].slots[si].Load()
+			if p == nil {
+				continue
+			}
+			h := keys.Hash(p.key)
+			if _, want := b.locate(p.key, h); want != bi {
+				t.Fatalf("key %x in bucket %d, maps to %d", p.key, bi, want)
+			}
+			if got := b.buckets[bi].tags[si].Load(); got != tagOf(h) {
+				t.Fatalf("key %x: slot tag %#x, want %#x", p.key, got, tagOf(h))
+			}
+		}
 	}
 	seen := 0
 	b.ForEach(func(_, _ []byte, _ bool) { seen++ })
@@ -417,12 +434,90 @@ func TestBucketsDoNotOverlap(t *testing.T) {
 	}
 }
 
+// TestBucketIsOneAlignedLine pins the CLHT layout: a bucket is one 64-byte
+// line and the array starts on a line boundary, so a probe reads exactly
+// one line. A plain make misaligns every array of 512 B to 32 KiB (9 to
+// 511 buckets) by the runtime's 8-byte malloc header. Every count up to
+// 1100 is checked; beyond, arrays are large objects whose alignment does
+// not depend on the count, so a stride through 2^15 suffices (checking
+// each of them would allocate 34 GB).
+func TestBucketIsOneAlignedLine(t *testing.T) {
+	if s := unsafe.Sizeof(bucket{}); s != lineBytes {
+		t.Fatalf("bucket is %d bytes, want %d", s, lineBytes)
+	}
+	check := func(n int) {
+		b := New(Config{Buckets: n})
+		if len(b.buckets) != n {
+			t.Fatalf("%d buckets requested, %d built", n, len(b.buckets))
+		}
+		if off := uintptr(unsafe.Pointer(&b.buckets[0])) % lineBytes; off != 0 {
+			t.Fatalf("%d buckets: array starts %d bytes into a line", n, off)
+		}
+	}
+	for n := 1; n <= 1100; n++ {
+		check(n)
+	}
+	for n := 1101; n < 1<<15; n += 97 {
+		check(n)
+	}
+	check(1 << 15)
+}
+
+// TestTagCollisionsKeepFullCompare stores two keys that share a bucket and
+// a 32-bit tag (found by search): a matching tag only admits the key
+// compare, so each key is stored, found, updated in place and drained as
+// its own entry.
+func TestTagCollisionsKeepFullCompare(t *testing.T) {
+	var a, c []byte
+	seen := make(map[uint32]uint64)
+	for i := uint64(0); a == nil; i++ {
+		tag := tagOf(keys.Hash(keys.EncodeUint64(i)))
+		if j, ok := seen[tag]; ok {
+			a, c = keys.EncodeUint64(j), keys.EncodeUint64(i)
+		}
+		seen[tag] = i
+	}
+	b := New(Config{Buckets: 1}) // one bucket: every key shares it
+	if !b.Add(a, []byte("A"), false) || !b.Add(c, []byte("C"), false) {
+		t.Fatal("adds failed")
+	}
+	if b.Len() != 2 {
+		t.Fatalf("Len = %d, want 2: the second key overwrote the first", b.Len())
+	}
+	for _, kv := range [][2]string{{string(a), "A"}, {string(c), "C"}} {
+		if v, _, ok := b.Get([]byte(kv[0])); !ok || string(v) != kv[1] {
+			t.Fatalf("Get(%x) = %q, %v, want %q", kv[0], v, ok, kv[1])
+		}
+	}
+	if ok, inPlace := b.Put(a, []byte("A2"), false); !ok || !inPlace {
+		t.Fatalf("update of a = %v, %v, want an in-place update", ok, inPlace)
+	}
+	if v, _, _ := b.Get(c); string(v) != "C" {
+		t.Fatalf("updating a changed c to %q", v)
+	}
+	if v, _, _ := b.Get(a); string(v) != "A2" {
+		t.Fatalf("a = %q after its update", v)
+	}
+	d := b.DrainPartition(0, 0)
+	got := map[string]string{}
+	for _, e := range d {
+		got[string(e.Key)] = string(e.Value)
+	}
+	if len(d) != 2 || got[string(a)] != "A2" || got[string(c)] != "C" {
+		t.Fatalf("drained %v", got)
+	}
+	b.Release(d)
+	if b.Len() != 0 || b.ApproxBytes() != 0 {
+		t.Fatalf("Len %d bytes %d after release", b.Len(), b.ApproxBytes())
+	}
+}
+
 // TestDrainSkipsEmptyAndStopsEarly covers occupancy-proportional drains:
 // draining an empty buffer allocates nothing, a sweep finds every
 // resident entry wherever it hashed, and a drained buffer can be Reset
 // and refilled.
 func TestDrainSkipsEmptyAndStopsEarly(t *testing.T) {
-	b := New(Config{Buckets: 4096, SlotsPerBucket: 4, PartitionBits: 6})
+	b := New(Config{Buckets: 4096, PartitionBits: 6})
 	if n := testing.AllocsPerRun(10, func() {
 		if d := b.DrainAll(); d != nil {
 			t.Fatalf("empty buffer drained %d entries", len(d))

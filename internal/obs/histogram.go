@@ -64,14 +64,28 @@ func bucketMid(i int) int64 {
 }
 
 // Histogram is a concurrent log-linear latency histogram. Recording is
-// lock-free (two atomic adds, no time formatting, no allocation); all
-// read methods are safe concurrently with recording. A nil *Histogram
+// lock-free (two atomic adds, no time formatting, no allocation) and lands
+// on one of histStripes copies of the buckets and sum, picked by the
+// recording goroutine's stack like a StripedCounter's cell, so goroutines
+// on different cores rarely write one line. All read methods sum the
+// stripes and are safe concurrently with recording. A nil *Histogram
 // ignores Observe and reports zero everywhere, so disabled-telemetry
 // paths hold nil pointers instead of branching.
 type Histogram struct {
+	stripes [histStripes]histStripe
+}
+
+const (
+	histStripeBits = 3
+	histStripes    = 1 << histStripeBits
+)
+
+// histStripe is one stripe's buckets and sum (total nanoseconds, for the
+// exposition _sum), padded to whole lines.
+type histStripe struct {
 	counts [HistBuckets]atomic.Uint64
-	total  atomic.Uint64
-	sum    atomic.Int64 // total nanoseconds, for the exposition _sum
+	sum    atomic.Int64
+	_      [(64 - (HistBuckets+1)*8%64) % 64]byte
 }
 
 // NewHistogram returns an empty histogram.
@@ -83,9 +97,9 @@ func (h *Histogram) Observe(d time.Duration) {
 		return
 	}
 	ns := d.Nanoseconds()
-	h.counts[BucketOf(ns)].Add(1)
-	h.total.Add(1)
-	h.sum.Add(ns)
+	s := &h.stripes[stripe(histStripeBits)]
+	s.counts[BucketOf(ns)].Add(1)
+	s.sum.Add(ns)
 }
 
 // Count returns the number of observations.
@@ -93,24 +107,35 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.total.Load()
+	var n uint64
+	for si := range h.stripes {
+		for i := range h.stripes[si].counts {
+			n += h.stripes[si].counts[i].Load()
+		}
+	}
+	return n
 }
 
-// Snapshot freezes the histogram. Concurrent recording may tear count
-// vs buckets by a few observations; the snapshot clamps so quantiles
-// stay well-defined.
+// Snapshot freezes the histogram. Its Count is the sum of its buckets;
+// concurrent recording may tear Sum against them by a few observations.
 func (h *Histogram) Snapshot() *HistSnapshot {
 	s := &HistSnapshot{}
 	if h == nil {
 		return s
 	}
-	for i := range h.counts {
-		if c := h.counts[i].Load(); c > 0 {
+	for i := 0; i < HistBuckets; i++ {
+		var c uint64
+		for si := range h.stripes {
+			c += h.stripes[si].counts[i].Load()
+		}
+		if c > 0 {
 			s.Counts = append(s.Counts, BucketCount{Bucket: i, Count: c})
 			s.Count += c
 		}
 	}
-	s.Sum = h.sum.Load()
+	for si := range h.stripes {
+		s.Sum += h.stripes[si].sum.Load()
+	}
 	return s
 }
 

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"sync"
 	"testing"
@@ -171,5 +173,89 @@ func TestNilHistogram(t *testing.T) {
 	}
 	if q := QuantilesOf(nil); q.Count != 0 {
 		t.Fatal("QuantilesOf(nil)")
+	}
+}
+
+// TestHistogramStripesExact: 16 goroutines record at once, each onto the
+// stripe its stack picks; once they have joined, Count, the snapshot's
+// buckets and its sum are exactly what was recorded.
+func TestHistogramStripesExact(t *testing.T) {
+	h := NewHistogram()
+	const goroutines, perG = 16, 5000
+	want := make(map[int]uint64)
+	var wantSum int64
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < perG; i++ {
+			ns := int64((g+1)*(i+1)) * 13
+			want[BucketOf(ns)]++
+			wantSum += ns
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				h.Observe(time.Duration((g+1)*(i+1)) * 13)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := h.Count(); got != goroutines*perG {
+		t.Fatalf("Count %d, want %d", got, goroutines*perG)
+	}
+	s := h.Snapshot()
+	if s.Count != goroutines*perG || s.Sum != wantSum {
+		t.Fatalf("snapshot count/sum %d/%d, want %d/%d", s.Count, s.Sum, goroutines*perG, wantSum)
+	}
+	if len(s.Counts) != len(want) {
+		t.Fatalf("%d non-empty buckets, want %d", len(s.Counts), len(want))
+	}
+	for _, bc := range s.Counts {
+		if bc.Count != want[bc.Bucket] {
+			t.Fatalf("bucket %d holds %d, want %d", bc.Bucket, bc.Count, want[bc.Bucket])
+		}
+	}
+}
+
+// TestPrometheusGolden renders a fixed registry — plain and striped
+// counters, a gauge, two labelled histograms and an empty one — and
+// compares it with testdata/prometheus.golden, which was rendered before
+// the histograms and per-op counters were striped: striping changes no
+// exposed byte.
+func TestPrometheusGolden(t *testing.T) {
+	reg := NewRegistry()
+	reg.StripedCounter("flodb_puts_total", "Put operations.").Add(12345)
+	reg.Counter("flodb_scans_total", "Scan operations.").Add(7)
+	reg.Gauge("flodb_memtable_bytes", "Approximate live Memtable bytes.").Set(-42)
+	put := reg.Histogram(`flodb_op_latency_seconds{op="put"}`, "Operation latency by op.")
+	get := reg.Histogram(`flodb_op_latency_seconds{op="get"}`, "Operation latency by op.")
+	reg.Histogram("flodb_write_stall_seconds", "Per-op writer stall time.")
+	var wg sync.WaitGroup
+	for g := int64(0); g < 3; g++ { // the observations land on several stripes
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(1); i <= 300; i++ {
+				if i%3 == g {
+					put.Observe(time.Duration(i*i*37 + i%7*1000))
+					get.Observe(time.Duration(i*911 + 50))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	put.Observe(20 * time.Second)
+	var buf bytes.Buffer
+	if err := reg.Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/prometheus.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("exposition differs from the golden copy:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -39,12 +39,11 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // StripedCounter is a Counter for a path that goroutines on every core take
-// at once, such as a cache hit, where one shared word would bounce its cache
-// line between the cores on every Add. Each Add lands on one of
-// stripedCells line-sized cells, picked by the calling goroutine's stack
-// address: goroutines have disjoint stacks, so two of them rarely share a
-// cell, and one goroutine keeps using the same cell from the same call
-// site. Load sums the cells. The zero value is ready to use.
+// at once, such as a cache hit or an operation count, where one shared word
+// would bounce its cache line between the cores on every Add. Each Add
+// lands on one of stripedCells line-sized cells, picked by stripe. Load
+// sums the cells. The zero value is ready to use; counters obtained from a
+// Registry are additionally exported.
 type StripedCounter struct {
 	cells [stripedCells]struct {
 		v atomic.Uint64
@@ -57,11 +56,19 @@ const (
 	stripedCells = 1 << stripedBits
 )
 
-// Add increments the counter by n.
-func (c *StripedCounter) Add(n uint64) {
+// stripe picks one of 1<<bits stripes for the calling goroutine by its
+// stack address: goroutines have disjoint stacks, so two of them rarely
+// share a stripe, and one goroutine keeps using the same stripe from the
+// same call site.
+func stripe(bits uint) uint64 {
 	var anchor byte
 	sp := uint64(uintptr(unsafe.Pointer(&anchor))) >> 10 // 1 KiB: half the smallest goroutine stack
-	c.cells[sp*0x9e3779b97f4a7c15>>(64-stripedBits)].v.Add(n)
+	return sp * 0x9e3779b97f4a7c15 >> (64 - bits)
+}
+
+// Add increments the counter by n.
+func (c *StripedCounter) Add(n uint64) {
+	c.cells[stripe(stripedBits)].v.Add(n)
 }
 
 // Inc increments the counter by one.
@@ -108,6 +115,7 @@ type metric struct {
 	kind Kind
 
 	counter   *Counter
+	striped   *StripedCounter
 	counterFn func() uint64
 	gauge     *Gauge
 	gaugeFn   func() int64
@@ -147,7 +155,20 @@ func (r *Registry) register(m *metric) *metric {
 // Counter registers (or returns the existing) counter under name.
 func (r *Registry) Counter(name, help string) *Counter {
 	m := r.register(&metric{name: name, help: help, kind: KindCounter, counter: &Counter{}})
+	if m.counter == nil {
+		panic(fmt.Sprintf("obs: counter %q re-registered as unstriped", name))
+	}
 	return m.counter
+}
+
+// StripedCounter registers (or returns the existing) striped counter
+// under name: a counter for a path every core takes on every operation.
+func (r *Registry) StripedCounter(name, help string) *StripedCounter {
+	m := r.register(&metric{name: name, help: help, kind: KindCounter, striped: &StripedCounter{}})
+	if m.striped == nil {
+		panic(fmt.Sprintf("obs: counter %q re-registered as striped", name))
+	}
+	return m.striped
 }
 
 // CounterFunc registers a counter whose value is computed at snapshot
@@ -202,6 +223,8 @@ func (r *Registry) Snapshot() Snapshot {
 		switch {
 		case m.counter != nil:
 			out.Value = int64(m.counter.Load())
+		case m.striped != nil:
+			out.Value = int64(m.striped.Load())
 		case m.counterFn != nil:
 			out.Value = int64(m.counterFn())
 		case m.gauge != nil:

@@ -33,10 +33,13 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"flodb/internal/keys"
+	"flodb/internal/kv"
 	"flodb/internal/obs"
 )
 
@@ -131,6 +134,10 @@ type Writer struct {
 	lastRec uint64 // commit index (Metrics.appends) of the last record
 	// writeThrough flushes the bufio on every Append (Options.WriteThrough).
 	writeThrough bool
+	// scratch holds, under mu, a record's header and framing on their way
+	// into bw: bufio.Writer.Write passes its argument on to the file, so a
+	// header on the appender's stack would escape to the heap.
+	scratch [headerSize + kv.MaxRecordFraming]byte
 
 	// commitMu is the commit queue: holders are sync leaders, waiters are
 	// followers. synced is the durable offset; it is atomic so the
@@ -213,24 +220,45 @@ func Create(path string, opts Options) (*Writer, error) {
 // record is acknowledged into the commit order (Metrics.Appends) but NOT
 // durable until an fsync covers the returned offset.
 func (w *Writer) Append(rec []byte) (int64, error) {
-	if len(rec) > MaxRecordSize {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(rec))
+	return w.gather(nil, rec, nil, nil)
+}
+
+// AppendRecord is Append(kv.EncodeRecord(kind, key, value)) without the
+// record: the log receives the same bytes, gathered from the framing
+// kv.RecordFraming writes and from key and value where they lie.
+func (w *Writer) AppendRecord(kind keys.Kind, key, value []byte) (int64, error) {
+	var frame [kv.MaxRecordFraming]byte
+	pre, mid := kv.RecordFraming(frame[:], kind, len(key), len(value))
+	return w.gather(pre, key, mid, value)
+}
+
+// gather stages the record pre | a | mid | b. The checksum is taken
+// before the lock; under it, the header and the two framing parts pre and
+// mid are copied into the writer's scratch space, so the caller's may live
+// on its stack, and a and b go to the log buffer from where they lie.
+func (w *Writer) gather(pre, a, mid, b []byte) (int64, error) {
+	n := len(pre) + len(a) + len(mid) + len(b)
+	if n > MaxRecordSize {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", n)
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(rec)))
-	crc := crc32.Update(0, castagnoli, hdr[4:])
-	crc = crc32.Update(crc, castagnoli, rec)
-	binary.LittleEndian.PutUint32(hdr[:4], crc)
+	var length [4]byte
+	binary.LittleEndian.PutUint32(length[:], uint32(n))
+	crc := crcFraming(0, length[:])
+	crc = crcFraming(crc, pre)
+	crc = crc32.Update(crc, castagnoli, a)
+	crc = crcFraming(crc, mid)
+	crc = crc32.Update(crc, castagnoli, b)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrClosed
 	}
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := w.bw.Write(rec); err != nil {
+	head := binary.LittleEndian.AppendUint32(w.scratch[:0], crc)
+	head = append(head, length[:]...)
+	head = append(head, pre...)
+	midCopy := append(head[len(head):], mid...)
+	if err := w.write(head, a, midCopy, b); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	if w.writeThrough {
@@ -238,11 +266,35 @@ func (w *Writer) Append(rec []byte) (int64, error) {
 			return 0, fmt.Errorf("wal: append flush: %w", err)
 		}
 	}
-	w.written += int64(headerSize + len(rec))
+	w.written += int64(headerSize + n)
 	if w.metrics != nil {
 		w.lastRec = w.metrics.appends.Add(1)
 	}
 	return w.written, nil
+}
+
+// crcFraming is crc32.Update(crc, castagnoli, p) a byte at a time, for the
+// few bytes of a header or framing: crc32.Update passes p to a function
+// value, which moves a stack buffer to the heap.
+func crcFraming(crc uint32, p []byte) uint32 {
+	crc = ^crc
+	for _, v := range p {
+		crc = castagnoli[byte(crc)^v] ^ crc>>8
+	}
+	return ^crc
+}
+
+// write copies its parts, in order, into the log buffer. w.mu is held.
+func (w *Writer) write(parts ...[]byte) error {
+	for _, p := range parts {
+		if len(p) == 0 {
+			continue
+		}
+		if _, err := w.bw.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SyncTo blocks until every record at offset <= off is durable, issuing at
@@ -430,8 +482,14 @@ func (w *Writer) Abandon() error {
 type Reader struct {
 	br  *bufio.Reader
 	f   *os.File
+	hdr [headerSize]byte
 	buf []byte
 }
+
+// readChunk is the most a Reader allocates ahead of the bytes it has read:
+// a record's buffer grows with what the log holds, not with the length its
+// header claims, so a corrupt length costs no more memory than the file.
+const readChunk = 64 << 10
 
 // Open opens a log file for replay.
 func Open(path string) (*Reader, error) {
@@ -446,8 +504,8 @@ func Open(path string) (*Reader, error) {
 // calls. At the end of a clean log it returns io.EOF; at a torn tail,
 // ErrTruncated; on a mid-log inconsistency, ErrCorrupt.
 func (r *Reader) Next() ([]byte, error) {
-	var hdr [headerSize]byte
-	n, err := io.ReadFull(r.br, hdr[:])
+	hdr := r.hdr[:]
+	n, err := io.ReadFull(r.br, hdr)
 	if err == io.EOF {
 		return nil, io.EOF
 	}
@@ -461,15 +519,23 @@ func (r *Reader) Next() ([]byte, error) {
 	if length > MaxRecordSize {
 		return nil, fmt.Errorf("%w: implausible length %d", ErrCorrupt, length)
 	}
-	if cap(r.buf) < int(length) {
-		r.buf = make([]byte, length)
-	}
-	r.buf = r.buf[:length]
-	if _, err := io.ReadFull(r.br, r.buf); err != nil {
+	r.buf = r.buf[:0]
+	for len(r.buf) < int(length) {
+		// Past what is already allocated, grow by at most what has been
+		// read so far (at least readChunk) before reading it.
+		want := int(length) - len(r.buf)
+		if free := cap(r.buf) - len(r.buf); want > free {
+			r.buf = slices.Grow(r.buf, min(want, max(len(r.buf), readChunk)))
+			want = min(want, cap(r.buf)-len(r.buf))
+		}
+		m, err := io.ReadFull(r.br, r.buf[len(r.buf):len(r.buf)+want])
+		r.buf = r.buf[:len(r.buf)+m]
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, ErrTruncated
 		}
-		return nil, fmt.Errorf("wal: read payload: %w", err)
+		if err != nil {
+			return nil, fmt.Errorf("wal: read payload: %w", err)
+		}
 	}
 	crc := crc32.Update(0, castagnoli, hdr[4:])
 	crc = crc32.Update(crc, castagnoli, r.buf)

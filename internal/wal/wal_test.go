@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"flodb/internal/keys"
+	"flodb/internal/kv"
 )
 
 func tempLog(t *testing.T) string {
@@ -478,5 +481,115 @@ func BenchmarkAppend256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Append(rec)
+	}
+}
+
+type gatherCase struct {
+	kind       keys.Kind
+	key, value []byte
+}
+
+// gatherCases are the record shapes whose framing changes size: key
+// lengths around the one-byte uvarint limit, value lengths around the
+// two-byte one, and a tombstone.
+func gatherCases() []gatherCase {
+	var cases []gatherCase
+	for _, kl := range []int{0, 127, 128} {
+		for _, vl := range []int{0, 16383, 16384} {
+			cases = append(cases, gatherCase{keys.KindSet, bytes.Repeat([]byte{'k'}, kl), bytes.Repeat([]byte{'v'}, vl)})
+		}
+	}
+	return append(cases, gatherCase{keys.KindDelete, []byte("gone"), nil})
+}
+
+// TestAppendRecordMatchesEncodeRecord: the gather append writes the log
+// Append(kv.EncodeRecord(...)) writes, byte for byte, and the reader gets
+// every record back.
+func TestAppendRecordMatchesEncodeRecord(t *testing.T) {
+	dir := t.TempDir()
+	gathered, built := filepath.Join(dir, "gathered.wal"), filepath.Join(dir, "built.wal")
+	gw, err := Create(gathered, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw, err := Create(built, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := gatherCases()
+	for i, c := range cases {
+		goff, err := gw.AppendRecord(c.kind, c.key, c.value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boff, err := bw.Append(kv.EncodeRecord(c.kind, c.key, c.value))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if goff != boff {
+			t.Fatalf("record %d ends at %d gathered, %d built", i, goff, boff)
+		}
+	}
+	for _, w := range []*Writer{gw, bw} {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := os.ReadFile(gathered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, b) {
+		t.Fatalf("gathered log (%d bytes) differs from the built one (%d bytes)", len(g), len(b))
+	}
+	i := 0
+	err = ReplayAll(gathered, func(rec []byte) error {
+		kind, key, value, err := kv.DecodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		c := cases[i]
+		if kind != c.kind || !bytes.Equal(key, c.key) || !bytes.Equal(value, c.value) {
+			t.Fatalf("record %d: %v %d/%d bytes, want %v %d/%d", i, kind, len(key), len(value), c.kind, len(c.key), len(c.value))
+		}
+		i++
+		return nil
+	})
+	if err != nil || i != len(cases) {
+		t.Fatalf("replayed %d of %d records: %v", i, len(cases), err)
+	}
+}
+
+// TestAppendAllocatesNothing: neither append builds anything on the heap —
+// the header and framing go through the writer's scratch space.
+func TestAppendAllocatesNothing(t *testing.T) {
+	w, err := Create(tempLog(t), Options{Metrics: &Metrics{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rec := bytes.Repeat([]byte("r"), 256)
+	key, value := []byte("some-key"), bytes.Repeat([]byte("v"), 256)
+	for i := 0; i < 10; i++ { // warm
+		w.Append(rec)
+		w.AppendRecord(keys.KindSet, key, value)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Append: %.1f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := w.AppendRecord(keys.KindSet, key, value); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendRecord: %.1f allocations, want 0", n)
 	}
 }
