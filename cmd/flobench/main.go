@@ -8,7 +8,7 @@
 //
 // Figures: fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 // fig15 fig16 fig17, the contract/scaling extras (apibench,
-// shardbench, adaptive, ablate-*), or "all". An unknown figure name is
+// shardbench, ablate-*), or "all". An unknown figure name is
 // an error (exit 2) listing the valid names.
 //
 // Sizes default to 1/1024 of the paper's (the column labels report the
@@ -49,9 +49,6 @@ var figureFuncs = map[string]func(figures.Config) (*harness.Table, error){
 	// Shard scaling: write throughput vs shard count under uniform,
 	// zipfian, and hot-shard key distributions.
 	"shardbench": figures.ShardBench,
-	// Adaptive memory sizing (§4.4): adaptive vs fixed Membuffer
-	// fractions across a phase-shifting workload.
-	"adaptive": figures.FigAdaptive,
 	// Service tier: throughput and latency through flodbd's wire
 	// protocol vs client connection-pool size.
 	"netbench": figures.NetBench,

@@ -20,15 +20,11 @@
 // command appends a per-shard breakdown table, the imbalance signal
 // under skewed workloads.
 //
-// The -adaptive flag turns on workload-adaptive sizing of the
-// Membuffer/Memtable split (§4.4); stats reports the live fraction,
-// resize count and the sensor's window rates.
-//
 // The -remote flag points every command at a running flodbd server
 // instead of opening a store directory: `flodb -remote :4380 get k`
 // performs the same operation over the wire protocol. With -remote,
 // -durability applies per operation (the server keeps its own default),
-// the store-shape flags (-mem, -shards, -adaptive) belong to the server
+// the store-shape flags (-mem, -shards) belong to the server
 // process, and checkpoint's directory is a path on the SERVER's
 // filesystem.
 //
@@ -72,11 +68,10 @@ func main() {
 	mem := flag.Int64("mem", 0, "memory component bytes (0 = default; local only)")
 	durability := flag.String("durability", "", "write durability: none|buffered|sync (local: store default; remote: per-op class)")
 	shards := flag.Int("shards", 0, "range-partition across n shards (0/1 = unsharded; fixed at creation; local only)")
-	adaptive := flag.Bool("adaptive", false, "workload-adaptive Membuffer/Memtable split (§4.4; local only)")
 	jsonOut := flag.Bool("json", false, "stats: print the full machine-readable payload (counters + op latency quantiles) instead of text")
 	flag.Parse()
 	if (*dir == "" && *remote == "" && *seeds == "") || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: flodb {-db <dir> | -remote <addr> | -cluster <seeds>} [-shards n] [-adaptive] [-durability none|buffered|sync] {put k v | get k | del k | scan lo hi | batch ops... | sync | checkpoint dir | fill n | stats}")
+		fmt.Fprintln(os.Stderr, "usage: flodb {-db <dir> | -remote <addr> | -cluster <seeds>} [-shards n] [-durability none|buffered|sync] {put k v | get k | del k | scan lo hi | batch ops... | sync | checkpoint dir | fill n | stats}")
 		os.Exit(2)
 	}
 
@@ -139,9 +134,6 @@ func main() {
 		var opts []flodb.Option
 		if *mem > 0 {
 			opts = append(opts, flodb.WithMemory(*mem))
-		}
-		if *adaptive {
-			opts = append(opts, flodb.WithAdaptiveMemory())
 		}
 		if *shards > 0 {
 			opts = append(opts, flodb.WithShards(*shards))
@@ -298,9 +290,6 @@ func main() {
 		fmt.Printf("table-cache: hits=%d misses=%d (%s)  bloom: checks=%d negatives=%d (%s filtered)\n",
 			s.TableCacheHits, s.TableCacheMisses, hitRate(s.TableCacheHits, s.TableCacheMisses),
 			s.BloomChecks, s.BloomMisses, hitRate(s.BloomMisses, s.BloomChecks-s.BloomMisses))
-		fmt.Printf("membuffer-fraction=%.3f resizes=%d sensor-put/s=%.0f sensor-get/s=%.0f sensor-scan/s=%.0f stall=%.1f%%\n",
-			s.MembufferFraction, s.MembufferResizes,
-			s.SensorPutRate, s.SensorGetRate, s.SensorScanRate, s.SensorStallPct)
 		if s.ServerRequests > 0 {
 			fmt.Printf("server: conns=%d/%d-lifetime in-flight=%d requests=%d bytes-in=%d bytes-out=%d slow=%d\n",
 				s.ServerConnsOpen, s.ServerConnsTotal, s.ServerInFlight,

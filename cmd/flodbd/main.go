@@ -2,7 +2,7 @@
 // clients (internal/client, or flodb -remote):
 //
 //	flodbd -db /var/lib/flodb -addr :4380
-//	flodbd -db /var/lib/flodb -addr :4380 -shards 4 -adaptive
+//	flodbd -db /var/lib/flodb -addr :4380 -shards 4
 //
 // One process owns the store directory; any number of clients share the
 // engine through it — the pipelined dispatch means a single client
@@ -85,7 +85,6 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 		shards     = fs.Int("shards", 0, "range-partition across n shards (0/1 = unsharded)")
 		blockCache = fs.Int64("block-cache", 0, "block cache bytes for the disk read path, split across shards (0 = default 32 MiB)")
 		tableCache = fs.Int("table-cache", 0, "max resident sstable readers (open fds) per shard (0 = default 256)")
-		adaptive   = fs.Bool("adaptive", false, "workload-adaptive Membuffer/Memtable split (§4.4)")
 		durability = fs.String("durability", "", "default write durability: none|buffered|sync (default buffered)")
 		nodeID     = fs.String("node-id", "", "stable ring identity served in health probes (cluster node mode)")
 		writeThru  = fs.Bool("wal-writethrough", false, "hand WAL records to the OS at append: acked writes survive kill -9 (ring replicas run with this)")
@@ -142,9 +141,6 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 		}
 		if *shards > 0 {
 			opts = append(opts, flodb.WithShards(*shards))
-		}
-		if *adaptive {
-			opts = append(opts, flodb.WithAdaptiveMemory())
 		}
 		if *blockCache > 0 {
 			opts = append(opts, flodb.WithBlockCacheSize(*blockCache))

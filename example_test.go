@@ -249,35 +249,6 @@ func ExampleDB_NewIterator_deadline() {
 	// stopped early: true (read true pairs before the full 10000)
 }
 
-// ExampleDB_adaptiveMemory opens a store whose Membuffer↔Memtable
-// split tracks the workload (§4.4): a windowed sensor watches the
-// put/get/scan mix and a controller resizes the split inside the
-// configured range — update-heavy phases grow the Membuffer,
-// scan-heavy phases shrink it. Stats reports the live split and the
-// resize count.
-func ExampleDB_adaptiveMemory() {
-	dir := filepath.Join(os.TempDir(), "flodb-example-adaptive")
-	os.RemoveAll(dir)
-	db, err := flodb.Open(dir,
-		flodb.WithAdaptiveMemory(),                // sensor + controller on
-		flodb.WithAdaptiveMemoryRange(0.10, 0.50), // controller bounds
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer db.Close()
-
-	for i := 0; i < 1000; i++ {
-		if err := db.Put(bg, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
-			log.Fatal(err)
-		}
-	}
-	s := db.Stats()
-	fmt.Println("fraction within bounds:", s.MembufferFraction >= 0.10 && s.MembufferFraction <= 0.50)
-	// Output:
-	// fraction within bounds: true
-}
-
 // ExampleDB_shards opens a range-sharded store: four independent FloDB
 // engines — each with its own WAL, memory component and compactor —
 // behind one DB. Writes route by key range, scans merge the shards in

@@ -79,14 +79,6 @@
 // pins one consistent cut across all of them, and Checkpoint fans out
 // into per-shard copies. See the README's sharding section for the
 // cross-shard atomicity caveats.
-//
-// The memory split itself can self-tune: WithAdaptiveMemory lets a
-// workload sensor resize the Membuffer↔Memtable byte split as workload
-// phases shift (§4.4) — large Membuffer under write bursts, small under
-// scan-heavy phases — with the live split, resize count and sensor
-// rates reported through Stats:
-//
-//	db, err := flodb.Open(dir, flodb.WithAdaptiveMemory())
 package flodb
 
 import (
@@ -173,19 +165,15 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		return nil, o.err
 	}
 	cfg := core.Config{
-		Dir:                 dir,
-		MemoryBytes:         o.memoryBytes,
-		MembufferFraction:   o.membufferFraction,
-		PartitionBits:       o.partitionBits,
-		DrainThreads:        o.drainThreads,
-		DisableWAL:          o.disableWAL,
-		WALWriteThrough:     o.walWriteThrough,
-		Durability:          o.durability,
-		AdaptiveMemory:      o.adaptive,
-		AdaptiveMinFraction: o.adaptiveMin,
-		AdaptiveMaxFraction: o.adaptiveMax,
-		AdaptiveWindow:      o.adaptiveWindow,
-		DisableTelemetry:    o.disableTelemetry,
+		Dir:               dir,
+		MemoryBytes:       o.memoryBytes,
+		MembufferFraction: o.membufferFraction,
+		PartitionBits:     o.partitionBits,
+		DrainThreads:      o.drainThreads,
+		DisableWAL:        o.disableWAL,
+		WALWriteThrough:   o.walWriteThrough,
+		Durability:        o.durability,
+		DisableTelemetry:  o.disableTelemetry,
 	}
 	cfg.Storage.BlockCacheBytes = o.blockCacheBytes
 	cfg.Storage.TableCacheCapacity = o.tableCacheCap
@@ -385,9 +373,9 @@ func (db *DB) TelemetrySnapshot() obs.Snapshot {
 
 // TelemetryEvents returns up to n recent structured lifecycle events
 // (flushes, compactions, generation seals, WAL rotations and stalls,
-// snapshot pins, resize epochs; n <= 0 returns everything retained),
-// oldest first. On a sharded store the shards' timelines interleave by
-// timestamp. It returns nil when telemetry is disabled.
+// snapshot pins, shard splits and merges; n <= 0 returns everything
+// retained), oldest first. On a sharded store the shards' timelines
+// interleave by timestamp. It returns nil when telemetry is disabled.
 func (db *DB) TelemetryEvents(n int) []obs.Event {
 	return db.inner.(telemetryProvider).TelemetryEvents(n)
 }

@@ -900,7 +900,6 @@ func (c *Client) Stats() kv.Stats {
 		st.TableCacheMisses += ns.TableCacheMisses
 		st.BloomChecks += ns.BloomChecks
 		st.BloomMisses += ns.BloomMisses
-		st.MembufferResizes += ns.MembufferResizes
 		st.ServerConnsOpen += ns.ServerConnsOpen
 		st.ServerConnsTotal += ns.ServerConnsTotal
 		st.ServerInFlight += ns.ServerInFlight

@@ -21,7 +21,7 @@ import (
 // multi-insert batch (§4.2).
 //
 // The memory-component application runs under drainMu, which serializes it
-// with generation switches (persist seals, view pins, resizes).
+// with generation switches (persist seals and view pins).
 // That exclusion is what makes the per-op routing safe: with no immutable
 // Membuffer in existence and no switch in flight, an operation either
 // completes in the Membuffer (in-place update or insert) or — only when
@@ -83,8 +83,8 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 // before a batch application, mirroring update's slow path: a full
 // Memtable with a pending persist, a badly overshot Memtable, and an
 // overloaded L0 all stall the caller. Each lap is a cancellation point —
-// this wait is unbounded — and the stalled time feeds the adaptive
-// sensor (§4.4), exactly as per-op writes do.
+// this wait is unbounded — and the stalled time counts in
+// stats.stallNanos, exactly as per-op writes do.
 func (db *DB) applyBackpressure(ctx context.Context) error {
 	var stallStart time.Time
 	defer func() { db.noteStall(stallStart) }()
@@ -99,9 +99,9 @@ func (db *DB) applyBackpressure(ctx context.Context) error {
 			return err
 		}
 		g := db.gen.Load()
-		if over := g.mtb.approxBytes(); over > db.memtableTarget() {
+		if over := g.mtb.approxBytes(); over > db.memtableTarget {
 			db.signalPersist()
-			if db.immMtb.Load() != nil || over > 2*db.memtableTarget() {
+			if db.immMtb.Load() != nil || over > 2*db.memtableTarget {
 				if stallStart.IsZero() {
 					stallStart = time.Now()
 				}
@@ -278,7 +278,7 @@ func (db *DB) applyLocked(b *kv.Batch, d kv.Durability) (*wal.Writer, int64, err
 		g.mtb.multiInsert(direct)
 		db.stats.memtableWrites.Add(uint64(len(direct)))
 	}
-	if g.mtb.approxBytes() >= db.memtableTarget() {
+	if g.mtb.approxBytes() >= db.memtableTarget {
 		db.signalPersist()
 	}
 	return syncW, syncOff, nil

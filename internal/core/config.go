@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"flodb/internal/diskenv"
 	"flodb/internal/kv"
@@ -24,28 +23,9 @@ type Config struct {
 	MemoryBytes int64
 	// MembufferFraction is the share of MemoryBytes given to the
 	// Membuffer. Default 0.25 (the paper's empirically chosen 1:4 split).
-	// With AdaptiveMemory it is the STARTING fraction; the controller
-	// moves the live split from there.
+	// The split is fixed at Open for the store's lifetime.
 	MembufferFraction float64
 
-	// AdaptiveMemory enables workload-adaptive resizing of the
-	// Membuffer↔Memtable split (§4.4): a windowed sensor measures the
-	// put/get/scan mix and drain-stall time, and a controller shifts the
-	// byte budget between the two levels inside MemoryBytes —
-	// update-heavy phases grow the Membuffer (more O(1) absorption),
-	// scan/read-heavy phases shrink it (cheaper range-read seals, the
-	// skiplist stays authoritative). A resize is one generation switch
-	// through the existing immutable-Membuffer drain path: seal at the
-	// old capacity, open at the new one — never a stop-the-world rehash.
-	AdaptiveMemory bool
-	// AdaptiveMinFraction / AdaptiveMaxFraction bound the controller.
-	// Defaults 0.05 and 0.60. The starting MembufferFraction must lie
-	// inside [min, max].
-	AdaptiveMinFraction float64
-	AdaptiveMaxFraction float64
-	// AdaptiveWindow is the sensor window: the controller re-evaluates
-	// the split once per window. Default 100ms.
-	AdaptiveWindow time.Duration
 	// PartitionBits is ℓ, the number of most-significant key bits that
 	// select a Membuffer partition (§4.3). Default 6 (64 partitions).
 	PartitionBits uint
@@ -59,12 +39,9 @@ type Config struct {
 	// DrainBatch is the number of entries claimed per partition visit and
 	// inserted with one multi-insert. Default 64.
 	DrainBatch int
-	// SimpleInsertDrain makes drains use one skiplist insert per entry
-	// instead of multi-insert — the "HT, simple insert SL" ablation of
-	// Fig 17.
-	SimpleInsertDrain bool
 	// DisableMembuffer removes the top level entirely — the "No HT"
 	// ablation of Fig 17 (a classic single-level LSM memory component).
+	// The Memtable then gets all of MemoryBytes.
 	DisableMembuffer bool
 
 	// DisableWAL skips commit logging entirely (the paper's benchmarks,
@@ -102,8 +79,8 @@ type Config struct {
 	DisableTelemetry bool
 
 	// Storage configures the disk component. An unset BaseLevelBytes is
-	// sized to hold one L0 compaction of Memtables at the starting split
-	// (storage.Options.SizeBaseLevel).
+	// sized to hold one L0 compaction of Memtables at their persist
+	// target (storage.Options.SizeBaseLevel).
 	Storage storage.Options
 }
 
@@ -137,49 +114,8 @@ func (c *Config) fillDefaults() error {
 	if c.MembufferFraction < 0 || c.MembufferFraction >= 1 {
 		return fmt.Errorf("core: MembufferFraction %v outside (0,1); want the Membuffer's share of MemoryBytes (or 0 for the default 0.25)", c.MembufferFraction)
 	}
-	fracDefaulted := c.MembufferFraction == 0
-	if fracDefaulted {
+	if c.MembufferFraction == 0 {
 		c.MembufferFraction = 0.25
-	}
-	if c.AdaptiveMinFraction < 0 || c.AdaptiveMinFraction >= 1 {
-		return fmt.Errorf("core: AdaptiveMinFraction %v outside (0,1); want the smallest Membuffer share the controller may choose (or 0 for the default 0.05)", c.AdaptiveMinFraction)
-	}
-	if c.AdaptiveMaxFraction < 0 || c.AdaptiveMaxFraction >= 1 {
-		return fmt.Errorf("core: AdaptiveMaxFraction %v outside (0,1); want the largest Membuffer share the controller may choose (or 0 for the default 0.60)", c.AdaptiveMaxFraction)
-	}
-	if c.AdaptiveWindow < 0 {
-		return fmt.Errorf("core: AdaptiveWindow %v is negative; want the sensor window (or 0 for the default 100ms)", c.AdaptiveWindow)
-	}
-	if c.AdaptiveMemory {
-		if c.DisableMembuffer {
-			return fmt.Errorf("core: AdaptiveMemory resizes the Membuffer, but DisableMembuffer removes it")
-		}
-		if c.AdaptiveMinFraction == 0 {
-			c.AdaptiveMinFraction = 0.05
-		}
-		if c.AdaptiveMaxFraction == 0 {
-			c.AdaptiveMaxFraction = 0.60
-		}
-		if c.AdaptiveMinFraction >= c.AdaptiveMaxFraction {
-			return fmt.Errorf("core: AdaptiveMinFraction %v >= AdaptiveMaxFraction %v; want min < max", c.AdaptiveMinFraction, c.AdaptiveMaxFraction)
-		}
-		if c.MembufferFraction < c.AdaptiveMinFraction || c.MembufferFraction > c.AdaptiveMaxFraction {
-			// The DEFAULT starting fraction follows the caller's range
-			// (clamped in); only an explicitly chosen fraction that
-			// contradicts an explicitly chosen range is a
-			// misconfiguration worth rejecting.
-			if !fracDefaulted {
-				return fmt.Errorf("core: starting MembufferFraction %v outside the adaptive range [%v, %v]", c.MembufferFraction, c.AdaptiveMinFraction, c.AdaptiveMaxFraction)
-			}
-			if c.MembufferFraction < c.AdaptiveMinFraction {
-				c.MembufferFraction = c.AdaptiveMinFraction
-			} else {
-				c.MembufferFraction = c.AdaptiveMaxFraction
-			}
-		}
-		if c.AdaptiveWindow == 0 {
-			c.AdaptiveWindow = 100 * time.Millisecond
-		}
 	}
 	if c.PartitionBits > 16 {
 		return fmt.Errorf("core: PartitionBits %d exceeds 16 (2^16 partitions is the supported maximum)", c.PartitionBits)
@@ -205,7 +141,7 @@ func (c *Config) fillDefaults() error {
 	if c.DrainBatch == 0 {
 		c.DrainBatch = 64
 	}
-	c.Storage.SizeBaseLevel(c.memtableTargetBytesAt(c.MembufferFraction))
+	c.Storage.SizeBaseLevel(c.memtableTargetBytes())
 	if c.DropPersist {
 		c.DisableWAL = true
 	}
@@ -223,20 +159,22 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// membufferBytesAt returns the Membuffer budget at the given fraction.
-// The fraction is a parameter, not a field read, because the adaptive
-// controller moves the live split at runtime (DB.membufferFraction).
-func (c *Config) membufferBytesAt(frac float64) int64 {
-	return int64(float64(c.MemoryBytes) * frac)
+// membufferBytes returns the Membuffer's share of the budget: none when
+// the Membuffer is disabled.
+func (c *Config) membufferBytes() int64 {
+	if c.DisableMembuffer {
+		return 0
+	}
+	return int64(float64(c.MemoryBytes) * c.MembufferFraction)
 }
 
-// memtableTargetBytesAt returns the Memtable size that triggers
-// persisting when the Membuffer holds the given fraction.
-func (c *Config) memtableTargetBytesAt(frac float64) int64 {
-	return c.MemoryBytes - c.membufferBytesAt(frac)
+// memtableTargetBytes returns the Memtable size that triggers persisting:
+// the part of the budget the Membuffer does not hold.
+func (c *Config) memtableTargetBytes() int64 {
+	return c.MemoryBytes - c.membufferBytes()
 }
 
-// newMembufferAt builds a Membuffer sized at the given fraction.
-func (c *Config) newMembufferAt(frac float64) *membuffer.Buffer {
-	return membuffer.New(membuffer.ConfigForBytes(c.membufferBytesAt(frac), c.EntryBytesHint, c.PartitionBits))
+// membufferConfig returns the geometry every Membuffer of the store has.
+func (c *Config) membufferConfig() membuffer.Config {
+	return membuffer.ConfigForBytes(c.membufferBytes(), c.EntryBytesHint, c.PartitionBits)
 }

@@ -7,6 +7,7 @@ import (
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/storage"
 )
 
 // TestOpenRejectsOutOfRangeConfig: invalid values fail Open with a
@@ -41,6 +42,21 @@ func TestOpenRejectsOutOfRangeConfig(t *testing.T) {
 				t.Fatalf("error %q does not name the offending field %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestNoMembufferGetsWholeBudget: with the Membuffer disabled (Fig 17's
+// "No HT" row) the Memtable is the whole memory component, so it persists
+// at MemoryBytes and L1 is sized from all of it — not from the Memtable's
+// share of a split whose Membuffer does not exist (768 KiB of 1 MiB).
+func TestNoMembufferGetsWholeBudget(t *testing.T) {
+	const budget = 1 << 20
+	db := openTestDB(t, Config{Dir: t.TempDir(), MemoryBytes: budget, DisableMembuffer: true})
+	if db.memtableTarget != budget {
+		t.Fatalf("persist target %d, want MemoryBytes %d", db.memtableTarget, budget)
+	}
+	if got, want := db.cfg.Storage.BaseLevelBytes, int64(storage.DefaultL0CompactionTrigger*budget); got != want {
+		t.Fatalf("BaseLevelBytes %d, want %d: one L0 compaction of whole-budget Memtables", got, want)
 	}
 }
 

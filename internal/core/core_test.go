@@ -55,6 +55,18 @@ func waitPersists(t *testing.T, db *DB, n uint64) {
 	}
 }
 
+// waitFor runs step until it reports true, failing the test after 30 s.
+func waitFor(t *testing.T, what string, step func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !step() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func TestPutGetBasic(t *testing.T) {
 	db := openTestDB(t, testConfig(t))
 	if err := db.Put(bg, []byte("hello"), []byte("world")); err != nil {
@@ -336,21 +348,6 @@ func TestDropPersistMode(t *testing.T) {
 	}
 	if db.Store() != nil {
 		t.Fatal("drop mode must not open a disk store")
-	}
-}
-
-func TestSimpleInsertDrainMode(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.SimpleInsertDrain = true
-	db := openTestDB(t, cfg)
-	for i := 0; i < 1000; i++ {
-		db.Put(bg, keys.EncodeUint64(uint64(i)), []byte("v"))
-	}
-	// All data readable regardless of drain style.
-	for i := 0; i < 1000; i++ {
-		if _, ok, _ := db.Get(bg, keys.EncodeUint64(uint64(i))); !ok {
-			t.Fatalf("key %d lost with simple-insert drain", i)
-		}
 	}
 }
 

@@ -44,7 +44,7 @@
 // by two rules with paper counterparts: within a pair the Membuffer always
 // holds the newest version of any key present in it (in-place updates,
 // §3.2), and an immutable Membuffer is read just above the Memtable it
-// drains into. A view or resize seal drains into the live Memtable, so
+// drains into. A view seal drains into the live Memtable, so
 // while it runs writers may not take the direct-to-Memtable path —
 // pauseWriters sends them to help drain instead (Algorithm 2 lines
 // 12–16). A persist seal drains into the sealed Memtable, below the fresh
@@ -56,7 +56,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"sync"
@@ -103,25 +102,23 @@ type DB struct {
 	// gen is the active (Membuffer, Memtable) pair; immGen and immMtb are
 	// the immutable components of Algorithm 2's Get order. immGen is the
 	// pair a seal retired while its Membuffer (IMM_MBF) drains into its
-	// Memtable: the live one for a view or resize seal, the sealed one
-	// (immMtb) for a persist seal.
+	// Memtable: the live one for a view seal, the sealed one (immMtb) for
+	// a persist seal.
 	gen    atomic.Pointer[generation]
 	immGen atomic.Pointer[generation]
 	immMtb atomic.Pointer[memtable]
 
-	// mbfFrac is the LIVE Membuffer share of MemoryBytes (float64 bits):
-	// cfg.MembufferFraction at Open, then whatever the adaptive
-	// controller or SetMembufferFraction last installed (§4.4). The
-	// Memtable persist target is derived from it (memtableTarget).
-	mbfFrac atomic.Uint64
-	// sensor publishes the workload sensor's last-window rates.
-	sensor sensorRates
+	// memtableTarget is the Memtable size that triggers persisting and
+	// mbfCfg the geometry of every Membuffer, both fixed at Open by the
+	// memory split.
+	memtableTarget int64
+	mbfCfg         membuffer.Config
 
 	// domain covers every operation that loads gen and writes through it;
 	// switches synchronize on it.
 	domain *rcu.Domain
 
-	// pauseWriters is raised for the length of a view or resize seal, and
+	// pauseWriters is raised for the length of a view seal, and
 	// for a persist seal's grace period. It blocks the direct-to-Memtable
 	// write path while an immutable Membuffer drains into the live
 	// Memtable — writers help instead (Algorithm 2) — and halts the
@@ -202,15 +199,11 @@ type statCounters struct {
 	persists                      *obs.Counter
 	helpDrains                    *obs.Counter
 	syncBarriers                  *obs.Counter
-	// resizes counts completed Membuffer resize epochs; stallNanos
-	// accumulates time WRITERS (Put/Delete/Apply) spent stalled on
-	// drains, memory-component backpressure and an L0 backlog, whether
-	// the write then completed or gave up — the sensor's drain-stall
-	// input (background drainers' own sleeps are excluded).
-	// inPlaceHits counts Membuffer updates that overwrote a resident
-	// key in place (no new drain debt) — the sensor's working-set-fits
-	// signal.
-	resizes     *obs.Counter
+	// stallNanos accumulates time WRITERS (Put/Delete/Apply) spent
+	// stalled on drains, memory-component backpressure and an L0 backlog,
+	// whether the write then completed or gave up (background drainers'
+	// own sleeps are excluded). inPlaceHits counts Membuffer updates that
+	// overwrote a resident key in place (no new drain debt).
 	stallNanos  *obs.Counter
 	inPlaceHits *obs.StripedCounter
 }
@@ -221,16 +214,17 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		cfg:       cfg,
-		domain:    rcu.NewDomain(),
-		persistCh: make(chan struct{}, 1),
-		closing:   make(chan struct{}),
+		cfg:            cfg,
+		memtableTarget: cfg.memtableTargetBytes(),
+		mbfCfg:         cfg.membufferConfig(),
+		domain:         rcu.NewDomain(),
+		persistCh:      make(chan struct{}, 1),
+		closing:        make(chan struct{}),
 	}
 	db.handles = &sync.Pool{New: func() any { return db.domain.Reader() }}
 	// The registry must exist before the first counter increment or
 	// event emission — i.e. before recovery and the background loops.
 	db.initObs()
-	db.mbfFrac.Store(math.Float64bits(cfg.MembufferFraction))
 
 	if !cfg.DropPersist {
 		scfg := cfg.Storage
@@ -256,7 +250,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	g := &generation{mtb: mt}
 	if !cfg.DisableMembuffer {
-		g.mbf = db.newMembufferNow()
+		g.mbf = membuffer.New(db.mbfCfg)
 	}
 	db.gen.Store(g)
 	if db.store != nil && !cfg.DisableWAL {
@@ -270,10 +264,6 @@ func Open(cfg Config) (*DB, error) {
 		for i := 0; i < cfg.DrainThreads; i++ {
 			db.wg.Add(1)
 			go db.drainLoop()
-		}
-		if cfg.AdaptiveMemory {
-			db.wg.Add(1)
-			go db.adaptLoop()
 		}
 	}
 	db.wg.Add(1)
@@ -363,7 +353,7 @@ func (db *DB) hook(at hookPoint) {
 
 // newMemtable allocates a fresh memtable with its WAL segment.
 func (db *DB) newMemtable() (*memtable, error) {
-	m := newMemtableList(db.memtableTarget())
+	m := newMemtableList(db.memtableTarget)
 	m.list.SetRetention(&db.retention)
 	if db.cfg.DisableWAL || db.store == nil {
 		return m, nil
@@ -401,7 +391,7 @@ func (db *DB) recoverWALs() error {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	for _, num := range segs {
-		m := newMemtableList(db.memtableTarget())
+		m := newMemtableList(db.memtableTarget)
 		m.walNum = num
 		// ForEachOp handles both single-op records and multi-op batch
 		// records. Atomicity of a batch is inherited from WAL framing: a
@@ -593,14 +583,6 @@ func (db *DB) Stats() kv.Stats {
 		MemtableWrites: db.stats.memtableWrites.Load(),
 		SyncBarriers:   db.stats.syncBarriers.Load(),
 	}
-	if !db.cfg.DisableMembuffer {
-		s.MembufferFraction = db.membufferFraction()
-	}
-	s.MembufferResizes = db.stats.resizes.Load()
-	s.SensorPutRate = loadFloat(&db.sensor.putRate)
-	s.SensorGetRate = loadFloat(&db.sensor.getRate)
-	s.SensorScanRate = loadFloat(&db.sensor.scanRate)
-	s.SensorStallPct = loadFloat(&db.sensor.stallPct)
 	ws := db.walMetrics.Snapshot()
 	s.AckedSeq = ws.Appends
 	s.DurableSeq = ws.Durable
@@ -633,8 +615,7 @@ type InternalStats struct {
 	MemtableBytes      int64
 	MembufferOccupancy float64
 	// InPlaceHits counts Membuffer updates that overwrote a resident
-	// key in place — writes absorbed with no drain debt, the adaptive
-	// sensor's working-set-fits signal (§4.4).
+	// key in place — writes absorbed with no drain debt (§4.4).
 	InPlaceHits uint64
 }
 

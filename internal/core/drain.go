@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flodb/internal/keys"
 	"flodb/internal/membuffer"
 	"flodb/internal/skiplist"
 )
@@ -62,10 +61,8 @@ func (db *DB) drainLoop() {
 		}
 		// Backpressure: when the Memtable is far over target, stop feeding
 		// it — the bounded Membuffer then rejects writers into the stalled
-		// slow path until the persister catches up. (Those writers' stall
-		// time feeds the adaptive sensor, §4.4 — the drainer's own sleep
-		// does not: SensorStallPct measures blocked WRITERS.)
-		if g.mtb.approxBytes() > 2*db.memtableTarget() {
+		// slow path until the persister catches up.
+		if g.mtb.approxBytes() > 2*db.memtableTarget {
 			db.signalPersist()
 			time.Sleep(50 * time.Microsecond)
 			continue
@@ -73,9 +70,8 @@ func (db *DB) drainLoop() {
 		// Low-water gate: draining exists to keep the Membuffer from
 		// rejecting writers into the slow path, not to empty it — a
 		// resident working set absorbing updates in place, with no drain
-		// debt at all, is the buffer's whole win (§4.4) and the signal
-		// the adaptive controller sizes it by. Below the mark, throttle
-		// to a trickle instead of sweeping the buffer clean.
+		// debt at all, is the buffer's whole win (§4.4). Below the mark,
+		// throttle to a trickle instead of sweeping the buffer clean.
 		trickle := g.mbf.Occupancy() < drainLowWater
 		h.Enter()
 		g = db.gen.Load()
@@ -109,7 +105,7 @@ func (db *DB) drainLoop() {
 			}
 		} else {
 			idle = 0
-			if g.mtb.approxBytes() >= db.memtableTarget() {
+			if g.mtb.approxBytes() >= db.memtableTarget {
 				db.signalPersist()
 			}
 		}
@@ -119,23 +115,11 @@ func (db *DB) drainLoop() {
 	}
 }
 
-// insertDrained moves claimed entries into dst, stamping each with a
-// fresh number from seq. Multi-insert is the default (Figure 6 step 2 with
-// the Algorithm 1 batch optimization); SimpleInsertDrain is the Fig 17
-// ablation. kvs is scratch for the batch; the emptied scratch is returned
-// for the caller's next batch.
+// insertDrained moves claimed entries into dst with one multi-insert
+// (Figure 6 step 2 with the Algorithm 1 batch optimization), stamping each
+// with a fresh number from seq. kvs is scratch for the batch; the emptied
+// scratch is returned for the caller's next batch.
 func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained, seq *atomic.Uint64, kvs []skiplist.KV) []skiplist.KV {
-	if db.cfg.SimpleInsertDrain {
-		for i := range batch {
-			d := &batch[i]
-			dst.insert(d.Key, keys.Hash(d.Key), &skiplist.Entry{
-				Value:     d.Value,
-				Seq:       seq.Add(1),
-				Tombstone: d.Tombstone,
-			})
-		}
-		return kvs
-	}
 	kvs = kvs[:0]
 	for i := range batch {
 		d := &batch[i]
@@ -212,10 +196,10 @@ type spareMembuffers struct {
 // into the retired pair's Memtable. On return that Memtable holds every
 // update that completed before the switch.
 //
-// Which seals pause writers through the drain. A view or resize seal
-// (next == nil) drains into the LIVE Memtable: a slow-path write landing
-// there meanwhile could be overwritten by an older copy of its key from
-// the drain, so writers stay paused — they help drain instead — and on
+// Which seals pause writers through the drain. A view seal (next == nil)
+// drains into the LIVE Memtable: a slow-path write landing there
+// meanwhile could be overwritten by an older copy of its key from the
+// drain, so writers stay paused — they help drain instead — and on
 // return they are STILL paused: nothing can draw a sequence number but
 // fast-path Puts into the new Membuffer (which draw none until they are
 // drained), so the caller draws its sequence point and then clears
@@ -268,7 +252,7 @@ func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 		r.mbf.Reset()
 		g = r.over(mtb)
 	default:
-		g = &generation{mbf: db.newMembufferNow(), mtb: mtb}
+		g = &generation{mbf: membuffer.New(db.mbfCfg), mtb: mtb}
 	}
 
 	db.pauseWriters.Store(true)

@@ -86,7 +86,7 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		}
 	}
 	// The draining Membuffer sits just above the Memtable it drains into:
-	// above the live one for a view or resize seal, below it (above the
+	// above the live one for a view seal, below it (above the
 	// sealed one) for a persist seal, whose successor Memtable takes
 	// writes while the drain runs.
 	imm := db.immGen.Load()
@@ -293,10 +293,10 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 
 	// --- Slow path: write to the Memtable (Algorithm 2 lines 12–20).
 	// stallStart times the drain/backpressure waits below; the total
-	// feeds the adaptive sensor's drain-stall input (§4.4), whether the
-	// write then completes or gives up. (Recorded by hand, not by defer: a
-	// second defer in a function with this many returns stops the compiler
-	// open-coding the first, which every fast-path Put runs.)
+	// feeds stats.stallNanos whether the write then completes or gives
+	// up. (Recorded by hand, not by defer: a second defer in a function
+	// with this many returns stops the compiler open-coding the first,
+	// which every fast-path Put runs.)
 	var stallStart time.Time
 	for spins := 0; ; spins++ {
 		// Honest cancellation point: the slow path can wait out drains and
@@ -331,9 +331,9 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		// overshot badly (the persister has not yet switched), and when
 		// L0 is overloaded.
 		g = db.gen.Load()
-		if over := g.mtb.approxBytes(); over > db.memtableTarget() {
+		if over := g.mtb.approxBytes(); over > db.memtableTarget {
 			db.signalPersist()
-			if db.immMtb.Load() != nil || over > 2*db.memtableTarget() {
+			if db.immMtb.Load() != nil || over > 2*db.memtableTarget {
 				if stallStart.IsZero() {
 					stallStart = time.Now()
 				}
@@ -369,7 +369,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		h.Exit()
 		db.stats.memtableWrites.Add(1)
 		db.noteStall(stallStart)
-		if g.mtb.approxBytes() >= db.memtableTarget() {
+		if g.mtb.approxBytes() >= db.memtableTarget {
 			db.signalPersist()
 		}
 		if d == kv.DurabilitySync {

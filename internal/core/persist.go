@@ -36,7 +36,7 @@ func (db *DB) persistLoop() {
 }
 
 func (db *DB) needsPersist() bool {
-	return db.gen.Load().mtb.approxBytes() >= db.memtableTarget()
+	return db.gen.Load().mtb.approxBytes() >= db.memtableTarget
 }
 
 // persistOnce runs one seal→drain→flush cycle under persistMu, which

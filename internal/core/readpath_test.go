@@ -16,7 +16,7 @@ import (
 
 // TestFilterHasNoFalseNegatives drives every way into the Memtable — the
 // slow path of Put and Delete (a Membuffer of a few buckets is full most of
-// the time), both drain forms under 2 and 4 drainers, Apply's spill — while
+// the time), the drain under 2 and 4 drainers, Apply's spill — while
 // the store flushes underneath, so that a key whose filter bits were not
 // set before its list insert reads as an older version from disk, or as
 // absent. One writer owns each key and versions only grow. A writer reads
@@ -24,16 +24,12 @@ import (
 // floor its writer published; after a drain everything is checked against
 // the writers' final state, and again after a crash and WAL replay.
 func TestFilterHasNoFalseNegatives(t *testing.T) {
-	for _, tc := range []struct {
-		drainers int
-		simple   bool
-	}{{2, false}, {4, false}, {2, true}} {
-		t.Run(fmt.Sprintf("%d-drainers-simple=%v", tc.drainers, tc.simple), func(t *testing.T) {
+	for _, drainers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("%d-drainers-simple=false", drainers), func(t *testing.T) {
 			cfg := testConfig(t)
 			cfg.MemoryBytes = 256 << 10
 			cfg.MembufferFraction = 0.02 // 64 buckets of a few slots: rejections are routine
-			cfg.DrainThreads = tc.drainers
-			cfg.SimpleInsertDrain = tc.simple
+			cfg.DrainThreads = drainers
 			db, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -52,7 +52,6 @@ func (db *DB) initObs() {
 	s.persists = reg.Counter("flodb_persists_total", "Seal->drain->flush persist cycles.")
 	s.helpDrains = reg.Counter("flodb_help_drains_total", "Writer visits to the help-drain path.")
 	s.syncBarriers = reg.Counter("flodb_sync_barriers_total", "Explicit Sync durability barriers.")
-	s.resizes = reg.Counter("flodb_membuffer_resizes_total", "Adaptive Membuffer resize epochs (4.4).")
 	s.stallNanos = reg.Counter("flodb_write_stall_nanoseconds_total", "Writer time stalled on drains, memory backpressure and L0 backlog.")
 	s.inPlaceHits = reg.StripedCounter("flodb_inplace_hits_total", "Membuffer updates that overwrote a resident key in place.")
 
@@ -92,15 +91,11 @@ func (db *DB) initObs() {
 		return db.store.Metrics().BlockCacheBytes
 	})
 
-	// Live memory-component geometry.
 	reg.GaugeFunc("flodb_memtable_bytes", "Approximate live Memtable bytes.", func() int64 {
 		if g := db.gen.Load(); g != nil {
 			return g.mtb.approxBytes()
 		}
 		return 0
-	})
-	reg.GaugeFunc("flodb_membuffer_fraction_ppm", "Live Membuffer share of MemoryBytes, parts per million.", func() int64 {
-		return int64(db.membufferFraction() * 1e6)
 	})
 
 	if db.cfg.DisableTelemetry {

@@ -138,7 +138,6 @@ func openClusterN(dir string, nodeCount int, memBytes int64, lim *diskenv.Limite
 			PersistLimiter:  lim,
 			Storage:         storageOpts(perNode),
 		}
-		applyAdaptiveForTest(&cfg)
 		n := &benchNode{id: id, dir: cfg.Dir, addr: "127.0.0.1:0", cfg: cfg}
 		if err := n.start(ring.Epoch()); err != nil {
 			return fail(err)

@@ -166,15 +166,14 @@ func ShardBench(c Config) (*harness.Table, error) {
 // sensor window fast enough to act within a bench cell.
 func openShardAdaptive(dir string, shards, maxShards int, memBytes int64, lim *diskenv.Limiter) (kv.Store, error) {
 	perShard := memBytes / int64(shards)
-	cfg := core.Config{
-		MemoryBytes:    memBytes,
-		DisableWAL:     true,
-		PersistLimiter: lim,
-		Storage:        storageOpts(perShard),
-	}
-	applyAdaptiveForTest(&cfg)
 	return shard.Open(shard.Config{
-		Dir: dir, Shards: shards, Core: cfg,
+		Dir: dir, Shards: shards,
+		Core: core.Config{
+			MemoryBytes:    memBytes,
+			DisableWAL:     true,
+			PersistLimiter: lim,
+			Storage:        storageOpts(perShard),
+		},
 		// Damped controller: a 50ms sensor window converges within the
 		// warmup phase, and the longer hysteresis/cooldown keep the
 		// measured phase from paying oscillating split/merge copies.

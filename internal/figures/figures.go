@@ -164,31 +164,16 @@ func openSystemDurable(sys System, dir string, memBytes int64, lim *diskenv.Limi
 	return openSystemMode(sys, dir, memBytes, lim, true)
 }
 
-// adaptiveFloDBForTest, when set, opens every FloDB engine (single and
-// sharded) with the adaptive memory controller on at a fast window —
-// the switch the adaptive-conformance test flips to drive the view and
-// durability suites UNMODIFIED over a self-resizing store.
-var adaptiveFloDBForTest bool
-
-func applyAdaptiveForTest(cfg *core.Config) {
-	if adaptiveFloDBForTest {
-		cfg.AdaptiveMemory = true
-		cfg.AdaptiveWindow = 2 * time.Millisecond
-	}
-}
-
 func openSystemMode(sys System, dir string, memBytes int64, lim *diskenv.Limiter, walOn bool) (kv.Store, error) {
 	switch sys {
 	case SysFloDB:
-		cfg := core.Config{
+		return core.Open(core.Config{
 			Dir:            dir,
 			MemoryBytes:    memBytes,
 			DisableWAL:     !walOn,
 			PersistLimiter: lim,
 			Storage:        storageOpts(memBytes),
-		}
-		applyAdaptiveForTest(&cfg)
-		return core.Open(cfg)
+		})
 	case SysShard:
 		return openShard(dir, ShardCount, memBytes, lim, walOn)
 	case SysNet:
@@ -225,7 +210,6 @@ func openShard(dir string, shards int, memBytes int64, lim *diskenv.Limiter, wal
 		PersistLimiter: lim,
 		Storage:        storageOpts(perShard),
 	}
-	applyAdaptiveForTest(&cfg)
 	sc := shard.Config{Dir: dir, Shards: shards, Core: cfg}
 	if dynamicShardForTest {
 		// Dynamic adoption also makes reopen-after-crash paths work: the

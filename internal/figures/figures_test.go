@@ -37,7 +37,6 @@ func TestEveryFigureRuns(t *testing.T) {
 		"fig14":      Fig14,
 		"fig17":      Fig17,
 		"shardbench": ShardBench,
-		"adaptive":   FigAdaptive,
 		// clusterbench is the slowest figure (three ring sizes, kill and
 		// heal segments) but it is the only tier-1 coverage of the full
 		// quorum plane under load, so it stays in the smoke set.

@@ -32,15 +32,13 @@ type netStore struct {
 
 // openNet builds the loopback service stack over a fresh FloDB engine.
 func openNet(dir string, memBytes int64, lim *diskenv.Limiter, walOn bool) (kv.Store, error) {
-	cfg := core.Config{
+	inner, err := core.Open(core.Config{
 		Dir:            dir,
 		MemoryBytes:    memBytes,
 		DisableWAL:     !walOn,
 		PersistLimiter: lim,
 		Storage:        storageOpts(memBytes),
-	}
-	applyAdaptiveForTest(&cfg)
-	inner, err := core.Open(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}

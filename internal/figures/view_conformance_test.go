@@ -38,9 +38,7 @@ func openSysWAL(t *testing.T, sys System, dir string) kv.Store {
 	var err error
 	switch sys {
 	case SysFloDB:
-		cfg := core.Config{Dir: dir, MemoryBytes: 1 << 20, Storage: storageOpts(1 << 20)}
-		applyAdaptiveForTest(&cfg)
-		s, err = core.Open(cfg)
+		s, err = core.Open(core.Config{Dir: dir, MemoryBytes: 1 << 20, Storage: storageOpts(1 << 20)})
 	case SysShard:
 		s, err = openShard(dir, ShardCount, 1<<20, nil, true)
 	case SysNet:

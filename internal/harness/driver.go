@@ -349,34 +349,6 @@ func Run(store kv.Store, opts RunOptions) Result {
 	return res
 }
 
-// Phase is one leg of a phase-shifting workload: a named RunOptions.
-type Phase struct {
-	Name string
-	Opts RunOptions
-	// OnDone, when non-nil, runs after this phase completes and before
-	// the next begins — the hook fig_adaptive uses to record the
-	// adaptive Membuffer fraction at each phase boundary.
-	OnDone func(Result)
-}
-
-// RunPhased drives store through phases back-to-back on the SAME store
-// instance and returns one Result per phase. Nothing is reset between
-// phases — memory-component occupancy, disk state and any adaptive
-// tuning carry over — so the per-phase results measure how the store
-// TRACKS a shifting workload, not how it performs from a cold start.
-// This is the harness behind the fig_adaptive ablation (§4.4): a
-// write-burst phase, then scan-heavy, then mixed.
-func RunPhased(store kv.Store, phases []Phase) []Result {
-	out := make([]Result, len(phases))
-	for i, p := range phases {
-		out[i] = Run(store, p.Opts)
-		if p.OnDone != nil {
-			p.OnDone(out[i])
-		}
-	}
-	return out
-}
-
 // Fill loads n keys into store (half-dataset random initialization of
 // §5.2 when used with a shuffled order; sorted when sequential).
 func Fill(store kv.Store, gen func(i uint64) []byte, n uint64, valueSize int) error {

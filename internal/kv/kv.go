@@ -234,22 +234,6 @@ type Stats struct {
 	// SyncBarriers counts Store.Sync calls.
 	SyncBarriers uint64
 
-	// Adaptive memory-component sizing (§4.4; FloDB engines only, zero
-	// elsewhere). MembufferFraction is the live Membuffer share of the
-	// memory budget — the configured fraction when adaptation is off, a
-	// shard-weighted mean on a sharded store. MembufferResizes counts
-	// completed resize epochs. The Sensor* rates are the workload
-	// sensor's last-window measurements in ops/s; SensorStallPct is
-	// drain-stall time over the window as a percentage of wall time,
-	// summed across stalled writers (it can exceed 100 under a
-	// multi-threaded write storm).
-	MembufferFraction float64
-	MembufferResizes  uint64
-	SensorPutRate     float64
-	SensorGetRate     float64
-	SensorScanRate    float64
-	SensorStallPct    float64
-
 	// Sharded-engine topology and commit pipeline (internal/shard; zero
 	// elsewhere). ShardEpoch is the live topology epoch — it starts at 1
 	// and bumps on every split or merge, which ShardSplits / ShardMerges

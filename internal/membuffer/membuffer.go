@@ -191,9 +191,8 @@ func (b *Buffer) Add(key, value []byte, tombstone bool) bool {
 
 // Put is Add distinguishing its two success modes: inPlace reports that
 // the key was already resident and was overwritten in its slot. An
-// in-place update absorbs a write with NO new drain debt — the signal
-// the adaptive-sizing sensor uses to tell "the working set fits this
-// buffer" (grow it) from "everything flows through" (§4.4).
+// in-place update absorbs a write with NO new drain debt (§4.4); the
+// store counts them (flodb_inplace_hits_total).
 func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 	return b.PutHashed(key, keys.Hash(key), value, tombstone)
 }

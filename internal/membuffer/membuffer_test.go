@@ -384,7 +384,7 @@ func BenchmarkGetHit(b *testing.B) {
 
 // TestNewAllocatesConstant pins the flat bucket layout: building a buffer
 // costs the same handful of allocations at any size, because every seal
-// that cannot recycle a buffer (Open, the first seals, a resize) pays it.
+// that cannot recycle a buffer (Open, the first seals) pays it.
 func TestNewAllocatesConstant(t *testing.T) {
 	for _, buckets := range []int{64, 8000, 1 << 16} {
 		cfg := Config{Buckets: buckets, PartitionBits: 6}

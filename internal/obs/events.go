@@ -13,7 +13,6 @@ const (
 	EventFlush         = "flush"          // immutable memtable → L0 sstable
 	EventCompaction    = "compaction"     // level-N → level-N+1 rewrite
 	EventSeal          = "membuffer-seal" // membuffer generation switch (drain start)
-	EventResize        = "resize-epoch"   // §4.4 adaptive split change
 	EventWALRotate     = "wal-rotate"     // new WAL segment opened
 	EventWALStall      = "wal-stall"      // group-commit follower waited on a leader fsync
 	EventCachePressure = "cache-pressure" // block/table cache evicting under load

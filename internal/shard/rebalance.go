@@ -41,10 +41,9 @@ import (
 //     until released, and the last release reclaims their directories.
 
 // rebalanceLoop is the controller: every Dynamic.Interval it reads each
-// shard's cumulative op counters (the same stats stream §4.4's adaptive
-// sensor reads), differences them into a per-window share, and — with
-// hysteresis and a post-action cooldown — splits the hot shard or
-// merges the coldest adjacent pair.
+// shard's cumulative op counters, differences them into a per-window
+// share, and — with hysteresis and a post-action cooldown — splits the
+// hot shard or merges the coldest adjacent pair.
 func (s *Store) rebalanceLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.dyn.Interval)

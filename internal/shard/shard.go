@@ -217,8 +217,8 @@ type Config struct {
 	// its subdirectory) and MemoryBytes is the TOTAL memory budget,
 	// split evenly across shards so a sharded store competes against an
 	// unsharded one at equal memory. Zero means each shard takes the
-	// core default. With Core.AdaptiveMemory set, every shard runs its
-	// OWN resize controller over its slice of the budget.
+	// core default. Each shard splits its slice between Membuffer and
+	// Memtable at Core.MembufferFraction.
 	Core core.Config
 }
 
@@ -983,24 +983,12 @@ func (s *Store) Stats() kv.Stats {
 		agg.TableCacheMisses += st.TableCacheMisses
 		agg.BloomChecks += st.BloomChecks
 		agg.BloomMisses += st.BloomMisses
-		// Adaptive sizing: resize epochs and sensor rates sum; the
-		// fraction averages (each shard holds an equal slice of the
-		// budget, so the mean is the budget-weighted live share).
-		agg.MembufferResizes += st.MembufferResizes
-		agg.SensorPutRate += st.SensorPutRate
-		agg.SensorGetRate += st.SensorGetRate
-		agg.SensorScanRate += st.SensorScanRate
-		agg.SensorStallPct += st.SensorStallPct
-		agg.MembufferFraction += st.MembufferFraction
 		// Topology overlays: depth sums, hotness takes the peak.
 		agg.ShardQueueDepth += st.ShardQueueDepth
 		if st.ShardHotness > agg.ShardHotness {
 			agg.ShardHotness = st.ShardHotness
 		}
 		agg.ShardEpoch = st.ShardEpoch
-	}
-	if len(per) > 0 {
-		agg.MembufferFraction /= float64(len(per))
 	}
 	return agg
 }

@@ -116,22 +116,6 @@ var (
 	// inserts punctuated by Sync barriers (5% of ops) that promote the
 	// acked window wholesale.
 	BufferedSyncWrite = Mix{InsertPct: 95, SyncPct: 5}
-	// WriteBurst is the ingest phase of the phase-shifting workload:
-	// pure inserts, the shape that wants the largest Membuffer (§4.4 —
-	// every update that completes in the hash table is O(1)).
-	WriteBurst = Mix{InsertPct: 100}
-	// ScanHeavy is the scan phase of the phase-shifting workload: half
-	// the operations are range scans. Every range read must drain the
-	// Membuffer before taking its sequence point, so this shape wants
-	// the SMALLEST Membuffer — the adaptive controller's other pole.
-	ScanHeavy = Mix{InsertPct: 50, ScanPct: 50}
-	// MixedOps is the phase-shifting workload's steady-state shape: the
-	// balanced read/write mix with an occasional range scan — the
-	// report-query-amid-OLTP blend a production store actually serves.
-	// Even 4% scans make an oversized Membuffer expensive (each master
-	// scan drains it), so this mix separates the fixed fractions that a
-	// scan-free balance would leave indistinguishable.
-	MixedOps = Mix{GetPct: 47, InsertPct: 24, DeletePct: 25, ScanPct: 4}
 	// HotShardWrite is the write-heavy mix for the sharded-engine skew
 	// experiments: paired with a clustered generator (NewHotShardZipfian,
 	// or HotSet's contiguous hot range) it concentrates the write stream

@@ -2,7 +2,6 @@ package flodb
 
 import (
 	"fmt"
-	"time"
 
 	"flodb/internal/kv"
 )
@@ -31,11 +30,6 @@ type options struct {
 	policy            ShardPolicy
 	policySet         bool
 	disableTelemetry  bool
-
-	adaptive       bool
-	adaptiveMin    float64
-	adaptiveMax    float64
-	adaptiveWindow time.Duration
 
 	blockCacheBytes int64
 	tableCacheCap   int
@@ -70,8 +64,9 @@ func WithMemory(bytes int64) Option {
 }
 
 // WithMembufferFraction overrides the Membuffer's share of the memory
-// budget. Default 0.25, the paper's empirically chosen split. Fractions
-// outside (0,1) are rejected by Open.
+// budget. Default 0.25, the paper's empirically chosen split. The split is
+// fixed at Open for the store's lifetime. Fractions outside (0,1) are
+// rejected by Open.
 func WithMembufferFraction(f float64) Option {
 	return optionFunc(func(o *options) {
 		if f <= 0 || f >= 1 {
@@ -79,52 +74,6 @@ func WithMembufferFraction(f float64) Option {
 			return
 		}
 		o.membufferFraction = f
-	})
-}
-
-// WithAdaptiveMemory enables workload-adaptive sizing of the
-// Membuffer↔Memtable split (§4.4): a windowed sensor measures the
-// put/get/scan mix and drain-stall time, and a controller moves the
-// Membuffer's share of the memory budget — up under update-heavy phases
-// (more O(1) absorption), down under scan/read-heavy phases (cheaper
-// master-scan drains). Each resize is one generation switch through the
-// existing drain path, never a stop-the-world rehash. The controller
-// stays inside [0.05, 0.60] by default (WithAdaptiveMemoryRange tunes
-// it) and re-evaluates every 100ms (WithAdaptiveMemoryWindow).
-//
-// WithMembufferFraction still sets the STARTING split; without
-// WithAdaptiveMemory it stays pinned there for the store's lifetime.
-// Stats reports the live split (MembufferFraction), the resize count
-// (MembufferResizes) and the sensor's window rates.
-func WithAdaptiveMemory() Option {
-	return optionFunc(func(o *options) { o.adaptive = true })
-}
-
-// WithAdaptiveMemoryRange bounds the adaptive controller to
-// [min, max] ⊂ (0,1) and implies WithAdaptiveMemory. Open rejects
-// min >= max and values outside (0,1).
-func WithAdaptiveMemoryRange(min, max float64) Option {
-	return optionFunc(func(o *options) {
-		if min <= 0 || min >= 1 || max <= 0 || max >= 1 || min >= max {
-			o.fail(fmt.Errorf("flodb: WithAdaptiveMemoryRange(%v, %v): want 0 < min < max < 1", min, max))
-			return
-		}
-		o.adaptive = true
-		o.adaptiveMin, o.adaptiveMax = min, max
-	})
-}
-
-// WithAdaptiveMemoryWindow sets the sensor window — how often the
-// controller re-evaluates the split — and implies WithAdaptiveMemory.
-// Default 100ms; non-positive windows are rejected by Open.
-func WithAdaptiveMemoryWindow(d time.Duration) Option {
-	return optionFunc(func(o *options) {
-		if d <= 0 {
-			o.fail(fmt.Errorf("flodb: WithAdaptiveMemoryWindow(%v): window must be positive", d))
-			return
-		}
-		o.adaptive = true
-		o.adaptiveWindow = d
 	})
 }
 
@@ -284,10 +233,9 @@ func WithTableCacheCapacity(n int) Option {
 // WithTelemetry turns the optional half of the observability layer on
 // (the default) or off. Enabled, every operation records into per-op
 // latency histograms and lifecycle moments (flushes, compactions,
-// generation seals, WAL rotations and stalls, snapshot pins, resize
-// epochs) land in a bounded structured event log — the data behind
-// DB.TelemetrySnapshot, DB.TelemetryEvents and flodbd's /debug
-// endpoints. Disabled, the histograms and the event log disappear and
+// generation seals, WAL rotations and stalls, snapshot pins) land in a
+// bounded structured event log — the data behind DB.TelemetrySnapshot,
+// DB.TelemetryEvents and flodbd's /debug endpoints. Disabled, the histograms and the event log disappear and
 // with them every time.Now() on the hot paths; the plain Stats
 // counters stay on either way. The obsbench figure measures the
 // enabled-vs-disabled delta (≤ a few percent on uniform writes).

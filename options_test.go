@@ -27,10 +27,6 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 		{"zero drain threads", flodb.WithDrainThreads(0), "WithDrainThreads"},
 		{"negative drain threads", flodb.WithDrainThreads(-1), "WithDrainThreads"},
 		{"invalid durability", flodb.WithDurability(flodb.Durability(99)), "WithDurability"},
-		{"adaptive range inverted", flodb.WithAdaptiveMemoryRange(0.5, 0.2), "WithAdaptiveMemoryRange"},
-		{"adaptive range outside (0,1)", flodb.WithAdaptiveMemoryRange(0, 0.5), "WithAdaptiveMemoryRange"},
-		{"adaptive window zero", flodb.WithAdaptiveMemoryWindow(0), "WithAdaptiveMemoryWindow"},
-		{"adaptive window negative", flodb.WithAdaptiveMemoryWindow(-1), "WithAdaptiveMemoryWindow"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,40 +39,6 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestWithAdaptiveMemory: the adaptive store opens at the configured
-// starting split and reports it live through Stats; cross-field
-// contradictions (a pinned start outside the adaptive range, a range
-// with a disabled membuffer... ) surface as Open errors.
-func TestWithAdaptiveMemory(t *testing.T) {
-	db, err := flodb.Open(t.TempDir(), flodb.WithAdaptiveMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := db.Stats().MembufferFraction; f != 0.25 {
-		t.Fatalf("starting fraction %v, want 0.25", f)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if db, err := flodb.Open(t.TempDir(),
-		flodb.WithAdaptiveMemoryRange(0.1, 0.2), flodb.WithMembufferFraction(0.5)); err == nil {
-		db.Close()
-		t.Fatal("starting fraction outside the adaptive range accepted")
-	}
-	// A range that excludes the DEFAULT starting fraction is fine when
-	// the caller never chose one: the start clamps into the range.
-	db, err = flodb.Open(t.TempDir(), flodb.WithAdaptiveMemoryRange(0.3, 0.6))
-	if err != nil {
-		t.Fatalf("range excluding the default start rejected: %v", err)
-	}
-	if f := db.Stats().MembufferFraction; f != 0.3 {
-		t.Fatalf("starting fraction %v, want the range floor 0.3", f)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
