@@ -7,8 +7,8 @@
 //	flobench -quick all
 //
 // Figures: fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
-// fig15 fig16 fig17, the contract/scaling extras (apibench,
-// shardbench, ablate-*), or "all". An unknown figure name is
+// fig15 fig16 fig17, the contract/scaling extras (apibench, netbench,
+// clusterbench, obsbench, ablate-*), or "all". An unknown figure name is
 // an error (exit 2) listing the valid names.
 //
 // Sizes default to 1/1024 of the paper's (the column labels report the
@@ -44,11 +44,8 @@ var figureFuncs = map[string]func(figures.Config) (*harness.Table, error){
 	"fig16": figures.Fig16,
 	"fig17": figures.Fig17,
 	// Contract surface beyond the paper: atomic batches + streaming
-	// iterators across the six systems.
+	// iterators across the seven systems.
 	"apibench": figures.APIBench,
-	// Shard scaling: write throughput vs shard count under uniform,
-	// zipfian, and hot-shard key distributions.
-	"shardbench": figures.ShardBench,
 	// Service tier: throughput and latency through flodbd's wire
 	// protocol vs client connection-pool size.
 	"netbench": figures.NetBench,

@@ -14,19 +14,12 @@
 // command performs: none (not logged), buffered (logged, no fsync — the
 // default), or sync (group-committed fsync per write).
 //
-// The -shards flag range-partitions the store across N independent
-// engines (fixed at creation; reopening needs the same value — or read
-// it off the SHARDS manifest in the store root). With shards, the stats
-// command appends a per-shard breakdown table, the imbalance signal
-// under skewed workloads.
-//
 // The -remote flag points every command at a running flodbd server
 // instead of opening a store directory: `flodb -remote :4380 get k`
 // performs the same operation over the wire protocol. With -remote,
 // -durability applies per operation (the server keeps its own default),
-// the store-shape flags (-mem, -shards) belong to the server
-// process, and checkpoint's directory is a path on the SERVER's
-// filesystem.
+// the store-shape flag -mem belongs to the server process, and
+// checkpoint's directory is a path on the SERVER's filesystem.
 //
 // The -cluster flag joins a replicated ring instead: `flodb -cluster
 // n1=host1:4380,n2=host2:4380 get k` runs the command as a quorum
@@ -67,18 +60,16 @@ func main() {
 	hints := flag.String("hints", "", "cluster: hinted-handoff directory (default <tmp>/flodb-hints)")
 	mem := flag.Int64("mem", 0, "memory component bytes (0 = default; local only)")
 	durability := flag.String("durability", "", "write durability: none|buffered|sync (local: store default; remote: per-op class)")
-	shards := flag.Int("shards", 0, "range-partition across n shards (0/1 = unsharded; fixed at creation; local only)")
 	jsonOut := flag.Bool("json", false, "stats: print the full machine-readable payload (counters + op latency quantiles) instead of text")
 	flag.Parse()
 	if (*dir == "" && *remote == "" && *seeds == "") || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: flodb {-db <dir> | -remote <addr> | -cluster <seeds>} [-shards n] [-durability none|buffered|sync] {put k v | get k | del k | scan lo hi | batch ops... | sync | checkpoint dir | fill n | stats}")
+		fmt.Fprintln(os.Stderr, "usage: flodb {-db <dir> | -remote <addr> | -cluster <seeds>} [-durability none|buffered|sync] {put k v | get k | del k | scan lo hi | batch ops... | sync | checkpoint dir | fill n | stats}")
 		os.Exit(2)
 	}
 
 	var (
-		db         kv.Store          // local engine or remote client — same contract
-		writeOpts  []kv.WriteOption  // per-op durability override (remote mode)
-		shardStats func() []kv.Stats // per-shard breakdown, local sharded stores only
+		db        kv.Store         // local engine or remote client — same contract
+		writeOpts []kv.WriteOption // per-op durability override (remote mode)
 	)
 	modes := 0
 	for _, set := range []bool{*dir != "", *remote != "", *seeds != ""} {
@@ -135,9 +126,6 @@ func main() {
 		if *mem > 0 {
 			opts = append(opts, flodb.WithMemory(*mem))
 		}
-		if *shards > 0 {
-			opts = append(opts, flodb.WithShards(*shards))
-		}
 		if *durability != "" {
 			d, err := kv.ParseDurability(*durability)
 			if err != nil {
@@ -150,7 +138,6 @@ func main() {
 			fail(err)
 		}
 		db = ldb
-		shardStats = ldb.ShardStats
 	}
 	defer func() {
 		if err := db.Close(); err != nil {
@@ -295,15 +282,6 @@ func main() {
 				s.ServerConnsOpen, s.ServerConnsTotal, s.ServerInFlight,
 				s.ServerRequests, s.ServerBytesIn, s.ServerBytesOut, s.ServerSlowRequests)
 		}
-		if per := perShard(shardStats); len(per) > 0 {
-			fmt.Printf("\n%d shards (aggregate above; per-shard breakdown below)\n", len(per))
-			fmt.Printf("%5s %10s %10s %10s %10s %10s %12s %12s\n",
-				"shard", "puts", "gets", "deletes", "flushes", "compact", "acked-seq", "durable-seq")
-			for i, ss := range per {
-				fmt.Printf("%5d %10d %10d %10d %10d %10d %12d %12d\n",
-					i, ss.Puts, ss.Gets, ss.Deletes, ss.Flushes, ss.Compactions, ss.AckedSeq, ss.DurableSeq)
-			}
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "flodb: unknown command %q\n", args[0])
 		os.Exit(2)
@@ -326,13 +304,6 @@ func statsOf(db kv.Store) kv.Stats {
 		return sp.Stats()
 	}
 	return kv.Stats{}
-}
-
-func perShard(fn func() []kv.Stats) []kv.Stats {
-	if fn == nil {
-		return nil
-	}
-	return fn()
 }
 
 func need(args []string, n int) {

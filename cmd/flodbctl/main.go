@@ -5,8 +5,6 @@
 //	flodbctl -members n1=h1:4380,n2=h2:4380,n3=h3:4380 status
 //	flodbctl -members ... stats
 //	flodbctl -members ... top
-//	flodbctl -members ... shards
-//	flodbctl -db /var/lib/flodb shards
 //	flodbctl -members ... rebalance add n4=h4:4380
 //	flodbctl -members ... rebalance remove n2
 //
@@ -17,17 +15,10 @@
 // first. top fetches each node's telemetry snapshot and renders per-op
 // latency quantiles (p50/p90/p99/p999) plus the newest structured
 // events — where "node n2 is slow" becomes "n2's p99 put is 40× its
-// p50 and it logged wal-stall events". shards renders a store's
-// internal shard topology: against -db it reads the SHARDS manifest
-// straight off disk (epoch, routing, per-shard key range and on-disk
-// bytes — safe beside a live process, nothing is opened or locked);
-// against -members it extracts the flodb_shard_* gauges from each
-// node's telemetry frame, adding the live-only signals (committer
-// queue depth, sensor hotness share). rebalance previews a membership
-// change WITHOUT performing it:
-// the fraction of the keyspace whose owner set would change (the data
-// that would have to move), against the ~share/N a consistent-hash ring
-// promises.
+// p50 and it logged wal-stall events". rebalance previews a membership
+// change WITHOUT performing it: the fraction of the keyspace whose owner
+// set would change (the data that would have to move), against the
+// ~share/N a consistent-hash ring promises.
 //
 // Exit status: 0 when every probed member answered, 1 when any was
 // unreachable or served a mismatched identity/epoch, 2 on usage errors.
@@ -35,21 +26,17 @@ package main
 
 import (
 	"context"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"flodb/internal/client"
 	"flodb/internal/cluster"
 	"flodb/internal/kv"
 	"flodb/internal/obs"
-	"flodb/internal/shard"
 	"flodb/internal/wire"
 )
 
@@ -61,15 +48,14 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("flodbctl", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		seeds       = fs.String("members", "", "ring membership ([id=]host:port,...) — required unless -db")
-		dbdir       = fs.String("db", "", "shards: local store root to inspect instead of probing members")
+		seeds       = fs.String("members", "", "ring membership ([id=]host:port,...) — required")
 		replication = fs.Int("replication", 2, "replicas per key R (must match the coordinators')")
 		vnodes      = fs.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per member (must match the coordinators')")
 		timeout     = fs.Duration("timeout", 2*time.Second, "per-node probe timeout")
 		nEvents     = fs.Int("events", 8, "top: recent structured events shown per node")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(errw, "usage: flodbctl {-members <seeds> | -db <dir>} [-replication r] [-vnodes v] {status | stats | top | shards | rebalance add <[id=]addr> | rebalance remove <id>}")
+		fmt.Fprintln(errw, "usage: flodbctl -members <seeds> [-replication r] [-vnodes v] {status | stats | top | rebalance add <[id=]addr> | rebalance remove <id>}")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -78,11 +64,6 @@ func run(args []string, out, errw io.Writer) int {
 	if fs.NArg() == 0 {
 		fs.Usage()
 		return 2
-	}
-	// shards is the one command with a local mode: a SHARDS manifest is
-	// readable straight off disk, no ring required.
-	if fs.Arg(0) == "shards" && *dbdir != "" {
-		return shardsLocal(out, errw, *dbdir)
 	}
 	if *seeds == "" {
 		fs.Usage()
@@ -106,8 +87,6 @@ func run(args []string, out, errw io.Writer) int {
 		return nodeStats(out, ring, *timeout)
 	case "top":
 		return top(out, ring, *timeout, *nEvents)
-	case "shards":
-		return shardsRemote(out, ring, *timeout)
 	case "rebalance":
 		return rebalance(out, errw, fs.Args()[1:], members, ring, *vnodes, *replication)
 	default:
@@ -249,167 +228,6 @@ func top(out io.Writer, ring *cluster.Ring, timeout time.Duration, nEvents int) 
 		return 1
 	}
 	return 0
-}
-
-// shardsLocal renders the shard topology a store root's SHARDS manifest
-// records: epoch, routing, and each shard's key range and on-disk
-// footprint. Reads only the manifest and directory sizes — safe to run
-// beside a live process.
-func shardsLocal(out, errw io.Writer, dir string) int {
-	topo, infos, err := shard.Inspect(dir)
-	if err != nil {
-		fmt.Fprintf(errw, "flodbctl: %v\n", err)
-		return 1
-	}
-	if len(infos) == 0 {
-		fmt.Fprintf(out, "%s: unsharded store (no SHARDS manifest)\n", dir)
-		return 0
-	}
-	fmt.Fprintf(out, "%s: epoch %d, %d shards, %s routing\n\n", dir, topo.Epoch, topo.Shards, topo.Routing)
-	fmt.Fprintf(out, "%-12s %-22s %-22s %10s\n", "SHARD", "LOW", "HIGH", "BYTES")
-	for i, s := range infos {
-		low, high := "-inf", "+inf"
-		if topo.Routing == "range" {
-			if i > 0 {
-				low = fmtKey(infos[i].Low)
-			}
-			if i+1 < len(infos) {
-				high = fmtKey(infos[i+1].Low)
-			}
-		} else {
-			low, high = "(hash)", "(hash)"
-		}
-		fmt.Fprintf(out, "%-12s %-22s %-22s %10d\n", s.Dir, low, high, dirBytes(filepath.Join(dir, s.Dir)))
-	}
-	fmt.Fprintln(out, "\nqueue depth and hotness are live-process signals: use -members shards")
-	return 0
-}
-
-// shardsRemote extracts the flodb_shard_* gauges from each member's
-// telemetry frame: live shard count, topology epoch, split/merge
-// totals, and per-shard committer queue depth and hotness share.
-func shardsRemote(out io.Writer, ring *cluster.Ring, timeout time.Duration) int {
-	bad := 0
-	for i, m := range ring.Members() {
-		if i > 0 {
-			fmt.Fprintln(out)
-		}
-		cl, err := client.Dial(m.Addr, client.WithConns(1), client.WithDialTimeout(timeout))
-		if err != nil {
-			fmt.Fprintf(out, "%s (%s): unreachable: %v\n", m.ID, m.Addr, err)
-			bad++
-			continue
-		}
-		var tp wire.TelemetryPayload
-		func() {
-			defer cl.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			tp, err = cl.Telemetry(ctx, 0)
-		}()
-		if err != nil {
-			fmt.Fprintf(out, "%s (%s): telemetry: %v\n", m.ID, m.Addr, err)
-			bad++
-			continue
-		}
-		flat := map[string]int64{}
-		type shardRow struct{ queue, hotness int64 }
-		rows := map[string]*shardRow{}
-		var order []string
-		row := func(name string) *shardRow {
-			r, ok := rows[name]
-			if !ok {
-				r = &shardRow{queue: -1, hotness: -1}
-				rows[name], order = r, append(order, name)
-			}
-			return r
-		}
-		for _, mt := range tp.Metrics {
-			if s, ok := shardLabel(mt.Name, "flodb_shard_queue_depth"); ok {
-				row(s).queue = mt.Value
-			} else if s, ok := shardLabel(mt.Name, "flodb_shard_hotness_ppm"); ok {
-				row(s).hotness = mt.Value
-			} else {
-				flat[mt.Name] = mt.Value
-			}
-		}
-		fmt.Fprintf(out, "%s (%s)\n", m.ID, m.Addr)
-		if _, ok := flat["flodb_shards"]; !ok {
-			fmt.Fprintf(out, "  no shard metrics (unsharded node, or telemetry disabled)\n")
-			continue
-		}
-		fmt.Fprintf(out, "  topology: %d shards, epoch %d, %d splits, %d merges\n",
-			flat["flodb_shards"], flat["flodb_shard_epoch"],
-			flat["flodb_shard_splits_total"], flat["flodb_shard_merges_total"])
-		sort.Strings(order)
-		fmt.Fprintf(out, "  %-12s %8s %9s\n", "SHARD", "QUEUE", "HOTNESS")
-		for _, name := range order {
-			r := rows[name]
-			q, h := "?", "?"
-			if r.queue >= 0 {
-				q = fmt.Sprintf("%d", r.queue)
-			}
-			if r.hotness >= 0 {
-				h = fmt.Sprintf("%.1f%%", float64(r.hotness)/1e4)
-			}
-			fmt.Fprintf(out, "  %-12s %8s %9s\n", name, q, h)
-		}
-	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
-}
-
-// shardLabel pulls the shard name out of a labeled metric like
-// `flodb_shard_queue_depth{shard="shard-003"}`.
-func shardLabel(name, prefix string) (string, bool) {
-	rest, ok := strings.CutPrefix(name, prefix+`{shard="`)
-	if !ok {
-		return "", false
-	}
-	return strings.CutSuffix(rest, `"}`)
-}
-
-// fmtKey renders a boundary key: printable keys verbatim, binary ones
-// as hex, both truncated so the table stays a table.
-func fmtKey(k []byte) string {
-	if len(k) == 0 {
-		return "-inf"
-	}
-	printable := true
-	for _, c := range k {
-		if c < 0x20 || c > 0x7e {
-			printable = false
-			break
-		}
-	}
-	s := ""
-	if printable {
-		s = string(k)
-	} else {
-		s = hex.EncodeToString(k)
-	}
-	if len(s) > 20 {
-		s = s[:17] + "..."
-	}
-	return s
-}
-
-// dirBytes sums the regular files under root; 0 on any walk error —
-// the size column is advisory, not an integrity check.
-func dirBytes(root string) int64 {
-	var n int64
-	filepath.WalkDir(root, func(_ string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		if info, err := d.Info(); err == nil {
-			n += info.Size()
-		}
-		return nil
-	})
-	return n
 }
 
 // fmtNanos renders a nanosecond latency human-first (1.234ms, 56.7µs).

@@ -7,11 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"flodb"
 	"flodb/internal/cluster"
 	"flodb/internal/core"
 	"flodb/internal/server"
-	"flodb/internal/wire"
 )
 
 // startRing brings up n in-process ring nodes (engine + wire server with
@@ -160,67 +158,6 @@ func TestRebalancePreview(t *testing.T) {
 	}
 	if code, _, errw := runCtl(t, "-members", seeds, "rebalance", "remove", "nope"); code != 2 || !strings.Contains(errw, "no member") {
 		t.Fatalf("removing an unknown member must fail usage (exit %d): %s", code, errw)
-	}
-}
-
-func TestShardsLocal(t *testing.T) {
-	dir := t.TempDir()
-	db, err := flodb.Open(dir, flodb.WithShards(4), flodb.WithMemory(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put(nil, []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	code, out, errw := runCtl(t, "-db", dir, "shards")
-	if code != 0 {
-		t.Fatalf("exit %d: %s%s", code, out, errw)
-	}
-	for _, want := range []string{"epoch 1, 4 shards, range routing", "shard-000", "shard-003", "-inf", "+inf"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("shards output missing %q:\n%s", want, out)
-		}
-	}
-
-	// An unsharded directory is reported as such, not as an error.
-	code, out, _ = runCtl(t, "-db", t.TempDir(), "shards")
-	if code != 0 || !strings.Contains(out, "unsharded store") {
-		t.Fatalf("unsharded dir (exit %d):\n%s", code, out)
-	}
-}
-
-func TestShardsRemote(t *testing.T) {
-	db, err := flodb.Open(t.TempDir(), flodb.WithShards(2), flodb.WithMemory(1<<20), flodb.WithTelemetry(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(server.Config{
-		Store:  db,
-		NodeID: "n1",
-		Telemetry: func(maxEvents int) wire.TelemetryPayload {
-			snap := db.TelemetrySnapshot()
-			return wire.TelemetryPayload{Node: "n1", Metrics: snap.Metrics, Events: db.TelemetryEvents(maxEvents)}
-		},
-	})
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close(); db.Close() })
-
-	code, out, errw := runCtl(t, "-members", "n1="+l.Addr().String(), "-replication", "1", "shards")
-	if code != 0 {
-		t.Fatalf("exit %d: %s%s", code, out, errw)
-	}
-	for _, want := range []string{"2 shards, epoch 1", "shard-000", "shard-001", "HOTNESS"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("remote shards output missing %q:\n%s", want, out)
-		}
 	}
 }
 

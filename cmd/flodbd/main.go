@@ -2,7 +2,6 @@
 // clients (internal/client, or flodb -remote):
 //
 //	flodbd -db /var/lib/flodb -addr :4380
-//	flodbd -db /var/lib/flodb -addr :4380 -shards 4
 //
 // One process owns the store directory; any number of clients share the
 // engine through it — the pipelined dispatch means a single client
@@ -82,9 +81,8 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 		addr       = fs.String("addr", ":4380", "listen address")
 		addrFile   = fs.String("addr-file", "", "write the bound listen address to this file once accepting (for scripts and tests using -addr :0)")
 		mem        = fs.Int64("mem", 0, "memory component bytes (0 = default)")
-		shards     = fs.Int("shards", 0, "range-partition across n shards (0/1 = unsharded)")
-		blockCache = fs.Int64("block-cache", 0, "block cache bytes for the disk read path, split across shards (0 = default 32 MiB)")
-		tableCache = fs.Int("table-cache", 0, "max resident sstable readers (open fds) per shard (0 = default 256)")
+		blockCache = fs.Int64("block-cache", 0, "read cache bytes for point reads of disk-resident keys (0 = default 32 MiB)")
+		tableCache = fs.Int("table-cache", 0, "max resident sstable readers, one open fd each (0 = default 256)")
 		durability = fs.String("durability", "", "default write durability: none|buffered|sync (default buffered)")
 		nodeID     = fs.String("node-id", "", "stable ring identity served in health probes (cluster node mode)")
 		writeThru  = fs.Bool("wal-writethrough", false, "hand WAL records to the OS at append: acked writes survive kill -9 (ring replicas run with this)")
@@ -138,9 +136,6 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 		var opts []flodb.Option
 		if *mem > 0 {
 			opts = append(opts, flodb.WithMemory(*mem))
-		}
-		if *shards > 0 {
-			opts = append(opts, flodb.WithShards(*shards))
 		}
 		if *blockCache > 0 {
 			opts = append(opts, flodb.WithBlockCacheSize(*blockCache))

@@ -249,83 +249,11 @@ func ExampleDB_NewIterator_deadline() {
 	// stopped early: true (read true pairs before the full 10000)
 }
 
-// ExampleDB_shards opens a range-sharded store: four independent FloDB
-// engines — each with its own WAL, memory component and compactor —
-// behind one DB. Writes route by key range, scans merge the shards in
-// global key order, and the shard count is fixed at creation (recorded
-// in the SHARDS manifest, so a reopen must match).
-func ExampleDB_shards() {
-	dir := filepath.Join(os.TempDir(), "flodb-example-shards")
-	os.RemoveAll(dir)
-	db, err := flodb.Open(dir, flodb.WithShards(4))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer db.Close()
-
-	for _, k := range []string{"delta", "alpha", "charlie", "bravo"} {
-		if err := db.Put(bg, []byte(k), []byte("v")); err != nil {
-			log.Fatal(err)
-		}
-	}
-	pairs, err := db.Scan(bg, nil, nil) // one ordered stream across shards
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, p := range pairs {
-		fmt.Println(string(p.Key))
-	}
-	fmt.Println("shards:", db.Shards())
-	// Output:
-	// alpha
-	// bravo
-	// charlie
-	// delta
-	// shards: 4
-}
-
-// ExampleDB_adaptiveSharding opens a store whose shard layout is the
-// rebalance controller's to change: within [min, max] the controller
-// splits a shard that persistently carries more than its fair share of
-// traffic (at the median of its recently written keys) and merges
-// persistently cold neighbors. Every rewrite bumps the topology epoch;
-// ShardTopology is the versioned view a routing cache compares against,
-// and Stats counts the splits and merges as they happen.
-func ExampleDB_adaptiveSharding() {
-	dir := filepath.Join(os.TempDir(), "flodb-example-adaptive-shards")
-	os.RemoveAll(dir)
-	db, err := flodb.Open(dir, flodb.WithShardPolicy(flodb.Adaptive(2, 8)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer db.Close()
-
-	for i := 0; i < 256; i++ {
-		if err := db.Put(bg, []byte(fmt.Sprintf("user%04d", i)), []byte("v")); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	topo := db.ShardTopology()
-	fmt.Println("routing:", topo.Routing)
-	fmt.Println("opened at min shards:", topo.Shards)
-	fmt.Println("epoch starts at:", topo.Epoch)
-	// A reopen adopts whatever layout the controller left behind — the
-	// SHARDS manifest, not the policy's minimum, is authoritative.
-	st := db.Stats()
-	fmt.Println("splits+merges so far:", st.ShardSplits+st.ShardMerges)
-	// Output:
-	// routing: range
-	// opened at min shards: 2
-	// epoch starts at: 1
-	// splits+merges so far: 0
-}
-
 // ExampleDB_blockCache sizes the two read-path caches: the block cache
-// (parsed sstable blocks, byte-budgeted, total across shards) and the
-// table cache (open sstable readers — one fd plus a parsed index and
-// bloom filter each, capacity per shard). Warm reads skip the disk
-// read and the block decode; Stats reports the funnel's hit rates.
+// (parsed sstable blocks, byte-budgeted) and the table cache (open
+// sstable readers — one fd plus a parsed index and bloom filter each).
+// Warm reads skip the disk read and the block decode; Stats reports the
+// funnel's hit rates.
 func ExampleDB_blockCache() {
 	dir := filepath.Join(os.TempDir(), "flodb-example-blockcache")
 	os.RemoveAll(dir)

@@ -68,26 +68,17 @@
 //	v1, _, _ := snap.Get(ctx, []byte("k"))  // repeats identically
 //
 //	err = db.Checkpoint(ctx, "/backups/mydb-2026-07-25")  // openable copy
-//
-// Past a single memory component, the store range-partitions across N
-// independent engines — per-shard WALs, drain pools, flush pipelines and
-// group-commit queues — behind the same API:
-//
-//	db, err := flodb.Open(dir, flodb.WithShards(4))
-//
-// Scans and iterators merge the shards in global key order, Snapshot
-// pins one consistent cut across all of them, and Checkpoint fans out
-// into per-shard copies. See the README's sharding section for the
-// cross-shard atomicity caveats.
 package flodb
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 
 	"flodb/internal/core"
 	"flodb/internal/kv"
 	"flodb/internal/obs"
-	"flodb/internal/shard"
 )
 
 // Pair is a key-value pair returned by Scan.
@@ -134,12 +125,10 @@ var (
 	ErrNotSupported = kv.ErrNotSupported
 )
 
-// DB is a FloDB store — a single engine by default, or a
-// range-partitioned set of engines behind the same surface when opened
-// with WithShards. All methods are safe for concurrent use; Close must
-// not race with other operations.
+// DB is a FloDB store. All methods are safe for concurrent use; Close
+// must not race with other operations.
 type DB struct {
-	inner kv.Store
+	inner *core.DB
 }
 
 // Open opens (creating if needed) a store in dir, tuned by opts.
@@ -177,41 +166,12 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	}
 	cfg.Storage.BlockCacheBytes = o.blockCacheBytes
 	cfg.Storage.TableCacheCapacity = o.tableCacheCap
-	// A sharded root must never be shadowed by a fresh unsharded engine:
-	// detect the SHARDS manifest and adopt its layout when the caller
-	// didn't pass a shard policy. An explicit mismatching Static count
-	// (including Static(1) on a sharded root) is rejected by shard.Open.
-	detected, err := shard.DetectShards(dir)
-	if err != nil {
-		return nil, err
-	}
-	p := o.policy
-	n := p.shards
-	if n == 0 && !p.dynamic {
-		n = detected
-	}
-	if n > 1 || detected > 0 || p.dynamic {
-		// Sharded engine: cfg becomes the per-shard template (shard.Open
-		// assigns the subdirectories and splits the memory budget).
-		scfg := shard.Config{Dir: dir, Shards: n, Core: cfg}
-		if p.hashed {
-			scfg.Splitter = shard.HashSplitter{}
-		}
-		if p.dynamic {
-			// Fresh stores start at MinShards (Shards stays 0 so a reopen
-			// adopts whatever layout the last run's splits left behind).
-			scfg.Shards = 0
-			scfg.Dynamic = shard.Dynamic{
-				Enabled:   true,
-				MinShards: p.minShards,
-				MaxShards: p.maxShards,
-			}
-		}
-		inner, err := shard.Open(scfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DB{inner: inner}, nil
+	// A root left by the removed shard tier holds its data under
+	// shard-NNN subdirectories; opening it as one engine would create an
+	// empty store over them.
+	manifest := filepath.Join(dir, "SHARDS")
+	if _, err := os.Lstat(manifest); err == nil {
+		return nil, fmt.Errorf("flodb: %s: sharded store layout: %w", manifest, ErrNotSupported)
 	}
 	inner, err := core.Open(cfg)
 	if err != nil {
@@ -277,10 +237,6 @@ func (db *DB) Scan(ctx context.Context, low, high []byte) ([]Pair, error) {
 // versions as readers close. The handle also pins sstables until Close,
 // so holding snapshots delays space reclamation and retains superseded
 // values in memory — it never blocks writers after the seal returns.
-//
-// On a sharded store the per-shard bounds are pinned under a brief
-// cross-shard write barrier, so the handle is one globally consistent
-// cut.
 func (db *DB) Snapshot(ctx context.Context) (View, error) {
 	return db.inner.Snapshot(ctx)
 }
@@ -300,84 +256,24 @@ func (db *DB) Checkpoint(ctx context.Context, dir string) error {
 // It must not run concurrently with other operations.
 func (db *DB) Close() error { return db.inner.Close() }
 
-// Stats returns a snapshot of operation counters. On a sharded store the
-// counters aggregate across shards (ShardStats has the breakdown).
-func (db *DB) Stats() Stats { return db.inner.(kv.StatsProvider).Stats() }
-
-// Shards returns the store's LIVE shard count: 1 for the default
-// unsharded engine. Under an Adaptive policy the count can change
-// between calls; ShardTopology returns the epoch that versions it.
-func (db *DB) Shards() int {
-	if s, ok := db.inner.(*shard.Store); ok {
-		return s.Count()
-	}
-	return 1
-}
-
-// Topology is the store's shard layout, versioned by Epoch: Shards
-// engines, routed by Routing ("range" or "hash"), with Boundaries
-// holding the Shards-1 ascending range cut keys (nil under hash
-// routing). The epoch bumps on every Adaptive split or merge, so a
-// caller that cached routing decisions compares epochs to detect a
-// layout change.
-type Topology = shard.Topology
-
-// ErrDynamicHashRouting is returned by Open when an Adaptive policy
-// meets hash routing — a hash-routed shard spans the whole keyspace,
-// leaving no boundary to split.
-var ErrDynamicHashRouting = shard.ErrDynamicHashRouting
-
-// FutureManifestError is returned by Open when the store's SHARDS
-// manifest was written by a newer binary than this one. Detect it with
-// errors.As to tell an upgrade problem from corruption.
-type FutureManifestError = shard.FutureManifestError
-
-// ShardTopology returns a snapshot of the live shard layout. An
-// unsharded store reports the trivial topology: one shard, epoch 1.
-// The boundary keys are copies; the caller may retain them.
-func (db *DB) ShardTopology() Topology {
-	if s, ok := db.inner.(*shard.Store); ok {
-		return s.Topology()
-	}
-	return Topology{Epoch: 1, Shards: 1, Routing: "range"}
-}
-
-// ShardStats returns each shard's own counters, indexed by shard, when
-// the store was opened with WithShards(n > 1) — the per-shard breakdown
-// behind Stats, and the imbalance signal under skewed workloads. It
-// returns nil for an unsharded store.
-func (db *DB) ShardStats() []Stats {
-	if s, ok := db.inner.(*shard.Store); ok {
-		return s.PerShard()
-	}
-	return nil
-}
-
-// telemetryProvider is implemented by both engines (core.DB directly,
-// shard.Store by merging its shards).
-type telemetryProvider interface {
-	TelemetrySnapshot() obs.Snapshot
-	TelemetryEvents(n int) []obs.Event
-}
+// Stats returns a snapshot of operation counters.
+func (db *DB) Stats() Stats { return db.inner.Stats() }
 
 // TelemetrySnapshot freezes the store's metrics registry: every Stats
 // counter under its canonical flodb_* name, the WAL/cache/storage
 // views, and — unless telemetry was disabled with WithTelemetry(false)
-// — per-op latency histograms and event counts. On a sharded store the
-// shards merge: counters sum, histograms merge bucket-wise. The result
-// renders to Prometheus text with WritePrometheus; flodbd serves it at
-// /metrics.
+// — per-op latency histograms and event counts. The result renders to
+// Prometheus text with WritePrometheus; flodbd serves it at /metrics.
 func (db *DB) TelemetrySnapshot() obs.Snapshot {
-	return db.inner.(telemetryProvider).TelemetrySnapshot()
+	return db.inner.TelemetrySnapshot()
 }
 
 // TelemetryEvents returns up to n recent structured lifecycle events
 // (flushes, compactions, generation seals, WAL rotations and stalls,
-// snapshot pins, shard splits and merges; n <= 0 returns everything
-// retained), oldest first. On a sharded store the shards' timelines
-// interleave by timestamp. It returns nil when telemetry is disabled.
+// snapshot pins; n <= 0 returns everything retained), oldest first. It
+// returns nil when telemetry is disabled.
 func (db *DB) TelemetryEvents(n int) []obs.Event {
-	return db.inner.(telemetryProvider).TelemetryEvents(n)
+	return db.inner.TelemetryEvents(n)
 }
 
 var (

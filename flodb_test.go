@@ -5,6 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -281,144 +284,32 @@ func TestPublicStoreSatisfiesContract(t *testing.T) {
 	}
 }
 
-// TestPublicAPISharded drives the full public surface of a store opened
-// with WithShards: routed writes, globally ordered merged scans,
-// snapshots spanning shards, per-shard stats, and the fixed-at-creation
-// shard count.
-func TestPublicAPISharded(t *testing.T) {
+// TestOpenRefusesShardedRoot pins that a directory holding a SHARDS
+// manifest (the layout of the removed shard tier, whose data lives in
+// shard-NNN subdirectories) is refused rather than shadowed by a fresh
+// engine: Open fails with ErrNotSupported and creates nothing.
+func TestOpenRefusesShardedRoot(t *testing.T) {
 	dir := t.TempDir()
-	db, err := flodb.Open(dir, flodb.WithShards(4), flodb.WithMemory(1<<20))
+	if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("flodb-shards v1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := flodb.Open(dir)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open on a sharded root succeeded")
+	}
+	if !errors.Is(err, flodb.ErrNotSupported) || !strings.Contains(err.Error(), "SHARDS") {
+		t.Fatalf("Open on a sharded root: %v, want ErrNotSupported naming SHARDS", err)
+	}
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Shards(); got != 4 {
-		t.Fatalf("Shards() = %d, want 4", got)
-	}
-	const n = 512
-	for i := uint64(0); i < n; i++ {
-		// Spread keys over the 64-bit space so every shard participates.
-		k := keys.EncodeUint64(i * 0x9e3779b97f4a7c15)
-		if err := db.Put(bg, k, keys.EncodeUint64(i)); err != nil {
-			t.Fatal(err)
+	if len(ents) != 1 {
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name()
 		}
-	}
-	pairs, err := db.Scan(bg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != n {
-		t.Fatalf("scan returned %d pairs, want %d", len(pairs), n)
-	}
-	for i := 1; i < len(pairs); i++ {
-		if bytes.Compare(pairs[i-1].Key, pairs[i].Key) >= 0 {
-			t.Fatalf("merged scan out of order at %d", i)
-		}
-	}
-
-	per := db.ShardStats()
-	if len(per) != 4 {
-		t.Fatalf("ShardStats returned %d rows, want 4", len(per))
-	}
-	var putSum uint64
-	for i, s := range per {
-		if s.Puts == 0 {
-			t.Fatalf("shard %d saw no puts under spread keys", i)
-		}
-		putSum += s.Puts
-	}
-	if putSum != n {
-		t.Fatalf("per-shard puts sum to %d, want %d", putSum, n)
-	}
-
-	snap, err := db.Snapshot(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := snap.Scan(bg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < n; i++ {
-		k := keys.EncodeUint64(i * 0x9e3779b97f4a7c15)
-		if err := db.Put(bg, k, []byte("after")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after, err := snap.Scan(bg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("snapshot scan drifted: %d -> %d", len(before), len(after))
-	}
-	for i := range after {
-		if !bytes.Equal(after[i].Value, before[i].Value) {
-			t.Fatalf("snapshot leaked post-snapshot write at %d", i)
-		}
-	}
-	snap.Close()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The shard count is a property of the data: reopening with a
-	// different one must fail, reopening with the same one must see
-	// everything.
-	if _, err := flodb.Open(dir, flodb.WithShards(2)); err == nil {
-		t.Fatal("reopen with mismatched shard count accepted")
-	}
-	r, err := flodb.Open(dir, flodb.WithShards(4), flodb.WithMemory(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if v, ok, err := r.Get(bg, keys.EncodeUint64(0)); err != nil || !ok || string(v) != "after" {
-		t.Fatalf("reopened sharded Get = %q %v %v", v, ok, err)
-	}
-}
-
-// TestUnshardedStoreHasNoShardStats pins the nil contract for the
-// default engine.
-func TestUnshardedStoreHasNoShardStats(t *testing.T) {
-	db := openPublic(t)
-	if db.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want 1", db.Shards())
-	}
-	if per := db.ShardStats(); per != nil {
-		t.Fatalf("ShardStats on unsharded store = %v, want nil", per)
-	}
-}
-
-// TestShardedReopenWithoutOption pins the adoption contract: plain
-// Open(dir) on a sharded root must adopt the recorded layout rather than
-// shadow it with a fresh unsharded engine, and an explicit WithShards(1)
-// on that root must be rejected as a mismatch.
-func TestShardedReopenWithoutOption(t *testing.T) {
-	dir := t.TempDir()
-	db, err := flodb.Open(dir, flodb.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put(bg, []byte("hello"), []byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := flodb.Open(dir) // no options: adopt the SHARDS manifest
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := r.Shards(); got != 4 {
-		t.Fatalf("adopted Shards() = %d, want 4", got)
-	}
-	if v, ok, err := r.Get(bg, []byte("hello")); err != nil || !ok || string(v) != "world" {
-		t.Fatalf("data shadowed on optionless reopen: %q %v %v", v, ok, err)
-	}
-
-	if _, err := flodb.Open(dir, flodb.WithShards(1)); err == nil {
-		t.Fatal("WithShards(1) on a 4-shard root accepted")
+		t.Fatalf("Open on a sharded root left %v, want only SHARDS", names)
 	}
 }

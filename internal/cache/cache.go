@@ -175,23 +175,23 @@ type Stats struct {
 	Entries int
 }
 
-// DefaultShards is the stripe count New uses.
-const DefaultShards = 16
+// DefaultStripes is the stripe count New uses.
+const DefaultStripes = 16
 
 // New returns a cache bounded by capacity (in charge units), striped
-// over DefaultShards stripes. A non-positive capacity gives a cache that
+// over DefaultStripes stripes. A non-positive capacity gives a cache that
 // holds entries only until the next insert that finds them unpinned —
 // still correct, never caching.
-func New(capacity int64) *Cache { return NewWithShards(capacity, DefaultShards) }
+func New(capacity int64) *Cache { return NewWithStripes(capacity, DefaultStripes) }
 
-// NewWithShards returns a cache with an explicit stripe count (rounded
+// NewWithStripes returns a cache with an explicit stripe count (rounded
 // down to a power of two, min 1). The capacity splits evenly across
 // stripes, so for small capacities in coarse units — a table cache
-// bounded at a handful of handles — the caller should keep shards <=
+// bounded at a handful of handles — the caller should keep stripes <=
 // capacity or the per-stripe budget rounds to zero.
-func NewWithShards(capacity int64, shards int) *Cache {
+func NewWithStripes(capacity int64, stripes int) *Cache {
 	bits := uint(0)
-	for 2<<bits <= shards {
+	for 2<<bits <= stripes {
 		bits++
 	}
 	c := &Cache{stripes: make([]stripe, 1<<bits), shift: 64 - bits}

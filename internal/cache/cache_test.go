@@ -13,7 +13,7 @@ func TestChargeAccounting(t *testing.T) {
 	var deleted atomic.Int64
 	del := func(Key, any) { deleted.Add(1) }
 
-	c := NewWithShards(100, 1) // one stripe: deterministic CLOCK order
+	c := NewWithStripes(100, 1) // one stripe: deterministic CLOCK order
 	for i := uint64(0); i < 10; i++ {
 		h := c.Insert(Key{ID: i}, i, 10, del)
 		h.Release()
@@ -53,7 +53,7 @@ func TestChargeAccounting(t *testing.T) {
 // evicts the one entry no lookup touched — whichever kind of lookup set
 // the others' bits.
 func TestClockSecondChance(t *testing.T) {
-	c := NewWithShards(100, 1)
+	c := NewWithStripes(100, 1)
 	for i := uint64(0); i < 10; i++ {
 		c.Insert(Key{ID: i}, i, 10, nil).Release()
 	}
@@ -105,7 +105,7 @@ func TestPinBlocksEviction(t *testing.T) {
 	var deleted atomic.Int64
 	del := func(Key, any) { deleted.Add(1) }
 
-	c := NewWithShards(10, 1)
+	c := NewWithStripes(10, 1)
 	pinned := c.Insert(Key{ID: 1}, "keep", 10, del) // fills the cache, stays pinned
 
 	// Pressure: each insert is itself briefly pinned, then released.
@@ -142,7 +142,7 @@ func TestPinBlocksEviction(t *testing.T) {
 // when every entry is pinned the stripe exceeds its budget rather than
 // deleting in-use values, and returns to budget once pins drop.
 func TestPinnedOverCapacity(t *testing.T) {
-	c := NewWithShards(10, 1)
+	c := NewWithStripes(10, 1)
 	var hs []*Handle
 	for i := uint64(0); i < 5; i++ {
 		hs = append(hs, c.Insert(Key{ID: i}, nil, 10, nil))
@@ -165,7 +165,7 @@ func TestPinnedOverCapacity(t *testing.T) {
 // erasing them all (each erasure shifting its run back) leaves every
 // survivor reachable at every step.
 func TestTableGrowAndShiftBack(t *testing.T) {
-	c := NewWithShards(1<<30, 1)
+	c := NewWithStripes(1<<30, 1)
 	const n = 1000
 	for i := uint64(0); i < n; i++ {
 		c.Insert(Key{ID: i, Offset: i * 7}, i, 1, nil).Release()

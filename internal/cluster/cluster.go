@@ -695,7 +695,7 @@ func (c *Client) newMergedLive(ctx context.Context, low, high []byte) (kv.Iterat
 		return fail(fmt.Errorf("cluster: %d members down exceeds R-Rq=%d, scan coverage not guaranteed: %w",
 			downCount, c.cfg.Replication-c.cfg.ReadQuorum, kv.ErrUnavailable))
 	}
-	return kv.Merge(srcs, newestLive, nil), nil
+	return kv.Merge(srcs, newestLive), nil
 }
 
 // newestLive is the scan merge's policy over the stored copies of one

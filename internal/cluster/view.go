@@ -74,7 +74,7 @@ func (v *clusterView) NewIterator(ctx context.Context, low, high []byte) (kv.Ite
 		}
 		srcs = append(srcs, it)
 	}
-	return kv.Merge(srcs, newestLive, nil), nil
+	return kv.Merge(srcs, newestLive), nil
 }
 
 func (v *clusterView) Close() error {

@@ -74,7 +74,7 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 	// store's switch/scan lock across a disk barrier would hand every
 	// scanner and the persister the fsync's latency.
 	if d == kv.DurabilitySync {
-		return db.commitSync(syncW, syncOff, 1)
+		return db.commitSync(syncW, syncOff)
 	}
 	return nil
 }
@@ -119,103 +119,6 @@ func (db *DB) applyBackpressure(ctx context.Context) error {
 		}
 		return nil
 	}
-}
-
-// ResolveDurability folds per-op write options over the store's default
-// durability class, rejecting logged classes on a store with no log.
-// Committer pipelines resolve at enqueue time — grouping enqueued
-// operations into durability runs needs the resolved class before the
-// engine sees the op.
-func (db *DB) ResolveDurability(opts ...kv.WriteOption) (kv.Durability, error) {
-	return db.resolveDurability(opts)
-}
-
-// CommitBatch is the committer-pipeline commit primitive: it applies b
-// exactly like Apply — one WAL record, one drainMu hold, one RCU read
-// section, one multi-insert for the Memtable spill — but attributes the
-// batch as the puts individual Puts and deletes individual Deletes it
-// coalesced, not as one logical batch. The sharded engine's per-shard
-// committers drain their queues into CommitBatch calls, so a write storm
-// pays the per-operation bookkeeping (stats, WAL framing, lock and RCU
-// transitions) once per drained group instead of once per op, while
-// Stats still counts what callers actually did.
-//
-// d must already be resolved (ResolveDurability); batch entries commit
-// under that one class. Under DurabilitySync the call returns after one
-// group-committed fsync covers the whole group.
-func (db *DB) CommitBatch(ctx context.Context, b *kv.Batch, d kv.Durability, puts, deletes uint64) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := db.loadPersistErr(); err != nil {
-		return err
-	}
-	if b == nil || b.Len() == 0 {
-		return nil
-	}
-	db.stats.puts.Add(puts)
-	db.stats.deletes.Add(deletes)
-	if err := db.applyBackpressure(ctx); err != nil {
-		return err
-	}
-	var start time.Time
-	if db.tel != nil {
-		start = time.Now()
-	}
-	syncW, syncOff, err := db.applyLocked(b, d)
-	if err != nil {
-		return err
-	}
-	if d == kv.DurabilitySync {
-		if err := db.commitSync(syncW, syncOff, puts+deletes); err != nil {
-			return err
-		}
-	}
-	if t := db.tel; t != nil {
-		// Each coalesced op records the group's commit latency in its
-		// own op histogram — the engine-side cost its caller paid,
-		// excluding queue wait — so the per-op quantiles keep counting
-		// ops whether they arrived solo or pipelined.
-		el := time.Since(start)
-		t.batchLat.Observe(el)
-		for i := uint64(0); i < puts; i++ {
-			t.putLat.Observe(el)
-		}
-		for i := uint64(0); i < deletes; i++ {
-			t.deleteLat.Observe(el)
-		}
-	}
-	return nil
-}
-
-// CommitOne is CommitBatch's singleton form: a committer pipeline whose
-// drain produced a run of one op skips the batch arena and the drainMu
-// hold and routes the op through the same Membuffer-first update path a
-// direct Put takes — restoring the paper's lock-free fast path for an
-// uncontended shard. key and value are cloned here, exactly as
-// Put/Delete clone; d must already be resolved.
-func (db *DB) CommitOne(ctx context.Context, key, value []byte, tombstone bool, d kv.Durability) error {
-	if tombstone {
-		db.stats.deletes.Add(1)
-		value = tombstoneMarker
-	} else {
-		db.stats.puts.Add(1)
-		value = keys.Clone(value)
-	}
-	if t := db.tel; t != nil {
-		start := time.Now()
-		err := db.update(ctx, keys.Clone(key), value, tombstone, d)
-		if tombstone {
-			t.deleteLat.Observe(time.Since(start))
-		} else {
-			t.putLat.Observe(time.Since(start))
-		}
-		return err
-	}
-	return db.update(ctx, keys.Clone(key), value, tombstone, d)
 }
 
 // applyLocked logs and applies the batch under drainMu, returning the

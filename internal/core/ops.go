@@ -186,15 +186,13 @@ func (db *DB) resolveDurability(opts []kv.WriteOption) (kv.Durability, error) {
 }
 
 // commitSync is the commit point of a Sync-class write: it blocks until
-// the group-commit queue covers the record appended at off, which carries
-// requests caller-level writes (more than one when a committer pipeline
-// coalesced them into the record). Durability is prefix-ordered: if a
-// sealed generation's segment is still live, its tail is synced FIRST, so
-// a Sync-acked write never survives a crash that loses an earlier acked
-// write (no holes in commit order). A segment closed underneath us was
-// retired by a completed persist, so its contents are durable through
-// sstables and the barrier is satisfied.
-func (db *DB) commitSync(w *wal.Writer, off int64, requests uint64) error {
+// the group-commit queue covers the record appended at off. Durability is
+// prefix-ordered: if a sealed generation's segment is still live, its tail
+// is synced FIRST, so a Sync-acked write never survives a crash that loses
+// an earlier acked write (no holes in commit order). A segment closed
+// underneath us was retired by a completed persist, so its contents are
+// durable through sstables and the barrier is satisfied.
+func (db *DB) commitSync(w *wal.Writer, off int64) error {
 	if w == nil {
 		return nil
 	}
@@ -206,7 +204,7 @@ func (db *DB) commitSync(w *wal.Writer, off int64, requests uint64) error {
 			return err
 		}
 	}
-	if err := w.SyncGroup(off, requests); err != nil && !errors.Is(err, wal.ErrClosed) {
+	if err := w.SyncTo(off); err != nil && !errors.Is(err, wal.ErrClosed) {
 		return err
 	}
 	return nil
@@ -278,7 +276,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 				db.stats.inPlaceHits.Add(1)
 			}
 			if d == kv.DurabilitySync {
-				return db.commitSync(syncW, syncOff, 1)
+				return db.commitSync(syncW, syncOff)
 			}
 			return nil
 		}
@@ -373,7 +371,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			db.signalPersist()
 		}
 		if d == kv.DurabilitySync {
-			return db.commitSync(syncW, syncOff, 1)
+			return db.commitSync(syncW, syncOff)
 		}
 		return nil
 	}

@@ -130,7 +130,7 @@ func (db *DB) eventLog() *obs.EventLog {
 }
 
 // TelemetrySnapshot freezes the metrics registry plus per-type event
-// counts — the /metrics source, mergeable across shards.
+// counts — the /metrics source.
 func (db *DB) TelemetrySnapshot() obs.Snapshot {
 	s := db.reg.Snapshot()
 	if db.tel != nil {

@@ -88,7 +88,7 @@ func (n *benchNode) kill() {
 	}
 }
 
-// openCluster builds the standard 3-node loopback ring (the eighth
+// openCluster builds the standard 3-node loopback ring (the seventh
 // benched system).
 func openCluster(dir string, memBytes int64, lim *diskenv.Limiter, walOn bool) (kv.Store, error) {
 	return openClusterN(dir, ClusterNodes, memBytes, lim, walOn)

@@ -8,12 +8,8 @@ import (
 )
 
 // APIBench exercises the batch, cursor, read-view and durability surface
-// of the kv.Store contract across the six systems (the paper's five plus
-// the sharded engine) — the API shapes the paper's figures do not cover.
-// The FloDB/4shards row against the FloDB row is the shard-scaling
-// signal: the write-heavy columns (batch-write, durable-write) should
-// rise with shard count since each shard drains, flushes and
-// group-commits independently. Five workloads per system, at the mid
+// of the kv.Store contract across the seven systems — the API shapes the
+// paper's figures do not cover. Five workloads per system, at the mid
 // thread count of the sweep:
 //
 //	batch-write: every op is a 32-mutation atomic Apply (Mops/s counts

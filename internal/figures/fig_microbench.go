@@ -14,6 +14,10 @@ import (
 	"flodb/internal/workload"
 )
 
+// maxLatencyCellRuns bounds how often latencyVsMemory reruns a cell that
+// recorded no read or no write latency.
+const maxLatencyCellRuns = 5
+
 // latencyVsMemory is the shared engine of Figs 3 and 4: RocksDB-style
 // store, readwhilewriting (8 readers + 1 writer on a 1M-entry database),
 // median read and write latency as memory grows, normalized to the first
@@ -48,24 +52,32 @@ func latencyVsMemory(c Config, kind baseline.MemKind, title string) (*harness.Ta
 			store.Close()
 			return nil, err
 		}
-		res := harness.Run(store, harness.RunOptions{
-			Threads:        9, // 8 readers + 1 writer via OneWriter
-			OneWriter:      true,
-			Duration:       c.Duration,
-			Keys:           dbKeys,
-			MeasureLatency: true,
-		})
+		// A short cell can end before the lone writer (or a reader)
+		// completes an operation; a median over no samples is no
+		// measurement, so such a cell runs again.
+		var res harness.Result
+		for run := 1; ; run++ {
+			res = harness.Run(store, harness.RunOptions{
+				Threads:        9, // 8 readers + 1 writer via OneWriter
+				OneWriter:      true,
+				Duration:       c.Duration,
+				Keys:           dbKeys,
+				MeasureLatency: true,
+			})
+			if res.ReadLat.Count() > 0 && res.WriteLat.Count() > 0 {
+				break
+			}
+			if run == maxLatencyCellRuns {
+				store.Close()
+				return nil, fmt.Errorf("%s mem=%s: %d runs recorded %d reads and %d writes, want both > 0",
+					title, harness.ByteSize(mem), run, res.ReadLat.Count(), res.WriteLat.Count())
+			}
+		}
 		store.Close()
 		readMed := float64(res.ReadLat.Median())
 		writeMed := float64(res.WriteLat.Median())
 		if mi == 0 {
 			baseRead, baseWrite = readMed, writeMed
-			if baseRead == 0 {
-				baseRead = 1
-			}
-			if baseWrite == 0 {
-				baseWrite = 1
-			}
 		}
 		tbl.Set(0, mi, readMed/baseRead)
 		tbl.Set(1, mi, writeMed/baseWrite)

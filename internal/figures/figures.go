@@ -13,12 +13,10 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"flodb/internal/baseline"
@@ -26,7 +24,6 @@ import (
 	"flodb/internal/diskenv"
 	"flodb/internal/harness"
 	"flodb/internal/kv"
-	"flodb/internal/shard"
 	"flodb/internal/storage"
 	"flodb/internal/workload"
 )
@@ -34,14 +31,11 @@ import (
 // System identifies one of the evaluated stores.
 type System string
 
-// The five systems of §5.1, plus the sharded engine (ShardCount
-// independent FloDB instances behind one kv.Store — the scaling axis
-// past a single memory component) and the networked engine (a FloDB
-// instance behind an in-process flodbd server, every operation paying a
-// loopback round trip through internal/wire).
+// The five systems of §5.1, plus the networked engine (a FloDB instance
+// behind an in-process flodbd server, every operation paying a loopback
+// round trip through internal/wire) and the replicated one.
 const (
 	SysFloDB   System = "FloDB"
-	SysShard   System = "FloDB/4shards"
 	SysNet     System = "FloDB/net"
 	SysCluster System = "FloDB/cluster"
 	SysRocks   System = "RocksDB"
@@ -50,16 +44,11 @@ const (
 	SysLevel   System = "LevelDB"
 )
 
-// ShardCount is the shard fan-out SysShard runs with. Its memory budget
-// is the same TOTAL the other systems get, split across shards, so the
-// comparison isolates partitioning, not extra memory.
-const ShardCount = 4
-
 // AllSystems lists the systems in legend order: the paper's five plus
-// the sharded sixth, the networked seventh, and the replicated eighth
-// (a 3-node ring at R=2, every operation a quorum fan-out), so every
-// conformance suite and figure sweeps them too.
-var AllSystems = []System{SysFloDB, SysShard, SysNet, SysCluster, SysRocks, SysCLSM, SysHyper, SysLevel}
+// the networked sixth and the replicated seventh (a 3-node ring at R=2,
+// every operation a quorum fan-out), so every conformance suite and
+// figure sweeps them too.
+var AllSystems = []System{SysFloDB, SysNet, SysCluster, SysRocks, SysCLSM, SysHyper, SysLevel}
 
 // Config scales an experiment run.
 type Config struct {
@@ -150,14 +139,19 @@ func storageOpts(memBytes int64) storage.Options {
 // the warm ones. Flipped by the tiny-cache conformance test.
 var tinyCachesForTest bool
 
-// openSystem builds one of the six stores. Benchmarks run with the WAL
+// wrapStoreForTest, when set, wraps every store openSystemMode builds.
+// The epoch-change conformance rerun sets it to force memory-component
+// epoch changes into the suites' workloads.
+var wrapStoreForTest func(kv.Store) kv.Store
+
+// openSystem builds one of the seven stores. Benchmarks run with the WAL
 // disabled, like the paper's db_bench-style loaders (no fsync per write);
 // cells that measure the durable write path use openSystemDurable.
 func openSystem(sys System, dir string, memBytes int64, lim *diskenv.Limiter) (kv.Store, error) {
 	return openSystemMode(sys, dir, memBytes, lim, false)
 }
 
-// openSystemDurable builds one of the six stores with the commit log ON
+// openSystemDurable builds one of the seven stores with the commit log ON
 // (Buffered default durability) — the configuration the durable-write
 // apibench column and the durability conformance suite measure.
 func openSystemDurable(sys System, dir string, memBytes int64, lim *diskenv.Limiter) (kv.Store, error) {
@@ -165,6 +159,14 @@ func openSystemDurable(sys System, dir string, memBytes int64, lim *diskenv.Limi
 }
 
 func openSystemMode(sys System, dir string, memBytes int64, lim *diskenv.Limiter, walOn bool) (kv.Store, error) {
+	s, err := openStore(sys, dir, memBytes, lim, walOn)
+	if err != nil || wrapStoreForTest == nil {
+		return s, err
+	}
+	return wrapStoreForTest(s), nil
+}
+
+func openStore(sys System, dir string, memBytes int64, lim *diskenv.Limiter, walOn bool) (kv.Store, error) {
 	switch sys {
 	case SysFloDB:
 		return core.Open(core.Config{
@@ -174,8 +176,6 @@ func openSystemMode(sys System, dir string, memBytes int64, lim *diskenv.Limiter
 			PersistLimiter: lim,
 			Storage:        storageOpts(memBytes),
 		})
-	case SysShard:
-		return openShard(dir, ShardCount, memBytes, lim, walOn)
 	case SysNet:
 		return openNet(dir, memBytes, lim, walOn)
 	case SysCluster:
@@ -197,83 +197,6 @@ func openSystemMode(sys System, dir string, memBytes int64, lim *diskenv.Limiter
 	default:
 		return nil, fmt.Errorf("figures: unknown system %q", sys)
 	}
-}
-
-// openShard builds the sharded engine: shards × core.DB behind one
-// kv.Store, range-partitioned uniformly, sharing the total memory budget
-// and the disk limiter (one physical disk however many shards).
-func openShard(dir string, shards int, memBytes int64, lim *diskenv.Limiter, walOn bool) (kv.Store, error) {
-	perShard := memBytes / int64(shards)
-	cfg := core.Config{
-		MemoryBytes:    memBytes,
-		DisableWAL:     !walOn,
-		PersistLimiter: lim,
-		Storage:        storageOpts(perShard),
-	}
-	sc := shard.Config{Dir: dir, Shards: shards, Core: cfg}
-	if dynamicShardForTest {
-		// Dynamic adoption also makes reopen-after-crash paths work: the
-		// manifest's post-churn shard count wins over the static hint.
-		sc.Dynamic = shard.Dynamic{Enabled: true, MinShards: 1, MaxShards: shards * 2}
-	}
-	st, err := shard.Open(sc)
-	if err != nil {
-		return nil, err
-	}
-	if dynamicShardForTest {
-		return &epochChurner{Store: st}, nil
-	}
-	return st, nil
-}
-
-// dynamicShardForTest, when set, opens every sharded engine with the
-// rebalance controller ON and wraps it in an epochChurner, so the view
-// and durability conformance suites run over a store whose topology is
-// guaranteed to change epochs mid-suite. Flipped by the epoch-change
-// conformance rerun.
-var dynamicShardForTest bool
-
-// epochChurner forces deterministic topology churn into whatever
-// workload runs over it: the 64th mutation performs a split and the
-// 192nd a merge, synchronously on the mutating goroutine — every
-// conformance assertion that follows runs against a store that crossed
-// at least one epoch boundary. Churn failures surface through the op
-// that triggered them, so the suites report them instead of silently
-// losing the forced epoch change.
-type epochChurner struct {
-	*shard.Store
-	ops atomic.Uint64
-}
-
-func (c *epochChurner) churn() error {
-	switch c.ops.Add(1) {
-	case 64:
-		return c.Store.Split(0)
-	case 192:
-		return c.Store.Merge(0)
-	}
-	return nil
-}
-
-func (c *epochChurner) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	if err := c.churn(); err != nil {
-		return fmt.Errorf("figures: forced epoch churn: %w", err)
-	}
-	return c.Store.Put(ctx, key, value, opts...)
-}
-
-func (c *epochChurner) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	if err := c.churn(); err != nil {
-		return fmt.Errorf("figures: forced epoch churn: %w", err)
-	}
-	return c.Store.Delete(ctx, key, opts...)
-}
-
-func (c *epochChurner) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) error {
-	if err := c.churn(); err != nil {
-		return fmt.Errorf("figures: forced epoch churn: %w", err)
-	}
-	return c.Store.Apply(ctx, b, opts...)
 }
 
 // cellDir allocates a fresh store directory.

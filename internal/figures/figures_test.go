@@ -28,15 +28,14 @@ func TestEveryFigureRuns(t *testing.T) {
 		t.Skip("integration smoke test")
 	}
 	figs := map[string]func(Config) (*harness.Table, error){
-		"fig5":       Fig5,
-		"fig7":       Fig7,
-		"fig8":       Fig8,
-		"fig9":       Fig9,
-		"fig11":      Fig11,
-		"fig12":      Fig12,
-		"fig14":      Fig14,
-		"fig17":      Fig17,
-		"shardbench": ShardBench,
+		"fig5":  Fig5,
+		"fig7":  Fig7,
+		"fig8":  Fig8,
+		"fig9":  Fig9,
+		"fig11": Fig11,
+		"fig12": Fig12,
+		"fig14": Fig14,
+		"fig17": Fig17,
 		// clusterbench is the slowest figure (three ring sizes, kill and
 		// heal segments) but it is the only tier-1 coverage of the full
 		// quorum plane under load, so it stays in the smoke set.

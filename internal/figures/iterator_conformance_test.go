@@ -13,8 +13,8 @@ import (
 // Value are nil unless positioned, Next on a fresh cursor is First, Seek
 // lands on the next present key and clamps to the range, a cursor that
 // ran out stays out until it is repositioned, and Close is idempotent and
-// final. The keys span every shard of the sharded store and every member
-// of the ring, so the merges above the engines are what is under test.
+// final. The keys span every member of the ring, so the merge above the
+// engines is what is under test.
 func TestAllSystemsIteratorContract(t *testing.T) {
 	key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 56) }
 	for _, sys := range AllSystems {
@@ -46,7 +46,7 @@ func TestAllSystemsIteratorContract(t *testing.T) {
 						}
 					}
 				}
-				// [10, 170) crosses three of four range shards: 10, 12, ..., 168.
+				// [10, 170) holds the even keys 10, 12, ..., 168.
 				it, err := view.NewIterator(bg, key(10), key(170))
 				if err != nil {
 					t.Fatal(err)
@@ -66,7 +66,7 @@ func TestAllSystemsIteratorContract(t *testing.T) {
 				at("before positioning", false, -1)
 				at("Next on a fresh cursor", it.Next(), 10)
 				at("Seek to an absent key", it.Seek(key(31)), 32)
-				at("Seek to an absent key in another shard", it.Seek(key(101)), 102)
+				at("Seek to a second absent key", it.Seek(key(101)), 102)
 				at("Seek backward below low", it.Seek(key(2)), 10)
 				at("Seek(nil)", it.Seek(nil), 10)
 				at("Seek past high", it.Seek(key(180)), -1)

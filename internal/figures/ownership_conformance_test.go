@@ -1,6 +1,6 @@
 package figures
 
-// Conformance of kv.Store's ownership rule across all eight systems: a
+// Conformance of kv.Store's ownership rule across all seven systems: a
 // store keeps none of the slices a call hands it, and a value Get returns
 // belongs to the caller. The service tier depends on it — the server runs
 // point requests straight out of its read buffer, which the next request

@@ -13,8 +13,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"flodb/internal/baseline"
-	"flodb/internal/core"
 	"flodb/internal/keys"
 	"flodb/internal/kv"
 )
@@ -30,34 +28,11 @@ func openSys(t *testing.T, sys System, dir string) kv.Store {
 	return s
 }
 
-// openSysWAL opens one of the five systems with the commit log ON, so
+// openSysWAL opens one of the systems with the commit log ON, so
 // checkpoints capture the memory component through the WAL tail.
 func openSysWAL(t *testing.T, sys System, dir string) kv.Store {
 	t.Helper()
-	var s kv.Store
-	var err error
-	switch sys {
-	case SysFloDB:
-		s, err = core.Open(core.Config{Dir: dir, MemoryBytes: 1 << 20, Storage: storageOpts(1 << 20)})
-	case SysShard:
-		s, err = openShard(dir, ShardCount, 1<<20, nil, true)
-	case SysNet:
-		s, err = openNet(dir, 1<<20, nil, true)
-	case SysCluster:
-		s, err = openCluster(dir, 1<<20, nil, true)
-	default:
-		cfg := baseline.Config{Dir: dir, MemBytes: 1 << 20, Storage: storageOpts(1 << 20)}
-		switch sys {
-		case SysRocks:
-			s, err = baseline.NewRocksDB(cfg)
-		case SysCLSM:
-			s, err = baseline.NewCLSM(cfg)
-		case SysHyper:
-			s, err = baseline.NewHyperLevelDB(cfg)
-		case SysLevel:
-			s, err = baseline.NewLevelDB(cfg)
-		}
-	}
+	s, err := openSystemDurable(sys, dir, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +137,14 @@ func TestAllSystemsContextCanceledScan(t *testing.T) {
 // mid-range, keys behind, under and ahead of it are overwritten, deleted
 // and inserted, and the cursor must finish — and replay from the start —
 // on exactly the state it was opened over, while an iterator opened
-// afterwards sees the new state. On the sharded store every shard's cursor
-// is opened before NewIterator returns, so the contract holds across
-// shards for writes that follow the open.
+// afterwards sees the new state.
 func TestAllSystemsIteratorPointInTime(t *testing.T) {
 	for _, sys := range AllSystems {
 		t.Run(string(sys), func(t *testing.T) {
 			s := openSys(t, sys, t.TempDir())
 			defer s.Close()
 			const n = 1200
-			key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 52) } // spans every shard
+			key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 52) } // spans every ring member
 			model := map[uint64]string{}
 			put := func(i int, v string) {
 				t.Helper()

@@ -234,22 +234,6 @@ type Stats struct {
 	// SyncBarriers counts Store.Sync calls.
 	SyncBarriers uint64
 
-	// Sharded-engine topology and commit pipeline (internal/shard; zero
-	// elsewhere). ShardEpoch is the live topology epoch — it starts at 1
-	// and bumps on every split or merge, which ShardSplits / ShardMerges
-	// count. ShardQueueDepth is the number of writes enqueued on
-	// committer pipelines but not yet committed: in a per-shard row it is
-	// that shard's queue, in the aggregate the sum. ShardHotness is the
-	// rebalance sensor's share of recent operations: a per-shard row
-	// reports that shard's share of the last window's traffic (1/n is a
-	// perfect spread), the aggregate reports the hottest shard's share —
-	// the imbalance signal the splitter acts on.
-	ShardEpoch      uint64
-	ShardSplits     uint64
-	ShardMerges     uint64
-	ShardQueueDepth uint64
-	ShardHotness    float64
-
 	// Service-tier observability (flodbd; zero on in-process stores).
 	// Populated by the remote client from the server's side of the
 	// connection: open/lifetime connection counts, requests currently

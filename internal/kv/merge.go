@@ -6,26 +6,22 @@ import "flodb/internal/keys"
 // takes ownership of. It runs on the caller's goroutine: a positioning
 // call positions or advances the sources it has to and picks the least
 // key among their heads by a linear scan — the sources are a handful
-// (the shards of one store, the members of one ring), where a heap does
-// not pay.
+// (the members of one ring), where a heap does not pay.
 //
-// resolve is the merge's one policy. nil declares the sources' key sets
-// pairwise disjoint, as a sharded store's routing guarantees: the least
-// head is emitted as it is. Otherwise resolve is called for every key
-// the merge reaches, with the values of all sources positioned on that
-// key in source order, and returns the value to emit — or ok=false to
-// skip the key (a replicated store picks the newest version and drops
+// resolve is the merge's one policy. It is called for every key the
+// merge reaches, with the values of all sources positioned on that key
+// in source order, and returns the value to emit — or ok=false to skip
+// the key (a replicated store picks the newest version and drops
 // tombstones). The slices it is handed alias the sources.
 //
-// Key and Value alias the winning source and are valid until the merge
-// moves. The first error a source reports invalidates the merge: every
-// later positioning call returns false and Err returns that error. Close
-// closes every source once, then runs onClose, when non-nil, once.
-func Merge(srcs []Iterator, resolve func(vals [][]byte) (value []byte, ok bool), onClose func()) Iterator {
+// Key aliases the winning source and Value what resolve returned; both
+// are valid until the merge moves. The first error a source reports
+// invalidates the merge: every later positioning call returns false and
+// Err returns that error. Close closes every source once.
+func Merge(srcs []Iterator, resolve func(vals [][]byte) (value []byte, ok bool)) Iterator {
 	m := &merge{
 		srcs:    make([]mergeSource, len(srcs)),
 		resolve: resolve,
-		onClose: onClose,
 		cur:     -1,
 	}
 	for i, it := range srcs {
@@ -44,7 +40,6 @@ type mergeSource struct {
 type merge struct {
 	srcs    []mergeSource
 	resolve func([][]byte) ([]byte, bool)
-	onClose func()
 
 	cur     int      // source holding the current key; -1 when unpositioned
 	at      []int    // sources positioned on the current key
@@ -135,10 +130,6 @@ func (m *merge) settle() bool {
 			break
 		}
 		m.at = append(m.at[:0], cur)
-		if m.resolve == nil {
-			m.cur = cur
-			return true
-		}
 		key := m.srcs[cur].key
 		m.vals = append(m.vals[:0], m.srcs[cur].it.Value())
 		for i := cur + 1; i < len(m.srcs); i++ {
@@ -168,16 +159,13 @@ func (m *merge) Value() []byte {
 	if m.cur < 0 {
 		return nil
 	}
-	if m.resolve == nil {
-		return m.srcs[m.cur].it.Value()
-	}
 	return m.val
 }
 
 func (m *merge) Err() error { return m.err }
 
-// Close closes every source, then runs onClose. Idempotent; it returns
-// the first error a source's Close reported.
+// Close closes every source. Idempotent; it returns the first error a
+// source's Close reported.
 func (m *merge) Close() error {
 	if m.closed {
 		return nil
@@ -189,9 +177,6 @@ func (m *merge) Close() error {
 		if err := m.srcs[i].it.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
-	if m.onClose != nil {
-		m.onClose()
 	}
 	return firstErr
 }

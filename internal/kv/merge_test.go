@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -129,9 +130,13 @@ func (c *mergeCase) iters() []Iterator {
 	return its
 }
 
+// firstValue emits the first source's copy: the policy for sources whose
+// key sets are disjoint, where every key has one copy.
+func firstValue(vals [][]byte) ([]byte, bool) { return vals[0], true }
+
 // disjointCase spreads distinct keys over n sources.
 func disjointCase(rng *rand.Rand, n int) *mergeCase {
-	c := &mergeCase{srcs: make([]*sliceIter, n)}
+	c := &mergeCase{srcs: make([]*sliceIter, n), resolve: firstValue}
 	for i := range c.srcs {
 		c.srcs[i] = &sliceIter{}
 	}
@@ -195,8 +200,8 @@ func seekIndex(model []Pair, key []byte) int {
 	return sort.Search(len(model), func(i int) bool { return bytes.Compare(model[i].Key, key) >= 0 })
 }
 
-// TestMergeModel drives random merges of 0–6 sources — disjoint with no
-// policy, overlapping under a version-picking, tombstone-skipping one —
+// TestMergeModel drives random merges of 0–6 sources — disjoint, and
+// overlapping under a version-picking, tombstone-skipping policy —
 // through First, forward and backward Seeks and Next past exhaustion,
 // comparing every position with a sorted model.
 func TestMergeModel(t *testing.T) {
@@ -209,8 +214,8 @@ func TestMergeModel(t *testing.T) {
 		} else {
 			c = overlapCase(rng, n)
 		}
-		name := fmt.Sprintf("round %d (%d sources, resolve %v)", round, n, c.resolve != nil)
-		it := Merge(c.iters(), c.resolve, nil)
+		name := fmt.Sprintf("round %d (%d sources, overlap %v)", round, n, round%2 == 1)
+		it := Merge(c.iters(), c.resolve)
 		if it.Key() != nil || it.Value() != nil {
 			t.Fatalf("%s: Key/Value set before positioning", name)
 		}
@@ -271,7 +276,7 @@ func TestMergeSourceFailsMidStream(t *testing.T) {
 			c = disjointCase(rng, 3)
 		}
 		c.srcs[1].failAfter = 20
-		it := Merge(c.iters(), c.resolve, nil)
+		it := Merge(c.iters(), c.resolve)
 		n := 0
 		for ok := it.First(); ok; ok = it.Next() {
 			n++
@@ -292,19 +297,11 @@ func TestMergeSourceFailsMidStream(t *testing.T) {
 	}
 }
 
-// TestMergeClose: Close closes each source once and then runs onClose
-// once; calls after it return false and a second Close is a no-op.
+// TestMergeClose: Close closes each source once; calls after it return
+// false and a second Close is a no-op.
 func TestMergeClose(t *testing.T) {
 	c := disjointCase(rand.New(rand.NewSource(3)), 4)
-	hooks := 0
-	it := Merge(c.iters(), nil, func() {
-		hooks++
-		for i, s := range c.srcs {
-			if s.closes != 1 {
-				t.Errorf("onClose ran with source %d closed %d times", i, s.closes)
-			}
-		}
-	})
+	it := Merge(c.iters(), c.resolve)
 	if !it.First() {
 		t.Fatal("empty merge")
 	}
@@ -312,9 +309,6 @@ func TestMergeClose(t *testing.T) {
 		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if hooks != 1 {
-		t.Fatalf("onClose ran %d times", hooks)
 	}
 	for i, s := range c.srcs {
 		if s.closes != 1 {
@@ -330,7 +324,7 @@ func TestMergeClose(t *testing.T) {
 // it, and drops the pairs on an error.
 func TestCollect(t *testing.T) {
 	c := disjointCase(rand.New(rand.NewSource(4)), 3)
-	pairs, err := Collect(Merge(c.iters(), nil, nil))
+	pairs, err := Collect(Merge(c.iters(), c.resolve))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,5 +344,80 @@ func TestCollect(t *testing.T) {
 	failing := &sliceIter{pairs: c.model, failAfter: 5}
 	if pairs, err := Collect(failing); !errors.Is(err, errBoom) || pairs != nil || failing.closes != 1 {
 		t.Fatalf("Collect over a failing source = %d pairs, %v, %d closes", len(pairs), err, failing.closes)
+	}
+}
+
+// replicaCase gives n sources the keys [0, keys), each key on two
+// neighbouring sources with different versions, as a ring's replicas
+// hold them.
+func replicaCase(n, keys int) *mergeCase {
+	c := &mergeCase{srcs: make([]*sliceIter, n), resolve: newestLive}
+	for i := range c.srcs {
+		c.srcs[i] = &sliceIter{}
+	}
+	for k := 0; k < keys; k++ {
+		a, b := c.srcs[k%n], c.srcs[(k+1)%n]
+		a.pairs = append(a.pairs, Pair{Key: mkey(k), Value: versioned(1, false, "old")})
+		b.pairs = append(b.pairs, Pair{Key: mkey(k), Value: versioned(2, false, "new")})
+	}
+	return c
+}
+
+// open rewinds c's sources and merges them.
+func (c *mergeCase) open() Iterator {
+	for _, s := range c.srcs {
+		s.i, s.positioned, s.calls, s.closes = 0, false, 0, 0
+	}
+	return Merge(c.iters(), c.resolve)
+}
+
+// pass opens a merge over c's sources, seeks to key 100, reads up to n
+// pairs and closes it, returning how many it read.
+func (c *mergeCase) pass(tb testing.TB, n int) int {
+	it := c.open()
+	read := 0
+	for ok := it.Seek(mkey(100)); ok && read < n; ok = it.Next() {
+		read++
+	}
+	if err := errors.Join(it.Err(), it.Close()); err != nil {
+		tb.Fatal(err)
+	}
+	return read
+}
+
+// TestMergeStartsNoGoroutine: the merge runs on the caller's goroutine —
+// opening it, seeking and stepping start nothing.
+func TestMergeStartsNoGoroutine(t *testing.T) {
+	c := replicaCase(4, 4000)
+	c.pass(t, 100)
+	before := runtime.NumGoroutine()
+	it := c.open()
+	defer it.Close()
+	ok := it.Seek(mkey(100))
+	for i := 0; ok && i < 100; i++ {
+		ok = it.Next()
+	}
+	if !ok {
+		t.Fatal("merge ran dry before 100 pairs")
+	}
+	if during := runtime.NumGoroutine(); during != before {
+		t.Fatalf("an open 4-source merge runs %d goroutines beside the caller's %d", during-before, before)
+	}
+}
+
+// TestMergeAllocatesNothingPerPair pins the merge's cost: open + Seek +
+// Next + Close allocates the merge's own state once, and nothing per pair
+// — a 2000-pair pass allocates exactly what a 100-pair pass does.
+func TestMergeAllocatesNothingPerPair(t *testing.T) {
+	c := replicaCase(4, 4000)
+	for _, n := range []int{100, 2000} {
+		if got := c.pass(t, n); got != n {
+			t.Fatalf("pass read %d pairs, want %d", got, n)
+		}
+	}
+	short := testing.AllocsPerRun(50, func() { c.pass(t, 100) })
+	long := testing.AllocsPerRun(50, func() { c.pass(t, 2000) })
+	if long != short {
+		t.Errorf("open + Seek + Next + Close: %.1f allocations over 100 pairs, %.1f over 2000; want equal", short, long)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // SnapshotProvider is implemented by stores that expose a mergeable
-// metrics snapshot (the engine, the shard router, the coordinator).
+// metrics snapshot (the engine, the coordinator).
 type SnapshotProvider interface {
 	TelemetrySnapshot() Snapshot
 }
@@ -21,7 +21,7 @@ type EventProvider interface {
 
 // DebugOptions wires a process's telemetry sources into the debug mux.
 // Every field is a function so each scrape sees a fresh (and, for
-// sharded or multi-source processes, freshly merged) view.
+// multi-source processes, freshly merged) view.
 type DebugOptions struct {
 	// Snapshot returns the merged metrics snapshot served at /metrics.
 	Snapshot func() Snapshot

@@ -18,10 +18,6 @@ const (
 	EventCachePressure = "cache-pressure" // block/table cache evicting under load
 	EventSnapshotPin   = "snapshot-pin"   // O(1) snapshot sealed + seq bound pinned
 	EventSnapshotUnpin = "snapshot-unpin" // snapshot closed, version chains may collapse
-	EventShardFanout   = "shard-fanout"   // cross-shard batch/scan fan-out
-	EventShardSplit    = "shard-split"    // hot shard split at a sampled key (epoch bump)
-	EventShardMerge    = "shard-merge"    // cold neighbor shards merged (epoch bump)
-	EventShardQueue    = "shard-queue"    // committer queue depth crossed a high-water mark
 	EventRingUp        = "ring-up"        // cluster member became reachable
 	EventRingDown      = "ring-down"      // cluster member lost
 	EventRingEpoch     = "ring-epoch"     // ring config epoch observed/changed
@@ -126,21 +122,6 @@ func (l *EventLog) Counts() map[string]uint64 {
 	out := make(map[string]uint64, len(l.counts))
 	for k, v := range l.counts {
 		out[k] = v
-	}
-	return out
-}
-
-// MergeEvents interleaves event slices by timestamp (per-shard and
-// store+server logs presented as one timeline), keeping at most n
-// newest when n > 0.
-func MergeEvents(n int, logs ...[]Event) []Event {
-	var out []Event
-	for _, l := range logs {
-		out = append(out, l...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
 	}
 	return out
 }

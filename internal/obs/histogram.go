@@ -162,8 +162,8 @@ func (s *HistSnapshot) Clone() *HistSnapshot {
 	return &cp
 }
 
-// Merge folds other into s bucket-wise — the per-shard (and per-node)
-// histogram merge.
+// Merge folds other into s bucket-wise — the per-source (engine and
+// server, or per-node) histogram merge.
 func (s *HistSnapshot) Merge(other *HistSnapshot) {
 	if other == nil {
 		return

@@ -123,7 +123,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge merges per-shard histograms and checks the merged
+// TestHistogramMerge merges per-source histograms and checks the merged
 // quantiles equal those of one histogram fed the union of samples.
 func TestHistogramMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

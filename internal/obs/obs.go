@@ -8,10 +8,9 @@
 // The registry is a snapshot machine, not a scrape framework: layers
 // register metrics once at Open and mutate them with single atomic
 // operations; readers call Snapshot for a point-in-time copy that can
-// be merged across shards or nodes (counters and gauges sum, histograms
-// merge bucket-wise, events interleave by time) and rendered to
-// Prometheus text or JSON. kv.Stats reads the same counters that feed
-// /metrics, so nothing double-counts.
+// be merged across sources or nodes (counters and gauges sum, histograms
+// merge bucket-wise) and rendered to Prometheus text or JSON. kv.Stats
+// reads the same counters that feed /metrics, so nothing double-counts.
 package obs
 
 import (
@@ -240,7 +239,7 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Merge combines snapshots: same-name counters and gauges sum,
-// same-name histograms merge bucket-wise (the per-shard merge), and
+// same-name histograms merge bucket-wise (the per-source merge), and
 // distinct names union. Order follows first appearance, so a stable
 // input order yields a stable exposition.
 func Merge(snaps ...Snapshot) Snapshot {

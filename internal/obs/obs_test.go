@@ -29,7 +29,7 @@ func TestRegistrySnapshotAndMerge(t *testing.T) {
 		t.Fatalf("merged counter %d, want 12", v)
 	}
 	if v := byName["flodb_mem_bytes"].Value; v != 200 {
-		t.Fatalf("merged gauge %d, want 200 (gauges sum across shards)", v)
+		t.Fatalf("merged gauge %d, want 200 (gauges sum across sources)", v)
 	}
 	if h := byName[`flodb_op_latency_seconds{op="put"}`].Hist; h == nil || h.Count != 2 {
 		t.Fatalf("merged histogram: %+v", h)
@@ -135,23 +135,6 @@ func TestEventLogTruncation(t *testing.T) {
 	nilLog.Emit(Event{Type: EventFlush})
 	if nilLog.Recent(1) != nil || nilLog.Total() != 0 {
 		t.Fatal("nil event log not inert")
-	}
-}
-
-func TestMergeEventsInterleavesByTime(t *testing.T) {
-	base := time.Now()
-	a := []Event{{Type: "a1", Time: base}, {Type: "a2", Time: base.Add(2 * time.Second)}}
-	b := []Event{{Type: "b1", Time: base.Add(time.Second)}, {Type: "b2", Time: base.Add(3 * time.Second)}}
-	m := MergeEvents(0, a, b)
-	var order []string
-	for _, e := range m {
-		order = append(order, e.Type)
-	}
-	if strings.Join(order, ",") != "a1,b1,a2,b2" {
-		t.Fatalf("merged order %v", order)
-	}
-	if got := MergeEvents(2, a, b); len(got) != 2 || got[1].Type != "b2" {
-		t.Fatalf("MergeEvents(2) = %+v", got)
 	}
 }
 

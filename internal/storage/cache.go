@@ -37,13 +37,13 @@ func newTableCache(dir string, capacity int, opts sstable.ReaderOptions) *tableC
 	if capacity <= 0 {
 		capacity = DefaultTableCacheCapacity
 	}
-	// Keep stripes <= capacity so the per-shard budget never rounds to
+	// Keep stripes <= capacity so the per-stripe budget never rounds to
 	// zero (capacity is counted in whole handles, charge 1 each).
-	shards := cache.DefaultShards
-	for shards > capacity {
-		shards /= 2
+	stripes := cache.DefaultStripes
+	for stripes > capacity {
+		stripes /= 2
 	}
-	return &tableCache{dir: dir, c: cache.NewWithShards(int64(capacity), shards), opts: opts}
+	return &tableCache{dir: dir, c: cache.NewWithStripes(int64(capacity), stripes), opts: opts}
 }
 
 func closeReader(_ cache.Key, v any) { v.(*sstable.Reader).Close() }

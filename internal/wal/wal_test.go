@@ -223,24 +223,12 @@ func TestSyncToMakesRecordDurable(t *testing.T) {
 		t.Fatalf("metrics after one sync write: %+v", s)
 	}
 	// A second SyncTo over the same offset is the coalesced fast path: no
-	// new fsync.
+	// new fsync, one more request served.
 	if err := w.SyncTo(off); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Snapshot().Syncs; got != 1 {
-		t.Fatalf("covered SyncTo issued an fsync: syncs=%d", got)
-	}
-	// A group commit made upstream of the queue counts every request it
-	// carries, in one barrier.
-	off, err = w.Append([]byte("sixteen writes coalesced into one record"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SyncGroup(off, 16); err != nil {
-		t.Fatal(err)
-	}
-	if s := m.Snapshot(); s.SyncRequests != 2+16 || s.Syncs != 2 || s.Durable != 2 {
-		t.Fatalf("metrics after a 16-request group: %+v", s)
+	if s := m.Snapshot(); s.Syncs != 1 || s.SyncRequests != 2 {
+		t.Fatalf("covered SyncTo: syncs=%d requests=%d, want 1 and 2", s.Syncs, s.SyncRequests)
 	}
 	w.Close()
 }

@@ -116,13 +116,6 @@ var (
 	// inserts punctuated by Sync barriers (5% of ops) that promote the
 	// acked window wholesale.
 	BufferedSyncWrite = Mix{InsertPct: 95, SyncPct: 5}
-	// HotShardWrite is the write-heavy mix for the sharded-engine skew
-	// experiments: paired with a clustered generator (NewHotShardZipfian,
-	// or HotSet's contiguous hot range) it concentrates the write stream
-	// on one shard of a range-partitioned store, making skew-induced
-	// shard imbalance measurable — the workload where partitioned designs
-	// win or lose (F2, Kanellis et al.).
-	HotShardWrite = Mix{InsertPct: 90, GetPct: 10}
 )
 
 // ScanWithPct builds an update/scan mix with the given scan percentage
@@ -277,18 +270,12 @@ func (h *HotSet) HotKeys() uint64 { return h.hotKeys }
 
 // Zipfian draws keys with Zipf-distributed popularity: rank r is drawn
 // with probability ∝ 1/(1+r)^s (the YCSB-style skew shape), so a small
-// head of keys absorbs most operations. By default ranks are SPREAD over
-// the 64-bit key space (popular keys scatter uniformly, like hashed user
-// IDs): heavy popularity skew with no range locality, the case range
-// partitioning handles gracefully. NewHotShardZipfian instead maps rank
-// r to key r directly, clustering the hot head into one contiguous range
-// — and therefore onto one shard of a range-partitioned store — the
-// adversarial skew shape for sharding (and for FloDB's own Membuffer
-// partitions, §4.3).
+// head of keys absorbs most operations. Ranks are SPREAD over the 64-bit
+// key space (popular keys scatter uniformly, like hashed user IDs): heavy
+// popularity skew with no range locality.
 type Zipfian struct {
-	n         uint64
-	s         float64
-	clustered bool
+	n uint64
+	s float64
 
 	// The stdlib Zipf sampler binds to one *rand.Rand; the harness hands
 	// NextKey the per-thread rng, so the sampler is built lazily on
@@ -313,15 +300,6 @@ func NewZipfian(n uint64, s float64) *Zipfian {
 	return &Zipfian{n: n, s: s}
 }
 
-// NewHotShardZipfian builds a clustered Zipfian generator: rank == key,
-// so the popular head occupies one contiguous range at the bottom of the
-// keyspace and lands on a single shard under range partitioning.
-func NewHotShardZipfian(n uint64, s float64) *Zipfian {
-	z := NewZipfian(n, s)
-	z.clustered = true
-	return z
-}
-
 // NextKey draws a key. Not safe for concurrent use — the harness gives
 // each thread its own generator.
 func (z *Zipfian) NextKey(rng *rand.Rand, dst []byte) []byte {
@@ -329,11 +307,7 @@ func (z *Zipfian) NextKey(rng *rand.Rand, dst []byte) []byte {
 		z.rng = rng
 		z.z = rand.NewZipf(rng, z.s, 1, z.n-1)
 	}
-	rank := z.z.Uint64()
-	if z.clustered {
-		return PutUint64(dst, rank)
-	}
-	return PutUint64(dst, spreadIndex(rank))
+	return PutUint64(dst, spreadIndex(z.z.Uint64()))
 }
 
 // Keys returns the keyspace size.

@@ -210,48 +210,3 @@ func TestZipfianSkewAndRange(t *testing.T) {
 		t.Fatalf("Keys() = %d", gen.Keys())
 	}
 }
-
-func TestHotShardZipfianClusters(t *testing.T) {
-	const n = 1 << 16
-	gen := NewHotShardZipfian(n, DefaultZipfS)
-	rng := rand.New(rand.NewSource(2))
-	dst := make([]byte, DefaultKeySize)
-	// Clustered mode maps rank r to key r: every draw stays inside
-	// [0, n), i.e. the bottom contiguous slice of the keyspace — one
-	// shard of any coarse range partition.
-	inHead := 0
-	const draws = 1 << 12
-	for i := 0; i < draws; i++ {
-		k := gen.NextKey(rng, dst)
-		var v uint64
-		for _, b := range k {
-			v = v<<8 | uint64(b)
-		}
-		if v >= n {
-			t.Fatalf("clustered draw %d escaped the keyspace: %d", i, v)
-		}
-		if v < n/64 {
-			inHead++
-		}
-	}
-	// The zipf head concentrates: most draws hit the hottest 1/64th.
-	if inHead < draws/2 {
-		t.Fatalf("clustered head too flat: %d of %d draws in the hot range", inHead, draws)
-	}
-}
-
-func TestHotShardWriteMixValid(t *testing.T) {
-	if !HotShardWrite.Valid() {
-		t.Fatal("HotShardWrite does not sum to 100")
-	}
-	rng := rand.New(rand.NewSource(3))
-	writes := 0
-	for i := 0; i < 1000; i++ {
-		if HotShardWrite.Sample(rng) == OpInsert {
-			writes++
-		}
-	}
-	if writes < 800 {
-		t.Fatalf("HotShardWrite drew only %d inserts of 1000", writes)
-	}
-}

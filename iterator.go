@@ -24,9 +24,7 @@ import (
 // An iterator is one point-in-time view for its whole lifetime: every
 // pair it returns was current at the single moment it was opened, however
 // much is written, drained or flushed while it streams, and an iterator
-// opened later sees the later state. (On a sharded store each shard's
-// cursor is such a view, opened one after another; use Snapshot for one
-// cut across shards.)
+// opened later sees the later state.
 //
 // This is where the store departs from the paper. FloDB's §4.4 scan
 // (Algorithm 3) detects an in-place overwrite by its sequence number,

@@ -27,8 +27,6 @@ type options struct {
 	disableWAL        bool
 	walWriteThrough   bool
 	durability        Durability
-	policy            ShardPolicy
-	policySet         bool
 	disableTelemetry  bool
 
 	blockCacheBytes int64
@@ -52,7 +50,7 @@ func (f optionFunc) apply(o *options) { f(o) }
 // WithMemory sets the total memory-component budget in bytes, split
 // 1/4 Membuffer : 3/4 Memtable as in the paper (§5.1). Default 64 MiB.
 // Non-positive budgets are rejected by Open, and so is more than 512 MiB
-// per engine (a Memtable's skiplist arena is addressed by 32-bit offsets).
+// (a Memtable's skiplist arena is addressed by 32-bit offsets).
 func WithMemory(bytes int64) Option {
 	return optionFunc(func(o *options) {
 		if bytes <= 0 {
@@ -102,107 +100,14 @@ func WithDrainThreads(n int) Option {
 	})
 }
 
-// A ShardPolicy describes how a store is partitioned across independent
-// FloDB engines: how many shards it starts with, how keys route to them,
-// and whether the layout may change at runtime. Construct one with
-// Static, HashSharded or Adaptive and pass it to WithShardPolicy.
-type ShardPolicy struct {
-	shards    int
-	hashed    bool
-	dynamic   bool
-	minShards int
-	maxShards int
-	err       error
-}
-
-// Static partitions the keyspace into n fixed, uniform ranges — one
-// engine each, with its own directory (dir/shard-NNN), WAL, memory
-// component and compactor, behind the same DB surface. The count and
-// boundaries are recorded in the SHARDS manifest at creation and never
-// change; reopening with a different Static count is an error, while
-// reopening with no shard option adopts whatever the manifest records.
-// Static(1) is the default unsharded store.
-func Static(n int) ShardPolicy {
-	p := ShardPolicy{shards: n}
-	if n < 1 {
-		p.err = fmt.Errorf("flodb: Static(%d): shard count must be >= 1", n)
-	}
-	return p
-}
-
-// HashSharded routes each key to one of n shards by hash instead of by
-// range. Point operations spread evenly whatever the key distribution,
-// at a price: every shard spans the whole keyspace, so range scans and
-// iterators touch all n shards and re-sort, and the layout can never be
-// split or merged — Adaptive over a hash-sharded store fails with
-// ErrDynamicHashRouting.
-func HashSharded(n int) ShardPolicy {
-	p := ShardPolicy{shards: n, hashed: true}
-	if n < 1 {
-		p.err = fmt.Errorf("flodb: HashSharded(%d): shard count must be >= 1", n)
-	}
-	return p
-}
-
-// Adaptive starts the store at min range-partitioned shards and lets a
-// per-shard workload sensor drive the layout at runtime: a shard drawing
-// an outsized share of the traffic is split at its observed median key
-// (up to max shards), and adjacent cold shards merge back (down to min).
-// Every change bumps the topology epoch (DB.ShardTopology), commits
-// crash-safely through the SHARDS manifest, and leaves open snapshots
-// and iterators reading their pinned epoch. Reopening an Adaptive store
-// adopts however many shards the last run left behind.
-func Adaptive(min, max int) ShardPolicy {
-	p := ShardPolicy{dynamic: true, minShards: min, maxShards: max}
-	if min < 1 || max < min {
-		p.err = fmt.Errorf("flodb: Adaptive(%d, %d): want 1 <= min <= max", min, max)
-	}
-	return p
-}
-
-// WithShardPolicy sets how the store is partitioned: Static(n) for a
-// fixed uniform range split, HashSharded(n) for hash routing, or
-// Adaptive(min, max) for sensor-driven dynamic splitting and merging.
-// The memory budget (WithMemory) and block cache (WithBlockCacheSize)
-// are TOTALS, split evenly across however many shards are live.
-//
-// See the README's sharding section for the cross-shard semantics
-// (per-shard batch atomicity, the snapshot write barrier, checkpoint
-// layout, topology epochs).
-func WithShardPolicy(p ShardPolicy) Option {
-	return optionFunc(func(o *options) {
-		if p.err != nil {
-			o.fail(p.err)
-			return
-		}
-		o.policy = p
-		o.policySet = true
-	})
-}
-
-// WithShards is shorthand for WithShardPolicy(Static(n)): a fixed
-// uniform range split across n engines. WithShards(1) is the default
-// unsharded store.
-func WithShards(n int) Option {
-	return optionFunc(func(o *options) {
-		if n < 1 {
-			o.fail(fmt.Errorf("flodb: WithShards(%d): count must be >= 1", n))
-			return
-		}
-		o.policy = Static(n)
-		o.policySet = true
-	})
-}
-
 // WithBlockCacheSize sets the budget, in bytes, of the read cache below
 // the memory component (default 32 MiB). Point reads fill the cache with
 // the rows they found; iterators and compaction neither fill nor consult
 // it; the option name is historical (the cache held sstable blocks). A
 // repeat Get of a warm key skips the table handle, the index search, the
-// I/O and the checksum. On a sharded store the budget is the TOTAL, split
-// evenly across shards like WithMemory. Non-positive sizes are rejected
-// by Open; to measure the uncached read path, use a 1-byte cache (nothing
-// fits, every read misses).
+// I/O and the checksum. Non-positive sizes are rejected by Open; to
+// measure the uncached read path, use a 1-byte cache (nothing fits, every
+// read misses).
 func WithBlockCacheSize(bytes int64) Option {
 	return optionFunc(func(o *options) {
 		if bytes <= 0 {
@@ -215,7 +120,7 @@ func WithBlockCacheSize(bytes int64) Option {
 
 // WithTableCacheCapacity bounds how many sstable readers (one open file
 // descriptor plus a parsed index and bloom filter each) the store keeps
-// resident, per shard (default 256). CLOCK eviction closes cold readers;
+// resident (default 256). CLOCK eviction closes cold readers;
 // readers in use by iterators or compactions are pinned and never closed
 // underneath their users. Raise it when the tree holds more tables than
 // the default and re-opens show up in TableCacheMisses; lower it under

@@ -110,23 +110,6 @@ func TestPerOpDurabilityAndSyncBarrier(t *testing.T) {
 	}
 }
 
-func TestWithShardsRejectsBadCounts(t *testing.T) {
-	for _, n := range []int{0, -3} {
-		if _, err := flodb.Open(t.TempDir(), flodb.WithShards(n)); err == nil {
-			t.Fatalf("WithShards(%d) accepted", n)
-		}
-	}
-	// WithShards(1) is the explicit spelling of the default.
-	db, err := flodb.Open(t.TempDir(), flodb.WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.Shards() != 1 {
-		t.Fatalf("Shards() = %d", db.Shards())
-	}
-}
-
 // TestWithTelemetryOff checks the gate: histograms and events vanish,
 // counters stay (kv.Stats is load-bearing), and re-enabling is just the
 // default.
