@@ -8,7 +8,7 @@
 //
 // Figures: fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 // fig15 fig16 fig17, the contract/scaling extras (apibench, netbench,
-// clusterbench, obsbench, ablate-*), or "all". An unknown figure name is
+// clusterbench, ablate-*), or "all". An unknown figure name is
 // an error (exit 2) listing the valid names.
 //
 // Sizes default to 1/1024 of the paper's (the column labels report the
@@ -52,9 +52,6 @@ var figureFuncs = map[string]func(figures.Config) (*harness.Table, error){
 	// Distribution tier: quorum throughput/latency vs ring node count,
 	// plus the kill-one-replica availability series.
 	"clusterbench": figures.ClusterBench,
-	// Telemetry overhead: the instrumented hot path (op histograms +
-	// event log) vs WithTelemetry(false), same engine and workloads.
-	"obsbench": figures.ObsBench,
 	// Ablations beyond the paper (DESIGN.md §4.5).
 	"ablate-split": figures.AblateSplit,
 	"ablate-drain": figures.AblateDrainThreads,

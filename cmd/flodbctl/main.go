@@ -211,7 +211,7 @@ func top(out io.Writer, ring *cluster.Ring, timeout time.Duration, nEvents int) 
 			return ops[a] < ops[b]
 		})
 		if len(ops) == 0 {
-			fmt.Fprintf(out, "  no recorded operations (idle node, or telemetry disabled)\n")
+			fmt.Fprintf(out, "  no recorded operations (idle node)\n")
 		} else {
 			fmt.Fprintf(out, "  %-10s %10s %10s %10s %10s %10s\n", "OP", "COUNT", "MEAN", "P50", "P99", "P999")
 			for _, op := range ops {

@@ -287,9 +287,7 @@ func ExampleDB_blockCache() {
 // ExampleDB_metrics shows the observability surface: every operation is
 // recorded in per-op latency histograms and the counter registry, and
 // TelemetrySnapshot freezes the whole thing — the same snapshot flodbd
-// serves at /metrics. WithTelemetry(false) drops the histograms and the
-// event log (counters stay on) for hot paths that begrudge the clock
-// reads.
+// serves at /metrics.
 func ExampleDB_metrics() {
 	dir := filepath.Join(os.TempDir(), "flodb-example-metrics")
 	os.RemoveAll(dir)

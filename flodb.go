@@ -162,7 +162,6 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		DisableWAL:        o.disableWAL,
 		WALWriteThrough:   o.walWriteThrough,
 		Durability:        o.durability,
-		DisableTelemetry:  o.disableTelemetry,
 	}
 	cfg.Storage.BlockCacheBytes = o.blockCacheBytes
 	cfg.Storage.TableCacheCapacity = o.tableCacheCap
@@ -261,8 +260,7 @@ func (db *DB) Stats() Stats { return db.inner.Stats() }
 
 // TelemetrySnapshot freezes the store's metrics registry: every Stats
 // counter under its canonical flodb_* name, the WAL/cache/storage
-// views, and — unless telemetry was disabled with WithTelemetry(false)
-// — per-op latency histograms and event counts. The result renders to
+// views, the per-op latency histograms and the event counts. The result renders to
 // Prometheus text with WritePrometheus; flodbd serves it at /metrics.
 func (db *DB) TelemetrySnapshot() obs.Snapshot {
 	return db.inner.TelemetrySnapshot()
@@ -270,8 +268,7 @@ func (db *DB) TelemetrySnapshot() obs.Snapshot {
 
 // TelemetryEvents returns up to n recent structured lifecycle events
 // (flushes, compactions, generation seals, WAL rotations and stalls,
-// snapshot pins; n <= 0 returns everything retained), oldest first. It
-// returns nil when telemetry is disabled.
+// snapshot pins; n <= 0 returns everything retained), oldest first.
 func (db *DB) TelemetryEvents(n int) []obs.Event {
 	return db.inner.TelemetryEvents(n)
 }

@@ -6,6 +6,7 @@ import (
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/rcu"
 	"flodb/internal/skiplist"
 	"flodb/internal/wal"
 )
@@ -56,16 +57,19 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 	db.stats.batches.Add(1)
 	db.stats.batchOps.Add(uint64(b.Len()))
 
-	if err := db.applyBackpressure(ctx); err != nil {
+	// The handle is taken before admit so a writer that meets a paused
+	// seal helps its drain, as update's slow path does.
+	h := db.handle()
+	defer db.putHandle(h)
+	var stallStart time.Time
+	if err := db.admit(ctx, h, &stallStart); err != nil {
 		return err
 	}
+	db.noteStall(stallStart)
 
-	var applyStart time.Time
-	if t := db.tel; t != nil {
-		applyStart = time.Now()
-		defer func() { t.batchLat.Observe(time.Since(applyStart)) }()
-	}
-	syncW, syncOff, err := db.applyLocked(b, d)
+	start := time.Now()
+	defer func() { db.stats.batchLat.Observe(time.Since(start)) }()
+	syncW, syncOff, err := db.applyLocked(h, b, d)
 	if err != nil {
 		return err
 	}
@@ -79,51 +83,9 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 	return nil
 }
 
-// applyBackpressure waits out memory-component and L0 backpressure
-// before a batch application, mirroring update's slow path: a full
-// Memtable with a pending persist, a badly overshot Memtable, and an
-// overloaded L0 all stall the caller. Each lap is a cancellation point —
-// this wait is unbounded — and the stalled time counts in
-// stats.stallNanos, exactly as per-op writes do.
-func (db *DB) applyBackpressure(ctx context.Context) error {
-	var stallStart time.Time
-	defer func() { db.noteStall(stallStart) }()
-	for spins := 0; ; spins++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if db.closed.Load() {
-			return ErrClosed
-		}
-		if err := db.loadPersistErr(); err != nil {
-			return err
-		}
-		g := db.gen.Load()
-		if over := g.mtb.approxBytes(); over > db.memtableTarget {
-			db.signalPersist()
-			if db.immMtb.Load() != nil || over > 2*db.memtableTarget {
-				if stallStart.IsZero() {
-					stallStart = time.Now()
-				}
-				db.backoff(spins)
-				continue
-			}
-		}
-		if db.store != nil && db.store.NeedsStall() {
-			db.store.MaybeScheduleCompaction()
-			if stallStart.IsZero() {
-				stallStart = time.Now()
-			}
-			db.backoff(spins)
-			continue
-		}
-		return nil
-	}
-}
-
 // applyLocked logs and applies the batch under drainMu, returning the
 // commit-record position for a Sync-class caller to group-commit.
-func (db *DB) applyLocked(b *kv.Batch, d kv.Durability) (*wal.Writer, int64, error) {
+func (db *DB) applyLocked(h *rcu.Handle, b *kv.Batch, d kv.Durability) (*wal.Writer, int64, error) {
 	db.drainMu.Lock()
 	defer db.drainMu.Unlock()
 	if db.closed.Load() {
@@ -134,8 +96,6 @@ func (db *DB) applyLocked(b *kv.Batch, d kv.Durability) (*wal.Writer, int64, err
 	// both are only set by drainMu holders and cleared before release. The
 	// RCU read section still brackets the mutation so a switch that starts
 	// right after we release the lock synchronizes behind us.
-	h := db.handle()
-	defer db.putHandle(h)
 	h.Enter()
 	defer h.Exit()
 

@@ -12,8 +12,8 @@ import (
 
 // Config parameterizes a FloDB instance. The defaults mirror the paper's
 // experimental setup scaled to a development machine: the memory budget is
-// split 1/4 Membuffer : 3/4 Memtable (§5.1), keys of ~8 B and values of
-// ~256 B size the hash table.
+// split 1/4 Membuffer : 3/4 Memtable (§5.1), and entryBytes sizes the
+// hash table.
 type Config struct {
 	// Dir is the database directory.
 	Dir string
@@ -29,9 +29,6 @@ type Config struct {
 	// PartitionBits is ℓ, the number of most-significant key bits that
 	// select a Membuffer partition (§4.3). Default 6 (64 partitions).
 	PartitionBits uint
-	// EntryBytesHint approximates key+value size for bucket sizing.
-	// Default 264 (the paper's 8 B keys + 256 B values).
-	EntryBytesHint int
 
 	// DrainThreads is the number of background draining threads (§4.2).
 	// Default 2.
@@ -70,13 +67,6 @@ type Config struct {
 	PersistLimiter *diskenv.Limiter
 	// FlushFault injects errors into the persist path (tests).
 	FlushFault *diskenv.FaultPoint
-
-	// DisableTelemetry turns off the optional half of the observability
-	// layer: per-op latency histograms and the structured event log
-	// (every time.Now() on the hot paths). The stat counters stay on —
-	// they are single atomic adds and kv.Stats depends on them. The
-	// obsbench figure measures the delta this flag removes.
-	DisableTelemetry bool
 
 	// Storage configures the disk component. An unset BaseLevelBytes is
 	// sized to hold one L0 compaction of Memtables at their persist
@@ -123,12 +113,6 @@ func (c *Config) fillDefaults() error {
 	if c.PartitionBits == 0 {
 		c.PartitionBits = 6
 	}
-	if c.EntryBytesHint < 0 {
-		return fmt.Errorf("core: EntryBytesHint %d is negative; want an approximate key+value size (or 0 for the default 264)", c.EntryBytesHint)
-	}
-	if c.EntryBytesHint == 0 {
-		c.EntryBytesHint = 264
-	}
 	if c.DrainThreads < 0 {
 		return fmt.Errorf("core: DrainThreads %d is negative; want > 0 (or 0 for the default 2)", c.DrainThreads)
 	}
@@ -174,7 +158,11 @@ func (c *Config) memtableTargetBytes() int64 {
 	return c.MemoryBytes - c.membufferBytes()
 }
 
+// entryBytes is the key+value size the Membuffer's buckets are sized for:
+// the paper's 8 B keys and 256 B values.
+const entryBytes = 8 + 256
+
 // membufferConfig returns the geometry every Membuffer of the store has.
 func (c *Config) membufferConfig() membuffer.Config {
-	return membuffer.ConfigForBytes(c.membufferBytes(), c.EntryBytesHint, c.PartitionBits)
+	return membuffer.ConfigForBytes(c.membufferBytes(), entryBytes, c.PartitionBits)
 }

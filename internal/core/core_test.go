@@ -46,9 +46,9 @@ func spreadKey(i uint64) []byte {
 func waitPersists(t *testing.T, db *DB, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for db.Internal().Persists < n {
+	for db.stats.persists.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("persists stuck at %d, want >= %d", db.Internal().Persists, n)
+			t.Fatalf("persists stuck at %d, want >= %d", db.stats.persists.Load(), n)
 		}
 		db.signalPersist()
 		time.Sleep(time.Millisecond)
@@ -95,9 +95,8 @@ func TestOverwrite(t *testing.T) {
 	}
 	// In-place updates: repeated writes to one key must not consume
 	// significant memory (§3.2).
-	st := db.Internal()
-	if st.MembufferLen > 1 {
-		t.Fatalf("MembufferLen = %d after single-key overwrites", st.MembufferLen)
+	if n := db.gen.Load().mbf.Len(); n > 1 {
+		t.Fatalf("Membuffer holds %d entries after single-key overwrites", n)
 	}
 }
 
@@ -340,7 +339,7 @@ func TestDropPersistMode(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for db.Internal().Persists == 0 {
+	for db.stats.persists.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("drop mode never rotated the memtable")
 		}

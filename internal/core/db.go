@@ -175,20 +175,21 @@ type DB struct {
 	// protocol so the test can park a thread there.
 	testHook atomic.Pointer[func(at hookPoint)]
 
-	// reg is the metrics registry (internal/obs) every stat counter
-	// lives in; tel is the optional histogram/event half, nil when
-	// Config.DisableTelemetry (see telemetry.go).
-	reg   *obs.Registry
-	tel   *telemetry
-	stats statCounters
+	// reg is the metrics registry (internal/obs) every stat counter and
+	// latency histogram lives in; events is the structured event log
+	// (see telemetry.go).
+	reg    *obs.Registry
+	events *obs.EventLog
+	stats  statCounters
 }
 
-// statCounters are the DB's operation counters. Each field is a counter
-// REGISTERED in db.reg (initObs wires them), so kv.Stats and the
-// /metrics exposition read the same atomics — the Stats struct is a
-// view over the registry, not a second set of counts. Recording is
-// a single atomic add; the counters every Put or Get bumps are striped
-// (obs.StripedCounter), so that add writes no line another core writes.
+// statCounters are the DB's operation counters and latency histograms.
+// Each field is a metric REGISTERED in db.reg (initObs wires them), so
+// kv.Stats and the /metrics exposition read the same atomics — the Stats
+// struct is a view over the registry, not a second set of counts.
+// Recording is a single atomic add; the counters every Put or Get bumps
+// are striped (obs.StripedCounter), as are the histograms, so that add
+// writes no line another core writes.
 type statCounters struct {
 	puts, gets, deletes           *obs.StripedCounter
 	membufferHits, memtableWrites *obs.StripedCounter
@@ -206,6 +207,12 @@ type statCounters struct {
 	// overwrote a resident key in place (no new drain debt).
 	stallNanos  *obs.Counter
 	inPlaceHits *obs.StripedCounter
+
+	putLat, getLat, deleteLat  *obs.Histogram
+	scanLat, batchLat, snapLat *obs.Histogram
+	// stallLat distributes the per-op writer stall time whose total
+	// feeds stallNanos: it tells a few 100ms stalls from many 1ms ones.
+	stallLat *obs.Histogram
 }
 
 // Open creates or opens a FloDB store.
@@ -228,7 +235,7 @@ func Open(cfg Config) (*DB, error) {
 
 	if !cfg.DropPersist {
 		scfg := cfg.Storage
-		scfg.Events = db.eventLog()
+		scfg.Events = db.events
 		store, err := storage.Open(cfg.Dir, scfg)
 		if err != nil {
 			return nil, err
@@ -362,7 +369,7 @@ func (db *DB) newMemtable() (*memtable, error) {
 	w, err := wal.Create(storage.WALFileName(db.cfg.Dir, m.walNum), wal.Options{
 		Metrics:      &db.walMetrics,
 		WriteThrough: db.cfg.WALWriteThrough,
-		Events:       db.eventLog(),
+		Events:       db.events,
 	})
 	if err != nil {
 		return nil, err
@@ -601,39 +608,6 @@ func (db *DB) Stats() kv.Stats {
 		s.BloomChecks = m.BloomChecks
 		s.BloomMisses = m.BloomNegatives
 	}
-	return s
-}
-
-// InternalStats exposes FloDB-specific counters for the harness and the
-// Fig 17 ablation (the "proportion of direct Membuffer updates").
-type InternalStats struct {
-	DrainedEntries     uint64
-	DrainBatches       uint64
-	Persists           uint64
-	HelpDrains         uint64
-	MembufferLen       int
-	MemtableBytes      int64
-	MembufferOccupancy float64
-	// InPlaceHits counts Membuffer updates that overwrote a resident
-	// key in place — writes absorbed with no drain debt (§4.4).
-	InPlaceHits uint64
-}
-
-// Internal returns FloDB-internal counters.
-func (db *DB) Internal() InternalStats {
-	s := InternalStats{
-		DrainedEntries: db.stats.drainedEntries.Load(),
-		DrainBatches:   db.stats.drainBatches.Load(),
-		Persists:       db.stats.persists.Load(),
-		HelpDrains:     db.stats.helpDrains.Load(),
-		InPlaceHits:    db.stats.inPlaceHits.Load(),
-	}
-	g := db.gen.Load()
-	if g.mbf != nil {
-		s.MembufferLen = g.mbf.Len()
-		s.MembufferOccupancy = g.mbf.Occupancy()
-	}
-	s.MemtableBytes = g.mtb.approxBytes()
 	return s
 }
 

@@ -223,7 +223,7 @@ type spareMembuffers struct {
 // BUFFER THROUGH A REFERENCE TAKEN BEFORE IT WAS DRAINED EMPTY. The only
 // such references are a background drainer's loaded pair and a helper's
 // drainTask, both held strictly inside RCU read sections (drainLoop,
-// update's help branch). The task is unpublished when the drain ends, so
+// admit's help branch). The task is unpublished when the drain ends, so
 // a section that still holds it began before this seal returned, and the
 // NEXT seal's grace period outlasts it. A buffer retired by seal N
 // therefore becomes ready after seal N+1's Synchronize and is installed by

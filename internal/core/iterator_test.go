@@ -310,7 +310,7 @@ func TestIteratorPointInTime(t *testing.T) {
 		defer second.Close()
 		atSecond := sortedPairs(model)
 		if db.Store() != nil {
-			before := db.Internal().Persists
+			before := db.stats.persists.Load()
 			for i := 0; i < 64; i++ { // push the Memtable over its target
 				put(n+i, string(bytes.Repeat([]byte("p"), 16<<10)))
 			}

@@ -28,12 +28,11 @@ func TestHotKeysNeverFillTheMemtable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			st := db.Internal()
-			filter := int64(8 * len(db.gen.Load().mtb.filter))
-			if st.Persists != 0 {
-				t.Fatalf("%d overwrites of 16 keys triggered %d persists", n, st.Persists)
+			mtb := db.gen.Load().mtb
+			if p := db.stats.persists.Load(); p != 0 {
+				t.Fatalf("%d overwrites of 16 keys triggered %d persists", n, p)
 			}
-			if held := st.MemtableBytes - filter; held > 16*400 {
+			if held := mtb.approxBytes() - int64(8*len(mtb.filter)); held > 16*400 {
 				t.Fatalf("the Memtable charges %d bytes for 16 keys", held)
 			}
 			for i := uint64(0); i < 16; i++ {

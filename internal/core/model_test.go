@@ -115,7 +115,7 @@ func TestModelCheckSequential(t *testing.T) {
 			t.Fatalf("final: key %x = %q/%v/%v, want %q", k, v, found, err, want)
 		}
 	}
-	t.Logf("model check: %d ops, final size %d, internal=%+v", ops, len(oracle), db.Internal())
+	t.Logf("model check: %d ops, final size %d, drained %d, persists %d", ops, len(oracle), db.stats.drainedEntries.Load(), db.stats.persists.Load())
 }
 
 // TestModelCheckAcrossRestart extends the model check across a clean

@@ -38,13 +38,9 @@ func (db *DB) putHandle(h *rcu.Handle) {
 // direction of data flow, so the first hit is the freshest. get lists what
 // each step costs. The value returned is a copy: it belongs to the caller.
 func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	if t := db.tel; t != nil {
-		start := time.Now()
-		v, ok, err := db.get(ctx, key)
-		t.getLat.Observe(time.Since(start))
-		return keys.Clone(v), ok, err
-	}
+	start := time.Now()
 	v, ok, err := db.get(ctx, key)
+	db.stats.getLat.Observe(time.Since(start))
 	return keys.Clone(v), ok, err
 }
 
@@ -143,13 +139,10 @@ func (db *DB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption
 	if err != nil {
 		return err
 	}
-	if t := db.tel; t != nil {
-		start := time.Now()
-		err := db.update(ctx, keys.Clone(key), keys.Clone(value), false, d)
-		t.putLat.Observe(time.Since(start))
-		return err
-	}
-	return db.update(ctx, keys.Clone(key), keys.Clone(value), false, d)
+	start := time.Now()
+	err = db.update(ctx, keys.Clone(key), keys.Clone(value), false, d)
+	db.stats.putLat.Observe(time.Since(start))
+	return err
 }
 
 // Delete writes a tombstone for key (§3.2: "a Put with a special tombstone
@@ -160,13 +153,10 @@ func (db *DB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) er
 	if err != nil {
 		return err
 	}
-	if t := db.tel; t != nil {
-		start := time.Now()
-		err := db.update(ctx, keys.Clone(key), tombstoneMarker, true, d)
-		t.deleteLat.Observe(time.Since(start))
-		return err
-	}
-	return db.update(ctx, keys.Clone(key), tombstoneMarker, true, d)
+	start := time.Now()
+	err = db.update(ctx, keys.Clone(key), tombstoneMarker, true, d)
+	db.stats.deleteLat.Observe(time.Since(start))
+	return err
 }
 
 // resolveDurability folds per-op options over the configured default and
@@ -212,9 +202,8 @@ func (db *DB) commitSync(w *wal.Writer, off int64) error {
 
 // update is Algorithm 2's Put. The fast path tries the Membuffer; if the
 // target bucket is full (or the buffer is disabled) the update goes
-// directly to the Memtable, first honoring pauseWriters (helping with the
-// drain) and Memtable backpressure. key and value are owned by the store
-// (Put/Delete clone at entry).
+// directly to the Memtable once admit lets it in. key and value are owned
+// by the store (Put/Delete clone at entry).
 //
 // Durability routing: DurabilityNone skips the WAL append entirely;
 // Buffered appends and returns; Sync appends, completes the memory-
@@ -289,65 +278,19 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		}
 	}
 
-	// --- Slow path: write to the Memtable (Algorithm 2 lines 12–20).
-	// stallStart times the drain/backpressure waits below; the total
-	// feeds stats.stallNanos whether the write then completes or gives
-	// up. (Recorded by hand, not by defer: a second defer in a function
-	// with this many returns stops the compiler open-coding the first,
-	// which every fast-path Put runs.)
+	// --- Slow path: write to the Memtable (Algorithm 2 lines 12–20), once
+	// admit lets the writer in. stallStart times admit's waits; the total
+	// is recorded once, whether the write then completes or gives up.
+	// (Recorded by hand, not by defer: a second defer in a function with
+	// this many returns stops the compiler open-coding the first, which
+	// every fast-path Put runs.)
 	var stallStart time.Time
-	for spins := 0; ; spins++ {
-		// Honest cancellation point: the slow path can wait out drains and
-		// backpressure indefinitely, so every lap re-checks the context —
-		// and the store's liveness, so a writer stalled on backpressure
-		// is not stranded when the store dies under it.
-		err := ctx.Err()
-		if err == nil && db.closed.Load() {
-			err = ErrClosed
-		}
-		if err == nil {
-			err = db.loadPersistErr()
-		}
-		if err != nil {
-			db.noteStall(stallStart)
+	for {
+		if err := db.admit(ctx, h, &stallStart); err != nil {
 			return err
 		}
-		// While a seal drains the immutable Membuffer, writers must not
-		// update the Memtable; they help drain instead.
-		if db.pauseWriters.Load() {
-			if stallStart.IsZero() {
-				stallStart = time.Now()
-			}
-			if !db.helpPublishedDrain(h) {
-				runtime.Gosched()
-			}
-			continue
-		}
-		// Backpressure: wait for the persisting thread when the active
-		// Memtable is full and the previous one is still being written
-		// ("typically a very short wait", §4.4), when the Memtable has
-		// overshot badly (the persister has not yet switched), and when
-		// L0 is overloaded.
-		g = db.gen.Load()
-		if over := g.mtb.approxBytes(); over > db.memtableTarget {
-			db.signalPersist()
-			if db.immMtb.Load() != nil || over > 2*db.memtableTarget {
-				if stallStart.IsZero() {
-					stallStart = time.Now()
-				}
-				db.backoff(spins)
-				continue
-			}
-		}
-		if db.store != nil && db.store.NeedsStall() {
-			db.store.MaybeScheduleCompaction()
-			if stallStart.IsZero() {
-				stallStart = time.Now()
-			}
-			db.backoff(spins)
-			continue
-		}
-
+		// The correctness gate: a seal that set pauseWriters after admit
+		// looked is either visible here or waits out this read section.
 		h.Enter()
 		if db.pauseWriters.Load() {
 			h.Exit()
@@ -377,6 +320,63 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 	}
 }
 
+// admit is the one writer admission policy, for update's slow path and
+// for Apply, applied before a write that may reach the Memtable. Each lap
+// re-checks the context and the store's liveness, because the waits are
+// unbounded: a writer stalled on backpressure must not be stranded when
+// the store dies under it. In order, a lap:
+//
+//   - helps drain while a seal has paused writers (the sealed Membuffer
+//     must be in the Memtable before writers touch it);
+//   - waits for the persisting thread when the Memtable is full and the
+//     previous one is still being written ("typically a very short wait",
+//     §4.4), or when it has overshot its target twice over (the persister
+//     has not switched yet);
+//   - waits while L0 is overloaded, nudging a compaction.
+//
+// The first wait sets *stallStart. A failed admission records the stall
+// here; an admitted writer records it once its write is in (noteStall).
+func (db *DB) admit(ctx context.Context, h *rcu.Handle, stallStart *time.Time) error {
+	for spins := 0; ; spins++ {
+		err := ctx.Err()
+		if err == nil && db.closed.Load() {
+			err = ErrClosed
+		}
+		if err == nil {
+			err = db.loadPersistErr()
+		}
+		if err != nil {
+			db.noteStall(*stallStart)
+			return err
+		}
+		if db.pauseWriters.Load() {
+			if stallStart.IsZero() {
+				*stallStart = time.Now()
+			}
+			if !db.helpPublishedDrain(h) {
+				runtime.Gosched()
+			}
+			continue
+		}
+		var wait bool
+		if over := db.gen.Load().mtb.approxBytes(); over > db.memtableTarget {
+			db.signalPersist()
+			wait = db.immMtb.Load() != nil || over > 2*db.memtableTarget
+		}
+		if !wait && db.store != nil && db.store.NeedsStall() {
+			db.store.MaybeScheduleCompaction()
+			wait = true
+		}
+		if !wait {
+			return nil
+		}
+		if stallStart.IsZero() {
+			*stallStart = time.Now()
+		}
+		db.backoff(spins)
+	}
+}
+
 // noteStall records a writer's stall, if start says it had one: waiting
 // out a drain, a full Memtable or an L0 backlog.
 func (db *DB) noteStall(start time.Time) {
@@ -385,9 +385,7 @@ func (db *DB) noteStall(start time.Time) {
 	}
 	stall := time.Since(start)
 	db.stats.stallNanos.Add(uint64(stall))
-	if t := db.tel; t != nil {
-		t.stallLat.Observe(stall)
-	}
+	db.stats.stallLat.Observe(stall)
 }
 
 // helpPublishedDrain moves one batch of the published full drain, if

@@ -67,19 +67,13 @@ func (db *DB) persistCycle() error {
 		return err
 	}
 	db.drainMu.Lock()
-	var sealStart time.Time
-	var sealBytes int64
-	if db.tel != nil {
-		sealStart = time.Now()
-	}
+	sealStart := time.Now()
 	old, sealErr := db.sealMembuffer(next)
-	if t := db.tel; t != nil {
-		sealBytes = old.mtb.approxBytes()
-		t.events.Emit(obs.Event{
-			Type: obs.EventSeal, Dur: time.Since(sealStart),
-			Bytes: sealBytes, Detail: "generation switch + drain",
-		})
-	}
+	sealBytes := old.mtb.approxBytes()
+	db.events.Emit(obs.Event{
+		Type: obs.EventSeal, Dur: time.Since(sealStart),
+		Bytes: sealBytes, Detail: "generation switch + drain",
+	})
 	db.drainMu.Unlock()
 	if sealErr != nil {
 		return sealErr
@@ -124,12 +118,10 @@ func (db *DB) persistCycle() error {
 	}
 	if !db.cfg.DisableWAL {
 		os.Remove(storage.WALFileName(db.cfg.Dir, old.mtb.walNum))
-		if t := db.tel; t != nil {
-			t.events.Emit(obs.Event{
-				Type: obs.EventWALRotate, Bytes: sealBytes,
-				Detail: fmt.Sprintf("segment %d -> %d", old.mtb.walNum, next.walNum),
-			})
-		}
+		db.events.Emit(obs.Event{
+			Type: obs.EventWALRotate, Bytes: sealBytes,
+			Detail: fmt.Sprintf("segment %d -> %d", old.mtb.walNum, next.walNum),
+		})
 	}
 	return nil
 }

@@ -150,8 +150,8 @@ func TestFilterHasNoFalseNegatives(t *testing.T) {
 				return
 			}
 			st := db.Stats()
-			if st.MemtableWrites == 0 || st.Flushes == 0 || db.Internal().DrainedEntries == 0 || st.Batches == 0 {
-				t.Fatalf("a path into the Memtable did not run: %+v, drained %d", st, db.Internal().DrainedEntries)
+			if st.MemtableWrites == 0 || st.Flushes == 0 || db.stats.drainedEntries.Load() == 0 || st.Batches == 0 {
+				t.Fatalf("a path into the Memtable did not run: %+v, drained %d", st, db.stats.drainedEntries.Load())
 			}
 
 			// Quiesced: every key's newest version is in a Memtable or below.
@@ -224,7 +224,8 @@ func TestWALRecordsPerPut(t *testing.T) {
 // TestL0BacklogCountsAsStall holds compactions (the trigger is out of
 // reach) with the stall threshold at one file: once a flush lands, a write
 // on the Memtable path waits on the L0 backlog until its context gives up,
-// and that wait is stall time — for Put and for Apply.
+// and that wait is stall time, recorded as one stall — for Put and for
+// Apply, which share admit.
 func TestL0BacklogCountsAsStall(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.DisableMembuffer = true // every write takes the path that checks the backlog
@@ -262,7 +263,7 @@ func TestL0BacklogCountsAsStall(t *testing.T) {
 			return db.Apply(ctx, b)
 		}},
 	} {
-		before := stalled()
+		before, stalls := stalled(), db.stats.stallLat.Count()
 		ctx, cancel := context.WithTimeout(bg, wait)
 		err := op.do(ctx)
 		cancel()
@@ -271,6 +272,9 @@ func TestL0BacklogCountsAsStall(t *testing.T) {
 		}
 		if got := stalled() - before; got < wait/2 {
 			t.Fatalf("%s waited %v on the L0 backlog, %v of it counted as stall", op.name, wait, got)
+		}
+		if got := db.stats.stallLat.Count() - stalls; got != 1 {
+			t.Fatalf("%s added %d observations to flodb_write_stall_seconds, want 1", op.name, got)
 		}
 	}
 }

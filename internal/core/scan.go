@@ -20,18 +20,14 @@ func (db *DB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
 		return nil, err
 	}
 	db.stats.scans.Add(1)
-	var start time.Time
-	t := db.tel
-	if t != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	it, err := db.openIter(ctx, low, high, db.pinView())
 	if err != nil {
 		return nil, err
 	}
 	pairs, err := kv.Collect(it)
-	if err == nil && t != nil {
-		t.scanLat.Observe(time.Since(start))
+	if err == nil {
+		db.stats.scanLat.Observe(time.Since(start))
 	}
 	return pairs, err
 }

@@ -122,16 +122,11 @@ func (db *DB) Snapshot(ctx context.Context) (kv.View, error) {
 		return nil, err
 	}
 	db.stats.snapshots.Add(1)
-	var start time.Time
-	if db.tel != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	v := db.pinView()
-	if t := db.tel; t != nil {
-		d := time.Since(start)
-		t.snapLat.Observe(d)
-		t.events.Emit(obs.Event{Type: obs.EventSnapshotPin, Dur: d, Detail: fmt.Sprintf("seq bound %d", v.seq)})
-	}
+	d := time.Since(start)
+	db.stats.snapLat.Observe(d)
+	db.events.Emit(obs.Event{Type: obs.EventSnapshotPin, Dur: d, Detail: fmt.Sprintf("seq bound %d", v.seq)})
 	return &snapshot{db: db, view: v}, nil
 }
 
@@ -221,8 +216,6 @@ func (s *snapshot) Close() error {
 		return nil
 	}
 	s.db.releaseView(s.view)
-	if t := s.db.tel; t != nil {
-		t.events.Emit(obs.Event{Type: obs.EventSnapshotUnpin, Detail: fmt.Sprintf("seq bound %d", s.seq)})
-	}
+	s.db.events.Emit(obs.Event{Type: obs.EventSnapshotUnpin, Detail: fmt.Sprintf("seq bound %d", s.seq)})
 	return nil
 }

@@ -5,36 +5,17 @@ import (
 	"flodb/internal/storage"
 )
 
-// telemetry is the optional half of the observability layer: latency
-// histograms and the structured event log. It is nil when
-// Config.DisableTelemetry is set, and every hot path guards its
-// time.Now() calls behind that nil check — the counters (which are
-// single atomic adds) stay on unconditionally, so kv.Stats is always
-// complete.
-type telemetry struct {
-	events *obs.EventLog
-
-	putLat    *obs.Histogram
-	getLat    *obs.Histogram
-	deleteLat *obs.Histogram
-	scanLat   *obs.Histogram
-	batchLat  *obs.Histogram
-	snapLat   *obs.Histogram
-	// stallLat distributes the per-op writer stall time whose total
-	// already feeds stats.stallNanos — the histogram is what makes a few
-	// 100ms stalls distinguishable from many 1ms ones.
-	stallLat *obs.Histogram
-}
-
-// initObs builds the DB's metrics registry. Every statCounters field IS
-// a registered counter — kv.Stats reads the same atomics /metrics
-// exports, so nothing double-counts — and the layers that keep their
-// own atomics (wal.Metrics, storage.Metrics, the caches) get
-// CounterFunc/GaugeFunc views computed at scrape time. Histograms and
-// the event log are only created when telemetry is enabled.
+// initObs builds the DB's observability layer, which has no off switch.
+// Every statCounters field IS a registered metric — a counter kv.Stats
+// reads (the same atomics /metrics exports, so nothing double-counts) or
+// a latency histogram (every op pays two clock reads) — and the layers
+// that keep their own atomics (wal.Metrics, storage.Metrics, the caches)
+// get CounterFunc/GaugeFunc views computed at scrape time. The event log
+// is threaded into storage and every WAL segment.
 func (db *DB) initObs() {
 	reg := obs.NewRegistry()
 	db.reg = reg
+	db.events = obs.NewEventLog(0)
 	s := &db.stats
 	s.puts = reg.StripedCounter("flodb_puts_total", "Put operations.")
 	s.gets = reg.StripedCounter("flodb_gets_total", "Get operations.")
@@ -98,52 +79,32 @@ func (db *DB) initObs() {
 		return 0
 	})
 
-	if db.cfg.DisableTelemetry {
-		return
-	}
-	t := &telemetry{events: obs.NewEventLog(0)}
 	opHist := func(op string) *obs.Histogram {
 		return reg.Histogram(`flodb_op_latency_seconds{op="`+op+`"}`, "Operation latency by op.")
 	}
-	t.putLat = opHist("put")
-	t.getLat = opHist("get")
-	t.deleteLat = opHist("delete")
-	t.scanLat = opHist("scan")
-	t.batchLat = opHist("batch")
-	t.snapLat = opHist("snapshot")
-	t.stallLat = reg.Histogram("flodb_write_stall_seconds", "Per-op writer stall time on drains and backpressure.")
-	db.tel = t
+	s.putLat = opHist("put")
+	s.getLat = opHist("get")
+	s.deleteLat = opHist("delete")
+	s.scanLat = opHist("scan")
+	s.batchLat = opHist("batch")
+	s.snapLat = opHist("snapshot")
+	s.stallLat = reg.Histogram("flodb_write_stall_seconds", "Per-op writer stall time on drains and backpressure.")
 }
 
 // storageMetrics aliases the disk component's metrics struct for the
 // view closures above.
 type storageMetrics = storage.Metrics
 
-// eventLog returns the structured event log, nil when telemetry is
-// disabled — the value threaded into storage and WAL options (both
-// treat nil as "drop events for free").
-func (db *DB) eventLog() *obs.EventLog {
-	if db.tel == nil {
-		return nil
-	}
-	return db.tel.events
-}
-
 // TelemetrySnapshot freezes the metrics registry plus per-type event
 // counts — the /metrics source.
 func (db *DB) TelemetrySnapshot() obs.Snapshot {
 	s := db.reg.Snapshot()
-	if db.tel != nil {
-		s.Metrics = append(s.Metrics, obs.EventCountMetrics(db.tel.events)...)
-	}
+	s.Metrics = append(s.Metrics, obs.EventCountMetrics(db.events)...)
 	return s
 }
 
 // TelemetryEvents returns up to n recent structured events (n <= 0:
-// all retained); nil when telemetry is disabled.
+// all retained).
 func (db *DB) TelemetryEvents(n int) []obs.Event {
-	if db.tel == nil {
-		return nil
-	}
-	return db.tel.events.Recent(n)
+	return db.events.Recent(n)
 }

@@ -74,8 +74,8 @@ func latencyVsMemory(c Config, kind baseline.MemKind, title string) (*harness.Ta
 			}
 		}
 		store.Close()
-		readMed := float64(res.ReadLat.Median())
-		writeMed := float64(res.WriteLat.Median())
+		readMed := float64(res.ReadLat.Snapshot().Quantile(0.5))
+		writeMed := float64(res.WriteLat.Snapshot().Quantile(0.5))
 		if mi == 0 {
 			baseRead, baseWrite = readMed, writeMed
 		}

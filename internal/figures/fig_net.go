@@ -9,6 +9,7 @@ import (
 	"flodb/internal/client"
 	"flodb/internal/core"
 	"flodb/internal/harness"
+	"flodb/internal/obs"
 	"flodb/internal/server"
 	"flodb/internal/workload"
 )
@@ -83,12 +84,13 @@ func NetBench(c Config) (*harness.Table, error) {
 			cl.Close()
 			return nil, fmt.Errorf("netbench: conns=%d: %d errors", n, res.Errors)
 		}
+		read := obs.QuantilesOf(res.ReadLat.Snapshot())
 		tbl.Set(0, ci, res.MopsPerSec()*1000)
-		tbl.Set(1, ci, float64(res.ReadLat.Median())/1e3)
-		tbl.Set(2, ci, float64(res.ReadLat.P99())/1e3)
-		tbl.Set(3, ci, float64(res.WriteLat.P99())/1e3)
+		tbl.Set(1, ci, float64(read.P50)/1e3)
+		tbl.Set(2, ci, float64(read.P99)/1e3)
+		tbl.Set(3, ci, float64(res.WriteLat.Snapshot().Quantile(0.99))/1e3)
 		c.logf("netbench conns=%d -> %.1f Kops/s, read p99 %.0f µs",
-			n, res.MopsPerSec()*1000, float64(res.ReadLat.P99())/1e3)
+			n, res.MopsPerSec()*1000, float64(read.P99)/1e3)
 		if ci == len(conns)-1 {
 			lastStats = cl
 			defer cl.Close()

@@ -1,3 +1,8 @@
+// Package harness drives the paper's experiments: fixed-duration
+// multi-threaded closed-loop drivers over any kv.Store (each worker
+// issues its next operation when the previous one returns), latency
+// histograms (obs.Histogram, the one the store's telemetry records into),
+// and table/CSV reporting for every figure in §5.
 package harness
 
 import (
@@ -9,6 +14,7 @@ import (
 	"time"
 
 	"flodb/internal/kv"
+	"flodb/internal/obs"
 	"flodb/internal/workload"
 )
 
@@ -95,8 +101,8 @@ type Result struct {
 	Syncs        uint64 // Sync barrier ops (OpSync)
 	KeysAccessed uint64 // scans count each returned key (§5.2)
 	Elapsed      time.Duration
-	ReadLat      *Histogram
-	WriteLat     *Histogram
+	ReadLat      *obs.Histogram
+	WriteLat     *obs.Histogram
 	Errors       uint64
 }
 
@@ -141,8 +147,8 @@ func Run(store kv.Store, opts RunOptions) Result {
 	opts.fillDefaults()
 	ctx := context.Background()
 	res := Result{
-		ReadLat:  &Histogram{},
-		WriteLat: &Histogram{},
+		ReadLat:  obs.NewHistogram(),
+		WriteLat: obs.NewHistogram(),
 	}
 	var (
 		stop     atomic.Bool
@@ -212,7 +218,7 @@ func Run(store kv.Store, opts RunOptions) Result {
 					reads.Add(1)
 					keysAcc.Add(1)
 					if opts.MeasureLatency {
-						res.ReadLat.Record(time.Since(begin))
+						res.ReadLat.Observe(time.Since(begin))
 					}
 				case workload.OpInsert:
 					valBuf = workload.Value(valBuf, opts.ValueSize, myOps)
@@ -223,7 +229,7 @@ func Run(store kv.Store, opts RunOptions) Result {
 					writes.Add(1)
 					keysAcc.Add(1)
 					if opts.MeasureLatency {
-						res.WriteLat.Record(time.Since(begin))
+						res.WriteLat.Observe(time.Since(begin))
 					}
 				case workload.OpDelete:
 					if err := store.Delete(ctx, key, writeOpts...); err != nil {
@@ -233,7 +239,7 @@ func Run(store kv.Store, opts RunOptions) Result {
 					writes.Add(1)
 					keysAcc.Add(1)
 					if opts.MeasureLatency {
-						res.WriteLat.Record(time.Since(begin))
+						res.WriteLat.Observe(time.Since(begin))
 					}
 				case workload.OpScan:
 					low := key
@@ -287,7 +293,7 @@ func Run(store kv.Store, opts RunOptions) Result {
 					writes.Add(uint64(batch.Len()))
 					keysAcc.Add(uint64(batch.Len()))
 					if opts.MeasureLatency {
-						res.WriteLat.Record(time.Since(begin))
+						res.WriteLat.Observe(time.Since(begin))
 					}
 				case workload.OpSnapshot:
 					// One repeatable-read session: pin a view, serve
@@ -316,7 +322,7 @@ func Run(store kv.Store, opts RunOptions) Result {
 					reads.Add(uint64(opts.SnapshotReads))
 					keysAcc.Add(uint64(opts.SnapshotReads))
 					if opts.MeasureLatency {
-						res.ReadLat.Record(time.Since(begin))
+						res.ReadLat.Observe(time.Since(begin))
 					}
 				case workload.OpSync:
 					// Durability barrier: promote everything acked so far.
@@ -326,7 +332,7 @@ func Run(store kv.Store, opts RunOptions) Result {
 					}
 					syncs.Add(1)
 					if opts.MeasureLatency {
-						res.WriteLat.Record(time.Since(begin))
+						res.WriteLat.Observe(time.Since(begin))
 					}
 				}
 				ops.Add(1)

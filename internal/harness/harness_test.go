@@ -133,59 +133,6 @@ func (it *mapIter) Value() []byte {
 func (it *mapIter) Err() error   { return nil }
 func (it *mapIter) Close() error { return nil }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := &Histogram{}
-	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	med := h.Median()
-	if med < 300_000 || med > 800_000 {
-		t.Fatalf("median %dns, want ~500µs", med)
-	}
-	p99 := h.P99()
-	if p99 < 800_000 || p99 > 1_400_000 {
-		t.Fatalf("p99 %dns, want ~990µs", p99)
-	}
-	if p99 <= med {
-		t.Fatal("p99 <= median")
-	}
-	if h.Mean() <= 0 {
-		t.Fatal("mean not positive")
-	}
-	if !strings.Contains(h.String(), "n=1000") {
-		t.Fatal("String() malformed")
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := &Histogram{}
-	if h.Median() != 0 || h.P99() != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramMonotoneBuckets(t *testing.T) {
-	prev := int64(-1)
-	for i := 0; i < histBuckets; i++ {
-		m := bucketMid(i)
-		if m <= prev {
-			t.Fatalf("bucketMid not monotone at %d: %d <= %d", i, m, prev)
-		}
-		prev = m
-	}
-	// Recorded values must land in buckets whose mid is within 2x.
-	for _, ns := range []int64{1, 10, 1000, 123456, 1e9} {
-		b := bucketOf(ns)
-		mid := bucketMid(b)
-		if mid < ns/2 || mid > ns*2 {
-			t.Fatalf("bucket mid %d far from value %d", mid, ns)
-		}
-	}
-}
-
 func TestRunCountsOps(t *testing.T) {
 	s := newMapStore()
 	res := Run(s, RunOptions{

@@ -8,7 +8,8 @@ import (
 	"time"
 )
 
-// The histogram is log-linear, the same geometry as the bench harness's:
+// The histogram is log-linear, the one latency histogram of the repo (the
+// store's telemetry, the server and the figure harness all record into it):
 // 4 linear sub-buckets per power of two from 1ns up to ~17s, so relative
 // error is bounded at ~12.5% everywhere while recording stays one atomic
 // increment. Exponent 62 caps bucket midpoints within int64 nanoseconds.
@@ -69,8 +70,8 @@ func bucketMid(i int) int64 {
 // recording goroutine's stack like a StripedCounter's cell, so goroutines
 // on different cores rarely write one line. All read methods sum the
 // stripes and are safe concurrently with recording. A nil *Histogram
-// ignores Observe and reports zero everywhere, so disabled-telemetry
-// paths hold nil pointers instead of branching.
+// ignores Observe and reports zero everywhere, so a layer built without
+// telemetry (a baseline engine, a test) holds nil instead of branching.
 type Histogram struct {
 	stripes [histStripes]histStripe
 }
@@ -249,7 +250,8 @@ const opLatencyPrefix = `flodb_op_latency_seconds{op="`
 
 // OpQuantiles extracts the per-op latency quantiles from a snapshot's
 // flodb_op_latency_seconds histograms, keyed by op label ("put", "get",
-// ...). Nil when the snapshot holds none (telemetry disabled).
+// ...). Nil when the snapshot holds none (a source that registers no
+// per-op histograms).
 func OpQuantiles(s Snapshot) map[string]Quantiles {
 	var out map[string]Quantiles
 	for _, m := range s.Metrics {

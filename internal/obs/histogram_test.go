@@ -34,6 +34,17 @@ func TestBucketBoundaries(t *testing.T) {
 		}
 		prev = b
 	}
+	// Midpoints are monotone and lie inside their own bucket (bucket 0
+	// holds nothing: BucketOf clamps values below 1ns to 1).
+	for i := 1; i < HistBuckets; i++ {
+		mid := bucketMid(i)
+		if mid <= bucketMid(i-1) {
+			t.Fatalf("bucketMid not monotone at %d: %d <= %d", i, mid, bucketMid(i-1))
+		}
+		if BucketOf(mid) != i {
+			t.Fatalf("bucketMid(%d) = %d lands in bucket %d", i, mid, BucketOf(mid))
+		}
+	}
 	// Relative error bound: the bucket midpoint is within ~12.5% + half a
 	// step of any value in the bucket.
 	for ns := int64(100); ns < 1e9; ns = ns * 7 / 3 {
@@ -159,17 +170,23 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-// TestNilHistogram: disabled-telemetry paths hold nil pointers; every
-// method must be a no-op, not a panic.
+// TestNilHistogram: layers built without telemetry (baselines, tests)
+// hold nil pointers; every method must be a no-op, not a panic. An empty
+// histogram reports zero everywhere, like a nil one.
 func TestNilHistogram(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second)
-	if h.Count() != 0 {
-		t.Fatal("nil histogram count")
-	}
-	s := h.Snapshot()
-	if s.Quantile(0.99) != 0 || s.Mean() != 0 {
-		t.Fatal("nil histogram snapshot not empty")
+	for _, h := range []*Histogram{h, NewHistogram()} {
+		if h.Count() != 0 {
+			t.Fatal("empty histogram count")
+		}
+		s := h.Snapshot()
+		if s.Quantile(0.5) != 0 || s.Quantile(0.99) != 0 || s.Mean() != 0 {
+			t.Fatal("empty histogram snapshot not zero")
+		}
+		if q := QuantilesOf(s); q != (Quantiles{}) {
+			t.Fatalf("QuantilesOf(empty) = %+v", q)
+		}
 	}
 	if q := QuantilesOf(nil); q.Count != 0 {
 		t.Fatal("QuantilesOf(nil)")

@@ -27,7 +27,6 @@ type options struct {
 	disableWAL        bool
 	walWriteThrough   bool
 	durability        Durability
-	disableTelemetry  bool
 
 	blockCacheBytes int64
 	tableCacheCap   int
@@ -133,19 +132,6 @@ func WithTableCacheCapacity(n int) Option {
 		}
 		o.tableCacheCap = n
 	})
-}
-
-// WithTelemetry turns the optional half of the observability layer on
-// (the default) or off. Enabled, every operation records into per-op
-// latency histograms and lifecycle moments (flushes, compactions,
-// generation seals, WAL rotations and stalls, snapshot pins) land in a
-// bounded structured event log — the data behind DB.TelemetrySnapshot,
-// DB.TelemetryEvents and flodbd's /debug endpoints. Disabled, the histograms and the event log disappear and
-// with them every time.Now() on the hot paths; the plain Stats
-// counters stay on either way. The obsbench figure measures the
-// enabled-vs-disabled delta (≤ a few percent on uniform writes).
-func WithTelemetry(enabled bool) Option {
-	return optionFunc(func(o *options) { o.disableTelemetry = !enabled })
 }
 
 // WithWALWriteThrough makes the commit log hand every record to the OS

@@ -110,40 +110,25 @@ func TestPerOpDurabilityAndSyncBarrier(t *testing.T) {
 	}
 }
 
-// TestWithTelemetryOff checks the gate: histograms and events vanish,
-// counters stay (kv.Stats is load-bearing), and re-enabling is just the
-// default.
-func TestWithTelemetryOff(t *testing.T) {
+// TestTelemetryAlwaysOn: a default store records per-op latency
+// histograms and keeps an event log, beside the counters.
+func TestTelemetryAlwaysOn(t *testing.T) {
 	ctx := context.Background()
-	db, err := flodb.Open(t.TempDir(), flodb.WithTelemetry(false))
+	db, err := flodb.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	for i := 0; i < 20; i++ {
-		if err := db.Put(ctx, []byte{byte(i)}, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ops := obs.OpQuantiles(db.TelemetrySnapshot()); ops != nil {
-		t.Fatalf("telemetry off still records op quantiles: %v", ops)
-	}
-	if evs := db.TelemetryEvents(0); len(evs) != 0 {
-		t.Fatalf("telemetry off still emits events: %v", evs)
-	}
-	if st := db.Stats(); st.Puts != 20 {
-		t.Fatalf("counters must survive WithTelemetry(false): Puts = %d", st.Puts)
-	}
-
-	on, err := flodb.Open(t.TempDir(), flodb.WithTelemetry(true))
-	if err != nil {
+	if err := db.Put(ctx, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	defer on.Close()
-	if err := on.Put(ctx, []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
+	if ops := obs.OpQuantiles(db.TelemetrySnapshot()); ops["put"].Count != 1 {
+		t.Fatalf("telemetry records nothing: %v", ops)
 	}
-	if ops := obs.OpQuantiles(on.TelemetrySnapshot()); ops["put"].Count != 1 {
-		t.Fatalf("telemetry on records nothing: %v", ops)
+	if evs := db.TelemetryEvents(0); evs == nil {
+		t.Fatal("no event log")
+	}
+	if st := db.Stats(); st.Puts != 1 {
+		t.Fatalf("Puts = %d, want 1", st.Puts)
 	}
 }
