@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
@@ -61,14 +60,14 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 	// seal helps its drain, as update's slow path does.
 	h := db.handle()
 	defer db.putHandle(h)
-	var stallStart time.Time
-	if err := db.admit(ctx, h, &stallStart); err != nil {
+	var st stall
+	if err := db.admit(ctx, h, &st); err != nil {
 		return err
 	}
-	db.noteStall(stallStart)
+	db.noteStall(&st)
 
-	start := time.Now()
-	defer func() { db.stats.batchLat.Observe(time.Since(start)) }()
+	start := opClock()
+	defer func() { db.stats.batchLat.Observe(opClock() - start) }()
 	syncW, syncOff, err := db.applyLocked(h, b, d)
 	if err != nil {
 		return err

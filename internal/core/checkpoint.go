@@ -36,8 +36,8 @@ func (db *DB) Checkpoint(ctx context.Context, dir string) error {
 	db.stats.checkpoints.Add(1)
 
 	// persistMu excludes generation switches for the whole copy. This is
-	// what makes the WAL tail a clean prefix: WAL appends are buffered
-	// (bufio), so around a switch the sealed segment's FILE can lag its
+	// what makes the WAL tail a clean prefix: WAL appends are staged in
+	// memory, so around a switch the sealed segment's FILE can lag its
 	// logical contents while the successor segment accumulates newer
 	// records — copying in that window bakes a hole into the middle of
 	// history (observed as a ~buffer-sized gap by the crash-consistency

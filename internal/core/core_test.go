@@ -421,10 +421,10 @@ func TestConcurrentPutsAndGets(t *testing.T) {
 }
 
 // TestPutAllocationBudget is the fast path's allocation budget: a Buffered
-// Put that completes in the Membuffer allocates the key copy, the value
-// copy and the Membuffer's pair — the WAL append builds no record and no
-// header — and a Get that finds its key allocates the caller's copy of the
-// value.
+// Put that completes in the Membuffer allocates one object, the pair that
+// holds the Membuffer's copy of key and value — the WAL append builds no
+// record and no header — and a Get that finds its key allocates the
+// caller's copy of the value.
 func TestPutAllocationBudget(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.MemoryBytes = 8 << 20
@@ -463,10 +463,92 @@ func TestPutAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts: RCU reader handles are re-made")
 	}
-	if puts > 3 {
-		t.Errorf("a fast-path Put: %.2f allocations, budget 3", puts)
+	if puts > 1 {
+		t.Errorf("a fast-path Put: %.2f allocations, budget 1", puts)
 	}
 	if gets != 1 {
 		t.Errorf("a Get that finds its key: %.2f allocations, want 1 (the caller's copy)", gets)
+	}
+}
+
+// TestWritesKeepNoCallerBuffer: Put, Delete and Apply keep no reference to
+// the caller's key and value, on the Membuffer path and on the Memtable
+// path alike. The test overwrites its buffers right after every write;
+// Gets, an iterator (whose view seal drains the Membuffer into the
+// Memtable), Gets from the Memtable and Gets after a persist all return
+// what was written.
+func TestWritesKeepNoCallerBuffer(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		cfg := testConfig(t)
+		cfg.DisableMembuffer = disable
+		cfg.Durability = kv.DurabilityBuffered
+		db := openTestDB(t, cfg)
+		const n = 400
+		key, val := make([]byte, 8), make([]byte, 48)
+		want := make(map[string][]byte)
+		for i := 0; i < n; i++ {
+			k := spreadKey(uint64(i))
+			copy(key, k)
+			for j := range val {
+				val[j] = byte(i)
+			}
+			var err error
+			switch i % 4 {
+			case 0, 1:
+				err = db.Put(bg, key, val)
+				want[string(k)] = bytes.Clone(val)
+			case 2:
+				if err = db.Put(bg, key, val); err == nil {
+					err = db.Delete(bg, key)
+				}
+			case 3:
+				b := kv.NewBatch()
+				b.Put(key, val)
+				err = db.Apply(bg, b)
+				want[string(k)] = bytes.Clone(val)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range key {
+				key[j] = 0xff
+			}
+			for j := range val {
+				val[j] = 0xee
+			}
+		}
+		check := func(stage string) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				k := spreadKey(uint64(i))
+				v, ok, err := db.Get(bg, k)
+				if w, live := want[string(k)]; err != nil || ok != live || !bytes.Equal(v, w) {
+					t.Fatalf("membuffer disabled %v, %s: Get(%d) = %x ok=%v err=%v, want %x", disable, stage, i, v, ok, err, w)
+				}
+			}
+		}
+		check("fresh")
+		it, err := db.NewIterator(bg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		for ok := it.First(); ok; ok = it.Next() {
+			if w := want[string(it.Key())]; !bytes.Equal(it.Value(), w) {
+				t.Fatalf("membuffer disabled %v: iterator at %x: %x, want %x", disable, it.Key(), it.Value(), w)
+			}
+			seen++
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if seen != len(want) {
+			t.Fatalf("membuffer disabled %v: iterator saw %d keys, want %d", disable, seen, len(want))
+		}
+		check("drained")
+		if err := db.persistOnce(); err != nil {
+			t.Fatal(err)
+		}
+		check("persisted")
 	}
 }

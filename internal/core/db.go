@@ -203,10 +203,12 @@ type statCounters struct {
 	// stallNanos accumulates time WRITERS (Put/Delete/Apply) spent
 	// stalled on drains, memory-component backpressure and an L0 backlog,
 	// whether the write then completed or gave up (background drainers'
-	// own sleeps are excluded). inPlaceHits counts Membuffer updates that
+	// own sleeps are excluded); stallByCause splits it by what the writer
+	// waited on (stallCause). inPlaceHits counts Membuffer updates that
 	// overwrote a resident key in place (no new drain debt).
-	stallNanos  *obs.Counter
-	inPlaceHits *obs.StripedCounter
+	stallNanos   *obs.Counter
+	stallByCause [numStallCauses]*obs.Counter
+	inPlaceHits  *obs.StripedCounter
 
 	putLat, getLat, deleteLat  *obs.Histogram
 	scanLat, batchLat, snapLat *obs.Histogram

@@ -117,8 +117,9 @@ func (db *DB) drainLoop() {
 
 // insertDrained moves claimed entries into dst with one multi-insert
 // (Figure 6 step 2 with the Algorithm 1 batch optimization), stamping each
-// with a fresh number from seq. kvs is scratch for the batch; the emptied
-// scratch is returned for the caller's next batch.
+// with a fresh number from seq. An entry's value aliases its Membuffer
+// pair, and is charged for all of it (Entry.Held). kvs is scratch for the
+// batch; the emptied scratch is returned for the caller's next batch.
 func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained, seq *atomic.Uint64, kvs []skiplist.KV) []skiplist.KV {
 	kvs = kvs[:0]
 	for i := range batch {
@@ -129,6 +130,7 @@ func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained, seq *atomi
 				Value:     d.Value,
 				Seq:       seq.Add(1),
 				Tombstone: d.Tombstone,
+				Held:      uint32(d.Held()),
 			},
 		})
 	}
@@ -297,11 +299,11 @@ func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 		db.pauseWriters.Store(false)
 	}
 	if next != nil && old.mtb.wal != nil {
-		// Seal-time flush: push the sealed segment's staging buffer to the
-		// OS before the successor accumulates enough to flush its own. A
+		// Seal-time flush: push the sealed segment's staged records to the
+		// OS before the successor accumulates enough to write its own. A
 		// crash then never recovers later records while earlier ones are
-		// still trapped in a lost bufio tail — the replay prefix has no
-		// cross-segment holes.
+		// still trapped in a lost staging buffer — the replay prefix has
+		// no cross-segment holes.
 		err = old.mtb.wal.Flush()
 	}
 	if old.mbf != nil {

@@ -38,11 +38,19 @@ func (db *DB) putHandle(h *rcu.Handle) {
 // direction of data flow, so the first hit is the freshest. get lists what
 // each step costs. The value returned is a copy: it belongs to the caller.
 func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	start := time.Now()
+	start := opClock()
 	v, ok, err := db.get(ctx, key)
-	db.stats.getLat.Observe(time.Since(start))
+	db.stats.getLat.Observe(opClock() - start)
 	return keys.Clone(v), ok, err
 }
+
+// clockBase anchors opClock.
+var clockBase = time.Now()
+
+// opClock is the clock the op latency histograms read: time since
+// clockBase, one read of the monotonic clock (time.Now reads the wall
+// clock too).
+func opClock() time.Duration { return time.Since(clockBase) }
 
 // get pays only for the component that holds the key. The key is hashed
 // once (keys.Hash), for every component. In order:
@@ -129,33 +137,35 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	return v, true, nil
 }
 
-// Put inserts or overwrites key. The key and value are copied, so the
-// caller may reuse its buffers immediately — the Membuffer retains both
-// slices it is handed and a skiplist entry the value (only the key is
-// copied into the skiplist's arena), so ownership must be taken here.
+// Put inserts or overwrites key. The store keeps no reference to key or
+// value, so the caller may reuse its buffers as soon as Put returns: the
+// WAL append and the Membuffer copy both into memory of their own (a
+// Membuffer pair holds key and value in one allocation), and a write that
+// falls through to the Memtable copies the key into the skiplist's arena
+// and clones the value for its entry.
 func (db *DB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
 	db.stats.puts.Add(1)
 	d, err := db.resolveDurability(opts)
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	err = db.update(ctx, keys.Clone(key), keys.Clone(value), false, d)
-	db.stats.putLat.Observe(time.Since(start))
+	start := opClock()
+	err = db.update(ctx, key, value, false, d)
+	db.stats.putLat.Observe(opClock() - start)
 	return err
 }
 
 // Delete writes a tombstone for key (§3.2: "a Put with a special tombstone
-// value"). The key is copied.
+// value"). Like Put, it keeps no reference to key.
 func (db *DB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
 	db.stats.deletes.Add(1)
 	d, err := db.resolveDurability(opts)
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	err = db.update(ctx, keys.Clone(key), tombstoneMarker, true, d)
-	db.stats.deleteLat.Observe(time.Since(start))
+	start := opClock()
+	err = db.update(ctx, key, tombstoneMarker, true, d)
+	db.stats.deleteLat.Observe(opClock() - start)
 	return err
 }
 
@@ -202,8 +212,8 @@ func (db *DB) commitSync(w *wal.Writer, off int64) error {
 
 // update is Algorithm 2's Put. The fast path tries the Membuffer; if the
 // target bucket is full (or the buffer is disabled) the update goes
-// directly to the Memtable once admit lets it in. key and value are owned
-// by the store (Put/Delete clone at entry).
+// directly to the Memtable once admit lets it in. key and value belong to
+// the caller: every component that keeps them copies them.
 //
 // Durability routing: DurabilityNone skips the WAL append entirely;
 // Buffered appends and returns; Sync appends, completes the memory-
@@ -279,14 +289,16 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 	}
 
 	// --- Slow path: write to the Memtable (Algorithm 2 lines 12–20), once
-	// admit lets the writer in. stallStart times admit's waits; the total
-	// is recorded once, whether the write then completes or gives up.
-	// (Recorded by hand, not by defer: a second defer in a function with
-	// this many returns stops the compiler open-coding the first, which
-	// every fast-path Put runs.)
-	var stallStart time.Time
+	// admit lets the writer in. st times admit's waits; they are recorded
+	// once, whether the write then completes or gives up. (Recorded by
+	// hand, not by defer: a second defer in a function with this many
+	// returns stops the compiler open-coding the first, which every
+	// fast-path Put runs.) The skiplist copies the key into its arena; the
+	// entry keeps the value, so it gets a copy of its own.
+	var st stall
+	value = keys.Clone(value)
 	for {
-		if err := db.admit(ctx, h, &stallStart); err != nil {
+		if err := db.admit(ctx, h, &st); err != nil {
 			return err
 		}
 		// The correctness gate: a seal that set pauseWriters after admit
@@ -309,7 +321,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		g.mtb.insert(key, hash, &skiplist.Entry{Value: value, Seq: seq, Tombstone: tombstone})
 		h.Exit()
 		db.stats.memtableWrites.Add(1)
-		db.noteStall(stallStart)
+		db.noteStall(&st)
 		if g.mtb.approxBytes() >= db.memtableTarget {
 			db.signalPersist()
 		}
@@ -327,16 +339,17 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 // the store dies under it. In order, a lap:
 //
 //   - helps drain while a seal has paused writers (the sealed Membuffer
-//     must be in the Memtable before writers touch it);
+//     must be in the Memtable before writers touch it): cause drain;
 //   - waits for the persisting thread when the Memtable is full and the
 //     previous one is still being written ("typically a very short wait",
 //     §4.4), or when it has overshot its target twice over (the persister
-//     has not switched yet);
-//   - waits while L0 is overloaded, nudging a compaction.
+//     has not switched yet): cause memtable;
+//   - waits while L0 is overloaded, nudging a compaction: cause l0.
 //
-// The first wait sets *stallStart. A failed admission records the stall
-// here; an admitted writer records it once its write is in (noteStall).
-func (db *DB) admit(ctx context.Context, h *rcu.Handle, stallStart *time.Time) error {
+// Each wait is timed in st under its cause. A failed admission records
+// the stall here; an admitted writer records it once its write is in
+// (noteStall).
+func (db *DB) admit(ctx context.Context, h *rcu.Handle, st *stall) error {
 	for spins := 0; ; spins++ {
 		err := ctx.Err()
 		if err == nil && db.closed.Load() {
@@ -346,46 +359,92 @@ func (db *DB) admit(ctx context.Context, h *rcu.Handle, stallStart *time.Time) e
 			err = db.loadPersistErr()
 		}
 		if err != nil {
-			db.noteStall(*stallStart)
+			db.noteStall(st)
 			return err
 		}
 		if db.pauseWriters.Load() {
-			if stallStart.IsZero() {
-				*stallStart = time.Now()
-			}
+			st.wait(stallDrain)
 			if !db.helpPublishedDrain(h) {
 				runtime.Gosched()
 			}
 			continue
 		}
-		var wait bool
-		if over := db.gen.Load().mtb.approxBytes(); over > db.memtableTarget {
-			db.signalPersist()
-			wait = db.immMtb.Load() != nil || over > 2*db.memtableTarget
-		}
-		if !wait && db.store != nil && db.store.NeedsStall() {
-			db.store.MaybeScheduleCompaction()
-			wait = true
-		}
+		cause, wait := db.backpressure()
 		if !wait {
 			return nil
 		}
-		if stallStart.IsZero() {
-			*stallStart = time.Now()
-		}
+		st.wait(cause)
 		db.backoff(spins)
 	}
 }
 
-// noteStall records a writer's stall, if start says it had one: waiting
-// out a drain, a full Memtable or an L0 backlog.
-func (db *DB) noteStall(start time.Time) {
-	if start.IsZero() {
+// backpressure reports whether a writer must wait before it writes to the
+// Memtable, and on what: the Memtable or the L0 backlog.
+func (db *DB) backpressure() (stallCause, bool) {
+	if over := db.gen.Load().mtb.approxBytes(); over > db.memtableTarget {
+		db.signalPersist()
+		if db.immMtb.Load() != nil || over > 2*db.memtableTarget {
+			return stallMemtable, true
+		}
+	}
+	if db.store != nil && db.store.NeedsStall() {
+		db.store.MaybeScheduleCompaction()
+		return stallL0, true
+	}
+	return 0, false
+}
+
+// stallCause is what a writer waited on in admit.
+type stallCause uint8
+
+const (
+	stallDrain    stallCause = iota // a seal paused writers for its drain
+	stallMemtable                   // the Memtable is full or 2x over target
+	stallL0                         // the L0 backlog stop
+	numStallCauses
+)
+
+// stallCauseNames label flodb_write_stall_by_cause_nanoseconds_total.
+var stallCauseNames = [numStallCauses]string{"drain", "memtable", "l0"}
+
+// stall is one write's time in admit, by cause: the wait in progress began
+// at mark (0: none yet) and is on cause; earlier waits are in nanos.
+type stall struct {
+	mark  time.Duration
+	cause stallCause
+	nanos [numStallCauses]time.Duration
+}
+
+// wait notes that the writer waits on c. The clock is read only when a
+// wait starts or changes cause, not on every lap.
+func (s *stall) wait(c stallCause) {
+	if s.mark > 0 && s.cause == c {
 		return
 	}
-	stall := time.Since(start)
-	db.stats.stallNanos.Add(uint64(stall))
-	db.stats.stallLat.Observe(stall)
+	now := opClock()
+	if s.mark > 0 {
+		s.nanos[s.cause] += now - s.mark
+	}
+	s.mark, s.cause = now, c
+}
+
+// noteStall records a writer's stall, if st says it had one: the time
+// under each cause, their total, and the total as one observation. The
+// wait in progress counts up to now: to the write it held up.
+func (db *DB) noteStall(st *stall) {
+	if st.mark <= 0 {
+		return
+	}
+	st.nanos[st.cause] += opClock() - st.mark
+	var total time.Duration
+	for c, d := range st.nanos {
+		if d > 0 {
+			db.stats.stallByCause[c].Add(uint64(d))
+			total += d
+		}
+	}
+	db.stats.stallNanos.Add(uint64(total))
+	db.stats.stallLat.Observe(total)
 }
 
 // helpPublishedDrain moves one batch of the published full drain, if

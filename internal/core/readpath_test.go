@@ -224,8 +224,9 @@ func TestWALRecordsPerPut(t *testing.T) {
 // TestL0BacklogCountsAsStall holds compactions (the trigger is out of
 // reach) with the stall threshold at one file: once a flush lands, a write
 // on the Memtable path waits on the L0 backlog until its context gives up,
-// and that wait is stall time, recorded as one stall — for Put and for
-// Apply, which share admit.
+// and that wait is stall time, recorded as one stall under cause l0 — for
+// Put and for Apply, which share admit. The by-cause series always sum to
+// the total.
 func TestL0BacklogCountsAsStall(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.DisableMembuffer = true // every write takes the path that checks the backlog
@@ -251,6 +252,18 @@ func TestL0BacklogCountsAsStall(t *testing.T) {
 	waitFor(t, "the L0 backlog", func() bool { return db.store.NeedsStall() })
 
 	stalled := func() time.Duration { return time.Duration(db.stats.stallNanos.Load()) }
+	byCause := func(c stallCause) time.Duration { return time.Duration(db.stats.stallByCause[c].Load()) }
+	sumsToTotal := func(when string) {
+		t.Helper()
+		var sum time.Duration
+		for c := range stallCauseNames {
+			sum += byCause(stallCause(c))
+		}
+		if total := stalled(); sum != total {
+			t.Fatalf("%s: the by-cause stall series sum to %v, the total is %v", when, sum, total)
+		}
+	}
+	sumsToTotal("before")
 	const wait = 30 * time.Millisecond
 	for _, op := range []struct {
 		name string
@@ -263,7 +276,7 @@ func TestL0BacklogCountsAsStall(t *testing.T) {
 			return db.Apply(ctx, b)
 		}},
 	} {
-		before, stalls := stalled(), db.stats.stallLat.Count()
+		before, stalls, l0 := stalled(), db.stats.stallLat.Count(), byCause(stallL0)
 		ctx, cancel := context.WithTimeout(bg, wait)
 		err := op.do(ctx)
 		cancel()
@@ -276,6 +289,10 @@ func TestL0BacklogCountsAsStall(t *testing.T) {
 		if got := db.stats.stallLat.Count() - stalls; got != 1 {
 			t.Fatalf("%s added %d observations to flodb_write_stall_seconds, want 1", op.name, got)
 		}
+		if got := byCause(stallL0) - l0; got < wait/2 {
+			t.Fatalf("%s waited %v on the L0 backlog, %v of it counted under cause l0", op.name, wait, got)
+		}
+		sumsToTotal(op.name)
 	}
 }
 

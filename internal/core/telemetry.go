@@ -8,10 +8,11 @@ import (
 // initObs builds the DB's observability layer, which has no off switch.
 // Every statCounters field IS a registered metric — a counter kv.Stats
 // reads (the same atomics /metrics exports, so nothing double-counts) or
-// a latency histogram (every op pays two clock reads) — and the layers
-// that keep their own atomics (wal.Metrics, storage.Metrics, the caches)
-// get CounterFunc/GaugeFunc views computed at scrape time. The event log
-// is threaded into storage and every WAL segment.
+// a latency histogram (every op pays two reads of the monotonic clock,
+// opClock) — and the layers that keep their own atomics (wal.Metrics,
+// storage.Metrics, the caches) get CounterFunc/GaugeFunc views computed at
+// scrape time. The event log is threaded into storage and every WAL
+// segment.
 func (db *DB) initObs() {
 	reg := obs.NewRegistry()
 	db.reg = reg
@@ -34,6 +35,10 @@ func (db *DB) initObs() {
 	s.helpDrains = reg.Counter("flodb_help_drains_total", "Writer visits to the help-drain path.")
 	s.syncBarriers = reg.Counter("flodb_sync_barriers_total", "Explicit Sync durability barriers.")
 	s.stallNanos = reg.Counter("flodb_write_stall_nanoseconds_total", "Writer time stalled on drains, memory backpressure and L0 backlog.")
+	for c, name := range stallCauseNames {
+		s.stallByCause[c] = reg.Counter(`flodb_write_stall_by_cause_nanoseconds_total{cause="`+name+`"}`,
+			"Writer stall time by cause: drain (a seal paused writers), memtable (Memtable full) or l0 (L0 backlog).")
+	}
 	s.inPlaceHits = reg.StripedCounter("flodb_inplace_hits_total", "Membuffer updates that overwrote a resident key in place.")
 
 	// Views over the WAL's own metrics: the acked-vs-durable boundary.

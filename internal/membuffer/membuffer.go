@@ -38,6 +38,7 @@ package membuffer
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"flodb/internal/keys"
 )
@@ -48,12 +49,67 @@ import (
 // occupancies FloDB targets.
 const BucketSlots = 4
 
-// pair is an immutable key/value snapshot stored in a slot.
+// pair is an immutable key/value snapshot stored in a slot: this header at
+// the start of one pointer-free allocation, followed by the key, the value
+// and padding to a word. A probe that compares the key reads the line the
+// header is on. A pair is never written after newPair returns, so a slice
+// of it may outlive its slot: a drained entry's value aliases the pair
+// instead of copying it.
 type pair struct {
-	key       []byte
-	value     []byte
-	tombstone bool
+	klen uint32 // key length; the top bit marks a tombstone
+	vlen uint32
 }
+
+const (
+	pairHeader = int(unsafe.Sizeof(pair{}))
+	tombBit    = 1 << 31
+)
+
+// newPair copies key and value into a fresh pair. A tombstone has no value.
+func newPair(key, value []byte, tombstone bool) *pair {
+	if tombstone {
+		value = nil
+	}
+	buf := make([]byte, pairSize(pairHeader+len(key)+len(value)))
+	copy(buf[pairHeader:], key)
+	copy(buf[pairHeader+len(key):], value)
+	p := (*pair)(unsafe.Pointer(&buf[0]))
+	p.klen, p.vlen = uint32(len(key)), uint32(len(value))
+	if tombstone {
+		p.klen |= tombBit
+	}
+	return p
+}
+
+// pairSize is the allocation a pair of n header, key and value bytes
+// takes: n rounded up to a word, which keeps the header aligned.
+func pairSize(n int) int { return (n + pairHeader - 1) &^ (pairHeader - 1) }
+
+// bytes returns the pair's allocation up to the end of the value.
+func (p *pair) bytes() []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(p)), pairHeader+int(p.keyLen())+int(p.vlen))
+}
+
+func (p *pair) keyLen() uint32  { return p.klen &^ tombBit }
+func (p *pair) tombstone() bool { return p.klen&tombBit != 0 }
+
+func (p *pair) key() []byte {
+	k := pairHeader + int(p.keyLen())
+	return p.bytes()[pairHeader:k:k]
+}
+
+// value returns the value bytes; nil if there are none, so an empty value
+// or a tombstone holds no reference to the pair.
+func (p *pair) value() []byte {
+	if p.vlen == 0 {
+		return nil
+	}
+	b := p.bytes()
+	return b[len(b)-int(p.vlen):]
+}
+
+// size is the bytes the pair's allocation holds.
+func (p *pair) size() int64 { return int64(pairSize(len(p.bytes()))) }
 
 // bucket is one cache line: 8 bytes of lock, 16 of tags, 32 of slots and 8
 // of padding. tags[i] is the high half of the keys.Hash of slots[i]'s key,
@@ -119,7 +175,7 @@ type partition struct {
 	// resident entry: draining costs time in proportion to what is
 	// resident, not to the table's capacity.
 	live atomic.Int64
-	// bytes is the approximate key and value bytes of the live entries.
+	// bytes is the size of the live entries' pairs.
 	bytes atomic.Int64
 	// owned is the drain token: set by the DrainPartition call that claims
 	// from the partition, cleared by the Release or Abort of that batch.
@@ -198,7 +254,8 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 }
 
 // PutHashed is Put for a caller that already holds h, key's keys.Hash.
-// The buffer retains key and value.
+// It copies key and value into the buffer's own pair, so the caller may
+// reuse both as soon as it returns.
 func (b *Buffer) PutHashed(key []byte, h uint64, value []byte, tombstone bool) (stored, inPlace bool) {
 	if b.frozen.Load() {
 		return false, false
@@ -206,7 +263,7 @@ func (b *Buffer) PutHashed(key []byte, h uint64, value []byte, tombstone bool) (
 	part, bi := b.locate(key, h)
 	bk := &b.buckets[bi]
 	tag := tagOf(h)
-	np := &pair{key: key, value: value, tombstone: tombstone}
+	np := newPair(key, value, tombstone)
 	bk.mu.Lock()
 	// Re-check under the lock: Freeze's caller synchronizes via RCU, but
 	// the cheap double check keeps helpers honest in tests.
@@ -223,12 +280,12 @@ func (b *Buffer) PutHashed(key []byte, h uint64, value []byte, tombstone bool) (
 			}
 			continue
 		}
-		if bk.tags[i].Load() == tag && keys.Equal(p.key, key) {
+		if bk.tags[i].Load() == tag && keys.Equal(p.key(), key) {
 			// In-place update: replace the pair. A drainer holding the old
 			// one will find the slot changed and leave it be.
 			bk.slots[i].Store(np)
-			if d := len(value) - len(p.value); d != 0 {
-				b.parts[part].bytes.Add(int64(d))
+			if d := np.size() - p.size(); d != 0 {
+				b.parts[part].bytes.Add(d)
 			}
 			bk.mu.Unlock()
 			return true, true
@@ -245,7 +302,7 @@ func (b *Buffer) PutHashed(key []byte, h uint64, value []byte, tombstone bool) (
 	// first.
 	pt := &b.parts[part]
 	pt.live.Add(1)
-	pt.bytes.Add(int64(len(key)) + int64(len(value)))
+	pt.bytes.Add(np.size())
 	bk.mu.Unlock()
 	return true, false
 }
@@ -263,8 +320,8 @@ func (b *Buffer) GetHashed(key []byte, h uint64) (value []byte, tombstone, ok bo
 	bk := &b.buckets[bi]
 	tag := tagOf(h)
 	for i := range bk.slots {
-		if p := bk.slots[i].Load(); p != nil && bk.tags[i].Load() == tag && keys.Equal(p.key, key) {
-			return p.value, p.tombstone, true
+		if p := bk.slots[i].Load(); p != nil && bk.tags[i].Load() == tag && keys.Equal(p.key(), key) {
+			return p.value(), p.tombstone(), true
 		}
 	}
 	return nil, false, false
@@ -292,7 +349,8 @@ func (b *Buffer) Len() int {
 	return int(n)
 }
 
-// ApproxBytes returns the approximate bytes held.
+// ApproxBytes returns the bytes the live entries' pairs hold: key, value
+// and a few bytes of header and padding each.
 func (b *Buffer) ApproxBytes() int64 {
 	n := int64(0)
 	for i := range b.parts {
@@ -323,6 +381,9 @@ func (b *Buffer) NextPartition() int {
 
 // Drained is a claimed entry handed to a draining thread. The drainer must
 // call Release after the entry has been safely inserted downstream.
+//
+// Key and Value alias the entry's pair, which is never written again, so
+// whoever keeps Value keeps the whole pair alive (Held).
 type Drained struct {
 	Key       []byte
 	Value     []byte
@@ -331,6 +392,15 @@ type Drained struct {
 	bucketIdx int
 	slotIdx   int
 	p         *pair
+}
+
+// Held is the bytes a holder of d.Value keeps alive: the pair's whole
+// allocation, key and header included, or nothing if Value is empty.
+func (d *Drained) Held() int64 {
+	if len(d.Value) == 0 {
+		return 0
+	}
+	return d.p.size()
 }
 
 // DrainPartition takes partition part's drain token and claims up to max
@@ -369,7 +439,7 @@ func (b *Buffer) DrainPartition(part, max int) []Drained {
 			}
 			resident--
 			out = append(out, Drained{
-				Key: p.key, Value: p.value, Tombstone: p.tombstone,
+				Key: p.key(), Value: p.value(), Tombstone: p.tombstone(),
 				bucketIdx: bi, slotIdx: si, p: p,
 			})
 		}
@@ -404,7 +474,7 @@ func (b *Buffer) Release(drained []Drained) {
 			bk.slots[d.slotIdx].Store(nil)
 			pt := &b.parts[d.bucketIdx/b.perPart]
 			pt.live.Add(-1)
-			pt.bytes.Add(-int64(len(d.Key)) - int64(len(d.Value)))
+			pt.bytes.Add(-d.p.size())
 		}
 		bk.mu.Unlock()
 	}
@@ -435,7 +505,7 @@ func (b *Buffer) ForEach(fn func(key, value []byte, tombstone bool)) {
 		bk := &b.buckets[bi]
 		for si := range bk.slots {
 			if p := bk.slots[si].Load(); p != nil {
-				fn(p.key, p.value, p.tombstone)
+				fn(p.key(), p.value(), p.tombstone())
 			}
 		}
 	}

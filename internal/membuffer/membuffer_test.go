@@ -418,12 +418,12 @@ func TestBucketsDoNotOverlap(t *testing.T) {
 			if p == nil {
 				continue
 			}
-			h := keys.Hash(p.key)
-			if _, want := b.locate(p.key, h); want != bi {
-				t.Fatalf("key %x in bucket %d, maps to %d", p.key, bi, want)
+			h := keys.Hash(p.key())
+			if _, want := b.locate(p.key(), h); want != bi {
+				t.Fatalf("key %x in bucket %d, maps to %d", p.key(), bi, want)
 			}
 			if got := b.buckets[bi].tags[si].Load(); got != tagOf(h) {
-				t.Fatalf("key %x: slot tag %#x, want %#x", p.key, got, tagOf(h))
+				t.Fatalf("key %x: slot tag %#x, want %#x", p.key(), got, tagOf(h))
 			}
 		}
 	}
@@ -554,5 +554,83 @@ func TestDrainSkipsEmptyAndStopsEarly(t *testing.T) {
 			t.Fatal("frozen buffer accepted a write")
 		}
 		b.Reset()
+	}
+}
+
+// TestPutCopiesCallerBuffers: the buffer keeps no reference to the key and
+// value it is handed. Overwriting them right after PutHashed changes
+// nothing Get, ForEach or a drain returns, and a drained entry charges its
+// holder for the whole pair.
+func TestPutCopiesCallerBuffers(t *testing.T) {
+	b := newSmall()
+	const n = 40
+	key, val := make([]byte, 8), make([]byte, 24)
+	want := map[string]string{}
+	for i := 0; i < n; i++ {
+		k := keys.EncodeUint64(uint64(i) * 0x9e3779b97f4a7c15)
+		copy(key, k)
+		for j := range val {
+			val[j] = byte(i)
+		}
+		tomb := i%5 == 0
+		if ok, _ := b.PutHashed(key, keys.Hash(key), val, tomb); !ok {
+			continue
+		}
+		if tomb {
+			want[string(k)] = "tombstone"
+		} else {
+			want[string(k)] = string(val)
+		}
+		for j := range key {
+			key[j] = 0xff
+		}
+		for j := range val {
+			val[j] = 0xee
+		}
+	}
+	if len(want) < n/2 {
+		t.Fatalf("only %d of %d Puts stored", len(want), n)
+	}
+	got := func(v []byte, tomb bool) string {
+		if tomb {
+			if v != nil {
+				t.Fatalf("a tombstone carries value %q", v)
+			}
+			return "tombstone"
+		}
+		return string(v)
+	}
+	for k, w := range want {
+		v, tomb, ok := b.Get([]byte(k))
+		if !ok || got(v, tomb) != w {
+			t.Fatalf("Get(%x) = %q ok=%v, want %q", k, v, ok, w)
+		}
+	}
+	seen := 0
+	b.ForEach(func(k, v []byte, tomb bool) {
+		if got(v, tomb) != want[string(k)] {
+			t.Fatalf("ForEach(%x) = %q, want %q", k, v, want[string(k)])
+		}
+		seen++
+	})
+	d := b.DrainAll()
+	if seen != len(want) || len(d) != len(want) {
+		t.Fatalf("ForEach saw %d, drain claimed %d, of %d entries", seen, len(d), len(want))
+	}
+	for i := range d {
+		e := &d[i]
+		if got(e.Value, e.Tombstone) != want[string(e.Key)] {
+			t.Fatalf("drained %x = %q, want %q", e.Key, e.Value, want[string(e.Key)])
+		}
+		switch held := e.Held(); {
+		case e.Tombstone && held != 0:
+			t.Fatalf("a drained tombstone holds %d bytes", held)
+		case !e.Tombstone && held < int64(len(e.Key)+len(e.Value)):
+			t.Fatalf("drained %x holds %d bytes, less than its key and value", e.Key, held)
+		}
+	}
+	b.Release(d)
+	if b.Len() != 0 || b.ApproxBytes() != 0 {
+		t.Fatalf("Len %d bytes %d after release", b.Len(), b.ApproxBytes())
 	}
 }

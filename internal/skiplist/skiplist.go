@@ -80,12 +80,24 @@ type Entry struct {
 	Seq       uint64
 	CreateSeq uint64
 	Tombstone bool
+	// Held, when not 0, is what ApproxBytes charges for Value instead of
+	// its length: a Value that aliases a larger allocation (a drained
+	// Membuffer pair, key included) keeps all of it alive.
+	Held uint32
 
 	// prev links to the newest older version this list's Retention still
 	// needs (nil when no snapshot bound can observe one). It is atomic
 	// because pruning relinks chains concurrently with readers walking
 	// them.
 	prev atomic.Pointer[Entry]
+}
+
+// held is what ApproxBytes charges for e's value.
+func (e *Entry) held() int64 {
+	if e.Held != 0 {
+		return int64(e.Held)
+	}
+	return int64(len(e.Value))
 }
 
 // PrevVersion returns the next-older retained version, or nil.
@@ -379,7 +391,7 @@ func (l *List) insert(key []byte, e *Entry, s *splice) (uint32, bool) {
 			s.prev[lvl] = nd
 		}
 		l.length.Add(1)
-		l.bytes.Add(size + entryBytes + int64(len(e.Value)))
+		l.bytes.Add(size + entryBytes + e.held())
 		return nd, true
 	}
 }
@@ -403,7 +415,7 @@ func (l *List) update(n uint32, e *Entry) {
 		}
 		if slot.CompareAndSwap(old, e) {
 			l.updates.Add(1)
-			l.bytes.Add(int64(len(e.Value)) - int64(len(old.Value)))
+			l.bytes.Add(e.held() - old.held())
 			return
 		}
 	}
@@ -477,8 +489,9 @@ func ResolveAt(e *Entry, maxSeq uint64) (*Entry, bool) {
 func (l *List) Len() int { return int(l.length.Load()) }
 
 // ApproxBytes returns the memory the list holds for its keys: each node's
-// arena bytes, a fixed charge for its Entry and slot, and the current value
-// (superseded values and arena slack are not counted).
+// arena bytes, a fixed charge for its Entry and slot, and what the current
+// value holds (Entry.Held; superseded values and arena slack are not
+// counted).
 func (l *List) ApproxBytes() int64 { return l.bytes.Load() }
 
 // Updates returns the number of in-place updates performed.

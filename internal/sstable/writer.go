@@ -28,6 +28,10 @@ type Meta struct {
 	MinSeq, MaxSeq   uint64
 	Size             int64
 	TombstoneEntries uint64
+	// Filter is the filter Finish built and wrote, nil for a table
+	// written without one: the same filter a Reader of the table decodes,
+	// handed on so the table need not be opened to get it.
+	Filter *Filter
 }
 
 // Writer builds an sstable. Entries must be appended in strictly increasing
@@ -161,8 +165,9 @@ func (w *Writer) Finish() (Meta, error) {
 		ftr.maxSeq = w.maxSeq
 	}
 
+	var bloom *Filter
 	if w.opts.BloomBitsPerKey >= 0 {
-		bloom := newBloom(len(w.hashes), w.opts.BloomBitsPerKey)
+		bloom = newBloom(len(w.hashes), w.opts.BloomBitsPerKey)
 		for _, h := range w.hashes {
 			bloom.add(h)
 		}
@@ -203,6 +208,7 @@ func (w *Writer) Finish() (Meta, error) {
 		Largest:          append([]byte(nil), w.largest...),
 		Size:             int64(w.fileOff),
 		TombstoneEntries: w.tombstones,
+		Filter:           bloom,
 	}
 	if w.count > 0 {
 		m.MinSeq, m.MaxSeq = w.minSeq, w.maxSeq

@@ -201,10 +201,7 @@ func (s *Store) runCompaction(c *compaction) error {
 		if err != nil {
 			return err
 		}
-		outputs = append(outputs, FileMeta{
-			Num: wNum, Size: m.Size, Smallest: m.Smallest, Largest: m.Largest,
-			MinSeq: m.MinSeq, MaxSeq: m.MaxSeq, Count: m.Count,
-		})
+		outputs = append(outputs, newFileMeta(wNum, m))
 		w = nil
 		return nil
 	}

@@ -236,8 +236,9 @@ func TestRowCacheOnlyGetsFill(t *testing.T) {
 // newest L0 file holds is answered by one probe; the older files that also
 // hold it are not asked — unless their sequence ranges say they might hold
 // something newer, as a file flushed out of order does. A key no file holds
-// is turned away by every filter without one table-cache lookup, also after
-// a reopen, when the filters first have to be fetched from the tables.
+// is turned away by every filter without a table-cache lookup: the filters
+// came from the tables' writers. After a reopen each file is opened once,
+// to fetch its filter.
 func TestTableFilterProbe(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{L0CompactionTrigger: 100})
@@ -297,10 +298,10 @@ func TestTableFilterProbe(t *testing.T) {
 		}
 	}
 	// Keys in the range of all four files (but for the last) and in none of
-	// them. Besides one lookup per filter pass, each of the two files no Get
-	// has probed yet is opened once, for its filter.
+	// them. Every file's filter came from its writer, so the table cache
+	// sees one lookup per filter pass and nothing else.
 	m := during(absent)
-	if passes := m.BloomChecks - m.BloomNegatives; m.BloomChecks != 4*(n-1) || m.BloomNegatives < 4*n*9/10 || m.TableCacheHits+m.TableCacheMisses != passes+2 {
+	if passes := m.BloomChecks - m.BloomNegatives; m.BloomChecks != 4*(n-1) || m.BloomNegatives < 4*n*9/10 || m.TableCacheHits+m.TableCacheMisses != passes {
 		t.Fatalf("absent keys: %d checks, %d negatives, %d table-cache lookups", m.BloomChecks, m.BloomNegatives, m.TableCacheHits+m.TableCacheMisses)
 	}
 
@@ -315,4 +316,59 @@ func TestTableFilterProbe(t *testing.T) {
 		t.Fatalf("after a reopen: %d negatives, %d passes, table cache %d misses / %d hits; want one open per file, to fetch its filter", m.BloomNegatives, passes, m.TableCacheMisses, m.TableCacheHits)
 	}
 	getAll('c', 3000)
+}
+
+// TestNewTableFilterFromWriter: a table this process wrote — a flush's or a
+// compaction's output — answers a Get its filter rejects without being
+// opened. The filter comes from the table's writer, so such a Get adds no
+// table-cache miss, and only a Get the filter lets by looks the table up.
+func TestNewTableFilterFromWriter(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{L0CompactionTrigger: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 400
+	flush := func(seqBase uint64) {
+		t.Helper()
+		var es []memEntry
+		for i := 0; i < n; i++ {
+			es = append(es, memEntry{key: keys.EncodeUint64(uint64(2 * i)), seq: seqBase + uint64(i), kind: keys.KindSet, value: []byte("v")})
+		}
+		if _, err := s.Flush(&memIter{entries: es}, 2, seqBase+n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	absent := func(stage string) {
+		t.Helper()
+		for i := 0; i < n-1; i++ {
+			before := s.Metrics()
+			if _, _, _, ok, err := s.Get(keys.EncodeUint64(uint64(2*i + 1))); err != nil || ok {
+				t.Fatalf("%s: absent key %d: ok=%v err=%v", stage, i, ok, err)
+			}
+			m := s.Metrics()
+			rejected := m.BloomNegatives - before.BloomNegatives
+			lookups := m.TableCacheHits + m.TableCacheMisses - before.TableCacheHits - before.TableCacheMisses
+			if m.BloomChecks-before.BloomChecks != 1 {
+				t.Fatalf("%s: a Get over one table consulted %d filters", stage, m.BloomChecks-before.BloomChecks)
+			}
+			if rejected == 1 && lookups != 0 {
+				t.Fatalf("%s: a Get the filter rejected made %d table-cache lookups (%d misses)",
+					stage, lookups, m.TableCacheMisses-before.TableCacheMisses)
+			}
+		}
+	}
+	flush(1)
+	if s.NumLevelFiles(0) != 1 {
+		t.Fatalf("%d L0 files after one flush", s.NumLevelFiles(0))
+	}
+	absent("flushed L0 table")
+
+	flush(1 + n)
+	s.MaybeScheduleCompaction()
+	s.WaitForCompactions()
+	if s.NumLevelFiles(0) != 0 || s.NumLevelFiles(1) != 1 {
+		t.Fatalf("after the compaction: %d L0 and %d L1 files, want 0 and 1", s.NumLevelFiles(0), s.NumLevelFiles(1))
+	}
+	absent("compacted L1 table")
 }

@@ -254,10 +254,8 @@ func (s *Store) Flush(it InternalIterator, newLogNum, lastSeq uint64) (*FileMeta
 		if err != nil {
 			return nil, err
 		}
-		fm = &FileMeta{
-			Num: num, Size: m.Size, Smallest: m.Smallest, Largest: m.Largest,
-			MinSeq: m.MinSeq, MaxSeq: m.MaxSeq, Count: m.Count,
-		}
+		f := newFileMeta(num, m)
+		fm = &f
 		edit.Added = append(edit.Added, AddedFile{Level: 0, Meta: *fm})
 	}
 

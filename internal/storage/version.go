@@ -25,16 +25,35 @@ type FileMeta struct {
 	// filter points at the cell holding the table's filter, which is how a
 	// point read rejects the file without opening it. The cell is shared by
 	// every copy of the metadata (versions hand files on by pointer, edits
-	// by value), starts empty — the manifest does not carry filters — and is
-	// filled from the table's Reader by the first probe that needs it.
+	// by value). A table this process wrote gets the filter its writer
+	// built (newFileMeta); one known only from the manifest, which does not
+	// carry filters, starts empty and is filled from the table's Reader by
+	// the first probe that needs it.
 	filter *atomic.Pointer[sstable.Filter]
+}
+
+// newFileMeta describes table num, which a writer just finished as m, with
+// the filter cell filled from the writer's filter.
+func newFileMeta(num uint64, m sstable.Meta) FileMeta {
+	f := FileMeta{
+		Num: num, Size: m.Size, Smallest: m.Smallest, Largest: m.Largest,
+		MinSeq: m.MinSeq, MaxSeq: m.MaxSeq, Count: m.Count,
+		filter: new(atomic.Pointer[sstable.Filter]),
+	}
+	if m.Filter != nil {
+		f.filter.Store(m.Filter)
+	} else {
+		f.filter.Store(noFilter)
+	}
+	return f
 }
 
 // noFilter fills the cell of a table written without a filter.
 var noFilter = new(sstable.Filter)
 
 // tableFilter returns f's filter, nil if its table has none, opening the
-// table to fetch it if no probe has yet.
+// table to fetch it if neither its writer nor an earlier probe has filled
+// the cell — only for a table known from the manifest of an earlier run.
 func (f *FileMeta) tableFilter(tc *tableCache) (*sstable.Filter, error) {
 	flt := f.filter.Load()
 	if flt == nil {
@@ -238,7 +257,9 @@ func (b *versionBuilder) apply(e *VersionEdit) {
 	}
 	for _, a := range e.Added {
 		f := a.Meta
-		f.filter = new(atomic.Pointer[sstable.Filter])
+		if f.filter == nil { // from the manifest: no filter until a probe opens the table
+			f.filter = new(atomic.Pointer[sstable.Filter])
+		}
 		b.added[a.Level] = append(b.added[a.Level], &f)
 	}
 }

@@ -11,18 +11,24 @@
 //
 // # Group commit
 //
-// Durability is decoupled from appending. Append never fsyncs: it stages
-// the record (bufio) under a short mutex and returns the log offset the
-// record ends at. A committer that needs durability calls SyncTo with that
-// offset; concurrent committers coalesce into a leader/follower commit
-// queue: the first caller through becomes the leader, flushes and fsyncs
-// once on behalf of EVERYONE whose record was appended by then, and the
-// followers — which were blocked behind the in-flight barrier — observe
-// that the durable horizon already covers them and return without touching
-// the disk. One disk barrier thus acknowledges many writers, which is what
-// keeps a memory-speed ingest path (the paper's whole point) alive when
-// durability is turned on: N concurrent sync committers cost O(1), not
-// O(N), fsyncs.
+// Durability is decoupled from appending. Append never fsyncs: it copies
+// the record into the active one of two staging buffers under a short
+// mutex and returns the log offset the record ends at. The appender that
+// fills a buffer swaps in the other and writes the full one to the file
+// after releasing the mutex, so no appender waits behind another's write
+// syscall unless both buffers are full. One write is in flight at a time,
+// which keeps the file in append order.
+//
+// A committer that needs durability calls SyncTo with that offset;
+// concurrent committers coalesce into a leader/follower commit queue: the
+// first caller through becomes the leader, writes out what is staged and
+// fsyncs once on behalf of EVERYONE whose record was appended by then, and
+// the followers — which were blocked behind the in-flight barrier —
+// observe that the durable horizon already covers them and return without
+// touching the disk. One disk barrier thus acknowledges many writers,
+// which is what keeps a memory-speed ingest path (the paper's whole point)
+// alive when durability is turned on: N concurrent sync committers cost
+// O(1), not O(N), fsyncs.
 package wal
 
 import (
@@ -123,21 +129,26 @@ func (m *Metrics) advanceDurable(idx uint64) {
 // package comment. Close does NOT fsync — callers that need the tail
 // durable must Sync first (DB close paths do).
 type Writer struct {
-	// mu guards staging: the bufio writer, the appended offset, and
-	// closed. It is held only for memory-speed work (never across an
-	// fsync), so appenders are not serialized behind disk barriers.
-	mu      sync.Mutex
+	// mu guards staging: the two buffers, the offsets, the sticky write
+	// error and closed. It is held only for memory-speed work, never across
+	// a write or an fsync, so appenders are not serialized behind the disk.
+	mu sync.Mutex
+	// written signals, under mu, the end of a file write: spare is back.
+	written sync.Cond
 	f       *os.File
-	bw      *bufio.Writer
-	closed  bool
-	written int64  // bytes appended (logical end offset, incl. framing)
-	lastRec uint64 // commit index (Metrics.appends) of the last record
-	// writeThrough flushes the bufio on every Append (Options.WriteThrough).
+	// buf is the active buffer appenders copy into. spare is the other
+	// one, nil while it is being written to the file: one write is in
+	// flight at a time, so the file receives the buffers in order.
+	buf, spare []byte
+	bufSize    int   // the buffers' capacity (Options.BufferSize)
+	end        int64 // bytes appended (logical end offset, incl. framing)
+	flushed    int64 // bytes handed to the file by completed writes
+	werr       error // sticky: the first failed file write
+	closed     bool
+	lastRec    uint64 // commit index (Metrics.appends) of the last record
+	// writeThrough writes every record to the file before Append returns
+	// (Options.WriteThrough).
 	writeThrough bool
-	// scratch holds, under mu, a record's header and framing on their way
-	// into bw: bufio.Writer.Write passes its argument on to the file, so a
-	// header on the appender's stack would escape to the heap.
-	scratch [headerSize + kv.MaxRecordFraming]byte
 
 	// commitMu is the commit queue: holders are sync leaders, waiters are
 	// followers. synced is the durable offset; it is atomic so the
@@ -158,8 +169,11 @@ type Writer struct {
 
 	// fsyncGate, when non-nil, runs inside the leader's commit (after the
 	// flush, before the fsync). Tests use it to hold a leader in the
-	// barrier and observe followers coalescing behind it.
+	// barrier and observe followers coalescing behind it. writeGate, when
+	// non-nil, runs before each file write, outside mu: tests use it to
+	// hold a write and watch appenders go on.
 	fsyncGate func()
+	writeGate func()
 }
 
 // DefaultStallThreshold is the group-commit wait above which a wal-stall
@@ -170,18 +184,20 @@ const DefaultStallThreshold = 10 * time.Millisecond
 
 // Options configure a Writer.
 type Options struct {
-	// BufferSize is the bufio size; 0 means 64 KiB.
+	// BufferSize is the size of each of the two staging buffers; 0 means
+	// 64 KiB.
 	BufferSize int
 	// Metrics, when non-nil, receives this writer's counters. Share one
 	// Metrics across a store's segments to track the store-wide
 	// acked-vs-durable boundary.
 	Metrics *Metrics
 	// WriteThrough makes Append push every record to the OS before
-	// acknowledging it (a bufio flush per record, still no fsync). With it
-	// on, a process kill — SIGKILL included — loses no acknowledged
-	// record to user-space staging: the buffered window shrinks to what a
-	// MACHINE crash can lose. Replicated deployments run their nodes this
-	// way so quorum-acked writes survive any single process death.
+	// acknowledging it (a file write per record, or per group of records
+	// staged while the previous write ran; still no fsync). With it on, a
+	// process kill — SIGKILL included — loses no acknowledged record to
+	// user-space staging: the buffered window shrinks to what a MACHINE
+	// crash can lose. Replicated deployments run their nodes this way so
+	// quorum-acked writes survive any single process death.
 	WriteThrough bool
 	// Events, when non-nil, receives a wal-stall event whenever a
 	// committer waits longer than StallThreshold in the group-commit
@@ -205,14 +221,18 @@ func Create(path string, opts Options) (*Writer, error) {
 	if st <= 0 {
 		st = DefaultStallThreshold
 	}
-	return &Writer{
+	w := &Writer{
 		f:              f,
-		bw:             bufio.NewWriterSize(f, bs),
+		buf:            make([]byte, 0, bs),
+		spare:          make([]byte, 0, bs),
+		bufSize:        bs,
 		metrics:        opts.Metrics,
 		writeThrough:   opts.WriteThrough,
 		events:         opts.Events,
 		stallThreshold: st,
-	}, nil
+	}
+	w.written.L = &w.mu
+	return w, nil
 }
 
 // Append stages one record and returns the log offset it ends at — the
@@ -233,44 +253,129 @@ func (w *Writer) AppendRecord(kind keys.Kind, key, value []byte) (int64, error) 
 }
 
 // gather stages the record pre | a | mid | b. The checksum is taken
-// before the lock; under it, the header and the two framing parts pre and
-// mid are copied into the writer's scratch space, so the caller's may live
-// on its stack, and a and b go to the log buffer from where they lie.
+// before the lock; under it, the header and the four parts are copied
+// into the active buffer. The appender whose record fills the buffer
+// copies what fits, swaps in the spare buffer for the rest, and writes the
+// full one to the file after releasing mu, so other appenders copy on
+// meanwhile. Writes are thus whole buffers at buffer-aligned offsets,
+// which the kernel takes faster than writes that start mid-page. An
+// appender waits only if its record would fill the buffer while the spare
+// is still being written (the disk is behind).
 func (w *Writer) gather(pre, a, mid, b []byte) (int64, error) {
 	n := len(pre) + len(a) + len(mid) + len(b)
 	if n > MaxRecordSize {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", n)
 	}
-	var length [4]byte
-	binary.LittleEndian.PutUint32(length[:], uint32(n))
-	crc := crcFraming(0, length[:])
+	var head [headerSize]byte
+	binary.LittleEndian.PutUint32(head[4:], uint32(n))
+	crc := crcFraming(0, head[4:])
 	crc = crcFraming(crc, pre)
 	crc = crc32.Update(crc, castagnoli, a)
 	crc = crcFraming(crc, mid)
 	crc = crc32.Update(crc, castagnoli, b)
+	binary.LittleEndian.PutUint32(head[:4], crc)
 
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, ErrClosed
+	err := w.stagingErr()
+	for err == nil && w.spare == nil && len(w.buf)+headerSize+n >= cap(w.buf) {
+		w.written.Wait()
+		err = w.stagingErr()
 	}
-	head := binary.LittleEndian.AppendUint32(w.scratch[:0], crc)
-	head = append(head, length[:]...)
-	head = append(head, pre...)
-	midCopy := append(head[len(head):], mid...)
-	if err := w.write(head, a, midCopy, b); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+	if err != nil {
+		w.mu.Unlock()
+		return 0, err
 	}
-	if w.writeThrough {
-		if err := w.bw.Flush(); err != nil {
-			return 0, fmt.Errorf("wal: append flush: %w", err)
+	var full []byte
+	for _, p := range [...][]byte{head[:], pre, a, mid, b} {
+		if room := cap(w.buf) - len(w.buf); full == nil && len(p) >= room {
+			w.buf = append(w.buf, p[:room]...)
+			p = p[room:]
+			full = w.swap()
 		}
+		w.buf = append(w.buf, p...)
 	}
-	w.written += int64(headerSize + n)
+	w.end += int64(headerSize + n)
 	if w.metrics != nil {
 		w.lastRec = w.metrics.appends.Add(1)
 	}
-	return w.written, nil
+	off, fullEnd := w.end, w.end-int64(len(w.buf))
+	w.mu.Unlock()
+
+	if full != nil {
+		if err := w.writeOut(full, fullEnd); err != nil {
+			return 0, fmt.Errorf("wal: append: %w", err)
+		}
+	}
+	if w.writeThrough {
+		if err := w.flushTo(off); err != nil {
+			return 0, fmt.Errorf("wal: append flush: %w", err)
+		}
+	}
+	return off, nil
+}
+
+// stagingErr is why nothing more can be staged, if anything: the writer
+// is closed, or a write to the file failed. w.mu is held.
+func (w *Writer) stagingErr() error {
+	if w.closed {
+		return ErrClosed
+	}
+	if w.werr != nil {
+		return fmt.Errorf("wal: append: %w", w.werr)
+	}
+	return nil
+}
+
+// swap hands the active buffer over for writing and makes the spare
+// active. The spare must be back (w.spare != nil). w.mu is held.
+func (w *Writer) swap() []byte {
+	full := w.buf
+	w.buf, w.spare = w.spare, nil
+	return full
+}
+
+// writeOut writes p, a buffer swap took out, to the file; p ends at log
+// offset end. It runs outside w.mu, then returns p as the spare buffer.
+func (w *Writer) writeOut(p []byte, end int64) error {
+	if w.writeGate != nil {
+		w.writeGate()
+	}
+	_, err := w.f.Write(p)
+	if cap(p) > w.bufSize {
+		p = make([]byte, 0, w.bufSize) // a record larger than the buffer grew it
+	}
+	w.mu.Lock()
+	if err == nil {
+		w.flushed = end
+	} else if w.werr == nil {
+		w.werr = err
+	}
+	w.spare = p[:0]
+	w.written.Broadcast()
+	w.mu.Unlock()
+	return err
+}
+
+// flushTo returns once every byte below off has been written to the file,
+// writing the active buffer itself when no write is in flight.
+func (w *Writer) flushTo(off int64) error {
+	w.mu.Lock()
+	for w.flushed < off && w.werr == nil {
+		if w.spare == nil {
+			w.written.Wait()
+			continue
+		}
+		end := w.end
+		full := w.swap()
+		w.mu.Unlock()
+		if err := w.writeOut(full, end); err != nil {
+			return err
+		}
+		w.mu.Lock()
+	}
+	err := w.werr
+	w.mu.Unlock()
+	return err
 }
 
 // crcFraming is crc32.Update(crc, castagnoli, p) a byte at a time, for the
@@ -282,19 +387,6 @@ func crcFraming(crc uint32, p []byte) uint32 {
 		crc = castagnoli[byte(crc)^v] ^ crc>>8
 	}
 	return ^crc
-}
-
-// write copies its parts, in order, into the log buffer. w.mu is held.
-func (w *Writer) write(parts ...[]byte) error {
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		if _, err := w.bw.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SyncTo blocks until every record at offset <= off is durable, issuing at
@@ -325,23 +417,22 @@ func (w *Writer) SyncTo(off int64) error {
 		w.noteStall(queuedAt, "follower")
 		return nil
 	}
-	// Leader path: flush the staging buffer under mu (memory-speed),
-	// capture the horizon, then fsync with mu RELEASED so appenders and
-	// future followers keep streaming while the barrier runs.
+	// Leader path: capture the horizon, write the staged bytes up to it,
+	// then fsync — all with mu RELEASED, so appenders and future followers
+	// keep streaming while the barrier runs.
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return ErrClosed
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.mu.Unlock()
+	target := w.end
+	targetRec := w.lastRec
+	w.mu.Unlock()
+	if err := w.flushTo(target); err != nil {
 		err = fmt.Errorf("wal: flush: %w", err)
 		w.storeSyncErr(err)
 		return err
 	}
-	target := w.written
-	targetRec := w.lastRec
-	w.mu.Unlock()
 
 	if w.fsyncGate != nil {
 		w.fsyncGate()
@@ -373,19 +464,21 @@ func (w *Writer) noteStall(queuedAt time.Time, role string) {
 	}
 }
 
-// Flush pushes the staging buffer to the OS (no disk barrier): appended
-// records survive a process crash past this point, though a machine
-// crash can still lose them. Segment rotation seals call it so that the
-// cross-segment replay order stays a clean prefix — a sealed segment
-// never holds unflushed records behind a successor segment that is
-// already accumulating flushed ones.
+// Flush pushes everything appended before the call to the OS (no disk
+// barrier): those records survive a process crash past this point, though
+// a machine crash can still lose them. Segment rotation seals call it so
+// that the cross-segment replay order stays a clean prefix — a sealed
+// segment never holds unflushed records behind a successor segment that
+// is already accumulating flushed ones.
 func (w *Writer) Flush() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
+		w.mu.Unlock()
 		return ErrClosed
 	}
-	if err := w.bw.Flush(); err != nil {
+	off := w.end
+	w.mu.Unlock()
+	if err := w.flushTo(off); err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
 	return nil
@@ -399,7 +492,7 @@ func (w *Writer) Sync() error {
 		w.mu.Unlock()
 		return ErrClosed
 	}
-	off := w.written
+	off := w.end
 	w.mu.Unlock()
 	return w.SyncTo(off)
 }
@@ -419,7 +512,7 @@ func (w *Writer) storeSyncErr(err error) {
 func (w *Writer) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.written
+	return w.end
 }
 
 // Durable returns the offset covered by the last disk barrier. The bytes
@@ -444,31 +537,48 @@ func (w *Writer) MarkContentsDurable() {
 // durability is required.
 func (w *Writer) Close() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
+		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
+	off := w.end
+	w.mu.Unlock()
+	err := w.flushTo(off)
+	w.waitIdle()
+	cerr := w.f.Close()
+	if err != nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
+	return cerr
+}
+
+// Abandon closes the file WITHOUT flushing the active buffer, discarding
+// every record appended since the last write to the file — the write-loss
+// shape of a machine crash (records acked-buffered but never flushed). A
+// write already in flight lands first. Crash-recovery tests use it to open
+// the acked-but-lost window deliberately; production code has no reason to
+// call it.
+func (w *Writer) Abandon() error {
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		return nil
+	}
+	w.closed = true
+	w.mu.Unlock()
+	w.waitIdle()
 	return w.f.Close()
 }
 
-// Abandon closes the file WITHOUT flushing the staging buffer, discarding
-// every record since the last flush — the write-loss shape of a machine
-// crash (records acked-buffered but never flushed). Crash-recovery tests
-// use it to open the acked-but-lost window deliberately; production code
-// has no reason to call it.
-func (w *Writer) Abandon() error {
+// waitIdle waits out the file write in flight, if any. On a closed writer
+// that has been flushed no new one starts, so the file may then be closed.
+func (w *Writer) waitIdle() {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
+	for w.spare == nil {
+		w.written.Wait()
 	}
-	w.closed = true
-	return w.f.Close()
+	w.mu.Unlock()
 }
 
 // Reader replays a log file sequentially.

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
@@ -20,46 +21,50 @@ func tempLog(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "000001.wal")
 }
 
+// TestRoundTrip replays what was appended, also with a staging buffer
+// smaller than the records, which span it or outgrow it.
 func TestRoundTrip(t *testing.T) {
-	path := tempLog(t)
-	w, err := Create(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := [][]byte{
-		[]byte("first"),
-		{},
-		bytes.Repeat([]byte("x"), 100_000),
-		[]byte("last"),
-	}
-	for _, rec := range records {
-		if _, err := w.Append(rec); err != nil {
+	for _, opts := range []Options{{}, {BufferSize: 64}} {
+		path := tempLog(t)
+		w, err := Create(path, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+		records := [][]byte{
+			[]byte("first"),
+			{},
+			bytes.Repeat([]byte("x"), 100_000),
+			[]byte("last"),
+		}
+		for _, rec := range records {
+			if _, err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for i, want := range records {
-		got, err := r.Next()
+		r, err := Open(path)
 		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("record %d: got %d bytes, want %d", i, len(got), len(want))
+		for i, want := range records {
+			got, err := r.Next()
+			if err != nil {
+				t.Fatalf("buffer %d: record %d: %v", opts.BufferSize, i, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("buffer %d: record %d: got %d bytes, want %d", opts.BufferSize, i, len(got), len(want))
+			}
 		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("buffer %d: expected EOF, got %v", opts.BufferSize, err)
+		}
+		r.Close()
 	}
 }
 
@@ -428,35 +433,169 @@ func TestPropertyRoundTripRandomRecords(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppends runs appenders that now and then sync: every
+// record replays, each appender's in its order, and every acknowledged
+// sync is covered by the file. With buffers a few records long, nearly
+// every Append swaps buffers or waits for the spare, with and without
+// write-through.
 func TestConcurrentAppends(t *testing.T) {
-	path := tempLog(t)
-	w, _ := Create(path, Options{})
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 500; i++ {
-				rec := make([]byte, 1+rand.Intn(64))
-				rec[0] = byte(g)
-				w.Append(rec)
+	for _, opts := range []Options{{}, {BufferSize: 128}, {BufferSize: 128, WriteThrough: true}} {
+		path := tempLog(t)
+		w, err := Create(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const writers, perWriter = 4, 500
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					rec := make([]byte, 3+rand.Intn(64))
+					rec[0], rec[1], rec[2] = byte(g), byte(i), byte(i>>8)
+					off, err := w.Append(rec)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if i%50 == 0 {
+						if err := w.SyncTo(off); err != nil {
+							t.Error(err)
+							return
+						}
+						if st, err := os.Stat(path); err != nil {
+							t.Error(err)
+						} else if st.Size() < off {
+							t.Errorf("%+v: synced to %d, file holds %d bytes", opts, off, st.Size())
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		next := make([]int, writers)
+		if err := ReplayAll(path, func(rec []byte) error {
+			g, i := rec[0], int(rec[1])|int(rec[2])<<8
+			if i != next[g] {
+				t.Fatalf("%+v: writer %d: record %d replayed where %d was due", opts, g, i, next[g])
 			}
-		}(g)
+			next[g]++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for g, n := range next {
+			if n != perWriter {
+				t.Fatalf("%+v: writer %d: %d of %d records", opts, g, n, perWriter)
+			}
+		}
 	}
-	for g := 0; g < 4; g++ {
-		<-done
+}
+
+// TestAppendProceedsDuringFileWrite holds the file write of a full buffer
+// and shows a second Append completing meanwhile: appenders copy into the
+// other buffer and wait on no one's write syscall. If the second Append
+// waits for the held write, the test fails at its deadline rather than
+// hang, releasing the write first.
+func TestAppendProceedsDuringFileWrite(t *testing.T) {
+	path := tempLog(t)
+	w, err := Create(path, Options{BufferSize: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	w.Close()
-	counts := map[byte]int{}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	w.writeGate = func() {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
+	recs := [][]byte{bytes.Repeat([]byte("a"), 40), bytes.Repeat([]byte("b"), 40), []byte("cccc")}
+	if _, err := w.Append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	// The second record does not fit: its appender swaps buffers and
+	// writes the first one, which the gate holds.
+	filler := make(chan error, 1)
+	go func() {
+		_, err := w.Append(recs[1])
+		filler <- err
+	}()
+	const deadline = 5 * time.Second
+	select {
+	case <-entered:
+	case <-time.After(deadline):
+		t.Fatal("the full buffer was never written")
+	}
+	appended := make(chan error, 1)
+	go func() {
+		_, err := w.Append(recs[2])
+		appended <- err
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(deadline):
+		close(release)
+		t.Fatalf("an Append waited %v behind another appender's file write", deadline)
+	}
+	close(release)
+	if err := <-filler; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
 	if err := ReplayAll(path, func(rec []byte) error {
-		counts[rec[0]]++
+		got = append(got, bytes.Clone(rec))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for g := byte(0); g < 4; g++ {
-		if counts[g] != 500 {
-			t.Fatalf("writer %d: %d records", g, counts[g])
+	if len(got) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
+	}
+	for i := range recs {
+		if !bytes.Equal(got[i], recs[i]) {
+			t.Fatalf("record %d: %q, want %q", i, got[i], recs[i])
 		}
+	}
+}
+
+// TestFailedWriteIsSticky: once a file write fails, the records it held
+// are lost, so no later Append, Flush or SyncTo may succeed.
+func TestFailedWriteIsSticky(t *testing.T) {
+	w, err := Create(tempLog(t), Options{BufferSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := w.Append(bytes.Repeat([]byte("a"), 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.f.Close() // every write to the file fails from here on
+	if _, err := w.Append(bytes.Repeat([]byte("b"), 40)); err == nil {
+		t.Fatal("the Append that wrote the full buffer to a closed file succeeded")
+	}
+	if _, err := w.Append([]byte("c")); err == nil {
+		t.Fatal("an Append after a failed write succeeded")
+	}
+	if err := w.Flush(); err == nil {
+		t.Fatal("a Flush after a failed write succeeded")
+	}
+	if err := w.SyncTo(off); err == nil {
+		t.Fatal("a SyncTo over a lost record succeeded")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close after a failed write reported success")
 	}
 }
 
@@ -553,7 +692,7 @@ func TestAppendRecordMatchesEncodeRecord(t *testing.T) {
 }
 
 // TestAppendAllocatesNothing: neither append builds anything on the heap —
-// the header and framing go through the writer's scratch space.
+// the header and framing are copied straight into the staging buffer.
 func TestAppendAllocatesNothing(t *testing.T) {
 	w, err := Create(tempLog(t), Options{Metrics: &Metrics{}})
 	if err != nil {
