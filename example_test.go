@@ -48,8 +48,7 @@ func ExampleOpen() {
 	dir := filepath.Join(os.TempDir(), "flodb-example-open")
 	os.RemoveAll(dir)
 	db, err := flodb.Open(dir,
-		flodb.WithMemory(128<<20), // 128 MiB total, split 1:4 buffer:table
-		flodb.WithMembufferFraction(0.25),
+		flodb.WithMemory(128<<20), // 128 MiB total: 1/4 Membuffer, 3/4 Memtable
 		flodb.WithDrainThreads(2),
 	)
 	if err != nil {

@@ -141,7 +141,7 @@ type DB struct {
 //
 // With no options the store uses the paper's defaults scaled for a
 // development machine. Out-of-range option values (a non-positive memory
-// budget, a Membuffer fraction outside (0,1), ...) are rejected with a
+// budget, a drain-thread count below one, ...) are rejected with a
 // descriptive error.
 func Open(dir string, opts ...Option) (*DB, error) {
 	var o options
@@ -154,14 +154,12 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		return nil, o.err
 	}
 	cfg := core.Config{
-		Dir:               dir,
-		MemoryBytes:       o.memoryBytes,
-		MembufferFraction: o.membufferFraction,
-		PartitionBits:     o.partitionBits,
-		DrainThreads:      o.drainThreads,
-		DisableWAL:        o.disableWAL,
-		WALWriteThrough:   o.walWriteThrough,
-		Durability:        o.durability,
+		Dir:             dir,
+		MemoryBytes:     o.memoryBytes,
+		DrainThreads:    o.drainThreads,
+		DisableWAL:      o.disableWAL,
+		WALWriteThrough: o.walWriteThrough,
+		Durability:      o.durability,
 	}
 	cfg.Storage.BlockCacheBytes = o.blockCacheBytes
 	cfg.Storage.TableCacheCapacity = o.tableCacheCap

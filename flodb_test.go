@@ -92,8 +92,6 @@ func TestPublicAPIScan(t *testing.T) {
 func TestPublicAPIOptions(t *testing.T) {
 	db := openPublic(t,
 		flodb.WithMemory(2<<20),
-		flodb.WithMembufferFraction(0.5),
-		flodb.WithPartitionBits(4),
 		flodb.WithDrainThreads(1),
 		flodb.WithoutWAL(),
 	)
@@ -175,8 +173,6 @@ func TestErrClosedExported(t *testing.T) {
 func TestFunctionalOptions(t *testing.T) {
 	db, err := flodb.Open(t.TempDir(),
 		flodb.WithMemory(2<<20),
-		flodb.WithMembufferFraction(0.5),
-		flodb.WithPartitionBits(4),
 		flodb.WithDrainThreads(1),
 		flodb.WithoutWAL(),
 	)

@@ -56,15 +56,13 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 	db.stats.batches.Add(1)
 	db.stats.batchOps.Add(uint64(b.Len()))
 
-	// The handle is taken before admit so a writer that meets a paused
-	// seal helps its drain, as update's slow path does.
-	h := db.handle()
-	defer db.putHandle(h)
 	var st stall
-	if err := db.admit(ctx, h, &st); err != nil {
+	if err := db.admit(ctx, &st); err != nil {
 		return err
 	}
 	db.noteStall(&st)
+	h := db.handle()
+	defer db.putHandle(h)
 
 	start := opClock()
 	defer func() { db.stats.batchLat.Observe(opClock() - start) }()

@@ -27,7 +27,7 @@
 // (live Memtable resolved at the bound ∪ sealed Memtable ∪ pinned disk
 // Version). That replaces Algorithm 3's restart-and-fallback conflict
 // handling (§4.4): a reader never restarts and never blocks a writer past
-// the seal.
+// the seal's grace period.
 //
 // # The active pair
 //
@@ -41,16 +41,18 @@
 // update in WAL generations ≤ W is on disk and those segments can go.
 //
 // The paper's Get invariant (upper levels hold fresher data) is preserved
-// by two rules with paper counterparts: within a pair the Membuffer always
-// holds the newest version of any key present in it (in-place updates,
-// §3.2), and an immutable Membuffer is read just above the Memtable it
-// drains into. A view seal drains into the live Memtable, so
-// while it runs writers may not take the direct-to-Memtable path —
-// pauseWriters sends them to help drain instead (Algorithm 2 lines
-// 12–16). A persist seal drains into the sealed Memtable, below the fresh
-// live one, and the switch never blocks a writer (§4.2): writers pause
-// only for its grace period, and the drain stamps its entries from a
-// block of sequence numbers reserved before any writer resumes.
+// by two rules. Within a pair the Membuffer always holds the newest
+// version of any key present in it (in-place updates, §3.2). Across a
+// seal, sequence numbers decide: a seal reserves a block of numbers for
+// the retired Membuffer's entries before any writer resumes, so its drain
+// numbers every pre-switch update at or below the seal point and every
+// later write is numbered above it. The Memtable orders inserts by
+// sequence number, so the drain can run while writers write the same
+// Memtable, and Get weighs the draining Membuffer against a Memtable
+// entry by the seal point. View and persist seals differ only in the
+// Memtable the drain targets — the live one, or the sealed one below a
+// fresh successor — and neither blocks a writer past its grace period
+// (§4.2).
 package core
 
 import (
@@ -103,10 +105,14 @@ type DB struct {
 	// the immutable components of Algorithm 2's Get order. immGen is the
 	// pair a seal retired while its Membuffer (IMM_MBF) drains into its
 	// Memtable: the live one for a view seal, the sealed one (immMtb) for
-	// a persist seal.
-	gen    atomic.Pointer[generation]
-	immGen atomic.Pointer[generation]
-	immMtb atomic.Pointer[memtable]
+	// a persist seal. immSeal is that seal's seal point (MaxUint64 until it
+	// is drawn), and seals counts the seals begun, so a reader can tell
+	// that the immGen and immSeal it loaded belong to one seal.
+	gen     atomic.Pointer[generation]
+	immGen  atomic.Pointer[generation]
+	immMtb  atomic.Pointer[memtable]
+	immSeal atomic.Uint64
+	seals   atomic.Uint64
 
 	// memtableTarget is the Memtable size that triggers persisting and
 	// mbfCfg the geometry of every Membuffer, both fixed at Open by the
@@ -118,29 +124,25 @@ type DB struct {
 	// switches synchronize on it.
 	domain *rcu.Domain
 
-	// pauseWriters is raised for the length of a view seal, and
-	// for a persist seal's grace period. It blocks the direct-to-Memtable
-	// write path while an immutable Membuffer drains into the live
-	// Memtable — writers help instead (Algorithm 2) — and halts the
-	// background drainers (Algorithm 3 line 4), so between the switch and
-	// the sealer's sequence point nothing but the seal's own drain draws a
-	// sequence number. A persist seal drains into the sealed Memtable, which
-	// no writer touches, so it lowers the flag before its drain.
+	// pauseWriters is raised by every seal from before its switch until it
+	// has reserved its block of sequence numbers, a grace period later. It
+	// holds back the direct-to-Memtable write path and the background
+	// drainers (Algorithm 3 line 4), so between the switch and the seal
+	// point nothing draws a sequence number; the drain itself runs after
+	// the flag is lowered.
 	pauseWriters atomic.Bool
 
 	// drainMu serializes the switch+drain critical flows: every
 	// sealMembuffer caller and batch application.
 	drainMu sync.Mutex
-	// spares are the drained Membuffers sealMembuffer recycles.
-	spares spareMembuffers
+	// spare is the pair whose Membuffer the latest seal drained empty,
+	// which the next seal recycles; guarded by drainMu.
+	spare *generation
 	// persistMu serializes whole persist cycles (persistOnce and
 	// Checkpoint's forced flush), so two flushes never interleave their
 	// seal→write→install steps. Snapshot does not take it: pinning is a
 	// seal + seq bound under drainMu alone.
 	persistMu sync.Mutex
-	// fullDrain publishes an in-progress full drain so stalled writers
-	// can help (Put's helpDrain, Algorithm 2 line 14).
-	fullDrain atomic.Pointer[drainTask]
 
 	// snapMu guards snapBounds, the refcounted set of active sequence
 	// bounds, sorted ascending (every open iterator and snapshot handle
@@ -198,10 +200,9 @@ type statCounters struct {
 	snapshots, checkpoints        *obs.Counter
 	drainedEntries, drainBatches  *obs.Counter
 	persists                      *obs.Counter
-	helpDrains                    *obs.Counter
 	syncBarriers                  *obs.Counter
 	// stallNanos accumulates time WRITERS (Put/Delete/Apply) spent
-	// stalled on drains, memory-component backpressure and an L0 backlog,
+	// stalled on seals, memory-component backpressure and an L0 backlog,
 	// whether the write then completed or gave up (background drainers'
 	// own sleeps are excluded); stallByCause splits it by what the writer
 	// waited on (stallCause). inPlaceHits counts Membuffer updates that
@@ -344,14 +345,15 @@ func (db *DB) publishBoundsLocked() {
 type hookPoint int
 
 const (
-	// hookDrainPublished: the sealer has published its drainTask.
-	hookDrainPublished hookPoint = iota
-	// hookHelperLoaded: a stalled writer, inside its read section, has
-	// loaded the published drainTask and is about to help.
-	hookHelperLoaded
+	// hookSealDraining: the sealer has let writers resume and is about to
+	// drain a retired Membuffer that holds entries.
+	hookSealDraining hookPoint = iota
 	// hookDrainerClaimed: a background drainer, inside its read section,
 	// has claimed a batch and is about to insert it.
 	hookDrainerClaimed
+	// hookGetWeighing: a Get has found its key in a draining Membuffer and
+	// in the Memtable, and is about to weigh them by the seal point.
+	hookGetWeighing
 )
 
 func (db *DB) hook(at hookPoint) {
@@ -451,7 +453,7 @@ func (db *DB) Close() error {
 		if g.mbf != nil {
 			g.mbf.Freeze()
 			db.domain.Synchronize()
-			db.drainBufferInto(g.mbf, g.mtb, &db.seq)
+			db.drainBuffer(g.mbf, g.mtb, &db.seq)
 		}
 		if !g.mtb.list.Empty() {
 			newLog := g.mtb.walNum + 1

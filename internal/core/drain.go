@@ -1,25 +1,13 @@
 package core
 
 import (
-	"runtime"
+	"math"
 	"sync/atomic"
 	"time"
 
 	"flodb/internal/membuffer"
 	"flodb/internal/skiplist"
 )
-
-// drainTask is a published full drain of an immutable Membuffer into a
-// specific memtable. Writers blocked by pauseWriters help by claiming
-// batches from src until it is empty — the paper's helpDrain (Algorithm 2
-// line 14). Helping "ensures that the drain completes even if the scanner
-// thread is slow" (§4.4). seq stamps the moved entries: the store's
-// counter, or a persist seal's reserved block.
-type drainTask struct {
-	src *membuffer.Buffer
-	dst *memtable
-	seq *atomic.Uint64
-}
 
 // drainLowWater is the Membuffer occupancy below which the background
 // drainers drop from full speed to a trickle (one partition batch per
@@ -89,10 +77,7 @@ func (db *DB) drainLoop() {
 		batch := g.mbf.DrainPartition(part, db.cfg.DrainBatch)
 		if len(batch) > 0 {
 			db.hook(hookDrainerClaimed)
-			kvs = db.insertDrained(g.mtb, batch, &db.seq, kvs)
-			g.mbf.Release(batch)
-			db.stats.drainBatches.Add(1)
-			db.stats.drainedEntries.Add(uint64(len(batch)))
+			kvs = db.moveDrained(g.mbf, g.mtb, batch, &db.seq, kvs)
 		}
 		h.Exit()
 
@@ -115,12 +100,13 @@ func (db *DB) drainLoop() {
 	}
 }
 
-// insertDrained moves claimed entries into dst with one multi-insert
-// (Figure 6 step 2 with the Algorithm 1 batch optimization), stamping each
-// with a fresh number from seq. An entry's value aliases its Membuffer
-// pair, and is charged for all of it (Entry.Held). kvs is scratch for the
-// batch; the emptied scratch is returned for the caller's next batch.
-func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained, seq *atomic.Uint64, kvs []skiplist.KV) []skiplist.KV {
+// moveDrained moves a batch claimed from src into dst with one
+// multi-insert (Figure 6 step 2 with the Algorithm 1 batch optimization),
+// stamping each entry with a fresh number from seq, then releases the
+// batch. An entry's value aliases its Membuffer pair, and is charged for
+// all of it (Entry.Held). kvs is scratch for the batch; the emptied
+// scratch is returned for the caller's next batch.
+func (db *DB) moveDrained(src *membuffer.Buffer, dst *memtable, batch []membuffer.Drained, seq *atomic.Uint64, kvs []skiplist.KV) []skiplist.KV {
 	kvs = kvs[:0]
 	for i := range batch {
 		d := &batch[i]
@@ -136,118 +122,92 @@ func (db *DB) insertDrained(dst *memtable, batch []membuffer.Drained, seq *atomi
 	}
 	dst.multiInsert(kvs)
 	clear(kvs) // hold no drained keys or entries until the next batch
+	src.Release(batch)
+	db.stats.drainBatches.Add(1)
+	db.stats.drainedEntries.Add(uint64(len(batch)))
 	return kvs[:0]
 }
 
-// helpDrain claims one batch from the published full drain and applies it.
-// Returns true if it did work. Every caller but the sealer itself must be
-// inside an RCU read section that began before it loaded t: that is what
-// lets sealMembuffer tell when no helper can still hold a retired buffer.
-func (db *DB) helpDrain(t *drainTask) bool {
-	// Partition claims spread helpers across the buffer.
-	part := t.src.NextPartition()
-	batch := t.src.DrainPartition(part, db.cfg.DrainBatch)
-	if len(batch) == 0 {
-		// The round-robin partition may be empty while others are not;
-		// sweep everything that remains.
-		batch = t.src.DrainAll()
-	}
-	if len(batch) == 0 {
-		return false
-	}
-	db.insertDrained(t.dst, batch, t.seq, nil)
-	t.src.Release(batch)
-	db.stats.drainedEntries.Add(uint64(len(batch)))
-	db.stats.drainBatches.Add(1)
-	return true
-}
-
-// drainBufferInto fully drains src into dst, stamping entries from seq,
-// publishing the task so stalled writers help, and returns when src is
-// empty. An empty src costs one pass over its partition counters and
-// allocates nothing.
-func (db *DB) drainBufferInto(src *membuffer.Buffer, dst *memtable, seq *atomic.Uint64) {
-	if src.Len() == 0 {
-		return
-	}
-	t := &drainTask{src: src, dst: dst, seq: seq}
-	db.fullDrain.Store(t)
-	db.hook(hookDrainPublished)
-	for src.Len() != 0 {
-		if !db.helpDrain(t) {
-			// Everything left is claimed by a helper; let it finish.
-			runtime.Gosched()
-		}
-	}
-	db.fullDrain.Store(nil)
-}
-
-// spareMembuffers is the recycling state of sealMembuffer, guarded by
-// drainMu. retired is the pair whose Membuffer the latest seal drained
-// empty; ready is the one retired a seal before that.
-type spareMembuffers struct {
-	ready, retired *generation
+// drainBuffer moves every entry of src into dst, one sorted multi-insert
+// per partition, stamping them from seq. The caller is src's only
+// drainer: src is frozen, and a grace period since has waited out every
+// background drainer that could reach it.
+func (db *DB) drainBuffer(src *membuffer.Buffer, dst *memtable, seq *atomic.Uint64) {
+	var kvs []skiplist.KV
+	src.DrainAll(func(batch []membuffer.Drained) {
+		kvs = db.moveDrained(src, dst, batch, seq, kvs)
+	})
 }
 
 // sealMembuffer is the one generation switch every consistent read and
-// every persist is built on (Algorithm 3 lines 4–11; §4.2 for the persist
-// form). The caller holds drainMu. It pauses slow-path writers and the
-// background drainers, installs a pair with an empty Membuffer — over next
-// when the caller is sealing the Memtable too, over the same Memtable
-// otherwise — waits the grace period, and drains the retired Membuffer
-// into the retired pair's Memtable. On return that Memtable holds every
-// update that completed before the switch.
+// every persist is built on (Algorithm 3 lines 4–11; §4.2). The caller
+// holds drainMu. next is the Memtable a persist seal installs; a view
+// seal (next == nil) keeps the live one. Both run one protocol:
 //
-// Which seals pause writers through the drain. A view seal (next == nil)
-// drains into the LIVE Memtable: a slow-path write landing there
-// meanwhile could be overwritten by an older copy of its key from the
-// drain, so writers stay paused — they help drain instead — and on
-// return they are STILL paused: nothing can draw a sequence number but
-// fast-path Puts into the new Membuffer (which draw none until they are
-// drained), so the caller draws its sequence point and then clears
-// pauseWriters. A persist seal drains into the SEALED Memtable, which no
-// writer touches; it only has to number the drained entries below every
-// write that follows the switch. After the grace period (no writer or
-// drainer is still inside the old pair) it reserves a block of sequence
-// numbers for the drain, clears pauseWriters, and drains while writers and
-// drainers run on in the new generation — the paper's never-blocking
-// switch (§4.2). Get reads the draining Membuffer below the new Memtable
-// for the length of that drain.
+//  1. pause slow-path writers and the background drainers (pauseWriters);
+//  2. install a pair with an empty Membuffer, over next or over the same
+//     Memtable, and publish the retired pair as immGen;
+//  3. wait the grace period: no writer or drainer is inside the retired
+//     pair any more, and every sequence number drawn so far is in a
+//     Memtable;
+//  4. reserve one sequence number per entry resident in the retired
+//     Membuffer (frozen, every claim released: Len is exact) and one past
+//     them. The block's end is the seal point: every update that completed
+//     before the switch is numbered at or below it. bound, when not nil,
+//     is called with it here — pinView registers its view's bound before
+//     any writer can overwrite a version the view needs;
+//  5. let writers and drainers resume: everything they write from now on
+//     is numbered above the seal point;
+//  6. drain the retired Membuffer into the retired pair's Memtable — the
+//     live one for a view seal, the sealed one for a persist — numbering
+//     its entries from the block, while writers run on.
 //
+// On return that Memtable holds every update that completed before the
+// switch. Writers wait only for the grace period, the paper's
+// never-blocking switch (§4.2). A view seal's drained copy can reach the
+// live Memtable after a newer slow-path write of its key; the skiplist's
+// sequence-ordered insert keeps the newer entry and chains the copy
+// beneath it for the view's bound. While the drain runs, Get weighs the
+// draining Membuffer against the Memtable by the seal point (immSeal; see
+// get).
+//
+// Writers are paused for steps 2–5 because a writer that drew a number
+// between the switch and the reservation would sort below older drained
+// copies; a block reserved before the switch instead would let a
+// pre-switch slow-path write draw a number above it and beat a newer
+// Membuffer copy.
 // With the Membuffer disabled there is nothing to swap, but the grace
-// period is still owed: a writer in flight may hold a sequence number it
-// has not inserted under yet.
+// period is owed all the same: a writer in flight may hold a sequence
+// number it has not inserted under yet.
 //
-// Recycling. The incoming Membuffer is a drained one from an earlier seal
+// Recycling. The incoming Membuffer is the one the previous seal drained
 // when there is one, so a seal allocates nothing in the steady state (even
 // the generation struct is republished when its Memtable is still the
-// active one). The invariant this relies on: NO THREAD CAN REACH A RETIRED
-// BUFFER THROUGH A REFERENCE TAKEN BEFORE IT WAS DRAINED EMPTY. The only
-// such references are a background drainer's loaded pair and a helper's
-// drainTask, both held strictly inside RCU read sections (drainLoop,
-// admit's help branch). The task is unpublished when the drain ends, so
-// a section that still holds it began before this seal returned, and the
-// NEXT seal's grace period outlasts it. A buffer retired by seal N
-// therefore becomes ready after seal N+1's Synchronize and is installed by
-// seal N+2 at the earliest — which is why two spares rotate and the first
-// two seals of a store allocate. A stale helper reaching a re-activated
-// buffer would move live entries into a sealed (possibly already flushed)
-// Memtable and lose them; the sealer's own helpDrain calls need no read
-// section because seals are serialized by drainMu.
+// active one). The invariant this relies on: NO THREAD CAN WRITE A RETIRED
+// BUFFER THROUGH A REFERENCE TAKEN BEFORE IT WAS DRAINED EMPTY. Writers and
+// background drainers take theirs strictly inside RCU read sections, and
+// the retiring seal's own grace period outlasts every section that could
+// have loaded the retired pair; the sealer drains it alone. So a buffer is
+// ready for the next seal as soon as its drain ends. A stale drainer
+// reaching a re-activated buffer would move live entries into a sealed
+// (possibly already flushed) Memtable and lose them. Point reads take no
+// read section: one that loaded a retired pair reads whatever the buffer
+// holds when it looks, and the seal count tells it when a later seal has
+// reused the buffer (getSealed).
 //
 // The drain's own invariant — at most one unreleased claim per key, or two
-// drainers race copies of one key into the Memtable and the older can land
-// last — is kept by the Membuffer: DrainPartition takes the partition's
-// drain token and Release drops it, for the background drainers, helpDrain
-// and its DrainAll sweep alike.
-func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
+// drainers race copies of one key into the Memtable — is kept by the
+// Membuffer: DrainPartition takes the partition's drain token and Release
+// drops it.
+func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *generation, err error) {
 	old = db.gen.Load()
 	mtb := old.mtb
 	if next != nil {
 		mtb = next
 	}
+	db.seals.Add(1) // before the spare's buffer is reset for reuse
 	var g *generation
-	switch r := db.spares.ready; {
+	switch r := db.spare; {
 	case old.mbf == nil:
 		g = old.over(mtb)
 	case r != nil:
@@ -256,6 +216,7 @@ func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 	default:
 		g = &generation{mbf: membuffer.New(db.mbfCfg), mtb: mtb}
 	}
+	db.spare = nil
 
 	db.pauseWriters.Store(true)
 	// The immutable components are published BEFORE the new pair: any
@@ -265,7 +226,10 @@ func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 	// segment's tail (commitSync's prefix rule). Readers tolerate the
 	// transient double-publication (the same table reachable as both
 	// active and immutable) because the Get order just checks it twice.
+	// Until the seal point is drawn every Memtable entry predates the
+	// switch, so the draining Membuffer beats all of them.
 	if old.mbf != nil {
+		db.immSeal.Store(math.MaxUint64)
 		db.immGen.Store(old)
 	}
 	if next != nil {
@@ -280,24 +244,20 @@ func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 		old.mbf.Freeze()
 	}
 	db.domain.Synchronize()
-	// Spares stay paired with the ACTIVE Memtable: a spare must not be
-	// what keeps a flushed Memtable reachable.
-	db.spares.ready, db.spares.retired = db.spares.retired.over(mtb), nil
 
-	seq := &db.seq
-	if next != nil {
-		if old.mbf != nil {
-			// One number per resident entry (the buffer is frozen and every
-			// claim on it released, so Len is exact) and one past them, the
-			// seal's sequence point: every pre-switch update is numbered at
-			// or below the block's end, every write that resumes below is
-			// numbered above it.
-			n := uint64(old.mbf.Len()) + 1
-			seq = new(atomic.Uint64)
-			seq.Store(db.seq.Add(n) - n)
-		}
-		db.pauseWriters.Store(false)
+	n := uint64(1)
+	if old.mbf != nil {
+		n += uint64(old.mbf.Len())
 	}
+	seal := db.seq.Add(n)
+	var block atomic.Uint64 // the drain's numbers: seal-n+1 .. seal-1
+	block.Store(seal - n)
+	db.immSeal.Store(seal)
+	if bound != nil {
+		bound(seal)
+	}
+	db.pauseWriters.Store(false)
+
 	if next != nil && old.mtb.wal != nil {
 		// Seal-time flush: push the sealed segment's staged records to the
 		// OS before the successor accumulates enough to write its own. A
@@ -307,9 +267,14 @@ func (db *DB) sealMembuffer(next *memtable) (old *generation, err error) {
 		err = old.mtb.wal.Flush()
 	}
 	if old.mbf != nil {
-		db.drainBufferInto(old.mbf, old.mtb, seq)
+		if old.mbf.Len() != 0 {
+			db.hook(hookSealDraining)
+			db.drainBuffer(old.mbf, old.mtb, &block)
+		}
 		db.immGen.Store(nil)
-		db.spares.retired = old.over(mtb)
+		// Spares stay paired with the ACTIVE Memtable: a spare must not be
+		// what keeps a flushed Memtable reachable.
+		db.spare = old.over(mtb)
 	}
 	return old, err
 }

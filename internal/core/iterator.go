@@ -19,13 +19,13 @@ import (
 // lifetime, taken by pinView when it opens — every pair it returns was
 // current at that single moment, whatever is written, drained or persisted
 // while it is open. Opening costs a Membuffer seal (time proportional to
-// the entries resident in the Membuffer) and pauses only slow-path writers
-// for that long; nothing restarts and no writer is blocked while the
-// cursor streams. In exchange an OPEN iterator pins the sstables of the
-// Version it read from (compaction cannot delete them) and keeps the
-// versions its bound needs chained beneath later overwrites, until Close:
-// close iterators promptly, and bound abandoned ones the way the server's
-// lease janitor does.
+// the entries resident in the Membuffer), which pauses slow-path writers
+// only for its grace period; nothing restarts and no writer is blocked
+// while the cursor streams. In exchange an OPEN iterator pins the
+// sstables of the Version it read from (compaction cannot delete them)
+// and keeps the versions its bound needs chained beneath later
+// overwrites, until Close: close iterators promptly, and bound abandoned
+// ones the way the server's lease janitor does.
 //
 // The context is captured by the iterator: every positioning call checks
 // it, so a canceled or expired context stops iteration promptly with the

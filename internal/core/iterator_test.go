@@ -507,8 +507,7 @@ func TestIteratorOpenAllocationBudget(t *testing.T) {
 
 	seal := func() {
 		db.drainMu.Lock()
-		db.sealMembuffer(nil)
-		db.pauseWriters.Store(false)
+		db.sealMembuffer(nil, nil)
 		db.drainMu.Unlock()
 	}
 	seal()

@@ -55,14 +55,19 @@ func opClock() time.Duration { return time.Since(clockBase) }
 // get pays only for the component that holds the key. The key is hashed
 // once (keys.Hash), for every component. In order:
 //
-//  1. Membuffer, then the sealed one if a seal is draining it into the
-//     live Memtable: one bucket line each, tags compared before any key
-//     (~50 ns).
-//  2. Memtable, then the sealed Membuffer if a persist seal is draining it,
-//     then the sealed Memtable if a flush is in flight: one word of the
-//     generation's filter; a skiplist descent (~1.5 µs at 24 MiB) only if
-//     the generation holds the key, or for the <1% the filter lets by.
-//  3. Disk (Version.getAt), newest file first, and per file whose key range
+//  1. Membuffer: one bucket line, tags compared before any key (~50 ns).
+//  2. The retired Membuffer, if a seal is draining it, then the Memtable:
+//     one bucket line, then one word of the generation's filter and a
+//     skiplist descent (~1.5 µs at 24 MiB) only if the generation holds
+//     the key, or for the <1% the filter lets by. One rule orders the two:
+//     the draining copy of a key beats a Memtable entry numbered at or
+//     below the seal point (older, or the same copy already drained) and
+//     loses to one above it (written after the switch). The draining
+//     buffer is read first, in the direction the drain moves entries, so
+//     a key in flight between the two is found in one or the other. A
+//     lookup that a later seal overtakes is made again (getSealed).
+//  3. The sealed Memtable if a flush is in flight: as the Memtable.
+//  4. Disk (Version.getAt), newest file first, and per file whose key range
 //     covers the key: its filter, through the file's metadata — no table
 //     handle; then the row cache — a hit returns the row, still no handle;
 //     only then a pinned Reader, an index search, one block read into a
@@ -89,32 +94,11 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 			return v, true, nil
 		}
 	}
-	// The draining Membuffer sits just above the Memtable it drains into:
-	// above the live one for a view seal, below it (above the
-	// sealed one) for a persist seal, whose successor Memtable takes
-	// writes while the drain runs.
-	imm := db.immGen.Load()
-	if imm != nil && imm.mtb == g.mtb {
-		if v, tomb, ok := imm.mbf.GetHashed(key, h); ok {
-			if tomb {
-				return nil, false, nil
-			}
-			return v, true, nil
-		}
-	}
-	if e, ok := g.mtb.get(key, h); ok {
-		if e.Tombstone {
+	if v, tomb, ok := db.getSealed(g, key, h); ok {
+		if tomb {
 			return nil, false, nil
 		}
-		return e.Value, true, nil
-	}
-	if imm != nil && imm.mtb != g.mtb {
-		if v, tomb, ok := imm.mbf.GetHashed(key, h); ok {
-			if tomb {
-				return nil, false, nil
-			}
-			return v, true, nil
-		}
+		return v, true, nil
 	}
 	if imm := db.immMtb.Load(); imm != nil {
 		if e, ok := imm.get(key, h); ok {
@@ -135,6 +119,31 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	return v, true, nil
+}
+
+// getSealed is get's step 2. A seal that starts while it looks may recycle
+// the draining buffer or replace immSeal with its own point; the seal
+// count catches that, and the lookup is made again.
+func (db *DB) getSealed(g *generation, key []byte, h uint64) (v []byte, tomb, ok bool) {
+	for {
+		seals := db.seals.Load()
+		v, tomb, ok = nil, false, false
+		if imm := db.immGen.Load(); imm != nil {
+			v, tomb, ok = imm.mbf.GetHashed(key, h)
+		}
+		e, newer := g.mtb.get(key, h)
+		if newer && ok {
+			db.hook(hookGetWeighing)
+			newer = e.Seq > db.immSeal.Load()
+		}
+		if ok && db.seals.Load() != seals {
+			continue
+		}
+		if newer {
+			return e.Value, e.Tombstone, true
+		}
+		return v, tomb, ok
+	}
 }
 
 // Put inserts or overwrites key. The store keeps no reference to key or
@@ -298,7 +307,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 	var st stall
 	value = keys.Clone(value)
 	for {
-		if err := db.admit(ctx, h, &st); err != nil {
+		if err := db.admit(ctx, &st); err != nil {
 			return err
 		}
 		// The correctness gate: a seal that set pauseWriters after admit
@@ -338,8 +347,8 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 // unbounded: a writer stalled on backpressure must not be stranded when
 // the store dies under it. In order, a lap:
 //
-//   - helps drain while a seal has paused writers (the sealed Membuffer
-//     must be in the Memtable before writers touch it): cause drain;
+//   - yields while a seal has paused writers, for its grace period: cause
+//     seal;
 //   - waits for the persisting thread when the Memtable is full and the
 //     previous one is still being written ("typically a very short wait",
 //     §4.4), or when it has overshot its target twice over (the persister
@@ -349,7 +358,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 // Each wait is timed in st under its cause. A failed admission records
 // the stall here; an admitted writer records it once its write is in
 // (noteStall).
-func (db *DB) admit(ctx context.Context, h *rcu.Handle, st *stall) error {
+func (db *DB) admit(ctx context.Context, st *stall) error {
 	for spins := 0; ; spins++ {
 		err := ctx.Err()
 		if err == nil && db.closed.Load() {
@@ -363,10 +372,8 @@ func (db *DB) admit(ctx context.Context, h *rcu.Handle, st *stall) error {
 			return err
 		}
 		if db.pauseWriters.Load() {
-			st.wait(stallDrain)
-			if !db.helpPublishedDrain(h) {
-				runtime.Gosched()
-			}
+			st.wait(stallSeal)
+			runtime.Gosched()
 			continue
 		}
 		cause, wait := db.backpressure()
@@ -398,14 +405,14 @@ func (db *DB) backpressure() (stallCause, bool) {
 type stallCause uint8
 
 const (
-	stallDrain    stallCause = iota // a seal paused writers for its drain
+	stallSeal     stallCause = iota // a seal paused writers for its grace period
 	stallMemtable                   // the Memtable is full or 2x over target
 	stallL0                         // the L0 backlog stop
 	numStallCauses
 )
 
 // stallCauseNames label flodb_write_stall_by_cause_nanoseconds_total.
-var stallCauseNames = [numStallCauses]string{"drain", "memtable", "l0"}
+var stallCauseNames = [numStallCauses]string{"seal", "memtable", "l0"}
 
 // stall is one write's time in admit, by cause: the wait in progress began
 // at mark (0: none yet) and is on cause; earlier waits are in nanos.
@@ -445,22 +452,6 @@ func (db *DB) noteStall(st *stall) {
 	}
 	db.stats.stallNanos.Add(uint64(total))
 	db.stats.stallLat.Observe(total)
-}
-
-// helpPublishedDrain moves one batch of the published full drain, if
-// there is one. The task is loaded and used inside one RCU read section —
-// the reference to the sealed buffer never outlives it, which is the
-// invariant sealMembuffer's recycling rests on.
-func (db *DB) helpPublishedDrain(h *rcu.Handle) bool {
-	h.Enter()
-	defer h.Exit()
-	t := db.fullDrain.Load()
-	if t == nil {
-		return false
-	}
-	db.hook(hookHelperLoaded)
-	db.stats.helpDrains.Add(1)
-	return db.helpDrain(t)
 }
 
 // backoff yields, escalating to short sleeps so stalled writers don't

@@ -68,7 +68,7 @@ func (db *DB) persistCycle() error {
 	}
 	db.drainMu.Lock()
 	sealStart := time.Now()
-	old, sealErr := db.sealMembuffer(next)
+	old, sealErr := db.sealMembuffer(next, nil)
 	sealBytes := old.mtb.approxBytes()
 	db.events.Emit(obs.Event{
 		Type: obs.EventSeal, Dur: time.Since(sealStart),

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flodb/internal/keys"
+	"flodb/internal/kv"
 	"flodb/internal/membuffer"
 )
 
@@ -35,19 +36,19 @@ func blocked(done <-chan struct{}) bool {
 	}
 }
 
-// TestRecycledMembufferOutlivesNoHelper is the recycling-safety test. A
-// stalled writer's helper loads the drainTask of seal 1 and is parked
-// before it claims anything. The buffer that seal drained (X) must not
-// re-enter service while the helper can still reach it: the next seal — a
-// persist seal, whose sealed Memtable is flushed and dropped — has to wait
-// out the helper's read section, and X comes back only at the seal after
-// that. Had the helper been able to wake up over a re-activated X, it
-// would have drained live entries into the flushed Memtable and lost them.
-func TestRecycledMembufferOutlivesNoHelper(t *testing.T) {
+// TestRecycledMembufferOutlivesDrainer is the recycling-safety test. A
+// background drainer claims a batch from Membuffer X and is parked inside
+// its read section. The persist seal that retires X must wait it out: the
+// batch belongs in the Memtable being sealed. X comes back into service at
+// the next seal, and
+// what is written into it must stay out of the flushed Memtable: had the
+// drainer been able to wake up over a re-activated X, it would have
+// drained live entries into the flushed Memtable and lost them.
+func TestRecycledMembufferOutlivesDrainer(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.DrainThreads = 1
 	// Big enough that a round of writes stays under the drainer's low-water
-	// mark: it trickles, and the round is still resident when the seal runs.
+	// mark: it trickles, and most of the round is still resident at the seal.
 	cfg.MemoryBytes = 8 << 20
 	db := openTestDB(t, cfg)
 
@@ -81,79 +82,50 @@ func TestRecycledMembufferOutlivesNoHelper(t *testing.T) {
 		}
 	}
 
+	claimed, release := make(chan struct{}), make(chan struct{})
+	hook := parkOnce(hookDrainerClaimed, claimed, release)
+	db.testHook.Store(&hook)
 	put("a", 0)
+	select {
+	case <-claimed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the background drainer never claimed a batch")
+	}
 	x := db.gen.Load().mbf
 	m1 := db.gen.Load().mtb
-	if x.Len() == 0 {
-		t.Fatal("nothing resident in the Membuffer; the seal would publish no drain")
-	}
 
-	published, helperHolding := make(chan struct{}), make(chan struct{})
-	helperParked, releaseHelper := make(chan struct{}), make(chan struct{})
-	sealer := parkOnce(hookDrainPublished, published, helperHolding)
-	helper := parkOnce(hookHelperLoaded, helperParked, releaseHelper)
-	hook := func(at hookPoint) { sealer(at); helper(at) }
-	db.testHook.Store(&hook)
-
-	// Seal 1 publishes its drain and waits for the helper to load it.
+	// Seal 1, a persist seal: blocked for as long as the drainer holds its
+	// claim on X.
 	seal1 := make(chan struct{})
 	go func() {
 		defer close(seal1)
-		it, err := db.NewIterator(bg, nil, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		it.Close()
-	}()
-	select {
-	case <-published:
-	case <-time.After(10 * time.Second):
-		t.Fatal("seal 1 never published a drain")
-	}
-	helperDone := make(chan struct{})
-	go func() { // what update's slow path does while pauseWriters is up
-		defer close(helperDone)
-		h := db.handle()
-		defer db.putHandle(h)
-		db.helpPublishedDrain(h)
-	}()
-	<-helperParked
-	close(helperHolding)
-	<-seal1
-	if x.Len() != 0 || !x.Frozen() {
-		t.Fatalf("seal 1 left X with %d entries, frozen=%v", x.Len(), x.Frozen())
-	}
-
-	// Seal 2, a persist seal: blocked for as long as the helper holds the
-	// task, though the writes below still complete in the fresh Membuffer.
-	put("b", round/2)
-	seal2 := make(chan struct{})
-	go func() {
-		defer close(seal2)
 		if err := db.persistOnce(); err != nil {
 			t.Error(err)
 		}
 	}()
-	if !blocked(seal2) {
-		t.Fatal("a seal completed while a helper of the previous seal was still inside its read section")
+	if !blocked(seal1) {
+		t.Fatal("a seal completed while a drainer was still inside its read section")
 	}
-	close(releaseHelper)
-	<-helperDone
-	<-seal2
+	close(release)
+	<-seal1
+	db.testHook.Store(nil)
+	if x.Len() != 0 || !x.Frozen() {
+		t.Fatalf("seal 1 left X with %d entries, frozen=%v", x.Len(), x.Frozen())
+	}
 	if db.immMtb.Load() != nil || db.gen.Load().mtb == m1 {
 		t.Fatal("persist did not retire the first Memtable")
 	}
 	m1Len, m1Updates := m1.list.Len(), m1.list.Updates()
 	if db.gen.Load().mbf == x {
-		t.Fatal("X re-entered service one seal after it was retired")
+		t.Fatal("X stayed in service through the seal that retired it")
 	}
+	put("b", round/2)
 
-	// Seal 3 re-activates X; what is written into it afterwards must stay
+	// Seal 2 re-activates X; what is written into it afterwards must stay
 	// out of the flushed Memtable.
 	check("after the persist seal")
 	if db.gen.Load().mbf != x {
-		t.Fatal("X was not recycled two seals after it was retired")
+		t.Fatal("X was not recycled by the seal after the one that retired it")
 	}
 	if x.Frozen() {
 		t.Fatal("recycled buffer still frozen")
@@ -303,20 +275,19 @@ func slowPut(t *testing.T, db *DB, key, value []byte) <-chan bool {
 	return done
 }
 
-// parkPersist starts a persist and parks it where its seal has published
-// the drain of the retired Membuffer. It reports false, with the persist
-// finished, when the seal had nothing resident to drain.
-func parkPersist(t *testing.T, db *DB) (parked bool, release func()) {
+// parkSeal runs seal, which must seal the Membuffer (a persist, or a view
+// open), and parks it where the sealer has let writers resume and is about
+// to drain the retired Membuffer. It reports false, with seal finished,
+// when the seal had nothing resident to drain.
+func parkSeal(t *testing.T, db *DB, seal func()) (parked bool, release func()) {
 	t.Helper()
 	reached, unpark := make(chan struct{}), make(chan struct{})
-	hook := parkOnce(hookDrainPublished, reached, unpark)
+	hook := parkOnce(hookSealDraining, reached, unpark)
 	db.testHook.Store(&hook)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := db.persistOnce(); err != nil {
-			t.Error(err)
-		}
+		seal()
 	}()
 	release = func() {
 		close(unpark)
@@ -330,9 +301,30 @@ func parkPersist(t *testing.T, db *DB) (parked bool, release func()) {
 		db.testHook.Store(nil)
 		return false, nil
 	case <-time.After(10 * time.Second):
-		t.Fatal("the persist neither parked nor finished")
+		t.Fatal("the seal neither parked nor finished")
 		return false, nil
 	}
+}
+
+// parkPersist is parkSeal for a persist.
+func parkPersist(t *testing.T, db *DB) (parked bool, release func()) {
+	t.Helper()
+	return parkSeal(t, db, func() {
+		if err := db.persistOnce(); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// parkView is parkSeal for a Snapshot, which it stores in *snap.
+func parkView(t *testing.T, db *DB, snap *kv.View) (parked bool, release func()) {
+	t.Helper()
+	return parkSeal(t, db, func() {
+		var err error
+		if *snap, err = db.Snapshot(bg); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestPersistSealLetsSlowPathWritersThrough parks a persist seal in the
@@ -479,4 +471,251 @@ func TestPersistSealNewestWinsAcrossBoundary(t *testing.T) {
 	}
 	db2 := openTestDB(t, Config{Dir: cfg.Dir, MemoryBytes: cfg.MemoryBytes})
 	check("after reopen", db2)
+}
+
+// TestViewSealLetsSlowPathWritersThrough parks a view seal in the drain of
+// the retired Membuffer into the live Memtable. A Put that the full bucket
+// of the new Membuffer sends to that same Memtable must complete while the
+// drain is parked: writers wait only for the seal's grace period.
+func TestViewSealLetsSlowPathWritersThrough(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MemoryBytes = 8 << 20 // the writes below stay resident
+	cfg.DrainThreads = 1
+	db := openTestDB(t, cfg)
+
+	for i := 0; i < 500; i++ {
+		if err := db.Put(bg, spreadKey(uint64(i)), []byte("before")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap kv.View
+	parked, release := parkView(t, db, &snap)
+	if !parked {
+		t.Fatal("nothing resident in the Membuffer at the view seal")
+	}
+	live := db.gen.Load().mtb
+	var key []byte
+	for i := uint64(0); ; i++ {
+		if i == 10 {
+			release()
+			t.Fatal("no Put took the slow path")
+		}
+		key = spreadKey(1<<20 + i)
+		select {
+		case slow := <-slowPut(t, db, key, []byte("after")):
+			if !slow {
+				continue
+			}
+		case <-time.After(5 * time.Second):
+			release()
+			t.Fatal("a slow-path Put waited for a view seal's drain")
+		}
+		break
+	}
+	if e, ok := live.get(key, keys.Hash(key)); !ok || e.Seq <= db.immSeal.Load() {
+		t.Fatalf("the slow-path Put is not in the live Memtable above the seal point: %+v %v", e, ok)
+	}
+	if v, ok, err := db.Get(bg, key); err != nil || !ok || string(v) != "after" {
+		t.Fatalf("Get during the drain = %q %v %v", v, ok, err)
+	}
+	release()
+	defer snap.Close()
+	if _, ok, err := snap.Get(bg, key); err != nil || ok {
+		t.Fatalf("the view sees a write made after its seal: %v %v", ok, err)
+	}
+	for i := 0; i < 500; i++ {
+		k := spreadKey(uint64(i))
+		if v, ok, err := snap.Get(bg, k); err != nil || !ok || string(v) != "before" {
+			t.Fatalf("key %d in the view = %q %v %v", i, v, ok, err)
+		}
+		if v, ok, err := db.Get(bg, k); err != nil || !ok || string(v) != "before" {
+			t.Fatalf("key %d after the seal = %q %v %v", i, v, ok, err)
+		}
+	}
+}
+
+// overwriteWhileDraining parks a view seal's drain into the live Memtable
+// with a key resident in the retired Membuffer ("old") and overwritten,
+// through the slow path, in the live Memtable ("new"). It returns the key
+// and release, which lets the drain finish; the view the seal opened is
+// stored in *snap once it does.
+func overwriteWhileDraining(t *testing.T, db *DB, snap *kv.View) (key []byte, release func()) {
+	t.Helper()
+	for attempt := 0; attempt < 20; attempt++ {
+		key = spreadKey(uint64(1<<20 + attempt))
+		for i := 0; i < 200; i++ { // company, so the seal has a drain to park
+			if err := db.Put(bg, spreadKey(uint64(attempt*1000+i)), []byte("filler")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Put(bg, key, []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		parked, release := parkView(t, db, snap)
+		if !parked {
+			(*snap).Close()
+			continue
+		}
+		if _, _, ok := db.immGen.Load().mbf.Get(key); ok {
+			select {
+			case slow := <-slowPut(t, db, key, []byte("new")):
+				if slow {
+					return key, release
+				}
+			case <-time.After(5 * time.Second):
+				release()
+				t.Fatal("a slow-path Put waited for a view seal's drain")
+			}
+		}
+		release() // drained before the seal, or the Put found room; try another key
+		(*snap).Close()
+	}
+	t.Fatal("never overwrote, on the slow path, a key resident in a draining Membuffer")
+	return nil, nil
+}
+
+// TestViewSealNewestWinsAcrossBoundary overwrites a key of the retired
+// Membuffer, through the slow path, while a view seal's drain into the
+// live Memtable is parked. The drained copy is numbered from the block the
+// seal reserved before writers resumed, so it sorts below the overwrite
+// however late it arrives: the view that seal opened reads the old value,
+// and Get reads the new one during the drain, after it, after a persist
+// and after a reopen.
+func TestViewSealNewestWinsAcrossBoundary(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MemoryBytes = 8 << 20
+	cfg.DrainThreads = 1
+	db := openTestDB(t, cfg)
+
+	var snap kv.View
+	key, release := overwriteWhileDraining(t, db, &snap)
+	if v, ok, err := db.Get(bg, key); err != nil || !ok || string(v) != "new" {
+		release()
+		t.Fatalf("Get while the retired Membuffer drains = %q %v %v, want new", v, ok, err)
+	}
+	release()
+	defer snap.Close()
+
+	check := func(what string, db *DB) {
+		t.Helper()
+		if v, ok, err := db.Get(bg, key); err != nil || !ok || string(v) != "new" {
+			t.Fatalf("%s: Get = %q %v %v, want new", what, v, ok, err)
+		}
+	}
+	checkView := func(what string) {
+		t.Helper()
+		if v, ok, err := snap.Get(bg, key); err != nil || !ok || string(v) != "old" {
+			t.Fatalf("%s: the view = %q %v %v, want old", what, v, ok, err)
+		}
+	}
+	check("after the drain", db)
+	checkView("after the drain")
+	if err := db.persistOnce(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a persist", db)
+	checkView("after a persist")
+	snap.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openTestDB(t, Config{Dir: cfg.Dir, MemoryBytes: cfg.MemoryBytes})
+	check("after reopen", db2)
+}
+
+// TestGetWeighsDrainingCopyByItsOwnSeal parks a Get that has found a key's
+// old value in a view seal's draining Membuffer and its slow-path
+// overwrite in the live Memtable, just before it weighs the two. That
+// seal's drain then finishes and a second view seal runs whole, which
+// recycles the drained buffer and moves the seal point past the
+// overwrite. The Get must still return the overwrite: a copy is weighed
+// only against the seal that retired the buffer it was read from.
+func TestGetWeighsDrainingCopyByItsOwnSeal(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MemoryBytes = 8 << 20
+	cfg.DrainThreads = 1
+	db := openTestDB(t, cfg)
+
+	var snap kv.View
+	key, release := overwriteWhileDraining(t, db, &snap)
+	reached, unpark := make(chan struct{}), make(chan struct{})
+	hook := parkOnce(hookGetWeighing, reached, unpark)
+	db.testHook.Store(&hook)
+	type result struct {
+		v   []byte
+		ok  bool
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		v, ok, err := db.Get(bg, key)
+		got <- result{v, ok, err}
+	}()
+	select {
+	case <-reached:
+	case r := <-got:
+		release()
+		t.Fatalf("Get = %q without weighing a draining copy", r.v)
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatal("Get neither weighed a draining copy nor returned")
+	}
+	release() // the first seal's drain ends; the Get stays parked
+	snap.Close()
+	if err := openCloseView(bg, db, 1); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := db.gen.Load().mtb.get(key, keys.Hash(key)); !ok || string(e.Value) != "new" || e.Seq > db.immSeal.Load() {
+		t.Fatalf("the second seal's point is not past the overwrite: %+v %v", e, ok)
+	}
+	close(unpark)
+	if r := <-got; r.err != nil || !r.ok || string(r.v) != "new" {
+		t.Fatalf("Get across two seals = %q %v %v, want new", r.v, r.ok, r.err)
+	}
+}
+
+// TestViewSealDrainingCopyBeatsOlderEntry parks a view seal's drain while
+// a key's older version sits in the live Memtable (a slow-path write from
+// before an earlier seal) and its newer one in the draining Membuffer. Get
+// must read the newer one: the draining copy beats a Memtable entry
+// numbered at or below the seal point.
+func TestViewSealDrainingCopyBeatsOlderEntry(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MemoryBytes = 8 << 20
+	cfg.DrainThreads = 1
+	db := openTestDB(t, cfg)
+
+	for attempt := 0; ; attempt++ {
+		if attempt == 20 {
+			t.Fatal("never caught a key in both the live Memtable and a draining Membuffer")
+		}
+		key := spreadKey(uint64(2<<20 + attempt))
+		if !<-slowPut(t, db, key, []byte("memtable")) {
+			continue
+		}
+		// A view seal empties the Membuffer, so the next Put of key lands there.
+		if err := openCloseView(bg, db, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put(bg, key, []byte("membuffer")); err != nil {
+			t.Fatal(err)
+		}
+		var snap kv.View
+		parked, release := parkView(t, db, &snap)
+		if !parked {
+			snap.Close()
+			continue
+		}
+		_, _, resident := db.immGen.Load().mbf.Get(key)
+		v, ok, err := db.Get(bg, key)
+		release()
+		snap.Close()
+		if !resident {
+			continue // drained before the seal; try another key
+		}
+		if err != nil || !ok || string(v) != "membuffer" {
+			t.Fatalf("Get while the Membuffer drains = %q %v %v, want membuffer", v, ok, err)
+		}
+		return
+	}
 }

@@ -42,32 +42,36 @@ type view struct {
 // restart-on-conflict and a writer-blocking fallback (§4.4). This store
 // departs from it: pinView performs Algorithm 3's seal (lines 4–11, swap
 // in an empty Membuffer, RCU-wait, drain the old one into the live
-// Memtable — memory-to-memory, proportional to what the Membuffer holds)
-// and then draws a sequence bound B while slow-path writers are still
-// paused: every pre-seal write has seq < B and sits in the live Memtable,
-// the sealed-but-unflushed Memtable, or sstables; every later write draws
-// seq > B. The bound is registered with the skiplists' Retention before
-// writers resume, which switches in-place updates from destructive swaps
-// to version chaining (skiplist.Entry.PrevVersion) for exactly the
+// Memtable — memory-to-memory, proportional to what the Membuffer holds),
+// and its bound B is the seal point: every pre-seal write has seq <= B and
+// sits, once sealMembuffer returns, in the live Memtable, the
+// sealed-but-unflushed Memtable, or sstables; every later write draws
+// seq > B. The bound is registered with the skiplists' Retention inside
+// the seal, before writers resume, which switches updates from destructive
+// swaps to version chaining (skiplist.Entry.PrevVersion) for exactly the
 // versions active bounds still need — at most one retained version per
-// open reader per hot key. Reads then resolve the live Memtable at B, fall
-// through to the sealed Memtable and the pinned disk Version (filtered at
-// seq <= B), and releasing the view unregisters the bound so chains
-// collapse back to single versions on the next overwrite. Nothing
-// restarts, and no writer is blocked past the seal. The memory component
-// stays single-versioned whenever no reader is open; readers pay only for
-// the keys overwritten while they live.
+// open reader per hot key. The drain runs after writers resume, so a
+// drained copy can arrive after a newer write of its key: the Memtable's
+// sequence-ordered insert chains it beneath that write, where B finds it.
+// Reads then resolve the live Memtable at B, fall through to the sealed
+// Memtable and the pinned disk Version (filtered at seq <= B), and
+// releasing the view unregisters the bound so chains collapse back to
+// single versions on the next overwrite. Nothing restarts, and no writer
+// is blocked past the seal's grace period. The memory component stays
+// single-versioned whenever no reader is open; readers pay only for the
+// keys overwritten while they live.
 func (db *DB) pinView() view {
 	db.drainMu.Lock()
 	// The Membuffer is unsequenced, so it cannot be bounded in place: seal
-	// and drain it into the live Memtable first.
-	old, _ := db.sealMembuffer(nil)
-
-	// Writers paused and drained: B cleanly separates past from future.
-	v := view{seq: db.seq.Add(1), live: old.mtb.list}
-	// Registered before writers resume, so the first post-B overwrite of
-	// any key already chains the displaced pre-B version.
-	db.registerBound(v.seq)
+	// and drain it into the live Memtable first. The bound is registered
+	// before writers resume, so the first post-B overwrite of any key
+	// already chains the displaced pre-B version.
+	var v view
+	old, _ := db.sealMembuffer(nil, func(seal uint64) {
+		v.seq = seal
+		db.registerBound(seal)
+	})
+	v.live = old.mtb.list
 
 	// Capture the sealed-but-unflushed Memtable BEFORE pinning the disk
 	// version. persistCycle's flush order (flush → install version →
@@ -82,7 +86,6 @@ func (db *DB) pinView() view {
 		v.ver = db.store.PinVersion()
 	}
 
-	db.pauseWriters.Store(false)
 	db.drainMu.Unlock()
 	return v
 }

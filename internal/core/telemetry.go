@@ -32,12 +32,11 @@ func (db *DB) initObs() {
 	s.drainedEntries = reg.Counter("flodb_drained_entries_total", "Entries drained Membuffer->Memtable.")
 	s.drainBatches = reg.Counter("flodb_drain_batches_total", "Drain multi-insert batches.")
 	s.persists = reg.Counter("flodb_persists_total", "Seal->drain->flush persist cycles.")
-	s.helpDrains = reg.Counter("flodb_help_drains_total", "Writer visits to the help-drain path.")
 	s.syncBarriers = reg.Counter("flodb_sync_barriers_total", "Explicit Sync durability barriers.")
-	s.stallNanos = reg.Counter("flodb_write_stall_nanoseconds_total", "Writer time stalled on drains, memory backpressure and L0 backlog.")
+	s.stallNanos = reg.Counter("flodb_write_stall_nanoseconds_total", "Writer time stalled on seals, memory backpressure and L0 backlog.")
 	for c, name := range stallCauseNames {
 		s.stallByCause[c] = reg.Counter(`flodb_write_stall_by_cause_nanoseconds_total{cause="`+name+`"}`,
-			"Writer stall time by cause: drain (a seal paused writers), memtable (Memtable full) or l0 (L0 backlog).")
+			"Writer stall time by cause: seal (a seal's grace period), memtable (Memtable full) or l0 (L0 backlog).")
 	}
 	s.inPlaceHits = reg.StripedCounter("flodb_inplace_hits_total", "Membuffer updates that overwrote a resident key in place.")
 

@@ -168,7 +168,9 @@ func Fig7(c Config) (*harness.Table, error) {
 			if rng.Intn(2) == 0 {
 				list.Get(k)
 			} else {
-				list.Insert(append([]byte(nil), k...), &skiplist.Entry{Value: []byte("v"), Seq: rng.Uint64()})
+				// Unnumbered, like the fill: equal sequence numbers keep
+				// last-arrival order, so every write is a real update.
+				list.Insert(append([]byte(nil), k...), &skiplist.Entry{Value: []byte("v")})
 			}
 		})
 	}, "Fig 7: concurrent skiplist, mixed read-write")

@@ -450,14 +450,16 @@ func (b *Buffer) DrainPartition(part, max int) []Drained {
 	return out
 }
 
-// DrainAll claims every entry of every partition whose token is free. Used
-// for the full pre-scan drain of an immutable Membuffer.
-func (b *Buffer) DrainAll() []Drained {
-	var out []Drained
+// DrainAll claims every entry of every partition whose token is free, one
+// partition at a time, and hands each non-empty claim to fn, which owns
+// its Release. A seal drains a frozen Membuffer with it; an empty buffer
+// costs one counter load per partition.
+func (b *Buffer) DrainAll(fn func(batch []Drained)) {
 	for part := 0; part < b.partitions; part++ {
-		out = append(out, b.DrainPartition(part, 0)...)
+		if batch := b.DrainPartition(part, 0); len(batch) > 0 {
+			fn(batch)
+		}
 	}
-	return out
 }
 
 // Release removes drained entries from the buffer and drops the tokens of

@@ -230,6 +230,13 @@ func TestUpdateDuringDrainIsNotLost(t *testing.T) {
 	}
 }
 
+// drainAll collects DrainAll's claims into one batch.
+func drainAll(b *Buffer) []Drained {
+	var out []Drained
+	b.DrainAll(func(batch []Drained) { out = append(out, batch...) })
+	return out
+}
+
 func TestDrainAll(t *testing.T) {
 	b := New(Config{Buckets: 64, PartitionBits: 3})
 	n := 0
@@ -238,7 +245,7 @@ func TestDrainAll(t *testing.T) {
 			n++
 		}
 	}
-	d := b.DrainAll()
+	d := drainAll(b)
 	if len(d) != n {
 		t.Fatalf("DrainAll claimed %d, want %d", len(d), n)
 	}
@@ -347,7 +354,7 @@ func TestConcurrentAddGetDrain(t *testing.T) {
 	background.Wait()
 
 	// Drain what remains and check accounting closes to zero.
-	rest := b.DrainAll()
+	rest := drainAll(b)
 	b.Release(rest)
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d after full drain", b.Len())
@@ -519,9 +526,9 @@ func TestTagCollisionsKeepFullCompare(t *testing.T) {
 func TestDrainSkipsEmptyAndStopsEarly(t *testing.T) {
 	b := New(Config{Buckets: 4096, PartitionBits: 6})
 	if n := testing.AllocsPerRun(10, func() {
-		if d := b.DrainAll(); d != nil {
-			t.Fatalf("empty buffer drained %d entries", len(d))
-		}
+		b.DrainAll(func(batch []Drained) {
+			t.Fatalf("empty buffer drained %d entries", len(batch))
+		})
 	}); n != 0 {
 		t.Errorf("draining an empty buffer allocated %.0f times", n)
 	}
@@ -537,7 +544,7 @@ func TestDrainSkipsEmptyAndStopsEarly(t *testing.T) {
 			t.Fatalf("round %d: Len %d, want %d", round, b.Len(), len(want))
 		}
 		b.Freeze()
-		d := b.DrainAll()
+		d := drainAll(b)
 		if len(d) != len(want) {
 			t.Fatalf("round %d: drained %d of %d resident entries", round, len(d), len(want))
 		}
@@ -613,7 +620,7 @@ func TestPutCopiesCallerBuffers(t *testing.T) {
 		}
 		seen++
 	})
-	d := b.DrainAll()
+	d := drainAll(b)
 	if seen != len(want) || len(d) != len(want) {
 		t.Fatalf("ForEach saw %d, drain claimed %d, of %d entries", seen, len(d), len(want))
 	}

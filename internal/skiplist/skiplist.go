@@ -11,7 +11,10 @@
 //     what makes multi-insert's predecessor reuse safe (§4.3,
 //     "Concurrency").
 //   - In-place updates: inserting an existing key atomically swaps the
-//     node's (value, seqnum) pair — the paper's SWAP(succs[0].val, v).
+//     node's (value, seqnum) pair — the paper's SWAP(succs[0].val, v) —
+//     unless the resident pair is newer (higher seqnum): then the insert
+//     is an older version, kept beneath the resident one if a Retention
+//     bound needs it and dropped otherwise. Arrival order does not decide.
 //   - Per-entry sequence numbers, read atomically together with the value,
 //     which Scan uses to detect concurrent modification (§3.2).
 //   - MultiInsert: n sorted elements inserted in one traversal, each
@@ -106,11 +109,12 @@ func (e *Entry) PrevVersion() *Entry { return e.prev.Load() }
 func (e *Entry) setPrev(p *Entry) { e.prev.Store(p) }
 
 // Retention publishes the set of active snapshot sequence bounds to a
-// list. While a bound B is active, an in-place update of a key whose
-// current entry has Seq <= B chains the displaced entry behind the new
-// one instead of destroying it, so a reader at bound B can still reach
-// the version it needs (GetAt). With no active bounds updates destroy
-// the old version exactly as before — the single-versioned memory
+// list. While a bound B is active, an update that displaces a version
+// with Seq <= B by one with Seq > B chains the displaced version beneath
+// the new one instead of destroying it, so a reader at bound B can still
+// reach the version it needs (GetAt); an older version arriving after a
+// newer one is chained the same way. With no active bounds updates
+// destroy the old version exactly as before — the single-versioned memory
 // component of §3.2 — so the retention machinery costs nothing when no
 // snapshot is open.
 type Retention struct {
@@ -125,6 +129,9 @@ func (r *Retention) Set(bounds []uint64) {
 }
 
 func (r *Retention) active() []uint64 {
+	if r == nil {
+		return nil
+	}
 	p := r.bounds.Load()
 	if p == nil {
 		return nil
@@ -132,40 +139,58 @@ func (r *Retention) active() []uint64 {
 	return *p
 }
 
-// retain builds the version chain hung beneath a new entry displacing
-// old: for each active bound B the newest version with Seq <= B is
-// kept, everything else is unlinked, and the chain is cut below the
-// deepest kept version — so a chain holds at most len(bounds)+1 entries
+// retain builds the version chain hung beneath an entry numbered top,
+// from old's chain plus extra (an older version arriving late; nil when
+// there is none): for each active bound B below top — top's own entry
+// serves the others — the newest version with Seq <= B is kept,
+// everything else is unlinked, and the chain is cut below the deepest
+// kept version. A chain therefore holds at most len(bounds)+1 entries
 // however hot the key. Concurrent readers are safe: relinks only bypass
 // versions no active bound stops at, a reader's target (the newest
-// version <= its bound, which is fixed once the bound is drawn) is
-// always in the kept set, and kept entries are linked consecutively, so
-// every downward walk reaches the target before passing below it.
-func retain(old *Entry, bounds []uint64) *Entry {
-	if len(bounds) == 0 {
-		return nil
-	}
+// version <= its bound, which is fixed once the bound is drawn) is always
+// in the kept set, and kept entries are linked bottom-up and
+// consecutively, so extra is complete before a reader can reach it and
+// every downward walk reaches its target before passing below it.
+func retain(old, extra *Entry, bounds []uint64, top uint64) *Entry {
 	var kept []*Entry
 	v := old
 	for i := len(bounds) - 1; i >= 0; i-- {
+		if bounds[i] >= top {
+			continue
+		}
 		for v != nil && v.Seq > bounds[i] {
 			v = v.PrevVersion()
 		}
-		if v == nil {
+		k := v
+		if extra != nil && extra.Seq <= bounds[i] && (k == nil || extra.Seq > k.Seq) {
+			k = extra
+		}
+		if k == nil {
 			break
 		}
-		if len(kept) == 0 || kept[len(kept)-1] != v {
-			kept = append(kept, v)
+		if len(kept) == 0 || kept[len(kept)-1] != k {
+			kept = append(kept, k)
 		}
 	}
 	if len(kept) == 0 {
 		return nil
 	}
-	for i := 0; i < len(kept)-1; i++ {
+	kept[len(kept)-1].setPrev(nil)
+	for i := len(kept) - 2; i >= 0; i-- {
 		kept[i].setPrev(kept[i+1])
 	}
-	kept[len(kept)-1].setPrev(nil)
 	return kept[0]
+}
+
+// needed reports whether a bound in bounds observes a version numbered
+// seq beneath one numbered top: seq <= B < top.
+func needed(bounds []uint64, seq, top uint64) bool {
+	for _, b := range bounds {
+		if seq <= b && b < top {
+			return true
+		}
+	}
+	return false
 }
 
 // KV pairs a key with its entry for MultiInsert batches.
@@ -188,7 +213,7 @@ type List struct {
 	// rngState seeds the lock-free splitmix64 height generator.
 	rngState atomic.Uint64
 	// ret, when non-nil, supplies the active snapshot bounds that make
-	// in-place updates chain displaced versions. Nil (the default) keeps
+	// updates chain displaced (or late) versions. Nil (the default) keeps
 	// the classic destructive swap with zero overhead.
 	ret *Retention
 
@@ -196,7 +221,7 @@ type List struct {
 	entries entrySlots
 }
 
-// SetRetention attaches the bound source consulted on in-place updates.
+// SetRetention attaches the bound source consulted on updates.
 // Call before the list is shared; lists without one never chain.
 func (l *List) SetRetention(r *Retention) { l.ret = r }
 
@@ -334,10 +359,9 @@ func (l *List) seekGE(target []byte) (uint32, bool) {
 
 // --- Insert ------------------------------------------------------------------
 
-// Insert adds key with entry, or atomically replaces the entry of an
-// existing key (in-place update). It reports whether a new node was
-// created. The key is copied into the list; e is retained. Safe for
-// concurrent use with all other operations.
+// Insert adds key with entry, or installs e at an existing key (update).
+// It reports whether a new node was created. The key is copied into the
+// list; e is retained. Safe for concurrent use with all other operations.
 func (l *List) Insert(key []byte, e *Entry) (inserted bool) {
 	var s splice
 	_, inserted = l.insert(key, e, &s)
@@ -396,35 +420,50 @@ func (l *List) insert(key []byte, e *Entry, s *splice) (uint32, bool) {
 	}
 }
 
-// update swaps e in as node n's entry, inheriting the creation seq. The
-// swap is a CAS loop rather than a blind Swap: with retention active the
-// displaced entry may need to be chained behind the new one, and a lost
-// race must re-chain against the actual displaced entry or a concurrent
-// writer's version would silently vanish from the chain.
+// update installs e at node n in sequence order. An e at least as new as
+// the resident entry replaces it (the last arrival wins a tie), inheriting
+// the creation seq; with retention active the displaced entry may need to
+// be chained behind e, and a lost CAS must re-chain against the actual
+// displaced entry or a concurrent writer's version would silently vanish
+// from the chain. An older e is dropped unless a bound needs it beneath
+// the resident entry; then a copy of the resident entry carrying the new
+// chain replaces it through the same CAS, so the resident entry itself is
+// never relinked.
 func (l *List) update(n uint32, e *Entry) {
 	slot := l.entry(n)
 	for {
 		old := slot.Load()
-		if old.CreateSeq != 0 {
-			e.CreateSeq = old.CreateSeq
+		bounds := l.ret.active()
+		next := e
+		if e.Seq < old.Seq {
+			if !needed(bounds, e.Seq, old.Seq) {
+				return
+			}
+			next = &Entry{Value: old.Value, Seq: old.Seq, CreateSeq: old.CreateSeq, Tombstone: old.Tombstone, Held: old.Held}
+			next.setPrev(retain(old.PrevVersion(), e, bounds, old.Seq))
 		} else {
-			e.CreateSeq = old.Seq
+			if old.CreateSeq != 0 {
+				e.CreateSeq = old.CreateSeq
+			} else {
+				e.CreateSeq = old.Seq
+			}
+			e.setPrev(retain(old, nil, bounds, e.Seq))
 		}
-		if l.ret != nil {
-			e.setPrev(retain(old, l.ret.active()))
-		}
-		if slot.CompareAndSwap(old, e) {
-			l.updates.Add(1)
-			l.bytes.Add(e.held() - old.held())
+		if slot.CompareAndSwap(old, next) {
+			if next == e {
+				l.updates.Add(1)
+				l.bytes.Add(e.held() - old.held())
+			}
 			return
 		}
 	}
 }
 
 // MultiInsert inserts the batch in one pass (Algorithm 1). The batch is
-// sorted in place by key ascending; for duplicate keys within the batch the
-// later element wins (it overwrites in place, matching repeated Inserts).
-// It returns the number of new nodes created.
+// sorted in place by key ascending; duplicate keys within the batch, and
+// keys already in the list, are resolved by update's sequence order, the
+// later element winning a tie — exactly as repeated Inserts would. It
+// returns the number of new nodes created.
 //
 // Multi-inserts are concurrent with each other, with Insert, and with
 // readers. As in the paper, the batch is not atomic: intermediate states

@@ -20,13 +20,11 @@ type Option interface {
 
 // options accumulates the applied Option values for Open.
 type options struct {
-	memoryBytes       int64
-	membufferFraction float64
-	partitionBits     uint
-	drainThreads      int
-	disableWAL        bool
-	walWriteThrough   bool
-	durability        Durability
+	memoryBytes     int64
+	drainThreads    int
+	disableWAL      bool
+	walWriteThrough bool
+	durability      Durability
 
 	blockCacheBytes int64
 	tableCacheCap   int
@@ -57,33 +55,6 @@ func WithMemory(bytes int64) Option {
 			return
 		}
 		o.memoryBytes = bytes
-	})
-}
-
-// WithMembufferFraction overrides the Membuffer's share of the memory
-// budget. Default 0.25, the paper's empirically chosen split. The split is
-// fixed at Open for the store's lifetime. Fractions outside (0,1) are
-// rejected by Open.
-func WithMembufferFraction(f float64) Option {
-	return optionFunc(func(o *options) {
-		if f <= 0 || f >= 1 {
-			o.fail(fmt.Errorf("flodb: WithMembufferFraction(%v): fraction must be in (0,1)", f))
-			return
-		}
-		o.membufferFraction = f
-	})
-}
-
-// WithPartitionBits sets ℓ: the Membuffer has 2^ℓ partitions selected by
-// the most significant key bits (§4.3). Default 6; values above 16 are
-// rejected by Open.
-func WithPartitionBits(bits uint) Option {
-	return optionFunc(func(o *options) {
-		if bits > 16 {
-			o.fail(fmt.Errorf("flodb: WithPartitionBits(%d): at most 16 bits supported", bits))
-			return
-		}
-		o.partitionBits = bits
 	})
 }
 

@@ -20,10 +20,6 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 	}{
 		{"zero memory", flodb.WithMemory(0), "WithMemory"},
 		{"negative memory", flodb.WithMemory(-4096), "WithMemory"},
-		{"fraction zero", flodb.WithMembufferFraction(0), "WithMembufferFraction"},
-		{"fraction one", flodb.WithMembufferFraction(1), "WithMembufferFraction"},
-		{"fraction above one", flodb.WithMembufferFraction(1.5), "WithMembufferFraction"},
-		{"partition bits 17", flodb.WithPartitionBits(17), "WithPartitionBits"},
 		{"zero drain threads", flodb.WithDrainThreads(0), "WithDrainThreads"},
 		{"negative drain threads", flodb.WithDrainThreads(-1), "WithDrainThreads"},
 		{"invalid durability", flodb.WithDurability(flodb.Durability(99)), "WithDurability"},
