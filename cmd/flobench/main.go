@@ -12,8 +12,11 @@
 // an error (exit 2) listing the valid names.
 //
 // Sizes default to 1/1024 of the paper's (the column labels report the
-// paper-scale sizes); see DESIGN.md §3 and EXPERIMENTS.md for the scaling
-// rationale and expected shapes.
+// paper-scale sizes): scaling every size by one factor keeps the ratios
+// that drive the results (memory:dataset, Membuffer:Memtable, hot set:
+// memory) while a cell runs in seconds. The internal/figures package doc
+// gives the mapping, and each figure's doc comment the shape the paper
+// reports.
 package main
 
 import (
@@ -52,7 +55,8 @@ var figureFuncs = map[string]func(figures.Config) (*harness.Table, error){
 	// Distribution tier: quorum throughput/latency vs ring node count,
 	// plus the kill-one-replica availability series.
 	"clusterbench": figures.ClusterBench,
-	// Ablations beyond the paper (DESIGN.md §4.5).
+	// Ablations beyond the paper: sweeps of the parameters it fixes
+	// empirically (§4.1, §5.1).
 	"ablate-split": figures.AblateSplit,
 	"ablate-drain": figures.AblateDrainThreads,
 	"ablate-batch": figures.AblateDrainBatch,

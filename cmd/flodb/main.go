@@ -244,16 +244,17 @@ func main() {
 		fmt.Printf("filled %d keys\n", n)
 	case "stats":
 		if *jsonOut {
-			// The JSON form IS the wire stats schema: remote mode prints
-			// the OpStats payload verbatim, local mode fills the same
-			// struct from the engine, so tooling parses one shape.
+			// The JSON form is flodbd's /statsz schema, so tooling parses
+			// one shape: remote mode builds it from the node's telemetry
+			// snapshot as /statsz does, local mode from the store's Stats
+			// and snapshot.
 			payload := wire.StatsPayload{Store: statsOf(db)}
 			if cl, ok := db.(*client.Client); ok {
-				p, err := cl.StatsPayload(ctx)
+				tp, err := cl.Telemetry(ctx, -1)
 				if err != nil {
 					fail(err)
 				}
-				payload = p
+				payload = wire.NewStatsPayload(obs.Snapshot{Metrics: tp.Metrics})
 			} else if ts, ok := db.(obs.SnapshotProvider); ok {
 				payload.Ops = obs.OpQuantiles(ts.TelemetrySnapshot())
 			}

@@ -160,24 +160,6 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 		db = ldb
 	}
 
-	// The daemon is where the store's and the server's telemetry meet:
-	// one merged snapshot feeds /metrics, /statsz, and OpTelemetry, so
-	// every surface agrees on what the process is doing.
-	var srv *server.Server
-	snapshot := func() obs.Snapshot {
-		snaps := []obs.Snapshot{srv.TelemetrySnapshot()}
-		if ts, ok := db.(obs.SnapshotProvider); ok {
-			snaps = append(snaps, ts.TelemetrySnapshot())
-		}
-		return obs.Merge(snaps...)
-	}
-	events := func(n int) []obs.Event {
-		if ts, ok := db.(obs.EventProvider); ok {
-			return ts.TelemetryEvents(n)
-		}
-		return nil
-	}
-
 	cfg := server.Config{
 		Store:       db,
 		NodeID:      *nodeID,
@@ -185,20 +167,11 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 		MaxInFlight: *maxInFl,
 		LeaseIdle:   *leaseIdle,
 		SlowRequest: *slow,
-		Telemetry: func(maxEvents int) wire.TelemetryPayload {
-			s := snapshot()
-			return wire.TelemetryPayload{
-				Node:    *nodeID,
-				Ops:     obs.OpQuantiles(s),
-				Metrics: s.Metrics,
-				Events:  events(maxEvents),
-			}
-		},
 	}
 	if *verbose {
 		cfg.Logf = logger.Printf
 	}
-	srv = server.New(cfg)
+	srv := server.New(cfg)
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
@@ -207,18 +180,13 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 			db.Close()
 			return err
 		}
-		statsz := func() any {
-			payload := wire.StatsPayload{Server: srv.Info()}
-			if sp, ok := db.(kv.StatsProvider); ok {
-				payload.Store = sp.Stats()
-			}
-			payload.Ops = obs.OpQuantiles(snapshot())
-			return payload
-		}
+		// The server's snapshot (its registry merged with the store's)
+		// feeds /metrics, /statsz and OpTelemetry alike, so every surface
+		// agrees on what the process is doing.
 		debugSrv = &http.Server{Handler: obs.DebugMux(obs.DebugOptions{
-			Snapshot: snapshot,
-			Events:   events,
-			Statsz:   statsz,
+			Snapshot: srv.TelemetrySnapshot,
+			Events:   srv.TelemetryEvents,
+			Statsz:   func() any { return wire.NewStatsPayload(srv.TelemetrySnapshot()) },
 		})}
 		go debugSrv.Serve(dl)
 		logger.Printf("debug telemetry on http://%s/metrics", dl.Addr())

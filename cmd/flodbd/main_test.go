@@ -186,11 +186,18 @@ func TestDebugTelemetryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var statsz wire.StatsPayload
-	err = json.NewDecoder(resp.Body).Decode(&statsz)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
+		t.Fatal(err)
+	}
+	var statsz wire.StatsPayload
+	if err := json.Unmarshal(body, &statsz); err != nil {
 		t.Fatalf("/statsz is not a StatsPayload: %v", err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(body, &top); err != nil || len(top) != 2 || top["store"] == nil || top["ops"] == nil {
+		t.Errorf("/statsz = %.200s…, want an object holding exactly store and ops", body)
 	}
 	if statsz.Store.Puts != 50 {
 		t.Errorf("/statsz store.Puts = %d, want 50", statsz.Store.Puts)

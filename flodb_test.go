@@ -191,14 +191,15 @@ func TestFunctionalOptions(t *testing.T) {
 }
 
 func TestLegacyOptionsShim(t *testing.T) {
-	// The deprecated *Options struct is itself an Option; nil still works.
+	// The option list the removed *Options struct used to carry configures
+	// a store, and Open with no options at all takes every default.
 	db, err := flodb.Open(t.TempDir(), flodb.WithMemory(1<<20), flodb.WithoutWAL())
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Put(bg, []byte("k"), []byte("v"))
 	if v, ok, _ := db.Get(bg, []byte("k")); !ok || string(v) != "v" {
-		t.Fatalf("legacy options store broken: %q %v", v, ok)
+		t.Fatalf("store opened with options broken: %q %v", v, ok)
 	}
 	db.Close()
 

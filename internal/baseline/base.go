@@ -12,6 +12,7 @@ import (
 	"flodb/internal/diskenv"
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/obs"
 	"flodb/internal/skiplist"
 	"flodb/internal/storage"
 	"flodb/internal/wal"
@@ -129,12 +130,10 @@ type base struct {
 	// boundary spans memtable switches.
 	walMetrics wal.Metrics
 
-	stats struct {
-		puts, gets, deletes, scans   atomic.Uint64
-		batches, batchOps, iterators atomic.Uint64
-		snapshots, checkpoints       atomic.Uint64
-		syncBarriers                 atomic.Uint64
-	}
+	// reg holds the operation counters (ops) and the views over the WAL
+	// and disk component, under the metric names FloDB registers.
+	reg *obs.Registry
+	ops kv.OpCounters
 }
 
 func (b *base) init(cfg Config) error {
@@ -147,6 +146,9 @@ func (b *base) init(cfg Config) error {
 		return err
 	}
 	b.store = store
+	b.reg = obs.NewRegistry()
+	b.ops = kv.NewOpCounters(b.reg)
+	storage.RegisterMetrics(b.reg, store, &b.walMetrics)
 	b.lastSeq = store.LastSeq()
 	b.immCond = sync.NewCond(&b.mu)
 	b.flushCh = make(chan struct{}, 1)
@@ -348,8 +350,8 @@ func (b *base) applyBatch(ctx context.Context, batch *kv.Batch, opts []kv.WriteO
 	if batch == nil || batch.Len() == 0 {
 		return nil
 	}
-	b.stats.batches.Add(1)
-	b.stats.batchOps.Add(uint64(batch.Len()))
+	b.ops.Batches.Add(1)
+	b.ops.BatchOps.Add(uint64(batch.Len()))
 	w, off, err := b.applyBatchLocked(ctx, batch, d)
 	if err != nil {
 		return err
@@ -396,7 +398,7 @@ func (b *base) Sync(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	b.stats.syncBarriers.Add(1)
+	b.ops.SyncBarriers.Add(1)
 	if b.cfg.DisableWAL {
 		return nil
 	}
@@ -651,7 +653,7 @@ func (b *base) newSnapshotIter(ctx context.Context, mem, imm *memHandle, ver *st
 // FloDB's single-versioned memory component reaches the same O(1)
 // snapshot through seq-pinned version chains in its skiplist.
 func (b *base) newSnapshot(mem, imm *memHandle, snap uint64) *baseSnapshot {
-	b.stats.snapshots.Add(1)
+	b.ops.Snapshots.Add(1)
 	return &baseSnapshot{b: b, mem: mem, imm: imm, snap: snap, ver: b.store.PinVersion()}
 }
 
@@ -703,7 +705,7 @@ func (s *baseSnapshot) NewIterator(ctx context.Context, low, high []byte) (kv.It
 	if err := s.check(ctx); err != nil {
 		return nil, err
 	}
-	s.b.stats.iterators.Add(1)
+	s.b.ops.Iterators.Add(1)
 	return s.b.newSnapshotIter(ctx, s.mem, s.imm, s.ver, s.snap, low, high, nil)
 }
 
@@ -741,7 +743,7 @@ func (b *base) Checkpoint(ctx context.Context, dir string) error {
 	if err := b.loadFlushErr(); err != nil {
 		return err
 	}
-	b.stats.checkpoints.Add(1)
+	b.ops.Checkpoints.Add(1)
 	const retries = 4
 	for attempt := 0; attempt < retries; attempt++ {
 		b.mu.Lock()
@@ -883,37 +885,10 @@ func (b *base) WaitDiskQuiesce() {
 }
 
 // Stats reports shared counters.
-func (b *base) Stats() kv.Stats {
-	s := kv.Stats{
-		Puts:         b.stats.puts.Load(),
-		Gets:         b.stats.gets.Load(),
-		Deletes:      b.stats.deletes.Load(),
-		Scans:        b.stats.scans.Load(),
-		Batches:      b.stats.batches.Load(),
-		BatchOps:     b.stats.batchOps.Load(),
-		Iterators:    b.stats.iterators.Load(),
-		Snapshots:    b.stats.snapshots.Load(),
-		Checkpoints:  b.stats.checkpoints.Load(),
-		SyncBarriers: b.stats.syncBarriers.Load(),
-	}
-	ws := b.walMetrics.Snapshot()
-	s.AckedSeq = ws.Appends
-	s.DurableSeq = ws.Durable
-	s.WALSyncs = ws.Syncs
-	s.WALSyncRequests = ws.SyncRequests
-	m := b.store.Metrics()
-	s.Flushes = m.Flushes
-	s.Compactions = m.Compactions
-	s.BlockCacheHits = m.BlockCacheHits
-	s.BlockCacheMisses = m.BlockCacheMisses
-	s.BlockCacheEvictions = m.BlockCacheEvictions
-	s.BlockCacheBytes = m.BlockCacheBytes
-	s.TableCacheHits = m.TableCacheHits
-	s.TableCacheMisses = m.TableCacheMisses
-	s.BloomChecks = m.BloomChecks
-	s.BloomMisses = m.BloomNegatives
-	return s
-}
+func (b *base) Stats() kv.Stats { return kv.StatsOf(b.TelemetrySnapshot()) }
+
+// TelemetrySnapshot freezes the metrics registry.
+func (b *base) TelemetrySnapshot() obs.Snapshot { return b.reg.Snapshot() }
 
 // ErrClosedBaseline is returned by operations on a closed baseline store.
 // It wraps kv.ErrClosed, so errors.Is(err, kv.ErrClosed) holds.

@@ -131,13 +131,13 @@ func (db *CLSM) switchOrWait() error {
 
 // Put proceeds under the read side of the global RW lock.
 func (db *CLSM) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	db.stats.puts.Add(1)
+	db.ops.Puts.Add(1)
 	return db.write(ctx, keys.KindSet, key, value, opts)
 }
 
 // Delete writes a tombstone version.
 func (db *CLSM) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	db.stats.deletes.Add(1)
+	db.ops.Deletes.Add(1)
 	return db.write(ctx, keys.KindDelete, key, nil, opts)
 }
 
@@ -149,7 +149,7 @@ func (db *CLSM) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	db.stats.gets.Add(1)
+	db.ops.Gets.Add(1)
 	v := db.view.Load()
 	snap := db.seq.Load()
 	val, ok, err := db.getFrom(v.mem, v.imm, nil, snap, key)
@@ -167,7 +167,7 @@ func (db *CLSM) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.scans.Add(1)
+	db.ops.Scans.Add(1)
 	v := db.view.Load()
 	snap := db.seq.Load()
 	return db.scanFrom(ctx, v.mem, v.imm, snap, low, high)
@@ -182,7 +182,7 @@ func (db *CLSM) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.iterators.Add(1)
+	db.ops.Iterators.Add(1)
 	v := db.view.Load()
 	snap := db.seq.Load()
 	return db.newSnapshotIter(ctx, v.mem, v.imm, nil, snap, low, high, nil)
@@ -238,8 +238,8 @@ func (db *CLSM) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) 
 	if b == nil || b.Len() == 0 {
 		return nil
 	}
-	db.stats.batches.Add(1)
-	db.stats.batchOps.Add(uint64(b.Len()))
+	db.ops.Batches.Add(1)
+	db.ops.BatchOps.Add(uint64(b.Len()))
 	for {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -86,13 +86,13 @@ func (db *HyperLevelDB) write(ctx context.Context, kind keys.Kind, key, value []
 
 // Put inserts concurrently between two global critical sections.
 func (db *HyperLevelDB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	db.stats.puts.Add(1)
+	db.ops.Puts.Add(1)
 	return db.write(ctx, keys.KindSet, key, value, opts)
 }
 
 // Delete writes a tombstone version.
 func (db *HyperLevelDB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	db.stats.deletes.Add(1)
+	db.ops.Deletes.Add(1)
 	return db.write(ctx, keys.KindDelete, key, nil, opts)
 }
 
@@ -104,7 +104,7 @@ func (db *HyperLevelDB) Get(ctx context.Context, key []byte) ([]byte, bool, erro
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	db.stats.gets.Add(1)
+	db.ops.Gets.Add(1)
 	db.mu.Lock()
 	mem, imm, snap := db.snapshotLocked()
 	db.mu.Unlock()
@@ -127,7 +127,7 @@ func (db *HyperLevelDB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.scans.Add(1)
+	db.ops.Scans.Add(1)
 	db.mu.Lock()
 	mem, imm, snap := db.snapshotLocked()
 	db.mu.Unlock()
@@ -146,7 +146,7 @@ func (db *HyperLevelDB) NewIterator(ctx context.Context, low, high []byte) (kv.I
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.iterators.Add(1)
+	db.ops.Iterators.Add(1)
 	db.mu.Lock()
 	mem, imm, snap := db.snapshotLocked()
 	db.mu.Unlock()

@@ -160,13 +160,13 @@ func (db *LevelDB) write(ctx context.Context, kind keys.Kind, key, value []byte,
 
 // Put queues the update for the write leader.
 func (db *LevelDB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	db.stats.puts.Add(1)
+	db.ops.Puts.Add(1)
 	return db.write(ctx, keys.KindSet, key, value, opts)
 }
 
 // Delete queues a tombstone.
 func (db *LevelDB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	db.stats.deletes.Add(1)
+	db.ops.Deletes.Add(1)
 	return db.write(ctx, keys.KindDelete, key, nil, opts)
 }
 
@@ -180,7 +180,7 @@ func (db *LevelDB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	db.stats.gets.Add(1)
+	db.ops.Gets.Add(1)
 	db.mu.Lock()
 	mem, imm, snap := db.snapshotLocked()
 	db.mu.Unlock()
@@ -201,7 +201,7 @@ func (db *LevelDB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.scans.Add(1)
+	db.ops.Scans.Add(1)
 	db.mu.Lock()
 	mem, imm, snap := db.snapshotLocked()
 	db.mu.Unlock()
@@ -220,7 +220,7 @@ func (db *LevelDB) NewIterator(ctx context.Context, low, high []byte) (kv.Iterat
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.iterators.Add(1)
+	db.ops.Iterators.Add(1)
 	db.mu.Lock()
 	mem, imm, snap := db.snapshotLocked()
 	db.mu.Unlock()

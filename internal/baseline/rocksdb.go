@@ -85,13 +85,13 @@ func (db *RocksDB) write(ctx context.Context, kind keys.Kind, key, value []byte,
 
 // Put inserts with one short global critical section.
 func (db *RocksDB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	db.stats.puts.Add(1)
+	db.ops.Puts.Add(1)
 	return db.write(ctx, keys.KindSet, key, value, opts)
 }
 
 // Delete writes a tombstone version.
 func (db *RocksDB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	db.stats.deletes.Add(1)
+	db.ops.Deletes.Add(1)
 	return db.write(ctx, keys.KindDelete, key, nil, opts)
 }
 
@@ -105,7 +105,7 @@ func (db *RocksDB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	db.stats.gets.Add(1)
+	db.ops.Gets.Add(1)
 	db.mu.Lock()
 	mem, imm, snap := db.snapshotLocked()
 	db.mu.Unlock()
@@ -124,7 +124,7 @@ func (db *RocksDB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.scans.Add(1)
+	db.ops.Scans.Add(1)
 	db.mu.Lock()
 	mem, imm, snap := db.snapshotLocked()
 	db.mu.Unlock()
@@ -139,7 +139,7 @@ func (db *RocksDB) NewIterator(ctx context.Context, low, high []byte) (kv.Iterat
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.iterators.Add(1)
+	db.ops.Iterators.Add(1)
 	db.mu.Lock()
 	mem, imm, snap := db.snapshotLocked()
 	db.mu.Unlock()

@@ -590,60 +590,27 @@ func (cl *Client) Health(ctx context.Context) (wire.HealthInfo, error) {
 	return info, nil
 }
 
-// Stats fetches the server's stats snapshot: the store's own counters
-// with the service-tier observability (conns, in-flight, bytes, slow
-// requests) folded into the Server* fields. Wire failures return zero
-// Stats — the StatsProvider contract has no error channel.
+// Stats reads the node's counters off one telemetry snapshot
+// (kv.StatsOf of its metrics): the store's own counters, with the service
+// tier's (conns, in-flight, requests, bytes, slow requests) in the Server*
+// fields. Wire failures return zero Stats — the StatsProvider contract has
+// no error channel.
 func (cl *Client) Stats() kv.Stats {
-	st, _, err := cl.FullStats(context.Background())
+	tp, err := cl.Telemetry(context.Background(), -1)
 	if err != nil {
 		return kv.Stats{}
 	}
-	return st
-}
-
-// StatsPayload fetches the raw OpStats response: store counters, server
-// info, and (when the node runs with telemetry) per-op latency
-// quantiles. `flodb stats -json` prints it verbatim, so the local and
-// remote JSON stats surfaces share one schema.
-func (cl *Client) StatsPayload(ctx context.Context) (wire.StatsPayload, error) {
-	resp, err := cl.call(ctx, &wire.Request{Op: wire.OpStats})
-	if err != nil {
-		return wire.StatsPayload{}, err
-	}
-	var payload wire.StatsPayload
-	if err := json.Unmarshal(resp.Payload, &payload); err != nil {
-		return wire.StatsPayload{}, fmt.Errorf("client: stats payload: %w", err)
-	}
-	return payload, nil
-}
-
-// FullStats returns the store stats plus the server's per-opcode
-// breakdown.
-func (cl *Client) FullStats(ctx context.Context) (kv.Stats, wire.ServerInfo, error) {
-	payload, err := cl.StatsPayload(ctx)
-	if err != nil {
-		return kv.Stats{}, wire.ServerInfo{}, err
-	}
-	st := payload.Store
-	st.ServerConnsOpen = payload.Server.ConnsOpen
-	st.ServerConnsTotal = payload.Server.ConnsTotal
-	st.ServerInFlight = payload.Server.InFlight
-	st.ServerRequests = payload.Server.Requests
-	st.ServerBytesIn = payload.Server.BytesIn
-	st.ServerBytesOut = payload.Server.BytesOut
-	st.ServerSlowRequests = payload.Server.SlowRequests
-	return st, payload.Server, nil
+	return kv.StatsOf(obs.Snapshot{Metrics: tp.Metrics})
 }
 
 // Telemetry fetches the node's observability snapshot: per-op latency
 // quantiles, the merged metric registry, and up to maxEvents recent
-// structured events (0 = the server's default). flodbctl top renders
-// it; kv.ErrNotSupported when the server has no telemetry provider.
+// structured events (0: every event the node retains; negative: none).
+// flodbctl top renders it.
 func (cl *Client) Telemetry(ctx context.Context, maxEvents int) (wire.TelemetryPayload, error) {
 	var body []byte
-	if maxEvents > 0 {
-		body = binary.AppendUvarint(nil, uint64(maxEvents))
+	if maxEvents != 0 {
+		body = binary.AppendUvarint(nil, uint64(max(maxEvents, 0)))
 	}
 	resp, err := cl.call(ctx, &wire.Request{Op: wire.OpTelemetry, Payload: body})
 	if err != nil {

@@ -175,14 +175,14 @@ type Client struct {
 	probeWG   sync.WaitGroup
 	repairWG  sync.WaitGroup
 
-	// Coordinator-level counters (see Stats: engine counters are summed
-	// from the nodes; these are counted once per cluster-level call).
-	nPuts, nGets, nDeletes, nScans   atomic.Uint64
-	nBatches, nBatchOps, nIters      atomic.Uint64
-	nSnapshots, nCheckpoints, nSyncs atomic.Uint64
-	nQuorumWrites, nDegradedWrites   atomic.Uint64
-	nReadRepairs                     atomic.Uint64
-	nHintsQueued, nHintsReplayed     atomic.Uint64
+	// reg holds the coordinator's metrics (telemetry.go): the operation
+	// counters, counted once per cluster-level call (see Stats), and the
+	// quorum, repair and hinted-handoff counters.
+	reg                          *obs.Registry
+	ops                          kv.OpCounters
+	quorumWrites, degradedWrites *obs.Counter
+	readRepairs                  *obs.Counter
+	hintsQueued, hintsReplayed   *obs.Counter
 }
 
 // Open joins the cluster: builds the ring, loads persisted hints, dials
@@ -200,6 +200,7 @@ func Open(cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("cluster: hint dir: %w", err)
 	}
 	c := &Client{cfg: cfg, ring: ring, stopProbe: make(chan struct{}), events: obs.NewEventLog(0)}
+	c.initObs()
 	c.events.Emit(obs.Event{Type: obs.EventRingEpoch,
 		Detail: fmt.Sprintf("ring epoch %#x over %d members (R=%d W=%d Rq=%d)",
 			ring.Epoch(), len(ring.Members()), cfg.Replication, cfg.WriteQuorum, cfg.ReadQuorum)})
@@ -314,14 +315,14 @@ func writeClass(opts []kv.WriteOption) kv.Durability {
 
 // Put replicates key=value to its R owners, acking at the write quorum.
 func (c *Client) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	c.nPuts.Add(1)
+	c.ops.Puts.Add(1)
 	return c.replicate(ctx, wire.VRecord{Version: c.nextVersion(), Key: key, Value: value}, opts)
 }
 
 // Delete replicates a versioned tombstone — a stale replica must never
 // resurrect the value, so deletes are writes, filtered out by reads.
 func (c *Client) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	c.nDeletes.Add(1)
+	c.ops.Deletes.Add(1)
 	return c.replicate(ctx, wire.VRecord{Version: c.nextVersion(), Tombstone: true, Key: key}, opts)
 }
 
@@ -355,7 +356,7 @@ func (c *Client) replicate(ctx context.Context, rec wire.VRecord, opts []kv.Writ
 			if herr := r.n.hints.append(writeClass(opts), rec); herr != nil {
 				hardErr = herr
 			} else {
-				c.nHintsQueued.Add(1)
+				c.hintsQueued.Add(1)
 			}
 		default:
 			hardErr = r.err
@@ -368,9 +369,9 @@ func (c *Client) replicate(ctx context.Context, rec wire.VRecord, opts []kv.Writ
 		return fmt.Errorf("cluster: no live replica reachable for write: %w", kv.ErrUnavailable)
 	}
 	if acks >= c.cfg.WriteQuorum {
-		c.nQuorumWrites.Add(1)
+		c.quorumWrites.Add(1)
 	} else {
-		c.nDegradedWrites.Add(1)
+		c.degradedWrites.Add(1)
 	}
 	return nil
 }
@@ -411,8 +412,8 @@ func (c *Client) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption)
 	if err != nil {
 		return err
 	}
-	c.nBatches.Add(1)
-	c.nBatchOps.Add(uint64(len(recs)))
+	c.ops.Batches.Add(1)
+	c.ops.BatchOps.Add(uint64(len(recs)))
 	if len(recs) == 0 {
 		return nil
 	}
@@ -465,7 +466,7 @@ func (c *Client) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption)
 					hardErr = herr
 					break
 				}
-				c.nHintsQueued.Add(1)
+				c.hintsQueued.Add(1)
 			}
 		default:
 			hardErr = r.err
@@ -490,9 +491,9 @@ func (c *Client) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption)
 		return fmt.Errorf("cluster: batch op with no live replica: %w", kv.ErrUnavailable)
 	}
 	if minAcks >= c.cfg.WriteQuorum {
-		c.nQuorumWrites.Add(1)
+		c.quorumWrites.Add(1)
 	} else {
-		c.nDegradedWrites.Add(1)
+		c.degradedWrites.Add(1)
 	}
 	return nil
 }
@@ -511,7 +512,7 @@ type readCopy struct {
 // Get consults every live owner, answers from the newest version, and
 // pushes that version to any stale or missing replica (read-repair).
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	c.nGets.Add(1)
+	c.ops.Gets.Add(1)
 	if err := c.checkOpen(); err != nil {
 		return nil, false, err
 	}
@@ -638,7 +639,7 @@ func (c *Client) repairAsync(key []byte, best readCopy, targets []*node) {
 				continue
 			}
 			if _, err := cl.VPut(ctx, rec); err == nil {
-				c.nReadRepairs.Add(1)
+				c.readRepairs.Add(1)
 			}
 		}
 	}()
@@ -646,7 +647,7 @@ func (c *Client) repairAsync(key []byte, best readCopy, targets []*node) {
 
 // Scan materializes the merged range — see NewIterator for semantics.
 func (c *Client) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
-	c.nScans.Add(1)
+	c.ops.Scans.Add(1)
 	it, err := c.newMergedLive(ctx, low, high)
 	if err != nil {
 		return nil, err
@@ -659,7 +660,7 @@ func (c *Client) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) 
 // keys it owns, so the union over live members covers the keyspace as
 // long as no more than R−Rq members are down.
 func (c *Client) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
-	c.nIters.Add(1)
+	c.ops.Iterators.Add(1)
 	return c.newMergedLive(ctx, low, high)
 }
 
@@ -725,7 +726,7 @@ func (c *Client) Sync(ctx context.Context) error {
 	if err := c.checkOpen(); err != nil {
 		return err
 	}
-	c.nSyncs.Add(1)
+	c.ops.SyncBarriers.Add(1)
 	var wg sync.WaitGroup
 	errs := make(chan error, len(c.nodes))
 	for _, n := range c.nodes {
@@ -761,7 +762,7 @@ func (c *Client) Snapshot(ctx context.Context) (kv.View, error) {
 	if err := c.checkOpen(); err != nil {
 		return nil, err
 	}
-	c.nSnapshots.Add(1)
+	c.ops.Snapshots.Add(1)
 	views := make([]kv.View, len(c.nodes))
 	fail := func(err error) (kv.View, error) {
 		for _, v := range views {
@@ -793,7 +794,7 @@ func (c *Client) Checkpoint(ctx context.Context, dir string) error {
 	if err := c.checkOpen(); err != nil {
 		return err
 	}
-	c.nCheckpoints.Add(1)
+	c.ops.Checkpoints.Add(1)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -846,69 +847,42 @@ type Manifest struct {
 
 // --- Stats -------------------------------------------------------------------
 
-// Stats merges the coordinator's own counters with the members' engine
-// counters. Cluster-level operations (puts, scans, Sync barriers …) are
-// counted ONCE, coordinator-side — summing them from the nodes would
-// multiply every fan-out by R. Engine-internal counters (the
-// acked-vs-durable boundary, WAL sync coalescing, flushes) are sums
-// across members: they describe work that genuinely happened R times.
+// Stats reads the cluster's counters off the coordinator's snapshot merged
+// with every live member's telemetry, under one rule: a metric family the
+// coordinator registers comes from the coordinator only. So cluster-level
+// operations (puts, scans, Sync barriers …) are counted ONCE — summing
+// them from the members would multiply every fan-out by R — while every
+// other family (the engines' acked-vs-durable boundary, WAL sync
+// coalescing, flushes, the members' servers) is summed across members: it
+// describes work that genuinely happened R times.
 func (c *Client) Stats() kv.Stats {
-	st := kv.Stats{
-		Puts:        c.nPuts.Load(),
-		Gets:        c.nGets.Load(),
-		Deletes:     c.nDeletes.Load(),
-		Scans:       c.nScans.Load(),
-		Batches:     c.nBatches.Load(),
-		BatchOps:    c.nBatchOps.Load(),
-		Iterators:   c.nIters.Load(),
-		Snapshots:   c.nSnapshots.Load(),
-		Checkpoints: c.nCheckpoints.Load(),
-
-		SyncBarriers: c.nSyncs.Load(),
-
-		ClusterQuorumWrites:   c.nQuorumWrites.Load(),
-		ClusterDegradedWrites: c.nDegradedWrites.Load(),
-		ClusterReadRepairs:    c.nReadRepairs.Load(),
-		ClusterHintsQueued:    c.nHintsQueued.Load(),
-		ClusterHintsReplayed:  c.nHintsReplayed.Load(),
-		ClusterHintsPending:   uint64(c.HintsPending()),
+	own := c.TelemetrySnapshot()
+	coordinator := make(map[string]bool, len(own.Metrics))
+	for _, m := range own.Metrics {
+		coordinator[obs.Family(m.Name)] = true
 	}
+	snaps := []obs.Snapshot{own}
 	for _, n := range c.nodes {
 		if n.isDown() {
-			st.ClusterNodesDown++
 			continue
 		}
-		st.ClusterNodesUp++
 		cl, err := n.liveClient()
 		if err != nil {
 			continue
 		}
-		ns := cl.Stats()
-		st.MembufferHits += ns.MembufferHits
-		st.MemtableWrites += ns.MemtableWrites
-		st.Flushes += ns.Flushes
-		st.Compactions += ns.Compactions
-		st.AckedSeq += ns.AckedSeq
-		st.DurableSeq += ns.DurableSeq
-		st.WALSyncs += ns.WALSyncs
-		st.WALSyncRequests += ns.WALSyncRequests
-		st.BlockCacheHits += ns.BlockCacheHits
-		st.BlockCacheMisses += ns.BlockCacheMisses
-		st.BlockCacheEvictions += ns.BlockCacheEvictions
-		st.BlockCacheBytes += ns.BlockCacheBytes
-		st.TableCacheHits += ns.TableCacheHits
-		st.TableCacheMisses += ns.TableCacheMisses
-		st.BloomChecks += ns.BloomChecks
-		st.BloomMisses += ns.BloomMisses
-		st.ServerConnsOpen += ns.ServerConnsOpen
-		st.ServerConnsTotal += ns.ServerConnsTotal
-		st.ServerInFlight += ns.ServerInFlight
-		st.ServerRequests += ns.ServerRequests
-		st.ServerBytesIn += ns.ServerBytesIn
-		st.ServerBytesOut += ns.ServerBytesOut
-		st.ServerSlowRequests += ns.ServerSlowRequests
+		tp, err := cl.Telemetry(context.Background(), -1)
+		if err != nil {
+			continue
+		}
+		var member obs.Snapshot
+		for _, m := range tp.Metrics {
+			if !coordinator[obs.Family(m.Name)] {
+				member.Metrics = append(member.Metrics, m)
+			}
+		}
+		snaps = append(snaps, member)
 	}
-	return st
+	return kv.StatsOf(obs.Merge(snaps...))
 }
 
 // --- Lifecycle ---------------------------------------------------------------

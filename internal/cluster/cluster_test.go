@@ -489,3 +489,31 @@ func TestClusterApplyBatch(t *testing.T) {
 		t.Fatalf("batch accounting: %d/%d, want 1/51", st.Batches, st.BatchOps)
 	}
 }
+
+// TestClusterStatsCountsOpsOnce pins Stats' merge rule: a family the
+// coordinator registers (the operation counters) is counted once, by the
+// coordinator, while engine counters are summed over the members — every
+// Put at R=2 is one coordinator Put and two replica writes.
+func TestClusterStatsCountsOpsOnce(t *testing.T) {
+	c, _ := threeNodes(t)
+	defer c.Close()
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := c.Put(bg, []byte(fmt.Sprintf("once-%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Sync(bg); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Puts != n || st.SyncBarriers != 1 {
+		t.Fatalf("Puts = %d, SyncBarriers = %d; want %d and 1 (counted once, at the coordinator)", st.Puts, st.SyncBarriers, n)
+	}
+	if got := st.MembufferHits + st.MemtableWrites; got != 2*n {
+		t.Fatalf("replica writes MembufferHits+MemtableWrites = %d, want %d (summed over members)", got, 2*n)
+	}
+	if st.ClusterQuorumWrites != n || st.ClusterNodesUp != 3 || st.ClusterNodesDown != 0 {
+		t.Fatalf("coordination counters: %+v", st)
+	}
+}

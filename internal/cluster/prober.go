@@ -186,6 +186,6 @@ func (c *Client) replayHints(ctx context.Context, n *node) (total int, err error
 			return total, err
 		}
 		total += len(run)
-		c.nHintsReplayed.Add(uint64(len(run)))
+		c.hintsReplayed.Add(uint64(len(run)))
 	}
 }

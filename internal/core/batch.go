@@ -53,8 +53,8 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 	if b == nil || b.Len() == 0 {
 		return nil
 	}
-	db.stats.batches.Add(1)
-	db.stats.batchOps.Add(uint64(b.Len()))
+	db.stats.Batches.Add(1)
+	db.stats.BatchOps.Add(uint64(b.Len()))
 
 	var st stall
 	if err := db.admit(ctx, &st); err != nil {

@@ -33,7 +33,7 @@ func (db *DB) Checkpoint(ctx context.Context, dir string) error {
 	if err := db.loadPersistErr(); err != nil {
 		return err
 	}
-	db.stats.checkpoints.Add(1)
+	db.stats.Checkpoints.Add(1)
 
 	// persistMu excludes generation switches for the whole copy. This is
 	// what makes the WAL tail a clean prefix: WAL appends are staged in

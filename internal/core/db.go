@@ -193,14 +193,10 @@ type DB struct {
 // are striped (obs.StripedCounter), as are the histograms, so that add
 // writes no line another core writes.
 type statCounters struct {
-	puts, gets, deletes           *obs.StripedCounter
+	kv.OpCounters
 	membufferHits, memtableWrites *obs.StripedCounter
-	scans                         *obs.Counter
-	batches, batchOps, iterators  *obs.Counter
-	snapshots, checkpoints        *obs.Counter
 	drainedEntries, drainBatches  *obs.Counter
 	persists                      *obs.Counter
-	syncBarriers                  *obs.Counter
 	// stallNanos accumulates time WRITERS (Put/Delete/Apply) spent
 	// stalled on seals, memory-component backpressure and an L0 backlog,
 	// whether the write then completed or gave up (background drainers'
@@ -250,6 +246,7 @@ func Open(cfg Config) (*DB, error) {
 			return nil, err
 		}
 	}
+	storage.RegisterMetrics(db.reg, db.store, &db.walMetrics)
 
 	mt, err := db.newMemtable()
 	if err != nil {
@@ -519,7 +516,7 @@ func (db *DB) Sync(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	db.stats.syncBarriers.Add(1)
+	db.stats.SyncBarriers.Add(1)
 	if db.store == nil || db.cfg.DisableWAL {
 		return nil
 	}
@@ -579,41 +576,7 @@ func (db *DB) CrashForTesting() {
 }
 
 // Stats returns a snapshot of operation counters.
-func (db *DB) Stats() kv.Stats {
-	s := kv.Stats{
-		Puts:           db.stats.puts.Load(),
-		Gets:           db.stats.gets.Load(),
-		Deletes:        db.stats.deletes.Load(),
-		Scans:          db.stats.scans.Load(),
-		Batches:        db.stats.batches.Load(),
-		BatchOps:       db.stats.batchOps.Load(),
-		Iterators:      db.stats.iterators.Load(),
-		Snapshots:      db.stats.snapshots.Load(),
-		Checkpoints:    db.stats.checkpoints.Load(),
-		MembufferHits:  db.stats.membufferHits.Load(),
-		MemtableWrites: db.stats.memtableWrites.Load(),
-		SyncBarriers:   db.stats.syncBarriers.Load(),
-	}
-	ws := db.walMetrics.Snapshot()
-	s.AckedSeq = ws.Appends
-	s.DurableSeq = ws.Durable
-	s.WALSyncs = ws.Syncs
-	s.WALSyncRequests = ws.SyncRequests
-	if db.store != nil {
-		m := db.store.Metrics()
-		s.Flushes = m.Flushes
-		s.Compactions = m.Compactions
-		s.BlockCacheHits = m.BlockCacheHits
-		s.BlockCacheMisses = m.BlockCacheMisses
-		s.BlockCacheEvictions = m.BlockCacheEvictions
-		s.BlockCacheBytes = m.BlockCacheBytes
-		s.TableCacheHits = m.TableCacheHits
-		s.TableCacheMisses = m.TableCacheMisses
-		s.BloomChecks = m.BloomChecks
-		s.BloomMisses = m.BloomNegatives
-	}
-	return s
-}
+func (db *DB) Stats() kv.Stats { return kv.StatsOf(db.TelemetrySnapshot()) }
 
 // Store exposes the disk component (diagnostics; nil in DropPersist mode).
 func (db *DB) Store() *storage.Store { return db.store }

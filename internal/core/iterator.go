@@ -37,7 +37,7 @@ func (db *DB) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.iterators.Add(1)
+	db.stats.Iterators.Add(1)
 	return db.openIter(ctx, low, high, db.pinView())
 }
 

@@ -82,7 +82,7 @@ func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	db.stats.gets.Add(1)
+	db.stats.Gets.Add(1)
 
 	h := keys.Hash(key)
 	g := db.gen.Load()
@@ -153,7 +153,7 @@ func (db *DB) getSealed(g *generation, key []byte, h uint64) (v []byte, tomb, ok
 // falls through to the Memtable copies the key into the skiplist's arena
 // and clones the value for its entry.
 func (db *DB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	db.stats.puts.Add(1)
+	db.stats.Puts.Add(1)
 	d, err := db.resolveDurability(opts)
 	if err != nil {
 		return err
@@ -167,7 +167,7 @@ func (db *DB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption
 // Delete writes a tombstone for key (§3.2: "a Put with a special tombstone
 // value"). Like Put, it keeps no reference to key.
 func (db *DB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	db.stats.deletes.Add(1)
+	db.stats.Deletes.Add(1)
 	d, err := db.resolveDurability(opts)
 	if err != nil {
 		return err

@@ -19,7 +19,7 @@ func (db *DB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.stats.scans.Add(1)
+	db.stats.Scans.Add(1)
 	start := time.Now()
 	it, err := db.openIter(ctx, low, high, db.pinView())
 	if err != nil {

@@ -124,7 +124,7 @@ func (db *DB) Snapshot(ctx context.Context) (kv.View, error) {
 	if err := db.loadPersistErr(); err != nil {
 		return nil, err
 	}
-	db.stats.snapshots.Add(1)
+	db.stats.Snapshots.Add(1)
 	start := time.Now()
 	v := db.pinView()
 	d := time.Since(start)
@@ -206,7 +206,7 @@ func (s *snapshot) NewIterator(ctx context.Context, low, high []byte) (kv.Iterat
 		db.releaseView(s.view)
 		return nil, err
 	}
-	db.stats.iterators.Add(1)
+	db.stats.Iterators.Add(1)
 	return db.openIter(ctx, low, high, s.view)
 }
 

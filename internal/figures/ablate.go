@@ -12,7 +12,7 @@ import (
 // the 1:4 Membuffer:Memtable split, the drain-thread count, the
 // multi-insert batch size and the partition bits ℓ. These ablations sweep
 // each one on a write-heavy workload so the choices can be re-validated on
-// new hardware (DESIGN.md §4.5).
+// new hardware.
 
 // ablateFloDB runs a write-only burst against a FloDB configured by
 // mutate, returning Mops/s and the direct-Membuffer share.

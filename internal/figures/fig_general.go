@@ -81,7 +81,6 @@ func Fig13(c Config) (*harness.Table, error) {
 	// Scan-update conflict probability scales with scanLength/keyspace —
 	// an absolute, not a ratio — so the scan figures run at 8x the scaled
 	// keyspace to stay in the paper's conflict regime (1.2 G keys there).
-	// See EXPERIMENTS.md.
 	c.Keys *= 8
 	tbl := harness.NewTable("Fig 13: mixed scan-write workload", "threads", "Mkeys/s",
 		threadCols(c.Threads), systemRows())

@@ -105,7 +105,8 @@ func Fig4(c Config) (*harness.Table, error) {
 // rawStructureSweep drives Figs 5 and 7: raw concurrent structure
 // throughput on a 50/50 read-write mix across thread counts and dataset
 // sizes. The paper's sizes are 32K/1M/33M/1B entries; the largest two
-// scale down (DESIGN.md).
+// scale down to 4M, as a structure of 33M or 1B entries would not fit the
+// scaled memory budget or a cell of seconds.
 func rawStructureSweep(c Config, run func(size uint64, threads int, d time.Duration) float64, title string) (*harness.Table, error) {
 	c.Defaults()
 	sizes := []uint64{32 << 10, 1 << 20, 4 << 20}

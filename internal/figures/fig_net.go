@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -67,7 +66,6 @@ func NetBench(c Config) (*harness.Table, error) {
 	tbl := harness.NewTable("Service tier: throughput and latency vs client connections (one server, one store)",
 		fmt.Sprintf("pooled connections (%d threads)", threads), "Kops/s / µs", cols, rows)
 
-	var lastStats *client.Client
 	for ci, n := range conns {
 		cl, err := client.Dial(l.Addr().String(), client.WithConns(n))
 		if err != nil {
@@ -91,21 +89,13 @@ func NetBench(c Config) (*harness.Table, error) {
 		tbl.Set(3, ci, float64(res.WriteLat.Snapshot().Quantile(0.99))/1e3)
 		c.logf("netbench conns=%d -> %.1f Kops/s, read p99 %.0f µs",
 			n, res.MopsPerSec()*1000, float64(read.P99)/1e3)
-		if ci == len(conns)-1 {
-			lastStats = cl
-			defer cl.Close()
-		} else {
-			cl.Close()
-		}
+		cl.Close()
 	}
 
-	if lastStats != nil {
-		if _, info, err := lastStats.FullStats(context.Background()); err == nil {
-			tbl.AddNote("server lifetime: %d requests over %d connections, %s in / %s out, %d slow (>1s)",
-				info.Requests, info.ConnsTotal, harness.ByteSize(int64(info.BytesIn)),
-				harness.ByteSize(int64(info.BytesOut)), info.SlowRequests)
-		}
-	}
+	info := srv.Info()
+	tbl.AddNote("server lifetime: %d requests over %d connections, %s in / %s out, %d slow (>1s)",
+		info.Requests, info.ConnsTotal, harness.ByteSize(int64(info.BytesIn)),
+		harness.ByteSize(int64(info.BytesOut)), info.SlowRequests)
 	tbl.AddNote("loopback TCP; every op is one wire round trip through internal/wire; fixed offered concurrency per column")
 	if p := runtime.GOMAXPROCS(0); p < 4 {
 		tbl.AddNote("GOMAXPROCS=%d: pipelined dispatch cannot spread — connection scaling only manifests on multi-core runners", p)

@@ -3,13 +3,14 @@
 // harness.Table whose rows are the paper's series and whose columns are
 // the paper's x-axis, at a configurable scale.
 //
-// Scaling (see DESIGN.md §3): the paper's machine is a 20-core Xeon with
+// Scaling: the paper's machine is a 20-core Xeon with
 // 256 GB RAM and a 300 GB dataset; sizes here default to 1/1024 of the
 // paper's (128 MB→128 KB … 192 GB→192 MB, 300 GB→~300 MB) so every ratio
 // that drives the results — memory:dataset, membuffer:memtable, hot-set:
 // memory — is preserved while cells run in seconds. Absolute Mops/s are
 // not comparable to the paper's hardware; the SHAPES (who wins, by what
-// factor, where the crossovers sit) are what EXPERIMENTS.md validates.
+// factor, where the crossovers sit) are what the figures reproduce, and
+// each figure's doc comment states the shape the paper reports.
 package figures
 
 import (

@@ -275,3 +275,69 @@ func TestAllSystemsCheckpointReopens(t *testing.T) {
 		})
 	}
 }
+
+// TestAllSystemsStatsCountOps: after one scripted sequence of store calls,
+// every system's Stats reports each call once — through the wire the
+// server's engine counts it, on the cluster the coordinator does (its
+// members' own counts of the fan-out are not added in).
+func TestAllSystemsStatsCountOps(t *testing.T) {
+	for _, sys := range AllSystems {
+		t.Run(string(sys), func(t *testing.T) {
+			s := openSys(t, sys, t.TempDir())
+			defer s.Close()
+			key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 52) } // spans every ring member
+			for i := 0; i < 3; i++ {
+				if err := s.Put(bg, key(i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if _, _, err := s.Get(bg, key(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Delete(bg, key(0)); err != nil {
+				t.Fatal(err)
+			}
+			b := kv.NewBatch()
+			b.Put(key(3), []byte("v"))
+			b.Delete(key(1))
+			if err := s.Apply(bg, b); err != nil {
+				t.Fatal(err)
+			}
+			it, err := s.NewIterator(bg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ok := it.First(); ok; ok = it.Next() {
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := s.Snapshot(bg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := snap.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Sync(bg); err != nil {
+				t.Fatal(err)
+			}
+
+			sp, ok := s.(kv.StatsProvider)
+			if !ok {
+				t.Fatalf("%s reports no Stats", sys)
+			}
+			st := sp.Stats()
+			got := kv.Stats{Puts: st.Puts, Gets: st.Gets, Deletes: st.Deletes, Scans: st.Scans,
+				Batches: st.Batches, BatchOps: st.BatchOps, Iterators: st.Iterators,
+				Snapshots: st.Snapshots, Checkpoints: st.Checkpoints, SyncBarriers: st.SyncBarriers}
+			want := kv.Stats{Puts: 3, Gets: 2, Deletes: 1, Batches: 1, BatchOps: 2,
+				Iterators: 1, Snapshots: 1, SyncBarriers: 1}
+			if got != want {
+				t.Fatalf("op counters\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}

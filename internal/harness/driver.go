@@ -22,7 +22,8 @@ import (
 type RunOptions struct {
 	// Threads is the number of concurrent worker goroutines ("each thread
 	// mapped to a different core whenever possible", §5.1 — goroutines
-	// here, as discussed in DESIGN.md).
+	// here, which the Go scheduler spreads over GOMAXPROCS cores without
+	// pinning any).
 	Threads int
 	// Duration bounds the measured interval.
 	Duration time.Duration

@@ -1,10 +1,13 @@
 // Package kv defines the store interface shared by FloDB and the four
-// baseline systems, plus the wire encoding of key-value mutations used in
+// baseline systems, the Stats view every store reports from its metrics
+// registry, and the encoding of key-value mutations used in
 // write-ahead-log records.
 //
-// Having one interface is what lets the benchmark harness run the paper's
-// five systems (FloDB, LevelDB, HyperLevelDB, RocksDB, RocksDB/cLSM)
-// through identical drivers, as the paper's evaluation does.
+// Having one interface is what lets the benchmark harness run seven
+// systems — the paper's five (FloDB, LevelDB, HyperLevelDB, RocksDB,
+// RocksDB/cLSM) plus FloDB served over the wire (FloDB/net) and over a
+// replicated ring (FloDB/cluster) — through identical drivers, as the
+// paper's evaluation does.
 package kv
 
 import (
@@ -174,99 +177,6 @@ type Iterator interface {
 	Err() error
 	// Close releases the iterator's resources. It is idempotent.
 	Close() error
-}
-
-// Stats are point-in-time counters exposed by stores for the harness.
-type Stats struct {
-	Puts, Gets, Deletes, Scans uint64
-	// Batches counts Apply calls; BatchOps the mutations they carried.
-	Batches, BatchOps uint64
-	// Iterators counts NewIterator calls.
-	Iterators uint64
-	// Snapshots counts Snapshot calls; Checkpoints counts Checkpoint calls.
-	Snapshots   uint64
-	Checkpoints uint64
-	// ScanRestarts and FallbackScans are retired and always 0. They
-	// counted Algorithm 3's restart-on-conflict and writer-blocking
-	// fallback (§4.4); range reads now resolve sequence-bounded version
-	// chains and never restart. The fields remain because the benchmark
-	// in bench/ reads them.
-	ScanRestarts   uint64
-	FallbackScans  uint64
-	MembufferHits  uint64 // updates completed in the Membuffer
-	MemtableWrites uint64 // updates that fell through to the Memtable
-	Flushes        uint64
-	Compactions    uint64
-
-	// Read-path caching (internal/cache; zero when the engine has no disk
-	// component). Point reads fill the BlockCache with the rows they found,
-	// keyed by (file, key hash); iterators and compaction neither fill nor
-	// consult it; the name is historical (it held blocks). A miss is one
-	// block read from a table. The table cache holds open sstable readers
-	// (one fd each). BloomChecks counts bloom-filter consultations on the
-	// disk read path and BloomMisses the reads a filter proved absent —
-	// MissRate = BloomMisses/BloomChecks is the fraction of disk probes
-	// the filters short-circuited.
-	BlockCacheHits      uint64
-	BlockCacheMisses    uint64
-	BlockCacheEvictions uint64
-	BlockCacheBytes     int64
-	TableCacheHits      uint64
-	TableCacheMisses    uint64
-	BloomChecks         uint64
-	BloomMisses         uint64
-
-	// The acked-vs-durable boundary, in commit-log order. AckedSeq is the
-	// commit index of the last acknowledged logged record; DurableSeq is
-	// the highest commit index known crash-durable (fsync-covered, or in
-	// a generation whose contents reached sstables). Records in
-	// (DurableSeq, AckedSeq] are the buffered window a crash can lose and
-	// Sync closes; DurabilityNone writes are never logged and appear in
-	// neither counter. Both are session-relative (reset at Open).
-	AckedSeq   uint64
-	DurableSeq uint64
-	// WALSyncs counts fsyncs issued by the group-commit queue;
-	// WALSyncRequests counts the durability requests they served. Their
-	// ratio is the group-commit coalescing factor: requests/fsyncs > 1
-	// means one disk barrier acknowledged many writers.
-	WALSyncs        uint64
-	WALSyncRequests uint64
-	// SyncBarriers counts Store.Sync calls.
-	SyncBarriers uint64
-
-	// Service-tier observability (flodbd; zero on in-process stores).
-	// Populated by the remote client from the server's side of the
-	// connection: open/lifetime connection counts, requests currently
-	// executing, lifetime request and byte totals, and requests that
-	// exceeded the server's slow-request threshold.
-	ServerConnsOpen    uint64
-	ServerConnsTotal   uint64
-	ServerInFlight     uint64
-	ServerRequests     uint64
-	ServerBytesIn      uint64
-	ServerBytesOut     uint64
-	ServerSlowRequests uint64
-
-	// Cluster coordination (internal/cluster; zero elsewhere).
-	// QuorumWrites acked at the full write quorum W of live replica
-	// responses; DegradedWrites acked below W because owners were down
-	// (the missed replicas hold hints). ReadRepairs counts stale or
-	// missing replica copies pushed forward by reads. HintsQueued /
-	// HintsReplayed / HintsPending describe the hinted-handoff log;
-	// NodesUp / NodesDown are the prober's current member view.
-	ClusterQuorumWrites   uint64
-	ClusterDegradedWrites uint64
-	ClusterReadRepairs    uint64
-	ClusterHintsQueued    uint64
-	ClusterHintsReplayed  uint64
-	ClusterHintsPending   uint64
-	ClusterNodesUp        uint64
-	ClusterNodesDown      uint64
-}
-
-// StatsProvider is implemented by stores that report Stats.
-type StatsProvider interface {
-	Stats() Stats
 }
 
 // --- WAL record encoding ----------------------------------------------------

@@ -8,7 +8,8 @@ import (
 )
 
 // SnapshotProvider is implemented by stores that expose a mergeable
-// metrics snapshot (the engine, the coordinator).
+// metrics snapshot (FloDB, the baselines, the coordinator) and by the
+// server, whose snapshot merges its own with its store's.
 type SnapshotProvider interface {
 	TelemetrySnapshot() Snapshot
 }

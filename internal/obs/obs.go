@@ -284,6 +284,13 @@ func family(name string) (fam, labels string) {
 	return name, ""
 }
 
+// Family returns the metric family of a series name: `fam{op="put"}` →
+// "fam".
+func Family(name string) string {
+	fam, _ := family(name)
+	return fam
+}
+
 // sortedByFamily returns the snapshot's metrics grouped by family,
 // families in first-appearance order, series within a family in
 // appearance order.

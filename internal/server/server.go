@@ -97,11 +97,6 @@ type Config struct {
 	MaxChunkPairs int
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
-	// Telemetry, when set, answers OpTelemetry with the node's
-	// observability snapshot (store + server merged — the daemon wires
-	// it up because only it sees both). Nil answers
-	// kv.ErrNotSupported.
-	Telemetry func(maxEvents int) wire.TelemetryPayload
 }
 
 // Server serves one kv.Store over the wire protocol.
@@ -116,7 +111,7 @@ type Server struct {
 
 	reqWG sync.WaitGroup // every in-flight request handler and connection reader
 
-	// Observability (Info / OpStats).
+	// Observability (Info / TelemetrySnapshot).
 	connsOpen     atomic.Int64
 	connsTotal    atomic.Uint64
 	connsRejected atomic.Uint64
@@ -191,33 +186,39 @@ func (s *Server) initObs() {
 		s.opLat[op] = reg.Histogram(
 			`flodbd_request_seconds{op="`+op.String()+`"}`,
 			"Wire request wall time by opcode, decode to response write.")
-		op := op
 		reg.CounterFunc(`flodbd_requests_total{op="`+op.String()+`"}`,
-			"Wire requests received, by opcode.",
-			func() uint64 { return s.requestsByOp[op].Load() })
+			"Wire requests received, by opcode.", s.requestsByOp[op].Load)
 	}
 	reg.GaugeFunc("flodbd_conns_open", "Connections currently open.",
 		func() int64 { return maxInt64(s.connsOpen.Load(), 0) })
-	reg.CounterFunc("flodbd_conns_total", "Connections ever accepted.",
-		func() uint64 { return s.connsTotal.Load() })
-	reg.CounterFunc("flodbd_conns_rejected_total", "Connections refused at the MaxConns cap.",
-		func() uint64 { return s.connsRejected.Load() })
+	reg.CounterFunc("flodbd_conns_total", "Connections ever accepted.", s.connsTotal.Load)
+	reg.CounterFunc("flodbd_conns_rejected_total", "Connections refused at the MaxConns cap.", s.connsRejected.Load)
 	reg.GaugeFunc("flodbd_requests_in_flight", "Requests executing on goroutines of their own (point requests run on their connection's reader).",
 		func() int64 { return maxInt64(s.inFlight.Load(), 0) })
-	reg.CounterFunc("flodbd_bytes_in_total", "Request bytes read off the wire.",
-		func() uint64 { return s.bytesIn.Load() })
-	reg.CounterFunc("flodbd_bytes_out_total", "Response bytes written to the wire.",
-		func() uint64 { return s.bytesOut.Load() })
-	reg.CounterFunc("flodbd_slow_requests_total", "Requests slower than Config.SlowRequest.",
-		func() uint64 { return s.slowRequests.Load() })
-	reg.CounterFunc("flodbd_leases_expired_total", "Snapshot/iterator leases expired by the janitor.",
-		func() uint64 { return s.leasesExpired.Load() })
+	reg.CounterFunc("flodbd_bytes_in_total", "Request bytes read off the wire.", s.bytesIn.Load)
+	reg.CounterFunc("flodbd_bytes_out_total", "Response bytes written to the wire.", s.bytesOut.Load)
+	reg.CounterFunc("flodbd_slow_requests_total", "Requests slower than Config.SlowRequest.", s.slowRequests.Load)
+	reg.CounterFunc("flodbd_leases_expired_total", "Snapshot/iterator leases expired by the janitor.", s.leasesExpired.Load)
 }
 
-// TelemetrySnapshot freezes the service tier's registry — merge it with
-// the store's snapshot for the full /metrics view.
+// TelemetrySnapshot freezes the node's metrics: the service tier's
+// registry merged with the store's snapshot when the store keeps one. It
+// is what OpTelemetry answers and what flodbd serves at /metrics.
 func (s *Server) TelemetrySnapshot() obs.Snapshot {
-	return s.reg.Snapshot()
+	snap := s.reg.Snapshot()
+	if sp, ok := s.cfg.Store.(obs.SnapshotProvider); ok {
+		snap = obs.Merge(snap, sp.TelemetrySnapshot())
+	}
+	return snap
+}
+
+// TelemetryEvents returns up to n of the store's recent structured events
+// (n <= 0: all retained), or nil when the store keeps no event log.
+func (s *Server) TelemetryEvents(n int) []obs.Event {
+	if ep, ok := s.cfg.Store.(obs.EventProvider); ok {
+		return ep.TelemetryEvents(n)
+	}
+	return nil
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -974,16 +975,6 @@ func (c *serverConn) dispatch(ctx context.Context, req *wire.Request) ([]byte, e
 	case wire.OpSync:
 		return nil, store.Sync(ctx)
 
-	case wire.OpStats:
-		payload := wire.StatsPayload{Server: c.srv.Info()}
-		if sp, ok := store.(kv.StatsProvider); ok {
-			payload.Store = sp.Stats()
-		}
-		if tp, ok := store.(interface{ TelemetrySnapshot() obs.Snapshot }); ok {
-			payload.Ops = obs.OpQuantiles(tp.TelemetrySnapshot())
-		}
-		return json.Marshal(payload)
-
 	case wire.OpVPut:
 		if req.Handle != 0 {
 			return nil, badRequestf("write through a snapshot handle")
@@ -1023,18 +1014,20 @@ func (c *serverConn) dispatch(ctx context.Context, req *wire.Request) ([]byte, e
 		})
 
 	case wire.OpTelemetry:
-		if c.srv.cfg.Telemetry == nil {
-			return nil, fmt.Errorf("server: no telemetry provider: %w", kv.ErrNotSupported)
+		snap := c.srv.TelemetrySnapshot()
+		payload := wire.TelemetryPayload{
+			Node:    c.srv.cfg.NodeID,
+			Ops:     obs.OpQuantiles(snap),
+			Metrics: snap.Metrics,
 		}
-		maxEvents := 0
-		if len(req.Payload) > 0 {
-			n, l := binary.Uvarint(req.Payload)
-			if l <= 0 {
-				return nil, badRequestf("telemetry event count")
-			}
-			maxEvents = int(n)
+		if len(req.Payload) == 0 {
+			payload.Events = c.srv.TelemetryEvents(0)
+		} else if n, l := binary.Uvarint(req.Payload); l <= 0 {
+			return nil, badRequestf("telemetry event count")
+		} else if n > 0 {
+			payload.Events = c.srv.TelemetryEvents(int(n))
 		}
-		return json.Marshal(c.srv.cfg.Telemetry(maxEvents))
+		return json.Marshal(payload)
 
 	case wire.OpCheckpoint:
 		if req.Handle != 0 {

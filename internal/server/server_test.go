@@ -858,3 +858,55 @@ func TestInlineRequestsAreAccounted(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsReadOffTelemetry: a client's Stats is one telemetry reply read
+// through kv.StatsOf — the engine's counters and the server's, taken while
+// writers keep both moving, and equal to each side's own view once they
+// stop.
+func TestStatsReadOffTelemetry(t *testing.T) {
+	addr, store, srv, _ := startServer(t, server.Config{})
+	cl := dial(t, addr, client.WithConns(2))
+	ctx := context.Background()
+	const writers, n = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := cl.Put(ctx, []byte(fmt.Sprintf("w%d-%d", w, i)), []byte("v")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 10; i++ {
+		if st := cl.Stats(); st.Puts > writers*n {
+			t.Fatalf("Puts = %d mid-run, more than the %d issued", st.Puts, writers*n)
+		}
+	}
+	wg.Wait()
+	st := cl.Stats()
+	info := srv.Info()
+	if st.Puts != writers*n || st.Puts != store.Stats().Puts {
+		t.Fatalf("Puts over the wire = %d, engine %d, want %d", st.Puts, store.Stats().Puts, writers*n)
+	}
+	if st.ServerRequests != info.Requests || st.ServerConnsTotal != info.ConnsTotal || st.ServerConnsOpen != info.ConnsOpen {
+		t.Fatalf("server counters over the wire %+v disagree with Info %+v", st, info)
+	}
+
+	// A snapshot's pin and unpin are two events; the event cap asks for
+	// every retained one, one, or none.
+	snap, err := cl.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Close()
+	for maxEvents, want := range map[int]int{0: 2, 1: 1, -1: 0} {
+		tp, err := cl.Telemetry(ctx, maxEvents)
+		if got := len(tp.Events); err != nil || got < want || (maxEvents != 0 && got != want) {
+			t.Fatalf("Telemetry(%d) = %d events, %v; want %d", maxEvents, got, err, want)
+		}
+	}
+}

@@ -12,8 +12,8 @@
 // Every block carries a CRC32-Castagnoli trailer. Data blocks also carry a
 // per-entry offset array so point lookups binary-search inside a block
 // instead of scanning it. There is no prefix compression and no block
-// compression (snappy is not in the standard library); this is documented
-// in DESIGN.md and does not change any of the paper's in-memory results.
+// compression (snappy is not in the standard library); the paper measures
+// the memory component, so this changes none of its in-memory results.
 package sstable
 
 import (

@@ -13,6 +13,7 @@ import (
 	"flodb/internal/keys"
 	"flodb/internal/obs"
 	"flodb/internal/sstable"
+	"flodb/internal/wal"
 )
 
 // Options configure the disk component.
@@ -488,6 +489,35 @@ func (s *Store) Metrics() Metrics {
 		m.BytesPerLevel[l] = cur.SizeBytes(l)
 	}
 	return m
+}
+
+// RegisterMetrics registers in reg the views an engine exposes over its
+// commit log and disk component: the acked-vs-durable boundary kept in wm
+// and the flush, compaction, cache and bloom counters of s. The views
+// compute at snapshot time; a nil s (an engine with no disk component)
+// reads 0.
+func RegisterMetrics(reg *obs.Registry, s *Store, wm *wal.Metrics) {
+	wm.Register(reg)
+	metrics := func() Metrics {
+		if s == nil {
+			return Metrics{}
+		}
+		return s.Metrics()
+	}
+	view := func(name, help string, f func(*Metrics) uint64) {
+		reg.CounterFunc(name, help, func() uint64 { m := metrics(); return f(&m) })
+	}
+	view("flodb_flushes_total", "Memtable flushes to L0.", func(m *Metrics) uint64 { return m.Flushes })
+	view("flodb_compactions_total", "Background compactions completed.", func(m *Metrics) uint64 { return m.Compactions })
+	view("flodb_block_cache_hits_total", "Block cache hits.", func(m *Metrics) uint64 { return m.BlockCacheHits })
+	view("flodb_block_cache_misses_total", "Block cache misses.", func(m *Metrics) uint64 { return m.BlockCacheMisses })
+	view("flodb_block_cache_evictions_total", "Block cache evictions.", func(m *Metrics) uint64 { return m.BlockCacheEvictions })
+	view("flodb_table_cache_hits_total", "Table-handle cache hits.", func(m *Metrics) uint64 { return m.TableCacheHits })
+	view("flodb_table_cache_misses_total", "Table-handle cache misses.", func(m *Metrics) uint64 { return m.TableCacheMisses })
+	view("flodb_bloom_checks_total", "Bloom filter checks.", func(m *Metrics) uint64 { return m.BloomChecks })
+	view("flodb_bloom_negatives_total", "Bloom filter negatives (table reads skipped).", func(m *Metrics) uint64 { return m.BloomNegatives })
+	reg.GaugeFunc("flodb_block_cache_bytes", "Bytes resident in the block cache.",
+		func() int64 { return metrics().BlockCacheBytes })
 }
 
 // Dump writes a human-readable description of the tree (flodump).

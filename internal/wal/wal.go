@@ -83,30 +83,15 @@ type Metrics struct {
 	syncRequests atomic.Uint64 // durability requests served (coalescing denominator)
 }
 
-// MetricsSnapshot is a point-in-time copy of a Metrics.
-type MetricsSnapshot struct {
-	// Appends is the commit index of the last acked record.
-	Appends uint64
-	// Durable is the highest commit index known crash-durable.
-	Durable uint64
-	// Syncs counts fsyncs issued; SyncRequests counts the durability
-	// requests they served. SyncRequests/Syncs is the group-commit
-	// coalescing factor.
-	Syncs        uint64
-	SyncRequests uint64
-}
-
-// Snapshot reads the counters.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
-	return MetricsSnapshot{
-		Appends:      m.appends.Load(),
-		Durable:      m.durable.Load(),
-		Syncs:        m.syncs.Load(),
-		SyncRequests: m.syncRequests.Load(),
-	}
+// Register exposes the counters in reg, as views read at snapshot time:
+// the acked commit index (flodb_wal_appends_total), the durable one
+// (flodb_wal_durable_total), and the fsyncs issued and durability requests
+// they served, whose ratio is the group-commit coalescing factor.
+func (m *Metrics) Register(reg *obs.Registry) {
+	reg.CounterFunc("flodb_wal_appends_total", "WAL records appended (acked commit index).", m.appends.Load)
+	reg.CounterFunc("flodb_wal_durable_total", "Highest WAL commit index known crash-durable.", m.durable.Load)
+	reg.CounterFunc("flodb_wal_syncs_total", "fsyncs issued by the group-commit queue.", m.syncs.Load)
+	reg.CounterFunc("flodb_wal_sync_requests_total", "Durability requests served by the commit queue.", m.syncRequests.Load)
 }
 
 // advanceDurable raises the durable high-water mark to idx (never lowers).

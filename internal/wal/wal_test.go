@@ -14,6 +14,7 @@ import (
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/obs"
 )
 
 func tempLog(t *testing.T) string {
@@ -223,8 +224,8 @@ func TestSyncToMakesRecordDurable(t *testing.T) {
 	if w.Durable() < off {
 		t.Fatalf("Durable = %d, want >= %d", w.Durable(), off)
 	}
-	s := m.Snapshot()
-	if s.Appends != 1 || s.Durable != 1 || s.Syncs != 1 || s.SyncRequests != 1 {
+	s := walStats(&m)
+	if s.AckedSeq != 1 || s.DurableSeq != 1 || s.WALSyncs != 1 || s.WALSyncRequests != 1 {
 		t.Fatalf("metrics after one sync write: %+v", s)
 	}
 	// A second SyncTo over the same offset is the coalesced fast path: no
@@ -232,8 +233,8 @@ func TestSyncToMakesRecordDurable(t *testing.T) {
 	if err := w.SyncTo(off); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Snapshot(); s.Syncs != 1 || s.SyncRequests != 2 {
-		t.Fatalf("covered SyncTo: syncs=%d requests=%d, want 1 and 2", s.Syncs, s.SyncRequests)
+	if s := walStats(&m); s.WALSyncs != 1 || s.WALSyncRequests != 2 {
+		t.Fatalf("covered SyncTo: syncs=%d requests=%d, want 1 and 2", s.WALSyncs, s.WALSyncRequests)
 	}
 	w.Close()
 }
@@ -275,15 +276,15 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			t.Fatalf("committer %d: %v", i, err)
 		}
 	}
-	s := m.Snapshot()
-	if s.SyncRequests != n {
-		t.Fatalf("sync requests = %d, want %d", s.SyncRequests, n)
+	s := walStats(&m)
+	if s.WALSyncRequests != n {
+		t.Fatalf("sync requests = %d, want %d", s.WALSyncRequests, n)
 	}
-	if s.Syncs >= n {
-		t.Fatalf("group commit did not coalesce: %d fsyncs for %d committers", s.Syncs, n)
+	if s.WALSyncs >= n {
+		t.Fatalf("group commit did not coalesce: %d fsyncs for %d committers", s.WALSyncs, n)
 	}
-	if s.Durable != n {
-		t.Fatalf("durable horizon = %d, want %d", s.Durable, n)
+	if s.DurableSeq != n {
+		t.Fatalf("durable horizon = %d, want %d", s.DurableSeq, n)
 	}
 }
 
@@ -343,14 +344,14 @@ func TestGroupCommitLeaderFollower(t *testing.T) {
 	close(gateRelease)
 	wg.Wait()
 
-	s := m.Snapshot()
+	s := walStats(&m)
 	// The stalled leader's fsync covers only itself; one successor leader
 	// covers all the followers appended meanwhile: exactly 2 barriers for
 	// 1+followers committers.
-	if s.Syncs != 2 {
-		t.Fatalf("fsyncs = %d for %d committers, want 2", s.Syncs, followers+1)
+	if s.WALSyncs != 2 {
+		t.Fatalf("fsyncs = %d for %d committers, want 2", s.WALSyncs, followers+1)
 	}
-	if s.SyncRequests != followers+1 || s.Durable != followers+1 {
+	if s.WALSyncRequests != followers+1 || s.DurableSeq != followers+1 {
 		t.Fatalf("metrics: %+v", s)
 	}
 }
@@ -719,4 +720,11 @@ func TestAppendAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("AppendRecord: %.1f allocations, want 0", n)
 	}
+}
+
+// walStats reads m through the views Register exposes.
+func walStats(m *Metrics) kv.Stats {
+	reg := obs.NewRegistry()
+	m.Register(reg)
+	return kv.StatsOf(reg.Snapshot())
 }

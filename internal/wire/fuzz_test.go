@@ -56,7 +56,9 @@ func seedRequests() []Request {
 		}
 		out = append(out, r)
 	}
-	return out
+	// The telemetry request a client's Stats sends: an explicit cap of
+	// zero events.
+	return append(out, Request{ID: uint64(OpMax), Op: OpTelemetry, Payload: binary.AppendUvarint(nil, 0)})
 }
 
 // allocatedBy returns the heap bytes fn allocated (plus whatever other

@@ -66,7 +66,6 @@ const (
 	OpSnapOpen
 	OpSnapClose
 	OpSync
-	OpStats
 	OpCheckpoint
 	OpCancel
 
@@ -84,8 +83,10 @@ const (
 
 	// OpTelemetry returns the node's observability snapshot — per-op
 	// latency quantiles, the merged metric registry, recent structured
-	// events — as a TelemetryPayload. A cold diagnostic path like
-	// OpStats; flodbctl top renders it.
+	// events — as a TelemetryPayload. It is the one stats RPC: the
+	// client's kv.Stats is read off its metrics, and flodbctl top renders
+	// it. The payload, when present, is a uvarint cap on the events
+	// returned (0: none); without one every retained event is returned.
 	OpTelemetry
 
 	// OpMax bounds the opcode space (for per-opcode counters).
@@ -119,8 +120,6 @@ func (op Op) String() string {
 		return "snap-close"
 	case OpSync:
 		return "sync"
-	case OpStats:
-		return "stats"
 	case OpCheckpoint:
 		return "checkpoint"
 	case OpCancel:
@@ -458,10 +457,8 @@ func ErrOf(status Status, msg string) error {
 
 // --- Stats payload -----------------------------------------------------------
 
-// ServerInfo is the server-side observability snapshot an OpStats response
-// carries alongside the store's own kv.Stats. JSON-encoded on the wire:
-// stats is a cold diagnostic path whose schema grows with the server, so
-// self-describing encoding beats another hand-rolled layout here.
+// ServerInfo is the server-side observability snapshot Server.Info returns:
+// connection, request and byte counters of the service tier.
 type ServerInfo struct {
 	ConnsOpen     uint64            `json:"conns_open"`
 	ConnsTotal    uint64            `json:"conns_total"`
@@ -475,14 +472,17 @@ type ServerInfo struct {
 	LeasesExpired uint64            `json:"leases_expired"`
 }
 
-// StatsPayload is the OpStats response body (JSON). Ops carries the
-// store's per-op latency quantiles when telemetry is on — the same
-// extraction `flodb stats -json` prints locally, so the two surfaces
-// share one schema.
+// StatsPayload is the JSON stats dump flodbd's /statsz and `flodb stats
+// -json` print: the kv.Stats view of one metrics snapshot and the per-op
+// latency quantiles extracted from the same snapshot.
 type StatsPayload struct {
-	Store  kv.Stats                 `json:"store"`
-	Server ServerInfo               `json:"server"`
-	Ops    map[string]obs.Quantiles `json:"ops,omitempty"`
+	Store kv.Stats                 `json:"store"`
+	Ops   map[string]obs.Quantiles `json:"ops,omitempty"`
+}
+
+// NewStatsPayload builds the stats dump of a metrics snapshot.
+func NewStatsPayload(s obs.Snapshot) StatsPayload {
+	return StatsPayload{Store: kv.StatsOf(s), Ops: obs.OpQuantiles(s)}
 }
 
 // TelemetryPayload is the OpTelemetry response body (JSON): the node's
@@ -501,8 +501,9 @@ type TelemetryPayload struct {
 // Peers exchange it in the first frame of every connection; a mismatch is
 // a typed rejection (ErrVersionMismatch), never a frame-decode failure
 // deep into the session. v2 added the request trace-id header field and
-// OpTelemetry.
-const ProtocolVersion = 2
+// OpTelemetry; v3 retired OpStats (OpTelemetry carries the same counters)
+// and so renumbered the opcodes after it.
+const ProtocolVersion = 3
 
 // Feature bits advertised in the handshake. The negotiated set is the
 // intersection; a coordinator refuses to treat a node as a replica unless
