@@ -8,7 +8,7 @@
 //
 // Figures: fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 // fig15 fig16 fig17, the contract/scaling extras (apibench, netbench,
-// clusterbench, ablate-*), or "all". An unknown figure name is
+// ablate-*), or "all". An unknown figure name is
 // an error (exit 2) listing the valid names.
 //
 // Sizes default to 1/1024 of the paper's (the column labels report the
@@ -47,14 +47,11 @@ var figureFuncs = map[string]func(figures.Config) (*harness.Table, error){
 	"fig16": figures.Fig16,
 	"fig17": figures.Fig17,
 	// Contract surface beyond the paper: atomic batches + streaming
-	// iterators across the seven systems.
+	// iterators across the six systems.
 	"apibench": figures.APIBench,
 	// Service tier: throughput and latency through flodbd's wire
 	// protocol vs client connection-pool size.
 	"netbench": figures.NetBench,
-	// Distribution tier: quorum throughput/latency vs ring node count,
-	// plus the kill-one-replica availability series.
-	"clusterbench": figures.ClusterBench,
 	// Ablations beyond the paper: sweeps of the parameters it fixes
 	// empirically (§4.1, §5.1).
 	"ablate-split": figures.AblateSplit,

@@ -20,17 +20,6 @@
 // -durability applies per operation (the server keeps its own default),
 // the store-shape flag -mem belongs to the server process, and
 // checkpoint's directory is a path on the SERVER's filesystem.
-//
-// The -cluster flag joins a replicated ring instead: `flodb -cluster
-// n1=host1:4380,n2=host2:4380 get k` runs the command as a quorum
-// coordinator over the listed flodbd nodes — writes fan out to the
-// key's R owners, reads merge the owners' newest copy. -replication,
-// -write-quorum and -read-quorum set R/W/Rq (defaults 2/R/1); -hints
-// names the directory persisting hinted-handoff records for members the
-// command could not reach (default <tmp>/flodb-hints — point it
-// somewhere durable for production use, and re-run with the same
-// directory so queued hints drain). The remote-mode caveats apply, and
-// checkpoint's directory is a path on EACH node's filesystem.
 package main
 
 import (
@@ -39,11 +28,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"flodb"
 	"flodb/internal/client"
-	"flodb/internal/cluster"
 	"flodb/internal/keys"
 	"flodb/internal/kv"
 	"flodb/internal/obs"
@@ -51,19 +38,14 @@ import (
 )
 
 func main() {
-	dir := flag.String("db", "", "database directory (required unless -remote or -cluster)")
+	dir := flag.String("db", "", "database directory (required unless -remote)")
 	remote := flag.String("remote", "", "flodbd server address; run the command over the wire instead of opening -db")
-	seeds := flag.String("cluster", "", "ring seed list ([id=]host:port,...); run the command as a quorum coordinator over these flodbd nodes")
-	replication := flag.Int("replication", 0, "cluster: replicas per key R (default min(2, members))")
-	writeQuorum := flag.Int("write-quorum", 0, "cluster: owner acks required per write W (default R)")
-	readQuorum := flag.Int("read-quorum", 0, "cluster: owner answers required per read Rq (default 1)")
-	hints := flag.String("hints", "", "cluster: hinted-handoff directory (default <tmp>/flodb-hints)")
 	mem := flag.Int64("mem", 0, "memory component bytes (0 = default; local only)")
 	durability := flag.String("durability", "", "write durability: none|buffered|sync (local: store default; remote: per-op class)")
 	jsonOut := flag.Bool("json", false, "stats: print the full machine-readable payload (counters + op latency quantiles) instead of text")
 	flag.Parse()
-	if (*dir == "" && *remote == "" && *seeds == "") || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: flodb {-db <dir> | -remote <addr> | -cluster <seeds>} [-durability none|buffered|sync] {put k v | get k | del k | scan lo hi | batch ops... | sync | checkpoint dir | fill n | stats}")
+	if (*dir == "" && *remote == "") || flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: flodb {-db <dir> | -remote <addr>} [-durability none|buffered|sync] {put k v | get k | del k | scan lo hi | batch ops... | sync | checkpoint dir | fill n | stats}")
 		os.Exit(2)
 	}
 
@@ -71,14 +53,8 @@ func main() {
 		db        kv.Store         // local engine or remote client — same contract
 		writeOpts []kv.WriteOption // per-op durability override (remote mode)
 	)
-	modes := 0
-	for _, set := range []bool{*dir != "", *remote != "", *seeds != ""} {
-		if set {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fail(fmt.Errorf("-db, -remote and -cluster are mutually exclusive"))
+	if *dir != "" && *remote != "" {
+		fail(fmt.Errorf("-db and -remote are mutually exclusive"))
 	}
 	switch {
 	case *remote != "":
@@ -94,33 +70,6 @@ func main() {
 			fail(err)
 		}
 		db = cl
-	case *seeds != "":
-		members, err := cluster.ParseMembers(*seeds)
-		if err != nil {
-			fail(err)
-		}
-		if *durability != "" {
-			d, err := kv.ParseDurability(*durability)
-			if err != nil {
-				fail(err)
-			}
-			writeOpts = append(writeOpts, kv.WithDurability(d))
-		}
-		hintDir := *hints
-		if hintDir == "" {
-			hintDir = filepath.Join(os.TempDir(), "flodb-hints")
-		}
-		c, err := cluster.Open(cluster.Config{
-			Members:     members,
-			Replication: *replication,
-			WriteQuorum: *writeQuorum,
-			ReadQuorum:  *readQuorum,
-			HintDir:     hintDir,
-		})
-		if err != nil {
-			fail(err)
-		}
-		db = c
 	default:
 		var opts []flodb.Option
 		if *mem > 0 {

@@ -7,35 +7,17 @@
 // engine through it — the pipelined dispatch means a single client
 // connection can still saturate the Membuffer's parallel write path.
 //
-// As a RING NODE, flodbd gets a stable identity and a hardened commit
-// log:
+// -wal-writethrough hands every WAL record to the OS at append time, so
+// an acked Buffered write survives kill -9 of the process (not a machine
+// crash, which still needs DurabilitySync or Sync):
 //
-//	flodbd -db /var/lib/flodb -addr :4380 -node-id n1 -wal-writethrough
-//
-// -node-id is what coordinators verify in health probes (a membership
-// list names IDs, not ports); -wal-writethrough hands every WAL record
-// to the OS at append time, so an acked replica write survives kill -9
-// of the node — the property cluster quorum acks are built on.
-//
-// As a CLUSTER GATEWAY, flodbd serves the coordinator itself: clients
-// speak plain wire protocol to the gateway, which fans every operation
-// out to the ring at the configured quorums:
-//
-//	flodbd -db /var/lib/flodb-gw -addr :4390 \
-//	    -cluster n1=host1:4380,n2=host2:4380,n3=host3:4380 \
-//	    -replication 2 -write-quorum 2 -read-quorum 1
-//
-// In gateway mode -db holds the coordinator's state (the hinted-handoff
-// logs under <db>/hints), not an engine.
+//	flodbd -db /var/lib/flodb -addr :4380 -wal-writethrough
 //
 // Shutdown is a drain: on SIGINT or SIGTERM the daemon stops accepting,
 // lets every in-flight request finish and flush its response, then
 // closes the store. The close-time WAL sync makes every acknowledged
 // Buffered write durable, so a clean `kill -TERM` never loses an acked
-// write. A gateway additionally replays what it can of the pending
-// hinted-handoff backlog and fsyncs the rest to disk, logging the
-// counts — an operator-initiated restart never silently strands queued
-// handoffs. -drain-timeout bounds how long a stuck request can hold the
+// write. -drain-timeout bounds how long a stuck request can hold the
 // process; past it in-flight work is canceled and the store still
 // closes cleanly.
 package main
@@ -50,12 +32,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"flodb"
-	"flodb/internal/cluster"
 	"flodb/internal/kv"
 	"flodb/internal/obs"
 	"flodb/internal/server"
@@ -77,19 +57,14 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 	fs := flag.NewFlagSet("flodbd", flag.ContinueOnError)
 	fs.SetOutput(logw)
 	var (
-		dir        = fs.String("db", "", "database directory (required; gateway state dir with -cluster)")
+		dir        = fs.String("db", "", "database directory (required)")
 		addr       = fs.String("addr", ":4380", "listen address")
 		addrFile   = fs.String("addr-file", "", "write the bound listen address to this file once accepting (for scripts and tests using -addr :0)")
 		mem        = fs.Int64("mem", 0, "memory component bytes (0 = default)")
 		blockCache = fs.Int64("block-cache", 0, "read cache bytes for point reads of disk-resident keys (0 = default 32 MiB)")
 		tableCache = fs.Int("table-cache", 0, "max resident sstable readers, one open fd each (0 = default 256)")
 		durability = fs.String("durability", "", "default write durability: none|buffered|sync (default buffered)")
-		nodeID     = fs.String("node-id", "", "stable ring identity served in health probes (cluster node mode)")
-		writeThru  = fs.Bool("wal-writethrough", false, "hand WAL records to the OS at append: acked writes survive kill -9 (ring replicas run with this)")
-		seeds      = fs.String("cluster", "", "gateway mode: serve a quorum coordinator over these ring members (comma-separated [id=]host:port)")
-		replicas   = fs.Int("replication", 0, "gateway: replicas per key R (default min(2, members))")
-		writeQ     = fs.Int("write-quorum", 0, "gateway: owner acks per write W (default R)")
-		readQ      = fs.Int("read-quorum", 0, "gateway: owner answers per read Rq (default 1)")
+		writeThru  = fs.Bool("wal-writethrough", false, "hand WAL records to the OS at append: acked Buffered writes survive kill -9 of the process, not a machine crash")
 		maxConns   = fs.Int("max-conns", 0, "max concurrent connections (0 = default 1024)")
 		maxInFl    = fs.Int("max-inflight", 0, "max requests per connection running off its reader: all but point Get/Put/Delete (0 = default 128)")
 		leaseIdle  = fs.Duration("lease-idle", 0, "idle snapshot/iterator lease expiry (0 = default 5m)")
@@ -109,60 +84,33 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 
 	logger := log.New(logw, "flodbd: ", log.LstdFlags)
 
-	var (
-		db    kv.Store
-		coord *cluster.Client // non-nil in gateway mode
-	)
-	if *seeds != "" {
-		members, err := cluster.ParseMembers(*seeds)
+	var opts []flodb.Option
+	if *mem > 0 {
+		opts = append(opts, flodb.WithMemory(*mem))
+	}
+	if *blockCache > 0 {
+		opts = append(opts, flodb.WithBlockCacheSize(*blockCache))
+	}
+	if *tableCache > 0 {
+		opts = append(opts, flodb.WithTableCacheCapacity(*tableCache))
+	}
+	if *writeThru {
+		opts = append(opts, flodb.WithWALWriteThrough())
+	}
+	if *durability != "" {
+		d, err := kv.ParseDurability(*durability)
 		if err != nil {
 			return err
 		}
-		coord, err = cluster.Open(cluster.Config{
-			Members:     members,
-			Replication: *replicas,
-			WriteQuorum: *writeQ,
-			ReadQuorum:  *readQ,
-			HintDir:     filepath.Join(*dir, "hints"),
-			Logf:        logger.Printf,
-		})
-		if err != nil {
-			return err
-		}
-		db = coord
-		logger.Printf("gateway over %d members (epoch %#x), %d hints pending from previous runs",
-			len(members), coord.Ring().Epoch(), coord.HintsPending())
-	} else {
-		var opts []flodb.Option
-		if *mem > 0 {
-			opts = append(opts, flodb.WithMemory(*mem))
-		}
-		if *blockCache > 0 {
-			opts = append(opts, flodb.WithBlockCacheSize(*blockCache))
-		}
-		if *tableCache > 0 {
-			opts = append(opts, flodb.WithTableCacheCapacity(*tableCache))
-		}
-		if *writeThru {
-			opts = append(opts, flodb.WithWALWriteThrough())
-		}
-		if *durability != "" {
-			d, err := kv.ParseDurability(*durability)
-			if err != nil {
-				return err
-			}
-			opts = append(opts, flodb.WithDurability(d))
-		}
-		ldb, err := flodb.Open(*dir, opts...)
-		if err != nil {
-			return err
-		}
-		db = ldb
+		opts = append(opts, flodb.WithDurability(d))
+	}
+	db, err := flodb.Open(*dir, opts...)
+	if err != nil {
+		return err
 	}
 
 	cfg := server.Config{
 		Store:       db,
-		NodeID:      *nodeID,
 		MaxConns:    *maxConns,
 		MaxInFlight: *maxInFl,
 		LeaseIdle:   *leaseIdle,
@@ -236,24 +184,7 @@ func run(args []string, logw io.Writer, notify func(addr string)) error {
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Printf("drain cut off: %v", err)
 	}
-	if coord != nil {
-		// A gateway's equivalent of the close-time WAL sync: flush the
-		// hinted-handoff backlog (replaying toward reachable members,
-		// fsyncing what must wait) and say what happened — a restart must
-		// never silently strand queued handoffs.
-		pending := coord.HintsPending()
-		if pending > 0 {
-			logger.Printf("draining %d pending hinted-handoff records", pending)
-		}
-		if err := coord.Close(); err != nil {
-			return fmt.Errorf("close coordinator: %w", err)
-		}
-		if left := coord.HintsPending(); left > 0 {
-			logger.Printf("%d hints still queued on disk for unreachable members; the next start replays them", left)
-		} else if pending > 0 {
-			logger.Printf("hint backlog fully drained")
-		}
-	} else if err := db.Close(); err != nil {
+	if err := db.Close(); err != nil {
 		// Close after the drain: the store's close-time WAL sync is what
 		// makes acked Buffered writes durable across a clean shutdown.
 		return fmt.Errorf("close store: %w", err)

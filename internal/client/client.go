@@ -23,8 +23,8 @@
 // not a frame-decode failure). A pooled connection that breaks is redialed
 // in place with exponential backoff; while the node stays unreachable,
 // calls fail fast with an error satisfying errors.Is(err, kv.ErrUnavailable)
-// — the signal that distinguishes "node down" (retry elsewhere, queue a
-// hint) from "bad request". Stateful handles do not survive their
+// — the signal that distinguishes "node down" (retry later) from "bad
+// request". Stateful handles do not survive their
 // connection: the server-side lease died with it.
 package client
 
@@ -142,7 +142,7 @@ func (cl *Client) dialConn() (*conn, error) {
 		return nil, fmt.Errorf("client: %s: %w", cl.addr, err)
 	}
 	nc.SetDeadline(time.Time{})
-	_, maxFrame := wire.Negotiate(wire.LocalHello(0), remote)
+	maxFrame := wire.Negotiate(wire.LocalHello(0), remote)
 	c := &conn{
 		nc:       nc,
 		maxFrame: maxFrame,
@@ -383,10 +383,9 @@ func (c *conn) call(ctx context.Context, req *wire.Request) (wire.Response, erro
 		return wire.Response{}, err
 	}
 	if req.TraceID == 0 {
-		// The coordinator edge: reuse the context's trace when one is
-		// already flowing (a server fanning this request out to
-		// replicas re-stamps its inbound ID), otherwise mint one so
-		// every slow-request line downstream is correlatable.
+		// Reuse the context's trace when one is already flowing,
+		// otherwise mint one so every slow-request line downstream is
+		// correlatable.
 		if id := obs.Trace(ctx); id != 0 {
 			req.TraceID = id
 		} else {
@@ -532,64 +531,6 @@ func (cl *Client) Ping(ctx context.Context) error {
 	return err
 }
 
-// --- Replication plane (cluster coordinators) --------------------------------
-
-// VPut performs one version-gated conditional write on the server's local
-// plane: the record lands only if its version exceeds the stored copy's.
-// It reports whether the record was applied (false = stale, which for a
-// replication push or hint replay means "already superseded": success).
-func (cl *Client) VPut(ctx context.Context, rec wire.VRecord, opts ...kv.WriteOption) (bool, error) {
-	resp, err := cl.call(ctx, &wire.Request{
-		Op:         wire.OpVPut,
-		Durability: durabilityOf(opts),
-		Payload:    wire.AppendVRecord(nil, rec),
-	})
-	if err != nil {
-		return false, err
-	}
-	if len(resp.Payload) < 1 {
-		return false, fmt.Errorf("client: bad vput response")
-	}
-	return resp.Payload[0] == 1, nil
-}
-
-// VApply performs a batched conditional write: every winning record lands
-// in one engine batch. It returns how many records applied and how many
-// were stale (already superseded).
-func (cl *Client) VApply(ctx context.Context, recs []wire.VRecord, opts ...kv.WriteOption) (applied, stale int, err error) {
-	resp, err := cl.call(ctx, &wire.Request{
-		Op:         wire.OpVApply,
-		Durability: durabilityOf(opts),
-		Payload:    wire.AppendVRecords(nil, recs),
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	a, n := binary.Uvarint(resp.Payload)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("client: bad vapply response")
-	}
-	s, m := binary.Uvarint(resp.Payload[n:])
-	if m <= 0 {
-		return 0, 0, fmt.Errorf("client: bad vapply response")
-	}
-	return int(a), int(s), nil
-}
-
-// Health probes the node: identity and ring epoch. It is the heartbeat
-// the cluster prober marks nodes up and down with.
-func (cl *Client) Health(ctx context.Context) (wire.HealthInfo, error) {
-	resp, err := cl.call(ctx, &wire.Request{Op: wire.OpHealth})
-	if err != nil {
-		return wire.HealthInfo{}, err
-	}
-	var info wire.HealthInfo
-	if err := json.Unmarshal(resp.Payload, &info); err != nil {
-		return wire.HealthInfo{}, fmt.Errorf("client: health payload: %w", err)
-	}
-	return info, nil
-}
-
 // Stats reads the node's counters off one telemetry snapshot
 // (kv.StatsOf of its metrics): the store's own counters, with the service
 // tier's (conns, in-flight, requests, bytes, slow requests) in the Server*
@@ -606,7 +547,6 @@ func (cl *Client) Stats() kv.Stats {
 // Telemetry fetches the node's observability snapshot: per-op latency
 // quantiles, the merged metric registry, and up to maxEvents recent
 // structured events (0: every event the node retains; negative: none).
-// flodbctl top renders it.
 func (cl *Client) Telemetry(ctx context.Context, maxEvents int) (wire.TelemetryPayload, error) {
 	var body []byte
 	if maxEvents != 0 {

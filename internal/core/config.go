@@ -47,10 +47,8 @@ type Config struct {
 	// operation fails with kv.ErrNotSupported.
 	DisableWAL bool
 	// WALWriteThrough pushes every WAL append to the OS before it is
-	// acknowledged (no extra fsyncs — the buffered window shrinks from
-	// "process or machine crash" to "machine crash only"). Replica nodes
-	// in a cluster run with it on so a kill -9 of one process never loses
-	// a quorum-acked write.
+	// acknowledged (no extra fsyncs): an acked Buffered write survives
+	// kill -9 of the process, not a machine crash.
 	WALWriteThrough bool
 	// Durability is the default durability class for writes that don't
 	// override it per operation. DurabilityDefault resolves to Buffered

@@ -18,8 +18,8 @@ import (
 // readConfigs are the store shapes every range-read contract test runs
 // over: the default two-level store, the memory-only store (no disk
 // source under the view) and the store without a Membuffer (no seal, the
-// grace period alone separates past from future). The network and cluster
-// systems run the same contract in internal/figures
+// grace period alone separates past from future). The networked system
+// runs the same contract in internal/figures
 // (TestAllSystemsIteratorPointInTime).
 func readConfigs(t *testing.T, memory int64) map[string]Config {
 	t.Helper()

@@ -326,8 +326,8 @@ func TestAllSystemsCrashMidStreamPrefix(t *testing.T) {
 				}
 			}()
 			// Let the stream run, then make sure enough writes are actually
-			// in before pulling the plug: under -race the networked systems
-			// can take tens of milliseconds per quorum round-trip, so a
+			// in before pulling the plug: under -race the networked system
+			// can take tens of milliseconds per round trip, so a
 			// fixed sleep alone crashes an empty store on slow machines.
 			time.Sleep(30 * time.Millisecond)
 			// >= 11, not 10: the counter is stored optimistically before

@@ -8,7 +8,7 @@ import (
 )
 
 // APIBench exercises the batch, cursor, read-view and durability surface
-// of the kv.Store contract across the seven systems — the API shapes the
+// of the kv.Store contract across the six systems — the API shapes the
 // paper's figures do not cover. Five workloads per system, at the mid
 // thread count of the sweep:
 //

@@ -34,22 +34,20 @@ type System string
 
 // The five systems of §5.1, plus the networked engine (a FloDB instance
 // behind an in-process flodbd server, every operation paying a loopback
-// round trip through internal/wire) and the replicated one.
+// round trip through internal/wire).
 const (
-	SysFloDB   System = "FloDB"
-	SysNet     System = "FloDB/net"
-	SysCluster System = "FloDB/cluster"
-	SysRocks   System = "RocksDB"
-	SysCLSM    System = "RocksDB/cLSM"
-	SysHyper   System = "HyperLevelDB"
-	SysLevel   System = "LevelDB"
+	SysFloDB System = "FloDB"
+	SysNet   System = "FloDB/net"
+	SysRocks System = "RocksDB"
+	SysCLSM  System = "RocksDB/cLSM"
+	SysHyper System = "HyperLevelDB"
+	SysLevel System = "LevelDB"
 )
 
 // AllSystems lists the systems in legend order: the paper's five plus
-// the networked sixth and the replicated seventh (a 3-node ring at R=2,
-// every operation a quorum fan-out), so every conformance suite and
-// figure sweeps them too.
-var AllSystems = []System{SysFloDB, SysNet, SysCluster, SysRocks, SysCLSM, SysHyper, SysLevel}
+// the networked sixth, so every conformance suite and figure sweeps it
+// too.
+var AllSystems = []System{SysFloDB, SysNet, SysRocks, SysCLSM, SysHyper, SysLevel}
 
 // Config scales an experiment run.
 type Config struct {
@@ -145,14 +143,14 @@ var tinyCachesForTest bool
 // epoch changes into the suites' workloads.
 var wrapStoreForTest func(kv.Store) kv.Store
 
-// openSystem builds one of the seven stores. Benchmarks run with the WAL
+// openSystem builds one of the six stores. Benchmarks run with the WAL
 // disabled, like the paper's db_bench-style loaders (no fsync per write);
 // cells that measure the durable write path use openSystemDurable.
 func openSystem(sys System, dir string, memBytes int64, lim *diskenv.Limiter) (kv.Store, error) {
 	return openSystemMode(sys, dir, memBytes, lim, false)
 }
 
-// openSystemDurable builds one of the seven stores with the commit log ON
+// openSystemDurable builds one of the six stores with the commit log ON
 // (Buffered default durability) — the configuration the durable-write
 // apibench column and the durability conformance suite measure.
 func openSystemDurable(sys System, dir string, memBytes int64, lim *diskenv.Limiter) (kv.Store, error) {
@@ -179,8 +177,6 @@ func openStore(sys System, dir string, memBytes int64, lim *diskenv.Limiter, wal
 		})
 	case SysNet:
 		return openNet(dir, memBytes, lim, walOn)
-	case SysCluster:
-		return openCluster(dir, memBytes, lim, walOn)
 	}
 	cfg := baseline.Config{
 		Dir: dir, MemBytes: memBytes, DisableWAL: !walOn,

@@ -36,10 +36,6 @@ func TestEveryFigureRuns(t *testing.T) {
 		"fig12": Fig12,
 		"fig14": Fig14,
 		"fig17": Fig17,
-		// clusterbench is the slowest figure (three ring sizes, kill and
-		// heal segments) but it is the only tier-1 coverage of the full
-		// quorum plane under load, so it stays in the smoke set.
-		"clusterbench": ClusterBench,
 	}
 	for name, fn := range figs {
 		name, fn := name, fn

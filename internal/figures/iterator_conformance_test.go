@@ -13,8 +13,7 @@ import (
 // Value are nil unless positioned, Next on a fresh cursor is First, Seek
 // lands on the next present key and clamps to the range, a cursor that
 // ran out stays out until it is repositioned, and Close is idempotent and
-// final. The keys span every member of the ring, so the merge above the
-// engines is what is under test.
+// final.
 func TestAllSystemsIteratorContract(t *testing.T) {
 	key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 56) }
 	for _, sys := range AllSystems {

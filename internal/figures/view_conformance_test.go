@@ -144,7 +144,7 @@ func TestAllSystemsIteratorPointInTime(t *testing.T) {
 			s := openSys(t, sys, t.TempDir())
 			defer s.Close()
 			const n = 1200
-			key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 52) } // spans every ring member
+			key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 52) }
 			model := map[uint64]string{}
 			put := func(i int, v string) {
 				t.Helper()
@@ -278,14 +278,13 @@ func TestAllSystemsCheckpointReopens(t *testing.T) {
 
 // TestAllSystemsStatsCountOps: after one scripted sequence of store calls,
 // every system's Stats reports each call once — through the wire the
-// server's engine counts it, on the cluster the coordinator does (its
-// members' own counts of the fan-out are not added in).
+// server's engine counts it.
 func TestAllSystemsStatsCountOps(t *testing.T) {
 	for _, sys := range AllSystems {
 		t.Run(string(sys), func(t *testing.T) {
 			s := openSys(t, sys, t.TempDir())
 			defer s.Close()
-			key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 52) } // spans every ring member
+			key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 52) }
 			for i := 0; i < 3; i++ {
 				if err := s.Put(bg, key(i), []byte("v")); err != nil {
 					t.Fatal(err)

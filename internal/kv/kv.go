@@ -3,11 +3,10 @@
 // registry, and the encoding of key-value mutations used in
 // write-ahead-log records.
 //
-// Having one interface is what lets the benchmark harness run seven
+// Having one interface is what lets the benchmark harness run six
 // systems — the paper's five (FloDB, LevelDB, HyperLevelDB, RocksDB,
-// RocksDB/cLSM) plus FloDB served over the wire (FloDB/net) and over a
-// replicated ring (FloDB/cluster) — through identical drivers, as the
-// paper's evaluation does.
+// RocksDB/cLSM) plus FloDB served over the wire (FloDB/net) — through
+// identical drivers, as the paper's evaluation does.
 package kv
 
 import (
@@ -133,10 +132,8 @@ var ErrSnapshotReleased = errors.New("kv: snapshot released")
 var ErrNotSupported = errors.New("kv: operation not supported")
 
 // ErrUnavailable is returned when a remote store cannot be reached: the
-// node is down, unreachable, or a quorum of replicas cannot be assembled.
-// It distinguishes "node down" (retry elsewhere, queue a hint, mark the
-// member unhealthy) from "bad request" (caller error, retrying is
-// pointless). Implementations wrap it, so test with errors.Is.
+// node is down or unreachable. It distinguishes "node down" (retry later)
+// from "bad request" (caller error, retrying is pointless). Implementations wrap it, so test with errors.Is.
 var ErrUnavailable = errors.New("kv: node unavailable")
 
 // Iterator is a streaming cursor over a key range, yielding live pairs in
@@ -177,6 +174,21 @@ type Iterator interface {
 	Err() error
 	// Close releases the iterator's resources. It is idempotent.
 	Close() error
+}
+
+// Collect drains it from First into copies it does not alias, closes it,
+// and returns the pairs — the one way a Scan materializes an iterator.
+// On an iterator error the pairs are dropped and the error returned.
+func Collect(it Iterator) ([]Pair, error) {
+	defer it.Close()
+	var out []Pair
+	for ok := it.First(); ok; ok = it.Next() {
+		out = append(out, Pair{Key: keys.Clone(it.Key()), Value: keys.Clone(it.Value())})
+	}
+	if err := it.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // --- WAL record encoding ----------------------------------------------------

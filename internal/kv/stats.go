@@ -83,22 +83,6 @@ type Stats struct {
 	ServerBytesIn      uint64 `metric:"flodbd_bytes_in_total"`
 	ServerBytesOut     uint64 `metric:"flodbd_bytes_out_total"`
 	ServerSlowRequests uint64 `metric:"flodbd_slow_requests_total"`
-
-	// Cluster coordination (internal/cluster; zero elsewhere).
-	// QuorumWrites acked at the full write quorum W of live replica
-	// responses; DegradedWrites acked below W because owners were down
-	// (the missed replicas hold hints). ReadRepairs counts stale or
-	// missing replica copies pushed forward by reads. HintsQueued /
-	// HintsReplayed / HintsPending describe the hinted-handoff log;
-	// NodesUp / NodesDown are the prober's current member view.
-	ClusterQuorumWrites   uint64 `metric:"flodb_cluster_quorum_writes_total"`
-	ClusterDegradedWrites uint64 `metric:"flodb_cluster_degraded_writes_total"`
-	ClusterReadRepairs    uint64 `metric:"flodb_cluster_read_repairs_total"`
-	ClusterHintsQueued    uint64 `metric:"flodb_cluster_hints_queued_total"`
-	ClusterHintsReplayed  uint64 `metric:"flodb_cluster_hints_replayed_total"`
-	ClusterHintsPending   uint64 `metric:"flodb_cluster_hints_pending"`
-	ClusterNodesUp        uint64 `metric:"flodb_cluster_nodes_up"`
-	ClusterNodesDown      uint64 `metric:"flodb_cluster_nodes_down"`
 }
 
 // StatsProvider is implemented by stores that report Stats.

@@ -1,13 +1,11 @@
 package kv_test
 
 import (
-	"net"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"flodb/internal/baseline"
-	"flodb/internal/cluster"
 	"flodb/internal/core"
 	"flodb/internal/kv"
 	"flodb/internal/obs"
@@ -19,12 +17,12 @@ func TestStatsOfSumsFamilies(t *testing.T) {
 	reg.Counter(`flodbd_requests_total{op="put"}`, "").Add(3)
 	reg.Counter(`flodbd_requests_total{op="get"}`, "").Add(4)
 	reg.Gauge("flodb_block_cache_bytes", "").Set(4096)
-	reg.Gauge("flodb_cluster_nodes_up", "").Set(2)
+	reg.Gauge("flodbd_conns_open", "").Set(2)
 	reg.Histogram(`flodb_op_latency_seconds{op="put"}`, "").Observe(1)
 	reg.Counter("flodb_unmapped_total", "").Add(9)
 	a := reg.Snapshot()
 	st := kv.StatsOf(obs.Merge(a, a))
-	want := kv.Stats{ServerRequests: 14, BlockCacheBytes: 8192, ClusterNodesUp: 4}
+	want := kv.Stats{ServerRequests: 14, BlockCacheBytes: 8192, ServerConnsOpen: 4}
 	if st != want {
 		t.Fatalf("StatsOf = %+v, want %+v", st, want)
 	}
@@ -36,7 +34,7 @@ func TestStatsOfSumsFamilies(t *testing.T) {
 // TestStatsTableCoversEveryField fails when a kv.Stats field has no
 // metric in StatsOf's table (its `metric` tag), when two fields name one
 // metric, or when the table names a metric that none of the registries
-// (core, baseline, server, cluster) registers — each would leave a field
+// (core, baseline, server) registers — each would leave a field
 // silently reading 0.
 func TestStatsTableCoversEveryField(t *testing.T) {
 	retired := map[string]bool{"ScanRestarts": true, "FallbackScans": true}
@@ -61,13 +59,13 @@ func TestStatsTableCoversEveryField(t *testing.T) {
 	}
 	for fam := range table {
 		if !registered[fam] {
-			t.Errorf("%s is registered by no registry among core, baseline, server and cluster", fam)
+			t.Errorf("%s is registered by no registry among core, baseline and server", fam)
 		}
 	}
 }
 
 // registrySnapshots opens one of each metrics source: a FloDB engine, a
-// baseline, a server over the engine and a coordinator over that server.
+// baseline and a server over the engine.
 func registrySnapshots(t *testing.T) []obs.Snapshot {
 	dir := t.TempDir()
 	db, err := core.Open(core.Config{Dir: filepath.Join(dir, "core"), MemoryBytes: 1 << 20})
@@ -82,18 +80,5 @@ func registrySnapshots(t *testing.T) []obs.Snapshot {
 	defer base.Close()
 	srv := server.New(server.Config{Store: db})
 	defer srv.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	c, err := cluster.Open(cluster.Config{
-		Members: []cluster.Member{{ID: "n1", Addr: l.Addr().String()}},
-		HintDir: filepath.Join(dir, "hints"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	return []obs.Snapshot{db.TelemetrySnapshot(), base.TelemetrySnapshot(), srv.TelemetrySnapshot(), c.TelemetrySnapshot()}
+	return []obs.Snapshot{db.TelemetrySnapshot(), base.TelemetrySnapshot(), srv.TelemetrySnapshot()}
 }

@@ -18,10 +18,6 @@ const (
 	EventCachePressure = "cache-pressure" // block/table cache evicting under load
 	EventSnapshotPin   = "snapshot-pin"   // O(1) snapshot sealed + seq bound pinned
 	EventSnapshotUnpin = "snapshot-unpin" // snapshot closed, version chains may collapse
-	EventRingUp        = "ring-up"        // cluster member became reachable
-	EventRingDown      = "ring-down"      // cluster member lost
-	EventRingEpoch     = "ring-epoch"     // ring config epoch observed/changed
-	EventHintReplay    = "hint-replay"    // hinted-handoff log drained to a healed peer
 )
 
 // Event is one structured record in the bounded event log.

@@ -8,11 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// Trace IDs tie one logical request together across layers and nodes: a
-// coordinator stamps (or receives) an ID, propagates it to replicas in
-// the wire request header, and every slow-request log line prints it —
-// so one slow quorum write is attributable to the replica (or the
-// compaction event near its timestamp) that caused it.
+// Trace IDs tie one logical request together across layers: a client
+// stamps an ID (its context's, or a fresh one) into the wire request
+// header, and the server's slow-request log line prints it — so one slow
+// write is attributable to the compaction event near its timestamp that
+// caused it.
 
 type traceKeyType struct{}
 
@@ -61,7 +61,7 @@ func Trace(ctx context.Context) uint64 {
 }
 
 // EnsureTrace returns the context's trace ID, minting and attaching one
-// if absent — the coordinator-edge entry point.
+// if absent.
 func EnsureTrace(ctx context.Context) (context.Context, uint64) {
 	if id := Trace(ctx); id != 0 {
 		return ctx, id
@@ -70,7 +70,7 @@ func EnsureTrace(ctx context.Context) (context.Context, uint64) {
 	return WithTrace(ctx, id), id
 }
 
-// TraceString formats an ID the way log lines and flodbctl print it.
+// TraceString formats an ID the way log lines print it.
 func TraceString(id uint64) string {
 	if id == 0 {
 		return "-"

@@ -3,16 +3,15 @@
 //
 // Concurrency model: one reader goroutine per connection decodes frames.
 // A point request — Get, Put or Delete with no deadline and not
-// Sync-class, on a server fronting its own engine (Config.Store ==
-// Config.Local) — executes right there on the reader, reading its key
+// Sync-class — executes right there on the reader, reading its key
 // out of the read buffer: no goroutine, no context, no copy. Its
 // response waits in the connection's buffered writer, which the reader
 // flushes when no further request is buffered, so a pipelined burst is
 // answered in a few socket writes. Every other request (Sync-class
 // writes, whose fsync group commit wants concurrent; batches; scans,
-// iterators and snapshots; anything carrying a deadline; everything a
-// gateway forwards over the network) leaves the reader for a goroutine
-// of its own, registered for OpCancel, and flushes its own response.
+// iterators and snapshots; anything carrying a deadline) leaves the
+// reader for a goroutine of its own, registered for OpCancel, and
+// flushes its own response.
 //
 // So parallelism is across connections; within one, point requests run
 // in arrival order. A store opened with Sync as its default class runs
@@ -64,20 +63,10 @@ import (
 type Config struct {
 	// Store is the engine every connection shares. Required.
 	Store kv.Store
-	// Local is the replication plane: the store OpVPut/OpVApply/OpHealth
-	// target. It defaults to Store; a coordinator node (flodbd -cluster)
-	// splits them — Store is the cluster client ordinary requests fan out
-	// through, Local the node's own engine replicas write into.
-	Local kv.Store
 	// MaxFrame is the frame cap this server offers in the handshake; the
 	// connection runs under min(server offer, client offer). Default
 	// wire.MaxFrame.
 	MaxFrame uint64
-	// NodeID and RingEpoch identify this node to health probes. NodeID
-	// defaults to empty (callers may fall back to the address); a zero
-	// RingEpoch means "not ring-aware" and disables epoch checking.
-	NodeID    string
-	RingEpoch uint64
 	// MaxConns caps concurrent connections; further accepts are closed
 	// immediately (and counted in Info().ConnsRejected). Default 1024.
 	MaxConns int
@@ -131,14 +120,7 @@ type Server struct {
 
 	janitorStop chan struct{}
 	janitorOnce sync.Once
-
-	// vlocks stripes the versioned-write plane: OpVPut/OpVApply hold a
-	// key's stripe across their read-compare-write so two racing
-	// replica writes to one key serialize and newest-wins is exact.
-	vlocks [vStripes]sync.Mutex
 }
-
-const vStripes = 128
 
 // New builds a Server over cfg.Store.
 func New(cfg Config) *Server {
@@ -159,9 +141,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxChunkPairs <= 0 {
 		cfg.MaxChunkPairs = 4096
-	}
-	if cfg.Local == nil {
-		cfg.Local = cfg.Store
 	}
 	if cfg.MaxFrame == 0 {
 		cfg.MaxFrame = wire.MaxFrame
@@ -567,7 +546,6 @@ func (c *serverConn) run() {
 		c.close()
 		c.srv.reqWG.Done()
 	}()
-	inlineOK := c.srv.cfg.Store == c.srv.cfg.Local
 	var buf []byte
 	// A failed response write cancels baseCtx: stop executing requests
 	// whose answers can go nowhere.
@@ -599,7 +577,7 @@ func (c *serverConn) run() {
 			c.handleCancel(req.Payload)
 			continue
 		}
-		if inlineOK && runsInline(&req) {
+		if runsInline(&req) {
 			// Done before the next read reuses buf, which the payload
 			// aliases: stores do not keep the slices they are handed.
 			c.exec(c.baseCtx, &req, false)
@@ -667,7 +645,7 @@ func (c *serverConn) handshake(br *bufio.Reader) error {
 		return werr
 	}
 	c.nc.SetReadDeadline(time.Time{})
-	_, c.maxFrame = wire.Negotiate(wire.LocalHello(c.srv.cfg.MaxFrame), remote)
+	c.maxFrame = wire.Negotiate(wire.LocalHello(c.srv.cfg.MaxFrame), remote)
 	return nil
 }
 
@@ -701,12 +679,6 @@ func (c *serverConn) handle(req wire.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNanos))
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
-	}
-	if req.TraceID != 0 {
-		// Propagate the coordinator's trace: when this node fans the
-		// request out again (cluster-proxy mode), the client tier stamps
-		// the same ID onto the replica requests.
-		ctx = obs.WithTrace(ctx, req.TraceID)
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -751,10 +723,9 @@ func (c *serverConn) exec(ctx context.Context, req *wire.Request, flush bool) {
 	if d >= c.srv.cfg.SlowRequest {
 		c.srv.slowRequests.Add(1)
 		// The slow-request line carries everything needed to chase the
-		// outlier across tiers: the decoded op, the key size (value sizes
-		// dominate frame length, key length is the routing input), the
+		// outlier back to its caller: the decoded op, the key size, the
 		// durability class (a Sync fsync wait is the usual innocent
-		// explanation), and the trace ID the coordinator stamped.
+		// explanation), and the trace ID the client stamped.
 		c.srv.logf("server: %s: slow request: op=%s dur=%v key=%dB durability=%v trace=%s",
 			c.nc.RemoteAddr(), req.Op, d.Round(time.Microsecond),
 			requestKeyLen(req), req.Durability, obs.TraceString(req.TraceID))
@@ -975,48 +946,9 @@ func (c *serverConn) dispatch(ctx context.Context, req *wire.Request) ([]byte, e
 	case wire.OpSync:
 		return nil, store.Sync(ctx)
 
-	case wire.OpVPut:
-		if req.Handle != 0 {
-			return nil, badRequestf("write through a snapshot handle")
-		}
-		rec, _, err := wire.ReadVRecord(req.Payload)
-		if err != nil {
-			return nil, err
-		}
-		applied, err := c.srv.vput(ctx, rec, wopts)
-		if err != nil {
-			return nil, err
-		}
-		if applied {
-			return []byte{1}, nil
-		}
-		return []byte{0}, nil
-
-	case wire.OpVApply:
-		if req.Handle != 0 {
-			return nil, badRequestf("write through a snapshot handle")
-		}
-		recs, _, err := wire.ReadVRecords(req.Payload)
-		if err != nil {
-			return nil, err
-		}
-		applied, stale, err := c.srv.vapply(ctx, recs, wopts)
-		if err != nil {
-			return nil, err
-		}
-		out := binary.AppendUvarint(nil, uint64(applied))
-		return binary.AppendUvarint(out, uint64(stale)), nil
-
-	case wire.OpHealth:
-		return json.Marshal(wire.HealthInfo{
-			NodeID: c.srv.cfg.NodeID,
-			Epoch:  c.srv.cfg.RingEpoch,
-		})
-
 	case wire.OpTelemetry:
 		snap := c.srv.TelemetrySnapshot()
 		payload := wire.TelemetryPayload{
-			Node:    c.srv.cfg.NodeID,
 			Ops:     obs.OpQuantiles(snap),
 			Metrics: snap.Metrics,
 		}
@@ -1153,104 +1085,6 @@ func requestKeyLen(req *wire.Request) int {
 		if k, _, err := wire.ReadBytes(req.Payload); err == nil {
 			return len(k)
 		}
-	case wire.OpVPut:
-		if rec, _, err := wire.ReadVRecord(req.Payload); err == nil {
-			return len(rec.Key)
-		}
 	}
 	return 0
-}
-
-// --- Versioned-write plane (cluster replication) -----------------------------
-
-// stripeOf maps a key to its version-lock stripe (FNV-1a 64).
-func stripeOf(key []byte) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return int(h % vStripes)
-}
-
-// storedVersion reads the version of key's stored copy in the local
-// plane: 0 when absent, and 0 for a legacy unversioned value (which any
-// replicated write then supersedes).
-func (s *Server) storedVersion(ctx context.Context, key []byte) (uint64, error) {
-	cur, found, err := s.cfg.Local.Get(ctx, key)
-	if err != nil {
-		return 0, err
-	}
-	if !found {
-		return 0, nil
-	}
-	ver, _, _, err := wire.ParseVValue(cur)
-	if err != nil {
-		return 0, nil
-	}
-	return ver, nil
-}
-
-// vput is the conditional newest-wins write: under the key's stripe lock,
-// rec lands only if its version exceeds the stored copy's. Tombstones
-// land as versioned records too (a stale replica must not resurrect the
-// value), to be filtered by the reading coordinator.
-func (s *Server) vput(ctx context.Context, rec wire.VRecord, wopts []kv.WriteOption) (bool, error) {
-	st := stripeOf(rec.Key)
-	s.vlocks[st].Lock()
-	defer s.vlocks[st].Unlock()
-	cur, err := s.storedVersion(ctx, rec.Key)
-	if err != nil {
-		return false, err
-	}
-	if rec.Version <= cur {
-		return false, nil
-	}
-	val := wire.AppendVValue(nil, rec.Version, rec.Tombstone, rec.Value)
-	return true, s.cfg.Local.Put(ctx, rec.Key, val, wopts...)
-}
-
-// vapply is the batched conditional write: all winning records land in
-// ONE engine batch (one WAL record, one group-committed fsync under
-// DurabilitySync), with every touched stripe held in ascending order so
-// concurrent vapplys cannot deadlock.
-func (s *Server) vapply(ctx context.Context, recs []wire.VRecord, wopts []kv.WriteOption) (applied, stale int, err error) {
-	if len(recs) == 0 {
-		return 0, 0, nil
-	}
-	var touched [vStripes]bool
-	for i := range recs {
-		touched[stripeOf(recs[i].Key)] = true
-	}
-	for i := 0; i < vStripes; i++ {
-		if touched[i] {
-			s.vlocks[i].Lock()
-			defer s.vlocks[i].Unlock()
-		}
-	}
-	b := kv.NewBatch()
-	// Later records in one batch supersede earlier ones for the same key
-	// at the engine level, which matches newest-wins as long as the batch
-	// is version-ordered per key — coordinators send them that way; a
-	// same-key pair out of order only costs an extra overwrite.
-	for i := range recs {
-		cur, verr := s.storedVersion(ctx, recs[i].Key)
-		if verr != nil {
-			return 0, 0, verr
-		}
-		if recs[i].Version <= cur {
-			stale++
-			continue
-		}
-		b.Put(recs[i].Key, wire.AppendVValue(nil, recs[i].Version, recs[i].Tombstone, recs[i].Value))
-		applied++
-	}
-	if applied == 0 {
-		return 0, stale, nil
-	}
-	return applied, stale, s.cfg.Local.Apply(ctx, b, wopts...)
 }

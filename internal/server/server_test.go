@@ -774,50 +774,35 @@ func TestCancelReachesHandlerWhileReadsFlow(t *testing.T) {
 	}
 }
 
-// A gateway (Store is not Local) fans requests out over the network, so
-// it never executes one on the reader: a Get held inside Store does not
-// hold up the next Get on the connection. Fronting its own engine, the
-// same server does run them in order on the reader.
-func TestGatewayNeverRunsInline(t *testing.T) {
-	for _, gateway := range []bool{true, false} {
-		t.Run(fmt.Sprintf("gateway=%v", gateway), func(t *testing.T) {
-			store := openStore(t, t.TempDir())
-			if err := store.Put(context.Background(), []byte("k0"), []byte("k0")); err != nil {
-				t.Fatal(err)
-			}
-			g := newGate(store)
-			cfg := server.Config{Store: g}
-			if gateway {
-				cfg.Local = store
-			}
-			_, addr := serve(t, cfg, nil)
-			cl := dial(t, addr, client.WithConns(1))
-			held := make(chan error, 1)
-			go func() {
-				_, _, err := cl.Get(context.Background(), []byte("gate"))
-				held <- err
-			}()
-			<-g.entered
-			next := make(chan error, 1)
-			go func() { next <- getsFlow(cl, 1) }()
-			if gateway {
-				within(t, 10*time.Second, "Get behind a held Get", func() error { return <-next })
-				close(g.release)
-			} else {
-				select {
-				case err := <-next:
-					t.Fatalf("Get answered (%v) while the Get before it on the reader was held", err)
-				case <-time.After(50 * time.Millisecond):
-				}
-				close(g.release)
-				if err := <-next; err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := <-held; err != nil {
-				t.Fatal(err)
-			}
-		})
+// A point Get runs on its connection's reader, so a Get held inside the
+// store holds up the next Get on that connection until it is released.
+func TestPointRequestsRunOnReader(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	if err := store.Put(context.Background(), []byte("k0"), []byte("k0")); err != nil {
+		t.Fatal(err)
+	}
+	g := newGate(store)
+	_, addr := serve(t, server.Config{Store: g}, nil)
+	cl := dial(t, addr, client.WithConns(1))
+	held := make(chan error, 1)
+	go func() {
+		_, _, err := cl.Get(context.Background(), []byte("gate"))
+		held <- err
+	}()
+	<-g.entered
+	next := make(chan error, 1)
+	go func() { next <- getsFlow(cl, 1) }()
+	select {
+	case err := <-next:
+		t.Fatalf("Get answered (%v) while the Get before it on the reader was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(g.release)
+	if err := <-next; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -181,8 +181,7 @@ type Options struct {
 	// staged while the previous write ran; still no fsync). With it on, a
 	// process kill — SIGKILL included — loses no acknowledged record to
 	// user-space staging: the buffered window shrinks to what a MACHINE
-	// crash can lose. Replicated deployments run their nodes this way so
-	// quorum-acked writes survive any single process death.
+	// crash can lose.
 	WriteThrough bool
 	// Events, when non-nil, receives a wal-stall event whenever a
 	// committer waits longer than StallThreshold in the group-commit

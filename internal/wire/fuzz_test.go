@@ -47,10 +47,6 @@ func seedRequests() []Request {
 			r.Payload = []byte("checkpoint-dir")
 		case OpCancel:
 			r.Payload = binary.AppendUvarint(nil, 3)
-		case OpVPut:
-			r.Payload = AppendVRecord(nil, VRecord{Version: 3, Key: key, Value: value})
-		case OpVApply:
-			r.Payload = AppendVRecords(nil, []VRecord{{Version: 4, Key: key, Value: value}, {Version: 5, Tombstone: true, Key: key}})
 		case OpTelemetry:
 			r.Payload = binary.AppendUvarint(nil, 10)
 		}
@@ -92,10 +88,6 @@ func decodePayload(r *Request) {
 		}
 	case OpIterNext, OpCancel, OpTelemetry:
 		binary.Uvarint(r.Payload)
-	case OpVPut:
-		ReadVRecord(r.Payload)
-	case OpVApply:
-		ReadVRecords(r.Payload)
 	}
 }
 

@@ -69,23 +69,10 @@ const (
 	OpCheckpoint
 	OpCancel
 
-	// The replication plane (cluster mode). OpVPut and OpVApply are
-	// version-gated conditional writes: the payload carries VRecords and
-	// the server applies each only if its version exceeds the stored
-	// copy's, under per-key stripe locks — which makes replica writes,
-	// read-repair pushes, and hint replay idempotent and reorderable.
-	// OpHealth is the prober's heartbeat; its response carries the node's
-	// identity and ring epoch so peers from a different ring
-	// configuration are detected, not silently mixed.
-	OpVPut
-	OpVApply
-	OpHealth
-
 	// OpTelemetry returns the node's observability snapshot — per-op
 	// latency quantiles, the merged metric registry, recent structured
 	// events — as a TelemetryPayload. It is the one stats RPC: the
-	// client's kv.Stats is read off its metrics, and flodbctl top renders
-	// it. The payload, when present, is a uvarint cap on the events
+	// client's kv.Stats is read off its metrics. The payload, when present, is a uvarint cap on the events
 	// returned (0: none); without one every retained event is returned.
 	OpTelemetry
 
@@ -124,12 +111,6 @@ func (op Op) String() string {
 		return "checkpoint"
 	case OpCancel:
 		return "cancel"
-	case OpVPut:
-		return "vput"
-	case OpVApply:
-		return "vapply"
-	case OpHealth:
-		return "health"
 	case OpTelemetry:
 		return "telemetry"
 	default:
@@ -158,9 +139,8 @@ const (
 	// StatusDeadline maps context.DeadlineExceeded (the wire deadline the
 	// client's context mapped onto, or the server's own enforcement).
 	StatusDeadline
-	// StatusUnavailable maps kv.ErrUnavailable: a coordinator could not
-	// reach enough replicas (cluster-proxy mode), as opposed to a caller
-	// error.
+	// StatusUnavailable maps kv.ErrUnavailable: the store behind the
+	// server could not be reached, as opposed to a caller error.
 	StatusUnavailable
 )
 
@@ -175,9 +155,8 @@ type Request struct {
 	TimeoutNanos uint64
 	Handle       uint64
 	// TraceID correlates this request across tiers: the client stamps
-	// the coordinator's trace (obs.EnsureTrace), the coordinator's
-	// replica fan-out re-sends the same ID, and every slow-request log
-	// line on every node carries it. 0 means untraced.
+	// the caller's trace (obs.Trace of its context) or a fresh one, and
+	// the server's slow-request log line carries it. 0 means untraced.
 	TraceID uint64
 	Payload []byte
 }
@@ -489,7 +468,6 @@ func NewStatsPayload(s obs.Snapshot) StatsPayload {
 // merged metric registry frozen at request time, the per-op latency
 // quantiles extracted from it, and the newest structured events.
 type TelemetryPayload struct {
-	Node    string                   `json:"node,omitempty"`
 	Ops     map[string]obs.Quantiles `json:"ops,omitempty"`
 	Metrics []obs.Metric             `json:"metrics,omitempty"`
 	Events  []obs.Event              `json:"events,omitempty"`
@@ -502,19 +480,10 @@ type TelemetryPayload struct {
 // a typed rejection (ErrVersionMismatch), never a frame-decode failure
 // deep into the session. v2 added the request trace-id header field and
 // OpTelemetry; v3 retired OpStats (OpTelemetry carries the same counters)
-// and so renumbered the opcodes after it.
-const ProtocolVersion = 3
-
-// Feature bits advertised in the handshake. The negotiated set is the
-// intersection; a coordinator refuses to treat a node as a replica unless
-// FeatureReplication survived the intersection.
-const (
-	// FeatureReplication: the peer serves OpVPut/OpVApply/OpHealth.
-	FeatureReplication uint64 = 1 << iota
-)
-
-// Features is the feature set this build implements.
-const Features = FeatureReplication
+// and so renumbered the opcodes after it; v4 retired the replication
+// opcodes (OpVPut, OpVApply, OpHealth), renumbering OpTelemetry, and the
+// handshake's feature set.
+const ProtocolVersion = 4
 
 // helloMagic opens a handshake frame, so a peer that speaks no handshake
 // at all (or is not flodbd) is detected immediately.
@@ -524,29 +493,22 @@ var helloMagic = [4]byte{'f', 'l', 'o', 'D'}
 // generation (or no recognizable handshake at all). errors.Is-able.
 var ErrVersionMismatch = errors.New("wire: protocol version mismatch")
 
-// ErrEpochMismatch reports a replica that answered a health probe with a
-// different ring epoch: it belongs to a different cluster configuration
-// and must not serve this ring's keys. errors.Is-able.
-var ErrEpochMismatch = errors.New("wire: ring epoch mismatch")
-
 // Hello is one side's handshake announcement: the first frame each peer
 // sends on a fresh connection (client first, then the server's reply).
-// Both sides then operate under the NEGOTIATED parameters: the
-// intersection of feature sets and the smaller of the two frame caps.
+// Both sides then operate under the NEGOTIATED frame cap: the smaller of
+// the two offers.
 type Hello struct {
-	Version  uint8
-	Features uint64
+	Version uint8
 	// MaxFrame is the largest frame body this side is willing to read.
 	MaxFrame uint64
 }
 
 // AppendHello appends h as one complete frame (length prefix included).
-// Body: magic(4) | version(1) | uvarint(features) | uvarint(maxFrame).
+// Body: magic(4) | version(1) | uvarint(maxFrame).
 func AppendHello(dst []byte, h Hello) []byte {
-	body := make([]byte, 0, 4+1+2*binary.MaxVarintLen64)
+	body := make([]byte, 0, 4+1+binary.MaxVarintLen64)
 	body = append(body, helloMagic[:]...)
 	body = append(body, h.Version)
-	body = binary.AppendUvarint(body, h.Features)
 	body = binary.AppendUvarint(body, h.MaxFrame)
 	dst = binary.AppendUvarint(dst, uint64(len(body)))
 	return append(dst, body...)
@@ -562,17 +524,10 @@ func ParseHello(body []byte) (Hello, error) {
 		return h, fmt.Errorf("%w: peer sent no handshake", ErrVersionMismatch)
 	}
 	h.Version = body[4]
-	rest := body[5:]
-	f, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return h, fmt.Errorf("%w: features", ErrBadFrame)
-	}
-	rest = rest[n:]
-	mf, n := binary.Uvarint(rest)
+	mf, n := binary.Uvarint(body[5:])
 	if n <= 0 {
 		return h, fmt.Errorf("%w: max frame", ErrBadFrame)
 	}
-	h.Features = f
 	h.MaxFrame = mf
 	if h.Version != ProtocolVersion {
 		return h, fmt.Errorf("%w: peer speaks v%d, this build speaks v%d",
@@ -590,133 +545,11 @@ func LocalHello(maxFrame uint64) Hello {
 	if maxFrame == 0 {
 		maxFrame = MaxFrame
 	}
-	return Hello{Version: ProtocolVersion, Features: Features, MaxFrame: maxFrame}
+	return Hello{Version: ProtocolVersion, MaxFrame: maxFrame}
 }
 
-// Negotiate combines the two announcements: shared features, smaller
-// frame cap.
-func Negotiate(local, remote Hello) (features, maxFrame uint64) {
-	features = local.Features & remote.Features
-	maxFrame = local.MaxFrame
-	if remote.MaxFrame < maxFrame {
-		maxFrame = remote.MaxFrame
-	}
-	return features, maxFrame
-}
-
-// --- Versioned records (replication plane) -----------------------------------
-
-// VRecord is one replicated mutation: a coordinator-assigned version, a
-// tombstone flag (deletes replicate as versioned tombstones so a stale
-// replica cannot resurrect the value), and the pair itself. Replicas
-// store the record only if its version exceeds the stored copy's —
-// newest-wins — which is what lets quorum writes, read-repair, and hint
-// replay all race without coordination.
-type VRecord struct {
-	Version   uint64
-	Tombstone bool
-	Key       []byte
-	Value     []byte
-}
-
-// AppendVRecord appends one record: kind(1) | uvarint(version) | key | value.
-func AppendVRecord(dst []byte, r VRecord) []byte {
-	kind := byte(0)
-	if r.Tombstone {
-		kind = 1
-	}
-	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, r.Version)
-	dst = AppendBytes(dst, r.Key)
-	return AppendBytes(dst, r.Value)
-}
-
-// ReadVRecord consumes one AppendVRecord field. Key/Value alias p.
-func ReadVRecord(p []byte) (VRecord, []byte, error) {
-	var r VRecord
-	if len(p) < 1 || p[0] > 1 {
-		return r, nil, fmt.Errorf("%w: vrecord kind", ErrBadFrame)
-	}
-	r.Tombstone = p[0] == 1
-	v, n := binary.Uvarint(p[1:])
-	if n <= 0 {
-		return r, nil, fmt.Errorf("%w: vrecord version", ErrBadFrame)
-	}
-	r.Version = v
-	k, rest, err := ReadBytes(p[1+n:])
-	if err != nil {
-		return r, nil, err
-	}
-	val, rest, err := ReadBytes(rest)
-	if err != nil {
-		return r, nil, err
-	}
-	r.Key, r.Value = k, val
-	return r, rest, nil
-}
-
-// AppendVRecords appends a count-prefixed run of records (an OpVApply
-// payload).
-func AppendVRecords(dst []byte, recs []VRecord) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
-	for i := range recs {
-		dst = AppendVRecord(dst, recs[i])
-	}
-	return dst
-}
-
-// ReadVRecords decodes an AppendVRecords run. Keys/values alias p.
-func ReadVRecords(p []byte) ([]VRecord, []byte, error) {
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("%w: vrecord count", ErrBadFrame)
-	}
-	p = p[n:]
-	// Every record takes at least four bytes: the count alone sizes nothing.
-	recs := make([]VRecord, 0, minUint64(count, uint64(len(p)/4)))
-	for i := uint64(0); i < count; i++ {
-		r, rest, err := ReadVRecord(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		p = rest
-		recs = append(recs, r)
-	}
-	return recs, p, nil
-}
-
-// The value a replica STORES for a replicated key carries the version and
-// tombstone inline — uvarint(version) | kind(1) | payload — so a later
-// conditional write (or a reading coordinator) can compare versions with
-// nothing but a Get.
-
-// AppendVValue encodes a stored replica value.
-func AppendVValue(dst []byte, version uint64, tombstone bool, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, version)
-	kind := byte(0)
-	if tombstone {
-		kind = 1
-	}
-	dst = append(dst, kind)
-	return append(dst, payload...)
-}
-
-// ParseVValue decodes a stored replica value. payload aliases v.
-func ParseVValue(v []byte) (version uint64, tombstone bool, payload []byte, err error) {
-	ver, n := binary.Uvarint(v)
-	if n <= 0 || len(v) < n+1 || v[n] > 1 {
-		return 0, false, nil, fmt.Errorf("%w: stored replica value", ErrBadFrame)
-	}
-	return ver, v[n] == 1, v[n+1:], nil
-}
-
-// --- Health payload ----------------------------------------------------------
-
-// HealthInfo is the OpHealth response body (JSON, like stats: a cold
-// diagnostic path). Epoch is the ring-configuration hash the node was
-// started under (0 when the node is not ring-aware); the prober treats a
-// conflicting non-zero epoch as ErrEpochMismatch.
-type HealthInfo struct {
-	NodeID string `json:"node_id"`
-	Epoch  uint64 `json:"epoch"`
+// Negotiate combines the two announcements into the connection's frame
+// cap: the smaller of the two offers.
+func Negotiate(local, remote Hello) uint64 {
+	return min(local.MaxFrame, remote.MaxFrame)
 }

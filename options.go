@@ -106,12 +106,11 @@ func WithTableCacheCapacity(n int) Option {
 }
 
 // WithWALWriteThrough makes the commit log hand every record to the OS
-// as it is appended instead of staging it in a user-space buffer. Acked
-// Buffered writes then survive a process kill (SIGKILL, panic); only a
-// machine crash can still lose the un-fsynced window. Replica nodes in
-// cluster mode run with this on — it is what makes a quorum ack mean
-// "survives kill -9 of a replica" — at the cost of a write() syscall
-// per append on the buffered path.
+// as it is appended instead of staging it in a user-space buffer. An
+// acked Buffered write then survives kill -9 of the process (SIGKILL,
+// panic), but not a machine crash, which can still lose the un-fsynced
+// window — that takes DurabilitySync or a Sync barrier. The cost is a
+// write() syscall per append on the buffered path.
 func WithWALWriteThrough() Option {
 	return optionFunc(func(o *options) { o.walWriteThrough = true })
 }
