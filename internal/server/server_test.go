@@ -776,34 +776,38 @@ func TestCancelReachesHandlerWhileReadsFlow(t *testing.T) {
 
 // A point Get runs on its connection's reader, so a Get held inside the
 // store holds up the next Get on that connection until it is released.
-func TestPointRequestsRunOnReader(t *testing.T) {
-	store := openStore(t, t.TempDir())
-	if err := store.Put(context.Background(), []byte("k0"), []byte("k0")); err != nil {
-		t.Fatal(err)
-	}
-	g := newGate(store)
-	_, addr := serve(t, server.Config{Store: g}, nil)
-	cl := dial(t, addr, client.WithConns(1))
-	held := make(chan error, 1)
-	go func() {
-		_, _, err := cl.Get(context.Background(), []byte("gate"))
-		held <- err
-	}()
-	<-g.entered
-	next := make(chan error, 1)
-	go func() { next <- getsFlow(cl, 1) }()
-	select {
-	case err := <-next:
-		t.Fatalf("Get answered (%v) while the Get before it on the reader was held", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(g.release)
-	if err := <-next; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-held; err != nil {
-		t.Fatal(err)
-	}
+// The server serves its own store: it is no gateway (gateway=false), and
+// no server mode runs point requests anywhere but inline.
+func TestGatewayNeverRunsInline(t *testing.T) {
+	t.Run("gateway=false", func(t *testing.T) {
+		store := openStore(t, t.TempDir())
+		if err := store.Put(context.Background(), []byte("k0"), []byte("k0")); err != nil {
+			t.Fatal(err)
+		}
+		g := newGate(store)
+		_, addr := serve(t, server.Config{Store: g}, nil)
+		cl := dial(t, addr, client.WithConns(1))
+		held := make(chan error, 1)
+		go func() {
+			_, _, err := cl.Get(context.Background(), []byte("gate"))
+			held <- err
+		}()
+		<-g.entered
+		next := make(chan error, 1)
+		go func() { next <- getsFlow(cl, 1) }()
+		select {
+		case err := <-next:
+			t.Fatalf("Get answered (%v) while the Get before it on the reader was held", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(g.release)
+		if err := <-next; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // Point requests run on the reader still count in the per-opcode request

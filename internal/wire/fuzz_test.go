@@ -91,11 +91,35 @@ func decodePayload(r *Request) {
 	}
 }
 
+// rejectedBodies returns request bodies ParseRequest must refuse: an
+// opcode past OpMax (what a peer speaking an older protocol may send), a
+// durability byte no Durability names, and a header cut off before its
+// trace ID.
+func rejectedBodies() [][]byte {
+	body := func(r Request) []byte {
+		frame := AppendRequest(nil, &r)
+		_, n := binary.Uvarint(frame)
+		return frame[n:]
+	}
+	unknownOp := body(Request{ID: 1, Op: OpGet, Payload: []byte("key")})
+	unknownOp[1] = byte(OpMax)
+	badDurability := body(Request{ID: 2, Op: OpPut, Payload: AppendBytes(nil, []byte("key"))})
+	badDurability[2] = 0xFF
+	truncated := body(Request{ID: 3, Op: OpGet, TraceID: 1 << 20})
+	return [][]byte{unknownOp, badDurability, truncated[:len(truncated)-1]}
+}
+
 func FuzzParseRequest(f *testing.F) {
 	for _, r := range seedRequests() {
 		frame := AppendRequest(nil, &r)
 		_, n := binary.Uvarint(frame)
 		f.Add(frame[n:])
+	}
+	for _, body := range rejectedBodies() {
+		if r, err := ParseRequest(body); err == nil {
+			f.Fatalf("malformed body %x parsed as %+v", body, r)
+		}
+		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var r Request
