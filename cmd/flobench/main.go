@@ -1,15 +1,14 @@
-// Command flobench regenerates the tables behind every figure in the
-// FloDB paper's evaluation (EuroSys 2017, §5).
+// Command flobench regenerates the tables behind the FloDB paper's
+// evaluation figures (EuroSys 2017, §5) that no bench/ workload answers.
 //
 // Usage:
 //
 //	flobench [flags] <figure> [<figure> ...]
 //	flobench -quick all
 //
-// Figures: fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
-// fig15 fig16 fig17, the contract/scaling extras (apibench, netbench,
-// ablate-*), or "all". An unknown figure name is
-// an error (exit 2) listing the valid names.
+// Figures: fig9 … fig17, the contract/scaling extras (apibench, netbench,
+// ablate-*), or "all" — the names in figures.ByName. An unknown figure
+// name is an error (exit 2) listing the valid names.
 //
 // Sizes default to 1/1024 of the paper's (the column labels report the
 // paper-scale sizes): scaling every size by one factor keeps the ratios
@@ -28,37 +27,7 @@ import (
 	"time"
 
 	"flodb/internal/figures"
-	"flodb/internal/harness"
 )
-
-var figureFuncs = map[string]func(figures.Config) (*harness.Table, error){
-	"fig3":  figures.Fig3,
-	"fig4":  figures.Fig4,
-	"fig5":  figures.Fig5,
-	"fig7":  figures.Fig7,
-	"fig8":  figures.Fig8,
-	"fig9":  figures.Fig9,
-	"fig10": figures.Fig10,
-	"fig11": figures.Fig11,
-	"fig12": figures.Fig12,
-	"fig13": figures.Fig13,
-	"fig14": figures.Fig14,
-	"fig15": figures.Fig15,
-	"fig16": figures.Fig16,
-	"fig17": figures.Fig17,
-	// Contract surface beyond the paper: atomic batches + streaming
-	// iterators across the six systems.
-	"apibench": figures.APIBench,
-	// Service tier: throughput and latency through flodbd's wire
-	// protocol vs client connection-pool size.
-	"netbench": figures.NetBench,
-	// Ablations beyond the paper: sweeps of the parameters it fixes
-	// empirically (§4.1, §5.1).
-	"ablate-split": figures.AblateSplit,
-	"ablate-drain": figures.AblateDrainThreads,
-	"ablate-batch": figures.AblateDrainBatch,
-	"ablate-lbits": figures.AblatePartitionBits,
-}
 
 func main() {
 	var (
@@ -67,7 +36,6 @@ func main() {
 		mem      = flag.Int64("mem", 0, "memory component bytes (0 = scaled default, 128KB)")
 		quick    = flag.Bool("quick", false, "trim sweeps for a fast smoke run")
 		scratch  = flag.String("scratch", "", "scratch directory (default under TMPDIR)")
-		diskBps  = flag.Float64("disk-bytes-per-sec", 0, "rate-limit persists to model a slower disk (0 = unlimited)")
 		csvPath  = flag.String("csv", "", "also append CSV output to this file")
 		verbose  = flag.Bool("v", false, "log per-cell progress")
 	)
@@ -87,7 +55,7 @@ func main() {
 			names = figureNames()
 			break
 		}
-		if _, ok := figureFuncs[arg]; !ok {
+		if _, ok := figures.ByName[arg]; !ok {
 			// Exit non-zero AND name the valid figures: a CI bench step
 			// must fail loudly on a typo, never green-pass having run
 			// nothing.
@@ -99,12 +67,11 @@ func main() {
 	}
 
 	cfg := figures.Config{
-		ScratchDir:      *scratch,
-		Duration:        *duration,
-		Keys:            *keys,
-		MemBytes:        *mem,
-		DiskBytesPerSec: *diskBps,
-		Quick:           *quick,
+		ScratchDir: *scratch,
+		Duration:   *duration,
+		Keys:       *keys,
+		MemBytes:   *mem,
+		Quick:      *quick,
 	}
 	if *verbose {
 		cfg.Out = os.Stderr
@@ -123,7 +90,7 @@ func main() {
 
 	start := time.Now()
 	for _, name := range names {
-		fn := figureFuncs[name]
+		fn := figures.ByName[name]
 		t0 := time.Now()
 		tbl, err := fn(cfg)
 		if err != nil {
@@ -140,8 +107,8 @@ func main() {
 }
 
 func figureNames() []string {
-	names := make([]string, 0, len(figureFuncs))
-	for n := range figureFuncs {
+	names := make([]string, 0, len(figures.ByName))
+	for n := range figures.ByName {
 		names = append(names, n)
 	}
 	sort.Slice(names, func(i, j int) bool {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flodb/internal/diskenv"
 	"flodb/internal/keys"
 	"flodb/internal/kv"
 	"flodb/internal/obs"
@@ -18,24 +17,12 @@ import (
 	"flodb/internal/wal"
 )
 
-// MemKind selects the memtable structure (§2.3: sorted vs unsorted).
-type MemKind int
-
-const (
-	// MemSkiplist is the default sorted memtable.
-	MemSkiplist MemKind = iota
-	// MemHash is RocksDB's hash-based memtable (Figs 3–4).
-	MemHash
-)
-
 // Config parameterizes a baseline store.
 type Config struct {
 	Dir string
 	// MemBytes is the memtable size that triggers a flush (the whole
 	// memory component — baselines have a single in-memory level).
 	MemBytes int64
-	// MemKind selects skiplist or hash memtable.
-	MemKind MemKind
 	// DisableWAL skips commit logging entirely; every write is then
 	// DurabilityNone and per-op logged classes fail with
 	// kv.ErrNotSupported, as in FloDB.
@@ -44,8 +31,6 @@ type Config struct {
 	// per operation (DurabilityDefault resolves to Buffered, or None when
 	// the WAL is disabled).
 	Durability kv.Durability
-	// PersistLimiter models a slower disk (shared with FloDB benches).
-	PersistLimiter *diskenv.Limiter
 	// Storage configures the shared disk component.
 	Storage storage.Options
 }
@@ -84,7 +69,7 @@ func (c *Config) fillDefaults() error {
 
 // memHandle pairs a memtable with its WAL generation.
 type memHandle struct {
-	mem    versionedMem
+	mem    *skipMem
 	wal    *wal.Writer
 	walNum uint64
 	// inserting counts writers that picked this handle under mu and insert
@@ -175,15 +160,8 @@ func (b *base) init(cfg Config) error {
 	return nil
 }
 
-func (b *base) newVersionedMem() versionedMem {
-	if b.cfg.MemKind == MemHash {
-		return newHashMem()
-	}
-	return newSkipMem()
-}
-
 func (b *base) newMemHandle() (*memHandle, error) {
-	h := &memHandle{mem: b.newVersionedMem()}
+	h := &memHandle{mem: newSkipMem()}
 	if b.cfg.DisableWAL {
 		return h, nil
 	}
@@ -218,7 +196,7 @@ func (b *base) recoverWALs() error {
 		}
 	}
 	for _, num := range segs {
-		mem := b.newVersionedMem()
+		mem := newSkipMem()
 		// ForEachOp decodes single-op and multi-op (batch) records alike;
 		// batch atomicity comes from the WAL's per-record CRC framing.
 		err := wal.ReplayAll(storage.WALFileName(b.cfg.Dir, num), func(rec []byte) error {
@@ -504,12 +482,9 @@ func (b *base) flushLoop() {
 	}
 }
 
-// flushHandle persists one sealed memtable. For the hash memtable,
-// NewIterator performs the full sort (§2.3) — while it runs, writers that
-// fill the new memtable stall in waitRoomLocked, reproducing Fig 4.
+// flushHandle persists one sealed memtable.
 func (b *base) flushHandle(h *memHandle) error {
 	h.inserting.Wait() // h is sealed: no new inserter can pick it
-	b.cfg.PersistLimiter.Acquire(h.mem.ApproxBytes())
 	b.mu.Lock()
 	newLog := b.mem.walNum
 	lastSeq := b.lastSeq

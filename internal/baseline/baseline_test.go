@@ -24,10 +24,6 @@ var openers = []struct {
 	{"leveldb", func(cfg Config) (kv.Store, error) { return NewLevelDB(cfg) }},
 	{"hyperleveldb", func(cfg Config) (kv.Store, error) { return NewHyperLevelDB(cfg) }},
 	{"rocksdb", func(cfg Config) (kv.Store, error) { return NewRocksDB(cfg) }},
-	{"rocksdb-hash", func(cfg Config) (kv.Store, error) {
-		cfg.MemKind = MemHash
-		return NewRocksDB(cfg)
-	}},
 	{"clsm", func(cfg Config) (kv.Store, error) { return NewCLSM(cfg) }},
 }
 
@@ -106,9 +102,6 @@ func TestFlushAndReadBack(t *testing.T) {
 
 func TestScanSortedAndComplete(t *testing.T) {
 	forEachStore(t, 64<<10, func(t *testing.T, s kv.Store) {
-		if _, ok := s.(*RocksDB); ok && testingIsHash(s) {
-			return // scans impractical on hash memtables (§2.3)
-		}
 		const n = 500
 		want := map[string]uint64{}
 		for i := 0; i < n; i++ {
@@ -134,12 +127,6 @@ func TestScanSortedAndComplete(t *testing.T) {
 			}
 		}
 	})
-}
-
-// testingIsHash sniffs whether a RocksDB store uses the hash memtable.
-func testingIsHash(s kv.Store) bool {
-	r, ok := s.(*RocksDB)
-	return ok && r.cfg.MemKind == MemHash
 }
 
 func TestMultiVersioningGrowsMemtable(t *testing.T) {
@@ -224,16 +211,14 @@ func TestConcurrentMixed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !testingIsHash(s) {
-			for r := 0; r < 5; r++ {
-				pairs, err := s.Scan(bg, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 1; i < len(pairs); i++ {
-					if bytes.Compare(pairs[i-1].Key, pairs[i].Key) >= 0 {
-						t.Fatal("unsorted concurrent scan")
-					}
+		for r := 0; r < 5; r++ {
+			pairs, err := s.Scan(bg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < len(pairs); i++ {
+				if bytes.Compare(pairs[i-1].Key, pairs[i].Key) >= 0 {
+					t.Fatal("unsorted concurrent scan")
 				}
 			}
 		}
@@ -305,59 +290,6 @@ func TestScanSnapshotIgnoresNewerVersions(t *testing.T) {
 	}
 }
 
-func TestHashMemGetNewestVisible(t *testing.T) {
-	h := newHashMem()
-	k := []byte("k")
-	h.Insert(k, 1, keys.KindSet, []byte("v1"))
-	h.Insert(k, 5, keys.KindSet, []byte("v5"))
-	h.Insert(k, 9, keys.KindDelete, nil)
-
-	if v, seq, kind, ok := h.Get(k, 10); !ok || seq != 9 || kind != keys.KindDelete || v != nil {
-		t.Fatalf("snapshot 10: %q %d %v %v", v, seq, kind, ok)
-	}
-	if v, seq, _, ok := h.Get(k, 6); !ok || seq != 5 || string(v) != "v5" {
-		t.Fatalf("snapshot 6: %q %d %v", v, seq, ok)
-	}
-	if v, seq, _, ok := h.Get(k, 1); !ok || seq != 1 || string(v) != "v1" {
-		t.Fatalf("snapshot 1: %q %d %v", v, seq, ok)
-	}
-	if _, _, _, ok := h.Get(k, 0); ok {
-		t.Fatal("snapshot 0 should see nothing")
-	}
-	if _, _, _, ok := h.Get([]byte("other"), 100); ok {
-		t.Fatal("missing key hit")
-	}
-}
-
-func TestHashMemIteratorSorts(t *testing.T) {
-	h := newHashMem()
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		h.Insert(keys.EncodeUint64(rng.Uint64()%512), uint64(i+1), keys.KindSet, []byte("v"))
-	}
-	it := h.NewIterator()
-	var prevKey []byte
-	var prevSeq uint64
-	n := 0
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		if prevKey != nil {
-			c := bytes.Compare(prevKey, it.Key())
-			if c > 0 || (c == 0 && prevSeq <= it.Seq()) {
-				t.Fatal("hash iterator violates (key asc, seq desc)")
-			}
-		}
-		prevKey = append(prevKey[:0], it.Key()...)
-		prevSeq = it.Seq()
-		n++
-	}
-	if n != 1000 {
-		t.Fatalf("iterated %d of 1000 versions", n)
-	}
-	if h.Len() != 1000 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-}
-
 func TestSkipMemVersions(t *testing.T) {
 	m := newSkipMem()
 	k := []byte("k")
@@ -415,9 +347,6 @@ func BenchmarkPut(b *testing.B) {
 
 func TestIteratorMatchesScanBaselines(t *testing.T) {
 	forEachStore(t, 64<<10, func(t *testing.T, s kv.Store) {
-		if ok := testingIsHash(s); ok {
-			return // scans impractical on hash memtables (§2.3)
-		}
 		const n = 800
 		for i := 0; i < n; i++ {
 			if err := s.Put(bg, spread(uint64(i)), keys.EncodeUint64(uint64(i))); err != nil {
@@ -459,9 +388,6 @@ func TestIteratorPinsSnapshotBaselines(t *testing.T) {
 	// lifetime: writes racing the cursor must stay invisible, however
 	// slowly the caller drains it.
 	forEachStore(t, 1<<20, func(t *testing.T, s kv.Store) {
-		if testingIsHash(s) {
-			return
-		}
 		const n = 200
 		for i := 0; i < n; i++ {
 			s.Put(bg, spread(uint64(i)), keys.EncodeUint64(0))

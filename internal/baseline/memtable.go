@@ -14,36 +14,14 @@
 package baseline
 
 import (
-	"runtime"
-	"sort"
-	"sync"
-
 	"flodb/internal/keys"
 	"flodb/internal/skiplist"
 	"flodb/internal/storage"
 )
 
-// versionedMem is a multi-versioned memtable: sorted (skiplist) or
-// unsorted (hash table, §2.3 / Fig 4).
-type versionedMem interface {
-	// Insert appends a version. (key, seq) pairs are unique.
-	Insert(ukey []byte, seq uint64, kind keys.Kind, value []byte)
-	// Get returns the newest version with seq <= snapshot.
-	Get(ukey []byte, snapshot uint64) (value []byte, seq uint64, kind keys.Kind, ok bool)
-	// ApproxBytes approximates memory usage including superseded versions.
-	ApproxBytes() int64
-	// Len counts stored versions.
-	Len() int
-	// NewIterator yields versions in (ukey asc, seq desc) order. For the
-	// hash memtable this requires a full sort — the linearithmic
-	// pre-flush step of §2.3.
-	NewIterator() storage.InternalIterator
-}
-
-// --- Sorted (skiplist) versioned memtable -----------------------------------
-
-// skipMem stores internal keys in the shared lock-free skiplist. Each
-// version is a distinct internal key, so inserts never collide.
+// skipMem is a multi-versioned memtable: it stores internal keys in the
+// shared lock-free skiplist. Each version is a distinct internal key, so
+// inserts never collide.
 type skipMem struct {
 	list *skiplist.List
 }
@@ -54,6 +32,7 @@ func newSkipMem() *skipMem {
 	})}
 }
 
+// Insert appends a version. (key, seq) pairs are unique.
 func (m *skipMem) Insert(ukey []byte, seq uint64, kind keys.Kind, value []byte) {
 	// MakeInternal copies the key; the value must be copied here — the
 	// node retains it, and harness drivers reuse their value buffers.
@@ -61,6 +40,7 @@ func (m *skipMem) Insert(ukey []byte, seq uint64, kind keys.Kind, value []byte) 
 	m.list.Insert(ik, &skiplist.Entry{Value: keys.Clone(value), Seq: seq, Tombstone: kind == keys.KindDelete})
 }
 
+// Get returns the newest version with seq <= snapshot.
 func (m *skipMem) Get(ukey []byte, snapshot uint64) ([]byte, uint64, keys.Kind, bool) {
 	it := m.list.NewIterator()
 	it.Seek(keys.SeekInternal(ukey, snapshot))
@@ -75,9 +55,13 @@ func (m *skipMem) Get(ukey []byte, snapshot uint64) ([]byte, uint64, keys.Kind, 
 	return e.Value, ik.Seq(), ik.Kind(), true
 }
 
+// ApproxBytes approximates memory usage including superseded versions.
 func (m *skipMem) ApproxBytes() int64 { return m.list.ApproxBytes() }
-func (m *skipMem) Len() int           { return m.list.Len() }
 
+// Len counts stored versions.
+func (m *skipMem) Len() int { return m.list.Len() }
+
+// NewIterator yields versions in (ukey asc, seq desc) order.
 func (m *skipMem) NewIterator() storage.InternalIterator {
 	return &skipMemIter{it: m.list.NewIterator()}
 }
@@ -104,157 +88,3 @@ func (a *skipMemIter) Kind() keys.Kind {
 }
 func (a *skipMemIter) Value() []byte { return a.it.Entry().Value }
 func (a *skipMemIter) Err() error    { return nil }
-
-// --- Unsorted (hash table) versioned memtable --------------------------------
-
-// hashMem is the RocksDB hash-based memtable of Figs 3–4: O(1) writes, but
-// flushing requires sorting every stored version first. The table is
-// striped into lock shards sized from GOMAXPROCS — a fixed 64-way array
-// serializes writers once core counts pass it.
-type hashMem struct {
-	shards []hashShard
-	mask   uint64
-}
-
-// hashMemShards picks the stripe count: 4× GOMAXPROCS rounded up to a
-// power of two (the mask needs one), floored at the historical 64 so
-// small machines keep their collision behavior, and capped so a
-// many-core machine doesn't pay thousands of mostly-empty maps per
-// memtable generation.
-func hashMemShards() int {
-	n := 4 * runtime.GOMAXPROCS(0)
-	p := 64
-	for p < n && p < 4096 {
-		p <<= 1
-	}
-	return p
-}
-
-type hashShard struct {
-	mu    sync.RWMutex
-	m     map[string][]hashVersion
-	bytes int64
-	count int
-}
-
-type hashVersion struct {
-	seq   uint64
-	kind  keys.Kind
-	value []byte
-}
-
-func newHashMem() *hashMem {
-	n := hashMemShards()
-	h := &hashMem{shards: make([]hashShard, n), mask: uint64(n - 1)}
-	for i := range h.shards {
-		h.shards[i].m = make(map[string][]hashVersion)
-	}
-	return h
-}
-
-func (h *hashMem) shard(ukey []byte) *hashShard {
-	var sum uint64 = 14695981039346656037
-	for _, c := range ukey {
-		sum ^= uint64(c)
-		sum *= 1099511628211
-	}
-	sum ^= sum >> 33
-	return &h.shards[sum&h.mask]
-}
-
-func (h *hashMem) Insert(ukey []byte, seq uint64, kind keys.Kind, value []byte) {
-	s := h.shard(ukey)
-	s.mu.Lock()
-	// string(ukey) copies the key; clone the value for the same reason as
-	// skipMem — callers reuse their buffers.
-	s.m[string(ukey)] = append(s.m[string(ukey)], hashVersion{seq: seq, kind: kind, value: keys.Clone(value)})
-	s.bytes += int64(len(ukey) + len(value) + 32)
-	s.count++
-	s.mu.Unlock()
-}
-
-func (h *hashMem) Get(ukey []byte, snapshot uint64) ([]byte, uint64, keys.Kind, bool) {
-	s := h.shard(ukey)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	versions := s.m[string(ukey)]
-	// Versions append in seq order; find the newest <= snapshot.
-	for i := len(versions) - 1; i >= 0; i-- {
-		if versions[i].seq <= snapshot {
-			v := versions[i]
-			return v.value, v.seq, v.kind, true
-		}
-	}
-	return nil, 0, 0, false
-}
-
-func (h *hashMem) ApproxBytes() int64 {
-	var n int64
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.RLock()
-		n += s.bytes
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-func (h *hashMem) Len() int {
-	n := 0
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.RLock()
-		n += s.count
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// NewIterator materializes and sorts the whole table — the expensive
-// pre-flush sort of §2.3 ("needs to be sorted in linearithmic time before
-// being flushed to disk, potentially delaying writers").
-func (h *hashMem) NewIterator() storage.InternalIterator {
-	var entries []hashEntry
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.RLock()
-		for k, versions := range s.m {
-			for _, v := range versions {
-				entries = append(entries, hashEntry{ukey: []byte(k), v: v})
-			}
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		c := keys.Compare(entries[i].ukey, entries[j].ukey)
-		if c != 0 {
-			return c < 0
-		}
-		return entries[i].v.seq > entries[j].v.seq
-	})
-	return &sortedEntriesIter{entries: entries, i: 0}
-}
-
-type hashEntry struct {
-	ukey []byte
-	v    hashVersion
-}
-
-type sortedEntriesIter struct {
-	entries []hashEntry
-	i       int
-}
-
-func (s *sortedEntriesIter) SeekToFirst() { s.i = 0 }
-func (s *sortedEntriesIter) Seek(ukey []byte) {
-	s.i = sort.Search(len(s.entries), func(i int) bool {
-		return keys.Compare(s.entries[i].ukey, ukey) >= 0
-	})
-}
-func (s *sortedEntriesIter) Next()           { s.i++ }
-func (s *sortedEntriesIter) Valid() bool     { return s.i < len(s.entries) }
-func (s *sortedEntriesIter) Key() []byte     { return s.entries[s.i].ukey }
-func (s *sortedEntriesIter) Seq() uint64     { return s.entries[s.i].v.seq }
-func (s *sortedEntriesIter) Kind() keys.Kind { return s.entries[s.i].v.kind }
-func (s *sortedEntriesIter) Value() []byte   { return s.entries[s.i].v.value }
-func (s *sortedEntriesIter) Err() error      { return nil }

@@ -14,10 +14,6 @@ import (
 // disk-to-disk compaction which runs in parallel with memory-to-disk
 // persistence". Each operation takes ONE short global critical section;
 // compaction uses a worker pool.
-//
-// MemKind selects the skiplist or the hash-based memtable ("RocksDB
-// hash-based memtable implementations" [7]) — the two sides of the
-// size–latency trade-off in Figs 3 and 4.
 type RocksDB struct {
 	base
 }

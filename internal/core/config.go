@@ -33,9 +33,6 @@ type Config struct {
 	// DrainThreads is the number of background draining threads (§4.2).
 	// Default 2.
 	DrainThreads int
-	// DrainBatch is the number of entries claimed per partition visit and
-	// inserted with one multi-insert. Default 64.
-	DrainBatch int
 	// DisableMembuffer removes the top level entirely — the "No HT"
 	// ablation of Fig 17 (a classic single-level LSM memory component).
 	// The Memtable then gets all of MemoryBytes.
@@ -60,9 +57,6 @@ type Config struct {
 	// the memory-component-only mode of Fig 17. Implies no recovery of
 	// dropped data; WAL is forced off.
 	DropPersist bool
-	// PersistLimiter, when non-nil, rate-limits flush bytes to model a
-	// slower disk (Fig 9's persistence-throughput line).
-	PersistLimiter *diskenv.Limiter
 	// FlushFault injects errors into the persist path (tests).
 	FlushFault *diskenv.FaultPoint
 
@@ -116,12 +110,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.DrainThreads == 0 {
 		c.DrainThreads = 2
-	}
-	if c.DrainBatch < 0 {
-		return fmt.Errorf("core: DrainBatch %d is negative; want > 0 (or 0 for the default 64)", c.DrainBatch)
-	}
-	if c.DrainBatch == 0 {
-		c.DrainBatch = 64
 	}
 	c.Storage.SizeBaseLevel(c.memtableTargetBytes())
 	if c.DropPersist {

@@ -25,7 +25,6 @@ func TestOpenRejectsOutOfRangeConfig(t *testing.T) {
 		{"fraction negative", func(c *Config) { c.MembufferFraction = -0.5 }, "MembufferFraction"},
 		{"partition bits 17", func(c *Config) { c.PartitionBits = 17 }, "PartitionBits"},
 		{"negative drain threads", func(c *Config) { c.DrainThreads = -2 }, "DrainThreads"},
-		{"negative drain batch", func(c *Config) { c.DrainBatch = -1 }, "DrainBatch"},
 		{"invalid durability", func(c *Config) { c.Durability = kv.Durability(42) }, "Durability"},
 	}
 	for _, tc := range cases {

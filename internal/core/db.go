@@ -174,7 +174,7 @@ type DB struct {
 	wg      sync.WaitGroup
 
 	// testHook, when a test sets it, runs at the named points of the drain
-	// protocol so the test can park a thread there.
+	// and persist protocols so the test can park a thread there.
 	testHook atomic.Pointer[func(at hookPoint)]
 
 	// reg is the metrics registry (internal/obs) every stat counter and
@@ -351,6 +351,9 @@ const (
 	// hookGetWeighing: a Get has found its key in a draining Membuffer and
 	// in the Memtable, and is about to weigh them by the seal point.
 	hookGetWeighing
+	// hookPersisting: the persisting thread has sealed a Memtable and is
+	// about to flush it.
+	hookPersisting
 )
 
 func (db *DB) hook(at hookPoint) {

@@ -21,9 +21,13 @@ const (
 	drainTrickle  = time.Millisecond
 )
 
+// drainBatch is the number of entries a background drainer claims per
+// partition visit and moves with one multi-insert.
+const drainBatch = 64
+
 // drainLoop is a background draining thread (§4.2): a continuously ongoing
 // process keeping Membuffer occupancy low, so writes complete in the fast
-// level. Each round claims up to DrainBatch entries from one partition —
+// level. Each round claims up to drainBatch entries from one partition —
 // a skiplist "neighborhood" (§4.3) — and moves them with one multi-insert.
 func (db *DB) drainLoop() {
 	defer db.wg.Done()
@@ -74,7 +78,7 @@ func (db *DB) drainLoop() {
 			continue
 		}
 		part := g.mbf.NextPartition()
-		batch := g.mbf.DrainPartition(part, db.cfg.DrainBatch)
+		batch := g.mbf.DrainPartition(part, drainBatch)
 		if len(batch) > 0 {
 			db.hook(hookDrainerClaimed)
 			kvs = db.moveDrained(g.mbf, g.mtb, batch, &db.seq, kvs)

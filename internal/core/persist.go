@@ -90,8 +90,7 @@ func (db *DB) persistCycle() error {
 	if err := db.cfg.FlushFault.Check(); err != nil {
 		return err
 	}
-	// Model the paper's bounded persistence throughput, if configured.
-	db.cfg.PersistLimiter.Acquire(old.mtb.approxBytes())
+	db.hook(hookPersisting)
 
 	newLog := next.walNum
 	if db.cfg.DisableWAL {

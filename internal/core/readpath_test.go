@@ -251,6 +251,52 @@ func TestL0BacklogCountsAsStall(t *testing.T) {
 	}
 	waitFor(t, "the L0 backlog", func() bool { return db.store.NeedsStall() })
 
+	waitsCountUnder(t, db, stallL0, val)
+}
+
+// TestUnfinishedPersistCountsAsStall parks the persisting thread after it
+// has sealed a Memtable and before it flushes it: once the next Memtable
+// passes its target, a write on the Memtable path waits on the unfinished
+// persist until its context gives up, and that wait is stall time,
+// recorded as one stall under cause memtable — for Put and for Apply.
+func TestUnfinishedPersistCountsAsStall(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.DisableMembuffer = true // every write takes the path that checks the Memtable
+	db := openTestDB(t, cfg)
+	parked, release := make(chan struct{}), make(chan struct{})
+	hook := parkOnce(hookPersisting, parked, release)
+	db.testHook.Store(&hook)
+	t.Cleanup(func() { close(release) }) // before Close, which waits for the persister
+
+	val := make([]byte, 1000)
+	for i := 0; ; i++ {
+		ctx, cancel := context.WithTimeout(bg, 200*time.Millisecond)
+		err := db.Put(ctx, spreadKey(uint64(i)), val)
+		cancel()
+		if errors.Is(err, context.DeadlineExceeded) {
+			break // the next Memtable filled while the sealed one waits
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 10000 {
+			t.Fatal("writes never waited on the parked persist")
+		}
+	}
+	select {
+	case <-parked:
+	default:
+		t.Fatal("a write waited, but not on a persist parked before its flush")
+	}
+	waitsCountUnder(t, db, stallMemtable, val)
+}
+
+// waitsCountUnder checks that a Put and an Apply on a store whose writers
+// must wait on cause each wait until their context gives up, and that the
+// wait is stall time, recorded as one stall under cause. The by-cause
+// series always sum to the total.
+func waitsCountUnder(t *testing.T, db *DB, cause stallCause, val []byte) {
+	t.Helper()
 	stalled := func() time.Duration { return time.Duration(db.stats.stallNanos.Load()) }
 	byCause := func(c stallCause) time.Duration { return time.Duration(db.stats.stallByCause[c].Load()) }
 	sumsToTotal := func(when string) {
@@ -264,6 +310,7 @@ func TestL0BacklogCountsAsStall(t *testing.T) {
 		}
 	}
 	sumsToTotal("before")
+	name := stallCauseNames[cause]
 	const wait = 30 * time.Millisecond
 	for _, op := range []struct {
 		name string
@@ -276,21 +323,21 @@ func TestL0BacklogCountsAsStall(t *testing.T) {
 			return db.Apply(ctx, b)
 		}},
 	} {
-		before, stalls, l0 := stalled(), db.stats.stallLat.Count(), byCause(stallL0)
+		before, stalls, under := stalled(), db.stats.stallLat.Count(), byCause(cause)
 		ctx, cancel := context.WithTimeout(bg, wait)
 		err := op.do(ctx)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s against an L0 backlog: %v", op.name, err)
+			t.Fatalf("%s against a %s backlog: %v", op.name, name, err)
 		}
 		if got := stalled() - before; got < wait/2 {
-			t.Fatalf("%s waited %v on the L0 backlog, %v of it counted as stall", op.name, wait, got)
+			t.Fatalf("%s waited %v on the %s backlog, %v of it counted as stall", op.name, wait, name, got)
 		}
 		if got := db.stats.stallLat.Count() - stalls; got != 1 {
 			t.Fatalf("%s added %d observations to flodb_write_stall_seconds, want 1", op.name, got)
 		}
-		if got := byCause(stallL0) - l0; got < wait/2 {
-			t.Fatalf("%s waited %v on the L0 backlog, %v of it counted under cause l0", op.name, wait, got)
+		if got := byCause(cause) - under; got < wait/2 {
+			t.Fatalf("%s waited %v on the %s backlog, %v of it counted under cause %s", op.name, wait, name, got, name)
 		}
 		sumsToTotal(op.name)
 	}

@@ -1,104 +1,9 @@
-// Package diskenv simulates disk environments for benchmarking.
-//
-// The paper's evaluation machine has a 960 GB SSD whose sustained ingest
-// bounds FloDB's steady-state write throughput at ~1.2 M key-value pairs
-// per second (the dashed line in Fig 9). Benchmark machines differ, so the
-// harness can interpose a token-bucket Limiter on the persist path to
-// model a disk with a chosen throughput — making the "FloDB saturates the
-// persistence throughput with one thread" result reproducible anywhere.
-//
-// Fig 17 disables persistence entirely ("the immutable Memtables are
-// dropped so that only the throughput of the in-memory component is
-// captured"); the core exposes that as a DropPersist mode and needs
-// nothing from this package for it.
-//
-// The package also provides error injection used by the failure tests.
+// Package diskenv injects failures into disk code paths under test: a
+// FaultPoint, armed with an error and a countdown, fails one Check on the
+// persist path (core.Config.FlushFault).
 package diskenv
 
-import (
-	"sync"
-	"time"
-)
-
-// Limiter is a token-bucket byte-rate limiter. A nil *Limiter is valid and
-// imposes no limit.
-type Limiter struct {
-	mu          sync.Mutex
-	bytesPerSec float64
-	burst       float64
-	tokens      float64
-	last        time.Time
-	now         func() time.Time // injectable clock for tests
-	sleep       func(time.Duration)
-}
-
-// NewLimiter builds a limiter sustaining bytesPerSec with one second of
-// burst capacity.
-func NewLimiter(bytesPerSec float64) *Limiter {
-	return &Limiter{
-		bytesPerSec: bytesPerSec,
-		burst:       bytesPerSec,
-		tokens:      bytesPerSec,
-		now:         time.Now,
-		sleep:       time.Sleep,
-	}
-}
-
-// newTestLimiter lets tests drive the clock.
-func newTestLimiter(bytesPerSec float64, now func() time.Time, sleep func(time.Duration)) *Limiter {
-	l := NewLimiter(bytesPerSec)
-	l.now = now
-	l.sleep = sleep
-	return l
-}
-
-// Acquire blocks until n bytes of budget are available and consumes them.
-// Requests larger than the burst are served in burst-sized slices.
-func (l *Limiter) Acquire(n int64) {
-	if l == nil || n <= 0 {
-		return
-	}
-	remaining := float64(n)
-	for remaining > 0 {
-		l.mu.Lock()
-		now := l.now()
-		if !l.last.IsZero() {
-			l.tokens += now.Sub(l.last).Seconds() * l.bytesPerSec
-			if l.tokens > l.burst {
-				l.tokens = l.burst
-			}
-		}
-		l.last = now
-		take := remaining
-		if take > l.tokens {
-			take = l.tokens
-		}
-		if take > 0 {
-			l.tokens -= take
-			remaining -= take
-		}
-		var wait time.Duration
-		if remaining > 0 {
-			need := remaining
-			if need > l.burst {
-				need = l.burst
-			}
-			wait = time.Duration(need / l.bytesPerSec * float64(time.Second))
-		}
-		l.mu.Unlock()
-		if wait > 0 {
-			l.sleep(wait)
-		}
-	}
-}
-
-// Rate returns the configured bytes/second (0 for nil).
-func (l *Limiter) Rate() float64 {
-	if l == nil {
-		return 0
-	}
-	return l.bytesPerSec
-}
+import "sync"
 
 // FaultPoint injects failures into code paths under test. Arm it with an
 // error and a countdown: the Nth Check call fires the error once.

@@ -3,76 +3,7 @@ package diskenv
 import (
 	"errors"
 	"testing"
-	"time"
 )
-
-func TestNilLimiterIsUnlimited(t *testing.T) {
-	var l *Limiter
-	start := time.Now()
-	l.Acquire(1 << 30)
-	if time.Since(start) > 50*time.Millisecond {
-		t.Fatal("nil limiter should not block")
-	}
-	if l.Rate() != 0 {
-		t.Fatal("nil limiter rate should be 0")
-	}
-}
-
-func TestLimiterWithinBurstDoesNotSleep(t *testing.T) {
-	slept := time.Duration(0)
-	now := time.Now()
-	l := newTestLimiter(1000, func() time.Time { return now }, func(d time.Duration) { slept += d })
-	l.Acquire(500) // burst starts full at 1000 tokens
-	if slept != 0 {
-		t.Fatalf("slept %v inside burst", slept)
-	}
-	l.Acquire(500)
-	if slept != 0 {
-		t.Fatalf("slept %v consuming exactly the burst", slept)
-	}
-}
-
-func TestLimiterThrottlesBeyondBurst(t *testing.T) {
-	cur := time.Now()
-	var slept time.Duration
-	l := newTestLimiter(1000, func() time.Time { return cur }, func(d time.Duration) {
-		slept += d
-		cur = cur.Add(d) // advancing the clock refills tokens
-	})
-	l.Acquire(3000) // 1000 burst + 2000 owed at 1000 B/s => ~2s of sleeping
-	if slept < 1900*time.Millisecond || slept > 2100*time.Millisecond {
-		t.Fatalf("slept %v, want ~2s", slept)
-	}
-}
-
-func TestLimiterRefillCap(t *testing.T) {
-	cur := time.Now()
-	l := newTestLimiter(100, func() time.Time { return cur }, func(d time.Duration) { cur = cur.Add(d) })
-	l.Acquire(100) // drain the initial burst
-	cur = cur.Add(time.Hour)
-	// After an idle hour, tokens must cap at burst (100), not 360000.
-	var slept bool
-	l.sleep = func(d time.Duration) { slept = true; cur = cur.Add(d) }
-	l.Acquire(200)
-	if !slept {
-		t.Fatal("refill was not capped at burst size")
-	}
-}
-
-func TestZeroAndNegativeAcquire(t *testing.T) {
-	l := NewLimiter(1)
-	l.Acquire(0)
-	l.Acquire(-5)
-	// No deadlock and no token consumption: a 1-byte acquire inside the
-	// initial burst must not sleep.
-	done := make(chan struct{})
-	go func() { l.Acquire(1); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("acquire blocked unexpectedly")
-	}
-}
 
 func TestFaultPoint(t *testing.T) {
 	var f FaultPoint
@@ -99,16 +30,5 @@ func TestNilFaultPoint(t *testing.T) {
 	var f *FaultPoint
 	if f.Check() != nil || f.Fired() != 0 {
 		t.Fatal("nil fault point misbehaved")
-	}
-}
-
-func TestLimiterRealTimeSmoke(t *testing.T) {
-	// 1 MB/s limiter, 1 MB burst: acquiring 1.2 MB should take ~0.2s.
-	l := NewLimiter(1 << 20)
-	start := time.Now()
-	l.Acquire(1<<20 + 1<<18)
-	elapsed := time.Since(start)
-	if elapsed < 150*time.Millisecond || elapsed > 2*time.Second {
-		t.Fatalf("elapsed %v, want ~250ms", elapsed)
 	}
 }

@@ -9,31 +9,38 @@ import (
 )
 
 // The paper fixes several design parameters empirically (§4.1, §5.1):
-// the 1:4 Membuffer:Memtable split, the drain-thread count, the
-// multi-insert batch size and the partition bits ℓ. These ablations sweep
-// each one on a write-heavy workload so the choices can be re-validated on
-// new hardware.
+// the 1:4 Membuffer:Memtable split, the drain-thread count and the
+// partition bits ℓ. These ablations sweep each one on a write-heavy
+// workload over a memory component of ablateMem bytes, so the choices can
+// be re-validated on new hardware.
+const ablateMem = 4 << 20
 
-// ablateFloDB runs a write-only burst against a FloDB configured by
-// mutate, returning Mops/s and the direct-Membuffer share.
-func (c *Config) ablateFloDB(threads int, mutate func(*core.Config)) (float64, float64, error) {
+// ablateFloDB runs a write-only burst against a FloDB of mem bytes with
+// persistence dropped, configured by mutate, drawing keys from keyGen (nil:
+// uniform over c.Keys). It returns Mops/s and the share of updates that
+// completed directly in the Membuffer, in percent.
+func (c *Config) ablateFloDB(threads int, mem int64, keyGen func(int) workload.KeyGen, mutate func(*core.Config)) (float64, float64, error) {
 	cfg := core.Config{
-		DropPersist: true, // isolate the memory component, as in Fig 17
-		MemoryBytes: 4 << 20,
+		DropPersist: true, // isolate the memory component (§5.5)
+		MemoryBytes: mem,
 	}
 	mutate(&cfg)
 	db, err := core.Open(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	res := harness.Run(db, harness.RunOptions{
+	res, err := harness.Run(db, harness.RunOptions{
 		Threads:  threads,
 		Duration: c.Duration,
 		Mix:      workload.WriteOnly,
 		Keys:     c.Keys,
+		KeyGen:   keyGen,
 	})
 	st := db.Stats()
 	db.Close()
+	if err != nil {
+		return 0, 0, err
+	}
 	total := st.MembufferHits + st.MemtableWrites
 	pct := 0.0
 	if total > 0 {
@@ -63,9 +70,9 @@ func AblateSplit(c Config) (*harness.Table, error) {
 		threads = 4
 	}
 	for i, f := range fractions {
-		mops, pct, err := c.ablateFloDB(threads, func(cfg *core.Config) { cfg.MembufferFraction = f })
+		mops, pct, err := c.ablateFloDB(threads, ablateMem, nil, func(cfg *core.Config) { cfg.MembufferFraction = f })
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ablate-split f=%g: %w", f, err)
 		}
 		tbl.Set(0, i, mops)
 		tbl.Set(1, i, pct)
@@ -93,43 +100,13 @@ func AblateDrainThreads(c Config) (*harness.Table, error) {
 		threads = 4
 	}
 	for i, n := range counts {
-		mops, pct, err := c.ablateFloDB(threads, func(cfg *core.Config) { cfg.DrainThreads = n })
+		mops, pct, err := c.ablateFloDB(threads, ablateMem, nil, func(cfg *core.Config) { cfg.DrainThreads = n })
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ablate-drain n=%d: %w", n, err)
 		}
 		tbl.Set(0, i, mops)
 		tbl.Set(1, i, pct)
 		c.logf("ablate-drain n=%d -> %.3f Mops/s (%.0f%% direct)", n, mops, pct)
-	}
-	return tbl, nil
-}
-
-// AblateDrainBatch sweeps the multi-insert batch size (the paper's Fig 8
-// uses 5-key batches for the microbenchmark; the system default is 64).
-func AblateDrainBatch(c Config) (*harness.Table, error) {
-	c.Defaults()
-	batches := []int{1, 5, 16, 64, 256}
-	if c.Quick {
-		batches = []int{5, 64}
-	}
-	cols := make([]string, len(batches))
-	for i, b := range batches {
-		cols[i] = fmt.Sprintf("%d", b)
-	}
-	tbl := harness.NewTable("Ablation: multi-insert drain batch size (default 64)",
-		"batch size", "Mops/s", cols, []string{"write Mops/s", "direct-Membuffer %"})
-	threads := 8
-	if c.Quick {
-		threads = 4
-	}
-	for i, b := range batches {
-		mops, pct, err := c.ablateFloDB(threads, func(cfg *core.Config) { cfg.DrainBatch = b })
-		if err != nil {
-			return nil, err
-		}
-		tbl.Set(0, i, mops)
-		tbl.Set(1, i, pct)
-		c.logf("ablate-batch b=%d -> %.3f Mops/s (%.0f%% direct)", b, mops, pct)
 	}
 	return tbl, nil
 }
@@ -154,28 +131,21 @@ func AblatePartitionBits(c Config) (*harness.Table, error) {
 		threads = 4
 	}
 	for i, b := range bits {
-		uni, _, err := c.ablateFloDB(threads, func(cfg *core.Config) { cfg.PartitionBits = b })
+		setBits := func(cfg *core.Config) { cfg.PartitionBits = b }
+		uni, _, err := c.ablateFloDB(threads, ablateMem, nil, setBits)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ablate-lbits l=%d uniform: %w", b, err)
 		}
-		tbl.Set(0, i, uni)
 		// Skewed: hot-set keygen stresses one partition (§4.3's
 		// "vulnerable to data skew").
-		cfg := core.Config{DropPersist: true, MemoryBytes: 4 << 20, PartitionBits: b}
-		db, err := core.Open(cfg)
+		hot := func(int) workload.KeyGen { return workload.NewHotSet(c.Keys, 0.02, 98) }
+		skewed, _, err := c.ablateFloDB(threads, ablateMem, hot, setBits)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ablate-lbits l=%d skewed: %w", b, err)
 		}
-		res := harness.Run(db, harness.RunOptions{
-			Threads:  threads,
-			Duration: c.Duration,
-			Mix:      workload.WriteOnly,
-			Keys:     c.Keys,
-			KeyGen:   func(int) workload.KeyGen { return workload.NewHotSet(c.Keys, 0.02, 98) },
-		})
-		db.Close()
-		tbl.Set(1, i, res.MopsPerSec())
-		c.logf("ablate-bits l=%d -> uniform %.3f, skewed %.3f Mops/s", b, uni, res.MopsPerSec())
+		tbl.Set(0, i, uni)
+		tbl.Set(1, i, skewed)
+		c.logf("ablate-bits l=%d -> uniform %.3f, skewed %.3f Mops/s", b, uni, skewed)
 	}
 	return tbl, nil
 }

@@ -37,7 +37,7 @@ func crashStore(t *testing.T, s kv.Store) {
 
 func openDurable(t *testing.T, sys System, dir string, memBytes int64) kv.Store {
 	t.Helper()
-	s, err := openSystemDurable(sys, dir, memBytes, nil)
+	s, err := openSystemDurable(sys, dir, memBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

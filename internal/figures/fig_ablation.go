@@ -1,9 +1,10 @@
 package figures
 
 import (
+	"fmt"
+
 	"flodb/internal/core"
 	"flodb/internal/harness"
-	"flodb/internal/workload"
 )
 
 // Fig17 — the Membuffer ablation (§5.5): write-only throughput of two
@@ -58,33 +59,16 @@ func Fig17(c Config) (*harness.Table, error) {
 
 	for vi, v := range variants {
 		for ci, cl := range clusters {
-			cfg := core.Config{
-				DropPersist: true, // §5.5: "we disable the disk persisting"
-				MemoryBytes: cl.mem,
-			}
-			v.mutate(&cfg)
-			db, err := core.Open(cfg)
+			// §5.5: "we disable the disk persisting".
+			mops, pct, err := c.ablateFloDB(cl.threads, cl.mem, nil, v.mutate)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("fig17 %s %s: %w", v.label, cl.label, err)
 			}
-			res := harness.Run(db, harness.RunOptions{
-				Threads:  cl.threads,
-				Duration: c.Duration,
-				Mix:      workload.WriteOnly,
-				Keys:     c.Keys,
-			})
-			st := db.Stats()
-			db.Close()
-			tbl.Set(vi, ci, res.MopsPerSec())
-			total := st.MembufferHits + st.MemtableWrites
-			pct := 0.0
-			if total > 0 {
-				pct = 100 * float64(st.MembufferHits) / float64(total)
-			}
+			tbl.Set(vi, ci, mops)
 			if vi == 0 { // annotate direct-Membuffer share on the full variant
 				tbl.AddNote("%s: %.0f%% of updates completed directly in the Membuffer", cl.label, pct)
 			}
-			c.logf("fig17 %s %s -> %.3f Mops/s (direct-HT %.0f%%)", v.label, cl.label, res.MopsPerSec(), pct)
+			c.logf("fig17 %s %s -> %.3f Mops/s (direct-HT %.0f%%)", v.label, cl.label, mops, pct)
 		}
 	}
 	return tbl, nil

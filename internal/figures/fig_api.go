@@ -45,7 +45,7 @@ func APIBench(c Config) (*harness.Table, error) {
 	}
 	cells := []cell{
 		{
-			opts:   harness.RunOptions{Mix: workload.BatchWrite, BatchSize: 32},
+			opts:   harness.RunOptions{Mix: workload.BatchWrite},
 			metric: func(r harness.Result) float64 { return float64(r.Writes) / r.Elapsed.Seconds() / 1e6 },
 		},
 		{
@@ -81,7 +81,7 @@ func APIBench(c Config) (*harness.Table, error) {
 			if cl.durable {
 				open = openSystemDurable
 			}
-			store, err := open(sys, dir, c.MemBytes, c.limiter())
+			store, err := open(sys, dir, c.MemBytes)
 			if err != nil {
 				return nil, err
 			}
@@ -95,12 +95,12 @@ func APIBench(c Config) (*harness.Table, error) {
 			ro.Threads = threads
 			ro.Duration = c.Duration
 			ro.Keys = c.Keys
-			res := harness.Run(store, ro)
-			if err := store.Close(); err != nil {
-				return nil, err
+			res, err := harness.Run(store, ro)
+			if cerr := store.Close(); err == nil {
+				err = cerr
 			}
-			if res.Errors > 0 {
-				return nil, fmt.Errorf("apibench: %s %s: %d errors", sys, cols[ci], res.Errors)
+			if err != nil {
+				return nil, fmt.Errorf("apibench: %s %s: %w", sys, cols[ci], err)
 			}
 			tbl.Set(si, ci, cl.metric(res))
 			c.logf("apibench %s %s -> %.3f", sys, cols[ci], cl.metric(res))

@@ -21,9 +21,6 @@ func Fig9(c Config) (*harness.Table, error) {
 		true /* fresh store */, false, false, /* no init: fresh */
 		harness.RunOptions{Mix: workload.WriteOnly},
 		func(r harness.Result) float64 { return r.MopsPerSec() })
-	if c.DiskBytesPerSec > 0 {
-		tbl.AddNote("persistence limited to %.0f bytes/s (the paper's dashed line)", c.DiskBytesPerSec)
-	}
 	return tbl, err
 }
 
@@ -86,7 +83,7 @@ func Fig13(c Config) (*harness.Table, error) {
 		threadCols(c.Threads), systemRows())
 	err := c.systemsThreadSweep("fig13", tbl, c.Threads,
 		false, false, true,
-		harness.RunOptions{Mix: workload.ScanWrite, ScanLength: 100},
+		harness.RunOptions{Mix: workload.ScanWrite},
 		func(r harness.Result) float64 { return r.MkeysPerSec() })
 	tbl.AddNote("keyspace x8 (%d keys) to match the paper's scan-conflict regime", c.Keys)
 	return tbl, err
@@ -117,7 +114,7 @@ func Fig14(c Config) (*harness.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := openSystem(SysFloDB, dir, c.MemBytes, c.limiter())
+	store, err := openSystem(SysFloDB, dir, c.MemBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -126,13 +123,15 @@ func Fig14(c Config) (*harness.Table, error) {
 		return nil, err
 	}
 	for i, ratio := range ratios {
-		res := harness.Run(store, harness.RunOptions{
-			Threads:    threads,
-			Duration:   c.Duration,
-			Mix:        workload.ScanWithPct(ratio),
-			Keys:       c.Keys,
-			ScanLength: 100,
+		res, err := harness.Run(store, harness.RunOptions{
+			Threads:  threads,
+			Duration: c.Duration,
+			Mix:      workload.ScanWithPct(ratio),
+			Keys:     c.Keys,
 		})
+		if err != nil {
+			return nil, fmt.Errorf("fig14 scan%%=%d: %w", ratio, err)
+		}
 		tbl.Set(0, i, res.WriteMopsPerSec())
 		tbl.Set(1, i, res.ScanOpsPerSec()/1e3)
 		tbl.Set(2, i, res.MkeysPerSec())
@@ -166,20 +165,23 @@ func Fig15(c Config) (*harness.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			store, err := openSystem(sys, dir, mem, c.limiter())
+			store, err := openSystem(sys, dir, mem)
 			if err != nil {
 				return nil, err
 			}
 			// A burst "empirically chosen such that the system is not
 			// limited to its steady-state write throughput" (§5.3): run
 			// for the configured duration on a fresh store.
-			res := harness.Run(store, harness.RunOptions{
+			res, err := harness.Run(store, harness.RunOptions{
 				Threads:  threads,
 				Duration: c.Duration,
 				Mix:      workload.WriteOnly,
 				Keys:     c.Keys,
 			})
 			store.Close()
+			if err != nil {
+				return nil, fmt.Errorf("fig15 %s mem=%s: %w", sys, harness.ByteSize(mem), err)
+			}
 			tbl.Set(si, mi, res.MopsPerSec())
 			c.logf("fig15 %s mem=%s -> %.3f Mops/s", sys, harness.ByteSize(mem), res.MopsPerSec())
 		}
@@ -209,7 +211,7 @@ func Fig16(c Config) (*harness.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			store, err := openSystem(sys, dir, mem, c.limiter())
+			store, err := openSystem(sys, dir, mem)
 			if err != nil {
 				return nil, err
 			}
@@ -217,7 +219,7 @@ func Fig16(c Config) (*harness.Table, error) {
 				store.Close()
 				return nil, err
 			}
-			res := harness.Run(store, harness.RunOptions{
+			res, err := harness.Run(store, harness.RunOptions{
 				Threads:  threads,
 				Duration: c.Duration,
 				Mix:      workload.ReadUpdate,
@@ -227,6 +229,9 @@ func Fig16(c Config) (*harness.Table, error) {
 				},
 			})
 			store.Close()
+			if err != nil {
+				return nil, fmt.Errorf("fig16 %s mem=%s: %w", sys, harness.ByteSize(mem), err)
+			}
 			tbl.Set(si, mi, res.MopsPerSec())
 			c.logf("fig16 %s mem=%s -> %.3f Mops/s", sys, harness.ByteSize(mem), res.MopsPerSec())
 		}

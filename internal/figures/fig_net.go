@@ -36,11 +36,10 @@ func NetBench(c Config) (*harness.Table, error) {
 		return nil, err
 	}
 	inner, err := core.Open(core.Config{
-		Dir:            dir,
-		MemoryBytes:    c.MemBytes,
-		DisableWAL:     true, // loader shape, like the other throughput figures
-		PersistLimiter: c.limiter(),
-		Storage:        storageOpts(c.MemBytes),
+		Dir:         dir,
+		MemoryBytes: c.MemBytes,
+		DisableWAL:  true, // loader shape, like the other throughput figures
+		Storage:     storageOpts(c.MemBytes),
 	})
 	if err != nil {
 		return nil, err
@@ -71,16 +70,16 @@ func NetBench(c Config) (*harness.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := harness.Run(cl, harness.RunOptions{
+		res, err := harness.Run(cl, harness.RunOptions{
 			Mix:            workload.ReadUpdate,
 			Threads:        threads,
 			Duration:       c.Duration,
 			Keys:           c.Keys,
 			MeasureLatency: true,
 		})
-		if res.Errors > 0 {
+		if err != nil {
 			cl.Close()
-			return nil, fmt.Errorf("netbench: conns=%d: %d errors", n, res.Errors)
+			return nil, fmt.Errorf("netbench: conns=%d: %w", n, err)
 		}
 		read := obs.QuantilesOf(res.ReadLat.Snapshot())
 		tbl.Set(0, ci, res.MopsPerSec()*1000)

@@ -1,7 +1,13 @@
-// Package figures regenerates every figure of the paper's evaluation
-// (§5, Figs 3–17 less the architecture diagrams). Each function produces a
-// harness.Table whose rows are the paper's series and whose columns are
-// the paper's x-axis, at a configurable scale.
+// Package figures regenerates the figures of the paper's evaluation (§5)
+// that no workload of the benchmark in bench/ answers: the six-system
+// comparisons of Figs 9–16 and the Membuffer ablation of Fig 17, plus
+// apibench, netbench and three parameter ablations. ByName lists them.
+// Each produces a harness.Table whose rows are the paper's series and
+// whose columns are the paper's x-axis, at a configurable scale. The
+// structure microbenchmarks of Figs 5, 7 and 8 are bench/'s per-workload
+// replay metrics (membuffer.*, skiplist.*); the question of Figs 3 and 4,
+// whether a bigger skiplist memtable slows a baseline's writes, is Fig 15's
+// RocksDB row.
 //
 // Scaling: the paper's machine is a 20-core Xeon with
 // 256 GB RAM and a 300 GB dataset; sizes here default to 1/1024 of the
@@ -22,12 +28,35 @@ import (
 
 	"flodb/internal/baseline"
 	"flodb/internal/core"
-	"flodb/internal/diskenv"
 	"flodb/internal/harness"
 	"flodb/internal/kv"
 	"flodb/internal/storage"
 	"flodb/internal/workload"
 )
+
+// ByName maps each figure name flobench accepts to its driver.
+var ByName = map[string]func(Config) (*harness.Table, error){
+	"fig9":  Fig9,
+	"fig10": Fig10,
+	"fig11": Fig11,
+	"fig12": Fig12,
+	"fig13": Fig13,
+	"fig14": Fig14,
+	"fig15": Fig15,
+	"fig16": Fig16,
+	"fig17": Fig17,
+	// Contract surface beyond the paper: atomic batches + streaming
+	// iterators across the six systems.
+	"apibench": APIBench,
+	// Service tier: throughput and latency through flodbd's wire
+	// protocol vs client connection-pool size.
+	"netbench": NetBench,
+	// Ablations beyond the paper: sweeps of the parameters it fixes
+	// empirically (§4.1, §5.1).
+	"ablate-split": AblateSplit,
+	"ablate-drain": AblateDrainThreads,
+	"ablate-lbits": AblatePartitionBits,
+}
 
 // System identifies one of the evaluated stores.
 type System string
@@ -61,9 +90,6 @@ type Config struct {
 	MemBytes int64
 	// Threads is the thread sweep for the thread-scaling figures.
 	Threads []int
-	// DiskBytesPerSec, when > 0, rate-limits persists to model the
-	// paper's SSD bound (Fig 9's dashed line).
-	DiskBytesPerSec float64
 	// Quick trims sweeps for smoke runs.
 	Quick bool
 	// Out receives progress lines (nil silences them).
@@ -100,13 +126,6 @@ func (c *Config) logf(format string, args ...any) {
 	if c.Out != nil {
 		fmt.Fprintf(c.Out, format+"\n", args...)
 	}
-}
-
-func (c *Config) limiter() *diskenv.Limiter {
-	if c.DiskBytesPerSec > 0 {
-		return diskenv.NewLimiter(c.DiskBytesPerSec)
-	}
-	return nil
 }
 
 // storageOpts scales the disk component with the memory component so the
@@ -146,41 +165,40 @@ var wrapStoreForTest func(kv.Store) kv.Store
 // openSystem builds one of the six stores. Benchmarks run with the WAL
 // disabled, like the paper's db_bench-style loaders (no fsync per write);
 // cells that measure the durable write path use openSystemDurable.
-func openSystem(sys System, dir string, memBytes int64, lim *diskenv.Limiter) (kv.Store, error) {
-	return openSystemMode(sys, dir, memBytes, lim, false)
+func openSystem(sys System, dir string, memBytes int64) (kv.Store, error) {
+	return openSystemMode(sys, dir, memBytes, false)
 }
 
 // openSystemDurable builds one of the six stores with the commit log ON
 // (Buffered default durability) — the configuration the durable-write
 // apibench column and the durability conformance suite measure.
-func openSystemDurable(sys System, dir string, memBytes int64, lim *diskenv.Limiter) (kv.Store, error) {
-	return openSystemMode(sys, dir, memBytes, lim, true)
+func openSystemDurable(sys System, dir string, memBytes int64) (kv.Store, error) {
+	return openSystemMode(sys, dir, memBytes, true)
 }
 
-func openSystemMode(sys System, dir string, memBytes int64, lim *diskenv.Limiter, walOn bool) (kv.Store, error) {
-	s, err := openStore(sys, dir, memBytes, lim, walOn)
+func openSystemMode(sys System, dir string, memBytes int64, walOn bool) (kv.Store, error) {
+	s, err := openStore(sys, dir, memBytes, walOn)
 	if err != nil || wrapStoreForTest == nil {
 		return s, err
 	}
 	return wrapStoreForTest(s), nil
 }
 
-func openStore(sys System, dir string, memBytes int64, lim *diskenv.Limiter, walOn bool) (kv.Store, error) {
+func openStore(sys System, dir string, memBytes int64, walOn bool) (kv.Store, error) {
 	switch sys {
 	case SysFloDB:
 		return core.Open(core.Config{
-			Dir:            dir,
-			MemoryBytes:    memBytes,
-			DisableWAL:     !walOn,
-			PersistLimiter: lim,
-			Storage:        storageOpts(memBytes),
+			Dir:         dir,
+			MemoryBytes: memBytes,
+			DisableWAL:  !walOn,
+			Storage:     storageOpts(memBytes),
 		})
 	case SysNet:
-		return openNet(dir, memBytes, lim, walOn)
+		return openNet(dir, memBytes, walOn)
 	}
 	cfg := baseline.Config{
 		Dir: dir, MemBytes: memBytes, DisableWAL: !walOn,
-		PersistLimiter: lim, Storage: storageOpts(memBytes),
+		Storage: storageOpts(memBytes),
 	}
 	switch sys {
 	case SysRocks:
@@ -248,7 +266,7 @@ func (c *Config) systemsThreadSweep(
 			if derr != nil {
 				return derr
 			}
-			store, err = openSystem(sys, dir, c.MemBytes, c.limiter())
+			store, err = openSystem(sys, dir, c.MemBytes)
 			if err != nil {
 				return err
 			}
@@ -265,7 +283,7 @@ func (c *Config) systemsThreadSweep(
 				if derr != nil {
 					return derr
 				}
-				store, err = openSystem(sys, dir, c.MemBytes, c.limiter())
+				store, err = openSystem(sys, dir, c.MemBytes)
 				if err != nil {
 					return err
 				}
@@ -280,12 +298,15 @@ func (c *Config) systemsThreadSweep(
 			ro.Threads = th
 			ro.Duration = c.Duration
 			ro.Keys = c.Keys
-			res := harness.Run(store, ro)
-			tbl.Set(si, ti, metric(res))
-			c.logf("%s %s threads=%d -> %.3f", figName, sys, th, metric(res))
-			if freshPerCell {
+			res, err := harness.Run(store, ro)
+			if freshPerCell || err != nil {
 				store.Close()
 			}
+			if err != nil {
+				return fmt.Errorf("%s %s threads=%d: %w", figName, sys, th, err)
+			}
+			tbl.Set(si, ti, metric(res))
+			c.logf("%s %s threads=%d -> %.3f", figName, sys, th, metric(res))
 		}
 		if !freshPerCell {
 			store.Close()

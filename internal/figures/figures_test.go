@@ -1,10 +1,12 @@
 package figures
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
-	"flodb/internal/harness"
+	"flodb/internal/kv"
 )
 
 // tiny returns the smallest config that still exercises every code path.
@@ -20,25 +22,22 @@ func tiny(t *testing.T) Config {
 	}
 }
 
-// TestEveryFigureRuns smoke-tests every figure end to end: each must
-// produce a fully-populated table without errors. This is the integration
-// test tying stores, workloads, harness and reporting together.
+// memorySweepFigures are the ByName entries TestMemorySweepFigures runs;
+// TestEveryFigureRuns runs the rest.
+var memorySweepFigures = map[string]bool{"fig10": true, "fig13": true, "fig15": true, "fig16": true}
+
+// TestEveryFigureRuns smoke-tests every figure flobench accepts, less the
+// memory sweeps, end to end: each must produce a fully-populated table
+// without errors. This is the integration test tying stores, workloads,
+// harness and reporting together.
 func TestEveryFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration smoke test")
 	}
-	figs := map[string]func(Config) (*harness.Table, error){
-		"fig5":  Fig5,
-		"fig7":  Fig7,
-		"fig8":  Fig8,
-		"fig9":  Fig9,
-		"fig11": Fig11,
-		"fig12": Fig12,
-		"fig14": Fig14,
-		"fig17": Fig17,
-	}
-	for name, fn := range figs {
-		name, fn := name, fn
+	for name, fn := range ByName {
+		if memorySweepFigures[name] {
+			continue
+		}
 		t.Run(name, func(t *testing.T) {
 			tbl, err := fn(tiny(t))
 			if err != nil {
@@ -62,34 +61,17 @@ func TestEveryFigureRuns(t *testing.T) {
 	}
 }
 
-// TestLatencyFigures exercises Figs 3/4 (slow because of per-op timing).
-func TestLatencyFigures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration smoke test")
-	}
-	for name, fn := range map[string]func(Config) (*harness.Table, error){"fig3": Fig3, "fig4": Fig4} {
-		t.Run(name, func(t *testing.T) {
-			tbl, err := fn(tiny(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// First column is the normalization base: exactly 1.0.
-			if tbl.Cells[0][0] != 1 || tbl.Cells[1][0] != 1 {
-				t.Fatalf("normalization base wrong: %v %v", tbl.Cells[0][0], tbl.Cells[1][0])
-			}
-		})
-	}
-}
-
-// TestMemorySweepFigures exercises Figs 10/15/16 at minimum size.
+// TestMemorySweepFigures exercises Figs 10/13/15/16 at minimum size.
 func TestMemorySweepFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration smoke test")
 	}
 	cfg := tiny(t)
-	for name, fn := range map[string]func(Config) (*harness.Table, error){
-		"fig10": Fig10, "fig13": Fig13, "fig15": Fig15, "fig16": Fig16,
-	} {
+	for name := range memorySweepFigures {
+		fn := ByName[name]
+		if fn == nil {
+			t.Fatalf("%s is not a figure", name)
+		}
 		t.Run(name, func(t *testing.T) {
 			if _, err := fn(cfg); err != nil {
 				t.Fatal(err)
@@ -98,8 +80,28 @@ func TestMemorySweepFigures(t *testing.T) {
 	}
 }
 
+// refusePuts is a store whose every Put fails.
+type refusePuts struct{ kv.Store }
+
+var errPutRefused = errors.New("put refused")
+
+func (refusePuts) Put(context.Context, []byte, []byte, ...kv.WriteOption) error {
+	return errPutRefused
+}
+
+// TestFigureRefusesFailedOps: over a store whose Puts all fail, Fig 9's
+// write-only mix still completes its deletes. A driver that published
+// their throughput would read as a slower cell; it must fail instead.
+func TestFigureRefusesFailedOps(t *testing.T) {
+	wrapStoreForTest = func(s kv.Store) kv.Store { return refusePuts{s} }
+	defer func() { wrapStoreForTest = nil }()
+	if _, err := Fig9(tiny(t)); !errors.Is(err, errPutRefused) {
+		t.Fatalf("Fig9 over a store refusing every Put = %v, want the Put's error", err)
+	}
+}
+
 func TestOpenSystemUnknown(t *testing.T) {
-	if _, err := openSystem(System("nope"), t.TempDir(), 1<<20, nil); err == nil {
+	if _, err := openSystem(System("nope"), t.TempDir(), 1<<20); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"flodb/internal/client"
 	"flodb/internal/core"
-	"flodb/internal/diskenv"
 	"flodb/internal/harness"
 	"flodb/internal/kv"
 	"flodb/internal/server"
@@ -31,13 +30,12 @@ type netStore struct {
 }
 
 // openNet builds the loopback service stack over a fresh FloDB engine.
-func openNet(dir string, memBytes int64, lim *diskenv.Limiter, walOn bool) (kv.Store, error) {
+func openNet(dir string, memBytes int64, walOn bool) (kv.Store, error) {
 	inner, err := core.Open(core.Config{
-		Dir:            dir,
-		MemoryBytes:    memBytes,
-		DisableWAL:     !walOn,
-		PersistLimiter: lim,
-		Storage:        storageOpts(memBytes),
+		Dir:         dir,
+		MemoryBytes: memBytes,
+		DisableWAL:  !walOn,
+		Storage:     storageOpts(memBytes),
 	})
 	if err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ var bg = context.Background()
 
 func openSys(t *testing.T, sys System, dir string) kv.Store {
 	t.Helper()
-	s, err := openSystem(sys, dir, 1<<20, nil)
+	s, err := openSystem(sys, dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func openSys(t *testing.T, sys System, dir string) kv.Store {
 // checkpoints capture the memory component through the WAL tail.
 func openSysWAL(t *testing.T, sys System, dir string) kv.Store {
 	t.Helper()
-	s, err := openSystemDurable(sys, dir, 1<<20, nil)
+	s, err := openSystemDurable(sys, dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,16 +33,6 @@ type RunOptions struct {
 	// generator when set (thread index passed for determinism).
 	Keys   uint64
 	KeyGen func(thread int) workload.KeyGen
-	// ValueSize is the value payload (default 256).
-	ValueSize int
-	// ScanLength is the expected number of keys per scan (default 100).
-	ScanLength int
-	// BatchSize is the number of mutations per OpBatch write batch
-	// (default 16).
-	BatchSize int
-	// SnapshotReads is the number of point reads served through each
-	// OpSnapshot view before it is released (default 16).
-	SnapshotReads int
 	// IteratorScans drives OpScan through Store.NewIterator instead of
 	// Scan: the range streams through the cursor without materializing,
 	// measuring the iterator path of the contract.
@@ -55,11 +45,6 @@ type RunOptions struct {
 	// MeasureLatency enables per-op histograms (adds two clock reads per
 	// op; off for pure throughput numbers, as in db_bench).
 	MeasureLatency bool
-	// Seed makes runs repeatable.
-	Seed int64
-	// MaxOps optionally stops each thread after this many operations
-	// (burst mode, Fig 15).
-	MaxOps uint64
 	// OneWriter pins thread 0 to inserts and all others to gets (the
 	// one-writer-many-readers mix of Fig 12).
 	OneWriter bool
@@ -75,22 +60,19 @@ func (o *RunOptions) fillDefaults() {
 	if o.Keys == 0 {
 		o.Keys = 1 << 20
 	}
-	if o.ValueSize <= 0 {
-		o.ValueSize = workload.DefaultValueSize
-	}
-	if o.ScanLength <= 0 {
-		o.ScanLength = 100
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 16
-	}
-	if o.SnapshotReads <= 0 {
-		o.SnapshotReads = 16
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
 }
+
+// The shape of every operation, the same in every cell: workers seed
+// their generators from seed, values are workload.DefaultValueSize bytes,
+// a scan spans scanLength keys of a uniformly spread keyspace, a write
+// batch holds batchSize mutations and a snapshot session serves
+// snapshotReads point reads.
+const (
+	seed          = 42
+	scanLength    = 100
+	batchSize     = 32
+	snapshotReads = 16
+)
 
 // Result aggregates one cell's measurements.
 type Result struct {
@@ -104,7 +86,6 @@ type Result struct {
 	Elapsed      time.Duration
 	ReadLat      *obs.Histogram
 	WriteLat     *obs.Histogram
-	Errors       uint64
 }
 
 // MopsPerSec returns throughput in millions of operations per second.
@@ -143,8 +124,10 @@ func (r Result) ScanOpsPerSec() float64 {
 // Run drives store with opts and collects a Result. Each thread draws
 // operations from the mix and keys from its generator, continually, until
 // the duration elapses (§5.2: "threads concurrently performing operations
-// on the data store ... continually").
-func Run(store kv.Store, opts RunOptions) Result {
+// on the data store ... continually"). A failed operation counts in no
+// field of the Result, so a cell with any is refused: Run returns an error
+// naming how many failed and the first failure.
+func Run(store kv.Store, opts RunOptions) (Result, error) {
 	opts.fillDefaults()
 	ctx := context.Background()
 	res := Result{
@@ -161,8 +144,13 @@ func Run(store kv.Store, opts RunOptions) Result {
 		syncs    atomic.Uint64
 		keysAcc  atomic.Uint64
 		errCount atomic.Uint64
+		firstErr atomic.Pointer[error]
 		wg       sync.WaitGroup
 	)
+	fail := func(err error) {
+		errCount.Add(1)
+		firstErr.CompareAndSwap(nil, &err)
+	}
 
 	// One shared option slice: the write options are immutable values.
 	var writeOpts []kv.WriteOption
@@ -170,16 +158,16 @@ func Run(store kv.Store, opts RunOptions) Result {
 		writeOpts = []kv.WriteOption{kv.WithSync()}
 	}
 
-	// Scan window width covering ~ScanLength keys of a uniformly spread
+	// Scan window width covering ~scanLength keys of a uniformly spread
 	// keyspace.
-	scanWidth := uint64(float64(^uint64(0)) / float64(opts.Keys) * float64(opts.ScanLength))
+	scanWidth := uint64(float64(^uint64(0)) / float64(opts.Keys) * scanLength)
 
 	start := time.Now()
 	for t := 0; t < opts.Threads; t++ {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(opts.Seed + int64(t)*7919))
+			rng := rand.New(rand.NewSource(seed + int64(t)*7919))
 			var gen workload.KeyGen
 			if opts.KeyGen != nil {
 				gen = opts.KeyGen(t)
@@ -192,9 +180,6 @@ func Run(store kv.Store, opts RunOptions) Result {
 			batch := kv.NewBatch()
 			var myOps uint64
 			for !stop.Load() {
-				if opts.MaxOps > 0 && myOps >= opts.MaxOps {
-					break
-				}
 				myOps++
 				op := opts.Mix.Sample(rng)
 				if opts.OneWriter {
@@ -213,7 +198,7 @@ func Run(store kv.Store, opts RunOptions) Result {
 				case workload.OpGet:
 					_, _, err := store.Get(ctx, key)
 					if err != nil {
-						errCount.Add(1)
+						fail(err)
 						continue
 					}
 					reads.Add(1)
@@ -222,9 +207,9 @@ func Run(store kv.Store, opts RunOptions) Result {
 						res.ReadLat.Observe(time.Since(begin))
 					}
 				case workload.OpInsert:
-					valBuf = workload.Value(valBuf, opts.ValueSize, myOps)
+					valBuf = workload.Value(valBuf, workload.DefaultValueSize, myOps)
 					if err := store.Put(ctx, key, valBuf, writeOpts...); err != nil {
-						errCount.Add(1)
+						fail(err)
 						continue
 					}
 					writes.Add(1)
@@ -234,7 +219,7 @@ func Run(store kv.Store, opts RunOptions) Result {
 					}
 				case workload.OpDelete:
 					if err := store.Delete(ctx, key, writeOpts...); err != nil {
-						errCount.Add(1)
+						fail(err)
 						continue
 					}
 					writes.Add(1)
@@ -256,7 +241,7 @@ func Run(store kv.Store, opts RunOptions) Result {
 					if opts.IteratorScans {
 						it, err := store.NewIterator(ctx, low, high)
 						if err != nil {
-							errCount.Add(1)
+							fail(err)
 							continue
 						}
 						for ok := it.First(); ok; ok = it.Next() {
@@ -265,13 +250,13 @@ func Run(store kv.Store, opts RunOptions) Result {
 						err = it.Err()
 						it.Close()
 						if err != nil {
-							errCount.Add(1)
+							fail(err)
 							continue
 						}
 					} else {
 						pairs, err := store.Scan(ctx, low, high)
 						if err != nil {
-							errCount.Add(1)
+							fail(err)
 							continue
 						}
 						got = uint64(len(pairs))
@@ -280,15 +265,15 @@ func Run(store kv.Store, opts RunOptions) Result {
 					keysAcc.Add(got)
 				case workload.OpBatch:
 					batch.Reset()
-					for i := 0; i < opts.BatchSize; i++ {
+					for i := 0; i < batchSize; i++ {
 						if i > 0 {
 							key = gen.NextKey(rng, keyBuf)
 						}
-						valBuf = workload.Value(valBuf, opts.ValueSize, myOps+uint64(i))
+						valBuf = workload.Value(valBuf, workload.DefaultValueSize, myOps+uint64(i))
 						batch.Put(key, valBuf)
 					}
 					if err := store.Apply(ctx, batch, writeOpts...); err != nil {
-						errCount.Add(1)
+						fail(err)
 						continue
 					}
 					writes.Add(uint64(batch.Len()))
@@ -298,37 +283,33 @@ func Run(store kv.Store, opts RunOptions) Result {
 					}
 				case workload.OpSnapshot:
 					// One repeatable-read session: pin a view, serve
-					// SnapshotReads point reads from it, release it.
+					// snapshotReads point reads from it, release it.
 					view, err := store.Snapshot(ctx)
 					if err != nil {
-						errCount.Add(1)
+						fail(err)
 						continue
 					}
-					failed := false
-					for i := 0; i < opts.SnapshotReads; i++ {
+					for i := 0; i < snapshotReads && err == nil; i++ {
 						if i > 0 {
 							key = gen.NextKey(rng, keyBuf)
 						}
-						if _, _, err := view.Get(ctx, key); err != nil {
-							failed = true
-							break
-						}
+						_, _, err = view.Get(ctx, key)
 					}
 					view.Close()
-					if failed {
-						errCount.Add(1)
+					if err != nil {
+						fail(err)
 						continue
 					}
 					snaps.Add(1)
-					reads.Add(uint64(opts.SnapshotReads))
-					keysAcc.Add(uint64(opts.SnapshotReads))
+					reads.Add(snapshotReads)
+					keysAcc.Add(snapshotReads)
 					if opts.MeasureLatency {
 						res.ReadLat.Observe(time.Since(begin))
 					}
 				case workload.OpSync:
 					// Durability barrier: promote everything acked so far.
 					if err := store.Sync(ctx); err != nil {
-						errCount.Add(1)
+						fail(err)
 						continue
 					}
 					syncs.Add(1)
@@ -352,8 +333,10 @@ func Run(store kv.Store, opts RunOptions) Result {
 	res.Snapshots = snaps.Load()
 	res.Syncs = syncs.Load()
 	res.KeysAccessed = keysAcc.Load()
-	res.Errors = errCount.Load()
-	return res
+	if n := errCount.Load(); n > 0 {
+		return res, fmt.Errorf("harness: %d operations failed, first: %w", n, *firstErr.Load())
+	}
+	return res, nil
 }
 
 // Fill loads n keys into store (half-dataset random initialization of

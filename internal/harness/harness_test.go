@@ -3,9 +3,12 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,52 +138,77 @@ func (it *mapIter) Close() error { return nil }
 
 func TestRunCountsOps(t *testing.T) {
 	s := newMapStore()
-	res := Run(s, RunOptions{
+	res, err := Run(s, RunOptions{
 		Threads:  4,
 		Duration: 100 * time.Millisecond,
 		Mix:      workload.Balanced,
 		Keys:     1024,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Ops == 0 {
 		t.Fatal("no ops executed")
 	}
 	if res.Reads+res.Writes+res.Scans != res.Ops {
 		t.Fatalf("op accounting: %+v", res)
 	}
-	if res.Errors != 0 {
-		t.Fatalf("errors: %d", res.Errors)
-	}
 	if res.MopsPerSec() <= 0 {
 		t.Fatal("throughput not positive")
 	}
 }
 
-func TestRunMaxOps(t *testing.T) {
-	s := newMapStore()
-	res := Run(s, RunOptions{
+// failingPuts is a mapStore whose Puts fail once the first n succeed.
+type failingPuts struct {
+	*mapStore
+	puts atomic.Int64
+	n    int64
+}
+
+var errPutRefused = errors.New("put refused")
+
+func (s *failingPuts) Put(ctx context.Context, k, v []byte, opts ...kv.WriteOption) error {
+	if s.puts.Add(1) > s.n {
+		return errPutRefused
+	}
+	return s.mapStore.Put(ctx, k, v, opts...)
+}
+
+// TestRunRefusesFailedOps: a failed operation counts in no field of the
+// Result, so a cell that publishes the survivors' throughput would read as
+// a slower cell. Run refuses it instead, naming the count and the first
+// failure.
+func TestRunRefusesFailedOps(t *testing.T) {
+	s := &failingPuts{mapStore: newMapStore(), n: 10}
+	_, err := Run(s, RunOptions{
 		Threads:  2,
-		Duration: 10 * time.Second, // bounded by MaxOps, not time
+		Duration: 50 * time.Millisecond,
 		Mix:      workload.WriteOnly,
 		Keys:     1024,
-		MaxOps:   100,
 	})
-	if res.Ops != 200 {
-		t.Fatalf("ops = %d, want exactly 2 threads x 100", res.Ops)
+	if !errors.Is(err, errPutRefused) {
+		t.Fatalf("Run = %v over a store whose Puts fail, want the Put's error", err)
 	}
-	if res.Elapsed > 5*time.Second {
-		t.Fatal("MaxOps did not stop the run")
+	failed := s.puts.Load() - s.n
+	for _, want := range []string{"harness:", fmt.Sprintf("%d operations failed", failed)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Run's error %q does not name the failed count (%q)", err, want)
+		}
 	}
 }
 
 func TestRunOneWriter(t *testing.T) {
 	s := newMapStore()
-	res := Run(s, RunOptions{
+	res, err := Run(s, RunOptions{
 		Threads:   4,
 		Duration:  50 * time.Millisecond,
 		Mix:       workload.ReadOnly, // overridden by OneWriter
 		Keys:      256,
 		OneWriter: true,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Writes == 0 || res.Reads == 0 {
 		t.Fatalf("one-writer mix broken: %+v", res)
 	}
@@ -188,13 +216,16 @@ func TestRunOneWriter(t *testing.T) {
 
 func TestRunLatencyMeasured(t *testing.T) {
 	s := newMapStore()
-	res := Run(s, RunOptions{
+	res, err := Run(s, RunOptions{
 		Threads:        2,
 		Duration:       50 * time.Millisecond,
 		Mix:            workload.Balanced,
 		Keys:           256,
 		MeasureLatency: true,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.ReadLat.Count() == 0 || res.WriteLat.Count() == 0 {
 		t.Fatal("latency histograms empty")
 	}
@@ -207,13 +238,15 @@ func TestRunScansCountKeys(t *testing.T) {
 	}, 1024, 16); err != nil {
 		t.Fatal(err)
 	}
-	res := Run(s, RunOptions{
-		Threads:    2,
-		Duration:   50 * time.Millisecond,
-		Mix:        workload.ScanWithPct(100),
-		Keys:       1024,
-		ScanLength: 10,
+	res, err := Run(s, RunOptions{
+		Threads:  2,
+		Duration: 50 * time.Millisecond,
+		Mix:      workload.ScanWithPct(100),
+		Keys:     1024,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Scans == 0 {
 		t.Fatal("no scans ran")
 	}

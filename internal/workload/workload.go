@@ -35,13 +35,12 @@ const (
 	OpDelete
 	// OpScan reads a bounded range.
 	OpScan
-	// OpBatch applies an atomic write batch of RunOptions.BatchSize
-	// mutations through Store.Apply.
+	// OpBatch applies an atomic write batch of 32 mutations (the harness's
+	// batch size) through Store.Apply.
 	OpBatch
-	// OpSnapshot takes a Store.Snapshot, performs
-	// RunOptions.SnapshotReads point reads through it, and releases it —
-	// the multi-request repeatable-read shape of a session pinned to one
-	// view.
+	// OpSnapshot takes a Store.Snapshot, performs 16 point reads through
+	// it (the harness's snapshot session), and releases it — the
+	// multi-request repeatable-read shape of a session pinned to one view.
 	OpSnapshot
 	// OpSync calls Store.Sync — the durability barrier promoting every
 	// previously-acked buffered write to durable in one group-committed
@@ -312,38 +311,6 @@ func (z *Zipfian) NextKey(rng *rand.Rand, dst []byte) []byte {
 
 // Keys returns the keyspace size.
 func (z *Zipfian) Keys() uint64 { return z.n }
-
-// Neighborhood draws batches of keys within a bounded distance of each
-// other — Fig 8's neighborhood experiment, where "a neighborhood size of n
-// means all keys in a multi-insert are at maximum 2^n distance from each
-// other".
-type Neighborhood struct {
-	n    uint64
-	bits uint // log2 of the neighborhood diameter; 64 = no locality
-}
-
-// NewNeighborhood builds a generator over n keys where each batch is
-// confined to a 2^bits-wide window. bits >= 64 disables locality.
-func NewNeighborhood(n uint64, bits uint) *Neighborhood {
-	return &Neighborhood{n: n, bits: bits}
-}
-
-// NextBatch fills batch with keyCount keys inside one window.
-func (g *Neighborhood) NextBatch(rng *rand.Rand, keyCount int, scratch []uint64) []uint64 {
-	scratch = scratch[:0]
-	if g.bits >= 64 {
-		for i := 0; i < keyCount; i++ {
-			scratch = append(scratch, rng.Uint64())
-		}
-		return scratch
-	}
-	width := uint64(1) << g.bits
-	base := rng.Uint64() &^ (width - 1)
-	for i := 0; i < keyCount; i++ {
-		scratch = append(scratch, base+uint64(rng.Int63n(int64(width))))
-	}
-	return scratch
-}
 
 // Value fills dst with a deterministic pattern of the given size,
 // allocating only when dst is too small.

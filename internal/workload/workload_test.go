@@ -124,37 +124,6 @@ func TestHotSetTinyKeyspace(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodLocality(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := NewNeighborhood(1<<20, 10) // batches within 1024
-	var scratch []uint64
-	for trial := 0; trial < 100; trial++ {
-		batch := g.NextBatch(rng, 5, scratch)
-		if len(batch) != 5 {
-			t.Fatal("wrong batch size")
-		}
-		min, max := batch[0], batch[0]
-		for _, k := range batch {
-			if k < min {
-				min = k
-			}
-			if k > max {
-				max = k
-			}
-		}
-		if max-min >= 1024 {
-			t.Fatalf("batch spread %d exceeds neighborhood 1024", max-min)
-		}
-		scratch = batch
-	}
-	// bits >= 64 disables locality.
-	g2 := NewNeighborhood(1<<20, 64)
-	b := g2.NextBatch(rng, 5, nil)
-	if len(b) != 5 {
-		t.Fatal("unbounded batch size wrong")
-	}
-}
-
 func TestValueDeterministic(t *testing.T) {
 	v1 := Value(nil, 256, 7)
 	v2 := Value(make([]byte, 0, 256), 256, 7)
