@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -25,12 +24,9 @@ type Config struct {
 	MemBytes int64
 	// DisableWAL skips commit logging entirely; every write is then
 	// DurabilityNone and per-op logged classes fail with
-	// kv.ErrNotSupported, as in FloDB.
+	// kv.ErrNotSupported, as in FloDB. With the WAL on, a write that
+	// names no class is Buffered.
 	DisableWAL bool
-	// Durability is the default class for writes that don't override it
-	// per operation (DurabilityDefault resolves to Buffered, or None when
-	// the WAL is disabled).
-	Durability kv.Durability
 	// Storage configures the shared disk component.
 	Storage storage.Options
 }
@@ -53,17 +49,6 @@ func (c *Config) fillDefaults() error {
 		return fmt.Errorf("baseline: MemBytes %d exceeds %d, the most one memtable's skiplist arena can hold at twice its target", c.MemBytes, int64(maxMemBytes))
 	}
 	c.Storage.SizeBaseLevel(c.MemBytes)
-	if !c.Durability.Valid() {
-		return fmt.Errorf("baseline: invalid Durability %v", c.Durability)
-	}
-	if c.DisableWAL {
-		if c.Durability == kv.DurabilityBuffered || c.Durability == kv.DurabilitySync {
-			return fmt.Errorf("baseline: default Durability %v requires the WAL, but the WAL is disabled: %w", c.Durability, kv.ErrNotSupported)
-		}
-		c.Durability = kv.DurabilityNone
-	} else if c.Durability == kv.DurabilityDefault {
-		c.Durability = kv.DurabilityBuffered
-	}
 	return nil
 }
 
@@ -73,19 +58,74 @@ type memHandle struct {
 	wal    *wal.Writer
 	walNum uint64
 	// inserting counts writers that picked this handle under mu and insert
-	// into it after releasing mu (beginConcurrentInsertLocked). The flush
-	// waits for them: such a writer can be descheduled across the switch
-	// that seals the handle, and an insert landing after the flush had
-	// iterated the memtable was an acknowledged write lost.
+	// into it after releasing mu (reserveLocked). The flush waits for
+	// them: such a writer can be descheduled across the switch that seals
+	// the handle, and an insert landing after the flush had iterated the
+	// memtable was an acknowledged write lost.
 	inserting sync.WaitGroup
 }
 
-// base carries the machinery shared by the four variants: versioned
-// memtables, WAL handling, flush scheduling, snapshot reads and scans.
-// Locking POLICY lives in the variants; base only supplies mechanism.
+// log returns the handle's segment: nil for a nil handle or without a WAL.
+func (h *memHandle) log() *wal.Writer {
+	if h == nil {
+		return nil
+	}
+	return h.wal
+}
+
+// logRecord appends one write's record to the handle's segment when its
+// class d is logged, and returns where the record sits for a Sync-class
+// commit to wait on.
+func (h *memHandle) logRecord(d kv.Durability, kind keys.Kind, key, value []byte) (*wal.Writer, int64, error) {
+	if d == kv.DurabilityNone || h.wal == nil {
+		return nil, 0, nil
+	}
+	off, err := h.wal.Append(kv.EncodeRecord(kind, key, value))
+	return h.wal, off, err
+}
+
+// logBatch is logRecord for a whole batch, which is one record: recovery
+// replays it all or nothing.
+func (h *memHandle) logBatch(d kv.Durability, b *kv.Batch) (*wal.Writer, int64, error) {
+	if d == kv.DurabilityNone || h.wal == nil {
+		return nil, 0, nil
+	}
+	off, err := h.wal.Append(kv.EncodeBatchRecord(b))
+	return h.wal, off, err
+}
+
+// policy is all a variant adds to base: what its row in README's
+// six-system table says. Everything else — the closed and context checks,
+// the op counters, durability, the Sync-class commit, the read paths,
+// snapshot handles, flushes and the log lifecycle — is base's.
+type policy struct {
+	// write orders one update against the others and inserts it. It
+	// returns the update's commit record, which base waits on for a
+	// Sync-class write after every lock is released (nil when the variant
+	// committed it itself).
+	write func(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (*wal.Writer, int64, error)
+	// apply does the same for a non-empty batch.
+	apply func(ctx context.Context, b *kv.Batch, d kv.Durability) (*wal.Writer, int64, error)
+	// view captures the (mem, imm, seq) a Get, Scan or iterator reads.
+	view func() (mem, imm *memHandle, snap uint64)
+	// snapView captures a Snapshot's bound, excluding inserts still in
+	// flight below it.
+	snapView func() (mem, imm *memHandle, snap uint64)
+	// endRead, when set, is the critical section every read ends with.
+	endRead func()
+}
+
+// base is the one implementation of the kv.Store contract the four
+// variants share, over versioned memtables, a WAL segment per memtable
+// (whose lifecycle internal/storage owns), flush scheduling, snapshot
+// reads and scans. Locking POLICY lives in the variants' policy; base
+// supplies the mechanism and calls the policy where the variants differ.
 type base struct {
 	cfg   Config
 	store *storage.Store
+	pol   policy
+	// durability is the class of a write that names none.
+	durability kv.Durability
 
 	// mu guards the handles and lastSeq. The variants ALSO use it as
 	// their "global mutex" where their design has one, which is exactly
@@ -105,9 +145,11 @@ type base struct {
 	immCond *sync.Cond // waits for imm to clear (writer stall, §2.3)
 	lastSeq uint64
 
-	flushCh  chan struct{}
-	closing  chan struct{}
-	closed   atomic.Bool
+	flushCh chan struct{}
+	closing chan struct{}
+	closed  atomic.Bool
+	// wg counts the background goroutines: the flush loop and LevelDB's
+	// write leader.
 	wg       sync.WaitGroup
 	flushErr atomic.Pointer[error]
 
@@ -121,11 +163,15 @@ type base struct {
 	ops kv.OpCounters
 }
 
-func (b *base) init(cfg Config) error {
+func (b *base) init(cfg Config, pol policy) error {
 	if err := cfg.fillDefaults(); err != nil {
 		return err
 	}
-	b.cfg = cfg
+	durability, err := storage.DefaultDurability(kv.DurabilityDefault, !cfg.DisableWAL)
+	if err != nil {
+		return err
+	}
+	b.cfg, b.pol, b.durability = cfg, pol, durability
 	store, err := storage.Open(cfg.Dir, cfg.Storage)
 	if err != nil {
 		return err
@@ -139,18 +185,18 @@ func (b *base) init(cfg Config) error {
 	b.flushCh = make(chan struct{}, 1)
 	b.closing = make(chan struct{})
 
-	if err := b.recoverWALs(); err != nil {
-		store.Close()
-		return err
-	}
-	h, err := b.newMemHandle()
-	if err != nil {
-		store.Close()
-		return err
-	}
-	b.mem = h
 	if !cfg.DisableWAL {
-		if err := store.SetLogNum(h.walNum, b.lastSeq); err != nil {
+		if b.lastSeq, err = store.RecoverLogs(func() storage.ReplayMem { return newSkipMem() }); err != nil {
+			store.Close()
+			return err
+		}
+	}
+	if b.mem, err = b.newMemHandle(); err != nil {
+		store.Close()
+		return err
+	}
+	if !cfg.DisableWAL {
+		if err := store.SetLogNum(b.mem.walNum, b.lastSeq); err != nil {
 			store.Close()
 			return err
 		}
@@ -165,163 +211,50 @@ func (b *base) newMemHandle() (*memHandle, error) {
 	if b.cfg.DisableWAL {
 		return h, nil
 	}
-	h.walNum = b.store.NewFileNum()
-	w, err := wal.Create(storage.WALFileName(b.cfg.Dir, h.walNum), wal.Options{Metrics: &b.walMetrics})
-	if err != nil {
+	var err error
+	if h.walNum, h.wal, err = b.store.CreateLog(wal.Options{Metrics: &b.walMetrics}); err != nil {
 		return nil, err
 	}
-	h.wal = w
 	return h, nil
 }
 
-func (b *base) recoverWALs() error {
-	if b.cfg.DisableWAL {
-		return nil
-	}
-	logNum := b.store.LogNum()
-	entries, err := os.ReadDir(b.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	var segs []uint64
-	for _, ent := range entries {
-		kind, num := storage.ParseFileName(ent.Name())
-		if kind == storage.KindWAL && num >= logNum {
-			segs = append(segs, num)
-		}
-	}
-	for i := 0; i < len(segs); i++ { // insertion-sort: few segments
-		for j := i; j > 0 && segs[j] < segs[j-1]; j-- {
-			segs[j], segs[j-1] = segs[j-1], segs[j]
-		}
-	}
-	for _, num := range segs {
-		mem := newSkipMem()
-		// ForEachOp decodes single-op and multi-op (batch) records alike;
-		// batch atomicity comes from the WAL's per-record CRC framing.
-		err := wal.ReplayAll(storage.WALFileName(b.cfg.Dir, num), func(rec []byte) error {
-			return kv.ForEachOp(rec, func(kind keys.Kind, key, value []byte) error {
-				b.lastSeq++
-				mem.Insert(keys.Clone(key), b.lastSeq, kind, keys.Clone(value))
-				return nil
-			})
-		})
-		if err != nil {
-			return fmt.Errorf("baseline: replay wal %d: %w", num, err)
-		}
-		if mem.Len() > 0 {
-			if _, err := b.store.Flush(mem.NewIterator(), num+1, b.lastSeq); err != nil {
-				return err
-			}
-		}
-		os.Remove(storage.WALFileName(b.cfg.Dir, num))
-	}
-	return nil
-}
-
-// --- Write-side mechanism -----------------------------------------------------
-
-// resolveDurability folds per-op options over the configured default and
-// rejects logged classes on a store that has no log to back them.
-func (b *base) resolveDurability(opts []kv.WriteOption) (kv.Durability, error) {
-	d := b.cfg.Durability
-	if len(opts) > 0 {
-		d = kv.ResolveWriteOptions(b.cfg.Durability, opts...).Durability
-	}
-	if !d.Valid() {
-		return 0, fmt.Errorf("baseline: invalid durability %v", d)
-	}
-	if d != kv.DurabilityNone && b.cfg.DisableWAL {
-		return 0, fmt.Errorf("baseline: %v durability without a WAL: %w", d, kv.ErrNotSupported)
-	}
-	return d, nil
-}
-
-// commitSync is the commit point of a Sync-class write: it blocks until
-// the group-commit queue covers the record appended at off. Durability is
-// prefix-ordered: a live sealed segment's tail is synced FIRST, so a
-// Sync-acked write never survives a crash that loses an earlier acked
-// write (no holes in commit order). A writer closed underneath us was
-// retired by a completed flush, so its contents are durable through
-// sstables and the barrier is satisfied.
-func (b *base) commitSync(w *wal.Writer, off int64) error {
-	if w == nil {
-		return nil
-	}
-	b.mu.Lock()
-	imm := b.imm
-	b.mu.Unlock()
-	if imm != nil && imm.wal != nil && imm.wal != w {
-		if err := imm.wal.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) {
-			return err
-		}
-	}
-	if err := w.SyncTo(off); err != nil && !errors.Is(err, wal.ErrClosed) {
-		return err
-	}
-	return nil
-}
-
-// insertLocked assigns a sequence number and inserts into the current
-// memtable, logging first (unless the op is DurabilityNone). Caller holds
-// mu; the actual memtable insert happens under mu (used by the LevelDB
-// write leader). It returns the commit-record position for a Sync-class
-// caller to group-commit AFTER releasing mu.
-func (b *base) insertLocked(kind keys.Kind, key, value []byte, logged bool) (*wal.Writer, int64, error) {
-	var w *wal.Writer
-	var off int64
-	if logged {
-		var err error
-		w, off, err = b.logRecord(b.mem, kind, key, value)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	b.lastSeq++
-	b.mem.mem.Insert(key, b.lastSeq, kind, value)
-	b.maybeScheduleFlushLocked()
-	return w, off, nil
-}
-
-// beginConcurrentInsert allocates a sequence number and returns the target
-// handle under mu; the caller inserts outside the lock (HyperLevelDB /
-// RocksDB styles) and then calls h.inserting.Done. waitRoomLocked must
-// have been honored.
-func (b *base) beginConcurrentInsertLocked() (*memHandle, uint64) {
-	b.lastSeq++
-	b.mem.inserting.Add(1)
-	return b.mem, b.lastSeq
-}
-
-func (b *base) logRecord(h *memHandle, kind keys.Kind, key, value []byte) (*wal.Writer, int64, error) {
-	if h.wal == nil {
-		return nil, 0, nil
-	}
-	off, err := h.wal.Append(kv.EncodeRecord(kind, key, value))
-	if err != nil {
-		return nil, 0, err
-	}
-	return h.wal, off, nil
-}
-
-// applyBatch is the shared Apply mechanism for the mutex-ordered variants
-// (LevelDB, HyperLevelDB, RocksDB): one WAL record for the whole batch,
-// then every operation inserted under the global mutex with consecutive
-// sequence numbers. Atomicity falls out of the multi-versioned design —
-// the batch's version range is contiguous, and recovery replays the single
-// record all-or-nothing. Under DurabilitySync the whole batch costs one
-// group-committed fsync, issued after the global mutex is released.
-func (b *base) applyBatch(ctx context.Context, batch *kv.Batch, opts []kv.WriteOption) error {
+// check is the test every operation starts with.
+func (b *base) check(ctx context.Context) error {
 	if b.closed.Load() {
 		return ErrClosedBaseline
 	}
-	if err := ctx.Err(); err != nil {
+	return ctx.Err()
+}
+
+// --- Writes -------------------------------------------------------------------
+
+// Put writes key through the variant's write policy.
+func (b *base) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
+	b.ops.Puts.Add(1)
+	return b.update(ctx, keys.KindSet, key, value, opts)
+}
+
+// Delete writes a tombstone version.
+func (b *base) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
+	b.ops.Deletes.Add(1)
+	return b.update(ctx, keys.KindDelete, key, nil, opts)
+}
+
+func (b *base) update(ctx context.Context, kind keys.Kind, key, value []byte, opts []kv.WriteOption) error {
+	d, err := b.admit(ctx, opts)
+	if err != nil {
 		return err
 	}
-	if err := b.loadFlushErr(); err != nil {
-		return err
-	}
-	d, err := b.resolveDurability(opts)
+	w, off, err := b.pol.write(ctx, kind, key, value, d)
+	return b.commit(d, w, off, err)
+}
+
+// Apply commits the batch atomically through the variant's batch policy.
+// Atomicity falls out of the multi-versioned design: the batch is one WAL
+// record, which recovery replays all-or-nothing, and one contiguous
+// sequence range orders its versions.
+func (b *base) Apply(ctx context.Context, batch *kv.Batch, opts ...kv.WriteOption) error {
+	d, err := b.admit(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -330,31 +263,83 @@ func (b *base) applyBatch(ctx context.Context, batch *kv.Batch, opts []kv.WriteO
 	}
 	b.ops.Batches.Add(1)
 	b.ops.BatchOps.Add(uint64(batch.Len()))
-	w, off, err := b.applyBatchLocked(ctx, batch, d)
-	if err != nil {
-		return err
-	}
-	if d == kv.DurabilitySync {
-		return b.commitSync(w, off)
-	}
-	return nil
+	w, off, err := b.pol.apply(ctx, batch, d)
+	return b.commit(d, w, off, err)
 }
 
-func (b *base) applyBatchLocked(ctx context.Context, batch *kv.Batch, d kv.Durability) (*wal.Writer, int64, error) {
+// admit is the test every write passes before the policy orders it, and
+// resolves the write's durability class.
+func (b *base) admit(ctx context.Context, opts []kv.WriteOption) (kv.Durability, error) {
+	if err := b.check(ctx); err != nil {
+		return 0, err
+	}
+	if err := b.loadFlushErr(); err != nil {
+		return 0, err
+	}
+	return storage.ResolveDurability(b.durability, !b.cfg.DisableWAL, opts)
+}
+
+// commit is the commit point of a write the policy ordered without error.
+// A Sync-class write waits for the barrier over its record here, outside
+// every lock, so concurrent committers coalesce in the WAL's group-commit
+// queue instead of serializing a global lock behind the disk — the shape
+// of RocksDB's write group and of LevelDB's combined pass.
+func (b *base) commit(d kv.Durability, w *wal.Writer, off int64, err error) error {
+	if err != nil || d != kv.DurabilitySync {
+		return err
+	}
+	return storage.CommitSync(b.sealedLog(), w, off)
+}
+
+// sealedLog is the segment of the sealed memtable a flush is writing, if
+// any, which a Sync-class commit makes durable before the active one.
+func (b *base) sealedLog() *wal.Writer {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.waitRoomCtxLocked(ctx); err != nil {
+	return b.imm.log()
+}
+
+// insertLocked logs and inserts one write under mu (the LevelDB write
+// leader), returning its commit record.
+func (b *base) insertLocked(kind keys.Kind, key, value []byte, d kv.Durability) (*wal.Writer, int64, error) {
+	w, off, err := b.mem.logRecord(d, kind, key, value)
+	if err != nil {
 		return nil, 0, err
 	}
-	var w *wal.Writer
-	var off int64
-	if d != kv.DurabilityNone && b.mem.wal != nil {
-		var err error
-		off, err = b.mem.wal.Append(kv.EncodeBatchRecord(batch))
-		if err != nil {
-			return nil, 0, err
-		}
-		w = b.mem.wal
+	b.lastSeq++
+	b.mem.mem.Insert(key, b.lastSeq, kind, value)
+	b.maybeScheduleFlushLocked()
+	return w, off, nil
+}
+
+// reserveLocked is the part of a write that HyperLevelDB and RocksDB run
+// under mu: the room check, the log append and the sequence number. The
+// caller inserts into h after releasing mu, then calls h.inserting.Done.
+func (b *base) reserveLocked(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (h *memHandle, seq uint64, w *wal.Writer, off int64, err error) {
+	if err = b.waitRoomLocked(ctx); err != nil {
+		return nil, 0, nil, 0, err
+	}
+	if w, off, err = b.mem.logRecord(d, kind, key, value); err != nil {
+		return nil, 0, nil, 0, err
+	}
+	b.lastSeq++
+	b.mem.inserting.Add(1)
+	return b.mem, b.lastSeq, w, off, nil
+}
+
+// applyLocked is the batch policy of the mutex-ordered variants (LevelDB,
+// HyperLevelDB, RocksDB): one WAL record for the whole batch, then every
+// operation inserted under the global mutex with consecutive sequence
+// numbers, so no reader ever sees part of it.
+func (b *base) applyLocked(ctx context.Context, batch *kv.Batch, d kv.Durability) (*wal.Writer, int64, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.waitRoomLocked(ctx); err != nil {
+		return nil, 0, err
+	}
+	w, off, err := b.mem.logBatch(d, batch)
+	if err != nil {
+		return nil, 0, err
 	}
 	for _, op := range batch.Ops() {
 		b.lastSeq++
@@ -370,10 +355,7 @@ func (b *base) applyBatchLocked(ctx context.Context, batch *kv.Batch, d kv.Durab
 // committed fsync per live segment (sealed first, then active — prefix
 // order). Without a WAL there is nothing buffered to promote.
 func (b *base) Sync(ctx context.Context) error {
-	if b.closed.Load() {
-		return ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
+	if err := b.check(ctx); err != nil {
 		return err
 	}
 	b.ops.SyncBarriers.Add(1)
@@ -388,39 +370,40 @@ func (b *base) Sync(ctx context.Context) error {
 	b.mu.Lock()
 	mem, imm := b.mem, b.imm
 	b.mu.Unlock()
-	for _, h := range []*memHandle{imm, mem} {
-		if h == nil || h.wal == nil {
-			continue
-		}
-		if err := h.wal.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) {
-			return err
-		}
-	}
-	return nil
+	return storage.SyncLogs(imm.log(), mem.log())
 }
 
 // waitRoomLocked blocks (on mu) while the memtable is full and the
-// previous one is still flushing — the writer delay of §2.3.
-func (b *base) waitRoomLocked() error {
-	return b.waitRoomCtxLocked(context.Background())
-}
-
-// waitRoomCtxLocked is waitRoomLocked with a cancellation point at every
-// cond wakeup. (A Wait in progress cannot be interrupted by the context;
-// the flush loop's broadcast bounds the latency.)
-func (b *base) waitRoomCtxLocked(ctx context.Context) error {
+// previous one is still flushing — the writer delay of §2.3 — with a
+// cancellation point at every cond wakeup. (A Wait in progress cannot be
+// interrupted by the context; the flush loop's broadcast bounds the
+// latency.)
+func (b *base) waitRoomLocked(ctx context.Context) error {
 	for b.mem.mem.ApproxBytes() >= b.cfg.MemBytes && b.imm != nil {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := b.loadFlushErr(); err != nil {
+		if err := b.waitFlushLocked(); err != nil {
 			return err
 		}
-		b.immCond.Wait()
 	}
 	if b.mem.mem.ApproxBytes() >= b.cfg.MemBytes && b.imm == nil {
 		return b.switchMemLocked()
 	}
+	return nil
+}
+
+// waitFlushLocked waits on mu for the flush loop to retire imm. It fails
+// instead when that wait could never end: the store is closed (stop wakes
+// every waiter) or a flush failed (setFlushErr does).
+func (b *base) waitFlushLocked() error {
+	if b.closed.Load() {
+		return ErrClosedBaseline
+	}
+	if err := b.loadFlushErr(); err != nil {
+		return err
+	}
+	b.immCond.Wait()
 	return nil
 }
 
@@ -482,28 +465,13 @@ func (b *base) flushLoop() {
 	}
 }
 
-// flushHandle persists one sealed memtable.
+// flushHandle persists one sealed memtable and retires its segment.
 func (b *base) flushHandle(h *memHandle) error {
 	h.inserting.Wait() // h is sealed: no new inserter can pick it
 	b.mu.Lock()
-	newLog := b.mem.walNum
-	lastSeq := b.lastSeq
+	next, lastSeq := b.mem.walNum, b.lastSeq
 	b.mu.Unlock()
-	if b.cfg.DisableWAL {
-		newLog = b.store.NewFileNum()
-	}
-	if _, err := b.store.Flush(h.mem.NewIterator(), newLog, lastSeq); err != nil {
-		return err
-	}
-	if h.wal != nil {
-		// The handle's contents just reached sstables: its records are
-		// durable regardless of fsync coverage. Advance the boundary
-		// before retiring the segment.
-		h.wal.MarkContentsDurable()
-		h.wal.Close()
-		os.Remove(storage.WALFileName(b.cfg.Dir, h.walNum))
-	}
-	return nil
+	return b.store.FlushLog(h.mem.NewIterator(), lastSeq, h.wal, h.walNum, next)
 }
 
 func (b *base) loadFlushErr() error {
@@ -522,11 +490,82 @@ func (b *base) setFlushErr(err error) {
 	}
 }
 
-// --- Read-side mechanism -------------------------------------------------------
+// --- Reads --------------------------------------------------------------------
 
-// snapshotLocked captures the read view under mu.
-func (b *base) snapshotLocked() (mem, imm *memHandle, snap uint64) {
+// Get reads key at the view the policy captures.
+func (b *base) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
+	if err := b.check(ctx); err != nil {
+		return nil, false, err
+	}
+	b.ops.Gets.Add(1)
+	mem, imm, snap := b.pol.view()
+	v, ok, err := b.getFrom(mem, imm, nil, snap, key)
+	b.endRead()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return keys.Clone(v), true, nil
+}
+
+// Scan produces a snapshot scan at the view the policy captures.
+func (b *base) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
+	if err := b.check(ctx); err != nil {
+		return nil, err
+	}
+	b.ops.Scans.Add(1)
+	mem, imm, snap := b.pol.view()
+	pairs, err := b.scanFrom(ctx, mem, imm, snap, low, high)
+	b.endRead()
+	return pairs, err
+}
+
+// NewIterator streams a pinned snapshot of the view the policy captures;
+// the read's closing critical section, if any, runs at Close.
+func (b *base) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
+	if err := b.check(ctx); err != nil {
+		return nil, err
+	}
+	b.ops.Iterators.Add(1)
+	mem, imm, snap := b.pol.view()
+	return b.newSnapshotIter(ctx, mem, imm, nil, snap, low, high, b.pol.endRead)
+}
+
+// Snapshot pins a repeatable-read view at the bound the policy captures.
+func (b *base) Snapshot(ctx context.Context) (kv.View, error) {
+	if err := b.check(ctx); err != nil {
+		return nil, err
+	}
+	mem, imm, snap := b.pol.snapView()
+	return b.newSnapshot(mem, imm, snap), nil
+}
+
+func (b *base) endRead() {
+	if b.pol.endRead != nil {
+		b.pol.endRead()
+	}
+}
+
+// muView captures the read view under the global mutex.
+func (b *base) muView() (mem, imm *memHandle, snap uint64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return b.mem, b.imm, b.lastSeq
+}
+
+// barrierView is muView behind the snapshot barrier: no insert with a
+// sequence number at or below the bound is still in flight.
+func (b *base) barrierView() (mem, imm *memHandle, snap uint64) {
+	b.snapMu.Lock()
+	defer b.snapMu.Unlock()
+	return b.muView()
+}
+
+// muSection is LevelDB's closing read section: it releases its memtable
+// and version references under the global mutex.
+func (b *base) muSection() {
+	//lint:ignore SA2001 the empty critical section is the read's cost the paper measures
+	b.mu.Lock()
+	b.mu.Unlock()
 }
 
 // getFrom resolves a read against a captured view. ver, when non-nil, is
@@ -694,11 +733,11 @@ func (s *baseSnapshot) Close() error {
 	return nil
 }
 
-// --- Checkpoint ---------------------------------------------------------------
+// --- Checkpoint and shutdown --------------------------------------------------
 
 // Checkpoint syncs the WAL segments and clones the store into dir via
 // the storage checkpoint path (hard-linked tables + copied WAL tail +
-// fresh manifest). Shared by all four variants.
+// fresh manifest).
 //
 // WAL appends are buffered, so around a memtable switch the sealed
 // segment's file can lag its logical contents while the successor
@@ -709,10 +748,7 @@ func (s *baseSnapshot) Close() error {
 // and retried. (The storage layer independently retries on WAL turnover
 // from completed flushes via its log-number check.)
 func (b *base) Checkpoint(ctx context.Context, dir string) error {
-	if b.closed.Load() {
-		return ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
+	if err := b.check(ctx); err != nil {
 		return err
 	}
 	if err := b.loadFlushErr(); err != nil {
@@ -724,16 +760,10 @@ func (b *base) Checkpoint(ctx context.Context, dir string) error {
 		b.mu.Lock()
 		mem, imm := b.mem, b.imm
 		b.mu.Unlock()
-		// Sealed-segment sync first (flush order), then the active one. A
-		// handle flushed meanwhile closes its WAL; its contents are then
+		// A handle flushed meanwhile closes its WAL; its contents are then
 		// in tables, which the log-number check accounts for.
-		for _, h := range []*memHandle{imm, mem} {
-			if h == nil || h.wal == nil {
-				continue
-			}
-			if err := h.wal.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) {
-				return err
-			}
+		if err := storage.SyncLogs(imm.log(), mem.log()); err != nil {
+			return err
 		}
 		if err := b.store.Checkpoint(dir); err != nil {
 			return err
@@ -751,71 +781,38 @@ func (b *base) Checkpoint(ctx context.Context, dir string) error {
 	return fmt.Errorf("baseline: checkpoint %s: memtable turnover outpaced the copy %d times", dir, retries)
 }
 
-// closeCommon shuts down the flush loop and persists what remains. Any
-// segment whose contents do NOT reach sstables here (flush failure paths)
-// has its tail synced before closing — wal.Writer.Close does not fsync,
-// and a clean shutdown must never widen the acked-but-lost window.
-func (b *base) closeCommon() error {
-	if b.closed.Swap(true) {
+// Close stops the background work, flushes the sealed and the active
+// memtable and closes the logs (storage.Store.Shutdown).
+func (b *base) Close() error {
+	if !b.stop() {
 		return nil
 	}
-	close(b.closing)
-	b.wg.Wait()
+	// The policy's view holds the newest sequence number: cLSM numbers
+	// its writes outside mu.
+	_, _, last := b.pol.view()
+	err := b.loadFlushErr()
+	if err == nil && b.imm != nil {
+		if err = b.flushHandle(b.imm); err == nil {
+			b.imm = nil // else imm stays stranded; Shutdown syncs its tail
+		}
+	}
+	return b.store.Shutdown(err, b.imm.log(), b.mem.mem.NewIterator(), b.mem.wal, b.mem.walNum, last)
+}
 
-	firstErr := b.loadFlushErr()
-	memFlushed := false
-	if firstErr == nil {
-		if b.imm != nil {
-			if err := b.flushHandle(b.imm); err != nil {
-				firstErr = err // imm stays stranded; its tail is synced below
-			} else {
-				b.imm = nil
-			}
-		}
-		if firstErr == nil {
-			if b.mem.mem.Len() > 0 {
-				newLog := b.mem.walNum + 1
-				if b.cfg.DisableWAL {
-					newLog = b.store.NewFileNum()
-				}
-				if _, err := b.store.Flush(b.mem.mem.NewIterator(), newLog, b.lastSeq); err != nil {
-					firstErr = err
-				} else {
-					memFlushed = true
-					if b.mem.wal != nil {
-						b.mem.wal.MarkContentsDurable()
-						os.Remove(storage.WALFileName(b.cfg.Dir, b.mem.walNum))
-					}
-				}
-			} else {
-				memFlushed = true // nothing unpersisted; the tail is redundant
-			}
-		}
+// stop closes the store to new operations and waits out the background
+// goroutines. A writer parked in waitRoomLocked waits for a flush loop
+// that is now gone: the broadcast wakes it to find the store closed. It
+// reports whether this call did the closing.
+func (b *base) stop() bool {
+	if b.closed.Swap(true) {
+		return false
 	}
-	// A stranded sealed handle (flush failure) still holds acked records:
-	// sync and close its segment too.
-	if b.imm != nil && b.imm.wal != nil {
-		if err := b.imm.wal.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) && firstErr == nil {
-			firstErr = err
-		}
-		if err := b.imm.wal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if b.mem.wal != nil {
-		if !memFlushed {
-			if err := b.mem.wal.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if err := b.mem.wal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := b.store.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	close(b.closing)
+	b.mu.Lock()
+	b.immCond.Broadcast()
+	b.mu.Unlock()
+	b.wg.Wait()
+	return true
 }
 
 // CrashForTesting abandons the store the way a crash would: background
@@ -824,24 +821,13 @@ func (b *base) closeCommon() error {
 // tests use it to open the acked-but-lost window deliberately; production
 // code must use Close.
 func (b *base) CrashForTesting() {
-	if b.closed.Swap(true) {
+	if !b.stop() {
 		return
 	}
-	close(b.closing)
-	// Writers parked in waitRoomCtxLocked wait on immCond for a flush
-	// loop that is now gone; the sticky error wakes and fails them.
-	b.setFlushErr(ErrClosedBaseline)
-	b.wg.Wait()
 	b.mu.Lock()
 	mem, imm := b.mem, b.imm
 	b.mu.Unlock()
-	if imm != nil && imm.wal != nil {
-		imm.wal.Abandon()
-	}
-	if mem.wal != nil {
-		mem.wal.Abandon()
-	}
-	b.store.Close()
+	b.store.Crash(imm.log(), mem.log())
 }
 
 // WaitDiskQuiesce blocks until the pending flush and all compactions

@@ -46,7 +46,13 @@ func NewCLSM(cfg Config) (*CLSM, error) {
 		cfg.Storage.CompactionThreads = 3
 	}
 	db := &CLSM{}
-	if err := db.init(cfg); err != nil {
+	err := db.init(cfg, policy{
+		write:    db.write,
+		apply:    db.apply,
+		view:     db.loadView,
+		snapView: db.exclusiveView,
+	})
+	if err != nil {
 		return nil, err
 	}
 	db.seq.Store(db.lastSeq)
@@ -54,51 +60,41 @@ func NewCLSM(cfg Config) (*CLSM, error) {
 	return db, nil
 }
 
-func (db *CLSM) write(ctx context.Context, kind keys.Kind, key, value []byte, opts []kv.WriteOption) error {
-	if db.closed.Load() {
-		return ErrClosedBaseline
-	}
-	if err := db.loadFlushErr(); err != nil {
-		return err
-	}
-	d, err := db.resolveDurability(opts)
-	if err != nil {
-		return err
-	}
+// enter takes the read side of the global RW lock on a memtable with
+// room, sealing a full one or waiting out the flush in flight first. The
+// caller releases the read side.
+func (db *CLSM) enter(ctx context.Context) (*clsmView, error) {
 	for {
 		// The switchOrWait loop can block behind a slow flush; every lap
 		// is a cancellation point.
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		db.rw.RLock()
 		v := db.view.Load()
-		if v.mem.mem.ApproxBytes() >= db.cfg.MemBytes {
-			db.rw.RUnlock()
-			if err := db.switchOrWait(); err != nil {
-				return err
-			}
-			continue
+		if v.mem.mem.ApproxBytes() < db.cfg.MemBytes {
+			return v, nil
 		}
-		var w *wal.Writer
-		var off int64
-		if d != kv.DurabilityNone {
-			if w, off, err = db.logRecord(v.mem, kind, key, value); err != nil {
-				db.rw.RUnlock()
-				return err
-			}
-		}
-		seq := db.seq.Add(1)
-		v.mem.mem.Insert(key, seq, kind, value)
 		db.rw.RUnlock()
-		// Group commit outside the RW lock: sync committers coalesce in
-		// the commit queue instead of holding cLSM's writer side hostage
-		// to the disk barrier.
-		if d == kv.DurabilitySync {
-			return db.commitSync(w, off)
+		if err := db.switchOrWait(); err != nil {
+			return nil, err
 		}
-		return nil
 	}
+}
+
+// write proceeds under the read side of the global RW lock.
+func (db *CLSM) write(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (*wal.Writer, int64, error) {
+	v, err := db.enter(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer db.rw.RUnlock()
+	w, off, err := v.mem.logRecord(d, kind, key, value)
+	if err != nil {
+		return nil, 0, err
+	}
+	v.mem.mem.Insert(key, db.seq.Add(1), kind, value)
+	return w, off, nil
 }
 
 // switchOrWait seals the full memtable under the write lock (blocking all
@@ -116,8 +112,7 @@ func (db *CLSM) switchOrWait() error {
 		return nil // another writer already switched
 	}
 	for db.imm != nil {
-		db.immCond.Wait()
-		if err := db.loadFlushErr(); err != nil {
+		if err := db.waitFlushLocked(); err != nil {
 			return err
 		}
 	}
@@ -129,87 +124,27 @@ func (db *CLSM) switchOrWait() error {
 	return nil
 }
 
-// Put proceeds under the read side of the global RW lock.
-func (db *CLSM) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	db.ops.Puts.Add(1)
-	return db.write(ctx, keys.KindSet, key, value, opts)
-}
-
-// Delete writes a tombstone version.
-func (db *CLSM) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	db.ops.Deletes.Add(1)
-	return db.write(ctx, keys.KindDelete, key, nil, opts)
-}
-
-// Get is lock-free: atomic view capture, atomic snapshot sequence.
-func (db *CLSM) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	if db.closed.Load() {
-		return nil, false, ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	db.ops.Gets.Add(1)
+// loadView is the lock-free read path: atomic view capture, atomic
+// snapshot sequence — no global lock on cLSM's read-only path.
+func (db *CLSM) loadView() (mem, imm *memHandle, snap uint64) {
 	v := db.view.Load()
-	snap := db.seq.Load()
-	val, ok, err := db.getFrom(v.mem, v.imm, nil, snap, key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return keys.Clone(val), true, nil
+	return v.mem, v.imm, db.seq.Load()
 }
 
-// Scan is lock-free on the read path, snapshot-consistent via seq.
-func (db *CLSM) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
-	if db.closed.Load() {
-		return nil, ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	db.ops.Scans.Add(1)
-	v := db.view.Load()
-	snap := db.seq.Load()
-	return db.scanFrom(ctx, v.mem, v.imm, snap, low, high)
-}
-
-// NewIterator streams a pinned snapshot captured lock-free, like Get and
-// Scan — no global lock on cLSM's read-only path.
-func (db *CLSM) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
-	if db.closed.Load() {
-		return nil, ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	db.ops.Iterators.Add(1)
-	v := db.view.Load()
-	snap := db.seq.Load()
-	return db.newSnapshotIter(ctx, v.mem, v.imm, nil, snap, low, high, nil)
-}
-
-// Snapshot pins a repeatable-read view. Unlike the lock-free point-read
-// path, the capture takes the write side of the global RW lock: writers
+// exclusiveView captures a Snapshot's bound. Unlike the lock-free point-
+// read path, it takes the write side of the global RW lock: writers
 // allocate AND insert under the read side, so with the write side held no
 // insert with seq <= the bound is still in flight — a lock-free capture
 // could pin a sequence whose key pops into existence later, breaking the
 // handle's repeatable-read contract. (This matches cLSM's design, which
 // reserves the exclusive side for coordination points.)
-func (db *CLSM) Snapshot(ctx context.Context) (kv.View, error) {
-	if db.closed.Load() {
-		return nil, ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+func (db *CLSM) exclusiveView() (mem, imm *memHandle, snap uint64) {
 	db.rw.Lock()
-	v := db.view.Load()
-	snap := db.seq.Load()
-	db.rw.Unlock()
-	return db.newSnapshot(v.mem, v.imm, snap), nil
+	defer db.rw.Unlock()
+	return db.loadView()
 }
 
-// Apply commits the batch under the read side of the global RW lock: the
+// apply commits the batch under the read side of the global RW lock: the
 // single WAL append makes recovery all-or-nothing, one contiguous
 // sequence range orders its versions, and the write lock (taken only by
 // memtable switches) guarantees the whole batch lands in one memtable
@@ -224,68 +159,25 @@ func (db *CLSM) Snapshot(ctx context.Context) (kv.View, error) {
 // pre-existing caveat that WAL append order and sequence order are not
 // atomic across concurrent writers, so recovery's replay order may
 // resolve a same-key race differently than pre-crash readers saw.
-func (db *CLSM) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) error {
-	if db.closed.Load() {
-		return ErrClosedBaseline
-	}
-	if err := db.loadFlushErr(); err != nil {
-		return err
-	}
-	d, err := db.resolveDurability(opts)
+func (db *CLSM) apply(ctx context.Context, b *kv.Batch, d kv.Durability) (*wal.Writer, int64, error) {
+	v, err := db.enter(ctx)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	if b == nil || b.Len() == 0 {
-		return nil
+	defer db.rw.RUnlock()
+	w, off, err := v.mem.logBatch(d, b)
+	if err != nil {
+		return nil, 0, err
 	}
-	db.ops.Batches.Add(1)
-	db.ops.BatchOps.Add(uint64(b.Len()))
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		db.rw.RLock()
-		v := db.view.Load()
-		if v.mem.mem.ApproxBytes() >= db.cfg.MemBytes {
-			db.rw.RUnlock()
-			if err := db.switchOrWait(); err != nil {
-				return err
-			}
-			continue
-		}
-		var w *wal.Writer
-		var off int64
-		if d != kv.DurabilityNone && v.mem.wal != nil {
-			if off, err = v.mem.wal.Append(kv.EncodeBatchRecord(b)); err != nil {
-				db.rw.RUnlock()
-				return err
-			}
-			w = v.mem.wal
-		}
-		// One contiguous range, reserved up front: a reader whose
-		// snapshot predates the batch (snap < start) sees none of it.
-		ops := b.Ops()
-		end := db.seq.Add(uint64(len(ops)))
-		start := end - uint64(len(ops)) + 1
-		for i, op := range ops {
-			v.mem.mem.Insert(op.Key, start+uint64(i), op.Kind, op.Value)
-		}
-		db.rw.RUnlock()
-		// One group-committed barrier for the whole batch, outside the
-		// RW lock.
-		if d == kv.DurabilitySync {
-			return db.commitSync(w, off)
-		}
-		return nil
+	// One contiguous range, reserved up front: a reader whose snapshot
+	// predates the batch (snap < start) sees none of it.
+	ops := b.Ops()
+	end := db.seq.Add(uint64(len(ops)))
+	start := end - uint64(len(ops)) + 1
+	for i, op := range ops {
+		v.mem.mem.Insert(op.Key, start+uint64(i), op.Kind, op.Value)
 	}
-}
-
-// Close flushes and shuts down.
-func (db *CLSM) Close() error {
-	db.mu.Lock()
-	db.lastSeq = db.seq.Load()
-	db.mu.Unlock()
-	return db.closeCommon()
+	return w, off, nil
 }
 
 var _ kv.Store = (*CLSM)(nil)

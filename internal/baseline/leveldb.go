@@ -5,6 +5,7 @@ import (
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/storage"
 	"flodb/internal/wal"
 )
 
@@ -21,8 +22,7 @@ import (
 //   - Compaction is single-threaded.
 type LevelDB struct {
 	base
-	writeCh  chan *writeReq
-	writerWg chanWaiter
+	writeCh chan *writeReq
 }
 
 type writeReq struct {
@@ -33,14 +33,6 @@ type writeReq struct {
 	done       chan error
 }
 
-// chanWaiter is a tiny one-goroutine waitgroup (avoids embedding another
-// sync.WaitGroup next to base.wg).
-type chanWaiter struct{ ch chan struct{} }
-
-func (w *chanWaiter) start() { w.ch = make(chan struct{}) }
-func (w *chanWaiter) done()  { close(w.ch) }
-func (w *chanWaiter) wait()  { <-w.ch }
-
 // writeLeaderBatch bounds how many queued writes one leader pass applies.
 const writeLeaderBatch = 128
 
@@ -50,10 +42,22 @@ func NewLevelDB(cfg Config) (*LevelDB, error) {
 		cfg.Storage.CompactionThreads = 1
 	}
 	db := &LevelDB{writeCh: make(chan *writeReq, 4096)}
-	if err := db.init(cfg); err != nil {
+	// A batch is applied under the global mutex — the same single-writer
+	// application the leader performs for combined queues — and a
+	// Snapshot is captured under it like every LevelDB read.
+	err := db.init(cfg, policy{
+		write:    db.write,
+		apply:    db.applyLocked,
+		view:     db.muView,
+		snapView: db.muView,
+		endRead:  db.muSection,
+	})
+	if err != nil {
 		return nil, err
 	}
-	db.writerWg.start()
+	// The leader is background work like the flush loop: Close stops it
+	// before the final flush, so no queued write lands after it.
+	db.wg.Add(1)
 	go db.writeLeader()
 	return db, nil
 }
@@ -72,7 +76,7 @@ type pendingSync struct {
 // fsync, issued after the mutex is released, and only then are the
 // sync writers acknowledged (buffered writers were acked under the lock).
 func (db *LevelDB) writeLeader() {
-	defer db.writerWg.done()
+	defer db.wg.Done()
 	var batch []*writeReq
 	var pending []*pendingSync
 	for {
@@ -102,11 +106,11 @@ func (db *LevelDB) writeLeader() {
 			pending = pending[:0]
 			db.mu.Lock()
 			for _, r := range batch {
-				err := db.waitRoomLocked()
+				err := db.waitRoomLocked(context.Background())
 				var w *wal.Writer
 				var off int64
 				if err == nil {
-					w, off, err = db.insertLocked(r.kind, r.key, r.value, r.durability != kv.DurabilityNone)
+					w, off, err = db.insertLocked(r.kind, r.key, r.value, r.durability)
 				}
 				if err == nil && r.durability == kv.DurabilitySync && w != nil {
 					pending = append(pending, &pendingSync{req: r, w: w, off: off})
@@ -116,149 +120,36 @@ func (db *LevelDB) writeLeader() {
 			}
 			db.mu.Unlock()
 			// One barrier per segment the pass touched (normally one; a
-			// memtable switch mid-pass adds a second). commitSync's fast
+			// memtable switch mid-pass adds a second). CommitSync's fast
 			// path makes the later laps free.
 			for _, p := range pending {
-				p.req.done <- db.commitSync(p.w, p.off)
+				p.req.done <- storage.CommitSync(db.sealedLog(), p.w, p.off)
 			}
 		}
 	}
 }
 
-func (db *LevelDB) write(ctx context.Context, kind keys.Kind, key, value []byte, opts []kv.WriteOption) error {
-	if db.closed.Load() {
-		return ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := db.loadFlushErr(); err != nil {
-		return err
-	}
-	d, err := db.resolveDurability(opts)
-	if err != nil {
-		return err
-	}
+// write queues the update for the write leader. The leader acknowledges
+// a Sync-class write only after its pass's shared barrier, so no commit
+// record is left for base to wait on.
+func (db *LevelDB) write(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (*wal.Writer, int64, error) {
 	req := &writeReq{kind: kind, key: key, value: value, durability: d, done: make(chan error, 1)}
 	select {
 	case db.writeCh <- req:
 	case <-db.closing:
-		return ErrClosedBaseline
+		return nil, 0, ErrClosedBaseline
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 	// Cancellation here abandons the wait, not the write: the leader may
 	// still apply the queued update. Context errors mean "the caller
 	// stopped waiting", never "the operation did not happen".
 	select {
 	case err := <-req.done:
-		return err
+		return nil, 0, err
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, 0, ctx.Err()
 	}
-}
-
-// Put queues the update for the write leader.
-func (db *LevelDB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	db.ops.Puts.Add(1)
-	return db.write(ctx, keys.KindSet, key, value, opts)
-}
-
-// Delete queues a tombstone.
-func (db *LevelDB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	db.ops.Deletes.Add(1)
-	return db.write(ctx, keys.KindDelete, key, nil, opts)
-}
-
-// Get takes the global mutex at the start (to capture the view) and again
-// at the end (LevelDB releases its memtable/version references under the
-// lock) — the read-side critical sections of §2.2.
-func (db *LevelDB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	if db.closed.Load() {
-		return nil, false, ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	db.ops.Gets.Add(1)
-	db.mu.Lock()
-	mem, imm, snap := db.snapshotLocked()
-	db.mu.Unlock()
-	v, ok, err := db.getFrom(mem, imm, nil, snap, key)
-	db.mu.Lock() // the "end" critical section: unref metadata
-	db.mu.Unlock()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return keys.Clone(v), true, nil
-}
-
-// Scan produces a snapshot scan with the same two critical sections.
-func (db *LevelDB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
-	if db.closed.Load() {
-		return nil, ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	db.ops.Scans.Add(1)
-	db.mu.Lock()
-	mem, imm, snap := db.snapshotLocked()
-	db.mu.Unlock()
-	pairs, err := db.scanFrom(ctx, mem, imm, snap, low, high)
-	db.mu.Lock()
-	db.mu.Unlock()
-	return pairs, err
-}
-
-// NewIterator streams a pinned snapshot; the closing critical section
-// (releasing metadata under the global lock) runs at Close.
-func (db *LevelDB) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
-	if db.closed.Load() {
-		return nil, ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	db.ops.Iterators.Add(1)
-	db.mu.Lock()
-	mem, imm, snap := db.snapshotLocked()
-	db.mu.Unlock()
-	return db.newSnapshotIter(ctx, mem, imm, nil, snap, low, high, func() {
-		db.mu.Lock()
-		db.mu.Unlock()
-	})
-}
-
-// Snapshot pins a repeatable-read view, captured under the global mutex
-// like every LevelDB read.
-func (db *LevelDB) Snapshot(ctx context.Context) (kv.View, error) {
-	if db.closed.Load() {
-		return nil, ErrClosedBaseline
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	mem, imm, snap := db.snapshotLocked()
-	db.mu.Unlock()
-	return db.newSnapshot(mem, imm, snap), nil
-}
-
-// Apply commits the batch atomically under the global mutex — the same
-// single-writer application the leader performs for combined queues.
-func (db *LevelDB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) error {
-	return db.applyBatch(ctx, b, opts)
-}
-
-// Close shuts down the leader and flushes.
-func (db *LevelDB) Close() error {
-	if db.closed.Load() {
-		return nil
-	}
-	err := db.closeCommon() // closes db.closing, stopping the leader
-	db.writerWg.wait()
-	return err
 }
 
 var _ kv.Store = (*LevelDB)(nil)

@@ -5,6 +5,16 @@
 // LevelDB and share its disk format, so holding the disk constant isolates
 // exactly the axis the paper studies (§2.2).
 //
+// Policy and mechanism live apart. base (base.go) is the one
+// implementation of the kv.Store contract: the closed and context checks,
+// the op counters, durability, the Sync-class commit, reads, snapshot
+// handles, checkpoints, flushes and shutdown. Each variant's file holds
+// only its policy, the row of README's six-system table: how it orders a
+// write and a batch, how a reader captures (mem, imm, seq), whether a read
+// ends with a critical section, and how Snapshot excludes in-flight
+// inserts. The WAL segments' lifecycle — replay, commit sync, retirement,
+// close and crash — is internal/storage's, shared with FloDB.
+//
 // All four keep LevelDB's multi-versioned memtable: every update appends a
 // new (key, seq) version and old versions are discarded only during
 // compaction. This is the behaviour §3.2 contrasts with FloDB's in-place

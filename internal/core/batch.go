@@ -7,6 +7,7 @@ import (
 	"flodb/internal/kv"
 	"flodb/internal/rcu"
 	"flodb/internal/skiplist"
+	"flodb/internal/storage"
 	"flodb/internal/wal"
 )
 
@@ -46,7 +47,7 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 	if err := db.loadPersistErr(); err != nil {
 		return err
 	}
-	d, err := db.resolveDurability(opts)
+	d, err := storage.ResolveDurability(db.cfg.Durability, !db.cfg.DisableWAL, opts)
 	if err != nil {
 		return err
 	}
@@ -75,7 +76,7 @@ func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) er
 	// store's switch/scan lock across a disk barrier would hand every
 	// scanner and the persister the fsync's latency.
 	if d == kv.DurabilitySync {
-		return db.commitSync(syncW, syncOff)
+		return storage.CommitSync(db.sealedLog(), syncW, syncOff)
 	}
 	return nil
 }

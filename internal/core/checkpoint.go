@@ -2,11 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"flodb/internal/kv"
-	"flodb/internal/wal"
+	"flodb/internal/storage"
 )
 
 // Checkpoint writes an openable copy of the store into dir (which must
@@ -48,10 +47,8 @@ func (db *DB) Checkpoint(ctx context.Context, dir string) error {
 	// the pause is short.
 	db.persistMu.Lock()
 	defer db.persistMu.Unlock()
-	if g := db.gen.Load(); g.mtb.wal != nil {
-		if err := g.mtb.wal.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) {
-			return err
-		}
+	if err := storage.SyncLogs(db.gen.Load().mtb.wal); err != nil {
+		return err
 	}
 	return db.store.Checkpoint(dir)
 }

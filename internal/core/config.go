@@ -115,17 +115,11 @@ func (c *Config) fillDefaults() error {
 	if c.DropPersist {
 		c.DisableWAL = true
 	}
-	if !c.Durability.Valid() {
-		return fmt.Errorf("core: invalid Durability %v", c.Durability)
+	d, err := storage.DefaultDurability(c.Durability, !c.DisableWAL)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	if c.DisableWAL {
-		if c.Durability == kv.DurabilityBuffered || c.Durability == kv.DurabilitySync {
-			return fmt.Errorf("core: default Durability %v requires the WAL, but the WAL is disabled: %w", c.Durability, kv.ErrNotSupported)
-		}
-		c.Durability = kv.DurabilityNone
-	} else if c.Durability == kv.DurabilityDefault {
-		c.Durability = kv.DurabilityBuffered
-	}
+	c.Durability = d
 	return nil
 }
 

@@ -57,14 +57,10 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"flodb/internal/keys"
 	"flodb/internal/kv"
 	"flodb/internal/membuffer"
 	"flodb/internal/obs"
@@ -241,9 +237,13 @@ func Open(cfg Config) (*DB, error) {
 		}
 		db.store = store
 		db.seq.Store(store.LastSeq())
-		if err := db.recoverWALs(); err != nil {
-			store.Close()
-			return nil, err
+		if !cfg.DisableWAL {
+			seq, err := store.RecoverLogs(func() storage.ReplayMem { return newMemtableList(db.memtableTarget) })
+			if err != nil {
+				store.Close()
+				return nil, err
+			}
+			db.seq.Store(seq)
 		}
 	}
 	storage.RegisterMetrics(db.reg, db.store, &db.walMetrics)
@@ -369,8 +369,8 @@ func (db *DB) newMemtable() (*memtable, error) {
 	if db.cfg.DisableWAL || db.store == nil {
 		return m, nil
 	}
-	m.walNum = db.store.NewFileNum()
-	w, err := wal.Create(storage.WALFileName(db.cfg.Dir, m.walNum), wal.Options{
+	var err error
+	m.walNum, m.wal, err = db.store.CreateLog(wal.Options{
 		Metrics:      &db.walMetrics,
 		WriteThrough: db.cfg.WALWriteThrough,
 		Events:       db.events,
@@ -378,58 +378,7 @@ func (db *DB) newMemtable() (*memtable, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.wal = w
 	return m, nil
-}
-
-// recoverWALs replays WAL segments >= the manifest's log number, flushing
-// each recovered memtable to L0 (LevelDB's recovery shape).
-func (db *DB) recoverWALs() error {
-	if db.cfg.DisableWAL {
-		return nil
-	}
-	logNum := db.store.LogNum()
-	entries, err := os.ReadDir(db.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	var segs []uint64
-	for _, ent := range entries {
-		kind, num := storage.ParseFileName(ent.Name())
-		if kind == storage.KindWAL && num >= logNum {
-			segs = append(segs, num)
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	for _, num := range segs {
-		m := newMemtableList(db.memtableTarget)
-		m.walNum = num
-		// ForEachOp handles both single-op records and multi-op batch
-		// records. Atomicity of a batch is inherited from WAL framing: a
-		// torn batch record fails its CRC as a whole, so recovery replays
-		// either every op of a batch or none.
-		err := wal.ReplayAll(storage.WALFileName(db.cfg.Dir, num), func(rec []byte) error {
-			return kv.ForEachOp(rec, func(kind keys.Kind, key, value []byte) error {
-				e := &skiplist.Entry{
-					Value:     keys.Clone(value),
-					Seq:       db.seq.Add(1),
-					Tombstone: kind == keys.KindDelete,
-				}
-				m.insert(key, keys.Hash(key), e)
-				return nil
-			})
-		})
-		if err != nil {
-			return fmt.Errorf("core: replay wal %d: %w", num, err)
-		}
-		if !m.list.Empty() {
-			if _, err := db.store.Flush(newMemtableIter(m), num+1, db.seq.Load()); err != nil {
-				return fmt.Errorf("core: flush recovered wal %d: %w", num, err)
-			}
-		}
-		os.Remove(storage.WALFileName(db.cfg.Dir, num))
-	}
-	return nil
 }
 
 // Close drains and flushes the memory component, then shuts down.
@@ -444,65 +393,20 @@ func (db *DB) Close() error {
 	}
 	db.wg.Wait()
 
-	firstErr := db.loadPersistErr()
-
+	err := db.loadPersistErr()
+	if db.store == nil {
+		return err // DropPersist: no log and nothing to persist
+	}
 	g := db.gen.Load()
-	flushed := false
-	if db.store != nil && firstErr == nil {
-		// Final persist: drain the membuffer into the memtable and flush.
-		if g.mbf != nil {
-			g.mbf.Freeze()
-			db.domain.Synchronize()
-			db.drainBuffer(g.mbf, g.mtb, &db.seq)
-		}
-		if !g.mtb.list.Empty() {
-			newLog := g.mtb.walNum + 1
-			if db.cfg.DisableWAL {
-				newLog = db.store.NewFileNum()
-			}
-			if _, err := db.store.Flush(newMemtableIter(g.mtb), newLog, db.seq.Load()); err != nil {
-				firstErr = err
-			} else {
-				flushed = true
-				if !db.cfg.DisableWAL {
-					if g.mtb.wal != nil {
-						g.mtb.wal.MarkContentsDurable()
-					}
-					os.Remove(storage.WALFileName(db.cfg.Dir, g.mtb.walNum))
-				}
-			}
-		} else {
-			flushed = true // nothing unpersisted; the WAL tail is redundant
-		}
+	if err == nil && g.mbf != nil {
+		// Final persist: drain the Membuffer into the Memtable, which
+		// Shutdown flushes. A persist failure may have stranded the sealed
+		// generation; Shutdown syncs its segment before closing it.
+		g.mbf.Freeze()
+		db.domain.Synchronize()
+		db.drainBuffer(g.mbf, g.mtb, &db.seq)
 	}
-	// When the final flush was skipped (background persist failure) or
-	// failed, the WAL tail is the only copy of acked writes — and
-	// wal.Writer.Close does not fsync. Sync it so a clean shutdown never
-	// widens the acked-but-lost window, then close. A persist failure may
-	// also strand the sealed generation: its segment still holds acked
-	// records, so it gets the same sync-then-close treatment.
-	if !flushed {
-		if err := g.mtb.syncWAL(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := g.mtb.closeWAL(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if imm := db.immMtb.Load(); imm != nil && imm.wal != nil {
-		if err := imm.syncWAL(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := imm.closeWAL(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if db.store != nil {
-		if err := db.store.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return db.store.Shutdown(err, db.sealedLog(), g.mtb.NewIterator(), g.mtb.wal, g.mtb.walNum, db.seq.Load())
 }
 
 // Sync is the durability barrier of the kv.Store contract: it blocks
@@ -531,15 +435,17 @@ func (db *DB) Sync(ctx context.Context) error {
 	// Active generation loaded first: if a switch races us, the pair we
 	// loaded becomes the sealed one and we still sync the segment that
 	// holds every pre-call record. Segments retired meanwhile are durable
-	// through their sstable flush (syncWAL maps ErrClosed to nil).
+	// through their sstable flush.
 	g := db.gen.Load()
-	if imm := db.immMtb.Load(); imm != nil {
-		if err := imm.syncWAL(); err != nil {
-			return err
-		}
-	}
-	return g.mtb.syncWAL()
+	return storage.SyncLogs(db.sealedLog(), g.mtb.wal)
 }
+
+// sealedLog is the segment of the sealed Memtable a persist is flushing,
+// if any: a Sync-class commit and the Sync barrier make it durable before
+// the active one. persistCycle publishes immMtb before the new
+// generation, so a writer whose record landed in the successor segment is
+// guaranteed to see the sealed one here while it is still live.
+func (db *DB) sealedLog() *wal.Writer { return db.immMtb.Load().log() }
 
 func (db *DB) loadPersistErr() error {
 	if p := db.persistErr.Load(); p != nil {
@@ -567,14 +473,8 @@ func (db *DB) CrashForTesting() {
 	}
 	close(db.closing)
 	db.wg.Wait()
-	if imm := db.immMtb.Load(); imm != nil && imm.wal != nil {
-		imm.wal.Abandon()
-	}
-	if g := db.gen.Load(); g.mtb.wal != nil {
-		g.mtb.wal.Abandon()
-	}
 	if db.store != nil {
-		db.store.Close()
+		db.store.Crash(db.sealedLog(), db.gen.Load().mtb.wal)
 	}
 }
 

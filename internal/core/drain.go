@@ -227,7 +227,7 @@ func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *gener
 	// writer that reaches the new generation's WAL segment observes the
 	// sealed generation through immMtb, which is what lets a Sync-class
 	// commit in the new segment extend its barrier over the sealed
-	// segment's tail (commitSync's prefix rule). Readers tolerate the
+	// segment's tail (storage.CommitSync's prefix rule). Readers tolerate the
 	// transient double-publication (the same table reachable as both
 	// active and immutable) because the Get order just checks it twice.
 	// Until the seal point is drawn every Memtable entry predates the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/bits"
 	"sync/atomic"
 
@@ -86,25 +85,20 @@ func (m *memtable) get(key []byte, h uint64) (*skiplist.Entry, bool) {
 	return m.list.Get(key)
 }
 
-// closeWAL flushes and closes the segment (nil-safe).
-func (m *memtable) closeWAL() error {
-	if m.wal == nil {
+// log returns the generation's WAL segment: nil for a nil memtable or
+// when the WAL is disabled.
+func (m *memtable) log() *wal.Writer {
+	if m == nil {
 		return nil
 	}
-	return m.wal.Close()
+	return m.wal
 }
 
-// syncWAL forces the segment's tail durable (nil-safe). A segment closed
-// by a completed persist is already durable through its sstable flush, so
-// wal.ErrClosed reports success.
-func (m *memtable) syncWAL() error {
-	if m.wal == nil {
-		return nil
-	}
-	if err := m.wal.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) {
-		return err
-	}
-	return nil
+// Insert is insert for WAL replay (storage.ReplayMem): it builds the
+// entry from the replayed op, cloning the value the replay buffer holds.
+func (m *memtable) Insert(key []byte, seq uint64, kind keys.Kind, value []byte) {
+	e := &skiplist.Entry{Value: keys.Clone(value), Seq: seq, Tombstone: kind == keys.KindDelete}
+	m.insert(key, keys.Hash(key), e)
 }
 
 // memtableIter adapts the skiplist iterator to storage.InternalIterator
@@ -114,7 +108,9 @@ type memtableIter struct {
 	it *skiplist.Iterator
 }
 
-func newMemtableIter(m *memtable) *memtableIter {
+// NewIterator yields the generation's entries for an L0 flush (and is
+// storage.ReplayMem's).
+func (m *memtable) NewIterator() storage.InternalIterator {
 	return &memtableIter{it: m.list.NewIterator()}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"flodb/internal/kv"
 	"flodb/internal/rcu"
 	"flodb/internal/skiplist"
+	"flodb/internal/storage"
 	"flodb/internal/wal"
 )
 
@@ -154,7 +154,7 @@ func (db *DB) getSealed(g *generation, key []byte, h uint64) (v []byte, tomb, ok
 // and clones the value for its entry.
 func (db *DB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
 	db.stats.Puts.Add(1)
-	d, err := db.resolveDurability(opts)
+	d, err := storage.ResolveDurability(db.cfg.Durability, !db.cfg.DisableWAL, opts)
 	if err != nil {
 		return err
 	}
@@ -168,7 +168,7 @@ func (db *DB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption
 // value"). Like Put, it keeps no reference to key.
 func (db *DB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
 	db.stats.Deletes.Add(1)
-	d, err := db.resolveDurability(opts)
+	d, err := storage.ResolveDurability(db.cfg.Durability, !db.cfg.DisableWAL, opts)
 	if err != nil {
 		return err
 	}
@@ -176,47 +176,6 @@ func (db *DB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) er
 	err = db.update(ctx, key, tombstoneMarker, true, d)
 	db.stats.deleteLat.Observe(opClock() - start)
 	return err
-}
-
-// resolveDurability folds per-op options over the configured default and
-// rejects logged classes on a store that has no log to back them.
-func (db *DB) resolveDurability(opts []kv.WriteOption) (kv.Durability, error) {
-	d := db.cfg.Durability
-	if len(opts) > 0 {
-		d = kv.ResolveWriteOptions(db.cfg.Durability, opts...).Durability
-	}
-	if !d.Valid() {
-		return 0, fmt.Errorf("flodb: invalid durability %v", d)
-	}
-	if d != kv.DurabilityNone && (db.cfg.DisableWAL || db.store == nil) {
-		return 0, fmt.Errorf("flodb: %v durability without a WAL: %w", d, kv.ErrNotSupported)
-	}
-	return d, nil
-}
-
-// commitSync is the commit point of a Sync-class write: it blocks until
-// the group-commit queue covers the record appended at off. Durability is
-// prefix-ordered: if a sealed generation's segment is still live, its tail
-// is synced FIRST, so a Sync-acked write never survives a crash that loses
-// an earlier acked write (no holes in commit order). A segment closed
-// underneath us was retired by a completed persist, so its contents are
-// durable through sstables and the barrier is satisfied.
-func (db *DB) commitSync(w *wal.Writer, off int64) error {
-	if w == nil {
-		return nil
-	}
-	// persistCycle publishes immMtb before the new generation, so a
-	// writer whose record landed in the successor segment is guaranteed
-	// to see the sealed one here while it is still live.
-	if imm := db.immMtb.Load(); imm != nil && imm.wal != nil && imm.wal != w {
-		if err := imm.syncWAL(); err != nil {
-			return err
-		}
-	}
-	if err := w.SyncTo(off); err != nil && !errors.Is(err, wal.ErrClosed) {
-		return err
-	}
-	return nil
 }
 
 // update is Algorithm 2's Put. The fast path tries the Membuffer; if the
@@ -284,7 +243,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 				db.stats.inPlaceHits.Add(1)
 			}
 			if d == kv.DurabilitySync {
-				return db.commitSync(syncW, syncOff)
+				return storage.CommitSync(db.sealedLog(), syncW, syncOff)
 			}
 			return nil
 		}
@@ -335,7 +294,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			db.signalPersist()
 		}
 		if d == kv.DurabilitySync {
-			return db.commitSync(syncW, syncOff)
+			return storage.CommitSync(db.sealedLog(), syncW, syncOff)
 		}
 		return nil
 	}

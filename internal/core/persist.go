@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"flodb/internal/obs"
-	"flodb/internal/storage"
 )
 
 // persistLoop is the dedicated persisting thread (§4.2): when the Memtable
@@ -92,11 +90,11 @@ func (db *DB) persistCycle() error {
 	}
 	db.hook(hookPersisting)
 
-	newLog := next.walNum
-	if db.cfg.DisableWAL {
-		newLog = db.store.NewFileNum()
-	}
-	if _, err := db.store.Flush(newMemtableIter(old.mtb), newLog, db.seq.Load()); err != nil {
+	// The flush retires the old generation's segment: its records are
+	// durable through the new table. A Sync-class commit or a Sync barrier
+	// that still loads immMtb finds the segment closed, which counts as
+	// durable.
+	if err := db.store.FlushLog(old.mtb.NewIterator(), db.seq.Load(), old.mtb.wal, old.mtb.walNum, next.walNum); err != nil {
 		return err
 	}
 	// The old Memtable's data is in tables; RCU ensures in-flight readers
@@ -106,17 +104,6 @@ func (db *DB) persistCycle() error {
 	db.domain.Synchronize()
 	db.immMtb.Store(nil)
 	if old.mtb.wal != nil {
-		// The generation's contents just reached sstables: every record
-		// in its segment is durable through the flush, whether or not an
-		// fsync ever covered it. Advance the acked-vs-durable boundary
-		// before retiring the segment.
-		old.mtb.wal.MarkContentsDurable()
-	}
-	if err := old.mtb.closeWAL(); err != nil {
-		return err
-	}
-	if !db.cfg.DisableWAL {
-		os.Remove(storage.WALFileName(db.cfg.Dir, old.mtb.walNum))
 		db.events.Emit(obs.Event{
 			Type: obs.EventWALRotate, Bytes: sealBytes,
 			Detail: fmt.Sprintf("segment %d -> %d", old.mtb.walNum, next.walNum),

@@ -340,3 +340,46 @@ func TestAllSystemsStatsCountOps(t *testing.T) {
 		})
 	}
 }
+
+// TestAllSystemsClosedStoreRejects holds every system to the closed-store
+// half of the kv.Store contract: after Close, every entry point fails with
+// an error that is kv.ErrClosed, and a second Close is a no-op.
+func TestAllSystemsClosedStoreRejects(t *testing.T) {
+	for _, sys := range AllSystems {
+		t.Run(string(sys), func(t *testing.T) {
+			dir := t.TempDir()
+			s := openSysWAL(t, sys, dir)
+			key := keys.EncodeUint64(1)
+			if err := s.Put(bg, key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b := kv.NewBatch()
+			b.Put(key, []byte("w"))
+			calls := []struct {
+				name string
+				call func() error
+			}{
+				{"Get", func() error { _, _, err := s.Get(bg, key); return err }},
+				{"Put", func() error { return s.Put(bg, key, []byte("w")) }},
+				{"Delete", func() error { return s.Delete(bg, key) }},
+				{"Apply", func() error { return s.Apply(bg, b) }},
+				{"Scan", func() error { _, err := s.Scan(bg, nil, nil); return err }},
+				{"NewIterator", func() error { _, err := s.NewIterator(bg, nil, nil); return err }},
+				{"Snapshot", func() error { _, err := s.Snapshot(bg); return err }},
+				{"Sync", func() error { return s.Sync(bg) }},
+				{"Checkpoint", func() error { return s.Checkpoint(bg, filepath.Join(dir, "ckpt")) }},
+			}
+			for _, c := range calls {
+				if err := c.call(); !errors.Is(err, kv.ErrClosed) {
+					t.Errorf("%s after Close = %v, want kv.ErrClosed", c.name, err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Errorf("second Close = %v, want nil", err)
+			}
+		})
+	}
+}

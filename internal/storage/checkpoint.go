@@ -26,7 +26,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // checkpointRetries bounds how often an online Checkpoint retries when
@@ -148,19 +148,11 @@ func writeCheckpoint(srcDir, dst string, v *Version, logNum, lastSeq, nextFileNu
 // that copy, so every record of segment N was already durable in the
 // file when N is copied afterwards.
 func copyWALTail(srcDir, dst string, logNum uint64) error {
-	entries, err := os.ReadDir(srcDir)
+	segs, err := liveLogs(srcDir, logNum)
 	if err != nil {
 		return err
 	}
-	var segs []uint64
-	for _, ent := range entries {
-		kind, num := ParseFileName(ent.Name())
-		if kind == KindWAL && num >= logNum {
-			segs = append(segs, num)
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] > segs[j] })
-	for _, num := range segs {
+	for _, num := range slices.Backward(segs) {
 		if err := copyFile(WALFileName(srcDir, num), WALFileName(dst, num)); err != nil {
 			return err
 		}

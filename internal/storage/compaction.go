@@ -32,7 +32,7 @@ func (c *compaction) allInputs() []*FileMeta {
 func (s *Store) maxBytesForLevel(l int) int64 {
 	n := s.opts.BaseLevelBytes
 	for i := 1; i < l; i++ {
-		n *= int64(s.opts.LevelMultiplier)
+		n *= levelMultiplier
 	}
 	return n
 }

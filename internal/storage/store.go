@@ -24,16 +24,15 @@ type Options struct {
 	// L0StallThreshold is the L0 file count at which the memory component
 	// should apply backpressure to writers (default 12).
 	L0StallThreshold int
-	// BaseLevelBytes is the L1 size target; each deeper level is
-	// LevelMultiplier times larger (defaults 8 MiB × 10). Stores with a
-	// memory component size it with SizeBaseLevel instead.
-	BaseLevelBytes  int64
-	LevelMultiplier int
+	// BaseLevelBytes is the L1 size target (default 8 MiB); each deeper
+	// level is levelMultiplier times larger. Stores with a memory
+	// component size it with SizeBaseLevel instead.
+	BaseLevelBytes int64
 	// TargetFileSize bounds compaction output files (default 2 MiB).
 	TargetFileSize int64
-	// BlockSize and BloomBitsPerKey pass through to sstable writers.
-	BlockSize       int
-	BloomBitsPerKey int
+	// BlockSize passes through to sstable writers; their bloom filters
+	// take sstable's default bits per key.
+	BlockSize int
 	// CompactionThreads sets the background compaction parallelism
 	// (default 1; the RocksDB-style baseline raises it, §2.2).
 	CompactionThreads int
@@ -53,6 +52,10 @@ type Options struct {
 
 // DefaultL0CompactionTrigger is L0CompactionTrigger's default.
 const DefaultL0CompactionTrigger = 4
+
+// levelMultiplier is how much larger each level below L1 is than the one
+// above it (LevelDB's ×10).
+const levelMultiplier = 10
 
 // SizeBaseLevel sets an unset BaseLevelBytes to hold one L0 compaction:
 // L0CompactionTrigger flushes of a memtableBytes memory component. A
@@ -83,9 +86,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.BaseLevelBytes <= 0 {
 		o.BaseLevelBytes = 8 << 20
-	}
-	if o.LevelMultiplier <= 1 {
-		o.LevelMultiplier = 10
 	}
 	if o.TargetFileSize <= 0 {
 		o.TargetFileSize = 2 << 20
@@ -212,7 +212,7 @@ func (s *Store) SetLogNum(logNum, lastSeq uint64) error {
 
 // tableOpts builds sstable writer options from the store options.
 func (s *Store) tableOpts() sstable.WriterOptions {
-	return sstable.WriterOptions{BlockSize: s.opts.BlockSize, BloomBitsPerKey: s.opts.BloomBitsPerKey}
+	return sstable.WriterOptions{BlockSize: s.opts.BlockSize}
 }
 
 // Flush persists the contents of it as one L0 table. newLogNum is the WAL
