@@ -97,7 +97,8 @@ func (h *memHandle) logBatch(d kv.Durability, b *kv.Batch) (*wal.Writer, int64, 
 // policy is all a variant adds to base: what its row in README's
 // six-system table says. Everything else — the closed and context checks,
 // the op counters, durability, the Sync-class commit, the read paths,
-// snapshot handles, flushes and the log lifecycle — is base's.
+// flushes, and the log and read-view lifecycles it takes from
+// internal/storage — is base's.
 type policy struct {
 	// write orders one update against the others and inserts it. It
 	// returns the update's commit record, which base waits on for a
@@ -111,15 +112,17 @@ type policy struct {
 	// snapView captures a Snapshot's bound, excluding inserts still in
 	// flight below it.
 	snapView func() (mem, imm *memHandle, snap uint64)
-	// endRead, when set, is the critical section every read ends with.
+	// endRead, when set, is the critical section every read ends with:
+	// a point read's, and a pinned view's when its last reference drops.
 	endRead func()
 }
 
 // base is the one implementation of the kv.Store contract the four
 // variants share, over versioned memtables, a WAL segment per memtable
-// (whose lifecycle internal/storage owns), flush scheduling, snapshot
-// reads and scans. Locking POLICY lives in the variants' policy; base
-// supplies the mechanism and calls the policy where the variants differ.
+// (whose lifecycle internal/storage owns), flush scheduling, and reads
+// through storage.Reader's bounded Get, iterator and snapshot handle.
+// Locking POLICY lives in the variants' policy; base supplies the
+// mechanism and calls the policy where the variants differ.
 type base struct {
 	cfg   Config
 	store *storage.Store
@@ -161,6 +164,9 @@ type base struct {
 	// and disk component, under the metric names FloDB registers.
 	reg *obs.Registry
 	ops kv.OpCounters
+	// reads is the read side the engines share: the bounded Get, and the
+	// iterator and snapshot handles over a captured view.
+	reads storage.Reader
 }
 
 func (b *base) init(cfg Config, pol policy) error {
@@ -179,6 +185,10 @@ func (b *base) init(cfg Config, pol policy) error {
 	b.store = store
 	b.reg = obs.NewRegistry()
 	b.ops = kv.NewOpCounters(b.reg)
+	b.reads = storage.Reader{Store: store, Check: b.check, Iterators: b.ops.Iterators}
+	if pol.endRead != nil {
+		b.reads.Release = func(uint64) { pol.endRead() }
+	}
 	storage.RegisterMetrics(b.reg, store, &b.walMetrics)
 	b.lastSeq = store.LastSeq()
 	b.immCond = sync.NewCond(&b.mu)
@@ -498,51 +508,77 @@ func (b *base) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	b.ops.Gets.Add(1)
-	mem, imm, snap := b.pol.view()
-	v, ok, err := b.getFrom(mem, imm, nil, snap, key)
+	v, ok, err := b.reads.Get(readView(b.pol.view()), key)
 	b.endRead()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return keys.Clone(v), true, nil
+	return v, ok, err
 }
 
-// Scan produces a snapshot scan at the view the policy captures.
+// Scan produces a snapshot scan at the view the policy captures: a
+// drained iterator.
 func (b *base) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
 	if err := b.check(ctx); err != nil {
 		return nil, err
 	}
 	b.ops.Scans.Add(1)
-	mem, imm, snap := b.pol.view()
-	pairs, err := b.scanFrom(ctx, mem, imm, snap, low, high)
-	b.endRead()
-	return pairs, err
+	it, err := b.reads.NewIterator(ctx, b.pinned(b.pol.view()), low, high)
+	if err != nil {
+		return nil, err
+	}
+	return kv.Collect(it)
 }
 
 // NewIterator streams a pinned snapshot of the view the policy captures;
-// the read's closing critical section, if any, runs at Close.
+// the read's closing critical section, if any, runs at Close. The
+// multi-versioned design pins ONE snapshot for the iterator's whole
+// lifetime — versions newer than the bound stay invisible however long
+// the caller iterates, with no restarts (the memory-for-stability trade
+// §3.2 discusses).
 func (b *base) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
 	if err := b.check(ctx); err != nil {
 		return nil, err
 	}
 	b.ops.Iterators.Add(1)
-	mem, imm, snap := b.pol.view()
-	return b.newSnapshotIter(ctx, mem, imm, nil, snap, low, high, b.pol.endRead)
+	return b.reads.NewIterator(ctx, b.pinned(b.pol.view()), low, high)
 }
 
 // Snapshot pins a repeatable-read view at the bound the policy captures.
+// The multi-versioned memtables make this nearly free: the handle
+// references the captured memtable generation(s) — whose versions <= the
+// bound survive arbitrarily many later writes — and pins the current disk
+// version so compaction cannot delete the files the bound still needs.
+// The baselines simply hold on to what multi-versioning already kept;
+// FloDB's single-versioned memory component reaches the same O(1)
+// snapshot through seq-pinned version chains in its skiplist.
 func (b *base) Snapshot(ctx context.Context) (kv.View, error) {
 	if err := b.check(ctx); err != nil {
 		return nil, err
 	}
-	mem, imm, snap := b.pol.snapView()
-	return b.newSnapshot(mem, imm, snap), nil
+	b.ops.Snapshots.Add(1)
+	return b.reads.NewSnapshot(b.pinned(b.pol.snapView())), nil
 }
 
 func (b *base) endRead() {
 	if b.pol.endRead != nil {
 		b.pol.endRead()
 	}
+}
+
+// readView is a captured (mem, imm, seq) as a storage view with no disk
+// source: a point read's, which reads the live disk state.
+func readView(mem, imm *memHandle, snap uint64) storage.ReadView {
+	v := storage.ReadView{Seq: snap, Mem: [2]storage.MemLevel{mem.mem}}
+	if imm != nil {
+		v.Mem[1] = imm.mem
+	}
+	return v
+}
+
+// pinned is readView with the current disk version pinned under it, for a
+// view that outlives one call.
+func (b *base) pinned(mem, imm *memHandle, snap uint64) storage.ReadView {
+	v := readView(mem, imm, snap)
+	v.Ver = b.store.PinVersion()
+	return v
 }
 
 // muView captures the read view under the global mutex.
@@ -566,171 +602,6 @@ func (b *base) muSection() {
 	//lint:ignore SA2001 the empty critical section is the read's cost the paper measures
 	b.mu.Lock()
 	b.mu.Unlock()
-}
-
-// getFrom resolves a read against a captured view. ver, when non-nil, is
-// a pinned disk version read at the snap bound (long-lived snapshot
-// handles); nil reads the live disk state (point operations, whose view
-// was captured moments ago).
-func (b *base) getFrom(mem, imm *memHandle, ver *storage.Version, snap uint64, key []byte) ([]byte, bool, error) {
-	if v, _, kind, ok := mem.mem.Get(key, snap); ok {
-		if kind == keys.KindDelete {
-			return nil, false, nil
-		}
-		return v, true, nil
-	}
-	if imm != nil {
-		if v, _, kind, ok := imm.mem.Get(key, snap); ok {
-			if kind == keys.KindDelete {
-				return nil, false, nil
-			}
-			return v, true, nil
-		}
-	}
-	var (
-		v    []byte
-		kind keys.Kind
-		ok   bool
-		err  error
-	)
-	if ver != nil {
-		v, _, kind, ok, err = b.store.GetAt(ver, key, snap)
-	} else {
-		v, _, kind, ok, err = b.store.Get(key)
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok || kind == keys.KindDelete {
-		return nil, false, nil
-	}
-	return v, true, nil
-}
-
-// scanFrom produces a consistent snapshot scan at snap: a drained
-// snapshot iterator. Multi-versioning makes this conflict-free: versions
-// newer than snap are simply skipped — the approach whose memory cost §3.2
-// criticizes, but which needs no restarts.
-func (b *base) scanFrom(ctx context.Context, mem, imm *memHandle, snap uint64, low, high []byte) ([]kv.Pair, error) {
-	it, err := b.newSnapshotIter(ctx, mem, imm, nil, snap, low, high, nil)
-	if err != nil {
-		return nil, err
-	}
-	return kv.Collect(it)
-}
-
-// newSnapshotIter builds a streaming iterator over a captured view. The
-// multi-versioned design pins ONE snapshot for the iterator's whole
-// lifetime — versions newer than snap stay invisible however long the
-// caller iterates, with no restarts (the memory-for-stability trade §3.2
-// discusses). ver, when non-nil, is an already-pinned disk version to
-// iterate (the iterator takes its own reference); nil pins the current
-// one. The pin is released on Close; onClose, when non-nil, runs after
-// the release (the variants' end-of-read critical section).
-func (b *base) newSnapshotIter(ctx context.Context, mem, imm *memHandle, ver *storage.Version, snap uint64, low, high []byte, onClose func()) (kv.Iterator, error) {
-	if ver == nil {
-		ver = b.store.PinVersion()
-	} else {
-		b.store.AcquireVersion(ver)
-	}
-	its := []storage.InternalIterator{mem.mem.NewIterator()}
-	if imm != nil {
-		its = append(its, imm.mem.NewIterator())
-	}
-	dit, pins, err := b.store.NewVersionIterator(ver)
-	if err != nil {
-		b.store.ReleaseVersion(ver)
-		return nil, err
-	}
-	its = append(its, dit)
-	store := b.store
-	return storage.NewSnapshotIter(ctx, storage.NewMergingIterator(its...), storage.SnapshotIterOptions{
-		Low: low, High: high, MaxSeq: snap,
-		OnClose: func() {
-			pins()
-			store.ReleaseVersion(ver)
-			if onClose != nil {
-				onClose()
-			}
-		},
-	}), nil
-}
-
-// --- Snapshot handles ---------------------------------------------------------
-
-// newSnapshot wraps a captured view as a long-lived kv.View. The
-// multi-versioned memtables make this nearly free: the handle references
-// the captured memtable generation(s) — whose versions <= snap survive
-// arbitrarily many later writes — and pins the current disk version so
-// compaction cannot delete the files the bound still needs. The
-// baselines simply hold on to what multi-versioning already kept;
-// FloDB's single-versioned memory component reaches the same O(1)
-// snapshot through seq-pinned version chains in its skiplist.
-func (b *base) newSnapshot(mem, imm *memHandle, snap uint64) *baseSnapshot {
-	b.ops.Snapshots.Add(1)
-	return &baseSnapshot{b: b, mem: mem, imm: imm, snap: snap, ver: b.store.PinVersion()}
-}
-
-// baseSnapshot is a pinned read view at a sequence bound.
-type baseSnapshot struct {
-	b        *base
-	mem, imm *memHandle
-	snap     uint64
-	ver      *storage.Version
-	closed   atomic.Bool
-}
-
-var _ kv.View = (*baseSnapshot)(nil)
-
-func (s *baseSnapshot) check(ctx context.Context) error {
-	if s.closed.Load() {
-		return ErrSnapshotReleasedBaseline
-	}
-	if s.b.closed.Load() {
-		return ErrClosedBaseline
-	}
-	return ctx.Err()
-}
-
-// Get returns the value key had at the snapshot point (a copy).
-func (s *baseSnapshot) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	if err := s.check(ctx); err != nil {
-		return nil, false, err
-	}
-	v, ok, err := s.b.getFrom(s.mem, s.imm, s.ver, s.snap, key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return keys.Clone(v), true, nil
-}
-
-// Scan materializes the range at the snapshot point.
-func (s *baseSnapshot) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
-	it, err := s.NewIterator(ctx, low, high)
-	if err != nil {
-		return nil, err
-	}
-	return kv.Collect(it)
-}
-
-// NewIterator streams the snapshot's range. The iterator holds its own
-// version pin, so it survives the handle's Close.
-func (s *baseSnapshot) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
-	if err := s.check(ctx); err != nil {
-		return nil, err
-	}
-	s.b.ops.Iterators.Add(1)
-	return s.b.newSnapshotIter(ctx, s.mem, s.imm, s.ver, s.snap, low, high, nil)
-}
-
-// Close releases the snapshot's disk pin. Idempotent; outstanding
-// iterators keep their own pins and stay valid.
-func (s *baseSnapshot) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	s.b.store.ReleaseVersion(s.ver)
-	return nil
 }
 
 // --- Checkpoint and shutdown --------------------------------------------------
@@ -854,7 +725,3 @@ func (b *base) TelemetrySnapshot() obs.Snapshot { return b.reg.Snapshot() }
 // ErrClosedBaseline is returned by operations on a closed baseline store.
 // It wraps kv.ErrClosed, so errors.Is(err, kv.ErrClosed) holds.
 var ErrClosedBaseline = fmt.Errorf("baseline: %w", kv.ErrClosed)
-
-// ErrSnapshotReleasedBaseline is returned by reads through a Closed
-// snapshot handle. It wraps kv.ErrSnapshotReleased.
-var ErrSnapshotReleasedBaseline = fmt.Errorf("baseline: %w", kv.ErrSnapshotReleased)

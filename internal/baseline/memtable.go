@@ -7,13 +7,15 @@
 //
 // Policy and mechanism live apart. base (base.go) is the one
 // implementation of the kv.Store contract: the closed and context checks,
-// the op counters, durability, the Sync-class commit, reads, snapshot
-// handles, checkpoints, flushes and shutdown. Each variant's file holds
-// only its policy, the row of README's six-system table: how it orders a
-// write and a batch, how a reader captures (mem, imm, seq), whether a read
-// ends with a critical section, and how Snapshot excludes in-flight
-// inserts. The WAL segments' lifecycle — replay, commit sync, retirement,
-// close and crash — is internal/storage's, shared with FloDB.
+// the op counters, durability, the Sync-class commit, reads, checkpoints,
+// flushes and shutdown. Each variant's file holds only its policy, the
+// row of README's six-system table: how it orders a write and a batch,
+// how a reader captures (mem, imm, seq), whether a read ends with a
+// critical section, and how Snapshot excludes in-flight inserts. Two
+// lifecycles are internal/storage's, shared with FloDB: the WAL segments'
+// (replay, commit sync, retirement, close and crash) and the read view's
+// (storage.Reader: the bounded Get, and the iterator and snapshot handles
+// over a captured view, to which skipMem supplies its Get and Cursor).
 //
 // All four keep LevelDB's multi-versioned memtable: every update appends a
 // new (key, seq) version and old versions are discarded only during
@@ -71,14 +73,25 @@ func (m *skipMem) ApproxBytes() int64 { return m.list.ApproxBytes() }
 // Len counts stored versions.
 func (m *skipMem) Len() int { return m.list.Len() }
 
-// NewIterator yields versions in (ukey asc, seq desc) order.
-func (m *skipMem) NewIterator() storage.InternalIterator {
-	return &skipMemIter{it: m.list.NewIterator()}
+// Cursor walks every version in (ukey asc, seq desc) order
+// (storage.MemLevel); versions above bound are the view's to skip. It
+// re-aims reuse when that is one of ours.
+func (m *skipMem) Cursor(reuse storage.MemCursor, _ uint64) storage.MemCursor {
+	c, _ := reuse.(*skipMemIter)
+	if c == nil {
+		c = new(skipMemIter)
+	}
+	c.it.Reset(m.list)
+	return c
 }
+
+// NewIterator yields every version, for a flush (and is
+// storage.ReplayMem's).
+func (m *skipMem) NewIterator() storage.InternalIterator { return m.Cursor(nil, keys.MaxSeq) }
 
 // skipMemIter decodes internal keys into the InternalIterator contract.
 type skipMemIter struct {
-	it *skiplist.Iterator
+	it skiplist.Iterator
 }
 
 func (a *skipMemIter) SeekToFirst() { a.it.SeekToFirst() }
@@ -98,3 +111,6 @@ func (a *skipMemIter) Kind() keys.Kind {
 }
 func (a *skipMemIter) Value() []byte { return a.it.Entry().Value }
 func (a *skipMemIter) Err() error    { return nil }
+func (a *skipMemIter) Release()      { a.it.Reset(nil) }
+
+var _ storage.MemLevel = (*skipMem)(nil)

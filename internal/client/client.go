@@ -49,25 +49,18 @@ import (
 type Option func(*options)
 
 type options struct {
-	conns       int
-	dialTimeout time.Duration
-	chunkPairs  int
+	conns      int
+	chunkPairs int
 }
+
+// dialTimeout bounds each connection attempt.
+const dialTimeout = 5 * time.Second
 
 // WithConns sets the connection-pool size (default 4).
 func WithConns(n int) Option {
 	return func(o *options) {
 		if n > 0 {
 			o.conns = n
-		}
-	}
-}
-
-// WithDialTimeout bounds each connection attempt (default 5s).
-func WithDialTimeout(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.dialTimeout = d
 		}
 	}
 }
@@ -95,7 +88,7 @@ type Client struct {
 // with an error satisfying errors.Is(err, kv.ErrUnavailable); a server
 // from another protocol generation with wire.ErrVersionMismatch.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	o := options{conns: 4, dialTimeout: 5 * time.Second, chunkPairs: 512}
+	o := options{conns: 4, chunkPairs: 512}
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&o)
@@ -116,7 +109,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 }
 
 func (cl *Client) dialConn() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", cl.addr, cl.opts.dialTimeout)
+	nc, err := net.DialTimeout("tcp", cl.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %v: %w", cl.addr, err, kv.ErrUnavailable)
 	}
@@ -125,7 +118,7 @@ func (cl *Client) dialConn() (*conn, error) {
 	}
 	// Handshake: our hello, their hello, negotiated frame cap. Bounded by
 	// the dial timeout — a mute peer is a failed dial, not a hung pool.
-	nc.SetDeadline(time.Now().Add(cl.opts.dialTimeout))
+	nc.SetDeadline(time.Now().Add(dialTimeout))
 	br := bufio.NewReaderSize(nc, 64<<10)
 	if _, err := nc.Write(wire.AppendHello(nil, wire.LocalHello(0))); err != nil {
 		nc.Close()

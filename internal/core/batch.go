@@ -38,10 +38,7 @@ import (
 // with Apply may observe a prefix of the batch — the atomicity contract is
 // about durability and scans, not read isolation.
 func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
+	if err := db.check(ctx); err != nil {
 		return err
 	}
 	if err := db.loadPersistErr(); err != nil {

@@ -20,10 +20,7 @@ import (
 // With the WAL disabled the memory component is not captured: the
 // checkpoint holds exactly the persisted (flushed) state.
 func (db *DB) Checkpoint(ctx context.Context, dir string) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
+	if err := db.check(ctx); err != nil {
 		return err
 	}
 	if db.store == nil {

@@ -21,13 +21,17 @@
 //
 // # Range reads
 //
-// Scan, NewIterator and Snapshot share one read path (snapshot.go): seal,
-// draw a sequence bound, register it with the skiplists' Retention so
-// later overwrites chain the versions the bound still needs, and stream
-// (live Memtable resolved at the bound ∪ sealed Memtable ∪ pinned disk
-// Version). That replaces Algorithm 3's restart-and-fallback conflict
-// handling (§4.4): a reader never restarts and never blocks a writer past
-// the seal's grace period.
+// Scan, NewIterator and Snapshot share one read path. pinView
+// (snapshot.go) seals, draws a sequence bound, registers it with the
+// skiplists' Retention so later overwrites chain the versions the bound
+// still needs, and returns the view: live Memtable resolved at the bound,
+// sealed Memtable, pinned disk Version. That replaces Algorithm 3's
+// restart-and-fallback conflict handling (§4.4): a reader never restarts
+// and never blocks a writer past the seal's grace period. The handles
+// over a view — the iterator, the snapshot, the bounded Get — are
+// internal/storage's Reader, the one read view every engine shares; this
+// package supplies how a Memtable answers at a bound (memtable.Get and
+// Cursor) and, as the view's release, unregisterBound.
 //
 // # The active pair
 //
@@ -149,8 +153,9 @@ type DB struct {
 	snapMu     sync.Mutex
 	snapBounds []boundRef
 	retention  skiplist.Retention
-	// iterFrames recycles the merge machinery of closed iterators.
-	iterFrames sync.Pool
+	// reads is the read side every range read goes through: the bounded
+	// iterator and the snapshot handle over a pinView.
+	reads storage.Reader
 
 	persistCh chan struct{}
 	// persistErr records the first background persist failure; surfaced
@@ -247,6 +252,12 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 	storage.RegisterMetrics(db.reg, db.store, &db.walMetrics)
+	db.reads = storage.Reader{
+		Store:     db.store,
+		Check:     db.check,
+		Release:   db.unregisterBound,
+		Iterators: db.stats.Iterators,
+	}
 
 	mt, err := db.newMemtable()
 	if err != nil {
@@ -409,6 +420,15 @@ func (db *DB) Close() error {
 	return db.store.Shutdown(err, db.sealedLog(), g.mtb.NewIterator(), g.mtb.wal, g.mtb.walNum, db.seq.Load())
 }
 
+// check is the closed and context test an operation starts with (the
+// point Get and the writes inline it).
+func (db *DB) check(ctx context.Context) error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
+	return ctx.Err()
+}
+
 // Sync is the durability barrier of the kv.Store contract: it blocks
 // until every mutation acknowledged before the call is crash-durable.
 // One group-committed fsync per live WAL segment (at most two: the sealed
@@ -417,10 +437,7 @@ func (db *DB) Close() error {
 // the commit queue. With the WAL disabled there is no buffered window to
 // promote and the barrier is a no-op.
 func (db *DB) Sync(ctx context.Context) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
+	if err := db.check(ctx); err != nil {
 		return err
 	}
 	db.stats.SyncBarriers.Add(1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -101,36 +102,42 @@ func (m *memtable) Insert(key []byte, seq uint64, kind keys.Kind, value []byte) 
 	m.insert(key, keys.Hash(key), e)
 }
 
-// memtableIter adapts the skiplist iterator to storage.InternalIterator
-// for flushing and scanning. FloDB memtables hold unique user keys, so the
-// (key asc, seq desc) contract holds trivially.
-type memtableIter struct {
-	it *skiplist.Iterator
+// Get is a read view's lookup (storage.MemLevel): the newest version of
+// key with Seq <= bound, resolved through its version chain. The live
+// point read is get, which the filter fronts.
+func (m *memtable) Get(key []byte, bound uint64) ([]byte, uint64, keys.Kind, bool) {
+	e, ok := m.list.GetAt(key, bound)
+	if !ok {
+		return nil, 0, 0, false
+	}
+	return e.Value, e.Seq, entryKind(e), true
 }
 
-// NewIterator yields the generation's entries for an L0 flush (and is
-// storage.ReplayMem's).
+// Cursor is a read view's cursor over the generation at bound
+// (storage.MemLevel); it re-aims reuse when that is one of ours.
+func (m *memtable) Cursor(reuse storage.MemCursor, bound uint64) storage.MemCursor {
+	c, _ := reuse.(*boundListIter)
+	if c == nil {
+		c = new(boundListIter)
+	}
+	c.reset(m.list, bound)
+	return c
+}
+
+// NewIterator yields the generation's newest entries for an L0 flush (and
+// is storage.ReplayMem's): the bound cursor with no bound. FloDB
+// memtables hold unique user keys, so the (key asc, seq desc) contract
+// holds trivially.
 func (m *memtable) NewIterator() storage.InternalIterator {
-	return &memtableIter{it: m.list.NewIterator()}
+	return m.Cursor(nil, math.MaxUint64)
 }
 
-func (a *memtableIter) SeekToFirst()    { a.it.SeekToFirst() }
-func (a *memtableIter) Seek(key []byte) { a.it.Seek(key) }
-func (a *memtableIter) Next()           { a.it.Next() }
-func (a *memtableIter) Valid() bool     { return a.it.Valid() }
-func (a *memtableIter) Key() []byte     { return a.it.Key() }
-func (a *memtableIter) Seq() uint64     { return a.it.Entry().Seq }
-func (a *memtableIter) Value() []byte   { return a.it.Entry().Value }
-func (a *memtableIter) Err() error      { return nil }
-
-func (a *memtableIter) Kind() keys.Kind {
-	if a.it.Entry().Tombstone {
+func entryKind(e *skiplist.Entry) keys.Kind {
+	if e.Tombstone {
 		return keys.KindDelete
 	}
 	return keys.KindSet
 }
-
-var _ storage.InternalIterator = (*memtableIter)(nil)
 
 // boundListIter iterates a skiplist at a snapshot bound: each visited
 // node's version chain is resolved to the newest version with
@@ -146,8 +153,8 @@ type boundListIter struct {
 }
 
 // reset points a at l resolved at maxSeq, unpositioned; reset(nil, 0)
-// drops its references. The cursor is held by value so a recycled frame
-// re-aims it without allocating.
+// drops its references. A pooled iterator frame keeps the cursor, and
+// Cursor re-aims it without allocating.
 func (a *boundListIter) reset(l *skiplist.List, maxSeq uint64) {
 	*a = boundListIter{maxSeq: maxSeq}
 	if l != nil {
@@ -177,16 +184,12 @@ func (a *boundListIter) Next() {
 	a.it.Next()
 	a.settle()
 }
-func (a *boundListIter) Valid() bool   { return a.entry != nil }
-func (a *boundListIter) Key() []byte   { return a.it.Key() }
-func (a *boundListIter) Seq() uint64   { return a.entry.Seq }
-func (a *boundListIter) Value() []byte { return a.entry.Value }
-func (a *boundListIter) Err() error    { return nil }
-func (a *boundListIter) Kind() keys.Kind {
-	if a.entry.Tombstone {
-		return keys.KindDelete
-	}
-	return keys.KindSet
-}
+func (a *boundListIter) Valid() bool     { return a.entry != nil }
+func (a *boundListIter) Key() []byte     { return a.it.Key() }
+func (a *boundListIter) Seq() uint64     { return a.entry.Seq }
+func (a *boundListIter) Value() []byte   { return a.entry.Value }
+func (a *boundListIter) Err() error      { return nil }
+func (a *boundListIter) Kind() keys.Kind { return entryKind(a.entry) }
+func (a *boundListIter) Release()        { a.reset(nil, 0) }
 
-var _ storage.InternalIterator = (*boundListIter)(nil)
+var _ storage.MemLevel = (*memtable)(nil)

@@ -13,15 +13,12 @@ import (
 // bound. Scan is a convenience wrapper that materializes an iterator;
 // prefer NewIterator for large or unbounded ranges.
 func (db *DB) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
-	if db.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
+	if err := db.check(ctx); err != nil {
 		return nil, err
 	}
 	db.stats.Scans.Add(1)
 	start := time.Now()
-	it, err := db.openIter(ctx, low, high, db.pinView())
+	it, err := db.reads.NewIterator(ctx, db.pinView(), low, high)
 	if err != nil {
 		return nil, err
 	}

@@ -3,32 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"flodb/internal/keys"
 	"flodb/internal/kv"
 	"flodb/internal/obs"
-	"flodb/internal/skiplist"
 	"flodb/internal/storage"
 )
-
-// ErrSnapshotReleased is returned by reads on a Closed snapshot. It wraps
-// kv.ErrSnapshotReleased.
-var ErrSnapshotReleased = fmt.Errorf("flodb: %w", kv.ErrSnapshotReleased)
-
-// view is what a sequence-bounded read resolves against: the bound, the
-// Memtable that was live when it was drawn (read through its version
-// chains at the bound), the sealed-but-unflushed Memtable if a flush was
-// in flight, and a pinned disk Version. A view value stands for one
-// reference on the bound and one on the Version; retain and release move
-// that count.
-type view struct {
-	seq  uint64
-	live *skiplist.List
-	imm  *skiplist.List   // nil when no flush was in flight
-	ver  *storage.Version // nil without a disk component
-}
 
 // pinView takes a point-in-time view of the store, in O(resident
 // Membuffer entries) and with no disk I/O. It is the open path of every
@@ -60,18 +40,22 @@ type view struct {
 // is blocked past the seal's grace period. The memory component stays
 // single-versioned whenever no reader is open; readers pay only for the
 // keys overwritten while they live.
-func (db *DB) pinView() view {
+//
+// The view holds one reference on its bound and one on its Version;
+// releasing it (storage.Reader, whose Release is unregisterBound) drops
+// both.
+func (db *DB) pinView() storage.ReadView {
 	db.drainMu.Lock()
 	// The Membuffer is unsequenced, so it cannot be bounded in place: seal
 	// and drain it into the live Memtable first. The bound is registered
 	// before writers resume, so the first post-B overwrite of any key
 	// already chains the displaced pre-B version.
-	var v view
+	var v storage.ReadView
 	old, _ := db.sealMembuffer(nil, func(seal uint64) {
-		v.seq = seal
+		v.Seq = seal
 		db.registerBound(seal)
 	})
-	v.live = old.mtb.list
+	v.Mem[0] = old.mtb
 
 	// Capture the sealed-but-unflushed Memtable BEFORE pinning the disk
 	// version. persistCycle's flush order (flush → install version →
@@ -80,42 +64,22 @@ func (db *DB) pinView() view {
 	// memtable, the captured list plus the pinned version together cover
 	// everything (the merge dedups any overlap).
 	if m := db.immMtb.Load(); m != nil && m != old.mtb {
-		v.imm = m.list
+		v.Mem[1] = m
 	}
 	if db.store != nil {
-		v.ver = db.store.PinVersion()
+		v.Ver = db.store.PinVersion()
 	}
 
 	db.drainMu.Unlock()
 	return v
 }
 
-// retainView takes one more reference on v's bound and Version.
-func (db *DB) retainView(v view) {
-	db.registerBound(v.seq)
-	if v.ver != nil {
-		db.store.AcquireVersion(v.ver)
-	}
-}
-
-// releaseView drops one reference: the last one on a bound lets its
-// version chains collapse, the last one on a Version lets compaction
-// delete the files only it still needed.
-func (db *DB) releaseView(v view) {
-	db.unregisterBound(v.seq)
-	if v.ver != nil {
-		db.store.ReleaseVersion(v.ver)
-	}
-}
-
 // Snapshot returns a read-only view pinned at the current state: a
 // pinView whose references live until the handle's Close. The O(1)-disk
-// design is described at pinView.
+// design is described at pinView; the handle is storage.Reader's, the
+// one every engine shares.
 func (db *DB) Snapshot(ctx context.Context) (kv.View, error) {
-	if db.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
+	if err := db.check(ctx); err != nil {
 		return nil, err
 	}
 	if db.store == nil {
@@ -129,96 +93,6 @@ func (db *DB) Snapshot(ctx context.Context) (kv.View, error) {
 	v := db.pinView()
 	d := time.Since(start)
 	db.stats.snapLat.Observe(d)
-	db.events.Emit(obs.Event{Type: obs.EventSnapshotPin, Dur: d, Detail: fmt.Sprintf("seq bound %d", v.seq)})
-	return &snapshot{db: db, view: v}, nil
-}
-
-// snapshot is a long-lived handle on a view.
-type snapshot struct {
-	db *DB
-	view
-	closed atomic.Bool
-}
-
-var _ kv.View = (*snapshot)(nil)
-
-func (s *snapshot) check(ctx context.Context) error {
-	if s.closed.Load() {
-		return ErrSnapshotReleased
-	}
-	if s.db.closed.Load() {
-		return ErrClosed
-	}
-	return ctx.Err()
-}
-
-// Get returns the value key had at the snapshot point. The returned slice
-// is a copy.
-func (s *snapshot) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	if err := s.check(ctx); err != nil {
-		return nil, false, err
-	}
-	// Freshness order: live memtable (every entry there postdates the
-	// sealed one), then the sealed memtable, then disk. Each level serves
-	// the newest version <= bound or passes.
-	for _, l := range [...]*skiplist.List{s.live, s.imm} {
-		if l == nil {
-			continue
-		}
-		if e, ok := l.GetAt(key, s.seq); ok {
-			if e.Tombstone {
-				return nil, false, nil
-			}
-			return keys.Clone(e.Value), true, nil
-		}
-	}
-	v, _, kind, ok, err := s.db.store.GetAt(s.ver, key, s.seq)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok || kind == keys.KindDelete {
-		return nil, false, nil
-	}
-	return keys.Clone(v), true, nil
-}
-
-// Scan materializes all pairs with low <= key < high at the snapshot
-// point.
-func (s *snapshot) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
-	it, err := s.NewIterator(ctx, low, high)
-	if err != nil {
-		return nil, err
-	}
-	return kv.Collect(it)
-}
-
-// NewIterator streams the snapshot's range. The iterator holds its own
-// references on the bound and the Version, so it stays valid (and its
-// versions stay retained) even if the snapshot handle is Closed
-// mid-iteration.
-func (s *snapshot) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
-	db := s.db
-	// The references are taken BEFORE the closed check: if it passed, the
-	// handle's own references were still held at that moment, so neither
-	// count touched zero and no chain or file the iterator needs is gone.
-	db.retainView(s.view)
-	if err := s.check(ctx); err != nil {
-		db.releaseView(s.view)
-		return nil, err
-	}
-	db.stats.Iterators.Add(1)
-	return db.openIter(ctx, low, high, s.view)
-}
-
-// Close releases the snapshot's references (retained version chains
-// collapse on subsequent overwrites). Reads after Close return
-// ErrSnapshotReleased; iterators already created hold their own
-// references and stay valid. Close is idempotent.
-func (s *snapshot) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	s.db.releaseView(s.view)
-	s.db.events.Emit(obs.Event{Type: obs.EventSnapshotUnpin, Detail: fmt.Sprintf("seq bound %d", s.seq)})
-	return nil
+	db.events.Emit(obs.Event{Type: obs.EventSnapshotPin, Dur: d, Detail: fmt.Sprintf("seq bound %d", v.Seq)})
+	return db.reads.NewSnapshot(v), nil
 }

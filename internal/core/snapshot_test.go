@@ -1,10 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
+
+	"flodb/internal/kv"
+	"flodb/internal/storage"
 )
 
 // TestSnapshotDoesNotFlush pins the O(1) design: taking a snapshot
@@ -206,5 +211,70 @@ func TestManySnapshotsBoundChainLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClosedSnapshotIteratorKeepsLiveTables opens an iterator on a Closed
+// snapshot whose Version is no longer current. The call must fail with
+// ErrSnapshotReleased without touching the view's references: a retain
+// after the handle's release would revive the dead Version, and the
+// release after the failed check would drop its tables' references a
+// second time, unlinking tables the current Version still lists.
+func TestClosedSnapshotIteratorKeepsLiveTables(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Storage.L0CompactionTrigger = 100 // every flush stays an L0 table
+	db := openTestDB(t, cfg)
+	const perRound = 50
+	write := func(round uint64) {
+		t.Helper()
+		for i := round * perRound; i < (round+1)*perRound; i++ {
+			if err := db.Put(bg, spreadKey(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.persistOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0)
+	write(1)
+	snap, err := db.Snapshot(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(2) // the snapshot's Version is superseded
+	if err := snap.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if it, err := snap.NewIterator(bg, nil, nil); !errors.Is(err, kv.ErrSnapshotReleased) {
+		if it != nil {
+			it.Close()
+		}
+		t.Fatalf("NewIterator on a closed snapshot: %v, want ErrSnapshotReleased", err)
+	}
+
+	v := db.store.PinVersion()
+	listed, missing := 0, 0
+	for l := 0; l < storage.NumLevels; l++ {
+		for _, f := range v.Level(l) {
+			listed++
+			if _, err := os.Stat(storage.TableFileName(cfg.Dir, f.Num)); err != nil {
+				missing++
+			}
+		}
+	}
+	db.store.ReleaseVersion(v)
+	if listed != 3 || missing != 0 {
+		t.Fatalf("the current Version lists %d tables, %d of them gone from disk; want 3, none gone", listed, missing)
+	}
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openTestDB(t, cfg)
+	for i := uint64(0); i < 3*perRound; i++ {
+		if v, ok, err := db.Get(bg, spreadKey(i)); err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("key %d after reopen: %q %v %v", i, v, ok, err)
+		}
 	}
 }

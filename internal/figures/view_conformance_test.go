@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"flodb/internal/keys"
@@ -82,10 +83,123 @@ func TestAllSystemsSnapshotIsolation(t *testing.T) {
 			if v, ok, err := s.Get(bg, keys.EncodeUint64(3)); err != nil || !ok || string(v) != "new" {
 				t.Fatalf("live Get = %q %v %v", v, ok, err)
 			}
+			// An iterator opened before Close keeps streaming the
+			// snapshot's pairs after it.
+			open, err := snap.NewIterator(bg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer open.Close()
+			ok := open.First()
 			// Released handles return the typed error.
 			snap.Close()
 			if _, _, err := snap.Get(bg, keys.EncodeUint64(3)); !errors.Is(err, kv.ErrSnapshotReleased) {
 				t.Fatalf("released snapshot Get: %v", err)
+			}
+			if _, err := snap.Scan(bg, nil, nil); !errors.Is(err, kv.ErrSnapshotReleased) {
+				t.Fatalf("released snapshot Scan: %v", err)
+			}
+			if it, err := snap.NewIterator(bg, nil, nil); !errors.Is(err, kv.ErrSnapshotReleased) {
+				if it != nil {
+					it.Close()
+				}
+				t.Fatalf("released snapshot NewIterator: %v", err)
+			}
+			seen := 0
+			for ; ok; ok = open.Next() {
+				want := fmt.Sprintf("old-%d", keys.DecodeUint64(open.Key()))
+				if string(open.Value()) != want {
+					t.Fatalf("iterator after Close: key %d = %q, want %q", keys.DecodeUint64(open.Key()), open.Value(), want)
+				}
+				seen++
+			}
+			if err := open.Err(); err != nil || seen != n {
+				t.Fatalf("iterator after Close: %d pairs, want %d (err %v)", seen, n, err)
+			}
+		})
+	}
+}
+
+// TestAllSystemsSnapshotCloseRacesIterator races a snapshot's Close with
+// an iterator opened through it, on a snapshot whose Version compaction
+// and flushes have superseded. Whichever wins, the iterator either
+// streams the snapshot's pairs or fails with kv.ErrSnapshotReleased, and
+// the view's references are dropped exactly once: a late retain on a
+// released Version, and the release after it, unlinked tables the
+// current Version still listed, which the reopen's reads then miss.
+func TestAllSystemsSnapshotCloseRacesIterator(t *testing.T) {
+	const (
+		nKeys  = 500
+		rounds = 60
+	)
+	key := func(i int) []byte { return keys.EncodeUint64(uint64(i) << 52) }
+	val := func(round, i int) string { return fmt.Sprintf("r%d-%d-%0100d", round, i, 0) }
+	for _, sys := range AllSystems {
+		t.Run(string(sys), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := openSystem(sys, dir, 64<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, ok := s.(interface{ WaitDiskQuiesce() })
+			if !ok {
+				t.Fatalf("%T cannot wait for its disk to settle", s)
+			}
+			write := func(round int) {
+				t.Helper()
+				for i := 0; i < nKeys; i++ {
+					if err := s.Put(bg, key(i), []byte(val(round, i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			write(0)
+			for round := 1; round <= rounds; round++ {
+				snap, err := s.Snapshot(bg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				write(round) // supersedes the snapshot's Version
+				q.WaitDiskQuiesce()
+				var (
+					wg      sync.WaitGroup
+					it      kv.Iterator
+					openErr error
+				)
+				wg.Add(2)
+				go func() { defer wg.Done(); snap.Close() }()
+				go func() { defer wg.Done(); it, openErr = snap.NewIterator(bg, nil, nil) }()
+				wg.Wait()
+				if openErr != nil {
+					if !errors.Is(openErr, kv.ErrSnapshotReleased) {
+						t.Fatalf("round %d: NewIterator racing Close: %v", round, openErr)
+					}
+					continue
+				}
+				seen := 0
+				for ok := it.First(); ok; ok = it.Next() {
+					i := int(keys.DecodeUint64(it.Key()) >> 52)
+					if string(it.Value()) != val(round-1, i) {
+						t.Fatalf("round %d: key %d = %q, want the snapshot's %q", round, i, it.Value(), val(round-1, i))
+					}
+					seen++
+				}
+				if err := errors.Join(it.Err(), it.Close()); err != nil || seen != nKeys {
+					t.Fatalf("round %d: iterator read %d of %d pairs: %v", round, seen, nKeys, err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, err = openSystem(sys, dir, 64<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < nKeys; i++ {
+				if v, ok, err := s.Get(bg, key(i)); err != nil || !ok || string(v) != val(rounds, i) {
+					t.Fatalf("key %d after reopen: %q %v %v", i, v, ok, err)
+				}
 			}
 		})
 	}

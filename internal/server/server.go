@@ -396,7 +396,7 @@ func maxInt64(a, b int64) int64 {
 
 type lease struct {
 	mu       sync.Mutex // serializes iterator positioning vs close/expiry
-	snap     kv.View    // snapshot lease (nil for iterators)
+	snap     kv.View    // snapshot lease (nil for iterators); set before the lease is published, never cleared
 	iter     kv.Iterator
 	lastUsed time.Time // guarded by serverConn.mu
 	busy     bool      // guarded by serverConn.mu: in use by a handler, janitor must skip
@@ -490,9 +490,11 @@ func releaseLease(l *lease) {
 		l.iter.Close()
 		l.iter = nil
 	}
+	// snap stays set: a handler that resolved the lease before it was
+	// dropped reads it without l.mu (view), and a closed handle answers
+	// it with kv.ErrSnapshotReleased.
 	if l.snap != nil {
 		l.snap.Close()
-		l.snap = nil
 	}
 }
 

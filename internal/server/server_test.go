@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -217,6 +218,69 @@ func TestSnapshotIsolationOverWire(t *testing.T) {
 	}
 	if _, _, err := snap.Get(ctx, []byte("k")); !errors.Is(err, kv.ErrSnapshotReleased) {
 		t.Fatalf("use after close: %v, want ErrSnapshotReleased", err)
+	}
+}
+
+// TestSnapCloseRacesIterOpen sends an iterator open through a snapshot
+// lease and the lease's close in one write, so the two run at once on
+// separate handler goroutines. The open either succeeds or answers
+// StatusSnapshotReleased. The handler reads the lease's snapshot without
+// the lease's lock, so the close must not clear it: a cleared one read as
+// "not a snapshot", and under -race as a data race.
+func TestSnapCloseRacesIterOpen(t *testing.T) {
+	addr, store, _, _ := startServer(t, server.Config{})
+	if err := store.Put(context.Background(), []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	nc, br := rawDial(t, addr)
+	call := func(reqs ...wire.Request) map[uint64]wire.Response {
+		t.Helper()
+		var burst []byte
+		for i := range reqs {
+			burst = wire.AppendRequest(burst, &reqs[i])
+		}
+		if _, err := nc.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		got := map[uint64]wire.Response{}
+		for range reqs {
+			body, err := wire.ReadFrame(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := wire.ParseResponse(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Payload = bytes.Clone(resp.Payload)
+			got[resp.ID] = resp
+		}
+		return got
+	}
+	bounds := wire.AppendBound(wire.AppendBound(nil, nil), nil)
+	id := uint64(0)
+	for round := 0; round < 200; round++ {
+		id++
+		snap := call(wire.Request{ID: id, Op: wire.OpSnapOpen})[id]
+		h, n := binary.Uvarint(snap.Payload)
+		if snap.Status != wire.StatusOK || n <= 0 {
+			t.Fatalf("round %d: snapshot open: status %d %q", round, snap.Status, snap.Payload)
+		}
+		open, closeID := id+1, id+2
+		id += 2
+		resp := call(
+			wire.Request{ID: open, Op: wire.OpIterOpen, Handle: h, Payload: bounds},
+			wire.Request{ID: closeID, Op: wire.OpSnapClose, Handle: h},
+		)
+		switch it := resp[open]; it.Status {
+		case wire.StatusSnapshotReleased:
+		case wire.StatusOK:
+			ih, _ := binary.Uvarint(it.Payload)
+			id++
+			call(wire.Request{ID: id, Op: wire.OpIterClose, Handle: ih})
+		default:
+			t.Fatalf("round %d: iterator open racing the lease's close: status %d %q", round, it.Status, it.Payload)
+		}
 	}
 }
 

@@ -191,15 +191,11 @@ func TestSnapshotIterFiltersAndCancels(t *testing.T) {
 	if _, err := s.Flush(it1, 1, 8); err != nil {
 		t.Fatal(err)
 	}
-	v := s.PinVersion()
-	m, pins, err := s.NewVersionIterator(v)
+	r := &Reader{Store: s}
+	si, err := r.NewIterator(context.Background(), ReadView{Seq: 5, Ver: s.PinVersion()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si := NewSnapshotIter(context.Background(), m, SnapshotIterOptions{
-		MaxSeq:  5,
-		OnClose: func() { pins(); s.ReleaseVersion(v) },
-	})
 	defer si.Close()
 	var got []string
 	for ok := si.First(); ok; ok = si.Next() {
@@ -215,15 +211,10 @@ func TestSnapshotIterFiltersAndCancels(t *testing.T) {
 	// Cancellation stops a fresh iterator immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	v2 := s.PinVersion()
-	m2, pins2, err := s.NewVersionIterator(v2)
+	si2, err := r.NewIterator(ctx, ReadView{Seq: 100, Ver: s.PinVersion()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si2 := NewSnapshotIter(ctx, m2, SnapshotIterOptions{
-		MaxSeq:  100,
-		OnClose: func() { pins2(); s.ReleaseVersion(v2) },
-	})
 	defer si2.Close()
 	if si2.First() {
 		t.Fatal("canceled iterator yielded a pair")

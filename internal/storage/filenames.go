@@ -55,11 +55,6 @@ func ManifestFileName(dir string, n uint64) string {
 // CurrentFileName returns the CURRENT pointer path.
 func CurrentFileName(dir string) string { return filepath.Join(dir, "CURRENT") }
 
-// TempFileName returns a scratch path for file number n.
-func TempFileName(dir string, n uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%06d.tmp", n))
-}
-
 // ParseFileName classifies a base name and extracts its number when
 // applicable.
 func ParseFileName(base string) (kind FileKind, num uint64) {

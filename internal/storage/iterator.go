@@ -269,29 +269,30 @@ func (l *levelIter) Err() error      { return l.err }
 
 // --- Version iterator ---------------------------------------------------------
 
-// VersionIter merges caller-supplied memory sources with every sorted run
-// of a pinned Version. All of its parts — the merge heap, one table
-// iterator per L0 file, one level iterator per deeper level, and each
-// table iterator's read window — live in the struct and survive Release,
-// so a caller that keeps a VersionIter in a pool opens a range read
-// without allocating in proportion to the number of runs, and reads it
-// without allocating in proportion to the blocks. The zero value is ready
-// for Init.
-type VersionIter struct {
+// versionIter merges memory cursors with every sorted run of a pinned
+// Version. All of its parts — the merge heap, one table iterator per L0
+// file, one level iterator per deeper level, and each table iterator's
+// read window — live in the struct and survive release, so a pooled
+// iterator frame opens a range read without allocating in proportion to
+// the number of runs, and reads it without allocating in proportion to
+// the blocks. The zero value is ready for init.
+type versionIter struct {
 	merge   mergingIter
 	tables  []sstable.Iterator // one per L0 file
 	handles []*cache.Handle    // the L0 tables' pins
 	levels  []levelIter
 }
 
-// Init points vi at mem (freshest first) followed by the runs of v: L0
+// init points vi at mem (freshest first) followed by the runs of v: L0
 // files newest→oldest, then L1..Ln, which is the order the merge breaks
 // ties in. s and v may both be nil for a read over memory sources only.
-// The caller keeps v pinned until Release. After an error vi holds no
+// The caller keeps v pinned until release. After an error vi holds no
 // pins.
-func (vi *VersionIter) Init(mem []InternalIterator, s *Store, v *Version) error {
+func (vi *versionIter) init(s *Store, v *Version, mem []MemCursor) error {
 	m := &vi.merge
-	m.children = append(m.children[:0], mem...)
+	for _, c := range mem {
+		m.children = append(m.children, c)
+	}
 	if v == nil {
 		return nil
 	}
@@ -303,7 +304,7 @@ func (vi *VersionIter) Init(mem []InternalIterator, s *Store, v *Version) error 
 	for i, f := range l0 {
 		r, h, err := s.cache.Get(f.Num)
 		if err != nil {
-			vi.Release()
+			vi.release()
 			return err
 		}
 		vi.handles = append(vi.handles, h)
@@ -324,13 +325,10 @@ func (vi *VersionIter) Init(mem []InternalIterator, s *Store, v *Version) error 
 	return nil
 }
 
-// Merged returns the merged stream; it is valid until Release.
-func (vi *VersionIter) Merged() InternalIterator { return &vi.merge }
-
-// Release drops every table pin and every reference to the sources, so a
-// pooled VersionIter keeps no memtable, table or block alive. The
-// backing arrays stay for the next Init.
-func (vi *VersionIter) Release() {
+// release drops every table pin and every reference to the sources, so a
+// pooled versionIter keeps no memtable, table or block alive. The
+// backing arrays stay for the next init.
+func (vi *versionIter) release() {
 	for _, h := range vi.handles {
 		h.Release()
 	}

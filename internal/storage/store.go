@@ -178,9 +178,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Opts returns the effective options.
-func (s *Store) Opts() Options { return s.opts }
-
 // LogNum returns the oldest WAL number whose writes are not yet in tables.
 func (s *Store) LogNum() uint64 {
 	s.vs.mu.Lock()
@@ -325,15 +322,16 @@ func (s *Store) GetHashed(key []byte, h uint64) (value []byte, seq uint64, kind 
 
 // NewIterator returns a merged iterator over a snapshot of the disk
 // component plus a release function that must be called when done (it
-// unpins the version, allowing obsolete files to be deleted).
+// drops the table pins and unpins the version, allowing obsolete files to
+// be deleted).
 func (s *Store) NewIterator() (InternalIterator, func(), error) {
 	v := s.vs.refCurrent()
-	it, pins, err := v.newIterator(s)
-	if err != nil {
+	vi := new(versionIter)
+	if err := vi.init(s, v, nil); err != nil {
 		s.vs.releaseVersion(v)
 		return nil, nil, err
 	}
-	return it, func() { pins(); s.vs.releaseVersion(v) }, nil
+	return &vi.merge, func() { vi.release(); s.vs.releaseVersion(v) }, nil
 }
 
 // PinVersion takes a reference on the current version and returns it.
@@ -342,29 +340,13 @@ func (s *Store) NewIterator() (InternalIterator, func(), error) {
 // checkpoints.
 func (s *Store) PinVersion() *Version { return s.vs.refCurrent() }
 
-// AcquireVersion takes an additional reference on an already-pinned
-// version (e.g. for an iterator that may outlive the snapshot handle).
-func (s *Store) AcquireVersion(v *Version) {
-	s.vs.mu.Lock()
-	v.refs++
-	s.vs.mu.Unlock()
-}
-
-// ReleaseVersion drops one reference taken by PinVersion/AcquireVersion.
+// ReleaseVersion drops the reference PinVersion took.
 func (s *Store) ReleaseVersion(v *Version) { s.vs.releaseVersion(v) }
 
 // GetAt returns the newest occurrence of key with seq <= maxSeq in the
 // pinned version v.
 func (s *Store) GetAt(v *Version, key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
 	return v.getAt(s, key, keys.Hash(key), maxSeq)
-}
-
-// NewVersionIterator builds a merged iterator over the pinned version v,
-// plus a release function dropping the iterator's table pins. The caller
-// must keep v pinned for the iterator's lifetime and call release when
-// done iterating.
-func (s *Store) NewVersionIterator(v *Version) (InternalIterator, func(), error) {
-	return v.newIterator(s)
 }
 
 // NumLevelFiles returns the file count at a level.

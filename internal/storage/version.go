@@ -107,15 +107,6 @@ func (v *Version) SizeBytes(l int) int64 {
 	return n
 }
 
-// TotalFiles returns the file count across levels.
-func (v *Version) TotalFiles() int {
-	n := 0
-	for l := range v.files {
-		n += len(v.files[l])
-	}
-	return n
-}
-
 // getAt searches the version for the newest occurrence of key (h is its
 // keys.Hash) with seq <= maxSeq, newest level first. Files whose version of
 // the key is newer than maxSeq are skipped and the search continues in
@@ -190,19 +181,6 @@ func (s *Store) probe(f *FileMeta, key []byte, h uint64) (value []byte, seq uint
 	}
 	defer hd.Release()
 	return r.Fetch(key, h)
-}
-
-// newIterator builds a merged iterator over every file in the version.
-// Child order encodes freshness: L0 files newest→oldest, then L1..Ln.
-// The returned release function drops every table pin the iterator holds
-// (all L0 handles plus each level iterator's current file) and must be
-// called when iteration is abandoned or complete.
-func (v *Version) newIterator(s *Store) (InternalIterator, func(), error) {
-	vi := new(VersionIter)
-	if err := vi.Init(nil, s, v); err != nil {
-		return nil, nil, err
-	}
-	return vi.Merged(), vi.Release, nil
 }
 
 // overlappingFiles returns the files in level l intersecting [lo, hi]

@@ -147,10 +147,8 @@ type Writer struct {
 
 	metrics *Metrics
 
-	// events receives group-commit stall events (may be nil);
-	// stallThreshold is the commit-queue wait above which one is emitted.
-	events         *obs.EventLog
-	stallThreshold time.Duration
+	// events receives group-commit stall events (may be nil).
+	events *obs.EventLog
 
 	// fsyncGate, when non-nil, runs inside the leader's commit (after the
 	// flush, before the fsync). Tests use it to hold a leader in the
@@ -161,7 +159,7 @@ type Writer struct {
 	writeGate func()
 }
 
-// DefaultStallThreshold is the group-commit wait above which a wal-stall
+// DefaultStallThreshold is the group-commit wait from which a wal-stall
 // event is emitted when Options.Events is set: long enough that healthy
 // fsyncs (hundreds of µs on SSDs) stay quiet, short enough that a
 // contended barrier shows up.
@@ -184,11 +182,9 @@ type Options struct {
 	// crash can lose.
 	WriteThrough bool
 	// Events, when non-nil, receives a wal-stall event whenever a
-	// committer waits longer than StallThreshold in the group-commit
-	// queue (leader fsync time included).
+	// committer waits DefaultStallThreshold or longer in the
+	// group-commit queue (leader fsync time included).
 	Events *obs.EventLog
-	// StallThreshold overrides DefaultStallThreshold (0 selects it).
-	StallThreshold time.Duration
 }
 
 // Create creates (truncating) a log file at path.
@@ -201,19 +197,14 @@ func Create(path string, opts Options) (*Writer, error) {
 	if bs <= 0 {
 		bs = 64 << 10
 	}
-	st := opts.StallThreshold
-	if st <= 0 {
-		st = DefaultStallThreshold
-	}
 	w := &Writer{
-		f:              f,
-		buf:            make([]byte, 0, bs),
-		spare:          make([]byte, 0, bs),
-		bufSize:        bs,
-		metrics:        opts.Metrics,
-		writeThrough:   opts.WriteThrough,
-		events:         opts.Events,
-		stallThreshold: st,
+		f:            f,
+		buf:          make([]byte, 0, bs),
+		spare:        make([]byte, 0, bs),
+		bufSize:      bs,
+		metrics:      opts.Metrics,
+		writeThrough: opts.WriteThrough,
+		events:       opts.Events,
 	}
 	w.written.L = &w.mu
 	return w, nil
@@ -443,7 +434,7 @@ func (w *Writer) noteStall(queuedAt time.Time, role string) {
 	if w.events == nil || queuedAt.IsZero() {
 		return
 	}
-	if d := time.Since(queuedAt); d >= w.stallThreshold {
+	if d := time.Since(queuedAt); d >= DefaultStallThreshold {
 		w.events.Emit(obs.Event{Type: obs.EventWALStall, Dur: d, Detail: role})
 	}
 }
