@@ -8,7 +8,9 @@
 //
 // Figures: fig9 … fig17, the contract/scaling extras (apibench, netbench,
 // ablate-*), or "all" — the names in figures.ByName. An unknown figure
-// name is an error (exit 2) listing the valid names.
+// name is an error (exit 2) listing the valid names. The rows of Figs
+// 9–16 are the paper's five systems; apibench also runs FloDB/net, the
+// FloDB engine behind a loopback flodbd server, and netbench sweeps it.
 //
 // Sizes default to 1/1024 of the paper's (the column labels report the
 // paper-scale sizes): scaling every size by one factor keeps the ratios

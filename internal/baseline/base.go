@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
-	"flodb/internal/obs"
 	"flodb/internal/skiplist"
 	"flodb/internal/storage"
 	"flodb/internal/wal"
@@ -95,13 +93,14 @@ func (h *memHandle) logBatch(d kv.Durability, b *kv.Batch) (*wal.Writer, int64, 
 }
 
 // policy is all a variant adds to base: what its row in README's
-// six-system table says. Everything else — the closed and context checks,
-// the op counters, durability, the Sync-class commit, the read paths,
-// flushes, and the log and read-view lifecycles it takes from
-// internal/storage — is base's.
+// six-system table says. The kv.Store calls themselves — the closed and
+// context checks, the background error, durability, the op counters and
+// latencies, the Sync-class commit and the read handles — are the
+// storage.Front all five engines share; the memtables, their flush and
+// the log lifecycle around them are base's.
 type policy struct {
 	// write orders one update against the others and inserts it. It
-	// returns the update's commit record, which base waits on for a
+	// returns the update's commit record, which the Front waits on for a
 	// Sync-class write after every lock is released (nil when the variant
 	// committed it itself).
 	write func(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (*wal.Writer, int64, error)
@@ -117,18 +116,16 @@ type policy struct {
 	endRead func()
 }
 
-// base is the one implementation of the kv.Store contract the four
-// variants share, over versioned memtables, a WAL segment per memtable
-// (whose lifecycle internal/storage owns), flush scheduling, and reads
-// through storage.Reader's bounded Get, iterator and snapshot handle.
-// Locking POLICY lives in the variants' policy; base supplies the
+// base is the engine the four variants share behind their storage.Front:
+// versioned memtables, a WAL segment per memtable (whose lifecycle
+// internal/storage owns), flush scheduling, and the views reads resolve
+// against. Locking POLICY lives in the variants' policy; base supplies the
 // mechanism and calls the policy where the variants differ.
 type base struct {
+	storage.Front
 	cfg   Config
 	store *storage.Store
 	pol   policy
-	// durability is the class of a write that names none.
-	durability kv.Durability
 
 	// mu guards the handles and lastSeq. The variants ALSO use it as
 	// their "global mutex" where their design has one, which is exactly
@@ -150,46 +147,44 @@ type base struct {
 
 	flushCh chan struct{}
 	closing chan struct{}
-	closed  atomic.Bool
 	// wg counts the background goroutines: the flush loop and LevelDB's
 	// write leader.
-	wg       sync.WaitGroup
-	flushErr atomic.Pointer[error]
+	wg sync.WaitGroup
 
 	// walMetrics is shared by every WAL segment, so the acked-vs-durable
 	// boundary spans memtable switches.
 	walMetrics wal.Metrics
-
-	// reg holds the operation counters (ops) and the views over the WAL
-	// and disk component, under the metric names FloDB registers.
-	reg *obs.Registry
-	ops kv.OpCounters
-	// reads is the read side the engines share: the bounded Get, and the
-	// iterator and snapshot handles over a captured view.
-	reads storage.Reader
 }
 
 func (b *base) init(cfg Config, pol policy) error {
 	if err := cfg.fillDefaults(); err != nil {
 		return err
 	}
-	durability, err := storage.DefaultDurability(kv.DurabilityDefault, !cfg.DisableWAL)
-	if err != nil {
+	if err := b.Init(kv.DurabilityDefault, !cfg.DisableWAL); err != nil {
 		return err
 	}
-	b.cfg, b.pol, b.durability = cfg, pol, durability
-	store, err := storage.Open(cfg.Dir, cfg.Storage)
+	b.cfg, b.pol = cfg, pol
+	scfg := cfg.Storage
+	scfg.Events = b.Events()
+	store, err := storage.Open(cfg.Dir, scfg)
 	if err != nil {
 		return err
 	}
 	b.store = store
-	b.reg = obs.NewRegistry()
-	b.ops = kv.NewOpCounters(b.reg)
-	b.reads = storage.Reader{Store: store, Check: b.check, Iterators: b.ops.Iterators}
-	if pol.endRead != nil {
-		b.reads.Release = func(uint64) { pol.endRead() }
+	eng := storage.Engine{
+		Write:      pol.write,
+		Apply:      pol.apply,
+		Get:        b.get,
+		View:       func() storage.ReadView { return b.pinned(pol.view()) },
+		Snapshot:   func() storage.ReadView { return b.pinned(pol.snapView()) },
+		Logs:       b.logs,
+		Checkpoint: b.checkpoint,
+		Stop:       b.stop,
 	}
-	storage.RegisterMetrics(b.reg, store, &b.walMetrics)
+	if pol.endRead != nil {
+		eng.Release = func(uint64) { pol.endRead() }
+	}
+	b.Front.Open(store, &b.walMetrics, eng)
 	b.lastSeq = store.LastSeq()
 	b.immCond = sync.NewCond(&b.mu)
 	b.flushCh = make(chan struct{}, 1)
@@ -228,86 +223,7 @@ func (b *base) newMemHandle() (*memHandle, error) {
 	return h, nil
 }
 
-// check is the test every operation starts with.
-func (b *base) check(ctx context.Context) error {
-	if b.closed.Load() {
-		return ErrClosedBaseline
-	}
-	return ctx.Err()
-}
-
 // --- Writes -------------------------------------------------------------------
-
-// Put writes key through the variant's write policy.
-func (b *base) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	b.ops.Puts.Add(1)
-	return b.update(ctx, keys.KindSet, key, value, opts)
-}
-
-// Delete writes a tombstone version.
-func (b *base) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	b.ops.Deletes.Add(1)
-	return b.update(ctx, keys.KindDelete, key, nil, opts)
-}
-
-func (b *base) update(ctx context.Context, kind keys.Kind, key, value []byte, opts []kv.WriteOption) error {
-	d, err := b.admit(ctx, opts)
-	if err != nil {
-		return err
-	}
-	w, off, err := b.pol.write(ctx, kind, key, value, d)
-	return b.commit(d, w, off, err)
-}
-
-// Apply commits the batch atomically through the variant's batch policy.
-// Atomicity falls out of the multi-versioned design: the batch is one WAL
-// record, which recovery replays all-or-nothing, and one contiguous
-// sequence range orders its versions.
-func (b *base) Apply(ctx context.Context, batch *kv.Batch, opts ...kv.WriteOption) error {
-	d, err := b.admit(ctx, opts)
-	if err != nil {
-		return err
-	}
-	if batch == nil || batch.Len() == 0 {
-		return nil
-	}
-	b.ops.Batches.Add(1)
-	b.ops.BatchOps.Add(uint64(batch.Len()))
-	w, off, err := b.pol.apply(ctx, batch, d)
-	return b.commit(d, w, off, err)
-}
-
-// admit is the test every write passes before the policy orders it, and
-// resolves the write's durability class.
-func (b *base) admit(ctx context.Context, opts []kv.WriteOption) (kv.Durability, error) {
-	if err := b.check(ctx); err != nil {
-		return 0, err
-	}
-	if err := b.loadFlushErr(); err != nil {
-		return 0, err
-	}
-	return storage.ResolveDurability(b.durability, !b.cfg.DisableWAL, opts)
-}
-
-// commit is the commit point of a write the policy ordered without error.
-// A Sync-class write waits for the barrier over its record here, outside
-// every lock, so concurrent committers coalesce in the WAL's group-commit
-// queue instead of serializing a global lock behind the disk — the shape
-// of RocksDB's write group and of LevelDB's combined pass.
-func (b *base) commit(d kv.Durability, w *wal.Writer, off int64, err error) error {
-	if err != nil || d != kv.DurabilitySync {
-		return err
-	}
-	return storage.CommitSync(b.sealedLog(), w, off)
-}
-
-// sealedLog is the segment of the sealed memtable a flush is writing, if
-// any, which a Sync-class commit makes durable before the active one.
-func (b *base) sealedLog() *wal.Writer {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.imm.log()
-}
 
 // insertLocked logs and inserts one write under mu (the LevelDB write
 // leader), returning its commit record.
@@ -326,7 +242,10 @@ func (b *base) insertLocked(kind keys.Kind, key, value []byte, d kv.Durability) 
 // under mu: the room check, the log append and the sequence number. The
 // caller inserts into h after releasing mu, then calls h.inserting.Done.
 func (b *base) reserveLocked(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (h *memHandle, seq uint64, w *wal.Writer, off int64, err error) {
-	if err = b.waitRoomLocked(ctx); err != nil {
+	var st storage.Stall
+	err = b.waitRoomLocked(ctx, &st)
+	b.NoteStall(&st)
+	if err != nil {
 		return nil, 0, nil, 0, err
 	}
 	if w, off, err = b.mem.logRecord(d, kind, key, value); err != nil {
@@ -344,7 +263,10 @@ func (b *base) reserveLocked(ctx context.Context, kind keys.Kind, key, value []b
 func (b *base) applyLocked(ctx context.Context, batch *kv.Batch, d kv.Durability) (*wal.Writer, int64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.waitRoomLocked(ctx); err != nil {
+	var st storage.Stall
+	err := b.waitRoomLocked(ctx, &st)
+	b.NoteStall(&st)
+	if err != nil {
 		return nil, 0, err
 	}
 	w, off, err := b.mem.logBatch(d, batch)
@@ -359,41 +281,21 @@ func (b *base) applyLocked(ctx context.Context, batch *kv.Batch, d kv.Durability
 	return w, off, nil
 }
 
-// Sync is the durability barrier of the kv.Store contract: it blocks
-// until every mutation acknowledged before the call is crash-durable,
-// promoting the acked-but-buffered window with at most one group-
-// committed fsync per live segment (sealed first, then active — prefix
-// order). Without a WAL there is nothing buffered to promote.
-func (b *base) Sync(ctx context.Context) error {
-	if err := b.check(ctx); err != nil {
-		return err
-	}
-	b.ops.SyncBarriers.Add(1)
-	if b.cfg.DisableWAL {
-		return nil
-	}
-	// A failed flush means sealed-segment records may be neither in
-	// sstables nor syncable — don't claim a durable barrier over them.
-	if err := b.loadFlushErr(); err != nil {
-		return err
-	}
+// logs loads the live segments, sealed and active, under mu.
+func (b *base) logs() (sealed, active *wal.Writer) {
 	b.mu.Lock()
-	mem, imm := b.mem, b.imm
-	b.mu.Unlock()
-	return storage.SyncLogs(imm.log(), mem.log())
+	defer b.mu.Unlock()
+	return b.imm.log(), b.mem.log()
 }
 
 // waitRoomLocked blocks (on mu) while the memtable is full and the
-// previous one is still flushing — the writer delay of §2.3 — with a
-// cancellation point at every cond wakeup. (A Wait in progress cannot be
-// interrupted by the context; the flush loop's broadcast bounds the
-// latency.)
-func (b *base) waitRoomLocked(ctx context.Context) error {
+// previous one is still flushing — the writer delay of §2.3, timed in st
+// under cause memtable — with a cancellation point at every cond wakeup.
+// (A Wait in progress cannot be interrupted by the context; the flush
+// loop's broadcast bounds the latency.)
+func (b *base) waitRoomLocked(ctx context.Context, st *storage.Stall) error {
 	for b.mem.mem.ApproxBytes() >= b.cfg.MemBytes && b.imm != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := b.waitFlushLocked(); err != nil {
+		if err := b.waitFlushLocked(ctx, st); err != nil {
 			return err
 		}
 	}
@@ -403,16 +305,18 @@ func (b *base) waitRoomLocked(ctx context.Context) error {
 	return nil
 }
 
-// waitFlushLocked waits on mu for the flush loop to retire imm. It fails
-// instead when that wait could never end: the store is closed (stop wakes
-// every waiter) or a flush failed (setFlushErr does).
-func (b *base) waitFlushLocked() error {
-	if b.closed.Load() {
-		return ErrClosedBaseline
-	}
-	if err := b.loadFlushErr(); err != nil {
+// waitFlushLocked waits on mu for the flush loop to retire imm, timing the
+// wait in st. It fails instead when the caller gave up or the wait could
+// never end: the store is closed (stop wakes every waiter) or a flush
+// failed (flushLoop does).
+func (b *base) waitFlushLocked(ctx context.Context, st *storage.Stall) error {
+	if err := b.Check(ctx); err != nil {
 		return err
 	}
+	if err := b.BackgroundErr(); err != nil {
+		return err
+	}
+	st.Wait(storage.StallMemtable)
 	b.immCond.Wait()
 	return nil
 }
@@ -450,6 +354,9 @@ func (b *base) maybeScheduleFlushLocked() {
 	}
 }
 
+// flushLoop flushes each sealed memtable. A failed flush is the store's
+// background error from then on, and wakes every writer waiting for room
+// to find it.
 func (b *base) flushLoop() {
 	defer b.wg.Done()
 	for {
@@ -465,7 +372,10 @@ func (b *base) flushLoop() {
 			continue
 		}
 		if err := b.flushHandle(imm); err != nil {
-			b.setFlushErr(err)
+			b.SetBackgroundErr(err)
+			b.mu.Lock()
+			b.immCond.Broadcast()
+			b.mu.Unlock()
 			return
 		}
 		b.mu.Lock()
@@ -484,83 +394,16 @@ func (b *base) flushHandle(h *memHandle) error {
 	return b.store.FlushLog(h.mem.NewIterator(), lastSeq, h.wal, h.walNum, next)
 }
 
-func (b *base) loadFlushErr() error {
-	if p := b.flushErr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (b *base) setFlushErr(err error) {
-	if err != nil {
-		b.flushErr.CompareAndSwap(nil, &err)
-		b.mu.Lock()
-		b.immCond.Broadcast()
-		b.mu.Unlock()
-	}
-}
-
 // --- Reads --------------------------------------------------------------------
 
-// Get reads key at the view the policy captures.
-func (b *base) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	if err := b.check(ctx); err != nil {
-		return nil, false, err
-	}
-	b.ops.Gets.Add(1)
-	v, ok, err := b.reads.Get(readView(b.pol.view()), key)
-	b.endRead()
-	return v, ok, err
-}
-
-// Scan produces a snapshot scan at the view the policy captures: a
-// drained iterator.
-func (b *base) Scan(ctx context.Context, low, high []byte) ([]kv.Pair, error) {
-	if err := b.check(ctx); err != nil {
-		return nil, err
-	}
-	b.ops.Scans.Add(1)
-	it, err := b.reads.NewIterator(ctx, b.pinned(b.pol.view()), low, high)
-	if err != nil {
-		return nil, err
-	}
-	return kv.Collect(it)
-}
-
-// NewIterator streams a pinned snapshot of the view the policy captures;
-// the read's closing critical section, if any, runs at Close. The
-// multi-versioned design pins ONE snapshot for the iterator's whole
-// lifetime — versions newer than the bound stay invisible however long
-// the caller iterates, with no restarts (the memory-for-stability trade
-// §3.2 discusses).
-func (b *base) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator, error) {
-	if err := b.check(ctx); err != nil {
-		return nil, err
-	}
-	b.ops.Iterators.Add(1)
-	return b.reads.NewIterator(ctx, b.pinned(b.pol.view()), low, high)
-}
-
-// Snapshot pins a repeatable-read view at the bound the policy captures.
-// The multi-versioned memtables make this nearly free: the handle
-// references the captured memtable generation(s) — whose versions <= the
-// bound survive arbitrarily many later writes — and pins the current disk
-// version so compaction cannot delete the files the bound still needs.
-// The baselines simply hold on to what multi-versioning already kept;
-// FloDB's single-versioned memory component reaches the same O(1)
-// snapshot through seq-pinned version chains in its skiplist.
-func (b *base) Snapshot(ctx context.Context) (kv.View, error) {
-	if err := b.check(ctx); err != nil {
-		return nil, err
-	}
-	b.ops.Snapshots.Add(1)
-	return b.reads.NewSnapshot(b.pinned(b.pol.snapView())), nil
-}
-
-func (b *base) endRead() {
+// get reads key at the view the policy captures, then runs the read's
+// closing critical section, if the variant has one.
+func (b *base) get(key []byte) ([]byte, bool, error) {
+	v, ok, err := b.ViewGet(readView(b.pol.view()), key)
 	if b.pol.endRead != nil {
 		b.pol.endRead()
 	}
+	return v, ok, err
 }
 
 // readView is a captured (mem, imm, seq) as a storage view with no disk
@@ -574,7 +417,15 @@ func readView(mem, imm *memHandle, snap uint64) storage.ReadView {
 }
 
 // pinned is readView with the current disk version pinned under it, for a
-// view that outlives one call.
+// view that outlives one call: an iterator's or a Snapshot's. The
+// multi-versioned memtables make this nearly free: the view references
+// the captured memtable generation(s) — whose versions <= the bound
+// survive arbitrarily many later writes — and pins the current disk
+// version so compaction cannot delete the files the bound still needs.
+// Versions newer than the bound stay invisible however long the caller
+// reads, with no restarts (the memory-for-stability trade §3.2 discusses).
+// FloDB's single-versioned memory component reaches the same O(1) view
+// through seq-pinned version chains in its skiplist.
 func (b *base) pinned(mem, imm *memHandle, snap uint64) storage.ReadView {
 	v := readView(mem, imm, snap)
 	v.Ver = b.store.PinVersion()
@@ -606,9 +457,9 @@ func (b *base) muSection() {
 
 // --- Checkpoint and shutdown --------------------------------------------------
 
-// Checkpoint syncs the WAL segments and clones the store into dir via
+// checkpoint syncs the WAL segments and clones the store into dir via
 // the storage checkpoint path (hard-linked tables + copied WAL tail +
-// fresh manifest).
+// fresh manifest), once the Front has admitted the call.
 //
 // WAL appends are buffered, so around a memtable switch the sealed
 // segment's file can lag its logical contents while the successor
@@ -618,14 +469,7 @@ func (b *base) muSection() {
 // before and after: if a switch raced the copy, the attempt is discarded
 // and retried. (The storage layer independently retries on WAL turnover
 // from completed flushes via its log-number check.)
-func (b *base) Checkpoint(ctx context.Context, dir string) error {
-	if err := b.check(ctx); err != nil {
-		return err
-	}
-	if err := b.loadFlushErr(); err != nil {
-		return err
-	}
-	b.ops.Checkpoints.Add(1)
+func (b *base) checkpoint(dir string) error {
 	const retries = 4
 	for attempt := 0; attempt < retries; attempt++ {
 		b.mu.Lock()
@@ -655,13 +499,13 @@ func (b *base) Checkpoint(ctx context.Context, dir string) error {
 // Close stops the background work, flushes the sealed and the active
 // memtable and closes the logs (storage.Store.Shutdown).
 func (b *base) Close() error {
-	if !b.stop() {
+	if !b.Shut() {
 		return nil
 	}
 	// The policy's view holds the newest sequence number: cLSM numbers
 	// its writes outside mu.
 	_, _, last := b.pol.view()
-	err := b.loadFlushErr()
+	err := b.BackgroundErr()
 	if err == nil && b.imm != nil {
 		if err = b.flushHandle(b.imm); err == nil {
 			b.imm = nil // else imm stays stranded; Shutdown syncs its tail
@@ -670,35 +514,15 @@ func (b *base) Close() error {
 	return b.store.Shutdown(err, b.imm.log(), b.mem.mem.NewIterator(), b.mem.wal, b.mem.walNum, last)
 }
 
-// stop closes the store to new operations and waits out the background
-// goroutines. A writer parked in waitRoomLocked waits for a flush loop
-// that is now gone: the broadcast wakes it to find the store closed. It
-// reports whether this call did the closing.
-func (b *base) stop() bool {
-	if b.closed.Swap(true) {
-		return false
-	}
+// stop waits out the background goroutines once the Front has closed the
+// store. A writer parked in waitRoomLocked waits for a flush loop that is
+// now gone: the broadcast wakes it to find the store closed.
+func (b *base) stop() {
 	close(b.closing)
 	b.mu.Lock()
 	b.immCond.Broadcast()
 	b.mu.Unlock()
 	b.wg.Wait()
-	return true
-}
-
-// CrashForTesting abandons the store the way a crash would: background
-// threads stop, every live WAL segment is Abandoned (its unflushed
-// staging tail is LOST), and no close-time flush or sync runs. Durability
-// tests use it to open the acked-but-lost window deliberately; production
-// code must use Close.
-func (b *base) CrashForTesting() {
-	if !b.stop() {
-		return
-	}
-	b.mu.Lock()
-	mem, imm := b.mem, b.imm
-	b.mu.Unlock()
-	b.store.Crash(imm.log(), mem.log())
 }
 
 // WaitDiskQuiesce blocks until the pending flush and all compactions
@@ -715,13 +539,3 @@ func (b *base) WaitDiskQuiesce() {
 	}
 	b.store.WaitForCompactions()
 }
-
-// Stats reports shared counters.
-func (b *base) Stats() kv.Stats { return kv.StatsOf(b.TelemetrySnapshot()) }
-
-// TelemetrySnapshot freezes the metrics registry.
-func (b *base) TelemetrySnapshot() obs.Snapshot { return b.reg.Snapshot() }
-
-// ErrClosedBaseline is returned by operations on a closed baseline store.
-// It wraps kv.ErrClosed, so errors.Is(err, kv.ErrClosed) holds.
-var ErrClosedBaseline = fmt.Errorf("baseline: %w", kv.ErrClosed)

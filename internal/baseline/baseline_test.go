@@ -276,7 +276,7 @@ func TestScanSnapshotIgnoresNewerVersions(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Put(bg, spread(uint64(i)), keys.EncodeUint64(999))
 	}
-	it, err := s.reads.NewIterator(bg, s.pinned(v.mem, v.imm, snap), nil, nil)
+	it, err := s.ViewIterator(bg, s.pinned(v.mem, v.imm, snap), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/storage"
 	"flodb/internal/wal"
 )
 
@@ -64,6 +65,8 @@ func NewCLSM(cfg Config) (*CLSM, error) {
 // room, sealing a full one or waiting out the flush in flight first. The
 // caller releases the read side.
 func (db *CLSM) enter(ctx context.Context) (*clsmView, error) {
+	var st storage.Stall
+	defer db.NoteStall(&st)
 	for {
 		// The switchOrWait loop can block behind a slow flush; every lap
 		// is a cancellation point.
@@ -76,7 +79,7 @@ func (db *CLSM) enter(ctx context.Context) (*clsmView, error) {
 			return v, nil
 		}
 		db.rw.RUnlock()
-		if err := db.switchOrWait(); err != nil {
+		if err := db.switchOrWait(ctx, &st); err != nil {
 			return nil, err
 		}
 	}
@@ -99,20 +102,21 @@ func (db *CLSM) write(ctx context.Context, kind keys.Kind, key, value []byte, d 
 
 // switchOrWait seals the full memtable under the write lock (blocking all
 // writers — cLSM's coordination point with background disk writes), or
-// waits for the in-flight flush when one is already running.
-func (db *CLSM) switchOrWait() error {
+// waits for the in-flight flush when one is already running, timing the
+// wait in st.
+func (db *CLSM) switchOrWait(ctx context.Context, st *storage.Stall) error {
 	db.rw.Lock()
 	defer db.rw.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.loadFlushErr(); err != nil {
+	if err := db.BackgroundErr(); err != nil {
 		return err
 	}
 	if db.mem.mem.ApproxBytes() < db.cfg.MemBytes {
 		return nil // another writer already switched
 	}
 	for db.imm != nil {
-		if err := db.waitFlushLocked(); err != nil {
+		if err := db.waitFlushLocked(ctx, st); err != nil {
 			return err
 		}
 	}

@@ -86,7 +86,7 @@ func (db *LevelDB) writeLeader() {
 			for {
 				select {
 				case req := <-db.writeCh:
-					req.done <- ErrClosedBaseline
+					req.done <- storage.ErrClosed
 				default:
 					return
 				}
@@ -104,9 +104,12 @@ func (db *LevelDB) writeLeader() {
 				}
 			}
 			pending = pending[:0]
+			// The leader waits for room on behalf of the whole pass: its
+			// waits are one stall, noted once the pass is applied.
+			var st storage.Stall
 			db.mu.Lock()
 			for _, r := range batch {
-				err := db.waitRoomLocked(context.Background())
+				err := db.waitRoomLocked(context.Background(), &st)
 				var w *wal.Writer
 				var off int64
 				if err == nil {
@@ -119,11 +122,13 @@ func (db *LevelDB) writeLeader() {
 				r.done <- err
 			}
 			db.mu.Unlock()
+			db.NoteStall(&st)
 			// One barrier per segment the pass touched (normally one; a
 			// memtable switch mid-pass adds a second). CommitSync's fast
 			// path makes the later laps free.
 			for _, p := range pending {
-				p.req.done <- storage.CommitSync(db.sealedLog(), p.w, p.off)
+				sealed, _ := db.logs()
+				p.req.done <- storage.CommitSync(sealed, p.w, p.off)
 			}
 		}
 	}
@@ -137,7 +142,7 @@ func (db *LevelDB) write(ctx context.Context, kind keys.Kind, key, value []byte,
 	select {
 	case db.writeCh <- req:
 	case <-db.closing:
-		return nil, 0, ErrClosedBaseline
+		return nil, 0, storage.ErrClosed
 	case <-ctx.Done():
 		return nil, 0, ctx.Err()
 	}

@@ -5,17 +5,19 @@
 // LevelDB and share its disk format, so holding the disk constant isolates
 // exactly the axis the paper studies (§2.2).
 //
-// Policy and mechanism live apart. base (base.go) is the one
-// implementation of the kv.Store contract: the closed and context checks,
-// the op counters, durability, the Sync-class commit, reads, checkpoints,
-// flushes and shutdown. Each variant's file holds only its policy, the
-// row of README's six-system table: how it orders a write and a batch,
-// how a reader captures (mem, imm, seq), whether a read ends with a
-// critical section, and how Snapshot excludes in-flight inserts. Two
-// lifecycles are internal/storage's, shared with FloDB: the WAL segments'
-// (replay, commit sync, retirement, close and crash) and the read view's
-// (storage.Reader: the bounded Get, and the iterator and snapshot handles
-// over a captured view, to which skipMem supplies its Get and Cursor).
+// Policy and mechanism live apart. The kv.Store calls are the
+// storage.Front every engine shares, FloDB included: the closed and
+// context checks, the background error, durability, the op counters and
+// latencies, the Sync-class commit and the read handles. base (base.go)
+// is the engine behind it: memtables, flushes, checkpoints and shutdown.
+// Each variant's file holds only its policy, the row of README's
+// six-system table: how it orders a write and a batch, how a reader
+// captures (mem, imm, seq), whether a read ends with a critical section,
+// and how Snapshot excludes in-flight inserts. Two lifecycles are
+// internal/storage's too: the WAL segments' (replay, commit sync,
+// retirement, close and crash) and the read view's (the bounded Get, and
+// the iterator and snapshot handles over a captured view, to which skipMem
+// supplies its Get and Cursor).
 //
 // All four keep LevelDB's multi-versioned memtable: every update appends a
 // new (key, seq) version and old versions are discarded only during

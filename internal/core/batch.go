@@ -11,15 +11,13 @@ import (
 	"flodb/internal/wal"
 )
 
-// Apply commits every mutation in b atomically.
-//
-// Durability and recovery are all-or-nothing: the whole batch is appended
-// as ONE WAL record (kv.EncodeBatchRecord), so the log's per-record CRC
-// framing guarantees that after a crash either every operation replays or
-// none does — and under DurabilitySync the batch costs a single
+// apply is the engine's batch policy behind the Front's Apply: the whole
+// batch is ONE WAL record (kv.EncodeBatchRecord), so the log's per-record
+// CRC framing guarantees that after a crash either every operation
+// replays or none does — and under DurabilitySync the batch costs a single
 // group-committed fsync, amortized across its operations the way the
-// paper's drain threads amortize skiplist traversals across a
-// multi-insert batch (§4.2).
+// paper's drain threads amortize skiplist traversals across a multi-insert
+// batch (§4.2).
 //
 // The memory-component application runs under drainMu, which serializes it
 // with generation switches (persist seals and view pins).
@@ -37,54 +35,28 @@ import (
 // after drains the Membuffer first and sees every entry. Point Gets racing
 // with Apply may observe a prefix of the batch — the atomicity contract is
 // about durability and scans, not read isolation.
-func (db *DB) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) error {
-	if err := db.check(ctx); err != nil {
-		return err
-	}
-	if err := db.loadPersistErr(); err != nil {
-		return err
-	}
-	d, err := storage.ResolveDurability(db.cfg.Durability, !db.cfg.DisableWAL, opts)
-	if err != nil {
-		return err
-	}
-	if b == nil || b.Len() == 0 {
-		return nil
-	}
-	db.stats.Batches.Add(1)
-	db.stats.BatchOps.Add(uint64(b.Len()))
-
-	var st stall
+//
+// The fsync wait of a Sync-class batch runs in the Front, AFTER drainMu is
+// released: holding the store's switch/scan lock across a disk barrier
+// would hand every scanner and the persister the fsync's latency.
+func (db *DB) apply(ctx context.Context, b *kv.Batch, d kv.Durability) (*wal.Writer, int64, error) {
+	var st storage.Stall
 	if err := db.admit(ctx, &st); err != nil {
-		return err
+		return nil, 0, err
 	}
-	db.noteStall(&st)
+	db.NoteStall(&st)
 	h := db.handle()
 	defer db.putHandle(h)
-
-	start := opClock()
-	defer func() { db.stats.batchLat.Observe(opClock() - start) }()
-	syncW, syncOff, err := db.applyLocked(h, b, d)
-	if err != nil {
-		return err
-	}
-	// The fsync wait of a Sync-class batch runs AFTER drainMu is
-	// released: the batch is already applied and logged, and holding the
-	// store's switch/scan lock across a disk barrier would hand every
-	// scanner and the persister the fsync's latency.
-	if d == kv.DurabilitySync {
-		return storage.CommitSync(db.sealedLog(), syncW, syncOff)
-	}
-	return nil
+	return db.applyLocked(ctx, h, b, d)
 }
 
 // applyLocked logs and applies the batch under drainMu, returning the
 // commit-record position for a Sync-class caller to group-commit.
-func (db *DB) applyLocked(h *rcu.Handle, b *kv.Batch, d kv.Durability) (*wal.Writer, int64, error) {
+func (db *DB) applyLocked(ctx context.Context, h *rcu.Handle, b *kv.Batch, d kv.Durability) (*wal.Writer, int64, error) {
 	db.drainMu.Lock()
 	defer db.drainMu.Unlock()
-	if db.closed.Load() {
-		return nil, 0, ErrClosed
+	if err := db.Check(ctx); err != nil {
+		return nil, 0, err
 	}
 
 	// Under drainMu, pauseWriters is stably false and immGen stably nil:

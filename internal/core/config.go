@@ -115,11 +115,6 @@ func (c *Config) fillDefaults() error {
 	if c.DropPersist {
 		c.DisableWAL = true
 	}
-	d, err := storage.DefaultDurability(c.Durability, !c.DisableWAL)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	c.Durability = d
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/storage"
 )
 
 // bg is the context threaded through every store call in these tests.
@@ -273,13 +274,13 @@ func TestClosedOperations(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	if err := db.Put(bg, []byte("k"), []byte("v")); err != ErrClosed {
+	if err := db.Put(bg, []byte("k"), []byte("v")); err != storage.ErrClosed {
 		t.Fatalf("Put after close: %v", err)
 	}
-	if _, _, err := db.Get(bg, []byte("k")); err != ErrClosed {
+	if _, _, err := db.Get(bg, []byte("k")); err != storage.ErrClosed {
 		t.Fatalf("Get after close: %v", err)
 	}
-	if _, err := db.Scan(bg, nil, nil); err != ErrClosed {
+	if _, err := db.Scan(bg, nil, nil); err != storage.ErrClosed {
 		t.Fatalf("Scan after close: %v", err)
 	}
 	if err := db.Close(); err != nil {

@@ -29,9 +29,19 @@
 // restart-and-fallback conflict handling (§4.4): a reader never restarts
 // and never blocks a writer past the seal's grace period. The handles
 // over a view — the iterator, the snapshot, the bounded Get — are
-// internal/storage's Reader, the one read view every engine shares; this
+// internal/storage's, the one read view every engine shares; this
 // package supplies how a Memtable answers at a bound (memtable.Get and
 // Cursor) and, as the view's release, unregisterBound.
+//
+// # The operation shell
+//
+// DB's kv.Store calls are storage.Front's, the shell FloDB shares with
+// the four baselines: the closed, context and background-error checks,
+// durability, the op counters and latencies, the stall counters and the
+// event log. DB supplies the policy behind them as a storage.Engine:
+// update (the Membuffer fast path and admit), apply, get (Algorithm 2),
+// pinView, its log segments and checkpoint; and it keeps its own Close,
+// which drains the Membuffer last.
 //
 // # The active pair
 //
@@ -60,7 +70,7 @@
 package core
 
 import (
-	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,8 +101,10 @@ func (g *generation) over(mtb *memtable) *generation {
 	return &generation{mbf: g.mbf, mtb: mtb}
 }
 
-// DB is a FloDB instance.
+// DB is a FloDB instance. Its kv.Store calls are the shell every engine
+// shares (storage.Front); what DB adds is the memory component's policy.
 type DB struct {
+	storage.Front
 	cfg Config
 
 	store *storage.Store // nil iff cfg.DropPersist
@@ -153,14 +165,8 @@ type DB struct {
 	snapMu     sync.Mutex
 	snapBounds []boundRef
 	retention  skiplist.Retention
-	// reads is the read side every range read goes through: the bounded
-	// iterator and the snapshot handle over a pinView.
-	reads storage.Reader
 
 	persistCh chan struct{}
-	// persistErr records the first background persist failure; surfaced
-	// on subsequent writes and Close.
-	persistErr atomic.Pointer[error]
 
 	// walMetrics is shared by every WAL segment the store creates, so
 	// the acked-vs-durable boundary (Stats.AckedSeq/DurableSeq) spans
@@ -171,48 +177,28 @@ type DB struct {
 	handles *sync.Pool
 
 	closing chan struct{}
-	closed  atomic.Bool
 	wg      sync.WaitGroup
 
 	// testHook, when a test sets it, runs at the named points of the drain
 	// and persist protocols so the test can park a thread there.
 	testHook atomic.Pointer[func(at hookPoint)]
 
-	// reg is the metrics registry (internal/obs) every stat counter and
-	// latency histogram lives in; events is the structured event log
-	// (see telemetry.go).
-	reg    *obs.Registry
-	events *obs.EventLog
-	stats  statCounters
+	// stats are the memory component's own counters; the op counters,
+	// latencies and stalls are the Front's (see telemetry.go).
+	stats statCounters
 }
 
-// statCounters are the DB's operation counters and latency histograms.
-// Each field is a metric REGISTERED in db.reg (initObs wires them), so
-// kv.Stats and the /metrics exposition read the same atomics — the Stats
-// struct is a view over the registry, not a second set of counts.
-// Recording is a single atomic add; the counters every Put or Get bumps
-// are striped (obs.StripedCounter), as are the histograms, so that add
-// writes no line another core writes.
+// statCounters are the memory component's counters. Each field is a
+// metric REGISTERED in the Front's registry (initObs wires them), so
+// kv.Stats and the /metrics exposition read the same atomics. The
+// counters every Put bumps are striped (obs.StripedCounter), so that add
+// writes no line another core writes. inPlaceHits counts Membuffer
+// updates that overwrote a resident key in place (no new drain debt).
 type statCounters struct {
-	kv.OpCounters
 	membufferHits, memtableWrites *obs.StripedCounter
 	drainedEntries, drainBatches  *obs.Counter
 	persists                      *obs.Counter
-	// stallNanos accumulates time WRITERS (Put/Delete/Apply) spent
-	// stalled on seals, memory-component backpressure and an L0 backlog,
-	// whether the write then completed or gave up (background drainers'
-	// own sleeps are excluded); stallByCause splits it by what the writer
-	// waited on (stallCause). inPlaceHits counts Membuffer updates that
-	// overwrote a resident key in place (no new drain debt).
-	stallNanos   *obs.Counter
-	stallByCause [numStallCauses]*obs.Counter
-	inPlaceHits  *obs.StripedCounter
-
-	putLat, getLat, deleteLat  *obs.Histogram
-	scanLat, batchLat, snapLat *obs.Histogram
-	// stallLat distributes the per-op writer stall time whose total
-	// feeds stallNanos: it tells a few 100ms stalls from many 1ms ones.
-	stallLat *obs.Histogram
+	inPlaceHits                   *obs.StripedCounter
 }
 
 // Open creates or opens a FloDB store.
@@ -231,11 +217,14 @@ func Open(cfg Config) (*DB, error) {
 	db.handles = &sync.Pool{New: func() any { return db.domain.Reader() }}
 	// The registry must exist before the first counter increment or
 	// event emission — i.e. before recovery and the background loops.
+	if err := db.Init(cfg.Durability, !cfg.DisableWAL); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	db.initObs()
 
 	if !cfg.DropPersist {
 		scfg := cfg.Storage
-		scfg.Events = db.events
+		scfg.Events = db.Events()
 		store, err := storage.Open(cfg.Dir, scfg)
 		if err != nil {
 			return nil, err
@@ -251,13 +240,16 @@ func Open(cfg Config) (*DB, error) {
 			db.seq.Store(seq)
 		}
 	}
-	storage.RegisterMetrics(db.reg, db.store, &db.walMetrics)
-	db.reads = storage.Reader{
-		Store:     db.store,
-		Check:     db.check,
-		Release:   db.unregisterBound,
-		Iterators: db.stats.Iterators,
-	}
+	db.Front.Open(db.store, &db.walMetrics, storage.Engine{
+		Write:      db.update,
+		Apply:      db.apply,
+		Get:        db.get,
+		View:       db.pinView,
+		Release:    db.unregisterBound,
+		Logs:       db.logs,
+		Checkpoint: db.checkpoint,
+		Stop:       db.stop,
+	})
 
 	mt, err := db.newMemtable()
 	if err != nil {
@@ -384,7 +376,7 @@ func (db *DB) newMemtable() (*memtable, error) {
 	m.walNum, m.wal, err = db.store.CreateLog(wal.Options{
 		Metrics:      &db.walMetrics,
 		WriteThrough: db.cfg.WALWriteThrough,
-		Events:       db.events,
+		Events:       db.Events(),
 	})
 	if err != nil {
 		return nil, err
@@ -394,17 +386,10 @@ func (db *DB) newMemtable() (*memtable, error) {
 
 // Close drains and flushes the memory component, then shuts down.
 func (db *DB) Close() error {
-	if db.closed.Swap(true) {
+	if !db.Shut() {
 		return nil
 	}
-	close(db.closing)
-	select {
-	case db.persistCh <- struct{}{}:
-	default:
-	}
-	db.wg.Wait()
-
-	err := db.loadPersistErr()
+	err := db.BackgroundErr()
 	if db.store == nil {
 		return err // DropPersist: no log and nothing to persist
 	}
@@ -420,41 +405,21 @@ func (db *DB) Close() error {
 	return db.store.Shutdown(err, db.sealedLog(), g.mtb.NewIterator(), g.mtb.wal, g.mtb.walNum, db.seq.Load())
 }
 
-// check is the closed and context test an operation starts with (the
-// point Get and the writes inline it).
-func (db *DB) check(ctx context.Context) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	return ctx.Err()
+// stop ends the background work: the drainers and the persister.
+func (db *DB) stop() {
+	close(db.closing)
+	db.signalPersist()
+	db.wg.Wait()
 }
 
-// Sync is the durability barrier of the kv.Store contract: it blocks
-// until every mutation acknowledged before the call is crash-durable.
-// One group-committed fsync per live WAL segment (at most two: the sealed
-// generation's and the active one's) promotes the whole acked-but-
-// buffered window; concurrent barriers and Sync-class writes coalesce in
-// the commit queue. With the WAL disabled there is no buffered window to
-// promote and the barrier is a no-op.
-func (db *DB) Sync(ctx context.Context) error {
-	if err := db.check(ctx); err != nil {
-		return err
-	}
-	db.stats.SyncBarriers.Add(1)
-	if db.store == nil || db.cfg.DisableWAL {
-		return nil
-	}
-	// A failed persist means sealed-generation records may be neither in
-	// sstables nor syncable — don't claim a durable barrier over them.
-	if err := db.loadPersistErr(); err != nil {
-		return err
-	}
-	// Active generation loaded first: if a switch races us, the pair we
-	// loaded becomes the sealed one and we still sync the segment that
-	// holds every pre-call record. Segments retired meanwhile are durable
-	// through their sstable flush.
+// logs loads the live WAL segments for a barrier over them. The active
+// generation is loaded first: if a switch races the load, the pair loaded
+// becomes the sealed one and the barrier still covers the segment that
+// holds every earlier record. Segments retired meanwhile are durable
+// through their sstable flush.
+func (db *DB) logs() (sealed, active *wal.Writer) {
 	g := db.gen.Load()
-	return storage.SyncLogs(db.sealedLog(), g.mtb.wal)
+	return db.sealedLog(), g.mtb.wal
 }
 
 // sealedLog is the segment of the sealed Memtable a persist is flushing,
@@ -463,43 +428,6 @@ func (db *DB) Sync(ctx context.Context) error {
 // generation, so a writer whose record landed in the successor segment is
 // guaranteed to see the sealed one here while it is still live.
 func (db *DB) sealedLog() *wal.Writer { return db.immMtb.Load().log() }
-
-func (db *DB) loadPersistErr() error {
-	if p := db.persistErr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (db *DB) setPersistErr(err error) {
-	if err == nil {
-		return
-	}
-	db.persistErr.CompareAndSwap(nil, &err)
-}
-
-// CrashForTesting abandons the store the way a crash would: background
-// threads stop, every live WAL segment is Abandoned (its unflushed
-// staging tail is LOST, modeling the buffers a crash takes), and no
-// close-time flush or sync runs. The directory is left exactly as a
-// post-crash recovery would find it. Durability tests use it to open the
-// acked-but-lost window deliberately; production code must use Close.
-func (db *DB) CrashForTesting() {
-	if db.closed.Swap(true) {
-		return
-	}
-	close(db.closing)
-	db.wg.Wait()
-	if db.store != nil {
-		db.store.Crash(db.sealedLog(), db.gen.Load().mtb.wal)
-	}
-}
-
-// Stats returns a snapshot of operation counters.
-func (db *DB) Stats() kv.Stats { return kv.StatsOf(db.TelemetrySnapshot()) }
-
-// Store exposes the disk component (diagnostics; nil in DropPersist mode).
-func (db *DB) Store() *storage.Store { return db.store }
 
 // WaitDiskQuiesce blocks until pending persists and compactions settle —
 // the "wait until draining to disk and compactions have completed" step

@@ -2,15 +2,18 @@ package core
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"flodb/internal/diskenv"
+	"flodb/internal/kv"
 )
 
 // TestFlushFaultSurfacesOnWrites injects a failure into the persist path
-// and verifies the store degrades cleanly: the error reaches writers and
-// Close, and nothing panics or hangs.
+// and verifies the store degrades cleanly: the error reaches writers
+// (Put and Apply), Snapshot, Sync, Checkpoint and Close, and nothing
+// panics or hangs.
 func TestFlushFaultSurfacesOnWrites(t *testing.T) {
 	boom := errors.New("injected flush failure")
 	fault := &diskenv.FaultPoint{}
@@ -41,6 +44,22 @@ func TestFlushFaultSurfacesOnWrites(t *testing.T) {
 	}
 	if fault.Fired() != 1 {
 		t.Fatalf("fault fired %d times", fault.Fired())
+	}
+	// Every call that would build on the persisted state returns it too.
+	b := kv.NewBatch()
+	b.Put(spreadKey(0), []byte("v"))
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Apply", func() error { return db.Apply(bg, b) }},
+		{"Snapshot", func() error { _, err := db.Snapshot(bg); return err }},
+		{"Sync", func() error { return db.Sync(bg) }},
+		{"Checkpoint", func() error { return db.Checkpoint(bg, filepath.Join(t.TempDir(), "ckpt")) }},
+	} {
+		if err := c.call(); !errors.Is(err, boom) {
+			t.Errorf("%s after the persist failure = %v, want the injected fault", c.name, err)
+		}
 	}
 	// Reads still work on the data that is in memory/disk.
 	if _, _, err := db.Get(bg, spreadKey(0)); err != nil {

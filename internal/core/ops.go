@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -13,10 +12,6 @@ import (
 	"flodb/internal/storage"
 	"flodb/internal/wal"
 )
-
-// ErrClosed is returned by operations on a closed DB. It wraps
-// kv.ErrClosed, so errors.Is(err, kv.ErrClosed) holds.
-var ErrClosed = fmt.Errorf("flodb: %w", kv.ErrClosed)
 
 // tombstoneMarker is the special value FloDB writes for deletes (§3.2 "a
 // delete is done by inserting a special tombstone value"). It never leaves
@@ -33,27 +28,12 @@ func (db *DB) putHandle(h *rcu.Handle) {
 	db.handles.Put(h)
 }
 
-// Get implements Algorithm 2: search MBF, IMM_MBF, MTB, IMM_MTB, DISK in
-// order and return the first occurrence — the levels are checked in the
-// direction of data flow, so the first hit is the freshest. get lists what
-// each step costs. The value returned is a copy: it belongs to the caller.
-func (db *DB) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	start := opClock()
-	v, ok, err := db.get(ctx, key)
-	db.stats.getLat.Observe(opClock() - start)
-	return keys.Clone(v), ok, err
-}
-
-// clockBase anchors opClock.
-var clockBase = time.Now()
-
-// opClock is the clock the op latency histograms read: time since
-// clockBase, one read of the monotonic clock (time.Now reads the wall
-// clock too).
-func opClock() time.Duration { return time.Since(clockBase) }
-
-// get pays only for the component that holds the key. The key is hashed
-// once (keys.Hash), for every component. In order:
+// get is Algorithm 2's Get, the engine's answer to the Front's Get:
+// search MBF, IMM_MBF, MTB, IMM_MTB, DISK in order and return the first
+// occurrence — the levels are checked in the direction of data flow, so
+// the first hit is the freshest. It pays only for the component that
+// holds the key. The key is hashed once (keys.Hash), for every component.
+// In order:
 //
 //  1. Membuffer: one bucket line, tags compared before any key (~50 ns).
 //  2. The retired Membuffer, if a seal is draining it, then the Memtable:
@@ -75,15 +55,7 @@ func opClock() time.Duration { return time.Since(clockBase) }
 //
 // The value returned aliases store memory that is never written again (a
 // Membuffer pair, a skiplist entry, a cached row).
-func (db *DB) get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	if db.closed.Load() {
-		return nil, false, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	db.stats.Gets.Add(1)
-
+func (db *DB) get(key []byte) ([]byte, bool, error) {
 	h := keys.Hash(key)
 	g := db.gen.Load()
 	if g.mbf != nil {
@@ -146,62 +118,25 @@ func (db *DB) getSealed(g *generation, key []byte, h uint64) (v []byte, tomb, ok
 	}
 }
 
-// Put inserts or overwrites key. The store keeps no reference to key or
-// value, so the caller may reuse its buffers as soon as Put returns: the
-// WAL append and the Membuffer copy both into memory of their own (a
-// Membuffer pair holds key and value in one allocation), and a write that
-// falls through to the Memtable copies the key into the skiplist's arena
-// and clones the value for its entry.
-func (db *DB) Put(ctx context.Context, key, value []byte, opts ...kv.WriteOption) error {
-	db.stats.Puts.Add(1)
-	d, err := storage.ResolveDurability(db.cfg.Durability, !db.cfg.DisableWAL, opts)
-	if err != nil {
-		return err
-	}
-	start := opClock()
-	err = db.update(ctx, key, value, false, d)
-	db.stats.putLat.Observe(opClock() - start)
-	return err
-}
-
-// Delete writes a tombstone for key (§3.2: "a Put with a special tombstone
-// value"). Like Put, it keeps no reference to key.
-func (db *DB) Delete(ctx context.Context, key []byte, opts ...kv.WriteOption) error {
-	db.stats.Deletes.Add(1)
-	d, err := storage.ResolveDurability(db.cfg.Durability, !db.cfg.DisableWAL, opts)
-	if err != nil {
-		return err
-	}
-	start := opClock()
-	err = db.update(ctx, key, tombstoneMarker, true, d)
-	db.stats.deleteLat.Observe(opClock() - start)
-	return err
-}
-
-// update is Algorithm 2's Put. The fast path tries the Membuffer; if the
-// target bucket is full (or the buffer is disabled) the update goes
-// directly to the Memtable once admit lets it in. key and value belong to
-// the caller: every component that keeps them copies them.
+// update is Algorithm 2's Put, the engine's write policy behind the
+// Front's Put and Delete. The fast path tries the Membuffer; if the target
+// bucket is full (or the buffer is disabled) the update goes directly to
+// the Memtable once admit lets it in. key and value belong to the caller:
+// every component that keeps them copies them — the WAL append and the
+// Membuffer copy into memory of their own (a Membuffer pair holds key and
+// value in one allocation), and a write that falls through to the
+// Memtable copies the key into the skiplist's arena and clones the value
+// for its entry. A delete writes tombstoneMarker (§3.2).
 //
 // Durability routing: DurabilityNone skips the WAL append entirely;
 // Buffered appends and returns; Sync appends, completes the memory-
-// component insert, and only then joins the group-commit queue — the
-// fsync wait happens OUTSIDE the RCU read section, so a stalled disk
-// barrier never delays a generation switch's grace period.
-func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d kv.Durability) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := db.loadPersistErr(); err != nil {
-		return err
-	}
-
-	kind := keys.KindSet
+// component insert, and returns its commit record for the Front to wait
+// on — OUTSIDE the RCU read section, so a stalled disk barrier never
+// delays a generation switch's grace period.
+func (db *DB) update(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (*wal.Writer, int64, error) {
+	tombstone := kind == keys.KindDelete
 	if tombstone {
-		kind = keys.KindDelete
+		value = tombstoneMarker
 	}
 	logged := d != kv.DurabilityNone
 	hash := keys.Hash(key)
@@ -232,7 +167,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			off, err := g.mtb.wal.AppendRecord(kind, key, value)
 			if err != nil {
 				h.Exit()
-				return err
+				return nil, 0, err
 			}
 			syncW, syncOff = g.mtb.wal, off
 		}
@@ -242,10 +177,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			if inPlace {
 				db.stats.inPlaceHits.Add(1)
 			}
-			if d == kv.DurabilitySync {
-				return storage.CommitSync(db.sealedLog(), syncW, syncOff)
-			}
-			return nil
+			return syncW, syncOff, nil
 		}
 		sealed := g.mbf.Frozen()
 		h.Exit()
@@ -263,11 +195,11 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 	// returns stops the compiler open-coding the first, which every
 	// fast-path Put runs.) The skiplist copies the key into its arena; the
 	// entry keeps the value, so it gets a copy of its own.
-	var st stall
+	var st storage.Stall
 	value = keys.Clone(value)
 	for {
 		if err := db.admit(ctx, &st); err != nil {
-			return err
+			return nil, 0, err
 		}
 		// The correctness gate: a seal that set pauseWriters after admit
 		// looked is either visible here or waits out this read section.
@@ -281,7 +213,7 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 			off, err := g.mtb.wal.AppendRecord(kind, key, value)
 			if err != nil {
 				h.Exit()
-				return err
+				return nil, 0, err
 			}
 			syncW, syncOff = g.mtb.wal, off
 		}
@@ -289,14 +221,11 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 		g.mtb.insert(key, hash, &skiplist.Entry{Value: value, Seq: seq, Tombstone: tombstone})
 		h.Exit()
 		db.stats.memtableWrites.Add(1)
-		db.noteStall(&st)
+		db.NoteStall(&st)
 		if g.mtb.approxBytes() >= db.memtableTarget {
 			db.signalPersist()
 		}
-		if d == kv.DurabilitySync {
-			return storage.CommitSync(db.sealedLog(), syncW, syncOff)
-		}
-		return nil
+		return syncW, syncOff, nil
 	}
 }
 
@@ -316,22 +245,19 @@ func (db *DB) update(ctx context.Context, key, value []byte, tombstone bool, d k
 //
 // Each wait is timed in st under its cause. A failed admission records
 // the stall here; an admitted writer records it once its write is in
-// (noteStall).
-func (db *DB) admit(ctx context.Context, st *stall) error {
+// (NoteStall).
+func (db *DB) admit(ctx context.Context, st *storage.Stall) error {
 	for spins := 0; ; spins++ {
-		err := ctx.Err()
-		if err == nil && db.closed.Load() {
-			err = ErrClosed
-		}
+		err := db.Check(ctx)
 		if err == nil {
-			err = db.loadPersistErr()
+			err = db.BackgroundErr()
 		}
 		if err != nil {
-			db.noteStall(st)
+			db.NoteStall(st)
 			return err
 		}
 		if db.pauseWriters.Load() {
-			st.wait(stallSeal)
+			st.Wait(storage.StallSeal)
 			runtime.Gosched()
 			continue
 		}
@@ -339,78 +265,25 @@ func (db *DB) admit(ctx context.Context, st *stall) error {
 		if !wait {
 			return nil
 		}
-		st.wait(cause)
+		st.Wait(cause)
 		db.backoff(spins)
 	}
 }
 
 // backpressure reports whether a writer must wait before it writes to the
 // Memtable, and on what: the Memtable or the L0 backlog.
-func (db *DB) backpressure() (stallCause, bool) {
+func (db *DB) backpressure() (storage.StallCause, bool) {
 	if over := db.gen.Load().mtb.approxBytes(); over > db.memtableTarget {
 		db.signalPersist()
 		if db.immMtb.Load() != nil || over > 2*db.memtableTarget {
-			return stallMemtable, true
+			return storage.StallMemtable, true
 		}
 	}
 	if db.store != nil && db.store.NeedsStall() {
 		db.store.MaybeScheduleCompaction()
-		return stallL0, true
+		return storage.StallL0, true
 	}
 	return 0, false
-}
-
-// stallCause is what a writer waited on in admit.
-type stallCause uint8
-
-const (
-	stallSeal     stallCause = iota // a seal paused writers for its grace period
-	stallMemtable                   // the Memtable is full or 2x over target
-	stallL0                         // the L0 backlog stop
-	numStallCauses
-)
-
-// stallCauseNames label flodb_write_stall_by_cause_nanoseconds_total.
-var stallCauseNames = [numStallCauses]string{"seal", "memtable", "l0"}
-
-// stall is one write's time in admit, by cause: the wait in progress began
-// at mark (0: none yet) and is on cause; earlier waits are in nanos.
-type stall struct {
-	mark  time.Duration
-	cause stallCause
-	nanos [numStallCauses]time.Duration
-}
-
-// wait notes that the writer waits on c. The clock is read only when a
-// wait starts or changes cause, not on every lap.
-func (s *stall) wait(c stallCause) {
-	if s.mark > 0 && s.cause == c {
-		return
-	}
-	now := opClock()
-	if s.mark > 0 {
-		s.nanos[s.cause] += now - s.mark
-	}
-	s.mark, s.cause = now, c
-}
-
-// noteStall records a writer's stall, if st says it had one: the time
-// under each cause, their total, and the total as one observation. The
-// wait in progress counts up to now: to the write it held up.
-func (db *DB) noteStall(st *stall) {
-	if st.mark <= 0 {
-		return
-	}
-	st.nanos[st.cause] += opClock() - st.mark
-	var total time.Duration
-	for c, d := range st.nanos {
-		if d > 0 {
-			db.stats.stallByCause[c].Add(uint64(d))
-			total += d
-		}
-	}
-	db.stats.stallNanos.Add(uint64(total))
-	db.stats.stallLat.Observe(total)
 }
 
 // backoff yields, escalating to short sleeps so stalled writers don't

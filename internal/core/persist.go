@@ -21,7 +21,7 @@ func (db *DB) persistLoop() {
 		}
 		for db.needsPersist() {
 			if err := db.persistOnce(); err != nil {
-				db.setPersistErr(err)
+				db.SetBackgroundErr(err)
 				return
 			}
 			select {
@@ -68,7 +68,7 @@ func (db *DB) persistCycle() error {
 	sealStart := time.Now()
 	old, sealErr := db.sealMembuffer(next, nil)
 	sealBytes := old.mtb.approxBytes()
-	db.events.Emit(obs.Event{
+	db.Events().Emit(obs.Event{
 		Type: obs.EventSeal, Dur: time.Since(sealStart),
 		Bytes: sealBytes, Detail: "generation switch + drain",
 	})
@@ -104,7 +104,7 @@ func (db *DB) persistCycle() error {
 	db.domain.Synchronize()
 	db.immMtb.Store(nil)
 	if old.mtb.wal != nil {
-		db.events.Emit(obs.Event{
+		db.Events().Emit(obs.Event{
 			Type: obs.EventWALRotate, Bytes: sealBytes,
 			Detail: fmt.Sprintf("segment %d -> %d", old.mtb.walNum, next.walNum),
 		})

@@ -12,6 +12,7 @@ import (
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/storage"
 )
 
 // TestFilterHasNoFalseNegatives drives every way into the Memtable — the
@@ -251,7 +252,7 @@ func TestL0BacklogCountsAsStall(t *testing.T) {
 	}
 	waitFor(t, "the L0 backlog", func() bool { return db.store.NeedsStall() })
 
-	waitsCountUnder(t, db, stallL0, val)
+	waitsCountUnder(t, db, storage.StallL0, val)
 }
 
 // TestUnfinishedPersistCountsAsStall parks the persisting thread after it
@@ -288,29 +289,32 @@ func TestUnfinishedPersistCountsAsStall(t *testing.T) {
 	default:
 		t.Fatal("a write waited, but not on a persist parked before its flush")
 	}
-	waitsCountUnder(t, db, stallMemtable, val)
+	waitsCountUnder(t, db, storage.StallMemtable, val)
 }
 
 // waitsCountUnder checks that a Put and an Apply on a store whose writers
 // must wait on cause each wait until their context gives up, and that the
 // wait is stall time, recorded as one stall under cause. The by-cause
 // series always sum to the total.
-func waitsCountUnder(t *testing.T, db *DB, cause stallCause, val []byte) {
+func waitsCountUnder(t *testing.T, db *DB, cause storage.StallCause, val []byte) {
 	t.Helper()
-	stalled := func() time.Duration { return time.Duration(db.stats.stallNanos.Load()) }
-	byCause := func(c stallCause) time.Duration { return time.Duration(db.stats.stallByCause[c].Load()) }
+	stalled := func() time.Duration { return time.Duration(metric(db, "flodb_write_stall_nanoseconds_total")) }
+	byCause := func(c storage.StallCause) time.Duration {
+		return time.Duration(metric(db, `flodb_write_stall_by_cause_nanoseconds_total{cause="`+storage.StallCauseNames[c]+`"}`))
+	}
+	stallCount := func() int64 { return metric(db, "flodb_write_stall_seconds") }
 	sumsToTotal := func(when string) {
 		t.Helper()
 		var sum time.Duration
-		for c := range stallCauseNames {
-			sum += byCause(stallCause(c))
+		for c := range storage.StallCauseNames {
+			sum += byCause(storage.StallCause(c))
 		}
 		if total := stalled(); sum != total {
 			t.Fatalf("%s: the by-cause stall series sum to %v, the total is %v", when, sum, total)
 		}
 	}
 	sumsToTotal("before")
-	name := stallCauseNames[cause]
+	name := storage.StallCauseNames[cause]
 	const wait = 30 * time.Millisecond
 	for _, op := range []struct {
 		name string
@@ -323,7 +327,7 @@ func waitsCountUnder(t *testing.T, db *DB, cause stallCause, val []byte) {
 			return db.Apply(ctx, b)
 		}},
 	} {
-		before, stalls, under := stalled(), db.stats.stallLat.Count(), byCause(cause)
+		before, stalls, under := stalled(), stallCount(), byCause(cause)
 		ctx, cancel := context.WithTimeout(bg, wait)
 		err := op.do(ctx)
 		cancel()
@@ -333,7 +337,7 @@ func waitsCountUnder(t *testing.T, db *DB, cause stallCause, val []byte) {
 		if got := stalled() - before; got < wait/2 {
 			t.Fatalf("%s waited %v on the %s backlog, %v of it counted as stall", op.name, wait, name, got)
 		}
-		if got := db.stats.stallLat.Count() - stalls; got != 1 {
+		if got := stallCount() - stalls; got != 1 {
 			t.Fatalf("%s added %d observations to flodb_write_stall_seconds, want 1", op.name, got)
 		}
 		if got := byCause(cause) - under; got < wait/2 {
@@ -341,6 +345,20 @@ func waitsCountUnder(t *testing.T, db *DB, cause stallCause, val []byte) {
 		}
 		sumsToTotal(op.name)
 	}
+}
+
+// metric reads one series off db's registry: a counter's value, or a
+// histogram's count of observations.
+func metric(db *DB, name string) int64 {
+	for _, m := range db.TelemetrySnapshot().Metrics {
+		if m.Name == name {
+			if m.Hist != nil {
+				return int64(m.Hist.Count)
+			}
+			return m.Value
+		}
+	}
+	return 0
 }
 
 // TestGetAllocationBudget is the point read's budget on disk-resident data:
@@ -379,7 +397,7 @@ func TestGetAllocationBudget(t *testing.T) {
 		ks[i] = spreadKey(uint64(i))
 	}
 	get := func(i int) {
-		if v, ok, err := db.get(bg, ks[i]); err != nil || !ok || len(v) != len(val) {
+		if v, ok, err := db.get(ks[i]); err != nil || !ok || len(v) != len(val) {
 			t.Fatalf("get(%d): %d bytes ok=%v err=%v", i, len(v), ok, err)
 		}
 	}

@@ -35,9 +35,7 @@ func TestRecoveryFromWAL(t *testing.T) {
 	}
 	// Abandon the DB without Close (goroutines die with the test process;
 	// the store is reopened from disk state only).
-	db.closed.Store(true)
-	close(db.closing)
-	db.wg.Wait()
+	db.Shut()
 	db.store.Close()
 
 	db2, err := Open(Config{Dir: dir, MemoryBytes: 1 << 20})
@@ -105,9 +103,7 @@ func TestRecoveryWithTornWALTail(t *testing.T) {
 	g := db.gen.Load()
 	walPath := storage.WALFileName(dir, g.mtb.walNum)
 	g.mtb.wal.Sync()
-	db.closed.Store(true)
-	close(db.closing)
-	db.wg.Wait()
+	db.Shut()
 	db.store.Close()
 
 	// Tear the WAL tail: recovery must keep every fully-written record.
@@ -176,9 +172,7 @@ func crashDB(t *testing.T, db *DB) {
 			t.Fatal(err)
 		}
 	}
-	db.closed.Store(true)
-	close(db.closing)
-	db.wg.Wait()
+	db.Shut()
 	db.store.Close()
 }
 

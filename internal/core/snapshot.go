@@ -1,18 +1,13 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"time"
-
-	"flodb/internal/kv"
-	"flodb/internal/obs"
-	"flodb/internal/storage"
-)
+import "flodb/internal/storage"
 
 // pinView takes a point-in-time view of the store, in O(resident
-// Membuffer entries) and with no disk I/O. It is the open path of every
-// range read: Scan, NewIterator and Snapshot.
+// Membuffer entries) and with no disk I/O. It is the engine's View: the
+// open path of every range read, Scan, NewIterator and Snapshot. Opening
+// costs a Membuffer seal, which pauses slow-path writers only for its
+// grace period; an open view keeps the versions its bound needs chained
+// beneath later overwrites until its last reference drops.
 //
 // Design note — how a single-versioned memory component serves
 // repeatable reads. The paper's memory levels deliberately update in
@@ -42,8 +37,8 @@ import (
 // keys overwritten while they live.
 //
 // The view holds one reference on its bound and one on its Version;
-// releasing it (storage.Reader, whose Release is unregisterBound) drops
-// both.
+// releasing it (storage.Front, whose Release here is unregisterBound)
+// drops both.
 func (db *DB) pinView() storage.ReadView {
 	db.drainMu.Lock()
 	// The Membuffer is unsequenced, so it cannot be bounded in place: seal
@@ -72,27 +67,4 @@ func (db *DB) pinView() storage.ReadView {
 
 	db.drainMu.Unlock()
 	return v
-}
-
-// Snapshot returns a read-only view pinned at the current state: a
-// pinView whose references live until the handle's Close. The O(1)-disk
-// design is described at pinView; the handle is storage.Reader's, the
-// one every engine shares.
-func (db *DB) Snapshot(ctx context.Context) (kv.View, error) {
-	if err := db.check(ctx); err != nil {
-		return nil, err
-	}
-	if db.store == nil {
-		return nil, fmt.Errorf("flodb: snapshot without a disk component: %w", kv.ErrNotSupported)
-	}
-	if err := db.loadPersistErr(); err != nil {
-		return nil, err
-	}
-	db.stats.Snapshots.Add(1)
-	start := time.Now()
-	v := db.pinView()
-	d := time.Since(start)
-	db.stats.snapLat.Observe(d)
-	db.events.Emit(obs.Event{Type: obs.EventSnapshotPin, Dur: d, Detail: fmt.Sprintf("seq bound %d", v.Seq)})
-	return db.reads.NewSnapshot(v), nil
 }

@@ -35,7 +35,7 @@ func APIBench(c Config) (*harness.Table, error) {
 	threads := c.Threads[len(c.Threads)/2]
 	cols := []string{"batch-write Mops/s", "iter-scan Mkeys/s", "scan Mkeys/s", "snap-read Mops/s", "durable-write Kops/s"}
 	tbl := harness.NewTable("API bench: atomic batches, streaming iterators, durable writes",
-		fmt.Sprintf("workload (%d threads)", threads), "throughput", cols, systemRows())
+		fmt.Sprintf("workload (%d threads)", threads), "throughput", cols, systemRows(AllSystems))
 
 	type cell struct {
 		opts    harness.RunOptions

@@ -16,7 +16,7 @@ import (
 func Fig9(c Config) (*harness.Table, error) {
 	c.Defaults()
 	tbl := harness.NewTable("Fig 9: write-only workload", "threads", "Mops/s",
-		threadCols(c.Threads), systemRows())
+		threadCols(c.Threads), systemRows(figureSystems))
 	err := c.systemsThreadSweep("fig9", tbl, c.Threads,
 		true /* fresh store */, false, false, /* no init: fresh */
 		harness.RunOptions{Mix: workload.WriteOnly},
@@ -35,7 +35,7 @@ func Fig10(c Config) (*harness.Table, error) {
 		threads = []int{1, 8, 64}
 	}
 	tbl := harness.NewTable("Fig 10: read-only workload, sequential initialization", "threads", "Mops/s",
-		threadCols(threads), systemRows())
+		threadCols(threads), systemRows(figureSystems))
 	err := c.systemsThreadSweep("fig10", tbl, threads,
 		false /* init once per system */, true /* sorted init */, true,
 		harness.RunOptions{Mix: workload.ReadOnly},
@@ -48,7 +48,7 @@ func Fig10(c Config) (*harness.Table, error) {
 func Fig11(c Config) (*harness.Table, error) {
 	c.Defaults()
 	tbl := harness.NewTable("Fig 11: mixed read-write workload", "threads", "Mops/s",
-		threadCols(c.Threads), systemRows())
+		threadCols(c.Threads), systemRows(figureSystems))
 	err := c.systemsThreadSweep("fig11", tbl, c.Threads,
 		false, false, true, /* random half init once */
 		harness.RunOptions{Mix: workload.Balanced},
@@ -61,7 +61,7 @@ func Fig11(c Config) (*harness.Table, error) {
 func Fig12(c Config) (*harness.Table, error) {
 	c.Defaults()
 	tbl := harness.NewTable("Fig 12: mixed workload, one writer many readers", "threads", "Mops/s",
-		threadCols(c.Threads), systemRows())
+		threadCols(c.Threads), systemRows(figureSystems))
 	err := c.systemsThreadSweep("fig12", tbl, c.Threads,
 		false, false, true,
 		harness.RunOptions{OneWriter: true},
@@ -80,7 +80,7 @@ func Fig13(c Config) (*harness.Table, error) {
 	// keyspace to stay in the paper's conflict regime (1.2 G keys there).
 	c.Keys *= 8
 	tbl := harness.NewTable("Fig 13: mixed scan-write workload", "threads", "Mkeys/s",
-		threadCols(c.Threads), systemRows())
+		threadCols(c.Threads), systemRows(figureSystems))
 	err := c.systemsThreadSweep("fig13", tbl, c.Threads,
 		false, false, true,
 		harness.RunOptions{Mix: workload.ScanWrite},
@@ -154,12 +154,12 @@ func Fig15(c Config) (*harness.Table, error) {
 	c.Keys = 1 << 34
 	sizes := c.memorySweepSizes()
 	tbl := harness.NewTable("Fig 15: write-only burst, increasing memory component size",
-		"memory component (paper scale)", "Mops/s", sizeCols(sizes), systemRows())
+		"memory component (paper scale)", "Mops/s", sizeCols(sizes), systemRows(figureSystems))
 	threads := 16
 	if c.Quick {
 		threads = 4
 	}
-	for si, sys := range AllSystems {
+	for si, sys := range figureSystems {
 		for mi, mem := range sizes {
 			dir, err := c.cellDir(fmt.Sprintf("fig15-%d-%d", si, mi))
 			if err != nil {
@@ -200,12 +200,12 @@ func Fig16(c Config) (*harness.Table, error) {
 	c.Defaults()
 	sizes := c.memorySweepSizes()
 	tbl := harness.NewTable("Fig 16: skewed (98%/2%) read-write workload, increasing memory",
-		"memory component (paper scale)", "Mops/s", sizeCols(sizes), systemRows())
+		"memory component (paper scale)", "Mops/s", sizeCols(sizes), systemRows(figureSystems))
 	threads := 16
 	if c.Quick {
 		threads = 4
 	}
-	for si, sys := range AllSystems {
+	for si, sys := range figureSystems {
 		for mi, mem := range sizes {
 			dir, err := c.cellDir(fmt.Sprintf("fig16-%d-%d", si, mi))
 			if err != nil {

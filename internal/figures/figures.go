@@ -1,7 +1,9 @@
 // Package figures regenerates the figures of the paper's evaluation (§5)
-// that no workload of the benchmark in bench/ answers: the six-system
-// comparisons of Figs 9–16 and the Membuffer ablation of Fig 17, plus
-// apibench, netbench and three parameter ablations. ByName lists them.
+// that no workload of the benchmark in bench/ answers: the five-system
+// comparisons of Figs 9–16 (the paper's systems; FloDB served over the
+// wire would measure loopback there) and the Membuffer ablation of Fig 17,
+// plus apibench and netbench, which also sweep FloDB/net, and three
+// parameter ablations. ByName lists them.
 // Each produces a harness.Table whose rows are the paper's series and
 // whose columns are the paper's x-axis, at a configurable scale. The
 // structure microbenchmarks of Figs 5, 7 and 8 are bench/'s per-workload
@@ -74,9 +76,13 @@ const (
 )
 
 // AllSystems lists the systems in legend order: the paper's five plus
-// the networked sixth, so every conformance suite and figure sweeps it
-// too.
+// the networked sixth, so every conformance suite, apibench and netbench
+// sweep it too.
 var AllSystems = []System{SysFloDB, SysNet, SysRocks, SysCLSM, SysHyper, SysLevel}
+
+// figureSystems are the rows of Figs 9–16: the paper's five. FloDB/net
+// would measure loopback there, not the memory component.
+var figureSystems = []System{SysFloDB, SysRocks, SysCLSM, SysHyper, SysLevel}
 
 // Config scales an experiment run.
 type Config struct {
@@ -258,7 +264,7 @@ func (c *Config) systemsThreadSweep(
 	opts harness.RunOptions,
 	metric func(harness.Result) float64,
 ) error {
-	for si, sys := range AllSystems {
+	for si, sys := range figureSystems {
 		var store kv.Store
 		var err error
 		if !freshPerCell {
@@ -323,9 +329,9 @@ func threadCols(threads []int) []string {
 	return cols
 }
 
-func systemRows() []string {
-	rows := make([]string, len(AllSystems))
-	for i, s := range AllSystems {
+func systemRows(systems []System) []string {
+	rows := make([]string, len(systems))
+	for i, s := range systems {
 		rows[i] = string(s)
 	}
 	return rows

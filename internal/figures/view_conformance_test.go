@@ -11,11 +11,13 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
+	"flodb/internal/obs"
 )
 
 var bg = context.Background()
@@ -392,7 +394,8 @@ func TestAllSystemsCheckpointReopens(t *testing.T) {
 
 // TestAllSystemsStatsCountOps: after one scripted sequence of store calls,
 // every system's Stats reports each call once — through the wire the
-// server's engine counts it.
+// server's engine counts it — and every in-process engine timed each
+// counted call once into flodb_op_latency_seconds.
 func TestAllSystemsStatsCountOps(t *testing.T) {
 	for _, sys := range AllSystems {
 		t.Run(string(sys), func(t *testing.T) {
@@ -443,21 +446,50 @@ func TestAllSystemsStatsCountOps(t *testing.T) {
 				t.Fatalf("%s reports no Stats", sys)
 			}
 			st := sp.Stats()
-			got := kv.Stats{Puts: st.Puts, Gets: st.Gets, Deletes: st.Deletes, Scans: st.Scans,
-				Batches: st.Batches, BatchOps: st.BatchOps, Iterators: st.Iterators,
-				Snapshots: st.Snapshots, Checkpoints: st.Checkpoints, SyncBarriers: st.SyncBarriers}
+			got := opCounters(st)
 			want := kv.Stats{Puts: 3, Gets: 2, Deletes: 1, Batches: 1, BatchOps: 2,
 				Iterators: 1, Snapshots: 1, SyncBarriers: 1}
 			if got != want {
 				t.Fatalf("op counters\n got %+v\nwant %+v", got, want)
 			}
+			if sys == SysNet {
+				return
+			}
+			timed := opLatencyCounts(t, s)
+			for op, n := range map[string]uint64{"put": st.Puts, "get": st.Gets, "delete": st.Deletes,
+				"batch": st.Batches, "snapshot": st.Snapshots} {
+				if timed[op] != n {
+					t.Errorf("flodb_op_latency_seconds{op=%q} counts %d observations, the op counter %d", op, timed[op], n)
+				}
+			}
 		})
 	}
 }
 
+// opLatencyCounts returns the number of observations in each op's
+// flodb_op_latency_seconds series of an in-process store, by op label.
+func opLatencyCounts(t *testing.T, s kv.Store) map[string]uint64 {
+	t.Helper()
+	tp, ok := s.(interface{ TelemetrySnapshot() obs.Snapshot })
+	if !ok {
+		t.Fatalf("%T has no telemetry", s)
+	}
+	counts := map[string]uint64{}
+	for _, m := range tp.TelemetrySnapshot().Metrics {
+		if obs.Family(m.Name) == "flodb_op_latency_seconds" && m.Hist != nil {
+			op := strings.TrimSuffix(strings.TrimPrefix(m.Name, `flodb_op_latency_seconds{op="`), `"}`)
+			counts[op] = m.Hist.Count
+		}
+	}
+	return counts
+}
+
 // TestAllSystemsClosedStoreRejects holds every system to the closed-store
 // half of the kv.Store contract: after Close, every entry point fails with
-// an error that is kv.ErrClosed, and a second Close is a no-op.
+// an error that is kv.ErrClosed, and a second Close is a no-op. A call
+// counts only once it passes the closed check: on the in-process engines,
+// whose Stats outlive Close, the rejected calls leave every op counter
+// where it was.
 func TestAllSystemsClosedStoreRejects(t *testing.T) {
 	for _, sys := range AllSystems {
 		t.Run(string(sys), func(t *testing.T) {
@@ -486,9 +518,20 @@ func TestAllSystemsClosedStoreRejects(t *testing.T) {
 				{"Sync", func() error { return s.Sync(bg) }},
 				{"Checkpoint", func() error { return s.Checkpoint(bg, filepath.Join(dir, "ckpt")) }},
 			}
+			var before kv.Stats
+			sp, inProcess := s.(kv.StatsProvider)
+			inProcess = inProcess && sys != SysNet
+			if inProcess {
+				before = sp.Stats()
+			}
 			for _, c := range calls {
 				if err := c.call(); !errors.Is(err, kv.ErrClosed) {
 					t.Errorf("%s after Close = %v, want kv.ErrClosed", c.name, err)
+				}
+			}
+			if inProcess {
+				if after := sp.Stats(); opCounters(after) != opCounters(before) {
+					t.Errorf("rejected calls moved the op counters\n got %+v\nwant %+v", opCounters(after), opCounters(before))
 				}
 			}
 			if err := s.Close(); err != nil {
@@ -496,4 +539,11 @@ func TestAllSystemsClosedStoreRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// opCounters keeps only the op counters of st.
+func opCounters(st kv.Stats) kv.Stats {
+	return kv.Stats{Puts: st.Puts, Gets: st.Gets, Deletes: st.Deletes, Scans: st.Scans,
+		Batches: st.Batches, BatchOps: st.BatchOps, Iterators: st.Iterators,
+		Snapshots: st.Snapshots, Checkpoints: st.Checkpoints, SyncBarriers: st.SyncBarriers}
 }

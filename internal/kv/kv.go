@@ -7,6 +7,11 @@
 // systems — the paper's five (FloDB, LevelDB, HyperLevelDB, RocksDB,
 // RocksDB/cLSM) plus FloDB served over the wire (FloDB/net) — through
 // identical drivers, as the paper's evaluation does.
+//
+// The five in-process engines also share one implementation of Store,
+// internal/storage's Front: they differ only in how their memory
+// component takes writes and answers reads, so every check, counter and
+// latency around that is the same code on each.
 package kv
 
 import (

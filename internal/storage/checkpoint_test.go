@@ -191,8 +191,8 @@ func TestSnapshotIterFiltersAndCancels(t *testing.T) {
 	if _, err := s.Flush(it1, 1, 8); err != nil {
 		t.Fatal(err)
 	}
-	r := &Reader{Store: s}
-	si, err := r.NewIterator(context.Background(), ReadView{Seq: 5, Ver: s.PinVersion()}, nil, nil)
+	r := &Front{store: s}
+	si, err := r.ViewIterator(context.Background(), ReadView{Seq: 5, Ver: s.PinVersion()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSnapshotIterFiltersAndCancels(t *testing.T) {
 	// Cancellation stops a fresh iterator immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	si2, err := r.NewIterator(ctx, ReadView{Seq: 100, Ver: s.PinVersion()}, nil, nil)
+	si2, err := r.ViewIterator(ctx, ReadView{Seq: 100, Ver: s.PinVersion()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

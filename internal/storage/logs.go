@@ -21,42 +21,6 @@ import (
 // skips all of it. The engines pass their memtables and segments in;
 // nothing here depends on which engine calls it.
 
-// DefaultDurability validates a store's configured default class and
-// resolves DurabilityDefault in it: Buffered, or None when the store runs
-// without a log (walOn false), which cannot back a logged class.
-func DefaultDurability(d kv.Durability, walOn bool) (kv.Durability, error) {
-	if !d.Valid() {
-		return 0, fmt.Errorf("storage: invalid Durability %v", d)
-	}
-	if walOn {
-		if d == kv.DurabilityDefault {
-			return kv.DurabilityBuffered, nil
-		}
-		return d, nil
-	}
-	if d == kv.DurabilityBuffered || d == kv.DurabilitySync {
-		return 0, fmt.Errorf("storage: default Durability %v requires the WAL, but the WAL is disabled: %w", d, kv.ErrNotSupported)
-	}
-	return kv.DurabilityNone, nil
-}
-
-// ResolveDurability folds one write's options over the store's default
-// class def (a DefaultDurability result) and rejects a logged class on a
-// store without a log.
-func ResolveDurability(def kv.Durability, walOn bool, opts []kv.WriteOption) (kv.Durability, error) {
-	if len(opts) == 0 {
-		return def, nil
-	}
-	d := kv.ResolveWriteOptions(def, opts...).Durability
-	if !d.Valid() {
-		return 0, fmt.Errorf("storage: invalid durability %v", d)
-	}
-	if d != kv.DurabilityNone && !walOn {
-		return 0, fmt.Errorf("storage: %v durability without a WAL: %w", d, kv.ErrNotSupported)
-	}
-	return d, nil
-}
-
 // CreateLog allocates a file number and creates the log segment a new
 // memtable writes to.
 func (s *Store) CreateLog(opts wal.Options) (uint64, *wal.Writer, error) {

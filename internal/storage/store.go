@@ -473,12 +473,12 @@ func (s *Store) Metrics() Metrics {
 	return m
 }
 
-// RegisterMetrics registers in reg the views an engine exposes over its
+// registerMetrics registers in reg the views an engine exposes over its
 // commit log and disk component: the acked-vs-durable boundary kept in wm
 // and the flush, compaction, cache and bloom counters of s. The views
 // compute at snapshot time; a nil s (an engine with no disk component)
 // reads 0.
-func RegisterMetrics(reg *obs.Registry, s *Store, wm *wal.Metrics) {
+func registerMetrics(reg *obs.Registry, s *Store, wm *wal.Metrics) {
 	wm.Register(reg)
 	metrics := func() Metrics {
 		if s == nil {

@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"flodb/internal/keys"
@@ -55,34 +54,11 @@ type MemCursor interface {
 	Release()
 }
 
-// Reader is an engine's read side over its ReadViews. The bounded Get,
-// the iterator handle and the snapshot handle (kv.View) are written here
-// once for every engine; the engine supplies only what differs, in the
-// fields. It pools iterator frames, so it must not be copied after its
-// first read.
-type Reader struct {
-	// Store is the disk component; nil for an engine without one.
-	Store *Store
-	// Check is the test every snapshot-handle call runs after the
-	// handle's own: the engine's closed and context checks.
-	Check func(ctx context.Context) error
-	// Release, when set, runs when a pinned view's last reference drops,
-	// after its Version is released: FloDB unregisters the view's bound
-	// from its skiplists' Retention, and LevelDB and HyperLevelDB run the
-	// critical section their reads end with.
-	Release func(seq uint64)
-	// Iterators counts the iterators opened through snapshot handles.
-	Iterators *obs.Counter
-
-	// frames recycles the merge machinery of closed iterators.
-	frames sync.Pool
-}
-
-// Get returns a copy of the value key had at v's bound: the first memory
-// level holding a version at or below it answers, then v's Version at the
-// bound (without one, the store's current state). v must have a disk
-// source: a Store.
-func (r *Reader) Get(v ReadView, key []byte) ([]byte, bool, error) {
+// ViewGet returns the value key had at v's bound: the first memory level
+// holding a version at or below it answers, then v's Version at the bound
+// (without one, the store's current state). The value aliases store
+// memory that is never written again. v must have a disk source: a Store.
+func (f *Front) ViewGet(v ReadView, key []byte) ([]byte, bool, error) {
 	for _, m := range v.Mem {
 		if m == nil {
 			break
@@ -91,7 +67,7 @@ func (r *Reader) Get(v ReadView, key []byte) ([]byte, bool, error) {
 			if kind == keys.KindDelete {
 				return nil, false, nil
 			}
-			return keys.Clone(val), true, nil
+			return val, true, nil
 		}
 	}
 	var (
@@ -101,24 +77,24 @@ func (r *Reader) Get(v ReadView, key []byte) ([]byte, bool, error) {
 		err  error
 	)
 	if v.Ver != nil {
-		val, _, kind, ok, err = r.Store.GetAt(v.Ver, key, v.Seq)
+		val, _, kind, ok, err = f.store.GetAt(v.Ver, key, v.Seq)
 	} else {
-		val, _, kind, ok, err = r.Store.Get(key)
+		val, _, kind, ok, err = f.store.Get(key)
 	}
 	if err != nil || !ok || kind == keys.KindDelete {
 		return nil, false, err
 	}
-	return keys.Clone(val), true, nil
+	return val, true, nil
 }
 
 // release drops the references a pinned view holds: its Version, then
-// whatever Release adds.
-func (r *Reader) release(v ReadView) {
+// whatever the engine's Release adds.
+func (f *Front) release(v ReadView) {
 	if v.Ver != nil {
-		r.Store.ReleaseVersion(v.Ver)
+		f.store.ReleaseVersion(v.Ver)
 	}
-	if r.Release != nil {
-		r.Release(v.Seq)
+	if f.eng.Release != nil {
+		f.eng.Release(v.Seq)
 	}
 }
 
@@ -135,13 +111,13 @@ func (r *Reader) release(v ReadView) {
 // still lists.
 type pin struct {
 	ReadView
-	r    *Reader
+	f    *Front
 	refs atomic.Int32
 }
 
 // init points p at v, holding the caller's one reference.
-func (p *pin) init(r *Reader, v ReadView) {
-	p.ReadView, p.r = v, r
+func (p *pin) init(f *Front, v ReadView) {
+	p.ReadView, p.f = v, f
 	p.refs.Store(1)
 }
 
@@ -158,11 +134,11 @@ func (p *pin) ref() bool {
 // unref drops one reference; the last releases the view.
 func (p *pin) unref() {
 	if p.refs.Add(-1) == 0 {
-		p.r.release(p.ReadView)
+		p.f.release(p.ReadView)
 	}
 }
 
-// NewIterator streams v over low <= key < high (nil bounds are open). It
+// ViewIterator streams v over low <= key < high (nil bounds are open). It
 // takes over the caller's reference on v, which the iterator's Close
 // releases (or this call, when it fails).
 //
@@ -172,23 +148,15 @@ func (p *pin) unref() {
 // cursor moves. The context is captured: every positioning call checks
 // it, so a canceled or expired context stops iteration with the context's
 // error in Err.
-func (r *Reader) NewIterator(ctx context.Context, v ReadView, low, high []byte) (kv.Iterator, error) {
+func (f *Front) ViewIterator(ctx context.Context, v ReadView, low, high []byte) (kv.Iterator, error) {
 	it := new(iter)
-	it.own.init(r, v)
+	it.own.init(f, v)
 	return it.open(ctx, &it.own, low, high)
-}
-
-// NewSnapshot wraps v as a snapshot handle that holds the caller's
-// reference on it until Close.
-func (r *Reader) NewSnapshot(v ReadView) kv.View {
-	s := new(snapHandle)
-	s.init(r, v)
-	return s
 }
 
 // frame is everything an open iterator needs besides its view: the memory
 // levels' cursors, the merge over them and the disk runs, and the
-// snapshot filter on top. Frames are recycled through Reader.frames, so
+// snapshot filter on top. Frames are recycled through Front.frames, so
 // opening an iterator allocates its handle and nothing in proportion to
 // the number of sources.
 type frame struct {
@@ -199,15 +167,15 @@ type frame struct {
 
 // recycle clears every reference f holds — a pooled frame must not keep a
 // memtable, a table or a caller's context alive — and pools it.
-func (r *Reader) recycle(f *frame) {
-	f.snap.reset(nil, nil, nil, nil, 0)
-	f.merge.release()
-	for _, c := range f.mem {
+func (f *Front) recycle(fr *frame) {
+	fr.snap.reset(nil, nil, nil, nil, 0)
+	fr.merge.release()
+	for _, c := range fr.mem {
 		if c != nil {
 			c.Release()
 		}
 	}
-	r.frames.Put(f)
+	f.frames.Put(fr)
 }
 
 // iter is the iterator handle. It is deliberately NOT recycled with its
@@ -225,22 +193,21 @@ var _ kv.Iterator = (*iter)(nil)
 // open streams p over [low, high) on one reference the caller took on p,
 // released by Close (or here, on failure).
 func (it *iter) open(ctx context.Context, p *pin, low, high []byte) (kv.Iterator, error) {
-	r := p.r
-	f, _ := r.frames.Get().(*frame)
-	if f == nil {
-		f = new(frame)
+	fr, _ := p.f.frames.Get().(*frame)
+	if fr == nil {
+		fr = new(frame)
 	}
 	n := 0
 	for ; n < len(p.Mem) && p.Mem[n] != nil; n++ {
-		f.mem[n] = p.Mem[n].Cursor(f.mem[n], p.Seq)
+		fr.mem[n] = p.Mem[n].Cursor(fr.mem[n], p.Seq)
 	}
-	if err := f.merge.init(r.Store, p.Ver, f.mem[:n]); err != nil {
-		r.recycle(f)
+	if err := fr.merge.init(p.f.store, p.Ver, fr.mem[:n]); err != nil {
+		p.f.recycle(fr)
 		p.unref()
 		return nil, err
 	}
-	f.snap.reset(ctx, &f.merge.merge, low, high, p.Seq)
-	it.f, it.p = f, p
+	fr.snap.reset(ctx, &fr.merge.merge, low, high, p.Seq)
+	it.f, it.p = fr, p
 	return it, nil
 }
 
@@ -282,7 +249,7 @@ func (it *iter) Close() error {
 		return nil
 	}
 	it.err = it.f.snap.Err()
-	it.p.r.recycle(it.f)
+	it.p.f.recycle(it.f)
 	it.f = nil
 	it.p.unref()
 	return nil
@@ -304,7 +271,7 @@ func (s *snapHandle) acquire(ctx context.Context) error {
 	if s.closed.Load() {
 		return kv.ErrSnapshotReleased
 	}
-	if err := s.r.Check(ctx); err != nil {
+	if err := s.f.Check(ctx); err != nil {
 		return err
 	}
 	if !s.ref() {
@@ -320,7 +287,8 @@ func (s *snapHandle) Get(ctx context.Context, key []byte) ([]byte, bool, error) 
 		return nil, false, err
 	}
 	defer s.unref()
-	return s.r.Get(s.ReadView, key)
+	v, ok, err := s.f.ViewGet(s.ReadView, key)
+	return keys.Clone(v), ok, err
 }
 
 // Scan materializes all pairs with low <= key < high at the snapshot
@@ -340,7 +308,7 @@ func (s *snapHandle) NewIterator(ctx context.Context, low, high []byte) (kv.Iter
 	if err := s.acquire(ctx); err != nil {
 		return nil, err
 	}
-	s.r.Iterators.Add(1)
+	s.f.ops.Iterators.Add(1)
 	return new(iter).open(ctx, &s.pin, low, high)
 }
 
@@ -351,7 +319,7 @@ func (s *snapHandle) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.r.Store.events.Emit(obs.Event{Type: obs.EventSnapshotUnpin, Detail: fmt.Sprintf("seq bound %d", s.Seq)})
+	s.f.events.Emit(obs.Event{Type: obs.EventSnapshotUnpin, Detail: fmt.Sprintf("seq bound %d", s.Seq)})
 	s.unref()
 	return nil
 }
