@@ -472,6 +472,66 @@ func TestPutAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestSlowPathPutAllocationBudget is the slow path's allocation budget: a
+// Put whose Membuffer bucket is full allocates the value's clone and the
+// Entry the Memtable keeps, and no Membuffer pair it would throw away.
+// The drainer is parked on a claim so that the full bucket stays full.
+func TestSlowPathPutAllocationBudget(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MemoryBytes = 8 << 20
+	cfg.Durability = kv.DurabilityBuffered
+	cfg.DrainThreads = 1
+	db := openTestDB(t, cfg)
+	claimed, release := make(chan struct{}), make(chan struct{})
+	hook := parkOnce(hookDrainerClaimed, claimed, release)
+	db.testHook.Store(&hook)
+	t.Cleanup(func() { close(release) }) // before the Close openTestDB registered
+	val := make([]byte, 256)
+	if err := db.Put(bg, spreadKey(0), val); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-claimed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the background drainer never claimed a batch")
+	}
+
+	// Fill the Membuffer until a Put falls through: that key's bucket is
+	// full of other keys, and stays so while nothing drains.
+	var full []byte
+	for i := uint64(1); full == nil; i++ {
+		if i > 1<<16 {
+			t.Fatal("no Put took the slow path")
+		}
+		before := db.Stats().MemtableWrites
+		k := spreadKey(i)
+		if err := db.Put(bg, k, val); err != nil {
+			t.Fatal(err)
+		}
+		if db.Stats().MemtableWrites != before {
+			full = k
+		}
+	}
+	put := func() {
+		if err := db.Put(bg, full, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := db.Stats()
+	puts := testing.AllocsPerRun(500, put)
+	if after := db.Stats(); after.MemtableWrites-before.MemtableWrites != 501 || after.MembufferHits != before.MembufferHits {
+		t.Fatalf("Puts left the slow path: %d Memtable writes, %d Membuffer hits",
+			after.MemtableWrites-before.MemtableWrites, after.MembufferHits-before.MembufferHits)
+	}
+	t.Logf("a slow-path Put: %.2f allocations", puts)
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts: RCU reader handles are re-made")
+	}
+	if puts > 2 {
+		t.Errorf("a slow-path Put: %.2f allocations, budget 2", puts)
+	}
+}
+
 // TestWritesKeepNoCallerBuffer: Put, Delete and Apply keep no reference to
 // the caller's key and value, on the Membuffer path and on the Memtable
 // path alike. The test overwrites its buffers right after every write;

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -9,31 +11,45 @@ import (
 	"flodb/internal/skiplist"
 )
 
-// drainLowWater is the Membuffer occupancy below which the background
-// drainers drop from full speed to a trickle (one partition batch per
-// drainTrickle). Above it they trim round-robin at full speed, keeping
-// enough slack that bucket-full rejections stay rare; below it every
-// entry left resident is a chance for the next update to land in
-// place, so eviction slows to just enough to keep an idle buffer
-// converging toward the skiplist.
+// drainLowWater is the partition occupancy at which a background drainer
+// stops trickling. When the fullest partition is at or above the mark,
+// the drainer claims all of it and moves it in one sorted multi-insert,
+// at full speed. Below it each resident entry is a chance for the next
+// update to land in place, so eviction slows to a trickle: at most trickleBatch entries per
+// drainTrickle, from the partitions in turn, enough to keep an idle
+// buffer converging toward the skiplist.
+//
+// The mark is per partition, not for the whole buffer, because a
+// whole-partition drain empties its partition: under uniform writes the
+// partitions' occupancies spread from empty to full, and a buffer half
+// full on average would have its fullest partitions rejecting most of
+// their writers. Skewed traffic keeps its hot keys: their updates land in
+// place and fill no partition.
 const (
 	drainLowWater = 0.5
 	drainTrickle  = time.Millisecond
+	trickleBatch  = 64
 )
 
-// drainBatch is the number of entries a background drainer claims per
-// partition visit and moves with one multi-insert.
-const drainBatch = 64
+// drainScratch is a draining thread's batch storage, reused across
+// batches: the claimed entries and the multi-insert batch built from
+// them. Between batches it holds no key, value or entry.
+type drainScratch struct {
+	claimed []membuffer.Drained
+	kvs     []skiplist.KV
+}
 
 // drainLoop is a background draining thread (§4.2): a continuously ongoing
 // process keeping Membuffer occupancy low, so writes complete in the fast
-// level. Each round claims up to drainBatch entries from one partition —
-// a skiplist "neighborhood" (§4.3) — and moves them with one multi-insert.
+// level. Each round claims one partition — a skiplist "neighborhood"
+// (§4.3): all of the fullest if it is at or above drainLowWater, else up
+// to trickleBatch entries of the next in turn — and moves the claim with
+// one multi-insert.
 func (db *DB) drainLoop() {
 	defer db.wg.Done()
 	h := db.domain.Reader()
 	idle := 0
-	var kvs []skiplist.KV // batch scratch, reused across rounds
+	var s drainScratch
 	for {
 		select {
 		case <-db.closing:
@@ -64,7 +80,13 @@ func (db *DB) drainLoop() {
 		// resident working set absorbing updates in place, with no drain
 		// debt at all, is the buffer's whole win (§4.4). Below the mark,
 		// throttle to a trickle instead of sweeping the buffer clean.
-		trickle := g.mbf.Occupancy() < drainLowWater
+		next := g.mbf.NextPartition()
+		part, occ := g.mbf.Fullest(next)
+		trickle := occ < drainLowWater
+		limit := 0 // the whole partition
+		if trickle {
+			part, limit = next, trickleBatch
+		}
 		h.Enter()
 		g = db.gen.Load()
 		// The flag is read AFTER the pair, inside the read section: a seal
@@ -77,15 +99,15 @@ func (db *DB) drainLoop() {
 			h.Exit()
 			continue
 		}
-		part := g.mbf.NextPartition()
-		batch := g.mbf.DrainPartition(part, drainBatch)
-		if len(batch) > 0 {
+		s.claimed = g.mbf.DrainPartitionInto(s.claimed, part, limit)
+		n := len(s.claimed)
+		if n > 0 {
 			db.hook(hookDrainerClaimed)
-			kvs = db.moveDrained(g.mbf, g.mtb, batch, &db.seq, kvs)
+			db.moveDrained(g.mbf, g.mtb, &s, &db.seq)
 		}
 		h.Exit()
 
-		if len(batch) == 0 {
+		if n == 0 {
 			idle++
 			if idle > g.mbf.Partitions() {
 				// Whole buffer looked empty: back off instead of spinning.
@@ -104,32 +126,46 @@ func (db *DB) drainLoop() {
 	}
 }
 
-// moveDrained moves a batch claimed from src into dst with one
-// multi-insert (Figure 6 step 2 with the Algorithm 1 batch optimization),
-// stamping each entry with a fresh number from seq, then releases the
-// batch. An entry's value aliases its Membuffer pair, and is charged for
-// all of it (Entry.Held). kvs is scratch for the batch; the emptied
-// scratch is returned for the caller's next batch.
-func (db *DB) moveDrained(src *membuffer.Buffer, dst *memtable, batch []membuffer.Drained, seq *atomic.Uint64, kvs []skiplist.KV) []skiplist.KV {
-	kvs = kvs[:0]
+// moveDrained moves the batch s.claimed holds, claimed from src, into dst
+// with one multi-insert (Figure 6 step 2 with the Algorithm 1 batch
+// optimization): one sorted run, the splice carried from key to key. Its
+// entries are numbered from one block drawn from seq, then the batch is
+// released and s emptied for the next one. An entry's value aliases its
+// Membuffer pair, and is charged for all of it (Entry.Held).
+//
+// Each entry is an allocation of its own. One slab per batch would save
+// all but one, but a slab lives until its last entry dies, and its
+// displaced entries keep their pairs alive with it: on data that fits the
+// Memtable, that holds dead pairs until the flush and nearly doubles the
+// heap.
+func (db *DB) moveDrained(src *membuffer.Buffer, dst *memtable, s *drainScratch, seq *atomic.Uint64) {
+	batch := s.claimed
+	n := uint64(len(batch))
+	first := seq.Add(n) - n + 1
+	kvs := s.kvs[:0]
 	for i := range batch {
 		d := &batch[i]
 		kvs = append(kvs, skiplist.KV{
 			Key: d.Key,
 			Entry: &skiplist.Entry{
 				Value:     d.Value,
-				Seq:       seq.Add(1),
+				Seq:       first + uint64(i),
 				Tombstone: d.Tombstone,
 				Held:      uint32(d.Held()),
 			},
 		})
 	}
+	// A partition holds a key once, so an unstable sort orders the batch
+	// as the stable one MultiInsert would otherwise run, at a fraction of
+	// its cost.
+	slices.SortFunc(kvs, func(a, b skiplist.KV) int { return bytes.Compare(a.Key, b.Key) })
 	dst.multiInsert(kvs)
-	clear(kvs) // hold no drained keys or entries until the next batch
 	src.Release(batch)
+	clear(kvs) // hold no drained key, pair or entry until the next batch
+	clear(batch)
+	s.claimed, s.kvs = batch[:0], kvs[:0]
 	db.stats.drainBatches.Add(1)
-	db.stats.drainedEntries.Add(uint64(len(batch)))
-	return kvs[:0]
+	db.stats.drainedEntries.Add(n)
 }
 
 // drainBuffer moves every entry of src into dst, one sorted multi-insert
@@ -137,9 +173,10 @@ func (db *DB) moveDrained(src *membuffer.Buffer, dst *memtable, batch []membuffe
 // drainer: src is frozen, and a grace period since has waited out every
 // background drainer that could reach it.
 func (db *DB) drainBuffer(src *membuffer.Buffer, dst *memtable, seq *atomic.Uint64) {
-	var kvs []skiplist.KV
+	var s drainScratch
 	src.DrainAll(func(batch []membuffer.Drained) {
-		kvs = db.moveDrained(src, dst, batch, seq, kvs)
+		s.claimed = batch
+		db.moveDrained(src, dst, &s, seq)
 	})
 }
 

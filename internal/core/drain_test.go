@@ -165,3 +165,80 @@ func TestDrainOwnershipKeepsNewestVersion(t *testing.T) {
 		})
 	}
 }
+
+// TestBackgroundDrainClaimsWholePartition: a background drainer's visit to
+// a partition that is at least drainLowWater full claims every resident
+// entry of it, not a fixed-size slice. The drainer is parked on each
+// claim: the first holds a lone entry of partition 1 while the test fills
+// partition 0 past the mark, the next, on partition 0, must hold all of
+// it, and a third, of a second lone entry, marks the end of the second's
+// move.
+func TestBackgroundDrainClaimsWholePartition(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.DrainThreads = 1
+	cfg.PartitionBits = 1
+	db := openTestDB(t, cfg)
+
+	claims, resume, stop := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	hook := func(p hookPoint) {
+		if p != hookDrainerClaimed {
+			return
+		}
+		select {
+		case claims <- struct{}{}:
+		case <-stop:
+			return
+		}
+		select {
+		case <-resume:
+		case <-stop:
+		}
+	}
+	db.testHook.Store(&hook)
+	t.Cleanup(func() { close(stop) }) // before the Close openTestDB registered
+	claim := func(what string) {
+		t.Helper()
+		select {
+		case <-claims:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the background drainer never claimed %s", what)
+		}
+	}
+	val := []byte("v") // small values: the slow-path writes stay far below a persist
+	i := uint64(0)
+	put := func(part uint32) {
+		t.Helper()
+		for ; keys.PartitionOf(spreadKey(i), cfg.PartitionBits) != part; i++ {
+		}
+		if err := db.Put(bg, spreadKey(i), val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+
+	put(1)
+	claim("the lone entry of partition 1")
+	mbf := db.gen.Load().mbf
+	slots := mbf.Capacity() / mbf.Partitions()
+	for float64(mbf.PartitionLen(0)) < (drainLowWater+0.1)*float64(slots) {
+		if i > 1<<16 {
+			t.Fatalf("partition 0 filled only to %d of %d slots", mbf.PartitionLen(0), slots)
+		}
+		put(0)
+	}
+	want := mbf.PartitionLen(0)
+	if want <= trickleBatch {
+		t.Fatalf("partition 0 holds %d entries, want more than %d", want, trickleBatch)
+	}
+	resume <- struct{}{}
+	claim("partition 0")
+	before := db.stats.drainedEntries.Load()
+	put(1)
+	resume <- struct{}{}
+	// The next claim starts after the whole of the previous batch is in
+	// the Memtable and counted.
+	claim("the second lone entry")
+	if got := db.stats.drainedEntries.Load() - before; got != uint64(want) {
+		t.Fatalf("the drainer's batch from partition 0 held %d entries; %d were resident", got, want)
+	}
+}

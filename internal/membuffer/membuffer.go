@@ -263,6 +263,10 @@ func (b *Buffer) PutHashed(key []byte, h uint64, value []byte, tombstone bool) (
 	part, bi := b.locate(key, h)
 	bk := &b.buckets[bi]
 	tag := tagOf(h)
+	if bk.full(key, tag) {
+		b.fullFailures.Add(1)
+		return false, false
+	}
 	np := newPair(key, value, tombstone)
 	bk.mu.Lock()
 	// Re-check under the lock: Freeze's caller synchronizes via RCU, but
@@ -305,6 +309,24 @@ func (b *Buffer) PutHashed(key []byte, h uint64, value []byte, tombstone bool) (
 	pt.bytes.Add(np.size())
 	bk.mu.Unlock()
 	return true, false
+}
+
+// full reports, without the lock, that every slot of bk holds another
+// key than the one whose tag is tag: a Put of key would find no slot, so
+// PutHashed refuses it before building a pair the caller would throw
+// away. Each slot is loaded once, pointer before tag as GetHashed does,
+// so a resident key is never missed: to miss it, the slot that held it
+// must have been emptied (its copy drained below this write's sequence
+// number) or refilled by a concurrent writer of the same key. PutHashed
+// checks again under the lock, where a slot may have filled meanwhile.
+func (bk *bucket) full(key []byte, tag uint32) bool {
+	for i := range bk.slots {
+		p := bk.slots[i].Load()
+		if p == nil || bk.tags[i].Load() == tag && keys.Equal(p.key(), key) {
+			return false
+		}
+	}
+	return true
 }
 
 // Get returns the freshest value for key in this buffer. ok is false if the
@@ -379,6 +401,25 @@ func (b *Buffer) NextPartition() int {
 	return int(b.drainCursor.Add(1)-1) % b.partitions
 }
 
+// fullestWindow bounds how many partitions Fullest compares per call: all
+// of them at the default 64, a window sliding over more.
+const fullestWindow = 64
+
+// Fullest returns, of up to fullestWindow partitions from partition from
+// on, the one no drainer holds a claim on with the most resident entries,
+// and its occupancy: resident entries over slots. When every partition in
+// the window is empty or claimed it returns from and 0.
+func (b *Buffer) Fullest(from int) (part int, occupancy float64) {
+	part = from
+	most := int64(0)
+	for i, p := 0, from; i < min(b.partitions, fullestWindow); i, p = i+1, (p+1)%b.partitions {
+		if n := b.parts[p].live.Load(); n > most && !b.parts[p].owned.Load() {
+			part, most = p, n
+		}
+	}
+	return part, float64(most) / float64(b.perPart*BucketSlots)
+}
+
 // Drained is a claimed entry handed to a draining thread. The drainer must
 // call Release after the entry has been safely inserted downstream.
 //
@@ -415,19 +456,31 @@ func (d *Drained) Held() int64 {
 // entries as the partition's counter reported. An entry a concurrent Put
 // adds behind the sweep is left for the next visit.
 func (b *Buffer) DrainPartition(part, max int) []Drained {
+	return b.DrainPartitionInto(nil, part, max)
+}
+
+// DrainPartitionInto is DrainPartition claiming into batch's storage, which
+// it replaces with a larger array only when the partition's resident
+// count, capped at max, does not fit: a drainer that passes its last
+// released batch back in claims without allocating. It returns the claim,
+// batch[:0] when there is none.
+func (b *Buffer) DrainPartitionInto(batch []Drained, part, max int) []Drained {
+	out := batch[:0]
 	if part < 0 || part >= b.partitions {
-		return nil
+		return out
 	}
 	resident := int(b.parts[part].live.Load())
 	if resident <= 0 || !b.parts[part].owned.CompareAndSwap(false, true) {
-		return nil
+		return out
 	}
-	if max <= 0 {
-		max = int(^uint(0) >> 1)
+	if max <= 0 || max > resident {
+		max = resident // the sweep ends once it has passed this many
 	}
-	var out []Drained
+	if cap(out) < max {
+		out = make([]Drained, 0, max)
+	}
 	start := part * b.perPart
-	for bi := start; bi < start+b.perPart && len(out) < max && resident > 0; bi++ {
+	for bi := start; bi < start+b.perPart && len(out) < max; bi++ {
 		bk := &b.buckets[bi]
 		for si := range bk.slots {
 			if len(out) >= max {
@@ -437,7 +490,6 @@ func (b *Buffer) DrainPartition(part, max int) []Drained {
 			if p == nil {
 				continue
 			}
-			resident--
 			out = append(out, Drained{
 				Key: p.key(), Value: p.value(), Tombstone: p.tombstone(),
 				bucketIdx: bi, slotIdx: si, p: p,
@@ -452,11 +504,13 @@ func (b *Buffer) DrainPartition(part, max int) []Drained {
 
 // DrainAll claims every entry of every partition whose token is free, one
 // partition at a time, and hands each non-empty claim to fn, which owns
-// its Release. A seal drains a frozen Membuffer with it; an empty buffer
-// costs one counter load per partition.
+// its Release. The claims share one array, so fn must not keep a batch
+// past its return. A seal drains a frozen Membuffer with it; an empty
+// buffer costs one counter load per partition.
 func (b *Buffer) DrainAll(fn func(batch []Drained)) {
+	var batch []Drained
 	for part := 0; part < b.partitions; part++ {
-		if batch := b.DrainPartition(part, 0); len(batch) > 0 {
+		if batch = b.DrainPartitionInto(batch, part, 0); len(batch) > 0 {
 			fn(batch)
 		}
 	}

@@ -268,6 +268,38 @@ func TestNextPartitionRoundRobin(t *testing.T) {
 	}
 }
 
+// TestFullestSkipsClaimedPartitions: Fullest names the partition with the
+// most resident entries and its occupancy wherever its window starts,
+// passes over one a drainer has claimed, and returns its start and 0 when
+// nothing is left to claim.
+func TestFullestSkipsClaimedPartitions(t *testing.T) {
+	b := New(Config{Buckets: 64, PartitionBits: 2}) // 16 buckets, 64 slots a partition
+	for part, n := range []int{3, 9, 5, 0} {
+		for i := 0; i < n; i++ {
+			k := keys.EncodeUint64(uint64(part)<<62 | uint64(i)*0x9e3779b97f4a7c15>>2)
+			if !b.Add(k, []byte("v"), false) {
+				t.Fatalf("partition %d: Add %d refused", part, i)
+			}
+		}
+	}
+	for from := range 4 {
+		if part, occ := b.Fullest(from); part != 1 || occ != 9.0/64 {
+			t.Fatalf("Fullest(%d) = %d, %.3f; want 1, %.3f", from, part, occ, 9.0/64)
+		}
+	}
+	d := b.DrainPartition(1, 0)
+	if part, occ := b.Fullest(3); part != 2 || occ != 5.0/64 {
+		t.Fatalf("with partition 1 claimed, Fullest = %d, %.3f; want 2, %.3f", part, occ, 5.0/64)
+	}
+	b.Release(d)
+	for _, p := range []int{0, 2} {
+		b.Release(b.DrainPartition(p, 0))
+	}
+	if part, occ := b.Fullest(3); part != 3 || occ != 0 {
+		t.Fatalf("empty buffer: Fullest(3) = %d, %.3f; want 3, 0", part, occ)
+	}
+}
+
 func TestForEachSeesEverything(t *testing.T) {
 	b := newSmall()
 	want := map[string]string{}

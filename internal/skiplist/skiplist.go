@@ -460,10 +460,10 @@ func (l *List) update(n uint32, e *Entry) {
 }
 
 // MultiInsert inserts the batch in one pass (Algorithm 1). The batch is
-// sorted in place by key ascending; duplicate keys within the batch, and
-// keys already in the list, are resolved by update's sequence order, the
-// later element winning a tie — exactly as repeated Inserts would. It
-// returns the number of new nodes created.
+// sorted in place by key ascending unless it already is; duplicate keys
+// within the batch, and keys already in the list, are resolved by
+// update's sequence order, the later element winning a tie — exactly as
+// repeated Inserts would. It returns the number of new nodes created.
 //
 // Multi-inserts are concurrent with each other, with Insert, and with
 // readers. As in the paper, the batch is not atomic: intermediate states
@@ -472,7 +472,9 @@ func (l *List) MultiInsert(batch []KV) (inserted int) {
 	if len(batch) == 0 {
 		return 0
 	}
-	slices.SortStableFunc(batch, func(a, b KV) int { return l.cmp(a.Key, b.Key) })
+	if cmp := func(a, b KV) int { return l.cmp(a.Key, b.Key) }; !slices.IsSortedFunc(batch, cmp) {
+		slices.SortStableFunc(batch, cmp)
+	}
 	var s splice
 	var last uint32
 	for i := range batch {
