@@ -43,7 +43,7 @@ func main() {
 	ctx := context.Background()
 	dir := filepath.Join(os.TempDir(), "flodb-analytics")
 	os.RemoveAll(dir)
-	db, err := flodb.Open(dir, flodb.WithMemory(8<<20), flodb.WithoutWAL())
+	db, err := flodb.Open(dir, flodb.WithMemory(8<<20), flodb.WithDurability(flodb.DurabilityNone))
 	if err != nil {
 		log.Fatal(err)
 	}

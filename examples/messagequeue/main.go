@@ -39,7 +39,7 @@ func main() {
 	os.RemoveAll(dir)
 	db, err := flodb.Open(dir,
 		flodb.WithMemory(8<<20),
-		flodb.WithoutWAL(), // queue contents are reconstructible; favor speed
+		flodb.WithDurability(flodb.DurabilityNone), // queue contents are reconstructible; favor speed
 	)
 	if err != nil {
 		log.Fatal(err)

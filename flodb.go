@@ -55,6 +55,11 @@
 //	db.Put(ctx, k, v, flodb.WithDurability(flodb.DurabilityNone)) // not logged
 //	db.Sync(ctx)                       // barrier: everything acked is now durable
 //
+// The commit log is always on. A store opened with
+// WithDurability(DurabilityNone) — the paper's benchmark setup — appends
+// no record for a write that names no class, yet any write may still ask
+// for Buffered or Sync, and every open replays what the log holds.
+//
 // Concurrent Sync-class writers share disk barriers through the WAL's
 // group-commit queue: one fsync acknowledges many writers, so turning
 // durability on does not re-serialize the memory-speed write path behind
@@ -157,7 +162,6 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		Dir:             dir,
 		MemoryBytes:     o.memoryBytes,
 		DrainThreads:    o.drainThreads,
-		DisableWAL:      o.disableWAL,
 		WALWriteThrough: o.walWriteThrough,
 		Durability:      o.durability,
 	}

@@ -93,7 +93,7 @@ func TestPublicAPIOptions(t *testing.T) {
 	db := openPublic(t,
 		flodb.WithMemory(2<<20),
 		flodb.WithDrainThreads(1),
-		flodb.WithoutWAL(),
+		flodb.WithDurability(flodb.DurabilityNone),
 	)
 	for i := 0; i < 1000; i++ {
 		if err := db.Put(bg, keys.EncodeUint64(uint64(i)*0x9e3779b97f4a7c15), []byte("v")); err != nil {
@@ -132,7 +132,7 @@ func TestPublicAPIPersistence(t *testing.T) {
 }
 
 func TestPublicAPIConcurrent(t *testing.T) {
-	db := openPublic(t, flodb.WithMemory(1<<20), flodb.WithoutWAL())
+	db := openPublic(t, flodb.WithMemory(1<<20), flodb.WithDurability(flodb.DurabilityNone))
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -174,7 +174,7 @@ func TestFunctionalOptions(t *testing.T) {
 	db, err := flodb.Open(t.TempDir(),
 		flodb.WithMemory(2<<20),
 		flodb.WithDrainThreads(1),
-		flodb.WithoutWAL(),
+		flodb.WithDurability(flodb.DurabilityNone),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestFunctionalOptions(t *testing.T) {
 func TestLegacyOptionsShim(t *testing.T) {
 	// The option list the removed *Options struct used to carry configures
 	// a store, and Open with no options at all takes every default.
-	db, err := flodb.Open(t.TempDir(), flodb.WithMemory(1<<20), flodb.WithoutWAL())
+	db, err := flodb.Open(t.TempDir(), flodb.WithMemory(1<<20), flodb.WithDurability(flodb.DurabilityNone))
 	if err != nil {
 		t.Fatal(err)
 	}

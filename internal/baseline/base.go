@@ -20,11 +20,10 @@ type Config struct {
 	// MemBytes is the memtable size that triggers a flush (the whole
 	// memory component — baselines have a single in-memory level).
 	MemBytes int64
-	// DisableWAL skips commit logging entirely; every write is then
-	// DurabilityNone and per-op logged classes fail with
-	// kv.ErrNotSupported, as in FloDB. With the WAL on, a write that
-	// names no class is Buffered.
-	DisableWAL bool
+	// Durability is the class of a write that names none, as in FloDB:
+	// DurabilityDefault resolves to Buffered, and None appends no record
+	// for such a write. The log itself is always on.
+	Durability kv.Durability
 	// Storage configures the shared disk component.
 	Storage storage.Options
 }
@@ -63,7 +62,7 @@ type memHandle struct {
 	inserting sync.WaitGroup
 }
 
-// log returns the handle's segment: nil for a nil handle or without a WAL.
+// log returns the handle's segment: nil for a nil handle.
 func (h *memHandle) log() *wal.Writer {
 	if h == nil {
 		return nil
@@ -75,17 +74,17 @@ func (h *memHandle) log() *wal.Writer {
 // class d is logged, and returns where the record sits for a Sync-class
 // commit to wait on.
 func (h *memHandle) logRecord(d kv.Durability, kind keys.Kind, key, value []byte) (*wal.Writer, int64, error) {
-	if d == kv.DurabilityNone || h.wal == nil {
+	if d == kv.DurabilityNone {
 		return nil, 0, nil
 	}
-	off, err := h.wal.Append(kv.EncodeRecord(kind, key, value))
+	off, err := h.wal.AppendRecord(kind, key, value)
 	return h.wal, off, err
 }
 
 // logBatch is logRecord for a whole batch, which is one record: recovery
 // replays it all or nothing.
 func (h *memHandle) logBatch(d kv.Durability, b *kv.Batch) (*wal.Writer, int64, error) {
-	if d == kv.DurabilityNone || h.wal == nil {
+	if d == kv.DurabilityNone {
 		return nil, 0, nil
 	}
 	off, err := h.wal.Append(kv.EncodeBatchRecord(b))
@@ -160,7 +159,7 @@ func (b *base) init(cfg Config, pol policy) error {
 	if err := cfg.fillDefaults(); err != nil {
 		return err
 	}
-	if err := b.Init(kv.DurabilityDefault, !cfg.DisableWAL); err != nil {
+	if err := b.Init(cfg.Durability); err != nil {
 		return err
 	}
 	b.cfg, b.pol = cfg, pol
@@ -185,26 +184,21 @@ func (b *base) init(cfg Config, pol policy) error {
 		eng.Release = func(uint64) { pol.endRead() }
 	}
 	b.Front.Open(store, &b.walMetrics, eng)
-	b.lastSeq = store.LastSeq()
 	b.immCond = sync.NewCond(&b.mu)
 	b.flushCh = make(chan struct{}, 1)
 	b.closing = make(chan struct{})
 
-	if !cfg.DisableWAL {
-		if b.lastSeq, err = store.RecoverLogs(func() storage.ReplayMem { return newSkipMem() }); err != nil {
-			store.Close()
-			return err
-		}
+	if b.lastSeq, err = store.RecoverLogs(func() storage.ReplayMem { return newSkipMem() }); err != nil {
+		store.Close()
+		return err
 	}
 	if b.mem, err = b.newMemHandle(); err != nil {
 		store.Close()
 		return err
 	}
-	if !cfg.DisableWAL {
-		if err := store.SetLogNum(b.mem.walNum, b.lastSeq); err != nil {
-			store.Close()
-			return err
-		}
+	if err := store.SetLogNum(b.mem.walNum, b.lastSeq); err != nil {
+		store.Close()
+		return err
 	}
 	b.wg.Add(1)
 	go b.flushLoop()
@@ -213,9 +207,6 @@ func (b *base) init(cfg Config, pol policy) error {
 
 func (b *base) newMemHandle() (*memHandle, error) {
 	h := &memHandle{mem: newSkipMem()}
-	if b.cfg.DisableWAL {
-		return h, nil
-	}
 	var err error
 	if h.walNum, h.wal, err = b.store.CreateLog(wal.Options{Metrics: &b.walMetrics}); err != nil {
 		return nil, err
@@ -329,10 +320,8 @@ func (b *base) switchMemLocked() error {
 	// Seal-flush first: if it fails, no successor handle (WAL file + fd)
 	// has been created yet, so a persistently failing disk doesn't leak
 	// one orphan segment per retry.
-	if b.mem.wal != nil {
-		if err := b.mem.wal.Flush(); err != nil {
-			return err
-		}
+	if err := b.mem.wal.Flush(); err != nil {
+		return err
 	}
 	h, err := b.newMemHandle()
 	if err != nil {

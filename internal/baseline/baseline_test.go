@@ -332,7 +332,7 @@ func TestConfigValidation(t *testing.T) {
 func BenchmarkPut(b *testing.B) {
 	for _, o := range openers {
 		b.Run(o.name, func(b *testing.B) {
-			s, err := o.open(Config{Dir: b.TempDir(), MemBytes: 64 << 20, DisableWAL: true})
+			s, err := o.open(Config{Dir: b.TempDir(), MemBytes: 64 << 20, Durability: kv.DurabilityNone})
 			if err != nil {
 				b.Fatal(err)
 			}

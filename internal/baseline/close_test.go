@@ -14,11 +14,11 @@ import (
 // queued request whose caller has already given up, then closes the
 // store. Close must stop the leader before its final flush: a write the
 // leader applies concurrently with that flush races it (under -race) and
-// lands in a memtable nothing persists. Without a WAL the final flush is
-// the write's only way to disk.
+// lands in a memtable nothing persists. A None-class write has no log
+// record, so the final flush is its only way to disk.
 func TestLevelDBCloseStopsLeaderBeforeFlush(t *testing.T) {
 	dir := t.TempDir()
-	db, err := NewLevelDB(Config{Dir: dir, MemBytes: 1 << 20, DisableWAL: true})
+	db, err := NewLevelDB(Config{Dir: dir, MemBytes: 1 << 20, Durability: kv.DurabilityNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestLevelDBCloseStopsLeaderBeforeFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err = NewLevelDB(Config{Dir: dir, MemBytes: 1 << 20, DisableWAL: true})
+	db, err = NewLevelDB(Config{Dir: dir, MemBytes: 1 << 20, Durability: kv.DurabilityNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,15 @@ func TestLevelDBCloseStopsLeaderBeforeFlush(t *testing.T) {
 // it waits for the leader, so it must wake the leader itself, or it
 // waits forever; the parked write fails with kv.ErrClosed.
 func TestLevelDBCloseWakesParkedLeader(t *testing.T) {
-	db, err := NewLevelDB(Config{Dir: t.TempDir(), MemBytes: 64 << 10, DisableWAL: true})
+	db, err := NewLevelDB(Config{Dir: t.TempDir(), MemBytes: 64 << 10, Durability: kv.DurabilityNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
-	db.imm = &memHandle{mem: newSkipMem()} // no flush is scheduled for it
+	if db.imm, err = db.newMemHandle(); err != nil { // no flush is scheduled for it
+		db.mu.Unlock()
+		t.Fatal(err)
+	}
 	for i := uint64(0); db.mem.mem.ApproxBytes() < db.cfg.MemBytes; i++ {
 		db.mem.mem.Insert(spread(i), i+1, keys.KindSet, make([]byte, 256))
 	}

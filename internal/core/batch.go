@@ -69,7 +69,7 @@ func (db *DB) applyLocked(ctx context.Context, h *rcu.Handle, b *kv.Batch, d kv.
 	g := db.gen.Load()
 	var syncW *wal.Writer
 	var syncOff int64
-	if d != kv.DurabilityNone && g.mtb.wal != nil {
+	if d != kv.DurabilityNone {
 		off, err := g.mtb.wal.Append(kv.EncodeBatchRecord(b))
 		if err != nil {
 			return nil, 0, err

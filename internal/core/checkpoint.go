@@ -8,8 +8,8 @@ import "flodb/internal/storage"
 // with no holes in WAL order. The active WAL segment is synced first,
 // pulling that point as close to "now" as the write stream allows.
 //
-// With the WAL disabled the memory component is not captured: the
-// checkpoint holds exactly the persisted (flushed) state.
+// A None-class write has no record, so the copy holds it only once a
+// flush has put it in a table.
 func (db *DB) checkpoint(dir string) error {
 	// persistMu excludes generation switches for the whole copy. This is
 	// what makes the WAL tail a clean prefix: WAL appends are staged in

@@ -38,24 +38,23 @@ type Config struct {
 	// The Memtable then gets all of MemoryBytes.
 	DisableMembuffer bool
 
-	// DisableWAL skips commit logging entirely (the paper's benchmarks,
-	// like LevelDB's defaults, run without a per-write log). Without a
-	// log every write is DurabilityNone; requesting a logged class per
-	// operation fails with kv.ErrNotSupported.
-	DisableWAL bool
 	// WALWriteThrough pushes every WAL append to the OS before it is
 	// acknowledged (no extra fsyncs): an acked Buffered write survives
 	// kill -9 of the process, not a machine crash.
 	WALWriteThrough bool
 	// Durability is the default durability class for writes that don't
 	// override it per operation. DurabilityDefault resolves to Buffered
-	// (log without fsync) — or None when the WAL is disabled. Sync makes
-	// every write group-commit an fsync before acknowledging.
+	// (log without fsync). None appends no per-write record — the paper's
+	// benchmarks, like LevelDB's defaults, run so — while a write that
+	// names a logged class is still logged, and the log is still replayed
+	// at Open. Sync makes every write group-commit an fsync before
+	// acknowledging.
 	Durability kv.Durability
 
 	// DropPersist discards immutable Memtables instead of flushing them —
-	// the memory-component-only mode of Fig 17. Implies no recovery of
-	// dropped data; WAL is forced off.
+	// the memory-component-only mode of Fig 17. Without a disk component
+	// there is no log: the default durability is None, and a logged class
+	// fails with kv.ErrNotSupported.
 	DropPersist bool
 	// FlushFault injects errors into the persist path (tests).
 	FlushFault *diskenv.FaultPoint
@@ -113,7 +112,12 @@ func (c *Config) fillDefaults() error {
 	}
 	c.Storage.SizeBaseLevel(c.memtableTargetBytes())
 	if c.DropPersist {
-		c.DisableWAL = true
+		switch c.Durability {
+		case kv.DurabilityBuffered, kv.DurabilitySync:
+			return fmt.Errorf("core: default Durability %v needs a log, and DropPersist has none: %w", c.Durability, kv.ErrNotSupported)
+		case kv.DurabilityDefault:
+			c.Durability = kv.DurabilityNone
+		}
 	}
 	return nil
 }

@@ -58,25 +58,41 @@ func TestNoMembufferGetsWholeBudget(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsLoggedDefaultWithoutWAL: a WAL-less store cannot promise
-// a logged default durability.
-func TestOpenRejectsLoggedDefaultWithoutWAL(t *testing.T) {
+// TestDropPersistRejectsLoggedDurability: a store without a disk
+// component has no log, so it cannot promise a logged class — neither as
+// its default nor per operation. Its default resolves to None, and the
+// Sync barrier has nothing to promote.
+func TestDropPersistRejectsLoggedDurability(t *testing.T) {
 	for _, d := range []kv.Durability{kv.DurabilityBuffered, kv.DurabilitySync} {
-		cfg := Config{Dir: t.TempDir(), MemoryBytes: 1 << 20, DisableWAL: true, Durability: d}
+		cfg := Config{MemoryBytes: 1 << 20, DropPersist: true, Durability: d}
 		if db, err := Open(cfg); !errors.Is(err, kv.ErrNotSupported) {
 			if err == nil {
 				db.Close()
 			}
-			t.Fatalf("DisableWAL + default %v: err = %v, want ErrNotSupported", d, err)
+			t.Fatalf("DropPersist + default %v: err = %v, want ErrNotSupported", d, err)
 		}
 	}
-	// None (and the unset default, which resolves to None) are fine.
-	cfg := Config{Dir: t.TempDir(), MemoryBytes: 1 << 20, DisableWAL: true}
-	db, err := Open(cfg)
+	db, err := Open(Config{MemoryBytes: 1 << 20, DropPersist: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Close()
+	defer db.Close()
+	if err := db.Put(bg, []byte("k"), []byte("v")); err != nil {
+		t.Fatalf("default put: %v", err)
+	}
+	for _, d := range []kv.Durability{kv.DurabilityBuffered, kv.DurabilitySync} {
+		if err := db.Put(bg, []byte("k"), []byte("v"), kv.WithDurability(d)); !errors.Is(err, kv.ErrNotSupported) {
+			t.Fatalf("%v put: err = %v, want ErrNotSupported", d, err)
+		}
+	}
+	b := kv.NewBatch()
+	b.Put([]byte("k"), []byte("v"))
+	if err := db.Apply(bg, b, kv.WithSync()); !errors.Is(err, kv.ErrNotSupported) {
+		t.Fatalf("Sync batch: err = %v, want ErrNotSupported", err)
+	}
+	if err := db.Sync(bg); err != nil {
+		t.Fatalf("Sync barrier: %v", err)
+	}
 }
 
 // TestSyncDurabilityRecoversEveryWrite: every Sync-class write survives a

@@ -217,7 +217,7 @@ func Open(cfg Config) (*DB, error) {
 	db.handles = &sync.Pool{New: func() any { return db.domain.Reader() }}
 	// The registry must exist before the first counter increment or
 	// event emission — i.e. before recovery and the background loops.
-	if err := db.Init(cfg.Durability, !cfg.DisableWAL); err != nil {
+	if err := db.Init(cfg.Durability); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	db.initObs()
@@ -230,15 +230,12 @@ func Open(cfg Config) (*DB, error) {
 			return nil, err
 		}
 		db.store = store
-		db.seq.Store(store.LastSeq())
-		if !cfg.DisableWAL {
-			seq, err := store.RecoverLogs(func() storage.ReplayMem { return newMemtableList(db.memtableTarget) })
-			if err != nil {
-				store.Close()
-				return nil, err
-			}
-			db.seq.Store(seq)
+		seq, err := store.RecoverLogs(func() storage.ReplayMem { return newMemtableList(db.memtableTarget) })
+		if err != nil {
+			store.Close()
+			return nil, err
 		}
+		db.seq.Store(seq)
 	}
 	db.Front.Open(db.store, &db.walMetrics, storage.Engine{
 		Write:      db.update,
@@ -263,7 +260,7 @@ func Open(cfg Config) (*DB, error) {
 		g.mbf = membuffer.New(db.mbfCfg)
 	}
 	db.gen.Store(g)
-	if db.store != nil && !cfg.DisableWAL {
+	if db.store != nil {
 		if err := db.store.SetLogNum(mt.walNum, db.seq.Load()); err != nil {
 			db.store.Close()
 			return nil, err
@@ -365,11 +362,12 @@ func (db *DB) hook(at hookPoint) {
 	}
 }
 
-// newMemtable allocates a fresh memtable with its WAL segment.
+// newMemtable allocates a fresh memtable with its WAL segment (none
+// without a disk component).
 func (db *DB) newMemtable() (*memtable, error) {
 	m := newMemtableList(db.memtableTarget)
 	m.list.SetRetention(&db.retention)
-	if db.cfg.DisableWAL || db.store == nil {
+	if db.store == nil {
 		return m, nil
 	}
 	var err error

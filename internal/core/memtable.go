@@ -25,7 +25,7 @@ type memtable struct {
 	// in the list — or was told its write completed — finds its bits set;
 	// bits are never cleared. Sized once, from the generation's byte target.
 	filter []atomic.Uint64
-	wal    *wal.Writer // nil when the WAL is disabled
+	wal    *wal.Writer // nil without a disk component (DropPersist)
 	walNum uint64
 }
 
@@ -87,7 +87,7 @@ func (m *memtable) get(key []byte, h uint64) (*skiplist.Entry, bool) {
 }
 
 // log returns the generation's WAL segment: nil for a nil memtable or
-// when the WAL is disabled.
+// without a disk component.
 func (m *memtable) log() *wal.Writer {
 	if m == nil {
 		return nil

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"flodb/internal/kv"
 )
 
 // TestHotKeysNeverFillTheMemtable is §3.2's guard through the store: a
@@ -19,7 +21,7 @@ func TestHotKeysNeverFillTheMemtable(t *testing.T) {
 	for _, noMembuffer := range []bool{false, true} {
 		t.Run(fmt.Sprintf("DisableMembuffer=%v", noMembuffer), func(t *testing.T) {
 			cfg := testConfig(t)
-			cfg.DisableWAL = true
+			cfg.Durability = kv.DurabilityNone
 			cfg.DisableMembuffer = noMembuffer
 			db := openTestDB(t, cfg)
 			val := make([]byte, 256)

@@ -163,7 +163,7 @@ func (db *DB) update(ctx context.Context, kind keys.Kind, key, value []byte, d k
 			h.Exit()
 			break
 		}
-		if logged && g.mtb.wal != nil && g.mtb.wal != syncW {
+		if logged && g.mtb.wal != syncW {
 			off, err := g.mtb.wal.AppendRecord(kind, key, value)
 			if err != nil {
 				h.Exit()
@@ -209,7 +209,7 @@ func (db *DB) update(ctx context.Context, kind keys.Kind, key, value []byte, d k
 			continue
 		}
 		g = db.gen.Load()
-		if logged && g.mtb.wal != nil && g.mtb.wal != syncW {
+		if logged && g.mtb.wal != syncW {
 			off, err := g.mtb.wal.AppendRecord(kind, key, value)
 			if err != nil {
 				h.Exit()

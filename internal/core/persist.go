@@ -103,11 +103,9 @@ func (db *DB) persistCycle() error {
 	// keeps the Get order sensible).
 	db.domain.Synchronize()
 	db.immMtb.Store(nil)
-	if old.mtb.wal != nil {
-		db.Events().Emit(obs.Event{
-			Type: obs.EventWALRotate, Bytes: sealBytes,
-			Detail: fmt.Sprintf("segment %d -> %d", old.mtb.walNum, next.walNum),
-		})
-	}
+	db.Events().Emit(obs.Event{
+		Type: obs.EventWALRotate, Bytes: sealBytes,
+		Detail: fmt.Sprintf("segment %d -> %d", old.mtb.walNum, next.walNum),
+	})
 	return nil
 }

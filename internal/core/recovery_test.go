@@ -28,10 +28,8 @@ func TestRecoveryFromWAL(t *testing.T) {
 
 	// Simulate a crash: sync the active WAL but skip the graceful flush.
 	g := db.gen.Load()
-	if g.mtb.wal != nil {
-		if err := g.mtb.wal.Sync(); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.mtb.wal.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	// Abandon the DB without Close (goroutines die with the test process;
 	// the store is reopened from disk state only).
@@ -167,10 +165,8 @@ func TestSeqMonotonicAcrossRestart(t *testing.T) {
 func crashDB(t *testing.T, db *DB) {
 	t.Helper()
 	g := db.gen.Load()
-	if g.mtb.wal != nil {
-		if err := g.mtb.wal.Sync(); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.mtb.wal.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	db.Shut()
 	db.store.Close()
@@ -287,9 +283,10 @@ func TestBatchRecoversAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestDisableWALMode(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Dir: dir, MemoryBytes: 1 << 20, DisableWAL: true}
+// TestDurabilityNoneCleanRestart: writes of class None have no log
+// record, and a clean close still flushes them to disk.
+func TestDurabilityNoneCleanRestart(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), MemoryBytes: 1 << 20, Durability: kv.DurabilityNone}
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +294,9 @@ func TestDisableWALMode(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		db.Put(bg, spreadKey(uint64(i)), []byte("v"))
 	}
-	// No WAL files should exist.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if kind, _ := storage.ParseFileName(e.Name()); kind == storage.KindWAL {
-			t.Fatalf("WAL %s created with DisableWAL", e.Name())
-		}
+	if st := db.Stats(); st.AckedSeq != 0 {
+		t.Fatalf("None-class puts appended %d log records", st.AckedSeq)
 	}
-	// Clean close still flushes to disk.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +307,7 @@ func TestDisableWALMode(t *testing.T) {
 	defer db2.Close()
 	for i := 0; i < 200; i++ {
 		if _, ok, _ := db2.Get(bg, spreadKey(uint64(i))); !ok {
-			t.Fatalf("key %d lost across clean DisableWAL restart", i)
+			t.Fatalf("key %d lost across clean restart", i)
 		}
 	}
 }

@@ -251,17 +251,44 @@ func bucketMates(b *membuffer.Buffer, partBits uint, key []byte, n int) [][]byte
 	return mates
 }
 
-// slowPut writes key through the slow path: it fills key's bucket in the
-// active Membuffer, then Puts key, and reports whether the Memtable took
-// it — false in the rare run where a drainer emptied the bucket in
-// between. It runs in a goroutine so a caller can tell a blocked Put.
+// slowPut writes key through the slow path: it parks the background
+// drainer on a claim, so nothing empties a bucket meanwhile, fills key's
+// bucket in the active Membuffer, Puts key, and reports whether the
+// Memtable took it. The hook it parks the drainer with also serves the
+// one the caller installed (a parked seal's), and the drainer is released
+// before the result is sent. It runs in a goroutine so a caller can tell
+// a blocked Put; the store's DrainThreads must be 1.
 func slowPut(t *testing.T, db *DB, key, value []byte) <-chan bool {
 	t.Helper()
 	mbf := db.gen.Load().mbf
 	mates := bucketMates(mbf, db.cfg.PartitionBits, key, 16)
+	claimed, release := make(chan struct{}), make(chan struct{})
+	prev, park := db.testHook.Load(), parkOnce(hookDrainerClaimed, claimed, release)
+	hook := func(p hookPoint) {
+		if prev != nil {
+			(*prev)(p)
+		}
+		park(p)
+	}
+	db.testHook.Store(&hook)
 	done := make(chan bool, 1)
 	go func() {
-		for _, m := range mates {
+		slow := false
+		defer func() {
+			close(release)
+			db.testHook.Store(prev)
+			done <- slow
+		}()
+		if err := db.Put(bg, mates[0], []byte("mate")); err != nil {
+			t.Error(err)
+		}
+		select {
+		case <-claimed:
+		case <-time.After(10 * time.Second):
+			t.Error("the background drainer never claimed a batch")
+			return
+		}
+		for _, m := range mates[1:] {
 			if err := db.Put(bg, m, []byte("mate")); err != nil {
 				t.Error(err)
 			}
@@ -270,7 +297,7 @@ func slowPut(t *testing.T, db *DB, key, value []byte) <-chan bool {
 		if err := db.Put(bg, key, value); err != nil {
 			t.Error(err)
 		}
-		done <- db.Stats().MemtableWrites > before
+		slow = db.Stats().MemtableWrites > before
 	}()
 	return done
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"flodb/internal/kv"
 	"flodb/internal/workload"
 )
 
@@ -20,7 +21,7 @@ import (
 // node and corrupting skiplist order — surfacing as "sstable:
 // out-of-order add" from the persist thread under exactly this workload.
 func TestStressBufferReuseInsertIterate(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), MemoryBytes: 128 << 10, DisableWAL: true}
+	cfg := Config{Dir: t.TempDir(), MemoryBytes: 128 << 10, Durability: kv.DurabilityNone}
 	cfg.Storage.BaseLevelBytes = 512 << 10
 	cfg.Storage.TargetFileSize = 256 << 10
 	db, err := Open(cfg)

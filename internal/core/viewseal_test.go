@@ -175,7 +175,7 @@ func TestViewSealsConcurrentOps(t *testing.T) {
 }
 
 // TestViewSealsRacePersist opens and closes views while the persister
-// constantly seals and flushes (a 32 KiB budget), with the WAL on; the
+// constantly seals and flushes (a 32 KiB budget), every write logged; the
 // store is then closed and reopened. A view seal drains into the live
 // Memtable while a persist seal may be retiring it, so an entry stranded
 // outside the WAL-truncation invariant shows up as a key missing after

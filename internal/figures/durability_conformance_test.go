@@ -10,7 +10,6 @@ package figures
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -103,32 +102,76 @@ func TestAllSystemsPerOpDurabilityClasses(t *testing.T) {
 	}
 }
 
-// TestAllSystemsLoggedClassWithoutWALRejected: a WAL-less store cannot
-// honor Buffered or Sync; it must say so rather than silently downgrade.
-func TestAllSystemsLoggedClassWithoutWALRejected(t *testing.T) {
+// TestAllSystemsUnloggedDefaultTakesLoggedClasses: a store whose default
+// durability is None still has its log, so a write that names a logged
+// class is logged and honored, and the barrier works.
+func TestAllSystemsUnloggedDefaultTakesLoggedClasses(t *testing.T) {
 	for _, sys := range AllSystems {
 		t.Run(string(sys), func(t *testing.T) {
-			s := openSys(t, sys, t.TempDir()) // WAL disabled
+			s := openSys(t, sys, t.TempDir()) // default durability None
 			defer s.Close()
-			if err := s.Put(bg, []byte("k"), []byte("v"), kv.WithSync()); !errors.Is(err, kv.ErrNotSupported) {
-				t.Fatalf("Sync put on WAL-less store: %v, want ErrNotSupported", err)
+			if err := s.Put(bg, []byte("k"), []byte("v")); err != nil {
+				t.Fatalf("default put: %v", err)
 			}
-			if err := s.Put(bg, []byte("k"), []byte("v"), kv.WithDurability(kv.DurabilityBuffered)); !errors.Is(err, kv.ErrNotSupported) {
-				t.Fatalf("Buffered put on WAL-less store: %v, want ErrNotSupported", err)
+			if err := s.Put(bg, []byte("k"), []byte("v"), kv.WithSync()); err != nil {
+				t.Fatalf("Sync put: %v", err)
+			}
+			if err := s.Put(bg, []byte("k"), []byte("v"), kv.WithDurability(kv.DurabilityBuffered)); err != nil {
+				t.Fatalf("Buffered put: %v", err)
 			}
 			b := kv.NewBatch()
 			b.Put([]byte("k"), []byte("v"))
-			if err := s.Apply(bg, b, kv.WithSync()); !errors.Is(err, kv.ErrNotSupported) {
-				t.Fatalf("Sync batch on WAL-less store: %v, want ErrNotSupported", err)
-			}
-			// Default writes (None) and the barrier (vacuously satisfied)
-			// still work.
-			if err := s.Put(bg, []byte("k"), []byte("v")); err != nil {
-				t.Fatalf("default put on WAL-less store: %v", err)
+			if err := s.Apply(bg, b, kv.WithSync()); err != nil {
+				t.Fatalf("Sync batch: %v", err)
 			}
 			if err := s.Sync(bg); err != nil {
-				t.Fatalf("Sync barrier on WAL-less store: %v", err)
+				t.Fatalf("Sync barrier: %v", err)
 			}
+			if st := stats(t, s); st.AckedSeq < 3 || st.DurableSeq != st.AckedSeq {
+				t.Fatalf("acked %d, durable %d log records; want the 3 logged writes, all durable", st.AckedSeq, st.DurableSeq)
+			}
+		})
+	}
+}
+
+// TestAllSystemsUnloggedDefaultReopenKeepsSynced: a directory a crash
+// left with Sync-acked records keeps them when it is reopened with
+// default durability None — that open replays the log like any other —
+// and still holds them at the logged open after it.
+func TestAllSystemsUnloggedDefaultReopenKeepsSynced(t *testing.T) {
+	const n = 20
+	for _, sys := range AllSystems {
+		t.Run(string(sys), func(t *testing.T) {
+			dir := t.TempDir()
+			s := openDurable(t, sys, dir, 1<<20)
+			for i := 0; i < n; i++ {
+				if err := s.Put(bg, keys.EncodeUint64(uint64(i)), keys.EncodeUint64(uint64(i)), kv.WithSync()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crashStore(t, s)
+
+			check := func(s kv.Store, open string) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					v, ok, err := s.Get(bg, keys.EncodeUint64(uint64(i)))
+					if err != nil || !ok || keys.DecodeUint64(v) != uint64(i) {
+						t.Fatalf("%s open: Sync-acked key %d = %x %v %v", open, i, v, ok, err)
+					}
+				}
+			}
+			r := openSys(t, sys, dir)
+			check(r, "unlogged-default")
+			// Its Close flushes, moving the manifest's log number on.
+			if err := r.Put(bg, []byte("after"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r = openDurable(t, sys, dir, 1<<20)
+			defer r.Close()
+			check(r, "logged")
 		})
 	}
 }

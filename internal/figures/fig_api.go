@@ -24,7 +24,7 @@ import (
 //	             pins a sequence bound over the live skiplist instead of
 //	             materializing a flush, so this row measures read-view
 //	             traffic, not flush bandwidth.
-//	durable-write: WAL on, every insert Sync-class (acked only after a
+//	durable-write: every insert Sync-class (acked only after a
 //	             disk barrier covers it). The column measures the paper's
 //	             thesis under durability: with group commit the
 //	             concurrent committers coalesce onto shared fsyncs
@@ -41,7 +41,7 @@ func APIBench(c Config) (*harness.Table, error) {
 		opts    harness.RunOptions
 		metric  func(harness.Result) float64
 		fill    bool
-		durable bool // open with the WAL on (Buffered default)
+		durable bool // open with Buffered default durability
 	}
 	cells := []cell{
 		{
@@ -108,6 +108,6 @@ func APIBench(c Config) (*harness.Table, error) {
 	}
 	tbl.AddNote("batch-write counts mutations (32 per Apply); scans report keys accessed per second")
 	tbl.AddNote("snap-read: 2%% of ops pin a Snapshot and serve 16 gets through it (O(1) everywhere: FloDB pins a seq bound over the live memory component)")
-	tbl.AddNote("durable-write: WAL on, every insert Sync-class; group commit coalesces concurrent fsyncs (note Kops/s, not Mops/s)")
+	tbl.AddNote("durable-write: every insert Sync-class; group commit coalesces concurrent fsyncs (note Kops/s, not Mops/s)")
 	return tbl, nil
 }

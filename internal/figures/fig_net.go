@@ -8,6 +8,7 @@ import (
 	"flodb/internal/client"
 	"flodb/internal/core"
 	"flodb/internal/harness"
+	"flodb/internal/kv"
 	"flodb/internal/obs"
 	"flodb/internal/server"
 	"flodb/internal/workload"
@@ -38,7 +39,7 @@ func NetBench(c Config) (*harness.Table, error) {
 	inner, err := core.Open(core.Config{
 		Dir:         dir,
 		MemoryBytes: c.MemBytes,
-		DisableWAL:  true, // loader shape, like the other throughput figures
+		Durability:  kv.DurabilityNone, // loader shape, like the other throughput figures
 		Storage:     storageOpts(c.MemBytes),
 	})
 	if err != nil {

@@ -168,42 +168,45 @@ var tinyCachesForTest bool
 // epoch changes into the suites' workloads.
 var wrapStoreForTest func(kv.Store) kv.Store
 
-// openSystem builds one of the six stores. Benchmarks run with the WAL
-// disabled, like the paper's db_bench-style loaders (no fsync per write);
-// cells that measure the durable write path use openSystemDurable.
+// openSystem builds one of the six stores. Benchmarks run with default
+// durability None, like the paper's db_bench-style loaders: a write that
+// names no class appends no log record. Every store still creates,
+// replays and retires its log segments; cells that measure the durable
+// write path use openSystemDurable.
 func openSystem(sys System, dir string, memBytes int64) (kv.Store, error) {
-	return openSystemMode(sys, dir, memBytes, false)
+	return openSystemMode(sys, dir, memBytes, kv.DurabilityNone)
 }
 
-// openSystemDurable builds one of the six stores with the commit log ON
-// (Buffered default durability) — the configuration the durable-write
-// apibench column and the durability conformance suite measure.
+// openSystemDurable builds one of the six stores with Buffered default
+// durability (every write logged, no fsync) — the configuration the
+// durable-write apibench column and the durability conformance suite
+// measure.
 func openSystemDurable(sys System, dir string, memBytes int64) (kv.Store, error) {
-	return openSystemMode(sys, dir, memBytes, true)
+	return openSystemMode(sys, dir, memBytes, kv.DurabilityBuffered)
 }
 
-func openSystemMode(sys System, dir string, memBytes int64, walOn bool) (kv.Store, error) {
-	s, err := openStore(sys, dir, memBytes, walOn)
+func openSystemMode(sys System, dir string, memBytes int64, d kv.Durability) (kv.Store, error) {
+	s, err := openStore(sys, dir, memBytes, d)
 	if err != nil || wrapStoreForTest == nil {
 		return s, err
 	}
 	return wrapStoreForTest(s), nil
 }
 
-func openStore(sys System, dir string, memBytes int64, walOn bool) (kv.Store, error) {
+func openStore(sys System, dir string, memBytes int64, d kv.Durability) (kv.Store, error) {
 	switch sys {
 	case SysFloDB:
 		return core.Open(core.Config{
 			Dir:         dir,
 			MemoryBytes: memBytes,
-			DisableWAL:  !walOn,
+			Durability:  d,
 			Storage:     storageOpts(memBytes),
 		})
 	case SysNet:
-		return openNet(dir, memBytes, walOn)
+		return openNet(dir, memBytes, d)
 	}
 	cfg := baseline.Config{
-		Dir: dir, MemBytes: memBytes, DisableWAL: !walOn,
+		Dir: dir, MemBytes: memBytes, Durability: d,
 		Storage: storageOpts(memBytes),
 	}
 	switch sys {

@@ -30,11 +30,11 @@ type netStore struct {
 }
 
 // openNet builds the loopback service stack over a fresh FloDB engine.
-func openNet(dir string, memBytes int64, walOn bool) (kv.Store, error) {
+func openNet(dir string, memBytes int64, d kv.Durability) (kv.Store, error) {
 	inner, err := core.Open(core.Config{
 		Dir:         dir,
 		MemoryBytes: memBytes,
-		DisableWAL:  !walOn,
+		Durability:  d,
 		Storage:     storageOpts(memBytes),
 	})
 	if err != nil {

@@ -31,8 +31,9 @@ func openSys(t *testing.T, sys System, dir string) kv.Store {
 	return s
 }
 
-// openSysWAL opens one of the systems with the commit log ON, so
-// checkpoints capture the memory component through the WAL tail.
+// openSysWAL opens one of the systems with Buffered default durability,
+// so every write is logged and checkpoints capture the memory component
+// through the WAL tail.
 func openSysWAL(t *testing.T, sys System, dir string) kv.Store {
 	t.Helper()
 	s, err := openSystemDurable(sys, dir, 1<<20)
@@ -369,7 +370,7 @@ func TestAllSystemsCheckpointReopens(t *testing.T) {
 			if err := s.Checkpoint(bg, ck); err != nil {
 				t.Fatal(err)
 			}
-			// With the WAL on, the synced tail captures the whole write
+			// With every write logged, the synced tail captures the whole write
 			// history: the checkpoint must reopen (as the same system)
 			// holding every pair, each intact.
 			r := openSysWAL(t, sys, ck)

@@ -384,11 +384,6 @@ func (b *Buffer) ApproxBytes() int64 {
 // Capacity returns the total slot count.
 func (b *Buffer) Capacity() int { return len(b.buckets) * BucketSlots }
 
-// Occupancy returns live entries / capacity in [0,1].
-func (b *Buffer) Occupancy() float64 {
-	return float64(b.Len()) / float64(b.Capacity())
-}
-
 // FullFailures returns how many Adds were rejected on a full bucket.
 func (b *Buffer) FullFailures() int64 { return b.fullFailures.Load() }
 

@@ -60,16 +60,6 @@ func Trace(ctx context.Context) uint64 {
 	return id
 }
 
-// EnsureTrace returns the context's trace ID, minting and attaching one
-// if absent.
-func EnsureTrace(ctx context.Context) (context.Context, uint64) {
-	if id := Trace(ctx); id != 0 {
-		return ctx, id
-	}
-	id := NewTraceID()
-	return WithTrace(ctx, id), id
-}
-
 // TraceString formats an ID the way log lines print it.
 func TraceString(id uint64) string {
 	if id == 0 {

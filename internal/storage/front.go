@@ -43,10 +43,8 @@ type Front struct {
 	store *Store // nil for an engine without a disk component
 	eng   Engine
 
-	// durability is the class of a write that names none; walOn says
-	// whether the engine logs at all.
+	// durability is the class of a write that names none.
 	durability kv.Durability
-	walOn      bool
 
 	closed atomic.Bool
 	bgErr  atomic.Pointer[error]
@@ -120,20 +118,13 @@ var opNames = [numOps]string{"put", "get", "delete", "scan", "batch", "snapshot"
 // Init builds the registry and the event log, which must exist before an
 // engine's first counter increment or event (recovery emits some), and
 // validates the store's configured default durability class def,
-// resolving DurabilityDefault in it: Buffered, or None when the store
-// runs without a log (walOn false), which cannot back a logged class.
-func (f *Front) Init(def kv.Durability, walOn bool) error {
-	switch {
-	case !def.Valid():
+// resolving DurabilityDefault in it to Buffered. An engine without a disk
+// component has no log, and resolves its default to None itself.
+func (f *Front) Init(def kv.Durability) error {
+	if !def.Valid() {
 		return fmt.Errorf("storage: invalid Durability %v", def)
-	case !walOn && (def == kv.DurabilityBuffered || def == kv.DurabilitySync):
-		return fmt.Errorf("storage: default Durability %v requires the WAL, but the WAL is disabled: %w", def, kv.ErrNotSupported)
-	case !walOn:
-		def = kv.DurabilityNone
-	case def == kv.DurabilityDefault:
-		def = kv.DurabilityBuffered
 	}
-	f.durability, f.walOn = def, walOn
+	f.durability = kv.ResolveWriteOptions(def).Durability
 	reg := obs.NewRegistry()
 	f.reg, f.events = reg, obs.NewEventLog(0)
 	f.ops = kv.NewOpCounters(reg)
@@ -280,7 +271,7 @@ func (f *Front) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) 
 
 // admit is the test every write passes before the engine orders it, and
 // folds the write's options over the default class, rejecting a logged
-// class on a store without a log.
+// class on a store without a disk component, which has no log.
 func (f *Front) admit(opts []kv.WriteOption) (kv.Durability, error) {
 	if err := f.BackgroundErr(); err != nil {
 		return 0, err
@@ -292,8 +283,8 @@ func (f *Front) admit(opts []kv.WriteOption) (kv.Durability, error) {
 	if !d.Valid() {
 		return 0, fmt.Errorf("storage: invalid durability %v", d)
 	}
-	if d != kv.DurabilityNone && !f.walOn {
-		return 0, fmt.Errorf("storage: %v durability without a WAL: %w", d, kv.ErrNotSupported)
+	if d != kv.DurabilityNone && f.store == nil {
+		return 0, fmt.Errorf("storage: %v durability without a disk component: %w", d, kv.ErrNotSupported)
 	}
 	return d, nil
 }
@@ -321,14 +312,14 @@ func (f *Front) commitSync(w *wal.Writer, off int64) error {
 // group-committed fsync per live segment (at most two: the sealed one
 // first, then the active one — prefix order) promotes the whole
 // acked-but-buffered window; concurrent barriers and Sync-class writes
-// coalesce in the commit queue. Without a WAL there is no buffered window
-// to promote and the barrier is a no-op.
+// coalesce in the commit queue. Without a disk component there is no log,
+// no buffered window to promote, and the barrier is a no-op.
 func (f *Front) Sync(ctx context.Context) error {
 	if err := f.Check(ctx); err != nil {
 		return err
 	}
 	f.ops.SyncBarriers.Add(1)
-	if !f.walOn || f.store == nil {
+	if f.store == nil {
 		return nil
 	}
 	// A failed flush means sealed-segment records may be neither in

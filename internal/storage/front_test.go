@@ -56,7 +56,7 @@ func openFront(t *testing.T) (*Front, *fakeEngine) {
 	}
 	t.Cleanup(func() { s.Close() })
 	f, e := new(Front), &fakeEngine{data: map[string][]byte{}}
-	if err := f.Init(kv.DurabilityDefault, false); err != nil {
+	if err := f.Init(kv.DurabilityNone); err != nil {
 		t.Fatal(err)
 	}
 	f.Open(s, new(wal.Metrics), Engine{
@@ -164,8 +164,8 @@ func TestFrontClosedRejectsUncounted(t *testing.T) {
 }
 
 // TestFrontBackgroundErrorIsSticky: once the engine records a background
-// failure, every write, Snapshot and Checkpoint returns the first one,
-// while reads go on.
+// failure, every write, Sync, Snapshot and Checkpoint returns the first
+// one, while reads go on.
 func TestFrontBackgroundErrorIsSticky(t *testing.T) {
 	f, _ := openFront(t)
 	first, second := errors.New("flush failed"), errors.New("a later failure")
@@ -178,7 +178,7 @@ func TestFrontBackgroundErrorIsSticky(t *testing.T) {
 	for _, c := range frontCalls(f, filepath.Join(t.TempDir(), "ckpt")) {
 		err := c.call()
 		switch c.name {
-		case "Get", "Scan", "NewIterator", "Sync": // Sync: this store has no log
+		case "Get", "Scan", "NewIterator":
 			if err != nil {
 				t.Errorf("%s after a background failure = %v, want nil", c.name, err)
 			}

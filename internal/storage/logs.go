@@ -130,24 +130,17 @@ func CommitSync(sealed, w *wal.Writer, off int64) error {
 }
 
 // FlushLog writes a sealed memtable (it, holding records up to lastSeq) to
-// L0 and retires its segment w, number num (nil without a log). The flush
-// makes every record in the segment durable whether or not an fsync ever
-// covered it, so the acked-vs-durable boundary advances past them before
-// the segment closes and its file goes. next is the segment that takes
-// writes after this one; 0 moves the manifest's log number just past num
-// (without a log, to a fresh file number).
+// L0 and retires its segment w, number num. The flush makes every record
+// in the segment durable whether or not an fsync ever covered it, so the
+// acked-vs-durable boundary advances past them before the segment closes
+// and its file goes. next is the segment that takes writes after this
+// one; 0 moves the manifest's log number just past num.
 func (s *Store) FlushLog(it InternalIterator, lastSeq uint64, w *wal.Writer, num, next uint64) error {
 	if next == 0 {
 		next = num + 1
-		if w == nil {
-			next = s.NewFileNum()
-		}
 	}
 	if _, err := s.Flush(it, next, lastSeq); err != nil {
 		return err
-	}
-	if w == nil {
-		return nil
 	}
 	w.MarkContentsDurable()
 	err := w.Close()
@@ -185,9 +178,7 @@ func (s *Store) Shutdown(err error, sealed *wal.Writer, it InternalIterator, act
 	if !flushed {
 		keep(SyncLogs(active))
 	}
-	if active != nil {
-		keep(active.Close())
-	}
+	keep(active.Close())
 	keep(s.Close())
 	return err
 }

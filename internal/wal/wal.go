@@ -123,7 +123,9 @@ type Writer struct {
 	f       *os.File
 	// buf is the active buffer appenders copy into. spare is the other
 	// one, nil while it is being written to the file: one write is in
-	// flight at a time, so the file receives the buffers in order.
+	// flight at a time, so the file receives the buffers in order. Both
+	// are nil until the first append: a segment no record reaches costs
+	// no staging memory.
 	buf, spare []byte
 	bufSize    int   // the buffers' capacity (Options.BufferSize)
 	end        int64 // bytes appended (logical end offset, incl. framing)
@@ -199,8 +201,6 @@ func Create(path string, opts Options) (*Writer, error) {
 	}
 	w := &Writer{
 		f:            f,
-		buf:          make([]byte, 0, bs),
-		spare:        make([]byte, 0, bs),
 		bufSize:      bs,
 		metrics:      opts.Metrics,
 		writeThrough: opts.WriteThrough,
@@ -252,6 +252,9 @@ func (w *Writer) gather(pre, a, mid, b []byte) (int64, error) {
 
 	w.mu.Lock()
 	err := w.stagingErr()
+	if err == nil && w.buf == nil {
+		w.buf, w.spare = make([]byte, 0, w.bufSize), make([]byte, 0, w.bufSize)
+	}
 	for err == nil && w.spare == nil && len(w.buf)+headerSize+n >= cap(w.buf) {
 		w.written.Wait()
 		err = w.stagingErr()
@@ -550,7 +553,7 @@ func (w *Writer) Abandon() error {
 // that has been flushed no new one starts, so the file may then be closed.
 func (w *Writer) waitIdle() {
 	w.mu.Lock()
-	for w.spare == nil {
+	for w.spare == nil && w.buf != nil {
 		w.written.Wait()
 	}
 	w.mu.Unlock()

@@ -3,10 +3,12 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -719,6 +721,55 @@ func TestAppendAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("AppendRecord: %.1f allocations, want 0", n)
+	}
+}
+
+// TestNoAppendNoStagingBuffer: the staging buffers are allocated by the
+// first append, so a segment that never gets a record — a generation that
+// took only unlogged writes — costs no staging memory, and Sync, Flush and
+// Close of it wait for nothing.
+func TestNoAppendNoStagingBuffer(t *testing.T) {
+	dir := t.TempDir()
+	const segments = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < segments; i++ {
+		w, err := Create(filepath.Join(dir, fmt.Sprintf("%06d.wal", i)), Options{Metrics: &Metrics{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.buf != nil || w.spare != nil {
+			t.Fatalf("Create allocated staging buffers of %d and %d bytes", cap(w.buf), cap(w.spare))
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w.buf != nil || w.spare != nil {
+			t.Fatal("Close of an empty segment allocated staging buffers")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / segments; per >= 64<<10 {
+		t.Fatalf("an empty segment allocated %d bytes, at least one 64 KiB staging buffer", per)
+	}
+
+	w, err := Create(filepath.Join(dir, "appended.wal"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Append([]byte("r")); err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.buf) != 64<<10 || cap(w.spare) != 64<<10 {
+		t.Fatalf("first append staged in buffers of %d and %d bytes, want 64 KiB each", cap(w.buf), cap(w.spare))
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // options override earlier ones. The zero configuration (no options) gives
 // the defaults the paper's evaluation uses, scaled for a development
 // machine: 64 MiB of memory split 1/4 Membuffer : 3/4 Memtable, two drain
-// threads, WAL on with Buffered durability (logged, no per-write fsync).
+// threads, Buffered durability (every write logged, no per-write fsync).
 //
 // Out-of-range values are rejected by Open with a descriptive error —
 // never silently clamped.
@@ -22,7 +22,6 @@ type Option interface {
 type options struct {
 	memoryBytes     int64
 	drainThreads    int
-	disableWAL      bool
 	walWriteThrough bool
 	durability      Durability
 
@@ -113,14 +112,6 @@ func WithTableCacheCapacity(n int) Option {
 // write() syscall per append on the buffered path.
 func WithWALWriteThrough() Option {
 	return optionFunc(func(o *options) { o.walWriteThrough = true })
-}
-
-// WithoutWAL turns off commit logging: every write is DurabilityNone
-// (fastest, no crash durability for the memory component), and requesting
-// a logged durability class per operation fails with ErrNotSupported.
-// Checkpoints of a WAL-less store capture only the flushed state.
-func WithoutWAL() Option {
-	return optionFunc(func(o *options) { o.disableWAL = true })
 }
 
 // DurabilityOption is both an Option (the store's default durability at

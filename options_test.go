@@ -2,7 +2,6 @@ package flodb_test
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 
@@ -35,17 +34,6 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestOpenRejectsSyncDurabilityWithoutWAL: the two options contradict.
-func TestOpenRejectsSyncDurabilityWithoutWAL(t *testing.T) {
-	db, err := flodb.Open(t.TempDir(), flodb.WithoutWAL(), flodb.WithSync())
-	if !errors.Is(err, flodb.ErrNotSupported) {
-		if err == nil {
-			db.Close()
-		}
-		t.Fatalf("WithoutWAL + WithSync: err = %v, want ErrNotSupported", err)
 	}
 }
 
