@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,7 +19,17 @@ type compaction struct {
 	overlap []*FileMeta // files from level+1
 	// bounds of the merged key range (inclusive).
 	lo, hi []byte
+	// cause is why it was picked: causeL0Count, causeLevelSize or
+	// causeReads.
+	cause string
 }
+
+// The causes pickCompaction picks for, as compaction events name them.
+const (
+	causeL0Count   = "L0 count"
+	causeLevelSize = "level size"
+	causeReads     = "reads"
+)
 
 func (c *compaction) allInputs() []*FileMeta {
 	out := make([]*FileMeta, 0, len(c.inputs)+len(c.overlap))
@@ -38,25 +49,38 @@ func (s *Store) maxBytesForLevel(l int) int64 {
 }
 
 // pickCompaction selects the highest-scoring compaction whose inputs are
-// not already being compacted. Caller must hold vs.mu.
+// not already being compacted. When nothing scores (L0 below its trigger,
+// every level within its size), it takes a pending read-triggered request
+// instead: all of L0, merged into L1 like a count-triggered compaction.
+// Caller must hold vs.mu.
 func (s *Store) pickCompaction() *compaction {
 	v := s.vs.current.Load()
 
 	bestLevel := -1
 	bestScore := 1.0 // only pick when score >= 1
+	cause := causeL0Count
 	// L0 score: file count vs trigger.
 	if score := float64(len(v.files[0])) / float64(s.opts.L0CompactionTrigger); score >= bestScore {
 		bestScore, bestLevel = score, 0
 	}
 	for l := 1; l < NumLevels-1; l++ {
 		if score := float64(v.SizeBytes(l)) / float64(s.maxBytesForLevel(l)); score >= bestScore {
-			bestScore, bestLevel = score, l
+			bestScore, bestLevel, cause = score, l, causeLevelSize
 		}
 	}
+	var seekFile *FileMeta
 	if bestLevel < 0 {
-		return nil
+		if seekFile = s.seekFile.Load(); seekFile == nil {
+			return nil
+		}
+		if !slices.Contains(v.files[0], seekFile) {
+			// It left L0 in a compaction picked for another cause.
+			s.seekFile.CompareAndSwap(seekFile, nil)
+			return nil
+		}
+		bestLevel, cause = 0, causeReads
 	}
-	c := &compaction{level: bestLevel}
+	c := &compaction{level: bestLevel, cause: cause}
 	if bestLevel == 0 {
 		// All L0 files merge together (they may overlap each other).
 		for _, f := range v.files[0] {
@@ -107,7 +131,17 @@ func (s *Store) pickCompaction() *compaction {
 	for _, f := range c.allInputs() {
 		s.compacting[f.Num] = true
 	}
+	if seekFile != nil {
+		s.seekFile.CompareAndSwap(seekFile, nil)
+	}
 	return c
+}
+
+// requestReadCompaction records that f, an L0 table, has spent its seek
+// budget, and wakes a compaction worker to take the request.
+func (s *Store) requestReadCompaction(f *FileMeta) {
+	s.seekFile.Store(f)
+	s.MaybeScheduleCompaction()
 }
 
 func keyRange(files []*FileMeta) (lo, hi []byte) {
@@ -122,10 +156,13 @@ func keyRange(files []*FileMeta) (lo, hi []byte) {
 	return lo, hi
 }
 
-// runCompaction merges c's inputs into level+1 output files, keeping only
-// the newest version of each user key and dropping tombstones that shadow
-// nothing deeper. It unmarks c's inputs on every exit path and wakes
-// WaitForCompactions waiters.
+// runCompaction installs c at level+1 in one manifest edit. When its only
+// input overlaps nothing at level+1 it moves that table: same file number,
+// no table written, so table-cache entries and cached rows stay valid, and
+// tombstones in it stay until a later compaction merges it (LevelDB's
+// trivial move). Otherwise it merges the inputs into new tables (merge).
+// It unmarks c's inputs on every exit path and wakes WaitForCompactions
+// waiters.
 func (s *Store) runCompaction(c *compaction) error {
 	var start time.Time
 	if s.events != nil {
@@ -139,6 +176,75 @@ func (s *Store) runCompaction(c *compaction) error {
 		s.cond.Broadcast()
 		s.vs.mu.Unlock()
 	}()
+	outLevel := c.level + 1
+	move := len(c.inputs) == 1 && len(c.overlap) == 0
+
+	edit := &VersionEdit{}
+	for _, f := range c.inputs {
+		edit.Deleted = append(edit.Deleted, DeletedFile{Level: c.level, Num: f.Num})
+	}
+	for _, f := range c.overlap {
+		edit.Deleted = append(edit.Deleted, DeletedFile{Level: outLevel, Num: f.Num})
+	}
+	var outputs []FileMeta
+	if move {
+		outputs = []FileMeta{*c.inputs[0]}
+	} else {
+		var err error
+		if outputs, err = s.merge(c); err != nil {
+			return err
+		}
+	}
+	for i := range outputs {
+		edit.Added = append(edit.Added, AddedFile{Level: outLevel, Meta: outputs[i]})
+	}
+
+	s.vs.mu.Lock()
+	err := s.vs.logAndApply(edit)
+	if err == nil && c.level > 0 {
+		s.compactPtr[c.level] = append([]byte(nil), c.hi...)
+	}
+	obsolete := s.vs.takeObsolete()
+	s.vs.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	s.vs.deleteTables(obsolete)
+	s.compactions.Add(1)
+	if c.cause == causeReads {
+		s.readCompactions.Add(1)
+	}
+	if move {
+		s.trivialMoves.Add(1)
+	}
+	if s.events != nil {
+		var inBytes, outBytes, outKeys int64
+		for _, f := range c.allInputs() {
+			inBytes += f.Size
+		}
+		var detail string
+		if move { // a move writes nothing
+			detail = fmt.Sprintf("L%d->L%d (%s), move of table %d, %s", c.level, outLevel, c.cause, c.inputs[0].Num, fmtByteSize(inBytes))
+		} else {
+			for i := range outputs {
+				outBytes += outputs[i].Size
+				outKeys += int64(outputs[i].Count)
+			}
+			detail = fmt.Sprintf("L%d->L%d (%s), %d in -> %d out files, %s in", c.level, outLevel, c.cause, len(c.allInputs()), len(outputs), fmtByteSize(inBytes))
+		}
+		s.events.Emit(obs.Event{
+			Type: obs.EventCompaction, Dur: time.Since(start),
+			Bytes: outBytes, Keys: outKeys, Detail: detail,
+		})
+		s.noteCachePressure()
+	}
+	return nil
+}
+
+// merge merges c's inputs into level+1 output tables, keeping only the
+// newest version of each user key and dropping tombstones that shadow
+// nothing deeper. On error it has removed every output it wrote.
+func (s *Store) merge(c *compaction) ([]FileMeta, error) {
 	outLevel := c.level + 1
 
 	// Snapshot the deeper-level file ranges once for the tombstone check.
@@ -173,7 +279,7 @@ func (s *Store) runCompaction(c *compaction) error {
 	for _, f := range c.inputs {
 		r, h, err := s.cache.Get(f.Num)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		it := r.NewIterator()
 		pins = append(pins, func() { it.Reset(nil); h.Release() })
@@ -233,69 +339,29 @@ func (s *Store) runCompaction(c *compaction) error {
 			w, err = sstable.NewWriter(TableFileName(s.dir, wNum), s.tableOpts())
 			if err != nil {
 				abort()
-				return err
+				return nil, err
 			}
 		}
 		if err := w.Add(key, merged.Seq(), merged.Kind(), merged.Value()); err != nil {
 			abort()
-			return err
+			return nil, err
 		}
 		if w.EstimatedSize() >= s.opts.TargetFileSize {
 			if err := finishOutput(); err != nil {
 				abort()
-				return err
+				return nil, err
 			}
 		}
 	}
 	if err := merged.Err(); err != nil {
 		abort()
-		return fmt.Errorf("storage: compaction merge: %w", err)
+		return nil, fmt.Errorf("storage: compaction merge: %w", err)
 	}
 	if err := finishOutput(); err != nil {
 		abort()
-		return err
+		return nil, err
 	}
-
-	edit := &VersionEdit{}
-	for _, f := range c.inputs {
-		edit.Deleted = append(edit.Deleted, DeletedFile{Level: c.level, Num: f.Num})
-	}
-	for _, f := range c.overlap {
-		edit.Deleted = append(edit.Deleted, DeletedFile{Level: outLevel, Num: f.Num})
-	}
-	for i := range outputs {
-		edit.Added = append(edit.Added, AddedFile{Level: outLevel, Meta: outputs[i]})
-	}
-
-	s.vs.mu.Lock()
-	err := s.vs.logAndApply(edit)
-	if err == nil && c.level > 0 {
-		s.compactPtr[c.level] = append([]byte(nil), c.hi...)
-	}
-	obsolete := s.vs.takeObsolete()
-	s.vs.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.vs.deleteTables(obsolete)
-	s.compactions.Add(1)
-	if s.events != nil {
-		var inBytes, outBytes, outKeys int64
-		for _, f := range c.allInputs() {
-			inBytes += f.Size
-		}
-		for i := range outputs {
-			outBytes += outputs[i].Size
-			outKeys += int64(outputs[i].Count)
-		}
-		s.events.Emit(obs.Event{
-			Type: obs.EventCompaction, Dur: time.Since(start),
-			Bytes: outBytes, Keys: outKeys,
-			Detail: fmt.Sprintf("L%d->L%d, %d in -> %d out files, %s in", c.level, outLevel, len(c.allInputs()), len(outputs), fmtByteSize(inBytes)),
-		})
-		s.noteCachePressure()
-	}
-	return nil
+	return outputs, nil
 }
 
 // fmtByteSize renders a byte count for event detail strings.

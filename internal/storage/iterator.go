@@ -288,6 +288,10 @@ type versionIter struct {
 // ties in. s and v may both be nil for a read over memory sources only.
 // The caller keeps v pinned until release. After an error vi holds no
 // pins.
+//
+// Each L0 table merged is charged one seek: it is a run of its own, which
+// every range read pays a Seek in, and a table that has cost readers its
+// seek budget asks to be compacted into L1 (requestReadCompaction).
 func (vi *versionIter) init(s *Store, v *Version, mem []MemCursor) error {
 	m := &vi.merge
 	for _, c := range mem {
@@ -302,6 +306,9 @@ func (vi *versionIter) init(s *Store, v *Version, mem []MemCursor) error {
 	}
 	vi.tables = vi.tables[:len(l0)]
 	for i, f := range l0 {
+		if f.chargeSeek() {
+			s.requestReadCompaction(f)
+		}
 		r, h, err := s.cache.Get(f.Num)
 		if err != nil {
 			vi.release()

@@ -19,7 +19,9 @@ import (
 // Options configure the disk component.
 type Options struct {
 	// L0CompactionTrigger is the L0 file count that triggers compaction
-	// (default DefaultL0CompactionTrigger, as in LevelDB).
+	// (default DefaultL0CompactionTrigger, as in LevelDB). Below it, L0 is
+	// still compacted when iterators have spent an L0 table's seek budget
+	// (seekBudget) and no other compaction is due.
 	L0CompactionTrigger int
 	// L0StallThreshold is the L0 file count at which the memory component
 	// should apply backpressure to writers (default 12).
@@ -121,13 +123,23 @@ type Store struct {
 	compactPtr [NumLevels][]byte
 	cond       *sync.Cond
 
+	// seekFile is the L0 table whose seek budget ran out last, nil when
+	// none has: a read-triggered compaction request (requestReadCompaction)
+	// that pickCompaction takes when no other compaction is due.
+	seekFile atomic.Pointer[FileMeta]
+
 	work    chan struct{}
 	closing chan struct{}
 	wg      sync.WaitGroup
 
-	flushes     atomic.Uint64
-	compactions atomic.Uint64
-	closed      atomic.Bool
+	// compactions counts every installed compaction; readCompactions and
+	// trivialMoves count the ones picked for reads and the ones that moved
+	// a table without rewriting it.
+	flushes         atomic.Uint64
+	compactions     atomic.Uint64
+	readCompactions atomic.Uint64
+	trivialMoves    atomic.Uint64
+	closed          atomic.Bool
 
 	// events receives flush/compaction/cache-pressure events (may be
 	// nil); evictMark is the block-cache eviction count at the last
@@ -429,11 +441,16 @@ func (s *Store) WaitForCompactions() {
 
 // Metrics is a snapshot of disk-component counters.
 type Metrics struct {
-	Flushes       uint64
-	Compactions   uint64
-	FilesPerLevel [NumLevels]int
-	BytesPerLevel [NumLevels]int64
-	CachedTables  int
+	Flushes     uint64
+	Compactions uint64 // all kinds, the two below included
+	// ReadCompactions counts compactions picked because an L0 table spent
+	// its seek budget; TrivialMoves the ones that moved a table a level
+	// down without rewriting it.
+	ReadCompactions uint64
+	TrivialMoves    uint64
+	FilesPerLevel   [NumLevels]int
+	BytesPerLevel   [NumLevels]int64
+	CachedTables    int
 
 	// Read-path cache and bloom-filter counters.
 	BlockCacheHits      uint64
@@ -449,11 +466,13 @@ type Metrics struct {
 // Metrics returns current counters.
 func (s *Store) Metrics() Metrics {
 	m := Metrics{
-		Flushes:        s.flushes.Load(),
-		Compactions:    s.compactions.Load(),
-		CachedTables:   s.cache.Len(),
-		BloomChecks:    s.bloomChecks.Load(),
-		BloomNegatives: s.bloomNegatives.Load(),
+		Flushes:         s.flushes.Load(),
+		Compactions:     s.compactions.Load(),
+		ReadCompactions: s.readCompactions.Load(),
+		TrivialMoves:    s.trivialMoves.Load(),
+		CachedTables:    s.cache.Len(),
+		BloomChecks:     s.bloomChecks.Load(),
+		BloomNegatives:  s.bloomNegatives.Load(),
 	}
 	if s.bcache != nil {
 		bst := s.bcache.Stats()
@@ -490,7 +509,9 @@ func registerMetrics(reg *obs.Registry, s *Store, wm *wal.Metrics) {
 		reg.CounterFunc(name, help, func() uint64 { m := metrics(); return f(&m) })
 	}
 	view("flodb_flushes_total", "Memtable flushes to L0.", func(m *Metrics) uint64 { return m.Flushes })
-	view("flodb_compactions_total", "Background compactions completed.", func(m *Metrics) uint64 { return m.Compactions })
+	view("flodb_compactions_total", "Background compactions completed, of every kind.", func(m *Metrics) uint64 { return m.Compactions })
+	view("flodb_read_compactions_total", "Compactions of L0 requested by a table that spent its seek budget.", func(m *Metrics) uint64 { return m.ReadCompactions })
+	view("flodb_trivial_moves_total", "Compactions that moved a table one level down without rewriting it.", func(m *Metrics) uint64 { return m.TrivialMoves })
 	view("flodb_block_cache_hits_total", "Block cache hits.", func(m *Metrics) uint64 { return m.BlockCacheHits })
 	view("flodb_block_cache_misses_total", "Block cache misses.", func(m *Metrics) uint64 { return m.BlockCacheMisses })
 	view("flodb_block_cache_evictions_total", "Block cache evictions.", func(m *Metrics) uint64 { return m.BlockCacheEvictions })

@@ -30,7 +30,31 @@ type FileMeta struct {
 	// carry filters, starts empty and is filled from the table's Reader by
 	// the first probe that needs it.
 	filter *atomic.Pointer[sstable.Filter]
+	// seeks points at the table's seek budget: what is left of the
+	// iterator opens it may pay for at L0 before it asks to be compacted
+	// away (chargeSeek). Shared by every copy, like filter; in memory only,
+	// so a table known from the manifest starts a new run with a full one.
+	seeks *atomic.Int64
 }
+
+// seekBudget is the number of iterator opens an L0 table of size bytes
+// may take part in before it requests a compaction: LevelDB's
+// allowed_seeks (version_set.cc), one seek per 16 KiB and at least 100.
+// LevelDB reckons one seek costs about what compacting 40 KiB does and
+// allows one per 16 KiB to be conservative: a table that has cost its
+// readers that many seeks is cheaper merged into L1 than read again.
+func seekBudget(size int64) int64 { return max(100, size/(16<<10)) }
+
+// newSeekCell returns a seek-budget cell for a table of size bytes.
+func newSeekCell(size int64) *atomic.Int64 {
+	c := new(atomic.Int64)
+	c.Store(seekBudget(size))
+	return c
+}
+
+// chargeSeek charges one seek to f's budget and reports whether that seek
+// spent it; exactly one caller sees true, whatever the concurrency.
+func (f *FileMeta) chargeSeek() bool { return f.seeks.Add(-1) == 0 }
 
 // newFileMeta describes table num, which a writer just finished as m, with
 // the filter cell filled from the writer's filter.
@@ -39,6 +63,7 @@ func newFileMeta(num uint64, m sstable.Meta) FileMeta {
 		Num: num, Size: m.Size, Smallest: m.Smallest, Largest: m.Largest,
 		MinSeq: m.MinSeq, MaxSeq: m.MaxSeq, Count: m.Count,
 		filter: new(atomic.Pointer[sstable.Filter]),
+		seeks:  newSeekCell(m.Size),
 	}
 	if m.Filter != nil {
 		f.filter.Store(m.Filter)
@@ -237,6 +262,9 @@ func (b *versionBuilder) apply(e *VersionEdit) {
 		f := a.Meta
 		if f.filter == nil { // from the manifest: no filter until a probe opens the table
 			f.filter = new(atomic.Pointer[sstable.Filter])
+		}
+		if f.seeks == nil {
+			f.seeks = newSeekCell(f.Size)
 		}
 		b.added[a.Level] = append(b.added[a.Level], &f)
 	}
