@@ -5,7 +5,7 @@
 // Usage:
 //
 //	flodump db <dbdir>          stream every live pair of a store
-//	flodump tree <dbdir>        print the level tree from the manifest
+//	flodump tree <dbdir>        print the level tree from the manifest (read-only)
 //	flodump sst <file.sst>      dump an sstable's entries
 //	flodump wal <file.wal>      dump a commit-log segment's records
 package main
@@ -102,16 +102,15 @@ func dumpDB(dir string) error {
 	return nil
 }
 
+// dumpTree prints the level tree the manifest records. It only reads
+// CURRENT and the manifest (storage.DumpDir), so it neither creates a
+// mistyped directory nor writes to one a live store has open.
 func dumpTree(dir string) error {
-	s, err := storage.Open(dir, storage.Options{})
-	if err != nil {
+	w := bufio.NewWriter(os.Stdout)
+	if err := storage.DumpDir(dir, w); err != nil {
 		return err
 	}
-	defer s.Close()
-	s.Dump(os.Stdout)
-	m := s.Metrics()
-	fmt.Printf("cached tables: %d\n", m.CachedTables)
-	return nil
+	return w.Flush()
 }
 
 func dumpSST(path string) error {

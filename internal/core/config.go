@@ -15,7 +15,8 @@ import (
 // split 1/4 Membuffer : 3/4 Memtable (§5.1), and entryBytes sizes the
 // hash table.
 type Config struct {
-	// Dir is the database directory.
+	// Dir is the database directory (required: every store, DropPersist
+	// included, has its disk component and log there).
 	Dir string
 
 	// MemoryBytes is the total memory-component budget (Membuffer +
@@ -51,10 +52,12 @@ type Config struct {
 	// acknowledging.
 	Durability kv.Durability
 
-	// DropPersist discards immutable Memtables instead of flushing them —
-	// the memory-component-only mode of Fig 17. Without a disk component
-	// there is no log: the default durability is None, and a logged class
-	// fails with kv.ErrNotSupported.
+	// DropPersist makes a persist discard the sealed Memtable instead of
+	// flushing it — the memory-component-only mode of Fig 17 ("we disable
+	// the disk persisting", §5.5): the persist retires the generation's
+	// log segment and writes no table and no manifest edit. The store is
+	// otherwise whole: it logs, syncs, snapshots and checkpoints, and
+	// Close flushes the last Memtable.
 	DropPersist bool
 	// FlushFault injects errors into the persist path (tests).
 	FlushFault *diskenv.FaultPoint
@@ -80,7 +83,7 @@ const MaxMemoryBytes = skiplist.MaxArenaBytes / 8
 // different geometry than the caller asked for is a misconfiguration
 // nobody notices until the performance (or durability) is wrong.
 func (c *Config) fillDefaults() error {
-	if c.Dir == "" && !c.DropPersist {
+	if c.Dir == "" {
 		return fmt.Errorf("core: Config.Dir is required")
 	}
 	if c.MemoryBytes < 0 {
@@ -111,14 +114,6 @@ func (c *Config) fillDefaults() error {
 		c.DrainThreads = 2
 	}
 	c.Storage.SizeBaseLevel(c.memtableTargetBytes())
-	if c.DropPersist {
-		switch c.Durability {
-		case kv.DurabilityBuffered, kv.DurabilitySync:
-			return fmt.Errorf("core: default Durability %v needs a log, and DropPersist has none: %w", c.Durability, kv.ErrNotSupported)
-		case kv.DurabilityDefault:
-			c.Durability = kv.DurabilityNone
-		}
-	}
 	return nil
 }
 

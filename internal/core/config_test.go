@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -58,40 +58,55 @@ func TestNoMembufferGetsWholeBudget(t *testing.T) {
 	}
 }
 
-// TestDropPersistRejectsLoggedDurability: a store without a disk
-// component has no log, so it cannot promise a logged class — neither as
-// its default nor per operation. Its default resolves to None, and the
-// Sync barrier has nothing to promote.
-func TestDropPersistRejectsLoggedDurability(t *testing.T) {
-	for _, d := range []kv.Durability{kv.DurabilityBuffered, kv.DurabilitySync} {
-		cfg := Config{MemoryBytes: 1 << 20, DropPersist: true, Durability: d}
-		if db, err := Open(cfg); !errors.Is(err, kv.ErrNotSupported) {
-			if err == nil {
-				db.Close()
+// TestEveryShapeLogsSnapshotsAndCheckpoints: every shape of the store —
+// the default two levels, DropPersist (Fig 17's persist that discards) and
+// DisableMembuffer (Fig 17's No HT) — has a disk component and a log, so
+// each takes a Sync barrier, a Snapshot, a Checkpoint, and a Sync-class
+// Put and Apply; the checkpoint reopens holding the Sync-class writes.
+func TestEveryShapeLogsSnapshotsAndCheckpoints(t *testing.T) {
+	shapes := map[string]func(*Config){
+		"default":          func(*Config) {},
+		"DropPersist":      func(c *Config) { c.DropPersist = true },
+		"DisableMembuffer": func(c *Config) { c.DisableMembuffer = true },
+	}
+	for name, shape := range shapes {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Dir: t.TempDir(), MemoryBytes: 1 << 20, Durability: kv.DurabilityNone}
+			shape(&cfg)
+			db := openTestDB(t, cfg)
+			if err := db.Put(bg, []byte("put"), []byte("p"), kv.WithSync()); err != nil {
+				t.Fatalf("Sync-class Put: %v", err)
 			}
-			t.Fatalf("DropPersist + default %v: err = %v, want ErrNotSupported", d, err)
-		}
-	}
-	db, err := Open(Config{MemoryBytes: 1 << 20, DropPersist: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.Put(bg, []byte("k"), []byte("v")); err != nil {
-		t.Fatalf("default put: %v", err)
-	}
-	for _, d := range []kv.Durability{kv.DurabilityBuffered, kv.DurabilitySync} {
-		if err := db.Put(bg, []byte("k"), []byte("v"), kv.WithDurability(d)); !errors.Is(err, kv.ErrNotSupported) {
-			t.Fatalf("%v put: err = %v, want ErrNotSupported", d, err)
-		}
-	}
-	b := kv.NewBatch()
-	b.Put([]byte("k"), []byte("v"))
-	if err := db.Apply(bg, b, kv.WithSync()); !errors.Is(err, kv.ErrNotSupported) {
-		t.Fatalf("Sync batch: err = %v, want ErrNotSupported", err)
-	}
-	if err := db.Sync(bg); err != nil {
-		t.Fatalf("Sync barrier: %v", err)
+			b := kv.NewBatch()
+			b.Put([]byte("batch"), []byte("b"))
+			if err := db.Apply(bg, b, kv.WithSync()); err != nil {
+				t.Fatalf("Sync-class Apply: %v", err)
+			}
+			if err := db.Sync(bg); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			if st := db.Stats(); st.DurableSeq != st.AckedSeq || st.AckedSeq != 2 {
+				t.Fatalf("two Sync-class writes: acked %d, durable %d", st.AckedSeq, st.DurableSeq)
+			}
+			snap, err := db.Snapshot(bg)
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			if v, ok, err := snap.Get(bg, []byte("batch")); err != nil || !ok || string(v) != "b" {
+				t.Fatalf("snapshot Get: %q %v %v", v, ok, err)
+			}
+			snap.Close()
+			cp := filepath.Join(t.TempDir(), "cp")
+			if err := db.Checkpoint(bg, cp); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			copied := openTestDB(t, Config{Dir: cp, MemoryBytes: 1 << 20})
+			for k, want := range map[string]string{"put": "p", "batch": "b"} {
+				if v, ok, err := copied.Get(bg, []byte(k)); err != nil || !ok || string(v) != want {
+					t.Fatalf("checkpoint lost %s: %q %v %v", k, v, ok, err)
+				}
+			}
+		})
 	}
 }
 

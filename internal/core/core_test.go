@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -326,28 +327,66 @@ func TestDisableMembufferMode(t *testing.T) {
 	}
 }
 
+// TestDropPersistMode: Fig 17's memory-component mode discards each sealed
+// Memtable. Across several persists no table is written and no flush
+// counted, and every retired segment's file is gone: under the default
+// class Buffered the directory holds at most the live segment, under
+// None (the figures' class) no segment file at all. Close still flushes
+// the last Memtable.
 func TestDropPersistMode(t *testing.T) {
-	// Fig 17's memory-only mode: memtables are dropped when full.
-	cfg := Config{DropPersist: true, MemoryBytes: 64 << 10}
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for i := 0; i < 5000; i++ {
-		if err := db.Put(bg, spreadKey(uint64(i)), bytes.Repeat([]byte("x"), 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for db.stats.persists.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("drop mode never rotated the memtable")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if db.Store() != nil {
-		t.Fatal("drop mode must not open a disk store")
+	for _, d := range []kv.Durability{kv.DurabilityBuffered, kv.DurabilityNone} {
+		t.Run(d.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(Config{Dir: dir, DropPersist: true, MemoryBytes: 64 << 10, Durability: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := func() (wals, tables []uint64) {
+				t.Helper()
+				ents, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range ents {
+					switch kind, num := storage.ParseFileName(e.Name()); kind {
+					case storage.KindWAL:
+						wals = append(wals, num)
+					case storage.KindTable:
+						tables = append(tables, num)
+					}
+				}
+				return wals, tables
+			}
+			for i := 0; i < 5000; i++ {
+				if err := db.Put(bg, spreadKey(uint64(i)), bytes.Repeat([]byte("x"), 64)); err != nil {
+					t.Fatal(err)
+				}
+				if i%500 == 0 {
+					if _, tables := files(); len(tables) != 0 {
+						t.Fatalf("after %d puts: tables %v", i, tables)
+					}
+				}
+			}
+			waitPersists(t, db, 3)
+			db.WaitDiskQuiesce()
+			wals, tables := files()
+			if len(tables) != 0 || db.Stats().Flushes != 0 {
+				t.Fatalf("%d persists wrote tables %v, %d flushes", db.stats.persists.Load(), tables, db.Stats().Flushes)
+			}
+			live := db.gen.Load().mtb.walNum
+			if d == kv.DurabilityNone && len(wals) != 0 || len(wals) > 1 || len(wals) == 1 && wals[0] != live {
+				t.Fatalf("%v: segment files %v, live segment %d", d, wals, live)
+			}
+			if err := db.Put(bg, []byte("last"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if f := db.Stats().Flushes; f != 1 {
+				t.Fatalf("Close flushed %d times, want the last Memtable once", f)
+			}
+		})
 	}
 }
 

@@ -107,7 +107,7 @@ type DB struct {
 	storage.Front
 	cfg Config
 
-	store *storage.Store // nil iff cfg.DropPersist
+	store *storage.Store
 
 	// seq is the global sequence number ("obtained via an atomic
 	// increment operation", §4.2).
@@ -222,21 +222,19 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db.initObs()
 
-	if !cfg.DropPersist {
-		scfg := cfg.Storage
-		scfg.Events = db.Events()
-		store, err := storage.Open(cfg.Dir, scfg)
-		if err != nil {
-			return nil, err
-		}
-		db.store = store
-		seq, err := store.RecoverLogs(func() storage.ReplayMem { return newMemtableList(db.memtableTarget) })
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-		db.seq.Store(seq)
+	scfg := cfg.Storage
+	scfg.Events = db.Events()
+	store, err := storage.Open(cfg.Dir, scfg)
+	if err != nil {
+		return nil, err
 	}
+	db.store = store
+	seq, err := store.RecoverLogs(func() storage.ReplayMem { return newMemtableList(db.memtableTarget) })
+	if err != nil {
+		store.Close()
+		return nil, err
+	}
+	db.seq.Store(seq)
 	db.Front.Open(db.store, &db.walMetrics, storage.Engine{
 		Write:      db.update,
 		Apply:      db.apply,
@@ -250,9 +248,7 @@ func Open(cfg Config) (*DB, error) {
 
 	mt, err := db.newMemtable()
 	if err != nil {
-		if db.store != nil {
-			db.store.Close()
-		}
+		store.Close()
 		return nil, err
 	}
 	g := &generation{mtb: mt}
@@ -260,11 +256,9 @@ func Open(cfg Config) (*DB, error) {
 		g.mbf = membuffer.New(db.mbfCfg)
 	}
 	db.gen.Store(g)
-	if db.store != nil {
-		if err := db.store.SetLogNum(mt.walNum, db.seq.Load()); err != nil {
-			db.store.Close()
-			return nil, err
-		}
+	if err := store.SetLogNum(mt.walNum, seq); err != nil {
+		store.Close()
+		return nil, err
 	}
 
 	if !cfg.DisableMembuffer {
@@ -362,14 +356,10 @@ func (db *DB) hook(at hookPoint) {
 	}
 }
 
-// newMemtable allocates a fresh memtable with its WAL segment (none
-// without a disk component).
+// newMemtable allocates a fresh memtable with its WAL segment.
 func (db *DB) newMemtable() (*memtable, error) {
 	m := newMemtableList(db.memtableTarget)
 	m.list.SetRetention(&db.retention)
-	if db.store == nil {
-		return m, nil
-	}
 	var err error
 	m.walNum, m.wal, err = db.store.CreateLog(wal.Options{
 		Metrics:      &db.walMetrics,
@@ -388,9 +378,6 @@ func (db *DB) Close() error {
 		return nil
 	}
 	err := db.BackgroundErr()
-	if db.store == nil {
-		return err // DropPersist: no log and nothing to persist
-	}
 	g := db.gen.Load()
 	if err == nil && g.mbf != nil {
 		// Final persist: drain the Membuffer into the Memtable, which
@@ -435,9 +422,7 @@ func (db *DB) WaitDiskQuiesce() {
 		db.signalPersist()
 		time.Sleep(time.Millisecond)
 	}
-	if db.store != nil {
-		db.store.WaitForCompactions()
-	}
+	db.store.WaitForCompactions()
 }
 
 // Seq returns the current global sequence number (diagnostics).

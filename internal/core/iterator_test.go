@@ -16,9 +16,9 @@ import (
 )
 
 // readConfigs are the store shapes every range-read contract test runs
-// over: the default two-level store, the memory-only store (no disk
-// source under the view) and the store without a Membuffer (no seal, the
-// grace period alone separates past from future). The networked system
+// over: the default two-level store, the store whose persists discard
+// (an empty Version under every view) and the store without a Membuffer
+// (no seal, the grace period alone separates past from future). The networked system
 // runs the same contract in internal/figures
 // (TestAllSystemsIteratorPointInTime).
 func readConfigs(t *testing.T, memory int64) map[string]Config {
@@ -27,7 +27,7 @@ func readConfigs(t *testing.T, memory int64) map[string]Config {
 	noHT := Config{Dir: t.TempDir(), MemoryBytes: memory, DisableMembuffer: true}
 	return map[string]Config{
 		"default":          def,
-		"DropPersist":      {DropPersist: true, MemoryBytes: memory},
+		"DropPersist":      {Dir: t.TempDir(), DropPersist: true, MemoryBytes: memory},
 		"DisableMembuffer": noHT,
 	}
 }
@@ -86,8 +86,8 @@ func requirePairs(t *testing.T, what string, got, want []kv.Pair) {
 // then checks that the streaming iterator yields exactly what Scan
 // materializes, in the same order.
 func TestIteratorMatchesScan(t *testing.T) {
-	// 256 KiB holds the whole data set, so the memory-only store drops
-	// nothing; the disk-backed shapes still drain and persist constantly.
+	// 256 KiB holds the whole data set, so the DropPersist store discards
+	// nothing; the other shapes still drain and persist constantly.
 	forEachReadConfig(t, 256<<10, func(t *testing.T, db *DB) {
 		rng := rand.New(rand.NewSource(77))
 		for i := 0; i < 5000; i++ {
@@ -309,7 +309,7 @@ func TestIteratorPointInTime(t *testing.T) {
 		}
 		defer second.Close()
 		atSecond := sortedPairs(model)
-		if db.Store() != nil {
+		if !db.cfg.DropPersist {
 			before := db.stats.persists.Load()
 			for i := 0; i < 64; i++ { // push the Memtable over its target
 				put(n+i, string(bytes.Repeat([]byte("p"), 16<<10)))

@@ -25,7 +25,7 @@ type memtable struct {
 	// in the list — or was told its write completed — finds its bits set;
 	// bits are never cleared. Sized once, from the generation's byte target.
 	filter []atomic.Uint64
-	wal    *wal.Writer // nil without a disk component (DropPersist)
+	wal    *wal.Writer // nil only for a Memtable WAL replay fills
 	walNum uint64
 }
 
@@ -86,8 +86,7 @@ func (m *memtable) get(key []byte, h uint64) (*skiplist.Entry, bool) {
 	return m.list.Get(key)
 }
 
-// log returns the generation's WAL segment: nil for a nil memtable or
-// without a disk component.
+// log returns the generation's WAL segment: nil for a nil memtable.
 func (m *memtable) log() *wal.Writer {
 	if m == nil {
 		return nil

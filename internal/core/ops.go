@@ -80,9 +80,6 @@ func (db *DB) get(key []byte) ([]byte, bool, error) {
 			return e.Value, true, nil
 		}
 	}
-	if db.store == nil {
-		return nil, false, nil
-	}
 	v, _, kind, ok, err := db.store.GetHashed(key, h)
 	if err != nil {
 		return nil, false, err
@@ -279,7 +276,7 @@ func (db *DB) backpressure() (storage.StallCause, bool) {
 			return storage.StallMemtable, true
 		}
 	}
-	if db.store != nil && db.store.NeedsStall() {
+	if db.store.NeedsStall() {
 		db.store.MaybeScheduleCompaction()
 		return storage.StallL0, true
 	}

@@ -58,7 +58,8 @@ func (db *DB) persistOnce() error {
 // Memtable, which bounds WAL replay. Every update that completed before
 // the switch is then in the sealed Memtable (or older tables) numbered
 // below every later update. The sealed Memtable is flushed to L0, the log
-// number advances and the old WAL segment is deleted.
+// number advances and the old WAL segment is deleted. Under DropPersist
+// the sealed Memtable is discarded instead, and its segment with it.
 func (db *DB) persistCycle() error {
 	next, err := db.newMemtable()
 	if err != nil {
@@ -79,12 +80,6 @@ func (db *DB) persistCycle() error {
 
 	db.stats.persists.Add(1)
 
-	if db.store == nil {
-		// DropPersist (Fig 17): the sealed Memtable is simply discarded.
-		db.immMtb.Store(nil)
-		return nil
-	}
-
 	if err := db.cfg.FlushFault.Check(); err != nil {
 		return err
 	}
@@ -93,8 +88,15 @@ func (db *DB) persistCycle() error {
 	// The flush retires the old generation's segment: its records are
 	// durable through the new table. A Sync-class commit or a Sync barrier
 	// that still loads immMtb finds the segment closed, which counts as
-	// durable.
-	if err := db.store.FlushLog(old.mtb.NewIterator(), db.seq.Load(), old.mtb.wal, old.mtb.walNum, next.walNum); err != nil {
+	// durable. DropPersist retires it with the records unflushed: the
+	// mode measures the memory component, and keeps nothing a persist
+	// would have written.
+	if db.cfg.DropPersist {
+		err = db.store.DropLog(old.mtb.wal, old.mtb.walNum)
+	} else {
+		err = db.store.FlushLog(old.mtb.NewIterator(), db.seq.Load(), old.mtb.wal, old.mtb.walNum, next.walNum)
+	}
+	if err != nil {
 		return err
 	}
 	// The old Memtable's data is in tables; RCU ensures in-flight readers

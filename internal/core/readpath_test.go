@@ -389,8 +389,8 @@ func TestGetAllocationBudget(t *testing.T) {
 	}
 	db = openTestDB(t, cfg)
 	db.WaitDiskQuiesce()
-	if m := db.store.Metrics(); m.FilesPerLevel[0]+m.FilesPerLevel[1] < 2 {
-		t.Fatalf("want several tables: %+v", m.FilesPerLevel)
+	if l0, l1 := db.store.NumLevelFiles(0), db.store.NumLevelFiles(1); l0+l1 < 2 {
+		t.Fatalf("want several tables: %d in L0, %d in L1", l0, l1)
 	}
 	var ks [n][]byte
 	for i := range ks {
@@ -509,15 +509,15 @@ func TestRowCacheCoherence(t *testing.T) {
 				flushWith(50)
 			}
 			db.store.WaitForCompactions()
-			if m := db.store.Metrics(); m.FilesPerLevel[0] != 0 || m.Compactions == 0 {
-				t.Fatalf("v1 should sit below L0: %+v", m.FilesPerLevel)
+			if l0 := db.store.NumLevelFiles(0); l0 != 0 || db.Stats().Compactions == 0 {
+				t.Fatalf("v1 should sit below L0: %d L0 tables", l0)
 			}
 			readAll("v1 in a deep file", hot)
 			pin() // sees v1
 			put(hot, "v2")
 			flushWith(10)
-			if m := db.store.Metrics(); m.FilesPerLevel[0] != 1 {
-				t.Fatalf("v2 should sit in L0: %+v", m.FilesPerLevel)
+			if l0 := db.store.NumLevelFiles(0); l0 != 1 {
+				t.Fatalf("v2 should sit in L0: %d L0 tables", l0)
 			}
 			readAll("v2 in L0 over the cached row of v1", hot)
 			del(hot)

@@ -312,9 +312,61 @@ func TestDurabilityNoneCleanRestart(t *testing.T) {
 	}
 }
 
+// TestLiveSegmentWithoutFile: a segment's file is created by its first
+// write-out, so right after a persist the live segment — the one the
+// manifest's log number names — has no file. A checkpoint taken then, and
+// a recovery after a crash then, both find the flushed data and replay
+// nothing.
+func TestLiveSegmentWithoutFile(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, MemoryBytes: 1 << 20}
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	for i := 0; i < n; i++ {
+		if err := db.Put(bg, spreadKey(uint64(i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.persistOnce(); err != nil {
+		t.Fatal(err)
+	}
+	live := storage.WALFileName(dir, db.gen.Load().mtb.walNum)
+	if _, err := os.Stat(live); !os.IsNotExist(err) {
+		t.Fatalf("the live segment has a file before any record: %v", err)
+	}
+	if got := db.store.LogNum(); got != db.gen.Load().mtb.walNum {
+		t.Fatalf("manifest log number %d, live segment %d", got, db.gen.Load().mtb.walNum)
+	}
+	cp := filepath.Join(t.TempDir(), "cp")
+	if err := db.Checkpoint(bg, cp); err != nil {
+		t.Fatalf("Checkpoint over a live segment with no file: %v", err)
+	}
+	db.CrashForTesting()
+	for _, d := range []string{cp, dir} {
+		db2, err := Open(Config{Dir: d, MemoryBytes: 1 << 20})
+		if err != nil {
+			t.Fatalf("reopen %s: %v", d, err)
+		}
+		for i := 0; i < n; i++ {
+			if _, ok, err := db2.Get(bg, spreadKey(uint64(i))); err != nil || !ok {
+				t.Fatalf("%s: key %d lost: %v", d, i, err)
+			}
+		}
+		if err := db2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestOpenRequiresDir(t *testing.T) {
 	if _, err := Open(Config{}); err == nil {
 		t.Fatal("Open without Dir should fail")
+	}
+	if _, err := Open(Config{DropPersist: true}); err == nil {
+		t.Fatal("Open of a DropPersist store without Dir should fail")
 	}
 }
 

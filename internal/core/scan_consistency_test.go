@@ -215,9 +215,9 @@ func TestScanSkipsPostOpenInserts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// (The memory-only store drops full Memtables, original keys
-			// included — from new views, not from the open one.)
-			if db.Store() != nil && len(pairs) < 100 {
+			// (The DropPersist store discards full Memtables, original
+			// keys included — from new views, not from the open one.)
+			if !db.cfg.DropPersist && len(pairs) < 100 {
 				t.Fatalf("scan %d returned %d pairs", s, len(pairs))
 			}
 			// ...while the iterator opened before the inserts never does.

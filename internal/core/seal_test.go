@@ -466,7 +466,7 @@ func TestPersistSealNewestWinsAcrossBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.store.WaitForCompactions()
-	if db.store.Metrics().Compactions == 0 {
+	if db.Stats().Compactions == 0 {
 		t.Fatal("the two flushes were not compacted together")
 	}
 

@@ -61,9 +61,7 @@ func (db *DB) pinView() storage.ReadView {
 	if m := db.immMtb.Load(); m != nil && m != old.mtb {
 		v.Mem[1] = m
 	}
-	if db.store != nil {
-		v.Ver = db.store.PinVersion()
-	}
+	v.Ver = db.store.PinVersion()
 
 	db.drainMu.Unlock()
 	return v

@@ -5,6 +5,7 @@ import (
 
 	"flodb/internal/core"
 	"flodb/internal/harness"
+	"flodb/internal/kv"
 	"flodb/internal/workload"
 )
 
@@ -15,14 +16,21 @@ import (
 // be re-validated on new hardware.
 const ablateMem = 4 << 20
 
-// ablateFloDB runs a write-only burst against a FloDB of mem bytes with
-// persistence dropped, configured by mutate, drawing keys from keyGen (nil:
-// uniform over c.Keys). It returns Mops/s and the share of updates that
-// completed directly in the Membuffer, in percent.
-func (c *Config) ablateFloDB(threads int, mem int64, keyGen func(int) workload.KeyGen, mutate func(*core.Config)) (float64, float64, error) {
+// ablateFloDB runs a write-only burst against a FloDB of mem bytes in the
+// cell directory name, whose persists discard the sealed Memtable,
+// configured by mutate, drawing keys from keyGen (nil: uniform over
+// c.Keys). It returns Mops/s and the share of updates that completed
+// directly in the Membuffer, in percent.
+func (c *Config) ablateFloDB(name string, threads int, mem int64, keyGen func(int) workload.KeyGen, mutate func(*core.Config)) (float64, float64, error) {
+	dir, err := c.cellDir(name)
+	if err != nil {
+		return 0, 0, err
+	}
 	cfg := core.Config{
+		Dir:         dir,
 		DropPersist: true, // isolate the memory component (§5.5)
 		MemoryBytes: mem,
+		Durability:  kv.DurabilityNone, // loader shape, like the other throughput figures
 	}
 	mutate(&cfg)
 	db, err := core.Open(cfg)
@@ -70,7 +78,7 @@ func AblateSplit(c Config) (*harness.Table, error) {
 		threads = 4
 	}
 	for i, f := range fractions {
-		mops, pct, err := c.ablateFloDB(threads, ablateMem, nil, func(cfg *core.Config) { cfg.MembufferFraction = f })
+		mops, pct, err := c.ablateFloDB(fmt.Sprintf("ablate-split-%d", i), threads, ablateMem, nil, func(cfg *core.Config) { cfg.MembufferFraction = f })
 		if err != nil {
 			return nil, fmt.Errorf("ablate-split f=%g: %w", f, err)
 		}
@@ -100,7 +108,7 @@ func AblateDrainThreads(c Config) (*harness.Table, error) {
 		threads = 4
 	}
 	for i, n := range counts {
-		mops, pct, err := c.ablateFloDB(threads, ablateMem, nil, func(cfg *core.Config) { cfg.DrainThreads = n })
+		mops, pct, err := c.ablateFloDB(fmt.Sprintf("ablate-drain-%d", i), threads, ablateMem, nil, func(cfg *core.Config) { cfg.DrainThreads = n })
 		if err != nil {
 			return nil, fmt.Errorf("ablate-drain n=%d: %w", n, err)
 		}
@@ -132,14 +140,14 @@ func AblatePartitionBits(c Config) (*harness.Table, error) {
 	}
 	for i, b := range bits {
 		setBits := func(cfg *core.Config) { cfg.PartitionBits = b }
-		uni, _, err := c.ablateFloDB(threads, ablateMem, nil, setBits)
+		uni, _, err := c.ablateFloDB(fmt.Sprintf("ablate-lbits-%d-uniform", i), threads, ablateMem, nil, setBits)
 		if err != nil {
 			return nil, fmt.Errorf("ablate-lbits l=%d uniform: %w", b, err)
 		}
 		// Skewed: hot-set keygen stresses one partition (§4.3's
 		// "vulnerable to data skew").
 		hot := func(int) workload.KeyGen { return workload.NewHotSet(c.Keys, 0.02, 98) }
-		skewed, _, err := c.ablateFloDB(threads, ablateMem, hot, setBits)
+		skewed, _, err := c.ablateFloDB(fmt.Sprintf("ablate-lbits-%d-skewed", i), threads, ablateMem, hot, setBits)
 		if err != nil {
 			return nil, fmt.Errorf("ablate-lbits l=%d skewed: %w", b, err)
 		}

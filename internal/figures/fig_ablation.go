@@ -8,8 +8,9 @@ import (
 )
 
 // Fig17 — the Membuffer ablation (§5.5): write-only throughput of two
-// FloDB variants with persistence disabled (immutable memtables dropped),
-// across memory sizes:
+// FloDB variants with persistence disabled (each persist discards the
+// sealed Memtable and its log segment, writing no table), across memory
+// sizes:
 //
 //	"No HT"               — membuffer disabled (classic single-level LSM
 //	                        memory component, the whole budget in the
@@ -60,7 +61,7 @@ func Fig17(c Config) (*harness.Table, error) {
 	for vi, v := range variants {
 		for ci, cl := range clusters {
 			// §5.5: "we disable the disk persisting".
-			mops, pct, err := c.ablateFloDB(cl.threads, cl.mem, nil, v.mutate)
+			mops, pct, err := c.ablateFloDB(fmt.Sprintf("fig17-%d-%d", vi, ci), cl.threads, cl.mem, nil, v.mutate)
 			if err != nil {
 				return nil, fmt.Errorf("fig17 %s %s: %w", v.label, cl.label, err)
 			}

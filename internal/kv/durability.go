@@ -25,8 +25,7 @@ import (
 //	            writers cost O(1) fsyncs, not O(N).
 //
 // The zero value, DurabilityDefault, defers to the store's configured
-// default (itself Buffered unless configured otherwise, or None for a
-// store without a disk component, which has no commit log).
+// default (itself Buffered unless configured otherwise).
 type Durability uint8
 
 const (

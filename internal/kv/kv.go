@@ -78,11 +78,9 @@ type View interface {
 //
 // Durability: every mutation commits under a Durability class — the
 // store's open-time default unless the call overrides it with a
-// WriteOption (WithSync, WithDurability). Every store with a disk
-// component keeps a commit log, whatever its default class, so any write
-// may name a logged class (Buffered or Sync). Only a store without a disk
-// component has no log: requesting a logged class there fails with
-// ErrNotSupported rather than silently downgrading.
+// WriteOption (WithSync, WithDurability). Every store keeps a commit
+// log, whatever its default class, so any write may name a logged class
+// (Buffered or Sync).
 //
 // Ownership: an implementation keeps none of the slices a call is handed.
 // Once Put, Delete, Apply or Get returns, the caller may overwrite the
@@ -104,8 +102,7 @@ type Store interface {
 	// Sync is the durability barrier: it blocks until every mutation
 	// acknowledged before the call is crash-durable, promoting the
 	// acked-but-buffered window to durable in one group-committed disk
-	// barrier. On a store without a disk component it returns nil — it
-	// has no log and no buffered window to promote.
+	// barrier.
 	Sync(ctx context.Context) error
 	// Snapshot returns a read-only View pinned at the current state: a
 	// repeatable-read handle whose Gets, Scans and iterators observe
@@ -133,8 +130,8 @@ var ErrClosed = errors.New("kv: store closed")
 var ErrSnapshotReleased = errors.New("kv: snapshot released")
 
 // ErrNotSupported is returned when a store cannot provide an operation in
-// its current configuration (e.g. Checkpoint, or a logged durability
-// class, on a store without a disk component).
+// its current configuration (e.g. opening a directory in a layout this
+// version does not read).
 var ErrNotSupported = errors.New("kv: operation not supported")
 
 // ErrUnavailable is returned when a remote store cannot be reached: the

@@ -35,8 +35,8 @@ type Stats struct {
 	Flushes        uint64 `metric:"flodb_flushes_total"`
 	Compactions    uint64 `metric:"flodb_compactions_total"`
 
-	// Read-path caching (internal/cache; zero when the engine has no disk
-	// component). Point reads fill the BlockCache with the rows they found,
+	// Read-path caching (internal/cache; the block cache's counters read
+	// zero when it is disabled). Point reads fill the BlockCache with the rows they found,
 	// keyed by (file, key hash); iterators and compaction neither fill nor
 	// consult it; the name is historical (it held blocks). A miss is one
 	// block read from a table. The table cache holds open sstable readers

@@ -172,8 +172,8 @@ func (r *Registry) StripedCounter(name, help string) *StripedCounter {
 
 // CounterFunc registers a counter whose value is computed at snapshot
 // time — the bridge for layers that already keep their own atomics
-// (wal.Metrics, storage.Metrics): the registry view reads them, it does
-// not duplicate them.
+// (wal.Metrics, the disk component's counters): the registry view reads
+// them, it does not duplicate them.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(&metric{name: name, help: help, kind: KindCounter, counterFn: fn})
 }

@@ -100,8 +100,8 @@ func CloneDir(src, dst string) error {
 	if err := checkDstEmpty(dst); err != nil {
 		return err
 	}
-	vs := &versionSet{dir: src, fileRefs: make(map[uint64]int), nextFileNum: 1}
-	if err := vs.recover(); err != nil {
+	vs, err := readDir(src)
+	if err != nil {
 		return fmt.Errorf("storage: clone %s: %w", src, err)
 	}
 	return writeCheckpoint(src, dst, vs.current.Load(), vs.logNum, vs.lastSeq, vs.nextFileNum)
@@ -136,11 +136,12 @@ func writeCheckpoint(srcDir, dst string, v *Version, logNum, lastSeq, nextFileNu
 // copyWALTail copies every WAL segment >= logNum from srcDir to dst.
 // Segments may be mid-append; each copies as a prefix.
 //
-// Copy order is NEWEST FIRST, and it is load-bearing. A store creates the
-// next segment's file BEFORE switching writers onto it (FloDB's
-// persistCycle allocates the new memtable's WAL, then swaps the
-// generation), so this listing can catch segment N still receiving
-// appends while segment N+1 already exists. Copying ascending would take
+// Copy order is NEWEST FIRST, and it is load-bearing. Segment N+1's file
+// appears at its first write-out, once writers use it, while writers that
+// loaded segment N before the switch may still append there, so this
+// listing can catch segment N still receiving appends while segment N+1
+// already exists. A live segment with no record yet has no file, and
+// copies as nothing, like an empty one. Copying ascending would take
 // an incomplete prefix of N and THEN a copy of N+1 that may include
 // records appended after the switch — a hole in the middle of history.
 // Descending order restores the prefix property by construction: a record

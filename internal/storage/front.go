@@ -40,7 +40,7 @@ var ErrClosed = fmt.Errorf("flodb: %w", kv.ErrClosed)
 // A Front must be readied by Init and then Open, and must not be copied
 // after: it pools iterator frames.
 type Front struct {
-	store *Store // nil for an engine without a disk component
+	store *Store
 	eng   Engine
 
 	// durability is the class of a write that names none.
@@ -118,8 +118,7 @@ var opNames = [numOps]string{"put", "get", "delete", "scan", "batch", "snapshot"
 // Init builds the registry and the event log, which must exist before an
 // engine's first counter increment or event (recovery emits some), and
 // validates the store's configured default durability class def,
-// resolving DurabilityDefault in it to Buffered. An engine without a disk
-// component has no log, and resolves its default to None itself.
+// resolving DurabilityDefault in it to Buffered.
 func (f *Front) Init(def kv.Durability) error {
 	if !def.Valid() {
 		return fmt.Errorf("storage: invalid Durability %v", def)
@@ -140,9 +139,8 @@ func (f *Front) Init(def kv.Durability) error {
 	return nil
 }
 
-// Open attaches the engine's disk component (nil for none), its commit
-// log's metrics and its policy, and registers the views over the first
-// two.
+// Open attaches the engine's disk component, its commit log's metrics
+// and its policy, and registers the views over the first two.
 func (f *Front) Open(store *Store, wm *wal.Metrics, eng Engine) {
 	f.store, f.eng = store, eng
 	if eng.Snapshot == nil {
@@ -158,7 +156,7 @@ func (f *Front) Registry() *obs.Registry { return f.reg }
 // log segments and background work.
 func (f *Front) Events() *obs.EventLog { return f.events }
 
-// Store is the disk component (nil for an engine without one).
+// Store is the disk component.
 func (f *Front) Store() *Store { return f.store }
 
 // Check is the closed and context test every call starts with, and the
@@ -204,7 +202,7 @@ func (f *Front) Shut() bool {
 // recovery would find it. Durability tests use it to open the
 // acked-but-lost window deliberately; production code must use Close.
 func (f *Front) CrashForTesting() {
-	if f.Shut() && f.store != nil {
+	if f.Shut() {
 		f.store.Crash(f.eng.Logs())
 	}
 }
@@ -270,8 +268,7 @@ func (f *Front) Apply(ctx context.Context, b *kv.Batch, opts ...kv.WriteOption) 
 }
 
 // admit is the test every write passes before the engine orders it, and
-// folds the write's options over the default class, rejecting a logged
-// class on a store without a disk component, which has no log.
+// folds the write's options over the default class.
 func (f *Front) admit(opts []kv.WriteOption) (kv.Durability, error) {
 	if err := f.BackgroundErr(); err != nil {
 		return 0, err
@@ -282,9 +279,6 @@ func (f *Front) admit(opts []kv.WriteOption) (kv.Durability, error) {
 	d := kv.ResolveWriteOptions(f.durability, opts...).Durability
 	if !d.Valid() {
 		return 0, fmt.Errorf("storage: invalid durability %v", d)
-	}
-	if d != kv.DurabilityNone && f.store == nil {
-		return 0, fmt.Errorf("storage: %v durability without a disk component: %w", d, kv.ErrNotSupported)
 	}
 	return d, nil
 }
@@ -312,16 +306,12 @@ func (f *Front) commitSync(w *wal.Writer, off int64) error {
 // group-committed fsync per live segment (at most two: the sealed one
 // first, then the active one — prefix order) promotes the whole
 // acked-but-buffered window; concurrent barriers and Sync-class writes
-// coalesce in the commit queue. Without a disk component there is no log,
-// no buffered window to promote, and the barrier is a no-op.
+// coalesce in the commit queue.
 func (f *Front) Sync(ctx context.Context) error {
 	if err := f.Check(ctx); err != nil {
 		return err
 	}
 	f.ops.SyncBarriers.Add(1)
-	if f.store == nil {
-		return nil
-	}
 	// A failed flush means sealed-segment records may be neither in
 	// sstables nor syncable — don't claim a durable barrier over them.
 	if err := f.BackgroundErr(); err != nil {
@@ -339,9 +329,6 @@ func (f *Front) Sync(ctx context.Context) error {
 func (f *Front) Checkpoint(ctx context.Context, dir string) error {
 	if err := f.Check(ctx); err != nil {
 		return err
-	}
-	if f.store == nil {
-		return fmt.Errorf("flodb: checkpoint without a disk component: %w", kv.ErrNotSupported)
 	}
 	if err := f.BackgroundErr(); err != nil {
 		return err
@@ -405,9 +392,6 @@ func (f *Front) NewIterator(ctx context.Context, low, high []byte) (kv.Iterator,
 func (f *Front) Snapshot(ctx context.Context) (kv.View, error) {
 	if err := f.Check(ctx); err != nil {
 		return nil, err
-	}
-	if f.store == nil {
-		return nil, fmt.Errorf("flodb: snapshot without a disk component: %w", kv.ErrNotSupported)
 	}
 	if err := f.BackgroundErr(); err != nil {
 		return nil, err

@@ -285,9 +285,8 @@ type versionIter struct {
 
 // init points vi at mem (freshest first) followed by the runs of v: L0
 // files newest→oldest, then L1..Ln, which is the order the merge breaks
-// ties in. s and v may both be nil for a read over memory sources only.
-// The caller keeps v pinned until release. After an error vi holds no
-// pins.
+// ties in. The caller keeps v pinned until release. After an error vi
+// holds no pins.
 //
 // Each L0 table merged is charged one seek: it is a run of its own, which
 // every range read pays a Seek in, and a table that has cost readers its
@@ -296,9 +295,6 @@ func (vi *versionIter) init(s *Store, v *Version, mem []MemCursor) error {
 	m := &vi.merge
 	for _, c := range mem {
 		m.children = append(m.children, c)
-	}
-	if v == nil {
-		return nil
 	}
 	l0 := v.files[0]
 	if cap(vi.tables) < len(l0) {

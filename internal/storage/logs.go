@@ -21,8 +21,9 @@ import (
 // skips all of it. The engines pass their memtables and segments in;
 // nothing here depends on which engine calls it.
 
-// CreateLog allocates a file number and creates the log segment a new
-// memtable writes to.
+// CreateLog allocates a file number for the log segment a new memtable
+// writes to. The segment's file is created by its first write-out
+// (wal.Create), so a generation that logs nothing leaves no file.
 func (s *Store) CreateLog(opts wal.Options) (uint64, *wal.Writer, error) {
 	num := s.NewFileNum()
 	w, err := wal.Create(WALFileName(s.dir, num), opts)
@@ -143,6 +144,17 @@ func (s *Store) FlushLog(it InternalIterator, lastSeq uint64, w *wal.Writer, num
 		return err
 	}
 	w.MarkContentsDurable()
+	err := w.Close()
+	os.Remove(WALFileName(s.dir, num))
+	return err
+}
+
+// DropLog retires segment w, number num, without flushing its memtable:
+// the persist that discards, which a memory-component-only measurement
+// runs (FloDB's DropPersist). It closes the segment and removes its file;
+// it writes no table and no manifest edit, so the manifest's log number
+// stays where it was, and recovery finds no file below the live ones.
+func (s *Store) DropLog(w *wal.Writer, num uint64) error {
 	err := w.Close()
 	os.Remove(WALFileName(s.dir, num))
 	return err

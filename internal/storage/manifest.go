@@ -181,6 +181,8 @@ func (vs *versionSet) rewriteManifest() error {
 		w.Close()
 		return err
 	}
+	// The Sync creates the file (a wal.Writer's first write-out does) and
+	// makes it durable before CURRENT names it.
 	if err := w.Sync(); err != nil {
 		w.Close()
 		return err
@@ -376,10 +378,26 @@ func (vs *versionSet) close() error {
 	return nil
 }
 
-// dump writes a human-readable tree description (flodump).
-func (vs *versionSet) dump(w io.Writer) {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
+// readDir recovers the version set of the store directory dir from its
+// CURRENT and the manifest CURRENT names, writing nothing: no manifest
+// generation, no CURRENT, no orphan removal. It is how a directory is
+// read without being opened (CloneDir, DumpDir).
+func readDir(dir string) (*versionSet, error) {
+	vs := &versionSet{dir: dir, fileRefs: make(map[uint64]int), nextFileNum: 1}
+	if err := vs.recover(); err != nil {
+		return nil, err
+	}
+	return vs, nil
+}
+
+// DumpDir writes a human-readable description of the level tree of the
+// store directory dir (flodump). It only reads (readDir), so it is safe
+// on a directory that a live store has open.
+func DumpDir(dir string, w io.Writer) error {
+	vs, err := readDir(dir)
+	if err != nil {
+		return fmt.Errorf("storage: dump %s: %w", dir, err)
+	}
 	fmt.Fprintf(w, "manifest=%d next-file=%d log=%d last-seq=%d\n",
 		vs.manifestNum, vs.nextFileNum, vs.logNum, vs.lastSeq)
 	cur := vs.current.Load()
@@ -394,4 +412,5 @@ func (vs *versionSet) dump(w io.Writer) {
 				f.Num, f.Size, f.Smallest, f.Largest, f.MinSeq, f.MaxSeq, f.Count)
 		}
 	}
+	return nil
 }

@@ -7,9 +7,24 @@ import (
 	"sort"
 	"testing"
 
+	"flodb/internal/cache"
 	"flodb/internal/keys"
 	"flodb/internal/sstable"
 )
+
+// probeCounts are the counters a point read moves: the table filters it
+// consulted and the ones that rejected, its table-cache lookups, and the
+// row cache's counters.
+type probeCounts struct {
+	BloomChecks, BloomNegatives      uint64
+	TableCacheHits, TableCacheMisses uint64
+	rows                             cache.Stats
+}
+
+func probes(s *Store) probeCounts {
+	tables := s.cache.Stats()
+	return probeCounts{s.bloomChecks.Load(), s.bloomNegatives.Load(), tables.Hits, tables.Misses, s.bcache.Stats()}
+}
 
 // TestMergeOrderMatchesDefinition checks the typed heap against the order
 // the merge has always been defined by — key ascending, then sequence
@@ -187,15 +202,14 @@ func TestRowCacheOnlyGetsFill(t *testing.T) {
 			t.Fatalf("Get(%d): ok=%v err=%v", i, ok, err)
 		}
 	}
-	filled := s.Metrics()
-	if filled.BlockCacheBytes == 0 || filled.BlockCacheBytes > 256<<10 || filled.BlockCacheEvictions == 0 {
+	filled := probes(s)
+	if filled.rows.Bytes == 0 || filled.rows.Bytes > 256<<10 || filled.rows.Evictions == 0 {
 		t.Fatalf("Gets should have filled the cache to its budget and overflowed it: %+v", filled)
 	}
 	same := func(what string) {
 		t.Helper()
-		m := s.Metrics()
-		m.Flushes, m.Compactions, m.FilesPerLevel, m.BytesPerLevel = filled.Flushes, filled.Compactions, filled.FilesPerLevel, filled.BytesPerLevel
-		m.CachedTables, m.TableCacheHits, m.TableCacheMisses = filled.CachedTables, filled.TableCacheHits, filled.TableCacheMisses
+		m := probes(s)
+		m.TableCacheHits, m.TableCacheMisses = filled.TableCacheHits, filled.TableCacheMisses
 		if m != filled {
 			t.Fatalf("%s moved the row cache or the filter counts:\n now %+v\nwere %+v", what, m, filled)
 		}
@@ -217,8 +231,8 @@ func TestRowCacheOnlyGetsFill(t *testing.T) {
 
 	flush(3) // the fourth L0 file: compaction
 	s.WaitForCompactions()
-	if m := s.Metrics(); m.Compactions == 0 || m.FilesPerLevel[0] != 0 {
-		t.Fatalf("no compaction ran: %+v", m)
+	if n, l0 := s.compactions.Load(), s.NumLevelFiles(0); n == 0 || l0 != 0 {
+		t.Fatalf("no compaction ran: %d compactions, %d L0 tables", n, l0)
 	}
 	same("a compaction")
 
@@ -260,10 +274,10 @@ func TestTableFilterProbe(t *testing.T) {
 	flush(1000, 'a')
 	flush(2000, 'b')
 	flush(3000, 'c')
-	during := func(fn func()) Metrics {
-		before := s.Metrics()
+	during := func(fn func()) probeCounts {
+		before := probes(s)
 		fn()
-		m := s.Metrics()
+		m := probes(s)
 		m.BloomChecks -= before.BloomChecks
 		m.BloomNegatives -= before.BloomNegatives
 		m.TableCacheHits -= before.TableCacheHits
@@ -342,11 +356,11 @@ func TestNewTableFilterFromWriter(t *testing.T) {
 	absent := func(stage string) {
 		t.Helper()
 		for i := 0; i < n-1; i++ {
-			before := s.Metrics()
+			before := probes(s)
 			if _, _, _, ok, err := s.Get(keys.EncodeUint64(uint64(2*i + 1))); err != nil || ok {
 				t.Fatalf("%s: absent key %d: ok=%v err=%v", stage, i, ok, err)
 			}
-			m := s.Metrics()
+			m := probes(s)
 			rejected := m.BloomNegatives - before.BloomNegatives
 			lookups := m.TableCacheHits + m.TableCacheMisses - before.TableCacheHits - before.TableCacheMisses
 			if m.BloomChecks-before.BloomChecks != 1 {

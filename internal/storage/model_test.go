@@ -117,11 +117,14 @@ func TestStorageModelCheck(t *testing.T) {
 	if live != wantLive {
 		t.Fatalf("iterator found %d live keys, oracle has %d", live, wantLive)
 	}
-	m := s.Metrics()
-	if m.Compactions == 0 {
+	if s.compactions.Load() == 0 {
 		t.Fatal("model check never compacted; tighten the options")
 	}
-	t.Logf("model check done: %d flushes, %d compactions, levels %v", m.Flushes, m.Compactions, m.FilesPerLevel)
+	var levels [NumLevels]int
+	for l := range levels {
+		levels[l] = s.NumLevelFiles(l)
+	}
+	t.Logf("model check done: %d flushes, %d compactions, levels %v", s.flushes.Load(), s.compactions.Load(), levels)
 }
 
 // TestConcurrentReadsDuringCompaction hammers Get from several goroutines
@@ -210,7 +213,7 @@ func TestConcurrentReadsDuringCompaction(t *testing.T) {
 			deleted++
 		}
 	}
-	if m := s.Metrics(); m.Compactions == 0 || deleted == 0 {
-		t.Fatalf("%d compactions deleted %d of %d flushed tables: nothing was deleted under the readers", m.Compactions, deleted, len(flushedTables))
+	if n := s.compactions.Load(); n == 0 || deleted == 0 {
+		t.Fatalf("%d compactions deleted %d of %d flushed tables: nothing was deleted under the readers", n, deleted, len(flushedTables))
 	}
 }

@@ -83,8 +83,8 @@ func TestSeekBudgetEmptiesL0(t *testing.T) {
 	if n := s.NumLevelFiles(0); n != 0 {
 		t.Fatalf("L0 holds %d tables after %d iterator opens, want 0", n, budget)
 	}
-	if m := s.Metrics(); m.ReadCompactions != 1 || m.Compactions != 1 {
-		t.Fatalf("read compactions %d of %d, want 1 of 1", m.ReadCompactions, m.Compactions)
+	if r, n := s.readCompactions.Load(), s.compactions.Load(); r != 1 || n != 1 {
+		t.Fatalf("read compactions %d of %d, want 1 of 1", r, n)
 	}
 
 	it, release, err := s.NewIterator()
@@ -123,8 +123,8 @@ func TestGetsSpendNoSeekBudget(t *testing.T) {
 	if n := s.NumLevelFiles(0); n != 2 {
 		t.Fatalf("L0 holds %d tables after 10k Gets, want 2", n)
 	}
-	if m := s.Metrics(); m.Compactions != 0 {
-		t.Fatalf("%d compactions after Gets alone, want 0", m.Compactions)
+	if n := s.compactions.Load(); n != 0 {
+		t.Fatalf("%d compactions after Gets alone, want 0", n)
 	}
 }
 
@@ -145,8 +145,8 @@ func TestTrivialMoveKeepsTableNumber(t *testing.T) {
 	if s.NumLevelFiles(0) != 0 || len(l1) != 1 || l1[0].Num != fm.Num {
 		t.Fatalf("after the move L0 holds %d tables and L1 %v, want table %d at L1", s.NumLevelFiles(0), l1, fm.Num)
 	}
-	if m := s.Metrics(); m.TrivialMoves != 1 || m.Compactions != 1 {
-		t.Fatalf("trivial moves %d of %d compactions, want 1 of 1", m.TrivialMoves, m.Compactions)
+	if m, n := s.trivialMoves.Load(), s.compactions.Load(); m != 1 || n != 1 {
+		t.Fatalf("trivial moves %d of %d compactions, want 1 of 1", m, n)
 	}
 	if v, _, _, ok, err := s.Get(keys.EncodeUint64(7)); err != nil || !ok || string(v) != "round-0" {
 		t.Fatalf("Get(7) after the move = %q ok=%v err=%v", v, ok, err)
@@ -234,7 +234,7 @@ func TestIteratorsDuringReadCompaction(t *testing.T) {
 		flushed = append(flushed, flushRound(t, s, &seq, r, keySpace).Num)
 		round.Store(int64(r))
 		deadline := time.Now().Add(10 * time.Second)
-		for s.Metrics().ReadCompactions < uint64(r) && time.Now().Before(deadline) {
+		for s.readCompactions.Load() < uint64(r) && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -251,7 +251,7 @@ func TestIteratorsDuringReadCompaction(t *testing.T) {
 			deleted++
 		}
 	}
-	if m := s.Metrics(); m.ReadCompactions == 0 || deleted == 0 {
-		t.Fatalf("%d read compactions deleted %d of %d flushed tables", m.ReadCompactions, deleted, len(flushed))
+	if n := s.readCompactions.Load(); n == 0 || deleted == 0 {
+		t.Fatalf("%d read compactions deleted %d of %d flushed tables", n, deleted, len(flushed))
 	}
 }

@@ -166,9 +166,8 @@ func TestCompactionMergesL0(t *testing.T) {
 			t.Fatalf("Get(%d) = %q, want %q", i, v, want)
 		}
 	}
-	m := s.Metrics()
-	if m.Compactions == 0 || m.Flushes != 4 {
-		t.Fatalf("metrics = %+v", m)
+	if c, f := s.compactions.Load(), s.flushes.Load(); c == 0 || f != 4 {
+		t.Fatalf("%d compactions, %d flushes; want some and 4", c, f)
 	}
 }
 

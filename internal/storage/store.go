@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sync"
@@ -439,93 +438,30 @@ func (s *Store) WaitForCompactions() {
 	}
 }
 
-// Metrics is a snapshot of disk-component counters.
-type Metrics struct {
-	Flushes     uint64
-	Compactions uint64 // all kinds, the two below included
-	// ReadCompactions counts compactions picked because an L0 table spent
-	// its seek budget; TrivialMoves the ones that moved a table a level
-	// down without rewriting it.
-	ReadCompactions uint64
-	TrivialMoves    uint64
-	FilesPerLevel   [NumLevels]int
-	BytesPerLevel   [NumLevels]int64
-	CachedTables    int
-
-	// Read-path cache and bloom-filter counters.
-	BlockCacheHits      uint64
-	BlockCacheMisses    uint64
-	BlockCacheEvictions uint64
-	BlockCacheBytes     int64
-	TableCacheHits      uint64
-	TableCacheMisses    uint64
-	BloomChecks         uint64
-	BloomNegatives      uint64
-}
-
-// Metrics returns current counters.
-func (s *Store) Metrics() Metrics {
-	m := Metrics{
-		Flushes:         s.flushes.Load(),
-		Compactions:     s.compactions.Load(),
-		ReadCompactions: s.readCompactions.Load(),
-		TrivialMoves:    s.trivialMoves.Load(),
-		CachedTables:    s.cache.Len(),
-		BloomChecks:     s.bloomChecks.Load(),
-		BloomNegatives:  s.bloomNegatives.Load(),
-	}
-	if s.bcache != nil {
-		bst := s.bcache.Stats()
-		m.BlockCacheHits = bst.Hits
-		m.BlockCacheMisses = bst.Misses
-		m.BlockCacheEvictions = bst.Evictions
-		m.BlockCacheBytes = bst.Bytes
-	}
-	tst := s.cache.Stats()
-	m.TableCacheHits = tst.Hits
-	m.TableCacheMisses = tst.Misses
-	cur := s.vs.current.Load()
-	for l := 0; l < NumLevels; l++ {
-		m.FilesPerLevel[l] = cur.NumFiles(l)
-		m.BytesPerLevel[l] = cur.SizeBytes(l)
-	}
-	return m
-}
-
 // registerMetrics registers in reg the views an engine exposes over its
 // commit log and disk component: the acked-vs-durable boundary kept in wm
-// and the flush, compaction, cache and bloom counters of s. The views
-// compute at snapshot time; a nil s (an engine with no disk component)
-// reads 0.
+// and the flush, compaction, cache and bloom counters of s. Each view
+// reads its one counter at snapshot time.
 func registerMetrics(reg *obs.Registry, s *Store, wm *wal.Metrics) {
 	wm.Register(reg)
-	metrics := func() Metrics {
-		if s == nil {
-			return Metrics{}
+	reg.CounterFunc("flodb_flushes_total", "Memtable flushes to L0.", s.flushes.Load)
+	reg.CounterFunc("flodb_compactions_total", "Background compactions completed, of every kind.", s.compactions.Load)
+	reg.CounterFunc("flodb_read_compactions_total", "Compactions of L0 requested by a table that spent its seek budget.", s.readCompactions.Load)
+	reg.CounterFunc("flodb_trivial_moves_total", "Compactions that moved a table one level down without rewriting it.", s.trivialMoves.Load)
+	blocks := func() cache.Stats {
+		if s.bcache == nil {
+			return cache.Stats{}
 		}
-		return s.Metrics()
+		return s.bcache.Stats()
 	}
-	view := func(name, help string, f func(*Metrics) uint64) {
-		reg.CounterFunc(name, help, func() uint64 { m := metrics(); return f(&m) })
-	}
-	view("flodb_flushes_total", "Memtable flushes to L0.", func(m *Metrics) uint64 { return m.Flushes })
-	view("flodb_compactions_total", "Background compactions completed, of every kind.", func(m *Metrics) uint64 { return m.Compactions })
-	view("flodb_read_compactions_total", "Compactions of L0 requested by a table that spent its seek budget.", func(m *Metrics) uint64 { return m.ReadCompactions })
-	view("flodb_trivial_moves_total", "Compactions that moved a table one level down without rewriting it.", func(m *Metrics) uint64 { return m.TrivialMoves })
-	view("flodb_block_cache_hits_total", "Block cache hits.", func(m *Metrics) uint64 { return m.BlockCacheHits })
-	view("flodb_block_cache_misses_total", "Block cache misses.", func(m *Metrics) uint64 { return m.BlockCacheMisses })
-	view("flodb_block_cache_evictions_total", "Block cache evictions.", func(m *Metrics) uint64 { return m.BlockCacheEvictions })
-	view("flodb_table_cache_hits_total", "Table-handle cache hits.", func(m *Metrics) uint64 { return m.TableCacheHits })
-	view("flodb_table_cache_misses_total", "Table-handle cache misses.", func(m *Metrics) uint64 { return m.TableCacheMisses })
-	view("flodb_bloom_checks_total", "Bloom filter checks.", func(m *Metrics) uint64 { return m.BloomChecks })
-	view("flodb_bloom_negatives_total", "Bloom filter negatives (table reads skipped).", func(m *Metrics) uint64 { return m.BloomNegatives })
-	reg.GaugeFunc("flodb_block_cache_bytes", "Bytes resident in the block cache.",
-		func() int64 { return metrics().BlockCacheBytes })
-}
-
-// Dump writes a human-readable description of the tree (flodump).
-func (s *Store) Dump(w io.Writer) {
-	s.vs.dump(w)
+	reg.CounterFunc("flodb_block_cache_hits_total", "Block cache hits.", func() uint64 { return blocks().Hits })
+	reg.CounterFunc("flodb_block_cache_misses_total", "Block cache misses.", func() uint64 { return blocks().Misses })
+	reg.CounterFunc("flodb_block_cache_evictions_total", "Block cache evictions.", func() uint64 { return blocks().Evictions })
+	reg.CounterFunc("flodb_table_cache_hits_total", "Table-handle cache hits.", func() uint64 { return s.cache.Stats().Hits })
+	reg.CounterFunc("flodb_table_cache_misses_total", "Table-handle cache misses.", func() uint64 { return s.cache.Stats().Misses })
+	reg.CounterFunc("flodb_bloom_checks_total", "Bloom filter checks.", s.bloomChecks.Load)
+	reg.CounterFunc("flodb_bloom_negatives_total", "Bloom filter negatives (table reads skipped).", s.bloomNegatives.Load)
+	reg.GaugeFunc("flodb_block_cache_bytes", "Bytes resident in the block cache.", func() int64 { return blocks().Bytes })
 }
 
 // Close stops background work and releases resources.

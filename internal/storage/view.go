@@ -22,11 +22,10 @@ type ReadView struct {
 	// memtable, then the sealed one a flush is writing. A nil entry ends
 	// the list.
 	Mem [2]MemLevel
-	// Ver is the pinned disk Version the view holds one reference on. Nil
-	// means the view has no disk source: a Get then reads the store's
-	// current state (a point read whose view was captured moments ago),
-	// and an iterator reads memory only (an engine without a disk
-	// component).
+	// Ver is the pinned disk Version the view holds one reference on:
+	// every view an iterator or a snapshot reads pins one. A point read's
+	// view, captured moments before its one Get, may leave it nil; the
+	// Get then reads the store's current state.
 	Ver *Version
 }
 
@@ -57,7 +56,7 @@ type MemCursor interface {
 // ViewGet returns the value key had at v's bound: the first memory level
 // holding a version at or below it answers, then v's Version at the bound
 // (without one, the store's current state). The value aliases store
-// memory that is never written again. v must have a disk source: a Store.
+// memory that is never written again.
 func (f *Front) ViewGet(v ReadView, key []byte) ([]byte, bool, error) {
 	for _, m := range v.Mem {
 		if m == nil {
@@ -90,9 +89,7 @@ func (f *Front) ViewGet(v ReadView, key []byte) ([]byte, bool, error) {
 // release drops the references a pinned view holds: its Version, then
 // whatever the engine's Release adds.
 func (f *Front) release(v ReadView) {
-	if v.Ver != nil {
-		f.store.ReleaseVersion(v.Ver)
-	}
+	f.store.ReleaseVersion(v.Ver)
 	if f.eng.Release != nil {
 		f.eng.Release(v.Seq)
 	}

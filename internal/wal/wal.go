@@ -1,7 +1,8 @@
 // Package wal implements the on-disk commit log (§2.1: "updates are
 // appended to an on-disk commit-log before being applied to the in-memory
-// component"). One log file exists per memtable generation; recovery
-// replays the logs newer than the manifest's persisted log number.
+// component"). One log segment exists per memtable generation, and its
+// file from the first write-out of a record; recovery replays the logs
+// newer than the manifest's persisted log number.
 //
 // Framing: every record is [crc32c(4) | length(4) | payload]. The CRC
 // covers the length field and the payload, so a torn length is detected
@@ -120,7 +121,12 @@ type Writer struct {
 	mu sync.Mutex
 	// written signals, under mu, the end of a file write: spare is back.
 	written sync.Cond
-	f       *os.File
+	// path names the file, which the first write-out creates; f is nil
+	// until then, so a segment no record reaches never touches the disk.
+	// Only the write in flight sets f, and every later reader of it first
+	// waits that write out through mu.
+	path string
+	f    *os.File
 	// buf is the active buffer appenders copy into. spare is the other
 	// one, nil while it is being written to the file: one write is in
 	// flight at a time, so the file receives the buffers in order. Both
@@ -189,18 +195,17 @@ type Options struct {
 	Events *obs.EventLog
 }
 
-// Create creates (truncating) a log file at path.
+// Create returns a writer for a log file at path. Like the staging
+// buffers, the file waits for the first record: the first write-out
+// creates (truncating) it, so a segment that no record reaches has no
+// file, and closing it touches none.
 func Create(path string, opts Options) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: create: %w", err)
-	}
 	bs := opts.BufferSize
 	if bs <= 0 {
 		bs = 64 << 10
 	}
 	w := &Writer{
-		f:            f,
+		path:         path,
 		bufSize:      bs,
 		metrics:      opts.Metrics,
 		writeThrough: opts.WriteThrough,
@@ -318,7 +323,13 @@ func (w *Writer) writeOut(p []byte, end int64) error {
 	if w.writeGate != nil {
 		w.writeGate()
 	}
-	_, err := w.f.Write(p)
+	var err error
+	if w.f == nil {
+		w.f, err = os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	}
+	if err == nil {
+		_, err = w.f.Write(p)
+	}
 	if cap(p) > w.bufSize {
 		p = make([]byte, 0, w.bufSize) // a record larger than the buffer grew it
 	}
@@ -524,11 +535,20 @@ func (w *Writer) Close() error {
 	w.mu.Unlock()
 	err := w.flushTo(off)
 	w.waitIdle()
-	cerr := w.f.Close()
+	cerr := w.closeFile()
 	if err != nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
 	return cerr
+}
+
+// closeFile closes the file, if a write-out created one. The writer is
+// closed and idle.
+func (w *Writer) closeFile() error {
+	if w.f == nil {
+		return nil
+	}
+	return w.f.Close()
 }
 
 // Abandon closes the file WITHOUT flushing the active buffer, discarding
@@ -544,10 +564,16 @@ func (w *Writer) Abandon() error {
 		return nil
 	}
 	w.closed = true
+	// No write-out starts from here on: a barrier racing the abandon
+	// fails instead of creating or writing the file.
+	w.werr = errAbandoned
 	w.mu.Unlock()
 	w.waitIdle()
-	return w.f.Close()
+	return w.closeFile()
 }
+
+// errAbandoned is the write error of an abandoned writer.
+var errAbandoned = errors.New("wal: abandoned")
 
 // waitIdle waits out the file write in flight, if any. On a closed writer
 // that has been flushed no new one starts, so the file may then be closed.

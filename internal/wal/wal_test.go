@@ -414,6 +414,9 @@ func TestPropertyRoundTripRandomRecords(t *testing.T) {
 			}
 		}
 		w.Close()
+		if _, err := os.Stat(path); len(recs) == 0 {
+			return os.IsNotExist(err) // no record, no file
+		}
 		var got [][]byte
 		if err := ReplayAll(path, func(rec []byte) error {
 			got = append(got, append([]byte(nil), rec...))
@@ -580,6 +583,12 @@ func TestFailedWriteIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := w.Append(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil { // the first write-out creates the file
+		t.Fatal(err)
+	}
 	off, err := w.Append(bytes.Repeat([]byte("a"), 40))
 	if err != nil {
 		t.Fatal(err)
@@ -725,9 +734,10 @@ func TestAppendAllocatesNothing(t *testing.T) {
 }
 
 // TestNoAppendNoStagingBuffer: the staging buffers are allocated by the
-// first append, so a segment that never gets a record — a generation that
-// took only unlogged writes — costs no staging memory, and Sync, Flush and
-// Close of it wait for nothing.
+// first append and the file is created by the first write-out, so a
+// segment that never gets a record — a generation that took only unlogged
+// writes — costs no staging memory and no file, and Sync, Flush, Close and
+// Abandon of it wait for nothing and touch no file.
 func TestNoAppendNoStagingBuffer(t *testing.T) {
 	dir := t.TempDir()
 	const segments = 20
@@ -759,17 +769,61 @@ func TestNoAppendNoStagingBuffer(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / segments; per >= 64<<10 {
 		t.Fatalf("an empty segment allocated %d bytes, at least one 64 KiB staging buffer", per)
 	}
+	abandoned, err := Create(filepath.Join(dir, "abandoned.wal"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := abandoned.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("segments with no record left %d files, the first %s", len(ents), ents[0].Name())
+	}
 
-	w, err := Create(filepath.Join(dir, "appended.wal"), Options{})
+	path := filepath.Join(dir, "appended.wal")
+	w, err := Create(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := w.Append([]byte("r")); err != nil {
+	off, err := w.Append([]byte("r"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if cap(w.buf) != 64<<10 || cap(w.spare) != 64<<10 {
 		t.Fatalf("first append staged in buffers of %d and %d bytes, want 64 KiB each", cap(w.buf), cap(w.spare))
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a staged record created the file before any write-out: %v", err)
+	}
+	if err := w.SyncTo(off); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != off {
+		t.Fatalf("after the first write-out: %v, want a file of %d bytes", err, off)
+	}
+}
+
+// TestFailedFileCreateIsSticky: the file is created by the first
+// write-out, so a path that cannot be created fails that write like any
+// failed write, and nothing later succeeds over the lost record.
+func TestFailedFileCreateIsSticky(t *testing.T) {
+	w, err := Create(filepath.Join(t.TempDir(), "missing", "000001.wal"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := w.Append([]byte("r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SyncTo(off); err == nil {
+		t.Fatal("SyncTo succeeded with no file to write")
+	}
+	if _, err := w.Append([]byte("s")); err == nil {
+		t.Fatal("an Append after the failed create succeeded")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close after the failed create reported success")
 	}
 }
 
