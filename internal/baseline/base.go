@@ -105,11 +105,13 @@ type policy struct {
 	write func(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (*wal.Writer, int64, error)
 	// apply does the same for a non-empty batch.
 	apply func(ctx context.Context, b *kv.Batch, d kv.Durability) (*wal.Writer, int64, error)
-	// view captures the (mem, imm, seq) a Get, Scan or iterator reads.
+	// view captures the (mem, imm, seq) a point Get reads, and Close's
+	// last sequence number.
 	view func() (mem, imm *memHandle, snap uint64)
-	// snapView captures a Snapshot's bound, excluding inserts still in
+	// pinView captures the bound of a view that outlives one call (a
+	// Scan's, an iterator's or a Snapshot's), excluding inserts still in
 	// flight below it.
-	snapView func() (mem, imm *memHandle, snap uint64)
+	pinView func() (mem, imm *memHandle, snap uint64)
 	// endRead, when set, is the critical section every read ends with:
 	// a point read's, and a pinned view's when its last reference drops.
 	endRead func()
@@ -132,10 +134,11 @@ type base struct {
 	mu sync.Mutex
 	// snapMu is the snapshot barrier for variants whose memtable inserts
 	// run OUTSIDE mu (HyperLevelDB, RocksDB): writers hold the read side
-	// from sequence allocation through insert completion, and Snapshot
-	// takes the write side while capturing its bound — otherwise a handle
-	// could pin a sequence covering an insert still in flight, and a key
-	// would pop into existence inside a supposedly repeatable view. (Real
+	// from sequence allocation through insert completion, and every pinned
+	// view (Scan, iterator, Snapshot) takes the write side while capturing
+	// its bound — otherwise it could pin a sequence covering an insert
+	// still in flight, and a key would pop into existence inside a
+	// supposedly repeatable view. (Real
 	// RocksDB avoids this by publishing the visible sequence only after
 	// the memtable insert; the barrier is the model-sized equivalent.)
 	snapMu  sync.RWMutex
@@ -174,8 +177,7 @@ func (b *base) init(cfg Config, pol policy) error {
 		Write:      pol.write,
 		Apply:      pol.apply,
 		Get:        b.get,
-		View:       func() storage.ReadView { return b.pinned(pol.view()) },
-		Snapshot:   func() storage.ReadView { return b.pinned(pol.snapView()) },
+		View:       func() storage.ReadView { return b.pinned(pol.pinView()) },
 		Logs:       b.logs,
 		Checkpoint: b.checkpoint,
 		Stop:       b.stop,
@@ -429,7 +431,8 @@ func (b *base) muView() (mem, imm *memHandle, snap uint64) {
 }
 
 // barrierView is muView behind the snapshot barrier: no insert with a
-// sequence number at or below the bound is still in flight.
+// sequence number at or below the bound is still in flight. It is the
+// pinned view of the variants that insert outside mu.
 func (b *base) barrierView() (mem, imm *memHandle, snap uint64) {
 	b.snapMu.Lock()
 	defer b.snapMu.Unlock()

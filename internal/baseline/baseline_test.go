@@ -5,8 +5,10 @@ import (
 	"context"
 
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
@@ -421,6 +423,113 @@ func TestIteratorPinsSnapshotBaselines(t *testing.T) {
 			t.Fatalf("iterated %d of %d", count, n)
 		}
 	})
+}
+
+// TestIteratorOpensBehindInFlightInserts holds the variants that insert
+// outside their write lock (HyperLevelDB and RocksDB after mu, cLSM under
+// the read side of its RW lock) to the kv.Iterator contract: an iterator
+// opened while an insert is in flight is one point-in-time view. Its
+// bound may not cover the insert, or the key would appear between two
+// passes of the same iterator. The insert is reserved by hand and
+// finished only after the iterator had time to open: a view that took
+// the variant's barrier is still waiting then, and sees the key in both
+// passes.
+func TestIteratorOpensBehindInFlightInserts(t *testing.T) {
+	key, val := []byte("in-flight"), []byte("v")
+	for _, c := range []struct {
+		name string
+		open func(cfg Config) (kv.Store, error)
+		// reserve starts an insert of key and returns what finishes it.
+		reserve func(s kv.Store) (finish func())
+	}{
+		{"hyperleveldb", func(cfg Config) (kv.Store, error) { return NewHyperLevelDB(cfg) }, func(s kv.Store) func() {
+			return reserveOutsideMu(t, &s.(*HyperLevelDB).base, key, val)
+		}},
+		{"rocksdb", func(cfg Config) (kv.Store, error) { return NewRocksDB(cfg) }, func(s kv.Store) func() {
+			return reserveOutsideMu(t, &s.(*RocksDB).base, key, val)
+		}},
+		{"clsm", func(cfg Config) (kv.Store, error) { return NewCLSM(cfg) }, func(s kv.Store) func() {
+			db := s.(*CLSM)
+			v, err := db.enter(bg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := db.seq.Add(1)
+			return func() {
+				v.mem.mem.Insert(key, seq, keys.KindSet, val)
+				db.rw.RUnlock()
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := c.open(Config{Dir: t.TempDir(), MemBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			if err := s.Put(bg, []byte("resident"), val); err != nil {
+				t.Fatal(err)
+			}
+			pass := func(it kv.Iterator) (got []string) {
+				for ok := it.First(); ok; ok = it.Next() {
+					got = append(got, string(it.Key()))
+				}
+				if err := it.Err(); err != nil {
+					t.Error(err)
+				}
+				return got
+			}
+			finish := c.reserve(s)
+			type opened struct {
+				it    kv.Iterator
+				first []string
+				err   error
+			}
+			ch := make(chan opened, 1)
+			go func() {
+				it, err := s.NewIterator(bg, nil, nil)
+				if err != nil {
+					ch <- opened{err: err}
+					return
+				}
+				ch <- opened{it: it, first: pass(it)}
+			}()
+			var o opened
+			select {
+			case o = <-ch: // opened while the insert was in flight
+				finish()
+			case <-time.After(100 * time.Millisecond): // waiting on the barrier
+				finish()
+				o = <-ch
+			}
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			defer o.it.Close()
+			if second := pass(o.it); !slices.Equal(o.first, second) {
+				t.Fatalf("two passes of one iterator differ: %q, then %q", o.first, second)
+			}
+		})
+	}
+}
+
+// reserveOutsideMu starts a HyperLevelDB or RocksDB write of key the way
+// their write does: sequence number and log under mu, then the insert
+// after mu is released, inside the snapshot barrier's read side.
+func reserveOutsideMu(t *testing.T, b *base, key, val []byte) (finish func()) {
+	b.snapMu.RLock()
+	b.mu.Lock()
+	h, seq, _, _, err := b.reserveLocked(bg, keys.KindSet, key, val, kv.DurabilityNone)
+	b.mu.Unlock()
+	if err != nil {
+		b.snapMu.RUnlock()
+		t.Fatal(err)
+	}
+	return func() {
+		h.mem.Insert(key, seq, keys.KindSet, val)
+		h.inserting.Done()
+		b.snapMu.RUnlock()
+	}
 }
 
 func TestApplyBaselines(t *testing.T) {

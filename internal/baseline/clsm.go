@@ -48,10 +48,10 @@ func NewCLSM(cfg Config) (*CLSM, error) {
 	}
 	db := &CLSM{}
 	err := db.init(cfg, policy{
-		write:    db.write,
-		apply:    db.apply,
-		view:     db.loadView,
-		snapView: db.exclusiveView,
+		write:   db.write,
+		apply:   db.apply,
+		view:    db.loadView,
+		pinView: db.exclusiveView,
 	})
 	if err != nil {
 		return nil, err
@@ -135,12 +135,13 @@ func (db *CLSM) loadView() (mem, imm *memHandle, snap uint64) {
 	return v.mem, v.imm, db.seq.Load()
 }
 
-// exclusiveView captures a Snapshot's bound. Unlike the lock-free point-
-// read path, it takes the write side of the global RW lock: writers
-// allocate AND insert under the read side, so with the write side held no
-// insert with seq <= the bound is still in flight — a lock-free capture
-// could pin a sequence whose key pops into existence later, breaking the
-// handle's repeatable-read contract. (This matches cLSM's design, which
+// exclusiveView captures a pinned view's bound (a Scan's, an iterator's or
+// a Snapshot's). Unlike the lock-free point-read path, it takes the write
+// side of the global RW lock: writers allocate AND insert under the read
+// side, so with the write side held no insert with seq <= the bound is
+// still in flight — a lock-free capture could pin a sequence whose key
+// pops into existence later, breaking the view's repeatable-read
+// contract. (This matches cLSM's design, which
 // reserves the exclusive side for coordination points.)
 func (db *CLSM) exclusiveView() (mem, imm *memHandle, snap uint64) {
 	db.rw.Lock()

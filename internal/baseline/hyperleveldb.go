@@ -28,13 +28,14 @@ func NewHyperLevelDB(cfg Config) (*HyperLevelDB, error) {
 	// efficient compaction" keeps its file count low, which is why it does
 	// well in Fig 13 — that property comes from the shared disk component
 	// here). A batch's version numbers are allocated in one critical
-	// section. Snapshot captures behind the snapshot barrier.
+	// section. A pinned view (Scan, iterator, Snapshot) captures behind
+	// the snapshot barrier.
 	err := db.init(cfg, policy{
-		write:    db.write,
-		apply:    db.applyLocked,
-		view:     db.muView,
-		snapView: db.barrierView,
-		endRead:  db.muSection,
+		write:   db.write,
+		apply:   db.applyLocked,
+		view:    db.muView,
+		pinView: db.barrierView,
+		endRead: db.muSection,
 	})
 	if err != nil {
 		return nil, err
@@ -46,7 +47,7 @@ func NewHyperLevelDB(cfg Config) (*HyperLevelDB, error) {
 func (db *HyperLevelDB) write(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (*wal.Writer, int64, error) {
 	// Critical section #1: room check, version-number (seq) allocation,
 	// commit-log append. The snapshot barrier spans allocation through
-	// insert so a Snapshot never pins a sequence still in flight.
+	// insert so a pinned view never covers a sequence still in flight.
 	db.snapMu.RLock()
 	db.mu.Lock()
 	h, seq, w, off, err := db.reserveLocked(ctx, kind, key, value, d)

@@ -43,14 +43,14 @@ func NewLevelDB(cfg Config) (*LevelDB, error) {
 	}
 	db := &LevelDB{writeCh: make(chan *writeReq, 4096)}
 	// A batch is applied under the global mutex — the same single-writer
-	// application the leader performs for combined queues — and a
-	// Snapshot is captured under it like every LevelDB read.
+	// application the leader performs for combined queues — and a pinned
+	// view is captured under it like every LevelDB read.
 	err := db.init(cfg, policy{
-		write:    db.write,
-		apply:    db.applyLocked,
-		view:     db.muView,
-		snapView: db.muView,
-		endRead:  db.muSection,
+		write:   db.write,
+		apply:   db.applyLocked,
+		view:    db.muView,
+		pinView: db.muView,
+		endRead: db.muSection,
 	})
 	if err != nil {
 		return nil, err

@@ -28,13 +28,14 @@ func NewRocksDB(cfg Config) (*RocksDB, error) {
 	// ("caching metadata locally reduces synchronized accesses", §6), then
 	// reads without the lock — the concurrency that lets RocksDB scale
 	// reads in Fig 10. A batch commits in one critical section, the shape
-	// of RocksDB's WriteBatch. Snapshot captures behind the snapshot
-	// barrier, the shape of RocksDB's GetSnapshot.
+	// of RocksDB's WriteBatch. A pinned view (Scan, iterator, Snapshot)
+	// captures behind the snapshot barrier, the shape of RocksDB's
+	// GetSnapshot.
 	err := db.init(cfg, policy{
-		write:    db.write,
-		apply:    db.applyLocked,
-		view:     db.muView,
-		snapView: db.barrierView,
+		write:   db.write,
+		apply:   db.applyLocked,
+		view:    db.muView,
+		pinView: db.barrierView,
 	})
 	if err != nil {
 		return nil, err
@@ -44,7 +45,7 @@ func NewRocksDB(cfg Config) (*RocksDB, error) {
 
 // write inserts with one short global critical section: room check, seq,
 // log, size trigger. The snapshot barrier spans allocation through insert
-// so a Snapshot never pins a sequence still in flight.
+// so a pinned view never covers a sequence still in flight.
 func (db *RocksDB) write(ctx context.Context, kind keys.Kind, key, value []byte, d kv.Durability) (*wal.Writer, int64, error) {
 	db.snapMu.RLock()
 	db.mu.Lock()

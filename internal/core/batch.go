@@ -86,14 +86,12 @@ func (db *DB) applyLocked(ctx context.Context, h *rcu.Handle, b *kv.Batch, d kv.
 		if tomb {
 			val = tombstoneMarker
 		}
-		if g.mbf != nil {
-			if ok, inPlace := g.mbf.Put(op.Key, val, tomb); ok {
-				db.stats.membufferHits.Add(1)
-				if inPlace {
-					db.stats.inPlaceHits.Add(1)
-				}
-				continue
+		if ok, inPlace := g.mbf.Put(op.Key, val, tomb); ok {
+			db.stats.membufferHits.Add(1)
+			if inPlace {
+				db.stats.inPlaceHits.Add(1)
 			}
+			continue
 		}
 		direct = append(direct, skiplist.KV{Key: op.Key, Entry: &skiplist.Entry{Value: val, Tombstone: tomb}})
 	}

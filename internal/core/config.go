@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"flodb/internal/diskenv"
 	"flodb/internal/kv"
 	"flodb/internal/membuffer"
 	"flodb/internal/skiplist"
@@ -34,9 +33,10 @@ type Config struct {
 	// DrainThreads is the number of background draining threads (§4.2).
 	// Default 2.
 	DrainThreads int
-	// DisableMembuffer removes the top level entirely — the "No HT"
-	// ablation of Fig 17 (a classic single-level LSM memory component).
-	// The Memtable then gets all of MemoryBytes.
+	// DisableMembuffer gives the Membuffer no room — the "No HT" ablation
+	// of Fig 17 (a classic single-level LSM memory component): it refuses
+	// every update, so each one goes to the Memtable, which gets all of
+	// MemoryBytes. No draining threads run.
 	DisableMembuffer bool
 
 	// WALWriteThrough pushes every WAL append to the OS before it is
@@ -59,8 +59,6 @@ type Config struct {
 	// otherwise whole: it logs, syncs, snapshots and checkpoints, and
 	// Close flushes the last Memtable.
 	DropPersist bool
-	// FlushFault injects errors into the persist path (tests).
-	FlushFault *diskenv.FaultPoint
 
 	// Storage configures the disk component. An unset BaseLevelBytes is
 	// sized to hold one L0 compaction of Memtables at their persist
@@ -117,8 +115,8 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// membufferBytes returns the Membuffer's share of the budget: none when
-// the Membuffer is disabled.
+// membufferBytes returns the Membuffer's share of the budget: none under
+// DisableMembuffer, which sizes a Membuffer with no buckets.
 func (c *Config) membufferBytes() int64 {
 	if c.DisableMembuffer {
 		return 0

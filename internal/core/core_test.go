@@ -332,7 +332,10 @@ func TestDisableMembufferMode(t *testing.T) {
 // counted, and every retired segment's file is gone: under the default
 // class Buffered the directory holds at most the live segment, under
 // None (the figures' class) no segment file at all. Close still flushes
-// the last Memtable.
+// the last Memtable. Before the last Put the test drains the Membuffer
+// (an iterator's view seal) and lets the persists settle, so that Put
+// lands in a Memtable under its target: no persist runs after it, and a
+// closing store starts none.
 func TestDropPersistMode(t *testing.T) {
 	for _, d := range []kv.Durability{kv.DurabilityBuffered, kv.DurabilityNone} {
 		t.Run(d.String(), func(t *testing.T) {
@@ -368,6 +371,13 @@ func TestDropPersistMode(t *testing.T) {
 				}
 			}
 			waitPersists(t, db, 3)
+			it, err := db.NewIterator(bg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
 			db.WaitDiskQuiesce()
 			wals, tables := files()
 			if len(tables) != 0 || db.Stats().Flushes != 0 {

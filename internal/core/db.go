@@ -84,8 +84,9 @@ import (
 	"flodb/internal/wal"
 )
 
-// generation is the atomically-published active pair. mbf is nil when the
-// Membuffer is disabled (the Fig 17 "No HT" ablation).
+// generation is the atomically-published active pair. Every generation
+// has a Membuffer; under DisableMembuffer (the Fig 17 "No HT" ablation) it
+// has no buckets, so every update goes to the Memtable.
 type generation struct {
 	mbf *membuffer.Buffer
 	mtb *memtable
@@ -95,7 +96,7 @@ type generation struct {
 // already its Memtable. Published pairs are immutable, so republishing
 // one is safe.
 func (g *generation) over(mtb *memtable) *generation {
-	if g == nil || g.mtb == mtb {
+	if g.mtb == mtb {
 		return g
 	}
 	return &generation{mbf: g.mbf, mtb: mtb}
@@ -147,8 +148,9 @@ type DB struct {
 	// drainMu serializes the switch+drain critical flows: every
 	// sealMembuffer caller and batch application.
 	drainMu sync.Mutex
-	// spare is the pair whose Membuffer the latest seal drained empty,
-	// which the next seal recycles; guarded by drainMu.
+	// spare is the pair whose Membuffer the latest seal drained empty
+	// (Open's second Membuffer before the first seal), which the next seal
+	// recycles; guarded by drainMu.
 	spare *generation
 	// persistMu serializes whole persist cycles (persistOnce and
 	// Checkpoint's forced flush), so two flushes never interleave their
@@ -181,7 +183,7 @@ type DB struct {
 
 	// testHook, when a test sets it, runs at the named points of the drain
 	// and persist protocols so the test can park a thread there.
-	testHook atomic.Pointer[func(at hookPoint)]
+	testHook atomic.Pointer[func(at hookPoint) error]
 
 	// stats are the memory component's own counters; the op counters,
 	// latencies and stalls are the Front's (see telemetry.go).
@@ -251,16 +253,15 @@ func Open(cfg Config) (*DB, error) {
 		store.Close()
 		return nil, err
 	}
-	g := &generation{mtb: mt}
-	if !cfg.DisableMembuffer {
-		g.mbf = membuffer.New(db.mbfCfg)
-	}
-	db.gen.Store(g)
+	db.gen.Store(&generation{mbf: membuffer.New(db.mbfCfg), mtb: mt})
+	db.spare = &generation{mbf: membuffer.New(db.mbfCfg), mtb: mt}
 	if err := store.SetLogNum(mt.walNum, seq); err != nil {
 		store.Close()
 		return nil, err
 	}
 
+	// A Membuffer with no room has nothing to drain: idle drainers would
+	// only spin.
 	if !cfg.DisableMembuffer {
 		for i := 0; i < cfg.DrainThreads; i++ {
 			db.wg.Add(1)
@@ -346,14 +347,15 @@ const (
 	// in the Memtable, and is about to weigh them by the seal point.
 	hookGetWeighing
 	// hookPersisting: the persisting thread has sealed a Memtable and is
-	// about to flush it.
+	// about to flush it. An error the hook returns fails the persist.
 	hookPersisting
 )
 
-func (db *DB) hook(at hookPoint) {
+func (db *DB) hook(at hookPoint) error {
 	if f := db.testHook.Load(); f != nil {
-		(*f)(at)
+		return (*f)(at)
 	}
+	return nil
 }
 
 // newMemtable allocates a fresh memtable with its WAL segment.
@@ -379,7 +381,7 @@ func (db *DB) Close() error {
 	}
 	err := db.BackgroundErr()
 	g := db.gen.Load()
-	if err == nil && g.mbf != nil {
+	if err == nil {
 		// Final persist: drain the Membuffer into the Memtable, which
 		// Shutdown flushes. A persist failure may have stranded the sealed
 		// generation; Shutdown syncs its segment before closing it.
@@ -393,7 +395,6 @@ func (db *DB) Close() error {
 // stop ends the background work: the drainers and the persister.
 func (db *DB) stop() {
 	close(db.closing)
-	db.signalPersist()
 	db.wg.Wait()
 }
 

@@ -64,9 +64,6 @@ func (db *DB) drainLoop() {
 		}
 
 		g := db.gen.Load()
-		if g.mbf == nil {
-			return
-		}
 		// Backpressure: when the Memtable is far over target, stop feeding
 		// it — the bounded Membuffer then rejects writers into the stalled
 		// slow path until the persister catches up.
@@ -216,20 +213,20 @@ func (db *DB) drainBuffer(src *membuffer.Buffer, dst *memtable, seq *atomic.Uint
 // between the switch and the reservation would sort below older drained
 // copies; a block reserved before the switch instead would let a
 // pre-switch slow-path write draw a number above it and beat a newer
-// Membuffer copy.
-// With the Membuffer disabled there is nothing to swap, but the grace
-// period is owed all the same: a writer in flight may hold a sequence
-// number it has not inserted under yet.
+// Membuffer copy. A Membuffer with no room (DisableMembuffer) runs the
+// same protocol: it holds nothing to drain, but the grace period is owed
+// all the same, since a writer in flight may hold a sequence number it
+// has not inserted under yet.
 //
 // Recycling. The incoming Membuffer is the one the previous seal drained
-// when there is one, so a seal allocates nothing in the steady state (even
-// the generation struct is republished when its Memtable is still the
-// active one). The invariant this relies on: NO THREAD CAN WRITE A RETIRED
-// BUFFER THROUGH A REFERENCE TAKEN BEFORE IT WAS DRAINED EMPTY. Writers and
-// background drainers take theirs strictly inside RCU read sections, and
-// the retiring seal's own grace period outlasts every section that could
-// have loaded the retired pair; the sealer drains it alone. So a buffer is
-// ready for the next seal as soon as its drain ends. A stale drainer
+// (Open allocates the first), so a seal allocates nothing in the steady
+// state (even the generation struct is republished when its Memtable is
+// still the active one). The invariant this relies on: NO THREAD CAN WRITE
+// A RETIRED BUFFER THROUGH A REFERENCE TAKEN BEFORE IT WAS DRAINED EMPTY.
+// Writers and background drainers take theirs strictly inside RCU read
+// sections, and the retiring seal's own grace period outlasts every
+// section that could have loaded the retired pair; the sealer drains it
+// alone. So a buffer is ready for the next seal as soon as its drain ends. A stale drainer
 // reaching a re-activated buffer would move live entries into a sealed
 // (possibly already flushed) Memtable and lose them. Point reads take no
 // read section: one that loaded a retired pair reads whatever the buffer
@@ -247,16 +244,8 @@ func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *gener
 		mtb = next
 	}
 	db.seals.Add(1) // before the spare's buffer is reset for reuse
-	var g *generation
-	switch r := db.spare; {
-	case old.mbf == nil:
-		g = old.over(mtb)
-	case r != nil:
-		r.mbf.Reset()
-		g = r.over(mtb)
-	default:
-		g = &generation{mbf: membuffer.New(db.mbfCfg), mtb: mtb}
-	}
+	db.spare.mbf.Reset()
+	g := db.spare.over(mtb)
 	db.spare = nil
 
 	db.pauseWriters.Store(true)
@@ -269,27 +258,18 @@ func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *gener
 	// active and immutable) because the Get order just checks it twice.
 	// Until the seal point is drawn every Memtable entry predates the
 	// switch, so the draining Membuffer beats all of them.
-	if old.mbf != nil {
-		db.immSeal.Store(math.MaxUint64)
-		db.immGen.Store(old)
-	}
+	db.immSeal.Store(math.MaxUint64)
+	db.immGen.Store(old)
 	if next != nil {
 		db.immMtb.Store(old.mtb)
 	}
-	if g != old {
-		db.gen.Store(g)
-	}
-	if old.mbf != nil {
-		// Frozen only once the successor is installed, so a Put that is
-		// refused for this reason finds the successor on its next lap.
-		old.mbf.Freeze()
-	}
+	db.gen.Store(g)
+	// Frozen only once the successor is installed, so a Put that is
+	// refused for this reason finds the successor on its next lap.
+	old.mbf.Freeze()
 	db.domain.Synchronize()
 
-	n := uint64(1)
-	if old.mbf != nil {
-		n += uint64(old.mbf.Len())
-	}
+	n := uint64(old.mbf.Len()) + 1
 	seal := db.seq.Add(n)
 	var block atomic.Uint64 // the drain's numbers: seal-n+1 .. seal-1
 	block.Store(seal - n)
@@ -299,7 +279,7 @@ func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *gener
 	}
 	db.pauseWriters.Store(false)
 
-	if next != nil && old.mtb.wal != nil {
+	if next != nil {
 		// Seal-time flush: push the sealed segment's staged records to the
 		// OS before the successor accumulates enough to write its own. A
 		// crash then never recovers later records while earlier ones are
@@ -307,15 +287,13 @@ func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *gener
 		// no cross-segment holes.
 		err = old.mtb.wal.Flush()
 	}
-	if old.mbf != nil {
-		if old.mbf.Len() != 0 {
-			db.hook(hookSealDraining)
-			db.drainBuffer(old.mbf, old.mtb, &block)
-		}
-		db.immGen.Store(nil)
-		// Spares stay paired with the ACTIVE Memtable: a spare must not be
-		// what keeps a flushed Memtable reachable.
-		db.spare = old.over(mtb)
+	if old.mbf.Len() != 0 {
+		db.hook(hookSealDraining)
+		db.drainBuffer(old.mbf, old.mtb, &block)
 	}
+	db.immGen.Store(nil)
+	// Spares stay paired with the ACTIVE Memtable: a spare must not be
+	// what keeps a flushed Memtable reachable.
+	db.spare = old.over(mtb)
 	return old, err
 }

@@ -87,15 +87,16 @@ func TestDrainOwnershipKeepsNewestVersion(t *testing.T) {
 			}
 
 			var slow atomic.Uint64
-			jitter := func(p hookPoint) {
+			jitter := func(p hookPoint) error {
 				if p != hookDrainerClaimed {
-					return
+					return nil
 				}
 				if slow.Add(1)%3 == 0 {
 					time.Sleep(100 * time.Microsecond)
 				} else {
 					runtime.Gosched()
 				}
+				return nil
 			}
 			db.testHook.Store(&jitter)
 			const modelKeys = 8
@@ -180,19 +181,20 @@ func TestBackgroundDrainClaimsWholePartition(t *testing.T) {
 	db := openTestDB(t, cfg)
 
 	claims, resume, stop := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	hook := func(p hookPoint) {
+	hook := func(p hookPoint) error {
 		if p != hookDrainerClaimed {
-			return
+			return nil
 		}
 		select {
 		case claims <- struct{}{}:
 		case <-stop:
-			return
+			return nil
 		}
 		select {
 		case <-resume:
 		case <-stop:
 		}
+		return nil
 	}
 	db.testHook.Store(&hook)
 	t.Cleanup(func() { close(stop) }) // before the Close openTestDB registered

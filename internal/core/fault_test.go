@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"flodb/internal/diskenv"
 	"flodb/internal/kv"
 )
 
@@ -16,16 +16,21 @@ import (
 // panics or hangs.
 func TestFlushFaultSurfacesOnWrites(t *testing.T) {
 	boom := errors.New("injected flush failure")
-	fault := &diskenv.FaultPoint{}
-	fault.Arm(boom, 1)
+	var fired atomic.Int32
+	fault := func(p hookPoint) error {
+		if p != hookPersisting || fired.Add(1) != 1 {
+			return nil
+		}
+		return boom
+	}
 
 	cfg := testConfig(t)
 	cfg.MemoryBytes = 32 << 10
-	cfg.FlushFault = fault
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.testHook.Store(&fault)
 
 	// Write until the persist path trips the fault and surfaces it.
 	deadline := time.Now().Add(10 * time.Second)
@@ -42,8 +47,8 @@ func TestFlushFaultSurfacesOnWrites(t *testing.T) {
 	if !errors.Is(lastErr, boom) {
 		t.Fatalf("writer saw %v, want injected fault", lastErr)
 	}
-	if fault.Fired() != 1 {
-		t.Fatalf("fault fired %d times", fault.Fired())
+	if n := fired.Load(); n != 1 {
+		t.Fatalf("fault fired %d times", n)
 	}
 	// Every call that would build on the persisted state returns it too.
 	b := kv.NewBatch()

@@ -460,7 +460,9 @@ func TestIteratorContextCanceledMidRange(t *testing.T) {
 // Membuffer: the handle, the generation switch and the bound's two
 // publications are all an open may allocate — nothing per source, nothing
 // per key, nothing per block (TestDiskScanAllocationBudget pins that one).
-// A seal that finds the Membuffer empty allocates nothing at all.
+// A seal that finds the Membuffer empty allocates nothing at all. As there,
+// the disk data is out of L0, so no read-triggered compaction runs inside
+// the measurement.
 func TestIteratorOpenAllocationBudget(t *testing.T) {
 	scanAllocBudget := 8.0 // measured 6
 	if raceEnabled {
@@ -469,6 +471,7 @@ func TestIteratorOpenAllocationBudget(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.MemoryBytes = 512 << 10
 	cfg.DrainThreads = 1
+	cfg.Storage.L0CompactionTrigger = 1
 	db := openTestDB(t, cfg)
 	val := bytes.Repeat([]byte("v"), 100)
 	const n = 12000 // ~1.3 MiB: several flushes, data in every level of the read path
@@ -481,6 +484,10 @@ func TestIteratorOpenAllocationBudget(t *testing.T) {
 	if db.Stats().Flushes == 0 {
 		t.Fatal("nothing reached disk")
 	}
+	if l0 := db.store.NumLevelFiles(0); l0 != 0 {
+		t.Fatalf("%d tables in L0 after quiescing; the measurement wants none", l0)
+	}
+	readCompactions := metric(db, "flodb_read_compactions_total")
 	var read int
 	scan := func() {
 		it, err := db.NewIterator(bg, nil, nil)
@@ -504,6 +511,9 @@ func TestIteratorOpenAllocationBudget(t *testing.T) {
 	if read != 100 {
 		t.Fatalf("short scan read %d keys", read)
 	}
+	if n := metric(db, "flodb_read_compactions_total"); n != readCompactions {
+		t.Fatalf("%d read-triggered compactions ran during the measurement", n-readCompactions)
+	}
 
 	seal := func() {
 		db.drainMu.Lock()
@@ -522,13 +532,16 @@ func TestIteratorOpenAllocationBudget(t *testing.T) {
 // the block cache holds nothing, so every block a scan crosses is read from
 // the file. A scan that crosses twenty times the blocks must allocate what
 // the short one does — the read windows live in the pooled frame — and
-// that is the open's budget.
+// that is the open's budget. L0 is empty before the measurement (every
+// flush is compacted at once), so no scan spends a seek budget and no
+// read-triggered compaction runs, and allocates, inside it.
 func TestDiskScanAllocationBudget(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.MemoryBytes = 512 << 10
 	cfg.DrainThreads = 1
 	cfg.Storage.BlockSize = 256
 	cfg.Storage.BlockCacheBytes = 1
+	cfg.Storage.L0CompactionTrigger = 1
 	db := openTestDB(t, cfg)
 	val := bytes.Repeat([]byte("v"), 100)
 	const n = 12000
@@ -542,6 +555,9 @@ func TestDiskScanAllocationBudget(t *testing.T) {
 	}
 	db = openTestDB(t, cfg)
 	db.WaitDiskQuiesce()
+	if l0 := db.store.NumLevelFiles(0); l0 != 0 {
+		t.Fatalf("%d tables in L0 after quiescing; the measurement wants none", l0)
+	}
 
 	scan := func(steps int) func() {
 		return func() {
@@ -571,8 +587,12 @@ func TestDiskScanAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		budget, perFile = 24, 24
 	}
+	readCompactions := metric(db, "flodb_read_compactions_total")
 	short := testing.AllocsPerRun(50, scan(100)) // ~50 blocks
 	long := testing.AllocsPerRun(50, scan(2000)) // ~1000 blocks
+	if n := metric(db, "flodb_read_compactions_total"); n != readCompactions {
+		t.Fatalf("%d read-triggered compactions ran during the measurement", n-readCompactions)
+	}
 	if short > budget || long > short+perFile {
 		t.Errorf("open + Seek + Next + Close: %.1f allocations over 100 keys, %.1f over 2000; want <= %.0f and no more than %.0f apart",
 			short, long, budget, perFile)

@@ -58,13 +58,11 @@ func (db *DB) putHandle(h *rcu.Handle) {
 func (db *DB) get(key []byte) ([]byte, bool, error) {
 	h := keys.Hash(key)
 	g := db.gen.Load()
-	if g.mbf != nil {
-		if v, tomb, ok := g.mbf.GetHashed(key, h); ok {
-			if tomb {
-				return nil, false, nil
-			}
-			return v, true, nil
+	if v, tomb, ok := g.mbf.GetHashed(key, h); ok {
+		if tomb {
+			return nil, false, nil
 		}
+		return v, true, nil
 	}
 	if v, tomb, ok := db.getSealed(g, key, h); ok {
 		if tomb {
@@ -117,7 +115,7 @@ func (db *DB) getSealed(g *generation, key []byte, h uint64) (v []byte, tomb, ok
 
 // update is Algorithm 2's Put, the engine's write policy behind the
 // Front's Put and Delete. The fast path tries the Membuffer; if the target
-// bucket is full (or the buffer is disabled) the update goes directly to
+// bucket is full (or the buffer has no room) the update goes directly to
 // the Memtable once admit lets it in. key and value belong to the caller:
 // every component that keeps them copies them — the WAL append and the
 // Membuffer copy into memory of their own (a Membuffer pair holds key and
@@ -156,10 +154,6 @@ func (db *DB) update(ctx context.Context, kind keys.Kind, key, value []byte, d k
 	for lap := 0; lap < 2; lap++ {
 		h.Enter()
 		g = db.gen.Load()
-		if g.mbf == nil {
-			h.Exit()
-			break
-		}
 		if logged && g.mtb.wal != syncW {
 			off, err := g.mtb.wal.AppendRecord(kind, key, value)
 			if err != nil {
@@ -179,8 +173,9 @@ func (db *DB) update(ctx context.Context, kind keys.Kind, key, value []byte, d k
 		sealed := g.mbf.Frozen()
 		h.Exit()
 		if !sealed {
-			// Bucket full: fall through to the Memtable, which the record
-			// above already covers unless the generation switches first.
+			// Bucket full, or no room at all: fall through to the Memtable,
+			// which the record above already covers unless the generation
+			// switches first.
 			break
 		}
 	}

@@ -19,17 +19,24 @@ func (db *DB) persistLoop() {
 			return
 		case <-db.persistCh:
 		}
-		for db.needsPersist() {
+		// A closing store starts no persist: Close drains the Membuffer
+		// into the live Memtable and flushes it itself. (The select above
+		// picks at random when both channels are ready.)
+		for db.needsPersist() && !db.isClosing() {
 			if err := db.persistOnce(); err != nil {
 				db.SetBackgroundErr(err)
 				return
 			}
-			select {
-			case <-db.closing:
-				return
-			default:
-			}
 		}
+	}
+}
+
+func (db *DB) isClosing() bool {
+	select {
+	case <-db.closing:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -80,10 +87,9 @@ func (db *DB) persistCycle() error {
 
 	db.stats.persists.Add(1)
 
-	if err := db.cfg.FlushFault.Check(); err != nil {
+	if err := db.hook(hookPersisting); err != nil {
 		return err
 	}
-	db.hook(hookPersisting)
 
 	// The flush retires the old generation's segment: its records are
 	// durable through the new table. A Sync-class commit or a Sync barrier

@@ -366,7 +366,9 @@ func metric(db *DB, name string) int64 {
 // read the block allocates the row and its cache entry — no block, no
 // handle, nothing per table probed. Get adds exactly one allocation to
 // either: the copy of the value the caller owns (kv.Store's ownership
-// rule).
+// rule). Unlike the iterator budgets it measures over L0 tables on
+// purpose: a Get probes each, and spends no seek budget, so no
+// read-triggered compaction runs inside the measurement.
 func TestGetAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts: the scratch block is re-made")
@@ -392,6 +394,7 @@ func TestGetAllocationBudget(t *testing.T) {
 	if l0, l1 := db.store.NumLevelFiles(0), db.store.NumLevelFiles(1); l0+l1 < 2 {
 		t.Fatalf("want several tables: %d in L0, %d in L1", l0, l1)
 	}
+	readCompactions := metric(db, "flodb_read_compactions_total")
 	var ks [n][]byte
 	for i := range ks {
 		ks[i] = spreadKey(uint64(i))
@@ -415,6 +418,9 @@ func TestGetAllocationBudget(t *testing.T) {
 	i = 1000
 	if hit := testing.AllocsPerRun(2000, func() { db.Get(bg, ks[i]); i++ }); hit != 1 {
 		t.Errorf("a Get that finds its row: %.1f allocations, want 1 (the caller's copy)", hit)
+	}
+	if n := metric(db, "flodb_read_compactions_total"); n != readCompactions {
+		t.Fatalf("%d read-triggered compactions ran during the measurement", n-readCompactions)
 	}
 	if st := db.Stats(); st.BlockCacheHits < 4000 || st.BlockCacheEvictions != 0 {
 		t.Fatalf("the second and third passes should have hit: %+v", st)

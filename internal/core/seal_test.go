@@ -14,16 +14,17 @@ import (
 
 // parkOnce returns a hook body that, the first time the named point is
 // reached, closes reached and blocks until release is closed.
-func parkOnce(at hookPoint, reached, release chan struct{}) func(hookPoint) {
+func parkOnce(at hookPoint, reached, release chan struct{}) func(hookPoint) error {
 	var once sync.Once
-	return func(p hookPoint) {
+	return func(p hookPoint) error {
 		if p != at {
-			return
+			return nil
 		}
 		once.Do(func() {
 			close(reached)
 			<-release
 		})
+		return nil
 	}
 }
 
@@ -264,11 +265,11 @@ func slowPut(t *testing.T, db *DB, key, value []byte) <-chan bool {
 	mates := bucketMates(mbf, db.cfg.PartitionBits, key, 16)
 	claimed, release := make(chan struct{}), make(chan struct{})
 	prev, park := db.testHook.Load(), parkOnce(hookDrainerClaimed, claimed, release)
-	hook := func(p hookPoint) {
+	hook := func(p hookPoint) error {
 		if prev != nil {
 			(*prev)(p)
 		}
-		park(p)
+		return park(p)
 	}
 	db.testHook.Store(&hook)
 	done := make(chan bool, 1)

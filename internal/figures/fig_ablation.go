@@ -12,8 +12,9 @@ import (
 // sealed Memtable and its log segment, writing no table), across memory
 // sizes:
 //
-//	"No HT"               — membuffer disabled (classic single-level LSM
-//	                        memory component, the whole budget in the
+//	"No HT"               — DisableMembuffer: a Membuffer with no room
+//	                        refuses every update (classic single-level
+//	                        LSM memory component, the whole budget in the
 //	                        Memtable): degrades as memory grows.
 //	"HT, multi-insert SL" — two levels, batched multi-insert drains: best.
 //

@@ -145,7 +145,8 @@ func newBuckets(n int) []bucket {
 // Config sizes a Buffer.
 type Config struct {
 	// Buckets is the total bucket count; it is rounded up to a multiple of
-	// the partition count.
+	// the partition count. Zero builds a buffer with no room: it refuses
+	// every Put and misses every Get.
 	Buckets int
 	// PartitionBits is ℓ: the table has 2^ℓ partitions keyed by the most
 	// significant key bits. 0 disables partitioning (one partition).
@@ -153,8 +154,12 @@ type Config struct {
 }
 
 // ConfigForBytes sizes a buffer to hold roughly capacityBytes of entries
-// of the given average size (key+value).
+// of the given average size (key+value). A budget of zero gets no buckets;
+// any other gets at least one per partition.
 func ConfigForBytes(capacityBytes int64, avgEntryBytes int, partitionBits uint) Config {
+	if capacityBytes == 0 {
+		return Config{PartitionBits: partitionBits}
+	}
 	if avgEntryBytes <= 0 {
 		avgEntryBytes = 64
 	}
@@ -208,6 +213,9 @@ func New(cfg Config) *Buffer {
 		cfg.PartitionBits = 16
 	}
 	parts := 1 << cfg.PartitionBits
+	if cfg.Buckets == 0 {
+		return &Buffer{parts: make([]partition, parts), partitions: parts, partBits: cfg.PartitionBits}
+	}
 	if cfg.Buckets < parts {
 		cfg.Buckets = parts
 	}
@@ -255,9 +263,10 @@ func (b *Buffer) Put(key, value []byte, tombstone bool) (stored, inPlace bool) {
 
 // PutHashed is Put for a caller that already holds h, key's keys.Hash.
 // It copies key and value into the buffer's own pair, so the caller may
-// reuse both as soon as it returns.
+// reuse both as soon as it returns. A buffer with no buckets refuses
+// every Put, without counting it a full bucket.
 func (b *Buffer) PutHashed(key []byte, h uint64, value []byte, tombstone bool) (stored, inPlace bool) {
-	if b.frozen.Load() {
+	if b.frozen.Load() || b.perPart == 0 {
 		return false, false
 	}
 	part, bi := b.locate(key, h)
@@ -336,8 +345,12 @@ func (b *Buffer) Get(key []byte) (value []byte, tombstone, ok bool) {
 }
 
 // GetHashed is Get for a caller that already holds h, key's keys.Hash. It
-// reads one bucket line, and a pair only where a slot's tag matches.
+// reads one bucket line, and a pair only where a slot's tag matches; a
+// buffer with no buckets misses.
 func (b *Buffer) GetHashed(key []byte, h uint64) (value []byte, tombstone, ok bool) {
+	if b.perPart == 0 {
+		return nil, false, false
+	}
 	_, bi := b.locate(key, h)
 	bk := &b.buckets[bi]
 	tag := tagOf(h)
@@ -403,7 +416,8 @@ const fullestWindow = 64
 // Fullest returns, of up to fullestWindow partitions from partition from
 // on, the one no drainer holds a claim on with the most resident entries,
 // and its occupancy: resident entries over slots. When every partition in
-// the window is empty or claimed it returns from and 0.
+// the window is empty or claimed, or the buffer has no buckets, it
+// returns from and 0.
 func (b *Buffer) Fullest(from int) (part int, occupancy float64) {
 	part = from
 	most := int64(0)
@@ -411,6 +425,9 @@ func (b *Buffer) Fullest(from int) (part int, occupancy float64) {
 		if n := b.parts[p].live.Load(); n > most && !b.parts[p].owned.Load() {
 			part, most = p, n
 		}
+	}
+	if most == 0 {
+		return part, 0
 	}
 	return part, float64(most) / float64(b.perPart*BucketSlots)
 }

@@ -138,6 +138,48 @@ func TestConfigForBytes(t *testing.T) {
 	if got := ConfigForBytes(100, 0, 0); got.Buckets < 1 {
 		t.Fatal("degenerate config must still have a bucket")
 	}
+	if got := ConfigForBytes(1, 264, 6); got.Buckets < 1 || New(got).Capacity() < 64*BucketSlots {
+		t.Fatalf("a positive budget must get a bucket per partition: %+v", got)
+	}
+}
+
+// TestNoRoom: a buffer sized for zero bytes has no buckets. It refuses
+// every Put (not as a full bucket), misses every Get, holds nothing and
+// gives a drainer nothing to claim, frozen or not.
+func TestNoRoom(t *testing.T) {
+	c := ConfigForBytes(0, 264, 6)
+	if c.Buckets != 0 {
+		t.Fatalf("ConfigForBytes(0) = %+v, want no buckets", c)
+	}
+	b := New(c)
+	if b.Capacity() != 0 || b.Partitions() != 64 {
+		t.Fatalf("capacity %d, %d partitions", b.Capacity(), b.Partitions())
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 100; i++ {
+			k := keys.EncodeUint64(uint64(i) << 56)
+			if ok, inPlace := b.Put(k, []byte("v"), i%2 == 0); ok || inPlace {
+				t.Fatalf("Put(%d) = %v, %v, want refused", i, ok, inPlace)
+			}
+			if _, _, ok := b.Get(k); ok {
+				t.Fatalf("Get(%d) hit", i)
+			}
+		}
+		if b.Len() != 0 || b.ApproxBytes() != 0 || b.FullFailures() != 0 {
+			t.Fatalf("Len %d, %d bytes, %d full failures", b.Len(), b.ApproxBytes(), b.FullFailures())
+		}
+		b.DrainAll(func(batch []Drained) { t.Fatalf("DrainAll claimed %d entries", len(batch)) })
+		for p := 0; p < b.Partitions(); p++ {
+			if got := b.DrainPartition(p, 0); len(got) != 0 {
+				t.Fatalf("partition %d: claimed %d entries", p, len(got))
+			}
+		}
+		if part, occ := b.Fullest(b.NextPartition()); occ != 0 || part < 0 || part >= b.Partitions() {
+			t.Fatalf("Fullest = %d, %v, want occupancy 0", part, occ)
+		}
+		b.Freeze() // a seal's life cycle leaves it as it was
+		b.Reset()
+	}
 }
 
 func TestDrainReleaseCycle(t *testing.T) {

@@ -67,8 +67,7 @@ type Front struct {
 }
 
 // Engine is what an engine plugs into its Front: how its memory component
-// takes writes and answers reads. Every field but Snapshot and Release is
-// required.
+// takes writes and answers reads. Every field but Release is required.
 type Engine struct {
 	// Write orders one update of kind against the others and puts it in
 	// the memory component, logging it when d is a logged class. It
@@ -81,10 +80,10 @@ type Engine struct {
 	// Get returns key's newest value. The value may alias store memory
 	// that is never written again: the Front copies it for the caller.
 	Get func(key []byte) ([]byte, bool, error)
-	// View pins the view a Scan or an iterator reads, holding one
-	// reference on it; Snapshot the view a Snapshot handle reads (nil:
-	// View).
-	View, Snapshot func() ReadView
+	// View pins the view a Scan, an iterator or a Snapshot reads, holding
+	// one reference on it. The view is one point in time: no write at or
+	// below its bound is still in flight.
+	View func() ReadView
 	// Release, when set, runs when a pinned view's last reference drops,
 	// after its Version is released: FloDB unregisters the view's bound
 	// from its skiplists' Retention, and LevelDB and HyperLevelDB run the
@@ -143,9 +142,6 @@ func (f *Front) Init(def kv.Durability) error {
 // and its policy, and registers the views over the first two.
 func (f *Front) Open(store *Store, wm *wal.Metrics, eng Engine) {
 	f.store, f.eng = store, eng
-	if eng.Snapshot == nil {
-		f.eng.Snapshot = eng.View
-	}
 	registerMetrics(f.reg, store, wm)
 }
 
@@ -398,7 +394,7 @@ func (f *Front) Snapshot(ctx context.Context) (kv.View, error) {
 	}
 	f.ops.Snapshots.Add(1)
 	start := Clock()
-	v := f.eng.Snapshot()
+	v := f.eng.View()
 	d := Clock() - start
 	f.lat[opSnapshot].Observe(d)
 	f.events.Emit(obs.Event{Type: obs.EventSnapshotPin, Dur: d, Detail: fmt.Sprintf("seq bound %d", v.Seq)})
