@@ -3,7 +3,6 @@ package baseline
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -60,14 +59,6 @@ type memHandle struct {
 	// the handle, and an insert landing after the flush had iterated the
 	// memtable was an acknowledged write lost.
 	inserting sync.WaitGroup
-}
-
-// log returns the handle's segment: nil for a nil handle.
-func (h *memHandle) log() *wal.Writer {
-	if h == nil {
-		return nil
-	}
-	return h.wal
 }
 
 // logRecord appends one write's record to the handle's segment when its
@@ -174,13 +165,12 @@ func (b *base) init(cfg Config, pol policy) error {
 	}
 	b.store = store
 	eng := storage.Engine{
-		Write:      pol.write,
-		Apply:      pol.apply,
-		Get:        b.get,
-		View:       func() storage.ReadView { return b.pinned(pol.pinView()) },
-		Logs:       b.logs,
-		Checkpoint: b.checkpoint,
-		Stop:       b.stop,
+		Write: pol.write,
+		Apply: pol.apply,
+		Get:   b.get,
+		View:  func() storage.ReadView { return b.pinned(pol.pinView()) },
+		Log:   b.log,
+		Stop:  b.stop,
 	}
 	if pol.endRead != nil {
 		eng.Release = func(uint64) { pol.endRead() }
@@ -194,7 +184,10 @@ func (b *base) init(cfg Config, pol policy) error {
 		store.Close()
 		return err
 	}
-	if b.mem, err = b.newMemHandle(); err != nil {
+	// The first segment is configured here; every later one is its
+	// predecessor's successor (storage.Store.NextLog).
+	b.mem = &memHandle{mem: newSkipMem()}
+	if b.mem.walNum, b.mem.wal, err = store.CreateLog(wal.Options{Metrics: &b.walMetrics}); err != nil {
 		store.Close()
 		return err
 	}
@@ -205,15 +198,6 @@ func (b *base) init(cfg Config, pol policy) error {
 	b.wg.Add(1)
 	go b.flushLoop()
 	return nil
-}
-
-func (b *base) newMemHandle() (*memHandle, error) {
-	h := &memHandle{mem: newSkipMem()}
-	var err error
-	if h.walNum, h.wal, err = b.store.CreateLog(wal.Options{Metrics: &b.walMetrics}); err != nil {
-		return nil, err
-	}
-	return h, nil
 }
 
 // --- Writes -------------------------------------------------------------------
@@ -274,11 +258,11 @@ func (b *base) applyLocked(ctx context.Context, batch *kv.Batch, d kv.Durability
 	return w, off, nil
 }
 
-// logs loads the live segments, sealed and active, under mu.
-func (b *base) logs() (sealed, active *wal.Writer) {
+// log loads the active segment under mu.
+func (b *base) log() *wal.Writer {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.imm.log(), b.mem.log()
+	return b.mem.wal
 }
 
 // waitRoomLocked blocks (on mu) while the memtable is full and the
@@ -293,7 +277,7 @@ func (b *base) waitRoomLocked(ctx context.Context, st *storage.Stall) error {
 		}
 	}
 	if b.mem.mem.ApproxBytes() >= b.cfg.MemBytes && b.imm == nil {
-		return b.switchMemLocked()
+		b.switchMemLocked()
 	}
 	return nil
 }
@@ -314,34 +298,23 @@ func (b *base) waitFlushLocked(ctx context.Context, st *storage.Stall) error {
 	return nil
 }
 
-// switchMemLocked seals the current memtable and installs a fresh one.
-// The sealed segment's staging buffer is flushed to the OS before the
-// successor takes its first append, so the cross-segment replay order
-// stays a clean prefix after a crash.
-func (b *base) switchMemLocked() error {
-	// Seal-flush first: if it fails, no successor handle (WAL file + fd)
-	// has been created yet, so a persistently failing disk doesn't leak
-	// one orphan segment per retry.
-	if err := b.mem.wal.Flush(); err != nil {
-		return err
-	}
-	h, err := b.newMemHandle()
-	if err != nil {
-		return err
-	}
+// switchMemLocked seals the current memtable and installs a fresh one,
+// whose segment is the sealed one's successor: it keeps the replay order
+// across the two (wal's segment order).
+func (b *base) switchMemLocked() {
+	h := &memHandle{mem: newSkipMem()}
+	h.walNum, h.wal = b.store.NextLog(b.mem.wal)
 	b.imm = b.mem
 	b.mem = h
 	select {
 	case b.flushCh <- struct{}{}:
 	default:
 	}
-	return nil
 }
 
 func (b *base) maybeScheduleFlushLocked() {
 	if b.mem.mem.ApproxBytes() >= b.cfg.MemBytes && b.imm == nil {
-		// Ignore the error here; the next write surfaces it.
-		_ = b.switchMemLocked()
+		b.switchMemLocked()
 	}
 }
 
@@ -447,46 +420,7 @@ func (b *base) muSection() {
 	b.mu.Unlock()
 }
 
-// --- Checkpoint and shutdown --------------------------------------------------
-
-// checkpoint syncs the WAL segments and clones the store into dir via
-// the storage checkpoint path (hard-linked tables + copied WAL tail +
-// fresh manifest), once the Front has admitted the call.
-//
-// WAL appends are buffered, so around a memtable switch the sealed
-// segment's file can lag its logical contents while the successor
-// segment takes newer records — copying in that window would leave a
-// hole in the middle of history. Both segments are therefore synced
-// first, and the copy is validated by the memtable handle being the same
-// before and after: if a switch raced the copy, the attempt is discarded
-// and retried. (The storage layer independently retries on WAL turnover
-// from completed flushes via its log-number check.)
-func (b *base) checkpoint(dir string) error {
-	const retries = 4
-	for attempt := 0; attempt < retries; attempt++ {
-		b.mu.Lock()
-		mem, imm := b.mem, b.imm
-		b.mu.Unlock()
-		// A handle flushed meanwhile closes its WAL; its contents are then
-		// in tables, which the log-number check accounts for.
-		if err := storage.SyncLogs(imm.log(), mem.log()); err != nil {
-			return err
-		}
-		if err := b.store.Checkpoint(dir); err != nil {
-			return err
-		}
-		b.mu.Lock()
-		stable := b.mem == mem
-		b.mu.Unlock()
-		if stable {
-			return nil
-		}
-		if err := os.RemoveAll(dir); err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("baseline: checkpoint %s: memtable turnover outpaced the copy %d times", dir, retries)
-}
+// --- Shutdown -----------------------------------------------------------------
 
 // Close stops the background work, flushes the sealed and the active
 // memtable and closes the logs (storage.Store.Shutdown).
@@ -500,10 +434,10 @@ func (b *base) Close() error {
 	err := b.BackgroundErr()
 	if err == nil && b.imm != nil {
 		if err = b.flushHandle(b.imm); err == nil {
-			b.imm = nil // else imm stays stranded; Shutdown syncs its tail
+			b.imm = nil // else imm stays stranded; Shutdown syncs its tail through mem's
 		}
 	}
-	return b.store.Shutdown(err, b.imm.log(), b.mem.mem.NewIterator(), b.mem.wal, b.mem.walNum, last)
+	return b.store.Shutdown(err, b.mem.mem.NewIterator(), b.mem.wal, b.mem.walNum, last)
 }
 
 // stop waits out the background goroutines once the Front has closed the

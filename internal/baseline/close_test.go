@@ -74,10 +74,10 @@ func TestLevelDBCloseWakesParkedLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
-	if db.imm, err = db.newMemHandle(); err != nil { // no flush is scheduled for it
-		db.mu.Unlock()
-		t.Fatal(err)
-	}
+	// switchMemLocked without the flush request: no flush is scheduled
+	// for the sealed handle.
+	db.imm, db.mem = db.mem, &memHandle{mem: newSkipMem()}
+	db.mem.walNum, db.mem.wal = db.store.NextLog(db.imm.wal)
 	for i := uint64(0); db.mem.mem.ApproxBytes() < db.cfg.MemBytes; i++ {
 		db.mem.mem.Insert(spread(i), i+1, keys.KindSet, make([]byte, 256))
 	}

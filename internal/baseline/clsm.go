@@ -121,9 +121,7 @@ func (db *CLSM) switchOrWait(ctx context.Context, st *storage.Stall) error {
 		}
 	}
 	db.lastSeq = db.seq.Load() // publish for the flush edit
-	if err := db.switchMemLocked(); err != nil {
-		return err
-	}
+	db.switchMemLocked()
 	db.view.Store(&clsmView{mem: db.mem, imm: db.imm})
 	return nil
 }

@@ -124,11 +124,11 @@ func (db *LevelDB) writeLeader() {
 			db.mu.Unlock()
 			db.NoteStall(&st)
 			// One barrier per segment the pass touched (normally one; a
-			// memtable switch mid-pass adds a second). CommitSync's fast
-			// path makes the later laps free.
+			// memtable switch mid-pass adds a second, which syncs the
+			// first as its predecessor). SyncTo's fast path makes the
+			// later laps free.
 			for _, p := range pending {
-				sealed, _ := db.logs()
-				p.req.done <- storage.CommitSync(sealed, p.w, p.off)
+				p.req.done <- storage.CommitSync(p.w, p.off)
 			}
 		}
 	}

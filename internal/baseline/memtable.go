@@ -9,7 +9,7 @@
 // storage.Front every engine shares, FloDB included: the closed and
 // context checks, the background error, durability, the op counters and
 // latencies, the Sync-class commit and the read handles. base (base.go)
-// is the engine behind it: memtables, flushes, checkpoints and shutdown.
+// is the engine behind it: memtables, flushes and shutdown.
 // Each variant's file holds only its policy, the row of README's
 // six-system table: how it orders a write and a batch, how a reader
 // captures (mem, imm, seq), whether a read ends with a critical section,

@@ -120,7 +120,7 @@ func (cl *Client) dialConn() (*conn, error) {
 	// the dial timeout — a mute peer is a failed dial, not a hung pool.
 	nc.SetDeadline(time.Now().Add(dialTimeout))
 	br := bufio.NewReaderSize(nc, 64<<10)
-	if _, err := nc.Write(wire.AppendHello(nil, wire.LocalHello(0))); err != nil {
+	if _, err := nc.Write(wire.AppendHello(nil, wire.LocalHello())); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: handshake %s: %v: %w", cl.addr, err, kv.ErrUnavailable)
 	}
@@ -135,7 +135,7 @@ func (cl *Client) dialConn() (*conn, error) {
 		return nil, fmt.Errorf("client: %s: %w", cl.addr, err)
 	}
 	nc.SetDeadline(time.Time{})
-	maxFrame := wire.Negotiate(wire.LocalHello(0), remote)
+	maxFrame := wire.Negotiate(wire.LocalHello(), remote)
 	c := &conn{
 		nc:       nc,
 		maxFrame: maxFrame,

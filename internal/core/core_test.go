@@ -327,13 +327,45 @@ func TestDisableMembufferMode(t *testing.T) {
 	}
 }
 
+// TestWaitDiskQuiesceEmptiesMembuffer: a quiesced store is a quiet one.
+// WaitDiskQuiesce leaves the Membuffer empty, so with no writes no
+// drainer can push the Memtable over its target and start a persist
+// afterwards (DropPersist's persists come quickest).
+func TestWaitDiskQuiesceEmptiesMembuffer(t *testing.T) {
+	value := bytes.Repeat([]byte("x"), 64)
+	for round := 0; round < 20; round++ {
+		db, err := Open(Config{Dir: t.TempDir(), DropPersist: true, MemoryBytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5000; i++ {
+			if err := db.Put(bg, spreadKey(uint64(i)), value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.WaitDiskQuiesce()
+		persists := db.stats.persists.Load()
+		if n := db.gen.Load().mbf.Len(); n != 0 {
+			t.Fatalf("round %d: WaitDiskQuiesce left %d Membuffer entries", round, n)
+		}
+		time.Sleep(100 * time.Millisecond)
+		if n, p := db.gen.Load().mbf.Len(), db.stats.persists.Load(); n != 0 || p != persists {
+			t.Fatalf("round %d: 100 ms after quiescing, %d Membuffer entries and %d persists with no write, want none",
+				round, n, p-persists)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDropPersistMode: Fig 17's memory-component mode discards each sealed
 // Memtable. Across several persists no table is written and no flush
 // counted, and every retired segment's file is gone: under the default
 // class Buffered the directory holds at most the live segment, under
 // None (the figures' class) no segment file at all. Close still flushes
-// the last Memtable. Before the last Put the test drains the Membuffer
-// (an iterator's view seal) and lets the persists settle, so that Put
+// the last Memtable. Before the last Put the test quiesces the store,
+// which drains the Membuffer and lets the persists settle, so that Put
 // lands in a Memtable under its target: no persist runs after it, and a
 // closing store starts none.
 func TestDropPersistMode(t *testing.T) {
@@ -371,13 +403,6 @@ func TestDropPersistMode(t *testing.T) {
 				}
 			}
 			waitPersists(t, db, 3)
-			it, err := db.NewIterator(bg, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := it.Close(); err != nil {
-				t.Fatal(err)
-			}
 			db.WaitDiskQuiesce()
 			wals, tables := files()
 			if len(tables) != 0 || db.Stats().Flushes != 0 {

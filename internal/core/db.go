@@ -40,7 +40,7 @@
 // durability, the op counters and latencies, the stall counters and the
 // event log. DB supplies the policy behind them as a storage.Engine:
 // update (the Membuffer fast path and admit), apply, get (Algorithm 2),
-// pinView, its log segments and checkpoint; and it keeps its own Close,
+// pinView and its active log segment; and it keeps its own Close,
 // which drains the Membuffer last.
 //
 // # The active pair
@@ -152,10 +152,10 @@ type DB struct {
 	// (Open's second Membuffer before the first seal), which the next seal
 	// recycles; guarded by drainMu.
 	spare *generation
-	// persistMu serializes whole persist cycles (persistOnce and
-	// Checkpoint's forced flush), so two flushes never interleave their
-	// seal→write→install steps. Snapshot does not take it: pinning is a
-	// seal + seq bound under drainMu alone.
+	// persistMu serializes whole persist cycles (persistOnce: the
+	// persisting thread's, and those tests force), so two flushes never
+	// interleave their seal→write→install steps. Snapshot does not take
+	// it: pinning is a seal + seq bound under drainMu alone.
 	persistMu sync.Mutex
 
 	// snapMu guards snapBounds, the refcounted set of active sequence
@@ -238,21 +238,27 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db.seq.Store(seq)
 	db.Front.Open(db.store, &db.walMetrics, storage.Engine{
-		Write:      db.update,
-		Apply:      db.apply,
-		Get:        db.get,
-		View:       db.pinView,
-		Release:    db.unregisterBound,
-		Logs:       db.logs,
-		Checkpoint: db.checkpoint,
-		Stop:       db.stop,
+		Write:   db.update,
+		Apply:   db.apply,
+		Get:     db.get,
+		View:    db.pinView,
+		Release: db.unregisterBound,
+		Log:     func() *wal.Writer { return db.gen.Load().mtb.wal },
+		Stop:    db.stop,
 	})
 
-	mt, err := db.newMemtable()
+	// The first segment is configured here; every later one is its
+	// predecessor's successor, configured alike (storage.Store.NextLog).
+	num, w, err := store.CreateLog(wal.Options{
+		Metrics:      &db.walMetrics,
+		WriteThrough: cfg.WALWriteThrough,
+		Events:       db.Events(),
+	})
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
+	mt := db.newMemtable(num, w)
 	db.gen.Store(&generation{mbf: membuffer.New(db.mbfCfg), mtb: mt})
 	db.spare = &generation{mbf: membuffer.New(db.mbfCfg), mtb: mt}
 	if err := store.SetLogNum(mt.walNum, seq); err != nil {
@@ -358,20 +364,13 @@ func (db *DB) hook(at hookPoint) error {
 	return nil
 }
 
-// newMemtable allocates a fresh memtable with its WAL segment.
-func (db *DB) newMemtable() (*memtable, error) {
+// newMemtable allocates a fresh memtable logging to segment w, number
+// num.
+func (db *DB) newMemtable(num uint64, w *wal.Writer) *memtable {
 	m := newMemtableList(db.memtableTarget)
 	m.list.SetRetention(&db.retention)
-	var err error
-	m.walNum, m.wal, err = db.store.CreateLog(wal.Options{
-		Metrics:      &db.walMetrics,
-		WriteThrough: db.cfg.WALWriteThrough,
-		Events:       db.Events(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.walNum, m.wal = num, w
+	return m
 }
 
 // Close drains and flushes the memory component, then shuts down.
@@ -384,12 +383,13 @@ func (db *DB) Close() error {
 	if err == nil {
 		// Final persist: drain the Membuffer into the Memtable, which
 		// Shutdown flushes. A persist failure may have stranded the sealed
-		// generation; Shutdown syncs its segment before closing it.
+		// generation; Shutdown syncs its segment, the active one's
+		// predecessor, before closing it.
 		g.mbf.Freeze()
 		db.domain.Synchronize()
 		db.drainBuffer(g.mbf, g.mtb, &db.seq)
 	}
-	return db.store.Shutdown(err, db.sealedLog(), g.mtb.NewIterator(), g.mtb.wal, g.mtb.walNum, db.seq.Load())
+	return db.store.Shutdown(err, g.mtb.NewIterator(), g.mtb.wal, g.mtb.walNum, db.seq.Load())
 }
 
 // stop ends the background work: the drainers and the persister.
@@ -398,28 +398,24 @@ func (db *DB) stop() {
 	db.wg.Wait()
 }
 
-// logs loads the live WAL segments for a barrier over them. The active
-// generation is loaded first: if a switch races the load, the pair loaded
-// becomes the sealed one and the barrier still covers the segment that
-// holds every earlier record. Segments retired meanwhile are durable
-// through their sstable flush.
-func (db *DB) logs() (sealed, active *wal.Writer) {
-	g := db.gen.Load()
-	return db.sealedLog(), g.mtb.wal
-}
-
-// sealedLog is the segment of the sealed Memtable a persist is flushing,
-// if any: a Sync-class commit and the Sync barrier make it durable before
-// the active one. persistCycle publishes immMtb before the new
-// generation, so a writer whose record landed in the successor segment is
-// guaranteed to see the sealed one here while it is still live.
-func (db *DB) sealedLog() *wal.Writer { return db.immMtb.Load().log() }
-
-// WaitDiskQuiesce blocks until pending persists and compactions settle —
-// the "wait until draining to disk and compactions have completed" step
-// of the paper's experiment setup (§5.2).
+// WaitDiskQuiesce blocks until the Membuffer is empty and pending
+// persists and compactions settle — the "wait until draining to disk and
+// compactions have completed" step of the paper's experiment setup
+// (§5.2). What the Membuffer holds is drained by a seal rather than left
+// to the drainers' trickle, which could push the Memtable over its target
+// after the wait and start a persist on a store with no writes.
 func (db *DB) WaitDiskQuiesce() {
-	for db.needsPersist() || db.immMtb.Load() != nil {
+	for {
+		if db.gen.Load().mbf.Len() != 0 {
+			db.drainMu.Lock()
+			db.sealMembuffer(nil, nil)
+			db.drainMu.Unlock()
+		}
+		// Len first: a drainer releases its claim only after the insert
+		// that may put the Memtable over target.
+		if db.gen.Load().mbf.Len() == 0 && !db.needsPersist() && db.immMtb.Load() == nil {
+			break
+		}
 		db.signalPersist()
 		time.Sleep(time.Millisecond)
 	}

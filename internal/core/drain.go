@@ -237,7 +237,7 @@ func (db *DB) drainBuffer(src *membuffer.Buffer, dst *memtable, seq *atomic.Uint
 // drainers race copies of one key into the Memtable — is kept by the
 // Membuffer: DrainPartition takes the partition's drain token and Release
 // drops it.
-func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *generation, err error) {
+func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *generation) {
 	old = db.gen.Load()
 	mtb := old.mtb
 	if next != nil {
@@ -249,13 +249,13 @@ func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *gener
 	db.spare = nil
 
 	db.pauseWriters.Store(true)
-	// The immutable components are published BEFORE the new pair: any
-	// writer that reaches the new generation's WAL segment observes the
-	// sealed generation through immMtb, which is what lets a Sync-class
-	// commit in the new segment extend its barrier over the sealed
-	// segment's tail (storage.CommitSync's prefix rule). Readers tolerate the
-	// transient double-publication (the same table reachable as both
-	// active and immutable) because the Get order just checks it twice.
+	// The immutable components are published BEFORE the new pair, so a
+	// reader that finds the new pair finds the retired one too. Readers
+	// tolerate the transient double-publication (the same table reachable
+	// as both active and immutable) because the Get order just checks it
+	// twice. The two WAL segments need nothing from the seal: the new
+	// Memtable's is the sealed one's successor, which writes its records
+	// out and syncs them ahead of its own (wal's segment order).
 	// Until the seal point is drawn every Memtable entry predates the
 	// switch, so the draining Membuffer beats all of them.
 	db.immSeal.Store(math.MaxUint64)
@@ -279,14 +279,6 @@ func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *gener
 	}
 	db.pauseWriters.Store(false)
 
-	if next != nil {
-		// Seal-time flush: push the sealed segment's staged records to the
-		// OS before the successor accumulates enough to write its own. A
-		// crash then never recovers later records while earlier ones are
-		// still trapped in a lost staging buffer — the replay prefix has
-		// no cross-segment holes.
-		err = old.mtb.wal.Flush()
-	}
 	if old.mbf.Len() != 0 {
 		db.hook(hookSealDraining)
 		db.drainBuffer(old.mbf, old.mtb, &block)
@@ -295,5 +287,5 @@ func (db *DB) sealMembuffer(next *memtable, bound func(seal uint64)) (old *gener
 	// Spares stay paired with the ACTIVE Memtable: a spare must not be
 	// what keeps a flushed Memtable reachable.
 	db.spare = old.over(mtb)
-	return old, err
+	return old
 }

@@ -86,14 +86,6 @@ func (m *memtable) get(key []byte, h uint64) (*skiplist.Entry, bool) {
 	return m.list.Get(key)
 }
 
-// log returns the generation's WAL segment: nil for a nil memtable.
-func (m *memtable) log() *wal.Writer {
-	if m == nil {
-		return nil
-	}
-	return m.wal
-}
-
 // Insert is insert for WAL replay (storage.ReplayMem): it builds the
 // entry from the replayed op, cloning the value the replay buffer holds.
 func (m *memtable) Insert(key []byte, seq uint64, kind keys.Kind, value []byte) {

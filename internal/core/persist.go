@@ -45,7 +45,7 @@ func (db *DB) needsPersist() bool {
 }
 
 // persistOnce runs one seal→drain→flush cycle under persistMu, which
-// serializes the persisting thread with Snapshot's forced cycles.
+// serializes the persisting thread with the cycles tests force.
 func (db *DB) persistOnce() error {
 	db.persistMu.Lock()
 	defer db.persistMu.Unlock()
@@ -68,22 +68,16 @@ func (db *DB) persistOnce() error {
 // number advances and the old WAL segment is deleted. Under DropPersist
 // the sealed Memtable is discarded instead, and its segment with it.
 func (db *DB) persistCycle() error {
-	next, err := db.newMemtable()
-	if err != nil {
-		return err
-	}
+	next := db.newMemtable(db.store.NextLog(db.gen.Load().mtb.wal))
 	db.drainMu.Lock()
 	sealStart := time.Now()
-	old, sealErr := db.sealMembuffer(next, nil)
+	old := db.sealMembuffer(next, nil)
 	sealBytes := old.mtb.approxBytes()
 	db.Events().Emit(obs.Event{
 		Type: obs.EventSeal, Dur: time.Since(sealStart),
 		Bytes: sealBytes, Detail: "generation switch + drain",
 	})
 	db.drainMu.Unlock()
-	if sealErr != nil {
-		return sealErr
-	}
 
 	db.stats.persists.Add(1)
 
@@ -93,10 +87,11 @@ func (db *DB) persistCycle() error {
 
 	// The flush retires the old generation's segment: its records are
 	// durable through the new table. A Sync-class commit or a Sync barrier
-	// that still loads immMtb finds the segment closed, which counts as
-	// durable. DropPersist retires it with the records unflushed: the
-	// mode measures the memory component, and keeps nothing a persist
-	// would have written.
+	// that reaches it, as its successor's predecessor or as the segment
+	// of a record, finds it closed, which counts as durable. DropPersist
+	// retires it with the records unflushed: the mode measures the memory
+	// component, and keeps nothing a persist would have written.
+	var err error
 	if db.cfg.DropPersist {
 		err = db.store.DropLog(old.mtb.wal, old.mtb.walNum)
 	} else {

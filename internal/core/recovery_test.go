@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"flodb/internal/keys"
 	"flodb/internal/kv"
@@ -377,5 +379,147 @@ func TestOpenBadDir(t *testing.T) {
 	os.WriteFile(path, []byte("x"), 0o644)
 	if _, err := Open(Config{Dir: path}); err == nil {
 		t.Fatal("Open on a file path should fail")
+	}
+}
+
+// sealWithLaterWrites writes earlier acked Puts, then starts a persist
+// whose seal a drainer parked inside its read section holds in its grace
+// period, and while it waits writes later fast-path Puts into the
+// successor's segment: more than a staging buffer of them, so that
+// segment writes some out while the sealed one still stages every
+// earlier record. finish lets the persist complete.
+func sealWithLaterWrites(t *testing.T, db *DB) (earlier, later [][]byte, finish func()) {
+	t.Helper()
+	claimed, release := make(chan struct{}), make(chan struct{})
+	hook := parkOnce(hookDrainerClaimed, claimed, release)
+	db.testHook.Store(&hook)
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unpark) // before the store's Close, on every path
+	for i := 0; i < 50; i++ {
+		k := spreadKey(uint64(i))
+		if err := db.Put(bg, k, []byte(fmt.Sprintf("earlier-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		earlier = append(earlier, k)
+	}
+	select {
+	case <-claimed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the background drainer never claimed a batch")
+	}
+	sealed := db.gen.Load().mtb
+	persisted := make(chan error, 1)
+	go func() { persisted <- db.persistOnce() }()
+	waitFor(t, "the persist seal to install its successor", func() bool {
+		return db.gen.Load().mtb != sealed
+	})
+	finish = func() {
+		unpark()
+		if err := <-persisted; err != nil {
+			t.Error(err)
+		}
+		db.testHook.Store(nil)
+	}
+	// A fast-path Put finishes during the grace period; one the bucket
+	// refused would wait for the seal, and for the parked drainer.
+	hits := db.stats.membufferHits.Load()
+	value := make([]byte, 4<<10)
+	for i := 0; i < 20; i++ {
+		k := spreadKey(uint64(1000 + i))
+		if err := db.Put(bg, k, value); err != nil {
+			t.Fatal(err)
+		}
+		later = append(later, k)
+	}
+	if got := db.stats.membufferHits.Load() - hits; got != 20 {
+		t.Fatalf("%d of 20 later Puts took the fast path", got)
+	}
+	if !db.pauseWriters.Load() {
+		t.Fatal("the seal left its grace period while the drainer was parked")
+	}
+	return earlier, later, finish
+}
+
+// present reopens dir and counts the keys of ks it holds.
+func present(t *testing.T, dir string, ks [][]byte) int {
+	t.Helper()
+	db, err := Open(Config{Dir: dir, MemoryBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	n := 0
+	for _, k := range ks {
+		if _, ok, err := db.Get(bg, k); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestKillDuringSealKeepsAckedPrefix: the files a kill -9 leaves while a
+// persist seal waits out its grace period, with the successor segment
+// already writing to its file, recover a prefix of the acked writes: a
+// later write present means every earlier one is. The sealed segment
+// still stages every earlier write when the successor first writes out:
+// unless the successor writes it out first, the copy holds later writes
+// and no earlier one.
+func TestKillDuringSealKeepsAckedPrefix(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.DrainThreads = 1
+	cfg.MemoryBytes = 8 << 20 // the later writes fit the Membuffer
+	db := openTestDB(t, cfg)
+	earlier, later, finish := sealWithLaterWrites(t, db)
+	killed := t.TempDir()
+	ents, err := os.ReadDir(cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(cfg.Dir, ent.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(killed, ent.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	finish()
+	e, l := present(t, killed, earlier), present(t, killed, later)
+	if l == 0 {
+		t.Fatal("no later write reached a file: the window was not open")
+	}
+	if e != len(earlier) {
+		t.Fatalf("recovered %d/%d later writes but only %d/%d earlier acked ones: a middle slice was lost",
+			l, len(later), e, len(earlier))
+	}
+}
+
+// TestCheckpointDuringSealSkipsPersist: a checkpoint taken while a
+// persist seal is parked returns without waiting for the persist, and
+// its copy holds every write acked before the call.
+func TestCheckpointDuringSealSkipsPersist(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.DrainThreads = 1
+	cfg.MemoryBytes = 8 << 20
+	db := openTestDB(t, cfg)
+	earlier, later, finish := sealWithLaterWrites(t, db)
+	cp := filepath.Join(t.TempDir(), "cp")
+	done := make(chan error, 1)
+	go func() { done <- db.Checkpoint(bg, cp) }()
+	select {
+	case err := <-done:
+		finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the checkpoint waited for the parked persist")
+	}
+	if e, l := present(t, cp, earlier), present(t, cp, later); e != len(earlier) || l != len(later) {
+		t.Fatalf("checkpoint holds %d/%d earlier and %d/%d later acked writes, want all", e, len(earlier), l, len(later))
 	}
 }

@@ -46,7 +46,7 @@ func (db *DB) pinView() storage.ReadView {
 	// before writers resume, so the first post-B overwrite of any key
 	// already chains the displaced pre-B version.
 	var v storage.ReadView
-	old, _ := db.sealMembuffer(nil, func(seal uint64) {
+	old := db.sealMembuffer(nil, func(seal uint64) {
 		v.Seq = seal
 		db.registerBound(seal)
 	})

@@ -63,10 +63,6 @@ import (
 type Config struct {
 	// Store is the engine every connection shares. Required.
 	Store kv.Store
-	// MaxFrame is the frame cap this server offers in the handshake; the
-	// connection runs under min(server offer, client offer). Default
-	// wire.MaxFrame.
-	MaxFrame uint64
 	// MaxConns caps concurrent connections; further accepts are closed
 	// immediately (and counted in Info().ConnsRejected). Default 1024.
 	MaxConns int
@@ -141,9 +137,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxChunkPairs <= 0 {
 		cfg.MaxChunkPairs = 4096
-	}
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = wire.MaxFrame
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -632,7 +625,7 @@ func (c *serverConn) handshake(br *bufio.Reader) error {
 	// Hello frames are tiny; a huge length here is a stray non-protocol
 	// peer, not a frame to buffer.
 	body, err := wire.ReadFrameLimit(br, nil, 1024)
-	reply := wire.AppendHello(nil, wire.LocalHello(c.srv.cfg.MaxFrame))
+	reply := wire.AppendHello(nil, wire.LocalHello())
 	if err != nil {
 		return err
 	}
@@ -647,7 +640,7 @@ func (c *serverConn) handshake(br *bufio.Reader) error {
 		return werr
 	}
 	c.nc.SetReadDeadline(time.Time{})
-	c.maxFrame = wire.Negotiate(wire.LocalHello(c.srv.cfg.MaxFrame), remote)
+	c.maxFrame = wire.Negotiate(wire.LocalHello(), remote)
 	return nil
 }
 

@@ -557,7 +557,7 @@ func rawDial(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	}
 	t.Cleanup(func() { nc.Close() })
 	nc.SetDeadline(time.Now().Add(30 * time.Second))
-	if _, err := nc.Write(wire.AppendHello(nil, wire.LocalHello(0))); err != nil {
+	if _, err := nc.Write(wire.AppendHello(nil, wire.LocalHello())); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(nc)

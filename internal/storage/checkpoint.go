@@ -144,10 +144,10 @@ func writeCheckpoint(srcDir, dst string, v *Version, logNum, lastSeq, nextFileNu
 // copies as nothing, like an empty one. Copying ascending would take
 // an incomplete prefix of N and THEN a copy of N+1 that may include
 // records appended after the switch — a hole in the middle of history.
-// Descending order restores the prefix property by construction: a record
-// captured from segment N+1 proves the switch to N+1 happened before
-// that copy, so every record of segment N was already durable in the
-// file when N is copied afterwards.
+// Descending order is the copy's half of wal's segment order: N+1, as
+// N's successor, writes out every record N staged before any of its own
+// reaches its file, so a record captured from N+1 proves that N's earlier
+// records were in N's file when N is copied afterwards.
 func copyWALTail(srcDir, dst string, logNum uint64) error {
 	segs, err := liveLogs(srcDir, logNum)
 	if err != nil {

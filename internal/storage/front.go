@@ -89,13 +89,10 @@ type Engine struct {
 	// from its skiplists' Retention, and LevelDB and HyperLevelDB run the
 	// critical section their reads end with.
 	Release func(seq uint64)
-	// Logs returns the live log segments, the sealed one a flush is
-	// writing (if any) and the active one, loaded in the order that
-	// keeps a barrier over the pair a prefix of the log.
-	Logs func() (sealed, active *wal.Writer)
-	// Checkpoint copies the store into dir, once the Front has admitted
-	// the call.
-	Checkpoint func(dir string) error
+	// Log returns the active log segment. A sealed segment a flush is
+	// still writing is its predecessor, which every barrier over the
+	// active one covers first (wal's segment order).
+	Log func() *wal.Writer
 	// Stop stops the engine's background work; the Front has closed the
 	// store to new operations first (Shut).
 	Stop func()
@@ -199,7 +196,7 @@ func (f *Front) Shut() bool {
 // acked-but-lost window deliberately; production code must use Close.
 func (f *Front) CrashForTesting() {
 	if f.Shut() {
-		f.store.Crash(f.eng.Logs())
+		f.store.Crash(f.eng.Log())
 	}
 }
 
@@ -287,14 +284,7 @@ func (f *Front) commit(d kv.Durability, w *wal.Writer, off int64, err error) err
 	if err != nil || d != kv.DurabilitySync {
 		return err
 	}
-	return f.commitSync(w, off)
-}
-
-// commitSync is commit's wait, apart so that commit inlines into every
-// write that needs none.
-func (f *Front) commitSync(w *wal.Writer, off int64) error {
-	sealed, _ := f.eng.Logs()
-	return CommitSync(sealed, w, off)
+	return CommitSync(w, off)
 }
 
 // Sync is the durability barrier of the kv.Store contract: it blocks until
@@ -313,15 +303,20 @@ func (f *Front) Sync(ctx context.Context) error {
 	if err := f.BackgroundErr(); err != nil {
 		return err
 	}
-	return SyncLogs(f.eng.Logs())
+	return SyncLog(f.eng.Log())
 }
 
 // Checkpoint writes an openable copy of the store into dir (which must
 // not exist or be empty) while the store stays online: immutable sstables
 // are hard-linked from a pinned version, the manifest is rewritten, and
-// the synced WAL tail is copied, so the copy reopens holding a
-// prefix-consistent state. How the copy is kept clean of a concurrent
-// memtable switch is the engine's.
+// the WAL tail is copied, so the copy reopens holding a prefix-consistent
+// state as of some point during the call. The live segments are synced
+// first, which pulls that point as close to the call as the write stream
+// allows. A memtable switch racing the copy leaves no hole: the copy
+// reads the segments newest first, and a successor writes its sealed
+// predecessor's records out before any of its own (wal's segment order).
+// A None-class write has no record, so the copy holds it only once a
+// flush has put it in a table.
 func (f *Front) Checkpoint(ctx context.Context, dir string) error {
 	if err := f.Check(ctx); err != nil {
 		return err
@@ -330,7 +325,10 @@ func (f *Front) Checkpoint(ctx context.Context, dir string) error {
 		return err
 	}
 	f.ops.Checkpoints.Add(1)
-	return f.eng.Checkpoint(dir)
+	if err := SyncLog(f.eng.Log()); err != nil {
+		return err
+	}
+	return f.store.Checkpoint(dir)
 }
 
 // --- Reads --------------------------------------------------------------------

@@ -15,7 +15,8 @@ import (
 )
 
 // fakeEngine is the least an engine can plug into a Front: a map for a
-// memory component, no log, and a disk component with nothing in it.
+// memory component, a log segment no write reaches, and a disk component
+// with nothing in it.
 type fakeEngine struct {
 	mu    sync.Mutex
 	data  map[string][]byte
@@ -59,14 +60,17 @@ func openFront(t *testing.T) (*Front, *fakeEngine) {
 	if err := f.Init(kv.DurabilityNone); err != nil {
 		t.Fatal(err)
 	}
+	_, log, err := s.CreateLog(wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.Open(s, new(wal.Metrics), Engine{
-		Write:      e.write,
-		Apply:      e.apply,
-		Get:        e.get,
-		View:       func() ReadView { return ReadView{Seq: s.LastSeq(), Ver: s.PinVersion()} },
-		Logs:       func() (sealed, active *wal.Writer) { return nil, nil },
-		Checkpoint: s.Checkpoint,
-		Stop:       func() { e.stops++ },
+		Write: e.write,
+		Apply: e.apply,
+		Get:   e.get,
+		View:  func() ReadView { return ReadView{Seq: s.LastSeq(), Ver: s.PinVersion()} },
+		Log:   func() *wal.Writer { return log },
+		Stop:  func() { e.stops++ },
 	})
 	return f, e
 }

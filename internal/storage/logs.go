@@ -15,19 +15,30 @@ import (
 // WAL segment of its own, and a write is acknowledged once its record is
 // staged there, before any disk barrier covers it. The functions below
 // are the one place that decides when those records become durable and
-// when a segment may go: replay at open, the prefix-ordered sync of the
-// sealed segment before the active one, retirement once a flush has put
-// the memtable in sstables, the tail sync at close, and the crash that
-// skips all of it. The engines pass their memtables and segments in;
-// nothing here depends on which engine calls it.
+// when a segment may go: replay at open, the commit sync of a Sync-class
+// write, retirement once a flush has put the memtable in sstables, the
+// tail sync at close, and the crash that skips all of it. The order
+// between a sealed segment and its successor is not decided here: a
+// segment NextLog makes keeps it itself (wal's segment order), so each
+// function takes only the active segment and reaches a live sealed one
+// through it. The engines pass their memtables and segments in; nothing
+// here depends on which engine calls it.
 
-// CreateLog allocates a file number for the log segment a new memtable
-// writes to. The segment's file is created by its first write-out
-// (wal.Create), so a generation that logs nothing leaves no file.
+// CreateLog allocates a file number for the first log segment an engine
+// opens, configured by opts. The segment's file is created by its first
+// write-out (wal.Create), so a generation that logs nothing leaves no
+// file.
 func (s *Store) CreateLog(opts wal.Options) (uint64, *wal.Writer, error) {
 	num := s.NewFileNum()
 	w, err := wal.Create(WALFileName(s.dir, num), opts)
 	return num, w, err
+}
+
+// NextLog allocates the log segment of the memtable that succeeds prev's:
+// prev's successor (wal.Writer.Successor), configured as prev is.
+func (s *Store) NextLog(prev *wal.Writer) (uint64, *wal.Writer) {
+	num := s.NewFileNum()
+	return num, prev.Successor(WALFileName(s.dir, num))
 }
 
 // A ReplayMem is the memtable one replayed segment fills. Insert takes
@@ -93,36 +104,26 @@ func liveLogs(dir string, logNum uint64) ([]uint64, error) {
 	return segs, nil
 }
 
-// SyncLogs is the barrier over an engine's live segments, passed oldest
-// first (the sealed one, then the active one): it returns once every
-// record appended to them before the call is durable. Nil segments are
-// skipped. A segment closed underneath the caller was retired by a
-// completed flush, so its records are durable through sstables.
-func SyncLogs(segs ...*wal.Writer) error {
-	for _, w := range segs {
-		if w == nil {
-			continue
-		}
-		if err := w.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) {
-			return err
-		}
+// SyncLog is the barrier over an engine's live segments, given the
+// active one: it returns once every record appended to it, or to the
+// sealed segment before it, before the call is durable. A segment closed
+// underneath the caller was retired by a completed flush, so its records
+// are durable through sstables.
+func SyncLog(w *wal.Writer) error {
+	if err := w.Sync(); err != nil && !errors.Is(err, wal.ErrClosed) {
+		return err
 	}
 	return nil
 }
 
 // CommitSync is the commit point of a Sync-class write whose record sits
 // at off in segment w (nil when the write was not logged): it returns
-// once a disk barrier covers the record. Durability is prefix-ordered:
-// the sealed segment, while it is live, is synced first, so a Sync-acked
-// write never survives a crash that loses an earlier acked write.
-func CommitSync(sealed, w *wal.Writer, off int64) error {
+// once a disk barrier covers the record and every earlier one, the
+// sealed segment's included (wal's segment order), so a Sync-acked write
+// never survives a crash that loses an earlier acked write.
+func CommitSync(w *wal.Writer, off int64) error {
 	if w == nil {
 		return nil
-	}
-	if sealed != w {
-		if err := SyncLogs(sealed); err != nil {
-			return err
-		}
 	}
 	if err := w.SyncTo(off); err != nil && !errors.Is(err, wal.ErrClosed) {
 		return err
@@ -164,13 +165,14 @@ func (s *Store) DropLog(w *wal.Writer, num uint64) error {
 // closes its logs and the store, once the engine's background work has
 // stopped. Unless err, the engine's sticky flush failure, is set, the
 // active memtable (it, holding records up to lastSeq) is flushed when it
-// holds anything and its segment (active, number num) retired. Every
-// segment still live is then closed, the sealed one first. wal.Writer.Close
-// does not fsync, so a segment that holds the only copy of acked records —
-// a sealed one a failed flush stranded, or the active one whose flush was
-// skipped or failed — is synced before it closes: a clean shutdown never
-// widens the acked-but-lost window. It returns the first error.
-func (s *Store) Shutdown(err error, sealed *wal.Writer, it InternalIterator, active *wal.Writer, num, lastSeq uint64) error {
+// holds anything and its segment (active, number num) retired. The
+// active segment is then closed, and with it a sealed one a failed flush
+// stranded. wal.Writer.Close does not fsync, so when the active segment
+// holds the only copy of acked records — its flush was skipped or failed
+// — it is synced before it closes, the stranded one first: a clean
+// shutdown never widens the acked-but-lost window. It returns the first
+// error.
+func (s *Store) Shutdown(err error, it InternalIterator, active *wal.Writer, num, lastSeq uint64) error {
 	flushed := false
 	if err == nil {
 		if it.SeekToFirst(); it.Valid() {
@@ -183,12 +185,8 @@ func (s *Store) Shutdown(err error, sealed *wal.Writer, it InternalIterator, act
 			err = e
 		}
 	}
-	keep(SyncLogs(sealed))
-	if sealed != nil {
-		keep(sealed.Close())
-	}
 	if !flushed {
-		keep(SyncLogs(active))
+		keep(SyncLog(active))
 	}
 	keep(active.Close())
 	keep(s.Close())
@@ -197,12 +195,9 @@ func (s *Store) Shutdown(err error, sealed *wal.Writer, it InternalIterator, act
 
 // Crash abandons an engine's live segments the way a crash would — each
 // loses its unflushed staging tail — and closes the store without a
-// flush or a sync, leaving the directory as recovery would find it.
-func (s *Store) Crash(sealed, active *wal.Writer) {
-	for _, w := range []*wal.Writer{sealed, active} {
-		if w != nil {
-			w.Abandon()
-		}
-	}
+// flush or a sync, leaving the directory as recovery would find it. The
+// active segment takes a live sealed one with it.
+func (s *Store) Crash(active *wal.Writer) {
+	active.Abandon()
 	s.Close()
 }

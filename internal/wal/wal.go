@@ -30,6 +30,32 @@
 // which is what keeps a memory-speed ingest path (the paper's whole point)
 // alive when durability is turned on: N concurrent sync committers cost
 // O(1), not O(N), fsyncs.
+//
+// # Segment order
+//
+// A store logs each memtable generation to a segment of its own and
+// switches generations without stopping its writers, so for a while two
+// segments take records: writers that loaded the old generation finish
+// their appends to it while new ones append to its successor. Replay
+// reads the segments oldest first, and a crash must leave a prefix of
+// the acknowledged records across them, never a middle slice. That
+// order is kept here, by the link from a segment made by Successor to
+// its predecessor:
+//
+//   - before any byte of the successor reaches its file, the successor
+//     writes out the predecessor's staged records;
+//   - before the successor fsyncs, in SyncTo and Sync, it syncs the
+//     predecessor;
+//   - the successor's Close and Abandon close or abandon the
+//     predecessor first.
+//
+// A closed predecessor is skipped and its link dropped: whoever closed
+// it has made its records durable some other way (a table) or discarded
+// them on purpose, and a closed segment drops its own link, so the chain
+// holds at most the live sealed and active pair. A copy that reads the
+// files newest first (a checkpoint) thus captures a prefix: every record
+// it finds in a successor's file had its predecessor's earlier records
+// written out ahead of it.
 package wal
 
 import (
@@ -158,6 +184,10 @@ type Writer struct {
 	// events receives group-commit stall events (may be nil).
 	events *obs.EventLog
 
+	// prev is the segment this one succeeds while that one is live (see
+	// the package comment's segment order); nil once it is closed.
+	prev atomic.Pointer[Writer]
+
 	// fsyncGate, when non-nil, runs inside the leader's commit (after the
 	// flush, before the fsync). Tests use it to hold a leader in the
 	// barrier and observe followers coalescing behind it. writeGate, when
@@ -213,6 +243,19 @@ func Create(path string, opts Options) (*Writer, error) {
 	}
 	w.written.L = &w.mu
 	return w, nil
+}
+
+// Successor returns a writer for the segment at path that follows w in
+// replay order, configured as w is. While w is live, the successor keeps
+// the segment order of the package comment over the pair.
+func (w *Writer) Successor(path string) *Writer {
+	// Create cannot fail: the file waits for the first write-out.
+	s, _ := Create(path, Options{BufferSize: w.bufSize, Metrics: w.metrics, WriteThrough: w.writeThrough, Events: w.events})
+	if p := w.prev.Load(); p != nil && p.isClosed() {
+		w.prev.CompareAndSwap(p, nil)
+	}
+	s.prev.Store(w)
+	return s
 }
 
 // Append stages one record and returns the log offset it ends at — the
@@ -318,13 +361,14 @@ func (w *Writer) swap() []byte {
 }
 
 // writeOut writes p, a buffer swap took out, to the file; p ends at log
-// offset end. It runs outside w.mu, then returns p as the spare buffer.
+// offset end. The predecessor's staged records go first. It runs outside
+// w.mu, then returns p as the spare buffer.
 func (w *Writer) writeOut(p []byte, end int64) error {
+	err := w.viaPrev((*Writer).flush)
 	if w.writeGate != nil {
 		w.writeGate()
 	}
-	var err error
-	if w.f == nil {
+	if err == nil && w.f == nil {
 		w.f, err = os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	}
 	if err == nil {
@@ -367,6 +411,44 @@ func (w *Writer) flushTo(off int64) error {
 	return err
 }
 
+// flush writes out every record appended before the call, the
+// predecessor's first. On a closed writer it only waits out the
+// close-time write, and returns ErrClosed.
+func (w *Writer) flush() error {
+	w.mu.Lock()
+	end, closed := w.end, w.closed
+	w.mu.Unlock()
+	err := w.viaPrev((*Writer).flush)
+	if err == nil {
+		err = w.flushTo(end)
+	}
+	if closed {
+		return ErrClosed
+	}
+	return err
+}
+
+// viaPrev runs op, flush or sync, on the predecessor. A closed one is
+// skipped, since its owner settled its records, and unlinked.
+func (w *Writer) viaPrev(op func(*Writer) error) error {
+	p := w.prev.Load()
+	if p == nil {
+		return nil
+	}
+	err := op(p)
+	if errors.Is(err, ErrClosed) {
+		w.prev.CompareAndSwap(p, nil)
+		return nil
+	}
+	return err
+}
+
+func (w *Writer) isClosed() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.closed
+}
+
 // crcFraming is crc32.Update(crc, castagnoli, p) a byte at a time, for the
 // few bytes of a header or framing: crc32.Update passes p to a function
 // value, which moves a stack buffer to the heap.
@@ -378,15 +460,21 @@ func crcFraming(crc uint32, p []byte) uint32 {
 	return ^crc
 }
 
-// SyncTo blocks until every record at offset <= off is durable, issuing at
-// most one fsync and coalescing with concurrent committers (see the
+// SyncTo blocks until every record at offset <= off is durable, and so is
+// every record the predecessor took before it, issuing at most one fsync
+// of this segment and coalescing with concurrent committers (see the
 // package comment). It is the commit point of a Sync-durability write.
 func (w *Writer) SyncTo(off int64) error {
 	if w.metrics != nil {
 		w.metrics.syncRequests.Add(1)
 	}
+	return w.syncTo(off)
+}
+
+func (w *Writer) syncTo(off int64) error {
 	// Fast path: a previous leader's barrier already covers us. (synced
-	// only advances over fsync-verified bytes, so no error check needed.)
+	// only advances over fsync-verified bytes, each barrier syncing the
+	// predecessor first, so no error check is needed.)
 	if w.synced.Load() >= off {
 		return nil
 	}
@@ -422,6 +510,10 @@ func (w *Writer) SyncTo(off int64) error {
 		w.storeSyncErr(err)
 		return err
 	}
+	if err := w.viaPrev((*Writer).sync); err != nil {
+		w.storeSyncErr(err)
+		return err
+	}
 
 	if w.fsyncGate != nil {
 		w.fsyncGate()
@@ -453,29 +545,17 @@ func (w *Writer) noteStall(queuedAt time.Time, role string) {
 	}
 }
 
-// Flush pushes everything appended before the call to the OS (no disk
-// barrier): those records survive a process crash past this point, though
-// a machine crash can still lose them. Segment rotation seals call it so
-// that the cross-segment replay order stays a clean prefix — a sealed
-// segment never holds unflushed records behind a successor segment that
-// is already accumulating flushed ones.
-func (w *Writer) Flush() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
+// Sync is the durability barrier over the whole segment and its live
+// predecessor: it blocks until everything appended to them before the
+// call is durable.
+func (w *Writer) Sync() error {
+	if w.metrics != nil {
+		w.metrics.syncRequests.Add(1)
 	}
-	off := w.end
-	w.mu.Unlock()
-	if err := w.flushTo(off); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
-	}
-	return nil
+	return w.sync()
 }
 
-// Sync is the durability barrier over the whole segment: it blocks until
-// everything appended before the call is durable.
-func (w *Writer) Sync() error {
+func (w *Writer) sync() error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -483,7 +563,12 @@ func (w *Writer) Sync() error {
 	}
 	off := w.end
 	w.mu.Unlock()
-	return w.SyncTo(off)
+	// A record a predecessor took after this segment's last barrier is
+	// not covered by it.
+	if err := w.viaPrev((*Writer).sync); err != nil {
+		return err
+	}
+	return w.syncTo(off)
 }
 
 func (w *Writer) loadSyncErr() error {
@@ -522,8 +607,8 @@ func (w *Writer) MarkContentsDurable() {
 	}
 }
 
-// Close flushes and closes the file. It does not fsync; call Sync first if
-// durability is required.
+// Close closes a live predecessor, then flushes and closes the file. It
+// does not fsync; call Sync first if durability is required.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -533,18 +618,28 @@ func (w *Writer) Close() error {
 	w.closed = true
 	off := w.end
 	w.mu.Unlock()
+	var perr error
+	if p := w.prev.Swap(nil); p != nil {
+		perr = p.Close()
+	}
 	err := w.flushTo(off)
 	w.waitIdle()
 	cerr := w.closeFile()
 	if err != nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
+	if perr != nil {
+		return perr
+	}
 	return cerr
 }
 
-// closeFile closes the file, if a write-out created one. The writer is
-// closed and idle.
+// closeFile closes the file, if a write-out created one, once a sync
+// leader's fsync in flight has landed: a barrier racing the close either
+// syncs first or finds the writer closed. The writer is closed and idle.
 func (w *Writer) closeFile() error {
+	w.commitMu.Lock()
+	defer w.commitMu.Unlock()
 	if w.f == nil {
 		return nil
 	}
@@ -553,10 +648,10 @@ func (w *Writer) closeFile() error {
 
 // Abandon closes the file WITHOUT flushing the active buffer, discarding
 // every record appended since the last write to the file — the write-loss
-// shape of a machine crash (records acked-buffered but never flushed). A
-// write already in flight lands first. Crash-recovery tests use it to open
-// the acked-but-lost window deliberately; production code has no reason to
-// call it.
+// shape of a machine crash (records acked-buffered but never flushed) —
+// and abandons a live predecessor the same way. A write already in flight
+// lands first. Crash-recovery tests use it to open the acked-but-lost
+// window deliberately; production code has no reason to call it.
 func (w *Writer) Abandon() error {
 	w.mu.Lock()
 	if w.closed {
@@ -568,8 +663,15 @@ func (w *Writer) Abandon() error {
 	// fails instead of creating or writing the file.
 	w.werr = errAbandoned
 	w.mu.Unlock()
+	var perr error
+	if p := w.prev.Swap(nil); p != nil {
+		perr = p.Abandon()
+	}
 	w.waitIdle()
-	return w.closeFile()
+	if err := w.closeFile(); err != nil {
+		return err
+	}
+	return perr
 }
 
 // errAbandoned is the write error of an abandoned writer.

@@ -577,7 +577,7 @@ func TestAppendProceedsDuringFileWrite(t *testing.T) {
 }
 
 // TestFailedWriteIsSticky: once a file write fails, the records it held
-// are lost, so no later Append, Flush or SyncTo may succeed.
+// are lost, so no later Append, write-out or SyncTo may succeed.
 func TestFailedWriteIsSticky(t *testing.T) {
 	w, err := Create(tempLog(t), Options{BufferSize: 64})
 	if err != nil {
@@ -586,7 +586,7 @@ func TestFailedWriteIsSticky(t *testing.T) {
 	if _, err := w.Append(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil { // the first write-out creates the file
+	if err := w.flush(); err != nil { // the first write-out creates the file
 		t.Fatal(err)
 	}
 	off, err := w.Append(bytes.Repeat([]byte("a"), 40))
@@ -600,8 +600,8 @@ func TestFailedWriteIsSticky(t *testing.T) {
 	if _, err := w.Append([]byte("c")); err == nil {
 		t.Fatal("an Append after a failed write succeeded")
 	}
-	if err := w.Flush(); err == nil {
-		t.Fatal("a Flush after a failed write succeeded")
+	if err := w.flush(); err == nil {
+		t.Fatal("a write-out after a failed write succeeded")
 	}
 	if err := w.SyncTo(off); err == nil {
 		t.Fatal("a SyncTo over a lost record succeeded")
@@ -736,7 +736,7 @@ func TestAppendAllocatesNothing(t *testing.T) {
 // TestNoAppendNoStagingBuffer: the staging buffers are allocated by the
 // first append and the file is created by the first write-out, so a
 // segment that never gets a record — a generation that took only unlogged
-// writes — costs no staging memory and no file, and Sync, Flush, Close and
+// writes — costs no staging memory and no file, and Sync, a write-out, Close and
 // Abandon of it wait for nothing and touch no file.
 func TestNoAppendNoStagingBuffer(t *testing.T) {
 	dir := t.TempDir()
@@ -755,7 +755,7 @@ func TestNoAppendNoStagingBuffer(t *testing.T) {
 		if err := w.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Flush(); err != nil {
+		if err := w.flush(); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -832,4 +832,209 @@ func walStats(m *Metrics) kv.Stats {
 	reg := obs.NewRegistry()
 	m.Register(reg)
 	return kv.StatsOf(reg.Snapshot())
+}
+
+// replayed returns the records path holds: none when there is no file.
+func replayed(t *testing.T, path string) [][]byte {
+	t.Helper()
+	var got [][]byte
+	err := ReplayAll(path, func(rec []byte) error {
+		got = append(got, bytes.Clone(rec))
+		return nil
+	})
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// chain returns a live segment with staged records and its successor,
+// which has none yet.
+func chain(t *testing.T, opts Options, staged int) (prev, next *Writer, prevPath, nextPath string) {
+	t.Helper()
+	dir := t.TempDir()
+	prevPath, nextPath = filepath.Join(dir, "000001.wal"), filepath.Join(dir, "000002.wal")
+	prev, err := Create(prevPath, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < staged; i++ {
+		if _, err := prev.Append([]byte(fmt.Sprintf("prev-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return prev, prev.Successor(nextPath), prevPath, nextPath
+}
+
+// TestSuccessorWritesPredecessorFirst: the successor's first write-out
+// finds the predecessor's staged records already in the predecessor's
+// file, which a crash at that write (a copy of the files) then holds: no
+// record of the successor without every earlier one of the predecessor.
+// The successor is configured as its predecessor is.
+func TestSuccessorWritesPredecessorFirst(t *testing.T) {
+	prev, next, prevPath, _ := chain(t, Options{}, 20)
+	defer next.Close()
+	writes := 0
+	next.writeGate = func() {
+		writes++
+		if got := replayed(t, prevPath); len(got) != 20 {
+			t.Errorf("successor write %d: the predecessor's file holds %d of its 20 records", writes, len(got))
+		}
+	}
+	if _, err := next.Append([]byte("next-0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if writes == 0 {
+		t.Fatal("the successor wrote nothing out")
+	}
+	if prev.Durable() != 0 {
+		t.Fatal("a write-out synced the predecessor")
+	}
+
+	var m Metrics
+	events := obs.NewEventLog(0)
+	_, next, _, _ = chain(t, Options{Metrics: &m, BufferSize: 256, WriteThrough: true, Events: events}, 0)
+	defer next.Close()
+	if next.metrics != &m || next.bufSize != 256 || !next.writeThrough || next.events != events {
+		t.Fatal("the successor is not configured as its predecessor")
+	}
+}
+
+// TestSuccessorSyncToSyncsPredecessor: a successor's SyncTo, and its Sync
+// with nothing of its own to sync, leave the predecessor synced.
+func TestSuccessorSyncToSyncsPredecessor(t *testing.T) {
+	prev, next, _, _ := chain(t, Options{}, 5)
+	defer next.Close()
+	off, err := next.Append([]byte("next-0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := next.SyncTo(off); err != nil {
+		t.Fatal(err)
+	}
+	if prev.Durable() != prev.Size() || next.Durable() != off {
+		t.Fatalf("after the successor's SyncTo: predecessor durable %d of %d, successor %d of %d",
+			prev.Durable(), prev.Size(), next.Durable(), off)
+	}
+
+	prev, next, _, _ = chain(t, Options{}, 5)
+	defer next.Close()
+	if err := next.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if prev.Durable() != prev.Size() {
+		t.Fatalf("after an empty successor's Sync: predecessor durable %d of %d", prev.Durable(), prev.Size())
+	}
+}
+
+// TestClosedPredecessorIsSkipped: a predecessor its owner closed is
+// neither written nor synced again, and the successor drops its link.
+func TestClosedPredecessorIsSkipped(t *testing.T) {
+	prev, next, prevPath, nextPath := chain(t, Options{}, 5)
+	if err := prev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(prevPath); err != nil { // retired, as after a flush
+		t.Fatal(err)
+	}
+	off, err := next.Append([]byte("next-0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := next.SyncTo(off); err != nil {
+		t.Fatalf("SyncTo over a closed predecessor: %v", err)
+	}
+	if next.prev.Load() != nil {
+		t.Fatal("the successor still links a closed predecessor")
+	}
+	if _, err := os.Stat(prevPath); !os.IsNotExist(err) {
+		t.Fatalf("the closed predecessor's file came back: %v", err)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed(t, nextPath); len(got) != 1 {
+		t.Fatalf("successor holds %d records, want 1", len(got))
+	}
+	// A writer made from a segment whose own predecessor is closed
+	// starts the chain afresh: at most the live pair is linked.
+	a, b, _, _ := chain(t, Options{}, 0)
+	a.Close()
+	b.Successor(filepath.Join(t.TempDir(), "000003.wal"))
+	if b.prev.Load() != nil {
+		t.Fatal("Successor kept the closed grandparent linked")
+	}
+}
+
+// TestSuccessorCloseAndAbandonReachPredecessor: closing the successor
+// closes a live predecessor, writing its staged records out first, and
+// abandoning the successor abandons it, losing them as a crash would.
+func TestSuccessorCloseAndAbandonReachPredecessor(t *testing.T) {
+	prev, next, prevPath, nextPath := chain(t, Options{}, 5)
+	if _, err := next.Append([]byte("next-0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prev.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append to the predecessor after the successor's Close: %v, want ErrClosed", err)
+	}
+	if p, n := replayed(t, prevPath), replayed(t, nextPath); len(p) != 5 || len(n) != 1 {
+		t.Fatalf("after Close: predecessor holds %d of 5 records, successor %d of 1", len(p), len(n))
+	}
+
+	prev, next, prevPath, nextPath = chain(t, Options{}, 5)
+	if _, err := next.Append([]byte("next-0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prev.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append to the predecessor after the successor's Abandon: %v, want ErrClosed", err)
+	}
+	if p, n := replayed(t, prevPath), replayed(t, nextPath); len(p) != 0 || len(n) != 0 {
+		t.Fatalf("after Abandon: predecessor holds %d records, successor %d; want both staging tails lost", len(p), len(n))
+	}
+}
+
+// TestPredecessorClosedDuringSync: a predecessor its owner closes while
+// the successor's barrier is syncing it — a flush retiring the sealed
+// segment — has its fsync land before its file closes, so the barrier
+// succeeds, and the successor is not left with a sticky sync error.
+func TestPredecessorClosedDuringSync(t *testing.T) {
+	prev, next, _, _ := chain(t, Options{}, 5)
+	defer next.Close()
+	parked, release := make(chan struct{}), make(chan struct{})
+	prev.fsyncGate = func() {
+		close(parked)
+		<-release
+	}
+	off, err := next.Append([]byte("next-0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- next.SyncTo(off) }()
+	<-parked
+	closed := make(chan error, 1)
+	go func() { closed <- prev.Close() }()
+	select {
+	case <-closed: // the file closed under the parked fsync
+	case <-time.After(100 * time.Millisecond): // Close waits for it
+	}
+	close(release)
+	if err := <-synced; err != nil {
+		t.Fatalf("a barrier whose predecessor closed under it: %v", err)
+	}
+	if off, err = next.Append([]byte("next-1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.SyncTo(off); err != nil {
+		t.Fatalf("a later barrier: %v", err)
+	}
 }

@@ -152,7 +152,7 @@ func FuzzReadFrameLimit(f *testing.F) {
 	for _, r := range seedRequests() {
 		stream = AppendRequest(stream, &r)
 	}
-	stream = AppendHello(stream, LocalHello(0))
+	stream = AppendHello(stream, LocalHello())
 	f.Add(stream, uint64(maxFuzzFrame-1))
 	f.Add(stream, uint64(16))
 	f.Fuzz(func(t *testing.T, stream []byte, max uint64) {

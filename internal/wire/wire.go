@@ -539,13 +539,9 @@ func ParseHello(body []byte) (Hello, error) {
 	return h, nil
 }
 
-// LocalHello is the announcement this build sends, with maxFrame
-// defaulting to the package cap when 0.
-func LocalHello(maxFrame uint64) Hello {
-	if maxFrame == 0 {
-		maxFrame = MaxFrame
-	}
-	return Hello{Version: ProtocolVersion, MaxFrame: maxFrame}
+// LocalHello is the announcement this build sends: it offers MaxFrame.
+func LocalHello() Hello {
+	return Hello{Version: ProtocolVersion, MaxFrame: MaxFrame}
 }
 
 // Negotiate combines the two announcements into the connection's frame
