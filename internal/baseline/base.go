@@ -187,10 +187,7 @@ func (b *base) init(cfg Config, pol policy) error {
 	// The first segment is configured here; every later one is its
 	// predecessor's successor (storage.Store.NextLog).
 	b.mem = &memHandle{mem: newSkipMem()}
-	if b.mem.walNum, b.mem.wal, err = store.CreateLog(wal.Options{Metrics: &b.walMetrics}); err != nil {
-		store.Close()
-		return err
-	}
+	b.mem.walNum, b.mem.wal = store.CreateLog(wal.Options{Metrics: &b.walMetrics})
 	if err := store.SetLogNum(b.mem.walNum, b.lastSeq); err != nil {
 		store.Close()
 		return err

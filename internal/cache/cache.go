@@ -1,6 +1,7 @@
 // Package cache implements the read cache behind FloDB's disk read path:
-// the row cache (rows point reads found, keyed by file number and key hash)
-// and the table-handle cache (open sstable readers keyed by file number,
+// the row cache (rows point reads found, keyed by file number and key hash,
+// or by a reserved ID and key hash for the rows the store caches under their
+// key) and the table-handle cache (open sstable readers keyed by file number,
 // bounding the process's fd budget).
 //
 // A hit takes no lock. The design carries the memory component's rule (§4.1:

@@ -249,15 +249,11 @@ func Open(cfg Config) (*DB, error) {
 
 	// The first segment is configured here; every later one is its
 	// predecessor's successor, configured alike (storage.Store.NextLog).
-	num, w, err := store.CreateLog(wal.Options{
+	num, w := store.CreateLog(wal.Options{
 		Metrics:      &db.walMetrics,
 		WriteThrough: cfg.WALWriteThrough,
 		Events:       db.Events(),
 	})
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
 	mt := db.newMemtable(num, w)
 	db.gen.Store(&generation{mbf: membuffer.New(db.mbfCfg), mtb: mt})
 	db.spare = &generation{mbf: membuffer.New(db.mbfCfg), mtb: mt}

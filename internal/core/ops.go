@@ -47,11 +47,16 @@ func (db *DB) putHandle(h *rcu.Handle) {
 //     a key in flight between the two is found in one or the other. A
 //     lookup that a later seal overtakes is made again (getSealed).
 //  3. The sealed Memtable if a flush is in flight: as the Memtable.
-//  4. Disk (Version.getAt), newest file first, and per file whose key range
-//     covers the key: its filter, through the file's metadata — no table
-//     handle; then the row cache — a hit returns the row, still no handle;
-//     only then a pinned Reader, an index search, one block read into a
-//     pooled buffer, a search in the block, and the row left in the cache.
+//  4. Disk (storage.Store.GetHashed): one look in the row cache for the
+//     row cached under the key, which answers if every table flushed since
+//     it was read rules the key out (a hit after no flush checks nothing);
+//     no level walk, no table handle. Otherwise the walk (Version.getAt),
+//     newest file first, and per file whose key range covers the key: the
+//     key's row if it was read from this file; its filter, through the
+//     file's metadata — no table handle; the file's row in the cache; only
+//     then a pinned Reader, an index search, one block read into a pooled
+//     buffer and a search in the block. The newest row found is cached
+//     under the key.
 //
 // The value returned aliases store memory that is never written again (a
 // Membuffer pair, a skiplist entry, a cached row).

@@ -427,13 +427,16 @@ func TestGetAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestRowCacheCoherence checks that a cached row never answers for anything
-// but its own immutable table: a random mix of Put, Delete, Get, Snapshot
-// reads, forced flushes and forced compactions is compared with a map (one
-// copy per open snapshot), with the cache unable to hold a row, holding a
-// part of the data, and holding all of it. It opens with the cases named in
-// the design: a key whose newer version sits in L0 while its older row is
-// cached from a deeper file, and a tombstone row.
+// TestRowCacheCoherence checks that a cached row never answers with
+// anything but what the read it serves would find: a row cached under its
+// table for that table, a row cached under its key for the newest version
+// on disk until a flush that may hold a newer one. A random mix of Put,
+// Delete, Get, Snapshot reads, forced flushes and forced compactions is
+// compared with a map (one copy per open snapshot), with the cache unable
+// to hold a row, holding a part of the data, and holding all of it. It
+// opens with the cases named in the design: a key whose newer version sits
+// in L0 while its older row is cached from a deeper file, and a tombstone
+// row.
 func TestRowCacheCoherence(t *testing.T) {
 	for _, cacheBytes := range []int64{1, 64 << 10, 64 << 20} {
 		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {

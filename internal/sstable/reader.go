@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"flodb/internal/cache"
 	"flodb/internal/keys"
@@ -21,7 +22,9 @@ type ReaderOptions struct {
 	// The name is historical (it held blocks, one hot row to sixteen cold
 	// ones). The cache is shared between readers; CacheID must be unique
 	// per table file for its lifetime (the store uses the table's file
-	// number, which is never reused — so rows need no invalidation).
+	// number, which is never reused — so rows need no invalidation). The
+	// store also caches rows of its own in it, under an ID no table has
+	// (CacheRow).
 	BlockCache *cache.Cache
 	CacheID    uint64
 }
@@ -223,61 +226,96 @@ func (r *Reader) blockFor(key []byte) int {
 	})
 }
 
-// Row is one table entry as the read cache holds it. Key and Value share
-// one allocation and are never written after the row is built, so a Get may
-// hand Value out while the cache evicts the row underneath it.
+// Row is one table entry as the read cache holds it: the newest version of
+// Key in the table whose reader's CacheID is Table. Key and Value share one
+// allocation and are never written after the row is built, so a Get may
+// hand Value out while the cache evicts the row underneath it. The stamp is
+// the one field that changes: a row cached under its user key rather than
+// its table (the store's latest-read cache) carries in it the point up to
+// which it is known to be the key's newest version on disk. A row cached
+// under its table never uses it.
 type Row struct {
 	Key, Value []byte
 	Seq        uint64
+	Table      uint64
 	Kind       keys.Kind
+	stamp      atomic.Uint64
+}
+
+// Stamp returns the row's stamp (0 for a row that was never stamped).
+func (r *Row) Stamp() uint64 { return r.stamp.Load() }
+
+// Restamp moves the row's stamp from old to new, unless another caller
+// moved it first. It writes nothing when old is new, so a hot row's line
+// stays shared between the cores that read it.
+func (r *Row) Restamp(old, new uint64) {
+	if old != new {
+		r.stamp.CompareAndSwap(old, new)
+	}
 }
 
 // rowOverhead is what a cached row costs beyond its key and value bytes:
 // the Row, the cache's entry and its share of the cache's slot table, and
 // the rounding of all three to allocator size classes. Measured, and held
 // to the heap's real growth by TestRowCacheChargeIsHonest.
-const rowOverhead = 144
+const rowOverhead = 160
 
-// CachedRow returns the row a point read left in c for key in table id, or
-// nil; h is keys.Hash(key). The lookup is unpinned: rows are inserted
-// without a deleter, immutable and garbage-collected, so the caller's
-// pointer outlives an eviction, and a hit writes nothing shared but the
-// row's CLOCK bit (pinning is for values that own something else, like the
-// table cache's file descriptors).
+// CachedRow returns the row left in c under (id, h) for key, or nil; h is
+// keys.Hash(key). The lookup is unpinned: rows are inserted without a
+// deleter, immutable but for their stamp and garbage-collected, so the
+// caller's pointer outlives an eviction, and a hit writes nothing shared
+// but the row's CLOCK bit (pinning is for values that own something else,
+// like the table cache's file descriptors).
 func CachedRow(c *cache.Cache, id, h uint64, key []byte) *Row {
 	if c == nil {
 		return nil
 	}
 	row, _ := c.Lookup(cache.Key{ID: id, Offset: h}).(*Row)
 	if row == nil || !keys.Equal(row.Key, key) {
-		return nil // absent, or another key of this table with the same hash
+		return nil // absent, or another key with the same hash
 	}
 	return row
+}
+
+// CacheRow leaves row in c under (id, h), where h is keys.Hash(row.Key),
+// for CachedRow to find; a nil c caches nothing. A table's reader caches
+// under its CacheID; the row must not be written after this.
+func CacheRow(c *cache.Cache, id, h uint64, row *Row) {
+	if c != nil {
+		c.Insert(cache.Key{ID: id, Offset: h}, row, int64(len(row.Key)+len(row.Value))+rowOverhead, nil).Release()
+	}
 }
 
 // blockBufs recycles the scratch buffer a Get reads its one block into.
 var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// Get returns the newest version of key stored in this table.
+// Get returns the newest version of key stored in this table: past the
+// filter, the row the cache holds for it, else the row ReadRow reads, left
+// in the cache.
 func (r *Reader) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
 	h := keys.Hash(key)
 	if r.filter != nil && !r.filter.MayContain(h) {
 		return nil, 0, 0, false, nil
 	}
-	if row := CachedRow(r.bcache, r.cacheID, h, key); row != nil {
-		return row.Value, row.Seq, row.Kind, true, nil
+	row := CachedRow(r.bcache, r.cacheID, h, key)
+	if row == nil {
+		if row, err = r.ReadRow(key); row == nil {
+			return nil, 0, 0, false, err
+		}
+		CacheRow(r.bcache, r.cacheID, h, row)
 	}
-	return r.Fetch(key, h)
+	return row.Value, row.Seq, row.Kind, true, nil
 }
 
-// Fetch is Get past the filter and the row cache, for a caller that has
-// asked both itself (h is keys.Hash(key)): it reads the one block that can
-// hold key into a pooled buffer, and copies the entry out as a Row that it
-// leaves in the cache. Nothing it allocates grows with the block.
-func (r *Reader) Fetch(key []byte, h uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
+// ReadRow returns the newest version of key stored in this table as a new
+// Row, nil if the table does not hold key, asking neither the filter nor
+// the cache and leaving nothing in the cache (CacheRow does). It reads the
+// one block that can hold key into a pooled buffer and copies the entry
+// out: nothing it allocates grows with the block.
+func (r *Reader) ReadRow(key []byte) (*Row, error) {
 	bi := r.blockFor(key)
 	if bi == len(r.index) {
-		return nil, 0, 0, false, nil
+		return nil, nil
 	}
 	e := r.index[bi]
 	buf := blockBufs.Get().(*[]byte)
@@ -289,27 +327,23 @@ func (r *Reader) Fetch(key []byte, h uint64) (value []byte, seq uint64, kind key
 	}
 	raw := (*buf)[:e.length]
 	if _, err := r.f.ReadAt(raw, int64(e.off)); err != nil {
-		return nil, 0, 0, false, fmt.Errorf("sstable: pread: %w", err)
+		return nil, fmt.Errorf("sstable: pread: %w", err)
 	}
 	blk, err := parseBlock(raw)
 	if err != nil {
-		return nil, 0, 0, false, err
+		return nil, err
 	}
 	ei, err := blk.seekInBlock(key)
 	if err != nil || ei == blk.len() {
-		return nil, 0, 0, false, err
+		return nil, err
 	}
 	k, seq, kind, v, err := blk.entryAt(ei)
 	if err != nil || !keys.Equal(k, key) {
-		return nil, 0, 0, false, err
+		return nil, err
 	}
 	kv := make([]byte, len(k)+len(v))
 	copy(kv[copy(kv, k):], v)
-	row := &Row{Key: kv[:len(k):len(k)], Value: kv[len(k):], Seq: seq, Kind: kind}
-	if r.bcache != nil {
-		r.bcache.Insert(cache.Key{ID: r.cacheID, Offset: h}, row, int64(len(kv))+rowOverhead, nil).Release()
-	}
-	return row.Value, seq, kind, true, nil
+	return &Row{Key: kv[:len(k):len(k)], Value: kv[len(k):], Seq: seq, Table: r.cacheID, Kind: kind}, nil
 }
 
 // --- Iterator ---------------------------------------------------------------

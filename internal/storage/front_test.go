@@ -60,10 +60,7 @@ func openFront(t *testing.T) (*Front, *fakeEngine) {
 	if err := f.Init(kv.DurabilityNone); err != nil {
 		t.Fatal(err)
 	}
-	_, log, err := s.CreateLog(wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, log := s.CreateLog(wal.Options{})
 	f.Open(s, new(wal.Metrics), Engine{
 		Write: e.write,
 		Apply: e.apply,

@@ -27,11 +27,11 @@ import (
 // CreateLog allocates a file number for the first log segment an engine
 // opens, configured by opts. The segment's file is created by its first
 // write-out (wal.Create), so a generation that logs nothing leaves no
-// file.
-func (s *Store) CreateLog(opts wal.Options) (uint64, *wal.Writer, error) {
+// file, and opening one cannot fail.
+func (s *Store) CreateLog(opts wal.Options) (uint64, *wal.Writer) {
 	num := s.NewFileNum()
-	w, err := wal.Create(WALFileName(s.dir, num), opts)
-	return num, w, err
+	w, _ := wal.Create(WALFileName(s.dir, num), opts)
+	return num, w
 }
 
 // NextLog allocates the log segment of the memtable that succeeds prev's:

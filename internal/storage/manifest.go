@@ -202,7 +202,9 @@ func (vs *versionSet) rewriteManifest() error {
 
 func ptr[T any](v T) *T { return &v }
 
-// setCurrent atomically points CURRENT at manifest num via rename.
+// setCurrent atomically points CURRENT at manifest num: it writes and
+// syncs CURRENT.tmp, renames it over CURRENT and syncs the directory, so
+// the new name survives a crash once it returns.
 func setCurrent(dir string, num uint64) error {
 	tmp := filepath.Join(dir, "CURRENT.tmp")
 	content := filepath.Base(ManifestFileName(dir, num)) + "\n"
@@ -210,11 +212,18 @@ func setCurrent(dir string, num uint64) error {
 		return err
 	}
 	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
+	if err != nil {
+		return err
 	}
-	return os.Rename(tmp, CurrentFileName(dir))
+	err = f.Sync()
+	f.Close()
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, CurrentFileName(dir)); err != nil {
+		return err
+	}
+	return SyncDir(dir)
 }
 
 // logAndApply writes edit to the manifest and installs the resulting
@@ -243,6 +252,12 @@ func (vs *versionSet) logAndApply(e *VersionEdit) error {
 	b := newVersionBuilder(old)
 	b.apply(e)
 	v := b.build()
+	// Count the tables added to L0: only a flush adds there. The replay at
+	// Open counts none; the row cache it would guard starts empty.
+	for _, f := range b.added[0] {
+		v.flushed++
+		v.recent[v.flushed%flushRing] = f
+	}
 	v.refs = 1
 	vs.refFiles(v)
 	vs.current.Store(v)

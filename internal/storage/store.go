@@ -106,13 +106,20 @@ type Store struct {
 	vs    *versionSet
 	cache *tableCache
 
-	// bcache is the shared row cache (nil when disabled). bloomChecks
-	// counts the table filters point reads consulted, bloomNegatives the
-	// ones that answered "definitely absent" and so spared the probe its
-	// table handle and its block read.
+	// bcache is the shared row cache (nil when disabled): rows of tables,
+	// which bounded reads leave, and key rows, which latest reads leave
+	// (newestRow). bloomChecks counts the table filters point reads
+	// consulted, bloomNegatives the ones that answered "definitely absent"
+	// and so spared the probe its table handle and its block read.
+	// keyRowHits counts the latest reads a key row answered, keyRowsRetired
+	// the key rows a read found but could not prove current, and
+	// getBlockReads the blocks point reads read.
 	bcache         *cache.Cache
 	bloomChecks    obs.StripedCounter
 	bloomNegatives obs.StripedCounter
+	keyRowHits     obs.StripedCounter
+	keyRowsRetired obs.StripedCounter
+	getBlockReads  obs.StripedCounter
 
 	// compacting marks input files of in-flight compactions; compactPtr
 	// implements LevelDB's round-robin pick within a level. Both guarded
@@ -328,7 +335,51 @@ func (s *Store) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bo
 func (s *Store) GetHashed(key []byte, h uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
 	rh := s.vs.enter()
 	defer s.vs.exit(rh)
-	return s.vs.current.Load().getAt(s, key, h, math.MaxUint64)
+	row, err := s.newestRow(s.vs.current.Load(), key, h)
+	if row == nil {
+		return nil, 0, 0, false, err
+	}
+	return row.Value, row.Seq, row.Kind, true, nil
+}
+
+// keyRowID is the cache ID rows cached under their user key carry. File
+// numbers start at 1, so no table's rows share it.
+const keyRowID = 0
+
+// newestRow returns the newest version of key (h is its keys.Hash) in v,
+// nil if v holds none. It asks the row cache once, for the row cached under
+// key: a key row. A key row was the newest version of its key in the
+// Version whose flush count it is stamped with. Only a flush adds newer
+// data to disk: a compaction keeps every key's newest version, or drops a
+// tombstone that shadowed nothing, which reads the same. So the row still
+// answers if every table flushed since rules the key out (Version.rulesOut),
+// and is re-stamped, so only its first hit after a flush pays for filters.
+// A row that cannot be proved so is retired: the walk decides, with the row
+// answering for its own table, and the walk's answer is stamped with v's
+// flush count and cached under key.
+func (s *Store) newestRow(v *Version, key []byte, h uint64) (*sstable.Row, error) {
+	cached := sstable.CachedRow(s.bcache, keyRowID, h, key)
+	var stamp uint64
+	if cached != nil {
+		if stamp = cached.Stamp(); stamp == v.flushed || v.rulesOut(s, stamp, key, h) {
+			cached.Restamp(stamp, v.flushed)
+			s.keyRowHits.Inc()
+			return cached, nil
+		}
+		s.keyRowsRetired.Inc()
+	}
+	row, err := v.getAt(s, key, h, math.MaxUint64, true, cached)
+	switch {
+	case row == nil:
+	case row == cached: // the walk reached its table: still the newest
+		row.Restamp(stamp, v.flushed)
+	default:
+		// A row read or found under its table has no stamp, unless a walk
+		// that proved it newest at a count gave it that count first.
+		row.Restamp(0, v.flushed)
+		sstable.CacheRow(s.bcache, keyRowID, h, row)
+	}
+	return row, err
 }
 
 // NewIterator returns a merged iterator over a snapshot of the disk
@@ -355,9 +406,15 @@ func (s *Store) PinVersion() *Version { return s.vs.refCurrent() }
 func (s *Store) ReleaseVersion(v *Version) { s.vs.releaseVersion(v) }
 
 // GetAt returns the newest occurrence of key with seq <= maxSeq in the
-// pinned version v.
+// pinned version v. It asks and fills the rows of the tables it probes; the
+// row cached under key answers only for the table it was read from.
 func (s *Store) GetAt(v *Version, key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
-	return v.getAt(s, key, keys.Hash(key), maxSeq)
+	h := keys.Hash(key)
+	row, err := v.getAt(s, key, h, maxSeq, false, sstable.CachedRow(s.bcache, keyRowID, h, key))
+	if row == nil {
+		return nil, 0, 0, false, err
+	}
+	return row.Value, row.Seq, row.Kind, true, nil
 }
 
 // NumLevelFiles returns the file count at a level.
@@ -461,6 +518,9 @@ func registerMetrics(reg *obs.Registry, s *Store, wm *wal.Metrics) {
 	reg.CounterFunc("flodb_table_cache_misses_total", "Table-handle cache misses.", func() uint64 { return s.cache.Stats().Misses })
 	reg.CounterFunc("flodb_bloom_checks_total", "Bloom filter checks.", s.bloomChecks.Load)
 	reg.CounterFunc("flodb_bloom_negatives_total", "Bloom filter negatives (table reads skipped).", s.bloomNegatives.Load)
+	reg.CounterFunc("flodb_key_row_hits_total", "Latest disk reads answered by the row cached under their key.", s.keyRowHits.Load)
+	reg.CounterFunc("flodb_key_rows_retired_total", "Rows cached under their key that a table flushed since may have superseded.", s.keyRowsRetired.Load)
+	reg.CounterFunc("flodb_get_block_reads_total", "Table blocks read by point reads.", s.getBlockReads.Load)
 	reg.GaugeFunc("flodb_block_cache_bytes", "Bytes resident in the block cache.", func() int64 { return blocks().Bytes })
 }
 

@@ -109,12 +109,26 @@ func (f *FileMeta) overlaps(lo, hi []byte) bool {
 	return true
 }
 
+// flushRing is how many of the latest flushed tables a Version keeps for
+// the check of a key row (Store.newestRow): a row read before more flushes
+// than this is walked for again.
+const flushRing = 8
+
 // Version is an immutable snapshot of the file tree. L0 files are ordered
 // newest first (descending file number); deeper levels are sorted by
 // Smallest and do not overlap.
 type Version struct {
 	files [NumLevels][]*FileMeta
-	refs  int // guarded by versionSet.mu
+
+	// flushed counts the tables flushed into L0 since Open, and recent
+	// holds the latest flushRing of them: the n-th at recent[n%flushRing].
+	// Only a flush puts newer data on disk, so a row that was the newest
+	// version of its key in a Version that had flushed m tables is still
+	// the newest here if tables m+1..flushed all rule the key out.
+	flushed uint64
+	recent  [flushRing]*FileMeta
+
+	refs int // guarded by versionSet.mu
 }
 
 // Level returns the files of one level (shared slice; do not mutate).
@@ -133,31 +147,38 @@ func (v *Version) SizeBytes(l int) int64 {
 }
 
 // getAt searches the version for the newest occurrence of key (h is its
-// keys.Hash) with seq <= maxSeq, newest level first. Files whose version of
-// the key is newer than maxSeq are skipped and the search continues in
-// older files and deeper levels — the read path of a sequence-bounded
-// snapshot over a pinned version. L0 is walked newest file first until the
-// answer in hand is newer than anything the remaining files hold; flushes
-// have disjoint sequence ranges, and the guard reads them from the
-// metadata, so a file that breaks the pattern is still consulted.
-func (v *Version) getAt(s *Store, key []byte, h, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
+// keys.Hash) with seq <= maxSeq, newest level first, and returns it as a
+// row, nil if there is none. Files whose version of the key is newer than
+// maxSeq are skipped and the search continues in older files and deeper
+// levels — the read path of a sequence-bounded snapshot over a pinned
+// version. L0 is walked newest file first until the answer in hand is newer
+// than anything the remaining files hold; flushes have disjoint sequence
+// ranges, and the guard reads them from the metadata, so a file that breaks
+// the pattern is still consulted.
+//
+// A latest read (GetHashed) walks with latest set: it asks the per-table
+// rows but leaves none, and caches the row it returns under its key
+// itself. A bounded read asks and fills them. Both pass the row cached
+// under key, if any, as hint: it answers for its own table.
+func (v *Version) getAt(s *Store, key []byte, h, maxSeq uint64, latest bool, hint *sstable.Row) (*sstable.Row, error) {
+	var found *sstable.Row
 	for _, f := range v.files[0] {
-		if ok && f.MaxSeq < seq {
+		if found != nil && f.MaxSeq < found.Seq {
 			break
 		}
 		if !f.overlaps(key, key) {
 			continue
 		}
-		val, sq, k, hit, err := s.probe(f, key, h)
+		row, err := s.probe(f, key, h, latest, hint)
 		if err != nil {
-			return nil, 0, 0, false, err
+			return nil, err
 		}
-		if hit && sq <= maxSeq && (!ok || sq > seq) {
-			value, seq, kind, ok = val, sq, k, true
+		if row != nil && row.Seq <= maxSeq && (found == nil || row.Seq > found.Seq) {
+			found = row
 		}
 	}
-	if ok {
-		return value, seq, kind, true, nil
+	if found != nil {
+		return found, nil
 	}
 	for l := 1; l < NumLevels; l++ {
 		files := v.files[l]
@@ -170,42 +191,73 @@ func (v *Version) getAt(s *Store, key []byte, h, maxSeq uint64) (value []byte, s
 		if i == len(files) || keys.Compare(files[i].Smallest, key) > 0 {
 			continue
 		}
-		val, sq, k, hit, err := s.probe(files[i], key, h)
+		row, err := s.probe(files[i], key, h, latest, hint)
 		if err != nil {
-			return nil, 0, 0, false, err
+			return nil, err
 		}
-		if hit && sq <= maxSeq {
-			return val, sq, k, true, nil
+		if row != nil && row.Seq <= maxSeq {
+			return row, nil
 		}
 	}
-	return nil, 0, 0, false, nil
+	return nil, nil
 }
 
 // probe looks key (h is its keys.Hash) up in one file whose range covers it,
-// paying for each step only if the one before could not answer: the file's
-// filter (no table handle, no Reader), the row cache, and only then a
-// pinned Reader and the one block read of Reader.Fetch.
-func (s *Store) probe(f *FileMeta, key []byte, h uint64) (value []byte, seq uint64, kind keys.Kind, ok bool, err error) {
+// paying for each step only if the one before could not answer: the hint if
+// it was read from this file, the file's filter (no table handle, no
+// Reader), the file's row in the cache, and only then a pinned Reader and
+// the one block read of Reader.ReadRow, whose row a bounded read leaves in
+// the cache. Tables are immutable and file numbers never reused, so a row
+// read from f answers for f for as long as f lives.
+func (s *Store) probe(f *FileMeta, key []byte, h uint64, latest bool, hint *sstable.Row) (*sstable.Row, error) {
+	if hint != nil && hint.Table == f.Num {
+		return hint, nil
+	}
 	flt, err := f.tableFilter(s.cache)
 	if err != nil {
-		return nil, 0, 0, false, err
+		return nil, err
 	}
 	if flt != nil {
 		s.bloomChecks.Inc()
 		if !flt.MayContain(h) {
 			s.bloomNegatives.Inc()
-			return nil, 0, 0, false, nil
+			return nil, nil
 		}
 	}
 	if row := sstable.CachedRow(s.bcache, f.Num, h, key); row != nil {
-		return row.Value, row.Seq, row.Kind, true, nil
+		return row, nil
 	}
 	r, hd, err := s.cache.Get(f.Num)
 	if err != nil {
-		return nil, 0, 0, false, err
+		return nil, err
 	}
 	defer hd.Release()
-	return r.Fetch(key, h)
+	s.getBlockReads.Inc()
+	row, err := r.ReadRow(key)
+	if row != nil && !latest {
+		sstable.CacheRow(s.bcache, f.Num, h, row)
+	}
+	return row, err
+}
+
+// rulesOut reports whether every table flushed into v after the first
+// stamp flushes rules key (h is its keys.Hash) out, by its key range or its
+// filter. It cannot tell for a stamp older than the ring or newer than v,
+// nor past a table without a filter, and reports false.
+func (v *Version) rulesOut(s *Store, stamp uint64, key []byte, h uint64) bool {
+	if stamp > v.flushed || v.flushed-stamp > flushRing {
+		return false
+	}
+	for n := stamp + 1; n <= v.flushed; n++ {
+		f := v.recent[n%flushRing]
+		if !f.overlaps(key, key) {
+			continue
+		}
+		if flt, err := f.tableFilter(s.cache); err != nil || flt == nil || flt.MayContain(h) {
+			return false
+		}
+	}
+	return true
 }
 
 // overlappingFiles returns the files in level l intersecting [lo, hi]
@@ -271,7 +323,7 @@ func (b *versionBuilder) apply(e *VersionEdit) {
 }
 
 func (b *versionBuilder) build() *Version {
-	v := &Version{}
+	v := &Version{flushed: b.base.flushed, recent: b.base.recent}
 	for l := 0; l < NumLevels; l++ {
 		var files []*FileMeta
 		for _, f := range b.base.files[l] {
